@@ -33,9 +33,9 @@ for k in range(0, len(traj), 400):
 
 print(f"\nmax |A - exp(int tr B)|          = {wr.residual:.2e}")
 print(f"max Riccati residual             = "
-      f"{gc.riccati_residual(entry.manifold, entry.field, traj):.2e}")
+      f"{gc.riccati_residual(traj):.2e}")
 print(f"max trace-evolution residual     = "
-      f"{gc.trace_evolution_residual(entry.manifold, entry.field, traj):.2e}")
+      f"{gc.trace_evolution_residual(traj):.2e}")
 print(f"max adaptedness |J' - beta(J)|   = {traj.adapted_residual:.2e}")
 
 # the shape operator eigenvalues stay constant along this non-contact orbit

@@ -21,8 +21,8 @@ for nodes in (8, 16, 32, 64):
 print(f"  target 4 pi^2 = {4 * np.pi ** 2:.5f}")
 
 vol = gc.volume_integral(entry, 32)
-killing_max = max(gc.killing_defect(entry.manifold, entry.field, p)
-                  for p in entry.grid.points()[::5])
+killing_max = max(d.killing_defect
+                  for d in gc.diagnose(entry.manifold, entry.field, entry.grid.points()[::5]))
 print(f"\nKilling defect max ~ {killing_max:.1e}; "
       f"verdict: {gc.reebability_verdict(entry, vol, killing_max)!r}")
 

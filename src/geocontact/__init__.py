@@ -12,16 +12,14 @@ __version__ = "0.1.0"
 from . import errors
 from .expr import DualScalar, ExprAst, eval_dual, eval_scalar, parse, to_string
 from .geometry import (ChartedManifold, Frame, VolumeParametrization, frame_at,
-                       inner, manifold_from_exprs, metric_partials,
-                       orthonormal_complement)
+                       frames_at, inner, manifold_from_exprs, metric_partials)
 from .curvature import (JacobiTensor, christoffel, covariant_derivative,
-                        jacobi_tensor, parallel_jacobi_defect, ricci_direction,
-                        riemann, riemann_tensor, sectional)
+                        jacobi_tensor, ricci_direction, riemann, riemann_tensor,
+                        sectional)
 from .field import (BetaMatrix, ComplexPair, PointDiagnosis, RealPair, UnitField,
                     beta_matrix, beta_rank, contact_defect, contact_defect_grid,
-                    diagnose_point, eigen_classify, geodesic_defect,
-                    killing_defect, unit_defect)
-from .flow import (AdaptedJacobi, OrbitSample, Trajectory, WronskianResult,
+                    diagnose, diagnose_point, eigen_classify)
+from .flow import (AdaptedJacobi, Trajectory, WronskianResult,
                    adapted_jacobi, arcoth, first_zero_space_form,
                    integrate_orbit, jacobi_component_closed_form,
                    max_parallel_jacobi_defect, riccati_residual, rk4_step,

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnknownEntry
-from .field import UnitField, diagnose_point
+from .curvature import trace_discriminant
+from .field import UnitField, diagnose
 from .geometry import ChartedManifold, VolumeParametrization, manifold_from_exprs
 
 VALUE_TOL = 1e-5       # tolerance for expected numeric template values
@@ -305,8 +306,7 @@ def self_check(entry: CatalogEntry, points=None, unit_tol=1e-8, geodesic_tol=1e-
     pts = entry.grid.points() if points is None else np.asarray(points, float)
     exp = entry.expected
     bad = []
-    for p in pts:
-        d = diagnose_point(entry.manifold, entry.field, p)
+    for p, d in zip(pts, diagnose(entry.manifold, entry.field, pts)):
         where = np.array2string(p, precision=3)
 
         def complain(key, got):
@@ -337,8 +337,7 @@ def self_check(entry: CatalogEntry, points=None, unit_tol=1e-8, geodesic_tol=1e-
                 if max(abs(a - b) for a, b in zip(got, exp["real_eigs_sorted"])) > VALUE_TOL:
                     complain("real_eigs_sorted", got)
         if "disc_max" in exp:
-            b = d.beta.B
-            disc = (b[0, 0] + b[1, 1]) ** 2 - 4 * (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+            disc = trace_discriminant(d.beta.B)[1]
             if disc >= exp["disc_max"]:
                 complain("disc_max", disc)
         for key, attr in (("Delta", "Delta"), ("delta", "delta"), ("ric_X", "ric_X")):

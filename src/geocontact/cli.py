@@ -18,8 +18,9 @@ from . import __version__, catalog
 from .catalog import CatalogEntry, GridSpec, OrbitSpec
 from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization,
                      UnknownEntry)
-from .field import RealPair, UnitField, diagnose_point
-from .flow import (integrate_orbit, noncontact_eigen_drift, riccati_residual,
+from .curvature import trace_discriminant
+from .field import RealPair, UnitField, diagnose
+from .flow import (integrate_orbit, noncontact_eigen_drift, riccati_residuals,
                    trace_evolution_residual, wronskian)
 from .geometry import manifold_from_exprs
 from .verify import (THEOREM_IDS, Tolerances, applicable_theorems, run_theorem,
@@ -118,8 +119,11 @@ def resolve_config(config: dict) -> Resolved:
         step = float(orbit.get("step", 1e-3))
         if step <= 0:
             raise ConfigError("orbit step must be positive")
-        entry.orbit = OrbitSpec(_triple(orbit["start"], "orbit.start"),
-                                float(orbit.get("t_end", 2.0)), step)
+        t_end = float(orbit.get("t_end", 2.0))
+        if round(t_end / step) < 2:
+            # the residuals difference B centrally, so they need 3 samples
+            raise ConfigError("orbit t_end must be at least two steps")
+        entry.orbit = OrbitSpec(_triple(orbit["start"], "orbit.start"), t_end, step)
     if "diff" in config:
         _check_keys(config["diff"], "diff")
         mode = config["diff"].get("mode", "dual")
@@ -186,13 +190,12 @@ def cmd_analyze(args) -> int:
     if entry.grid is None:
         raise ConfigError("analyze needs a grid")
     lines = [ANALYZE_HEADER]
-    skipped = []
+    pts = entry.grid.points()
+    inside = entry.manifold.contains(pts)
+    skipped = pts[~inside]
     failed = False
-    for p in entry.grid.points():
-        if not entry.manifold.contains(p):
-            skipped.append(p)
-            continue
-        d = diagnose_point(entry.manifold, entry.field, p, unit_tol=np.inf)
+    for p, d in zip(pts[inside], diagnose(entry.manifold, entry.field, pts[inside],
+                                          unit_tol=np.inf)):
         failed |= d.unit_defect > tol.unit_defect or d.geodesic_defect > tol.geodesic_defect
         if isinstance(d.eigen, RealPair):
             eig = ("real", d.eigen.lam, 0.0, d.eigen.mu, 0.0)
@@ -206,7 +209,7 @@ def cmd_analyze(args) -> int:
              _fmt(d.delta), str(d.beta_rank)]))
     lines.append(f"# version: geocontact {__version__}")
     lines.append(f"# config: {_echo_json(resolved)}")
-    if skipped:
+    if len(skipped):
         lines.append(f"# out_of_chart: {len(skipped)}")
         lines.extend(f"# {_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}" for p in skipped)
     _emit("\n".join(lines) + "\n", args.out)
@@ -226,30 +229,21 @@ def cmd_orbit(args) -> int:
     traj = integrate_orbit(entry.manifold, entry.field, np.asarray(spec.start, float),
                            spec.t_end, spec.step, with_jacobi=True)
     wr = wronskian(traj)
-    max_riccati = riccati_residual(entry.manifold, entry.field, traj)
-    max_trace = trace_evolution_residual(entry.manifold, entry.field, traj)
+    riccati = riccati_residuals(traj)
+    max_riccati = float(np.nanmax(riccati))
+    max_trace = trace_evolution_residual(traj)
 
-    n = len(traj)
-    trb = np.trace(traj.B, axis1=1, axis2=2)
+    trb, disc = trace_discriminant(traj.B)
     detb = traj.B[:, 0, 0] * traj.B[:, 1, 1] - traj.B[:, 0, 1] * traj.B[:, 1, 0]
-    disc = trb * trb - 4.0 * detb
     defect = traj.B[:, 1, 0] - traj.B[:, 0, 1]
-    riccati = np.full(n, np.nan)
-    if n >= 3:
-        bdot = (traj.B[2:] - traj.B[:-2]) / (2.0 * traj.step)
-        res = bdot + np.einsum("nij,njk->nik", traj.B[1:-1], traj.B[1:-1]) + traj.M[1:-1]
-        riccati[1:-1] = np.sqrt((res ** 2).sum(axis=(1, 2)))
-    adapted = np.maximum(
-        np.linalg.norm(traj.Jdot - np.einsum("nij,nj->ni", traj.B, traj.J), axis=1),
-        np.linalg.norm(traj.Jtdot - np.einsum("nij,nj->ni", traj.B, traj.Jt), axis=1))
 
     lines = [ORBIT_HEADER]
-    for k in range(n):
+    for k in range(len(traj)):
         lines.append(",".join([
             _fmt(traj.t[k]), _fmt(traj.points[k, 0]), _fmt(traj.points[k, 1]),
             _fmt(traj.points[k, 2]), _fmt(trb[k]), _fmt(detb[k]), _fmt(disc[k]),
             _fmt(defect[k]), _fmt(traj.A[k]), _fmt(wr.A_expected[k]),
-            _fmt(riccati[k]), _fmt(adapted[k])]))
+            _fmt(riccati[k]), _fmt(traj.adapted[k])]))
     lines.append(f"# version: geocontact {__version__}")
     lines.append(f"# config: {_echo_json(resolved)}")
     lines.append(f"# max_riccati_residual: {_fmt(max_riccati)}")

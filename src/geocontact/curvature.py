@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import DegeneratePlane, SingularMetric
-from .geometry import ChartedManifold, Frame, as_points, inner, metric_partials
+from .geometry import ChartedManifold, Frame, as_points, frame_at, inner, metric_partials
 
 MAX_METRIC_CONDITION = 1e12
 
@@ -68,11 +68,6 @@ def christoffel_with_partials(man: ChartedManifold, p):
     return gam, dgam
 
 
-def christoffel_partials(man: ChartedManifold, p):
-    """Central-difference partials dG[m, k, i, j] = d_m Gamma^k_ij."""
-    return christoffel_with_partials(man, p)[1]
-
-
 def assemble_riemann(gam, dgam):
     """R[l, i, j, k] from Gamma and its partials (leading batch axis)."""
     return (np.einsum("niljk->nlijk", dgam)            # d_i G^l_jk
@@ -120,36 +115,52 @@ class JacobiTensor:
     delta: float
 
 
-def _sym_eigenvalues(m):
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    # self-adjoint input: a (numerically) negative discriminant means a
-    # repeated eigenvalue, so clamp at zero
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    root = np.sqrt(disc)
+def trace_discriminant(m):
+    """Trace and discriminant of 2x2 matrices m[..., 2, 2].
+
+    The discriminant is computed as (a - d)^2 + 4bc. It equals tr^2 - 4 det,
+    but does not cancel when the eigenvalues nearly coincide, where an
+    absolute error eps in it becomes an error sqrt(eps) in the eigenvalues.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return a + d, (a - d) ** 2 + 4.0 * b * c
+
+
+def real_eigenvalues(m):
+    """Larger and smaller eigenvalue of 2x2 matrices m[..., 2, 2] with real spectrum.
+
+    A (numerically) negative discriminant means a repeated eigenvalue, so it
+    is clamped at zero.
+    """
+    tr, disc = trace_discriminant(m)
+    root = np.sqrt(np.maximum(disc, 0.0))
     return 0.5 * (tr + root), 0.5 * (tr - root)
 
 
-def jacobi_tensor_matrix(man: ChartedManifold, p, frame: Frame):
-    g = man.metric_at(p)
-    riem = riemann_tensor(man, p)
-    e = np.stack([frame.e1, frame.e2])  # (2, 3)
-    rx = np.einsum("lijk,ai,j,k->al", riem, e, frame.X, frame.X)  # R(e_a, X)X
-    return np.einsum("bl,lm,am->ab", rx, g, e).T  # M_ab = <R(e_b,X)X, e_a>
+def jacobi_matrix(riem, g, X, e):
+    """M[n, a, b] = <R(e_b, X)X, e_a> for an (N,) batch of frames.
+
+    ``riem`` (N, 3, 3, 3, 3), ``g`` (N, 3, 3), ``X`` (N, 3) and the frame
+    vectors ``e`` (N, 2, 3). With J = J_a e_a, the components of R(J, X)X
+    are M @ J.
+    """
+    rx = np.einsum("nlijk,nai,nj,nk->nal", riem, e, X, X)  # R(e_a, X)X
+    return np.einsum("nbl,nlm,nam->nab", rx, g, e)
 
 
 def jacobi_tensor(man: ChartedManifold, p, frame: Frame) -> JacobiTensor:
-    m = jacobi_tensor_matrix(man, p, frame)
-    big, small = _sym_eigenvalues(m)
+    pts, _ = as_points(p)
+    e = np.stack([frame.e1, frame.e2])[None]
+    m = jacobi_matrix(riemann_tensor(man, pts), man.metric_at(pts), frame.X[None], e)[0]
+    big, small = real_eigenvalues(m)
     return JacobiTensor(matrix=m, Delta=float(big), delta=float(small))
 
 
 def ricci_direction(man: ChartedManifold, p, X, frame: Frame | None = None) -> float:
     """Ricci curvature in the unit direction X: K(e1, X) + K(e2, X)."""
-    from .geometry import frame_at  # local import to keep module load light
     if frame is None:
         frame = frame_at(man.metric_at(p), X)
-    m = jacobi_tensor_matrix(man, p, frame)
+    m = jacobi_tensor(man, p, frame).matrix
     return float(m[0, 0] + m[1, 1])
 
 
@@ -183,32 +194,23 @@ def vector_jacobian(man: ChartedManifold, W, p):
     return jac[0] if single else jac
 
 
-def _field_values(W, pts):
-    fn = W if callable(W) else W.value
-    return np.asarray(fn(pts), dtype=float)
+def covariant_jacobian(man: ChartedManifold, W, pts, wval, gam):
+    """A[n, k, i] = d_i W^k + Gamma^k_ij W^j, so that nabla_v W = A v.
+
+    ``pts`` is an (N, 3) batch, ``wval`` the field values there and ``gam``
+    the Christoffel symbols there. Gamma is contracted with W once, so that
+    every direction v afterwards costs one 3x3 product.
+    """
+    return vector_jacobian(man, W, pts) + np.einsum("nkij,nj->nki", gam, wval)
 
 
 def covariant_derivative(man: ChartedManifold, p, W, v):
     """(nabla_v W) at p: directional derivative plus Christoffel correction."""
     pts, single = as_points(p)
     man.require_inside(pts)
-    jac = vector_jacobian(man, W, pts)
-    gam = christoffel(man, pts)
-    wval = _field_values(W, pts)
+    fn = W if callable(W) else W.value
+    a = covariant_jacobian(man, W, pts, np.asarray(fn(pts), dtype=float), christoffel(man, pts))
     v = np.asarray(v, dtype=float)
     vb = np.broadcast_to(v, pts.shape) if v.ndim == 1 else v
-    out = np.einsum("nkj,nj->nk", jac, vb) + np.einsum("nkij,ni,nj->nk", gam, vb, wval)
+    out = np.einsum("nki,ni->nk", a, vb)
     return out[0] if single else out
-
-
-def parallel_jacobi_defect(man: ChartedManifold, sample_a, sample_b) -> float:
-    """Finite-difference norm of nabla_X R_X between consecutive orbit samples.
-
-    Both samples must carry parallel-transported frames; the Jacobi tensor is
-    evaluated in each sample's own frame and the Frobenius norm of the
-    difference is divided by the time step.
-    """
-    dt = float(sample_b.t - sample_a.t)
-    ma = jacobi_tensor_matrix(man, sample_a.p, sample_a.frame)
-    mb = jacobi_tensor_matrix(man, sample_b.p, sample_b.frame)
-    return float(np.linalg.norm(mb - ma) / dt)

@@ -15,8 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .curvature import (EIGEN_DISC_TOL, christoffel, covariant_derivative,
-                        jacobi_tensor, vector_jacobian)
+from .curvature import (EIGEN_DISC_TOL, assemble_riemann, christoffel,
+                        christoffel_with_partials, covariant_jacobian, jacobi_matrix,
+                        real_eigenvalues, trace_discriminant)
 from .errors import NotUnit
 from .geometry import (ChartedManifold, Frame, as_points, frame_at, frames_at,
                        g_norm, inner)
@@ -61,42 +62,24 @@ class UnitField:
 
 
 # ---------------------------------------------------------------------------
-# Defects
-# ---------------------------------------------------------------------------
-
-def unit_defect(man: ChartedManifold, X: UnitField, p) -> float:
-    """| <X, X> - 1 | at p."""
-    man.require_inside(as_points(p)[0])
-    g = man.metric_at(p)
-    xv = X.value(p)
-    return abs(inner(g, xv, xv) - 1.0)
-
-
-def geodesic_defect(man: ChartedManifold, X: UnitField, p) -> float:
-    """g-norm of nabla_X X at p; zero for geodesic fields."""
-    g = man.metric_at(p)
-    acc = covariant_derivative(man, p, X, X.value(p))
-    return float(g_norm(g, acc))
-
-
-def killing_defect(man: ChartedManifold, X: UnitField, p, frame: Frame | None = None) -> float:
-    """Largest entry of the symmetrised covariant differential of X.
-
-    Computed over the full orthonormal frame (X, e1, e2); vanishes exactly
-    when the flow of X is isometric.
-    """
-    g = man.metric_at(p)
-    if frame is None:
-        frame = frame_at(g, X.value(p))
-    basis = np.stack(frame.basis())
-    derivs = covariant_derivative(man, np.repeat(as_points(p)[0], 3, axis=0), X, basis)
-    gram = derivs @ g @ basis.T  # gram[i, j] = <nabla_{f_i} X, f_j>
-    return float(np.abs(gram + gram.T).max())
-
-
-# ---------------------------------------------------------------------------
 # Shape operator
 # ---------------------------------------------------------------------------
+
+def _frame_gram(g, A, F):
+    """gram[n, a, b] = <nabla_{f_a} X, f_b> for the frame vectors f_a = F[n, :, a].
+
+    ``A`` is the covariant Jacobian of X (``covariant_jacobian``), ``g`` the
+    metric, both (N, 3, 3). Batched matmul in two stages: at N = 262,144 it
+    is about five times faster than the same contraction by einsum.
+    """
+    return np.swapaxes(A @ F, 1, 2) @ (g @ F)
+
+
+def shape_operator(man: ChartedManifold, X: UnitField, pts, g, xv, e1, e2):
+    """B[n, i, j] = <beta(e_j), e_i> at an (N, 3) batch in the frames (e1, e2)."""
+    A = covariant_jacobian(man, X, pts, xv, christoffel(man, pts))
+    return np.swapaxes(_frame_gram(g, A, np.stack([e1, e2], axis=2)), 1, 2)
+
 
 @dataclass(frozen=True)
 class BetaMatrix:
@@ -111,19 +94,26 @@ class BetaMatrix:
     tangency: float
 
 
+def _require_unit(X: UnitField, pts, unit_defects, unit_tol):
+    bad = np.flatnonzero(unit_defects > unit_tol)
+    if bad.size:
+        k = bad[0]
+        raise NotUnit(f"field {X.name!r} has unit defect {unit_defects[k]:.3e} at {pts[k]}")
+
+
 def beta_matrix(man: ChartedManifold, X: UnitField, p, frame: Frame | None = None,
                 unit_tol: float = UNIT_TOL) -> BetaMatrix:
-    ud = unit_defect(man, X, p)
-    if ud > unit_tol:
-        raise NotUnit(f"field {X.name!r} has unit defect {ud:.3e} at {p}")
-    g = man.metric_at(p)
+    """Shape operator at one point, in ``frame`` or the standard ``frame_at`` frame."""
+    pts, _ = as_points(p)
+    man.require_inside(pts)
+    g = np.asarray(man.metric_fn(pts), dtype=float)
+    xv = np.asarray(X.component_fn(pts), dtype=float)
+    _require_unit(X, pts, np.abs(inner(g, xv, xv) - 1.0), unit_tol)
     if frame is None:
-        frame = frame_at(g, X.value(p))
-    e = np.stack([frame.e1, frame.e2])
-    derivs = covariant_derivative(man, np.repeat(as_points(p)[0], 2, axis=0), X, e)
-    b = e @ g @ derivs.T  # b[i, j] = <beta(e_j), e_i>
-    tangency = float(np.abs(derivs @ g @ frame.X).max())
-    return BetaMatrix(B=b, frame=frame, tangency=tangency)
+        frame = frame_at(g[0], xv[0])
+    A = covariant_jacobian(man, X, pts, xv, christoffel(man, pts))
+    gram = _frame_gram(g, A, np.stack(frame.basis(), axis=1)[None])[0]
+    return BetaMatrix(B=gram[1:, 1:].T, frame=frame, tangency=float(np.abs(gram[1:, 0]).max()))
 
 
 def contact_defect(beta: BetaMatrix) -> float:
@@ -150,14 +140,11 @@ EigenClass = RealPair | ComplexPair
 
 def eigen_classify(beta: BetaMatrix) -> EigenClass:
     """Closed-form 2x2 eigenvalues; complex only beyond the discriminant noise floor."""
-    b = beta.B
-    tr = b[0, 0] + b[1, 1]
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    disc = tr * tr - 4.0 * det
+    tr, disc = trace_discriminant(beta.B)
     if disc < -EIGEN_DISC_TOL:
         return ComplexPair(a=float(0.5 * tr), b=float(0.5 * np.sqrt(-disc)))
-    root = np.sqrt(max(disc, 0.0))
-    return RealPair(lam=float(0.5 * (tr + root)), mu=float(0.5 * (tr - root)))
+    lam, mu = real_eigenvalues(beta.B)
+    return RealPair(lam=float(lam), mu=float(mu))
 
 
 def beta_rank(beta: BetaMatrix, rel_tol: float = RANK_REL_TOL,
@@ -169,7 +156,7 @@ def beta_rank(beta: BetaMatrix, rel_tol: float = RANK_REL_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Per-point diagnosis
+# Point diagnosis
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -187,28 +174,59 @@ class PointDiagnosis:
     beta: BetaMatrix
 
 
+def diagnose(man: ChartedManifold, X: UnitField, pts,
+             unit_tol: float = UNIT_TOL) -> list[PointDiagnosis]:
+    """Every pointwise diagnostic of the field at an (N, 3) batch, in one pass.
+
+    The metric, the field, Gamma and the Riemann tensor are evaluated once
+    for the whole batch. In the frame (X, e1, e2) of ``frames_at``:
+
+    - unit defect |<X, X> - 1|, with X as given;
+    - geodesic defect |nabla_X X|, with X as given;
+    - Killing defect: the largest entry of the symmetrised matrix
+      <nabla_{f_i} X, f_j> over the frame; it vanishes exactly when the
+      flow of X is isometric;
+    - the shape operator B, its contact defect, eigenvalues and rank;
+    - the Jacobi tensor: Ric(X) and its eigenvalues Delta >= delta.
+
+    Raises NotUnit at the first point whose unit defect exceeds ``unit_tol``.
+    """
+    pts = as_points(pts)[0]
+    man.require_inside(pts)
+    g = np.asarray(man.metric_fn(pts), dtype=float)
+    xv = np.asarray(X.component_fn(pts), dtype=float)
+    unit = np.abs(inner(g, xv, xv) - 1.0)
+    _require_unit(X, pts, unit, unit_tol)
+    xn = xv / g_norm(g, xv)[:, None]
+    e1, e2 = frames_at(g, xn)
+
+    gam, dgam = christoffel_with_partials(man, pts)
+    A = covariant_jacobian(man, X, pts, xv, gam)
+    gram = _frame_gram(g, A, np.stack([xn, e1, e2], axis=2))
+    B = np.swapaxes(gram[:, 1:, 1:], 1, 2)
+    geodesic = g_norm(g, np.einsum("nki,ni->nk", A, xv))
+    killing = np.abs(gram + np.swapaxes(gram, 1, 2)).max(axis=(1, 2))
+    tangency = np.abs(gram[:, 1:, 0]).max(axis=1)
+
+    M = jacobi_matrix(assemble_riemann(gam, dgam), g, xn, np.stack([e1, e2], axis=1))
+    Delta, delta = real_eigenvalues(M)
+    ric = M[:, 0, 0] + M[:, 1, 1]
+
+    out = []
+    for k in range(len(pts)):
+        beta = BetaMatrix(B=B[k], frame=Frame(xn[k], e1[k], e2[k]), tangency=float(tangency[k]))
+        out.append(PointDiagnosis(
+            p=pts[k], unit_defect=float(unit[k]), geodesic_defect=float(geodesic[k]),
+            killing_defect=float(killing[k]), contact_defect=contact_defect(beta),
+            eigen=eigen_classify(beta), ric_X=float(ric[k]), Delta=float(Delta[k]),
+            delta=float(delta[k]), beta_rank=beta_rank(beta), beta=beta))
+    return out
+
+
 def diagnose_point(man: ChartedManifold, X: UnitField, p,
                    unit_tol: float = UNIT_TOL) -> PointDiagnosis:
-    """Evaluate every pointwise diagnostic of the field at p."""
-    pt = np.asarray(p, dtype=float)
-    man.require_inside(as_points(pt)[0])
-    g = man.metric_at(pt)
-    frame = frame_at(g, X.value(pt))
-    beta = beta_matrix(man, X, pt, frame=frame, unit_tol=unit_tol)
-    jac = jacobi_tensor(man, pt, frame)
-    return PointDiagnosis(
-        p=pt,
-        unit_defect=unit_defect(man, X, pt),
-        geodesic_defect=geodesic_defect(man, X, pt),
-        killing_defect=killing_defect(man, X, pt, frame=frame),
-        contact_defect=contact_defect(beta),
-        eigen=eigen_classify(beta),
-        ric_X=float(jac.matrix[0, 0] + jac.matrix[1, 1]),
-        Delta=jac.Delta,
-        delta=jac.delta,
-        beta_rank=beta_rank(beta),
-        beta=beta,
-    )
+    """Every pointwise diagnostic of the field at p: ``diagnose`` with N = 1."""
+    return diagnose(man, X, np.asarray(p, dtype=float)[None], unit_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +238,13 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
     """Contact defect at an (N, 3) batch of points in oriented frames.
 
     Same mathematics as ``contact_defect(beta_matrix(...))`` point by point,
-    vectorised for quadrature over large grids.
+    without the curvature work of ``diagnose``, for quadrature over large
+    grids.
     """
     pts, single = as_points(points)
     g = np.asarray(man.metric_fn(pts), dtype=float)
     xv = np.asarray(X.component_fn(pts), dtype=float)
-    xn = xv / g_norm(g, xv)[:, None]
-    e1, e2 = frames_at(g, xn, orientation=orientation)
-    jac = vector_jacobian(man, X, pts)
-    gam = christoffel(man, pts)
-
-    def nabla(v):
-        return (np.einsum("nkj,nj->nk", jac, v)
-                + np.einsum("nkij,ni,nj->nk", gam, v, xv))
-
-    b21 = inner(g, nabla(e1), e2)
-    b12 = inner(g, nabla(e2), e1)
-    out = b21 - b12
+    e1, e2 = frames_at(g, xv / g_norm(g, xv)[:, None], orientation=orientation)
+    B = shape_operator(man, X, pts, g, xv, e1, e2)
+    out = B[:, 1, 0] - B[:, 0, 1]
     return float(out[0]) if single else out

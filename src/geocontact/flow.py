@@ -14,15 +14,15 @@ equation reduces exactly to scalar components in the transported frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .curvature import (assemble_riemann, christoffel, christoffel_with_partials,
-                        riemann_tensor, vector_jacobian)
+                        jacobi_matrix, real_eigenvalues, riemann_tensor)
 from .errors import OutOfChart, PoleReached, StepTooLarge
-from .field import UnitField, beta_matrix
+from .field import UnitField, beta_matrix, shape_operator
 from .geometry import ChartedManifold, Frame, frame_at, inner
 
 #: target accuracy of the fixed-step integration; residual invariants are
@@ -42,28 +42,13 @@ def rk4_step(f, t, y, h):
 
 
 @dataclass
-class OrbitSample:
-    """One integration sample: point, transported frame and attached data."""
-
-    t: float
-    p: np.ndarray
-    frame: Frame
-    B: Optional[np.ndarray] = None      # shape operator matrix (2, 2)
-    M: Optional[np.ndarray] = None      # Jacobi tensor matrix (2, 2)
-    J: Optional[np.ndarray] = None      # first adapted solution, components (2,)
-    Jdot: Optional[np.ndarray] = None
-    Jt: Optional[np.ndarray] = None     # second adapted solution
-    Jtdot: Optional[np.ndarray] = None
-    A: Optional[float] = None           # Wronskian of (J, Jt)
-
-
-@dataclass
 class Trajectory:
     """Orbit of a unit field with per-sample frames, B, M and Jacobi data.
 
     Array layout: t (n,), points (n, 3), e1/e2 (n, 3), B/M (n, 2, 2); the
     Jacobi blocks J, Jdot, Jt, Jtdot are (n, 2) and A is (n,) when the
-    canonical adapted pair was integrated (``with_jacobi``).
+    canonical adapted pair was integrated (``with_jacobi``), and
+    ``adapted`` is (n,) whenever Jacobi solutions were integrated.
     """
 
     t: np.ndarray
@@ -80,29 +65,15 @@ class Trajectory:
     Jt: Optional[np.ndarray] = None
     Jtdot: Optional[np.ndarray] = None
     A: Optional[np.ndarray] = None
-    adapted_residual: Optional[float] = None
-    _samples: Optional[list] = field(default=None, repr=False)
+    adapted: Optional[np.ndarray] = None  # per sample: max over solutions of |Jdot - B J|
 
     def __len__(self):
         return self.t.shape[0]
 
     @property
-    def samples(self):
-        if self._samples is None:
-            self._samples = [
-                OrbitSample(
-                    t=float(self.t[k]), p=self.points[k],
-                    frame=Frame(self.X_along[k], self.e1[k], self.e2[k]),
-                    B=self.B[k], M=self.M[k],
-                    J=None if self.J is None else self.J[k],
-                    Jdot=None if self.Jdot is None else self.Jdot[k],
-                    Jt=None if self.Jt is None else self.Jt[k],
-                    Jtdot=None if self.Jtdot is None else self.Jtdot[k],
-                    A=None if self.A is None else float(self.A[k]),
-                )
-                for k in range(len(self))
-            ]
-        return self._samples
+    def adapted_residual(self) -> Optional[float]:
+        """max |Jdot - B J| over the samples and the integrated solutions."""
+        return None if self.adapted is None else float(self.adapted.max())
 
     def ambient_jacobi(self, which="J"):
         """Adapted solution as ambient chart vectors J1*e1 + J2*e2, shape (n, 3)."""
@@ -122,13 +93,10 @@ def _transport_rhs(man, X, with_jacobi, njac):
             de = -np.einsum("kij,i,aj->ak", gam, xv, e)
             return np.concatenate([xv, de.ravel()])
         gam, dgam = christoffel_with_partials(man, p)
-        dp = xv
         de = -np.einsum("kij,i,aj->ak", gam, xv, e)
-        riem = assemble_riemann(gam[None], dgam[None])[0]
-        g = man.metric_at(p)
-        rx = np.einsum("lijk,ai,j,k->al", riem, e, xv, xv)    # R(e_a, X)X
-        m = np.einsum("bl,lm,am->ab", rx, g, e).T             # M_ab = <R(e_b,X)X, e_a>
-        out = [dp, de.ravel()]
+        m = jacobi_matrix(assemble_riemann(gam[None], dgam[None]), man.metric_at(p)[None],
+                          xv[None], e[None])[0]
+        out = [xv, de.ravel()]
         blocks = y[9:].reshape(njac, 2, 2)                    # per solution: (J, Jdot)
         for s in range(njac):
             j, jdot = blocks[s]
@@ -138,7 +106,7 @@ def _transport_rhs(man, X, with_jacobi, njac):
 
 
 def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
-                    with_jacobi=True, jacobi_inits=None, seeds=(None, None)) -> Trajectory:
+                    with_jacobi=True, jacobi_inits=None) -> Trajectory:
     """Integrate the orbit of X from p0 with transported frames.
 
     Stops early (``truncated``) if the orbit or an RK4 stage leaves the
@@ -153,7 +121,7 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
         raise ValueError("step must be positive")
 
     g0 = man.metric_at(p0)
-    fr0 = frame_at(g0, X.value(p0), seed1=seeds[0], seed2=seeds[1])
+    fr0 = frame_at(g0, X.value(p0))
     b0 = beta_matrix(man, X, p0, frame=fr0).B
     if with_jacobi and jacobi_inits is None:
         jacobi_inits = [(np.array([1.0, 0.0]), b0 @ np.array([1.0, 0.0])),
@@ -200,8 +168,9 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
             f"frame orthonormality drifted to {drift:.3e}; halve the step")
 
     traj = Trajectory(t=t, points=points, e1=e1, e2=e2,
-                      B=_beta_along(man, X, g, xv, points, e1, e2),
-                      M=_jacobi_along(man, g, points, xn, e1, e2),
+                      B=shape_operator(man, X, points, g, xv, e1, e2),
+                      M=jacobi_matrix(riemann_tensor(man, points), g, xn,
+                                      np.stack([e1, e2], axis=1)),
                       X_along=xn, step=step, truncated=truncated)
     if with_jacobi:
         blocks = arr[:, 9:].reshape(n, njac, 2, 2)
@@ -209,9 +178,9 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
         if njac > 1:
             traj.Jt, traj.Jtdot = blocks[:, 1, 0, :], blocks[:, 1, 1, :]
             traj.A = traj.J[:, 0] * traj.Jt[:, 1] - traj.J[:, 1] * traj.Jt[:, 0]
-        res = [np.linalg.norm(blocks[:, s, 1, :] - np.einsum("nij,nj->ni", traj.B, blocks[:, s, 0, :]), axis=1)
-               for s in range(njac)]
-        traj.adapted_residual = float(np.max(res))
+        traj.adapted = np.max(
+            [np.linalg.norm(blocks[:, s, 1, :] - np.einsum("nij,nj->ni", traj.B, blocks[:, s, 0, :]),
+                            axis=1) for s in range(njac)], axis=0)
     return traj
 
 
@@ -221,20 +190,6 @@ def _frame_drift(g, xn, e1, e2):
     return float(np.abs(gram - np.eye(3)).max())
 
 
-def _beta_along(man, X, g, xv, points, e1, e2):
-    jac = vector_jacobian(man, X, points)
-    gam = christoffel(man, points)
-    e = np.stack([e1, e2], axis=1)  # (n, 2, 3)
-    derivs = (np.einsum("nkj,naj->nak", jac, e)
-              + np.einsum("nkij,nai,nj->nak", gam, e, xv))
-    return np.einsum("nai,nij,nbj->nba", derivs, g, e)  # B[n, i, j] = <beta(e_j), e_i>
-
-
-def _jacobi_along(man, g, points, xn, e1, e2):
-    riem = riemann_tensor(man, points)
-    e = np.stack([e1, e2], axis=1)
-    rx = np.einsum("nlijk,nai,nj,nk->nal", riem, e, xn, xn)
-    return np.einsum("nbl,nlm,nam->nab", rx, g, e)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +234,25 @@ def adapted_jacobi(man: ChartedManifold, X: UnitField, traj: Trajectory, v0) -> 
 # Residuals along trajectories
 # ---------------------------------------------------------------------------
 
-def riccati_residual(man: ChartedManifold, X: UnitField, traj: Trajectory) -> float:
-    """max over interior samples of || B' + B^2 + M ||_F in the parallel frame."""
+def riccati_residuals(traj: Trajectory) -> np.ndarray:
+    """|| B' + B^2 + M ||_F per sample in the parallel frame, B' by central
+    differences; NaN at the two end samples."""
     if len(traj) < 3:
         raise ValueError("need at least 3 samples")
     b, m, h = traj.B, traj.M, traj.step
     bdot = (b[2:] - b[:-2]) / (2.0 * h)
     res = bdot + np.einsum("nij,njk->nik", b[1:-1], b[1:-1]) + m[1:-1]
-    return float(np.sqrt((res ** 2).sum(axis=(1, 2))).max())
+    out = np.full(len(traj), np.nan)
+    out[1:-1] = np.sqrt((res ** 2).sum(axis=(1, 2)))
+    return out
 
 
-def trace_evolution_residual(man: ChartedManifold, X: UnitField, traj: Trajectory) -> float:
+def riccati_residual(traj: Trajectory) -> float:
+    """max over interior samples of || B' + B^2 + M ||_F in the parallel frame."""
+    return float(np.nanmax(riccati_residuals(traj)))
+
+
+def trace_evolution_residual(traj: Trajectory) -> float:
     """max over interior samples of | (tr B)' + Ric(X) + tr(B^2) |."""
     if len(traj) < 3:
         raise ValueError("need at least 3 samples")
@@ -335,11 +298,7 @@ def noncontact_eigen_drift(traj: Trajectory, defect_tol: float = 1e-8):
     defect = traj.B[:, 1, 0] - traj.B[:, 0, 1]
     if np.any(np.abs(defect) > defect_tol):
         return None
-    tr = np.trace(traj.B, axis1=1, axis2=2)
-    det = traj.B[:, 0, 0] * traj.B[:, 1, 1] - traj.B[:, 0, 1] * traj.B[:, 1, 0]
-    disc = np.clip(tr * tr - 4.0 * det, 0.0, None)
-    lam = 0.5 * (tr + np.sqrt(disc))
-    mu = 0.5 * (tr - np.sqrt(disc))
+    lam, mu = real_eigenvalues(traj.B)
     return float(max(np.abs(lam - lam[0]).max(), np.abs(mu - mu[0]).max()))
 
 

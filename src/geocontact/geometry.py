@@ -223,79 +223,27 @@ def frame_residual(gm, frame: Frame) -> float:
     return float(np.abs(gram - np.eye(3)).max())
 
 
-def orthonormal_complement(gm, X, seed1=None, seed2=None):
-    """Gram-Schmidt completion of X to a g-orthonormal frame of its complement.
+def frame_at(gm, X, orientation: int = 1) -> Frame:
+    """Orthonormal frame (X, e1, e2) at one point: the N = 1 case of ``frames_at``.
 
-    Seeds default to the first two standard basis vectors. A seed within
-    angle SEED_ANGLE_TOL of span(X) is skipped; if both seeds are skipped a
-    DegenerateSeed is raised. When fewer than two seeds survive, remaining
-    directions are drawn from the standard basis triple, in order.
+    ``X`` need not be unit; the frame carries its g-normalisation.
     """
     gm = np.asarray(gm, dtype=float)
     X = np.asarray(X, dtype=float)
     Xn = X / g_norm(gm, X)
-    seeds = [_STD_BASIS[0] if seed1 is None else np.asarray(seed1, dtype=float),
-             _STD_BASIS[1] if seed2 is None else np.asarray(seed2, dtype=float)]
-
-    accepted = []
-    seeds_used = 0
-    for which, cand in enumerate(seeds + [b for b in _STD_BASIS]):
-        if len(accepted) == 2:
-            break
-        v = cand - inner(gm, cand, Xn) * Xn
-        for u in accepted:
-            v = v - inner(gm, v, u) * u
-        norm = g_norm(gm, v)
-        if norm <= SEED_ANGLE_TOL * g_norm(gm, cand):
-            continue
-        if which >= 2 and seeds_used == 0 and len(accepted) == 0:
-            # both explicit seeds were degenerate with span(X)
-            raise DegenerateSeed("both seeds parallel to the field; "
-                                 "retry with the standard basis triple")
-        if which < 2:
-            seeds_used += 1
-        accepted.append(v / norm)
-    if len(accepted) < 2:
-        raise DegenerateSeed("could not complete an orthonormal frame")
-    return accepted[0], accepted[1]
-
-
-def frame_at(gm, X, seed1=None, seed2=None, prev: Frame | None = None,
-             orientation: int = 1) -> Frame:
-    """Orthonormal frame of X-perp with deterministic orientation.
-
-    The frame is oriented so that det[X e1 e2] has the sign of
-    ``orientation`` in chart coordinates (e2 is flipped if needed). With
-    ``prev`` given, e1 and e2 are instead sign-aligned with the previous
-    frame so that frames vary continuously along a sampled orbit.
-    """
-    gm = np.asarray(gm, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Xn = X / g_norm(gm, X)
-    try:
-        e1, e2 = orthonormal_complement(gm, Xn, seed1, seed2)
-    except DegenerateSeed:
-        # standard basis fallback: the two directions least aligned with X
-        overlap = [abs(inner(gm, b, Xn)) / g_norm(gm, b) for b in _STD_BASIS]
-        i, j = np.argsort(overlap)[:2]
-        e1, e2 = orthonormal_complement(gm, Xn, _STD_BASIS[min(i, j)], _STD_BASIS[max(i, j)])
-    if prev is not None:
-        if inner(gm, e1, prev.e1) < 0:
-            e1 = -e1
-        if inner(gm, e2, prev.e2) < 0:
-            e2 = -e2
-    elif orientation * np.linalg.det(np.stack([Xn, e1, e2], axis=1)) < 0:
-        e2 = -e2
-    return Frame(Xn, e1, e2)
+    e1, e2 = frames_at(gm[None], Xn[None], orientation=orientation)
+    return Frame(Xn, e1[0], e2[0])
 
 
 def frames_at(g, X, orientation: int = 1):
-    """Batched frames from the standard-basis seeds.
+    """Batched g-orthonormal frames of X-perp by greedy Gram-Schmidt.
 
     ``g``: (N, 3, 3), ``X``: (N, 3) with unit g-norm (not checked). Returns
-    (e1, e2) of shape (N, 3) each, oriented like ``orientation``.
-    Implements the same greedy seed rule as ``orthonormal_complement`` with
-    the standard basis triple as candidates.
+    (e1, e2) of shape (N, 3) each. The candidates are the standard basis
+    vectors in order; a candidate within angle SEED_ANGLE_TOL of the span of
+    X and the vectors already taken is skipped. e2 is flipped where needed
+    so that det[X e1 e2] has the sign of ``orientation`` in chart
+    coordinates.
     """
     g = np.asarray(g, dtype=float)
     X = np.asarray(X, dtype=float)

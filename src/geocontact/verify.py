@@ -20,7 +20,7 @@ import numpy as np
 from .catalog import CatalogEntry
 from .curvature import sectional
 from .errors import ConfigError, NoParametrization, NotConstantCurvature
-from .field import PointDiagnosis, RealPair, contact_defect_grid, diagnose_point
+from .field import PointDiagnosis, RealPair, contact_defect_grid, diagnose
 from .flow import integrate_orbit
 
 THEOREM_IDS = ("T3.1", "C3.2", "T5.1", "C5.2", "T6.1", "P7.6")
@@ -116,10 +116,6 @@ def _grid_points(entry: CatalogEntry, points):
     return entry.grid.points()
 
 
-def _diagnose_all(entry: CatalogEntry, points):
-    return [diagnose_point(entry.manifold, entry.field, p) for p in points]
-
-
 def _real_eig_max(diag):
     if isinstance(diag.eigen, RealPair):
         return max(abs(diag.eigen.lam), abs(diag.eigen.mu))
@@ -165,7 +161,7 @@ def verify_space_form(entry: CatalogEntry, c: float, points=None,
     tol = tol or Tolerances()
     pts = _grid_points(entry, points)
     spread = check_constant_curvature(entry, c, pts)
-    diags = _diagnose_all(entry, pts)
+    diags = diagnose(entry.manifold, entry.field, pts)
     bound = np.sqrt(abs(c))
     hyp = [True] * len(diags)  # constant curvature holds globally (prechecked)
     concl = []
@@ -208,7 +204,7 @@ def verify_ricci(entry: CatalogEntry, points=None, theorem: str = "C3.2",
     Ric(X) and beta vanish."""
     tol = tol or Tolerances()
     pts = _grid_points(entry, points)
-    diags = _diagnose_all(entry, pts)
+    diags = diagnose(entry.manifold, entry.field, pts)
     hyp, concl = [], []
     for d in diags:
         bnorm = _beta_norm(d)
@@ -261,11 +257,9 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None, orbit_t_end: float 
             raise ConfigError(f"{entry.name} has no sample grid; provide seeds")
         points = entry.grid.subgrid(seed_counts).points()
     pts = np.asarray(points, float)
-    diags, hyp, concl = [], [], []
-    defects = []
-    for p in pts:
-        d = diagnose_point(entry.manifold, entry.field, p)
-        diags.append(d)
+    diags = diagnose(entry.manifold, entry.field, pts)
+    hyp, concl, defects = [], [], []
+    for p, d in zip(pts, diags):
         traj = integrate_orbit(entry.manifold, entry.field, p, orbit_t_end,
                                orbit_step, with_jacobi=False)
         pj = _strided_jacobi_drift(traj, orbit_t_end / 2) if len(traj) >= 2 else np.inf
@@ -347,7 +341,7 @@ def verify_reebability(entry: CatalogEntry, nodes: int = 32,
         return TheoremReport("P7.6", entry.name, 0, 0, 0, [], "hypotheses-not-met",
                              details={"reason": "no closed-manifold parametrization"})
     pts = entry.grid.points()
-    diags = _diagnose_all(entry, pts)
+    diags = diagnose(entry.manifold, entry.field, pts)
     killing_max = max(d.killing_defect for d in diags)
     volume = volume_integral(entry, nodes)
     verdict_reeb = reebability_verdict(entry, volume, killing_max, tol)

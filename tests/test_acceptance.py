@@ -94,8 +94,8 @@ def test_criterion_04_riccati_and_trace_residuals(entries, orbit_cache):
         for name in ENTRY_NAMES:
             entry = entries[name]
             traj = orbit_cache(name)
-            assert riccati_residual(entry.manifold, entry.field, traj) < 1e-4, name
-            assert trace_evolution_residual(entry.manifold, entry.field, traj) < 1e-4, name
+            assert riccati_residual(traj) < 1e-4, name
+            assert trace_evolution_residual(traj) < 1e-4, name
 
 
 def test_criterion_05_wronskian_identity(orbit_cache):

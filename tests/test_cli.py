@@ -168,6 +168,23 @@ def test_orbit_uses_catalog_default(tmp_path, capsys):
     assert len(out.strip().split("\n")) > 100
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, 0.001])
+def test_orbit_shorter_than_two_steps_exits_two(tmp_path, capsys, t_end):
+    cfg = write_config(tmp_path, {
+        "manifold": "h3_vertical", "orbit": {"start": [0.0, 0.0, 1.0], "t_end": t_end}})
+    code, out, err = run(capsys, ["orbit", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "t_end" in err and "Traceback" not in err
+
+
+def test_orbit_of_two_steps_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "manifold": "h3_vertical", "orbit": {"start": [0.0, 0.0, 1.0], "t_end": 0.002}})
+    code, out, _ = run(capsys, ["orbit", "--config", cfg])
+    assert code == 0
+    assert len([l for l in out.split("\n")[1:] if l and not l.startswith("#")]) == 3
+
+
 def test_orbit_needs_orbit_section_for_custom(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},

@@ -10,8 +10,7 @@ import pytest
 
 import geocontact as gc
 from geocontact.curvature import (christoffel, covariant_derivative, jacobi_tensor,
-                                  parallel_jacobi_defect, ricci_direction, riemann,
-                                  sectional)
+                                  ricci_direction, riemann, sectional)
 from geocontact.errors import DegeneratePlane, SingularMetric
 from geocontact.geometry import frame_at, inner
 
@@ -262,9 +261,9 @@ def test_metric_compatibility_along_curve(entries, orbit_cache):
 @pytest.mark.parametrize("name,tol", [("h3_vertical", 1e-5),
                                       ("heisenberg_reeb", 1e-6),
                                       ("h2xr_vertical", 1e-6)])
-def test_parallel_jacobi_defect_small(entries, orbit_cache, name, tol):
-    entry = entries[name]
-    samples = orbit_cache(name).samples
-    mid = len(samples) // 2
-    defect = parallel_jacobi_defect(entry.manifold, samples[mid], samples[mid + 1])
+def test_parallel_jacobi_defect_small(orbit_cache, name, tol):
+    """||M(t + h) - M(t)||_F / h between two samples in the parallel frame."""
+    traj = orbit_cache(name)
+    mid = len(traj) // 2
+    defect = np.linalg.norm(traj.M[mid + 1] - traj.M[mid]) / traj.step
     assert defect < tol

@@ -7,8 +7,8 @@ import geocontact as gc
 from geocontact.errors import NotUnit
 from geocontact.field import (BetaMatrix, ComplexPair, RealPair, UnitField,
                               beta_matrix, beta_rank, contact_defect,
-                              contact_defect_grid, diagnose_point, eigen_classify,
-                              geodesic_defect, killing_defect, unit_defect)
+                              contact_defect_grid, diagnose, diagnose_point,
+                              eigen_classify)
 from geocontact.geometry import Frame, frame_at, inner
 
 
@@ -27,16 +27,19 @@ def dummy_beta(B):
 
 def test_unit_defect_examples(entries):
     z = UnitField.from_exprs("z", ("0", "0", "1"))
-    assert unit_defect(flat(), z, np.array([0.0, 0, 0])) == 0.0
+    assert diagnose_point(flat(), z, np.array([0.0, 0, 0])).unit_defect == 0.0
     entry = entries["h3_vertical"]
-    assert unit_defect(entry.manifold, entry.field, np.array([0.3, -0.1, 0.7])) < 1e-15
+    p = np.array([0.3, -0.1, 0.7])
+    assert diagnose_point(entry.manifold, entry.field, p).unit_defect < 1e-15
     twice = UnitField.from_exprs("2z", ("0", "0", "2"))
-    assert abs(unit_defect(flat(), twice, np.array([0.0, 0, 0])) - 3.0) < 1e-15
+    d = diagnose_point(flat(), twice, np.array([0.0, 0, 0]), unit_tol=np.inf)
+    assert abs(d.unit_defect - 3.0) < 1e-15
 
 
 def test_geodesic_defect_h3(entries):
     entry = entries["h3_vertical"]
-    assert geodesic_defect(entry.manifold, entry.field, np.array([0.2, 0.1, 1.4])) < 1e-12
+    d = diagnose_point(entry.manifold, entry.field, np.array([0.2, 0.1, 1.4]))
+    assert d.geodesic_defect < 1e-12
 
 
 def skew_flat_acceleration(fld, p, h=1e-6):
@@ -55,24 +58,24 @@ def test_geodesic_defect_skew_with_oracle(entries):
     rng = np.random.default_rng(31)
     for _ in range(10):
         p = rng.uniform(-2, 2, 3)
-        assert geodesic_defect(entry.manifold, entry.field, p) < 1e-6
+        assert diagnose_point(entry.manifold, entry.field, p).geodesic_defect < 1e-6
         assert np.abs(skew_flat_acceleration(entry.field, p)).max() < 1e-4
 
 
 def test_geodesic_defect_nonzero_witness():
     tilted = UnitField.from_exprs(
         "tilt", ("1/sqrt(1 + x1^2)", "0", "x1/sqrt(1 + x1^2)"))
-    d = geodesic_defect(flat(), tilted, np.array([0.0, 0.0, 0.0]))
+    d = diagnose_point(flat(), tilted, np.array([0.0, 0.0, 0.0])).geodesic_defect
     assert abs(d - 1.0) < 1e-10  # flat-space oracle: (X.grad)X = (0,0,1) at x1=0
 
 
 def test_killing_defect_examples(entries):
-    hopf = entries["s3_hopf"]
-    assert killing_defect(hopf.manifold, hopf.field, np.array([0.4, -0.2, 0.3])) < 1e-8
-    heis = entries["heisenberg_reeb"]
-    assert killing_defect(heis.manifold, heis.field, np.array([0.5, 0.1, -0.9])) < 1e-8
-    h3 = entries["h3_vertical"]
-    d = killing_defect(h3.manifold, h3.field, np.array([0.0, 0.0, 1.0]))
+    def killing(entry, p):
+        return diagnose_point(entry.manifold, entry.field, np.array(p)).killing_defect
+
+    assert killing(entries["s3_hopf"], [0.4, -0.2, 0.3]) < 1e-8
+    assert killing(entries["heisenberg_reeb"], [0.5, 0.1, -0.9]) < 1e-8
+    d = killing(entries["h3_vertical"], [0.0, 0.0, 1.0])
     assert abs(d - 2.0) < 1e-9  # symmetric part of beta is -id
 
 
@@ -221,6 +224,53 @@ def test_diagnose_h2xr(entries):
     assert abs(d.contact_defect) < 1e-12
     assert d.beta_rank == 1
     assert abs(d.Delta) < 1e-9 and abs(d.delta + 1.0) < 1e-9
+
+
+def _diagnosis_arrays(d):
+    eig = (d.eigen.lam, d.eigen.mu) if isinstance(d.eigen, RealPair) else (d.eigen.a, d.eigen.b)
+    return np.concatenate([
+        d.p, [d.unit_defect, d.geodesic_defect, d.killing_defect, d.contact_defect,
+              d.ric_X, d.Delta, d.delta, d.beta_rank, d.beta.tangency], eig,
+        d.beta.B.ravel(), d.beta.frame.X, d.beta.frame.e1, d.beta.frame.e2])
+
+
+@pytest.mark.parametrize("name", ["s3_hopf", "h2xr_vertical", "heisenberg_reeb",
+                                  "euclidean_skew"])
+def test_diagnose_batch_matches_single_points(entries, name):
+    entry = entries[name]
+    pts = entry.grid.points()[::9]
+    batch = diagnose(entry.manifold, entry.field, pts)
+    assert len(batch) == len(pts)
+    for p, d in zip(pts, batch):
+        single = diagnose_point(entry.manifold, entry.field, p)
+        assert type(d.eigen) is type(single.eigen)
+        np.testing.assert_allclose(_diagnosis_arrays(d), _diagnosis_arrays(single),
+                                   rtol=0, atol=1e-12)
+    perm = np.random.default_rng(7).permutation(len(pts))
+    shuffled = diagnose(entry.manifold, entry.field, pts[perm])
+    for k, d in zip(perm, shuffled):
+        np.testing.assert_allclose(_diagnosis_arrays(d), _diagnosis_arrays(batch[k]),
+                                   rtol=0, atol=1e-12)
+
+
+def test_diagnose_names_first_non_unit_point():
+    bump = UnitField.from_exprs("bump", ("0", "0", "1 + x1^2"))
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(NotUnit, match=r"unit defect 5\.625e-01 at \[0\.5 0\.  0\. \]"):
+        diagnose(flat(), bump, pts)
+
+
+@pytest.mark.parametrize("name,value", [("s3_hopf", 1.0), ("heisenberg_reeb", 0.25)])
+def test_mixed_curvature_eigenvalues_accurate(entries, name, value):
+    """Delta and delta of a Jacobi tensor proportional to the identity.
+
+    The eigenvalues nearly coincide there, where tr^2 - 4 det cancels and
+    its rounding error enters through a square root.
+    """
+    entry = entries[name]
+    diags = diagnose(entry.manifold, entry.field, entry.grid.points())
+    assert max(abs(d.Delta - value) for d in diags) < 1e-9
+    assert max(abs(d.delta - value) for d in diags) < 1e-9
 
 
 def test_diagnose_flat_parallel():

@@ -163,8 +163,8 @@ def test_commutation_flow_transversal(entries):
 def test_riccati_and_trace_residuals(entries, orbit_cache, name):
     entry = entries[name]
     traj = orbit_cache(name)
-    assert riccati_residual(entry.manifold, entry.field, traj) < 1e-4
-    assert trace_evolution_residual(entry.manifold, entry.field, traj) < 1e-4
+    assert riccati_residual(traj) < 1e-4
+    assert trace_evolution_residual(traj) < 1e-4
 
 
 def test_h3_trace_identity_values(entries, orbit_cache):

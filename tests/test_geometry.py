@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact.errors import DegenerateSeed, OutOfChart
+from geocontact.errors import OutOfChart
 from geocontact.geometry import (frame_at, frame_residual, frames_at, g_norm,
-                                 inner, metric_partials, orthonormal_complement)
+                                 inner, metric_partials)
 
 
 def flat():
@@ -93,32 +93,23 @@ def test_inner_positive_definite(entries):
 # ---------------------------------------------------------------------------
 
 def test_complement_identity_vertical():
-    e1, e2 = orthonormal_complement(np.eye(3), np.array([0.0, 0, 1]))
-    np.testing.assert_allclose(e1, [1, 0, 0])
-    np.testing.assert_allclose(e2, [0, 1, 0])
+    fr = frame_at(np.eye(3), np.array([0.0, 0, 1]))
+    np.testing.assert_allclose(fr.e1, [1, 0, 0])
+    np.testing.assert_allclose(fr.e2, [0, 1, 0])
 
 
 def test_complement_first_seed_rejected():
-    e1, e2 = orthonormal_complement(np.eye(3), np.array([1.0, 0, 0]),
-                                    np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    np.testing.assert_allclose(e1, [0, 1, 0])
-    np.testing.assert_allclose(e2, [0, 0, 1])
+    # the first standard basis vector is parallel to X and is skipped
+    fr = frame_at(np.eye(3), np.array([1.0, 0, 0]))
+    np.testing.assert_allclose(fr.e1, [0, 1, 0])
+    np.testing.assert_allclose(fr.e2, [0, 0, 1])
 
 
 def test_complement_h3(entries):
     g = entries["h3_vertical"].manifold.metric_at(np.array([0.0, 0.0, 2.0]))
-    e1, e2 = orthonormal_complement(g, np.array([0.0, 0.0, 2.0]))
-    np.testing.assert_allclose(e1, [2, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(e2, [0, 2, 0], atol=1e-12)
-
-
-def test_both_seeds_degenerate_raises():
-    X = np.array([0.0, 0, 1])
-    with pytest.raises(DegenerateSeed):
-        orthonormal_complement(np.eye(3), X, X, 2.0 * X)
-    # the frame builder falls back to the standard triple on its own
-    fr = frame_at(np.eye(3), X, seed1=X, seed2=2.0 * X)
-    assert frame_residual(np.eye(3), fr) < 1e-12
+    fr = frame_at(g, np.array([0.0, 0.0, 2.0]))
+    np.testing.assert_allclose(fr.e1, [2, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(fr.e2, [0, 2, 0], atol=1e-12)
 
 
 def test_frame_residual_small_everywhere(entries):
@@ -139,20 +130,6 @@ def test_frame_orientation_positive(entries):
         assert np.linalg.det(np.stack(fr.basis(), axis=1)) > 0
         fr_neg = frame_at(g, entry.field.value(p), orientation=-1)
         assert np.linalg.det(np.stack(fr_neg.basis(), axis=1)) < 0
-
-
-def test_frame_continuity_along_orbit(entries, orbit_cache):
-    """Pointwise frames aligned with the previous sample never flip."""
-    entry = entries["s3_hopf"]
-    traj = orbit_cache("s3_hopf")
-    prev = None
-    for p in traj.points[::50]:
-        g = entry.manifold.metric_at(p)
-        fr = frame_at(g, entry.field.value(p), prev=prev)
-        if prev is not None:
-            assert inner(g, fr.e1, prev.e1) > 0
-            assert inner(g, fr.e2, prev.e2) > 0
-        prev = fr
 
 
 def test_frames_at_matches_single_points(entries):
