@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__, catalog
 from .catalog import CatalogEntry, GridSpec, OrbitSpec
-from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization,
-                     UnknownEntry)
+from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization, OutOfChart,
+                     UnknownEntry, config_value)
 from .curvature import trace_discriminant
 from .field import RealPair, UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, riccati_residuals,
@@ -47,17 +47,21 @@ _SECTIONS = {
 
 
 def _check_keys(mapping, section):
-    allowed = _SECTIONS[section]
-    unknown = set(mapping) - allowed
+    where = "config" if section is None else f"config section {section!r}"
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(mapping) - _SECTIONS[section]
     if unknown:
-        where = "config" if section is None else f"config section {section!r}"
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _triple(values, section, kind=float):
-    if not isinstance(values, (list, tuple)) or len(values) != 3:
-        raise ConfigError(f"{section} entries must be triples")
-    return tuple(kind(v) for v in values)
+def _triple(kind):
+    """Converter of a 3-element list for ``config_value``."""
+    def convert(values):
+        if not isinstance(values, (list, tuple)) or len(values) != 3:
+            raise ValueError("not a triple")
+        return tuple(kind(v) for v in values)
+    return convert
 
 
 @dataclass
@@ -71,8 +75,6 @@ class Resolved:
 
 
 def resolve_config(config: dict) -> Resolved:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(config, None)
 
     man_spec = config.get("manifold")
@@ -106,36 +108,41 @@ def resolve_config(config: dict) -> Resolved:
         entry.field = UnitField.from_exprs("custom", tuple(comps))
 
     if "grid" in config:
-        _check_keys(config["grid"], "grid")
         grid = config["grid"]
-        counts = _triple(grid.get("counts", (5, 5, 5)), "grid.counts", int)
+        _check_keys(grid, "grid")
+        counts = config_value(grid, "counts", _triple(int), "grid", default=(5, 5, 5))
         if any(c < 1 for c in counts):
             raise ConfigError("grid counts must be >= 1")
-        entry.grid = GridSpec(_triple(grid["min"], "grid.min"),
-                              _triple(grid["max"], "grid.max"), counts)
+        entry.grid = GridSpec(config_value(grid, "min", _triple(float), "grid"),
+                              config_value(grid, "max", _triple(float), "grid"), counts)
     if "orbit" in config:
-        _check_keys(config["orbit"], "orbit")
         orbit = config["orbit"]
-        step = float(orbit.get("step", 1e-3))
+        _check_keys(orbit, "orbit")
+        step = config_value(orbit, "step", float, "orbit", default=1e-3)
         if step <= 0:
             raise ConfigError("orbit step must be positive")
-        t_end = float(orbit.get("t_end", 2.0))
+        t_end = config_value(orbit, "t_end", float, "orbit", default=2.0)
         if round(t_end / step) < 2:
             # the residuals difference B centrally, so they need 3 samples
             raise ConfigError("orbit t_end must be at least two steps")
-        entry.orbit = OrbitSpec(_triple(orbit["start"], "orbit.start"), t_end, step)
+        entry.orbit = OrbitSpec(config_value(orbit, "start", _triple(float), "orbit"), t_end, step)
     if "diff" in config:
-        _check_keys(config["diff"], "diff")
-        mode = config["diff"].get("mode", "dual")
+        diff = config["diff"]
+        _check_keys(diff, "diff")
+        mode = diff.get("mode", "dual")
         if mode not in ("dual", "central"):
             raise ConfigError("diff mode must be 'dual' or 'central'")
         entry.manifold.diff_mode = mode
-        entry.manifold.diff_step = float(config["diff"].get("step", entry.manifold.diff_step))
+        entry.manifold.diff_step = config_value(diff, "step", float, "diff",
+                                                default=entry.manifold.diff_step)
+        if not entry.manifold.diff_step > 0:
+            raise ConfigError("diff step must be positive")
 
     tolerances = Tolerances.from_mapping(config.get("tolerances"))
+    volume_nodes = 32
     if "volume" in config:
         _check_keys(config["volume"], "volume")
-    volume_nodes = int(config.get("volume", {}).get("nodes", 32))
+        volume_nodes = config_value(config["volume"], "nodes", int, "volume", default=32)
     return Resolved(entry=entry, tolerances=tolerances,
                     volume_nodes=volume_nodes, echo=config)
 
@@ -228,6 +235,9 @@ def cmd_orbit(args) -> int:
     spec = entry.orbit
     traj = integrate_orbit(entry.manifold, entry.field, np.asarray(spec.start, float),
                            spec.t_end, spec.step, with_jacobi=True)
+    if len(traj) < 3:
+        raise OutOfChart(f"orbit left the chart after {len(traj)} sample(s); "
+                         f"last point inside: {traj.points[-1].tolist()}")
     wr = wronskian(traj)
     riccati = riccati_residuals(traj)
     max_riccati = float(np.nanmax(riccati))

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .errors import DegeneratePlane, SingularMetric
-from .geometry import ChartedManifold, Frame, as_points, frame_at, inner, metric_partials
+from .geometry import ChartedManifold, Frame, _jet, as_points, frame_at, inner
 
 MAX_METRIC_CONDITION = 1e12
 
@@ -27,13 +26,12 @@ EIGEN_DISC_TOL = 1e-12
 
 
 def christoffel(man: ChartedManifold, p):
-    """Levi-Civita connection coefficients Gamma^k_ij from the Koszul formula."""
+    """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from one ``_jet``."""
     pts, single = as_points(p)
-    g = np.asarray(man.metric_fn(pts), dtype=float)
+    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs)  # dg[n, k, i, j] = d_k g_ij
     cond = np.linalg.cond(g)
     if np.any(~np.isfinite(cond)) or np.any(cond > MAX_METRIC_CONDITION):
         raise SingularMetric(f"metric of {man.name!r} numerically singular")
-    dg = metric_partials(man, pts)  # (n, k, i, j) = d_k g_ij
     ginv = np.linalg.inv(g)
     # term_{ijl} = d_i g_jl + d_j g_il - d_l g_ij  (dg axes are n, k, i, j)
     term = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)
@@ -42,30 +40,15 @@ def christoffel(man: ChartedManifold, p):
 
 
 def christoffel_with_partials(man: ChartedManifold, p):
-    """Gamma and its central-difference partials in one stencil-batched pass.
+    """Gamma and its partials: the central-difference ``_jet`` of ``christoffel``.
 
     Returns (gam, dgam) with gam[..., k, i, j] = Gamma^k_ij and
-    dgam[..., m, k, i, j] = d_m Gamma^k_ij. The point itself and all six
-    stencil shifts are evaluated as a single batch.
+    dgam[..., m, k, i, j] = d_m Gamma^k_ij. The point itself and its six
+    stencil shifts are one ``christoffel`` batch.
     """
     pts, single = as_points(p)
-    man.require_inside(pts)
-    n = pts.shape[0]
-    h = man.diff_step
-    batch = np.empty((7, n, 3))
-    batch[0] = pts
-    for k in range(3):
-        batch[1 + 2 * k] = pts
-        batch[1 + 2 * k][:, k] += h
-        batch[2 + 2 * k] = pts
-        batch[2 + 2 * k][:, k] -= h
-    gam_all = christoffel(man, batch.reshape(-1, 3)).reshape(7, n, 3, 3, 3)
-    gam = gam_all[0]
-    dgam = np.stack([(gam_all[1 + 2 * m] - gam_all[2 + 2 * m]) / (2 * h) for m in range(3)],
-                    axis=1)
-    if single:
-        return gam[0], dgam[0]
-    return gam, dgam
+    gam, dgam = _jet(man, lambda q: christoffel(man, q), pts)
+    return (gam[0], dgam[0]) if single else (gam, dgam)
 
 
 def assemble_riemann(gam, dgam):
@@ -84,22 +67,37 @@ def riemann_tensor(man: ChartedManifold, p):
     return riem[0] if single else riem
 
 
+def _rows(pts, *vectors):
+    """Each vector as one row per point: (3,) broadcasts, (N, 3) passes."""
+    return [np.broadcast_to(np.asarray(v, dtype=float), pts.shape) for v in vectors]
+
+
 def riemann(man: ChartedManifold, p, x, y, z):
-    """Curvature vector R(x, y)z at p."""
-    riem = riemann_tensor(man, p)
-    return np.einsum("lijk,i,j,k->l", riem, np.asarray(x, float),
-                     np.asarray(y, float), np.asarray(z, float))
+    """Curvature vector R(x, y)z: (3,) at a point, (N, 3) at an (N, 3) batch.
+
+    The vectors are (3,) or one row per point.
+    """
+    pts, single = as_points(p)
+    x, y, z = _rows(pts, x, y, z)
+    out = np.einsum("nlijk,ni,nj,nk->nl", riemann_tensor(man, pts), x, y, z)
+    return out[0] if single else out
 
 
 def sectional(man: ChartedManifold, p, v, w):
-    """Sectional curvature of the plane spanned by v and w."""
-    g = man.metric_at(p)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    """Sectional curvature of the plane spanned by v and w.
+
+    A float at a point, (N,) at an (N, 3) batch; v and w are (3,) or one row
+    per point. Raises DegeneratePlane naming the first degenerate plane.
+    """
+    pts, single = as_points(p)
+    v, w = _rows(pts, v, w)
+    g = man.metric_at(pts)
     gram = inner(g, v, v) * inner(g, w, w) - inner(g, v, w) ** 2
-    if gram <= 1e-12:
-        raise DegeneratePlane("sectional curvature of a degenerate plane")
-    return float(inner(g, riemann(man, p, v, w, w), v) / gram)
+    bad = np.flatnonzero(gram <= 1e-12)
+    if bad.size:
+        raise DegeneratePlane(f"sectional curvature of a degenerate plane at {pts[bad[0]]}")
+    out = inner(g, riemann(man, pts, v, w, w), v) / gram
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -169,28 +167,12 @@ def ricci_direction(man: ChartedManifold, p, X, frame: Frame | None = None) -> f
 # ---------------------------------------------------------------------------
 
 def vector_jacobian(man: ChartedManifold, W, p):
-    """Component Jacobian jac[..., i, j] = d_j W^i of a vector field.
+    """Component Jacobian jac[..., i, j] = d_j W^i of a ``UnitField``.
 
-    Uses dual numbers when W exposes ``component_exprs`` (and the manifold
-    is in dual mode), falling back to central differences otherwise.
+    The partials of the field's ``_jet``; field values come from ``W.value``.
     """
     pts, single = as_points(p)
-    n = pts.shape[0]
-    exprs = getattr(W, "component_exprs", None)
-    if exprs is not None and man.diff_mode == "dual":
-        jac = np.empty((n, 3, 3))
-        for i in range(3):
-            d = expr.eval_dual(exprs[i], pts)
-            jac[:, i, :] = d.partials if d.partials.ndim == 2 else np.broadcast_to(d.partials, (n, 3))
-    else:
-        h = man.diff_step
-        fn = W if callable(W) else W.value
-        jac = np.empty((n, 3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            man.require_inside(np.concatenate([pts + e, pts - e]))
-            jac[:, :, j] = (np.asarray(fn(pts + e), float) - np.asarray(fn(pts - e), float)) / (2 * h)
+    jac = np.swapaxes(_jet(man, W.component_fn, pts, W.component_exprs)[1], 1, 2)
     return jac[0] if single else jac
 
 
@@ -208,9 +190,6 @@ def covariant_derivative(man: ChartedManifold, p, W, v):
     """(nabla_v W) at p: directional derivative plus Christoffel correction."""
     pts, single = as_points(p)
     man.require_inside(pts)
-    fn = W if callable(W) else W.value
-    a = covariant_jacobian(man, W, pts, np.asarray(fn(pts), dtype=float), christoffel(man, pts))
-    v = np.asarray(v, dtype=float)
-    vb = np.broadcast_to(v, pts.shape) if v.ndim == 1 else v
-    out = np.einsum("nki,ni->nk", a, vb)
+    a = covariant_jacobian(man, W, pts, W.value(pts), christoffel(man, pts))
+    out = np.einsum("nki,ni->nk", a, _rows(pts, v)[0])
     return out[0] if single else out

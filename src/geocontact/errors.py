@@ -79,3 +79,17 @@ class PoleReached(GeoContactError):
 
 class ConfigError(GeoContactError):
     """Invalid CLI configuration document."""
+
+
+def config_value(section, key, kind, where, default=None):
+    """``section[key]`` of a config document converted by ``kind``; a
+    ConfigError naming ``where.key`` if it is missing and has no default
+    (None) or ``kind`` rejects it."""
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"config needs {where}.{key}")
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid config value {where}.{key}: {section[key]!r}") from None

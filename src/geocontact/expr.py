@@ -408,3 +408,38 @@ def eval_dual(ast, p) -> DualScalar:
     if single and np.ndim(value):
         value = float(value)
     return DualScalar(value, partials)
+
+
+# ---------------------------------------------------------------------------
+# Expression tables
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ExprTable:
+    """Chart data given by a (3,) or (3, 3) table of expressions.
+
+    ``groups`` pairs each distinct AST with the index tuples of its slots,
+    found once when the table is built, so that repeated entries (the zeros
+    of a diagonal metric, the halves of a symmetric one) are evaluated once.
+    """
+
+    shape: tuple
+    groups: tuple  # ((ast, (slot, ...)), ...)
+
+    @classmethod
+    def of(cls, asts):
+        """Table of a (3,) or (3, 3) nested sequence of ASTs."""
+        cells = np.array(asts, dtype=object)
+        groups = {}
+        for slot in np.ndindex(cells.shape):
+            groups.setdefault(cells[slot], []).append(slot)
+        return cls(cells.shape, tuple((ast, tuple(slots)) for ast, slots in groups.items()))
+
+    def evaluate(self, pts):
+        """Values of the table at an (N, 3) batch, shape (N, *shape)."""
+        out = np.empty((len(pts),) + self.shape)
+        for ast, slots in self.groups:
+            col = eval_scalar(ast, pts)
+            for slot in slots:
+                out[(...,) + slot] = col
+        return out

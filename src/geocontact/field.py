@@ -33,21 +33,12 @@ class UnitField:
 
     name: str
     component_fn: Callable[[np.ndarray], np.ndarray]  # (N, 3) -> (N, 3)
-    component_exprs: Optional[tuple] = None  # 3 ExprAst, when expression-backed
+    component_exprs: Optional[expr.ExprTable] = None  # the components as a (3,) table
 
     @classmethod
     def from_exprs(cls, name, components):
-        asts = tuple(expr.parse(c) for c in components)
-
-        def fn(pts):
-            n = pts.shape[0]
-            out = np.empty((n, 3))
-            for i in range(3):
-                vals = np.asarray(expr.eval_scalar(asts[i], pts), dtype=float)
-                out[:, i] = vals if vals.ndim else np.full(n, float(vals))
-            return out
-
-        return cls(name=name, component_fn=fn, component_exprs=asts)
+        table = expr.ExprTable.of(tuple(expr.parse(c) for c in components))
+        return cls(name=name, component_fn=table.evaluate, component_exprs=table)
 
     @classmethod
     def from_callable(cls, name, fn):

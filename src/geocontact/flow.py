@@ -23,7 +23,7 @@ from .curvature import (assemble_riemann, christoffel, christoffel_with_partials
                         jacobi_matrix, real_eigenvalues, riemann_tensor)
 from .errors import OutOfChart, PoleReached, StepTooLarge
 from .field import UnitField, beta_matrix, shape_operator
-from .geometry import ChartedManifold, Frame, frame_at, inner
+from .geometry import ChartedManifold, frame_at, inner
 
 #: target accuracy of the fixed-step integration; residual invariants are
 #: asserted against small multiples of this
@@ -45,10 +45,9 @@ def rk4_step(f, t, y, h):
 class Trajectory:
     """Orbit of a unit field with per-sample frames, B, M and Jacobi data.
 
-    Array layout: t (n,), points (n, 3), e1/e2 (n, 3), B/M (n, 2, 2); the
-    Jacobi blocks J, Jdot, Jt, Jtdot are (n, 2) and A is (n,) when the
-    canonical adapted pair was integrated (``with_jacobi``), and
-    ``adapted`` is (n,) whenever Jacobi solutions were integrated.
+    Array layout: t (n,), points (n, 3), e1/e2 (n, 3), B/M (n, 2, 2); when
+    the canonical adapted pair was integrated (``with_jacobi``), its blocks
+    J, Jdot, Jt, Jtdot are (n, 2) and A and ``adapted`` are (n,).
     """
 
     t: np.ndarray
@@ -65,14 +64,14 @@ class Trajectory:
     Jt: Optional[np.ndarray] = None
     Jtdot: Optional[np.ndarray] = None
     A: Optional[np.ndarray] = None
-    adapted: Optional[np.ndarray] = None  # per sample: max over solutions of |Jdot - B J|
+    adapted: Optional[np.ndarray] = None  # per sample: max over the pair of |Jdot - B J|
 
     def __len__(self):
         return self.t.shape[0]
 
     @property
     def adapted_residual(self) -> Optional[float]:
-        """max |Jdot - B J| over the samples and the integrated solutions."""
+        """max |Jdot - B J| over the samples and the pair."""
         return None if self.adapted is None else float(self.adapted.max())
 
     def ambient_jacobi(self, which="J"):
@@ -83,7 +82,7 @@ class Trajectory:
         return comp[:, 0, None] * self.e1 + comp[:, 1, None] * self.e2
 
 
-def _transport_rhs(man, X, with_jacobi, njac):
+def _transport_rhs(man, X, with_jacobi):
     def rhs(t, y):
         p = y[0:3]
         e = y[3:9].reshape(2, 3)
@@ -96,23 +95,18 @@ def _transport_rhs(man, X, with_jacobi, njac):
         de = -np.einsum("kij,i,aj->ak", gam, xv, e)
         m = jacobi_matrix(assemble_riemann(gam[None], dgam[None]), man.metric_at(p)[None],
                           xv[None], e[None])[0]
-        out = [xv, de.ravel()]
-        blocks = y[9:].reshape(njac, 2, 2)                    # per solution: (J, Jdot)
-        for s in range(njac):
-            j, jdot = blocks[s]
-            out.extend([jdot, -m @ j])
-        return np.concatenate(out)
+        j, jdot, jt, jtdot = y[9:].reshape(4, 2)
+        return np.concatenate([xv, de.ravel(), jdot, -m @ j, jtdot, -m @ jt])
     return rhs
 
 
 def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
-                    with_jacobi=True, jacobi_inits=None) -> Trajectory:
+                    with_jacobi=True) -> Trajectory:
     """Integrate the orbit of X from p0 with transported frames.
 
     Stops early (``truncated``) if the orbit or an RK4 stage leaves the
-    chart. ``jacobi_inits`` is an optional list of (J0, Jdot0) frame
-    component pairs; by default the canonical adapted pair with J(0) = e1,
-    Jt(0) = e2 and J'(0) = B(0) J(0) is integrated alongside.
+    chart. With ``with_jacobi`` the canonical adapted pair, J(0) = e1 and
+    Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
     """
     p0 = np.asarray(p0, dtype=float)
     if not man.contains(p0):
@@ -122,19 +116,14 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
 
     g0 = man.metric_at(p0)
     fr0 = frame_at(g0, X.value(p0))
-    b0 = beta_matrix(man, X, p0, frame=fr0).B
-    if with_jacobi and jacobi_inits is None:
-        jacobi_inits = [(np.array([1.0, 0.0]), b0 @ np.array([1.0, 0.0])),
-                        (np.array([0.0, 1.0]), b0 @ np.array([0.0, 1.0]))]
-    njac = len(jacobi_inits) if with_jacobi else 0
-
+    b0 = beta_matrix(man, X, p0, frame=fr0).B  # also checks that X is unit at p0
     y = [p0, fr0.e1, fr0.e2]
     if with_jacobi:
-        for j0, jdot0 in jacobi_inits:
-            y.extend([np.asarray(j0, float), np.asarray(jdot0, float)])
+        for j0 in np.eye(2):
+            y.extend([j0, b0 @ j0])
     y = np.concatenate(y)
 
-    rhs = _transport_rhs(man, X, with_jacobi, njac)
+    rhs = _transport_rhs(man, X, with_jacobi)
     # keep the grid uniform and land exactly on t_end
     nsteps = max(1, int(round(t_end / step)))
     step = t_end / nsteps
@@ -173,15 +162,16 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
                                       np.stack([e1, e2], axis=1)),
                       X_along=xn, step=step, truncated=truncated)
     if with_jacobi:
-        blocks = arr[:, 9:].reshape(n, njac, 2, 2)
-        traj.J, traj.Jdot = blocks[:, 0, 0, :], blocks[:, 0, 1, :]
-        if njac > 1:
-            traj.Jt, traj.Jtdot = blocks[:, 1, 0, :], blocks[:, 1, 1, :]
-            traj.A = traj.J[:, 0] * traj.Jt[:, 1] - traj.J[:, 1] * traj.Jt[:, 0]
-        traj.adapted = np.max(
-            [np.linalg.norm(blocks[:, s, 1, :] - np.einsum("nij,nj->ni", traj.B, blocks[:, s, 0, :]),
-                            axis=1) for s in range(njac)], axis=0)
+        traj.J, traj.Jdot, traj.Jt, traj.Jtdot = np.moveaxis(arr[:, 9:].reshape(n, 4, 2), 1, 0)
+        traj.A = traj.J[:, 0] * traj.Jt[:, 1] - traj.J[:, 1] * traj.Jt[:, 0]
+        traj.adapted = np.maximum(_adapted_defect(traj.B, traj.J, traj.Jdot),
+                                  _adapted_defect(traj.B, traj.Jt, traj.Jtdot))
     return traj
+
+
+def _adapted_defect(B, J, Jdot):
+    """|Jdot - B J| per sample."""
+    return np.linalg.norm(Jdot - np.einsum("nij,nj->ni", B, J), axis=1)
 
 
 def _frame_drift(g, xn, e1, e2):
@@ -209,25 +199,26 @@ class AdaptedJacobi:
         return np.linalg.norm(self.J, axis=1)
 
 
-def adapted_jacobi(man: ChartedManifold, X: UnitField, traj: Trajectory, v0) -> AdaptedJacobi:
-    """Integrate the adapted Jacobi field with J(0) = v0 along traj's orbit.
+def adapted_jacobi(man: ChartedManifold, traj: Trajectory, v0) -> AdaptedJacobi:
+    """The adapted Jacobi field with J(0) = v0 along traj's orbit.
 
-    v0 is an ambient tangent vector orthogonal to X at the orbit start (to
-    within 1e-8); the initial derivative is beta(v0) as dictated by
-    adaptedness, and the reported residual measures how well J' = beta(J)
-    persists along the orbit.
+    v0 is an ambient tangent vector orthogonal to the field at the orbit
+    start (to within 1e-8). The initial derivative J'(0) = B(0) J(0) is
+    linear in J(0), so the field is c1 J + c2 Jt of the trajectory's
+    canonical pair, (c1, c2) the frame components of v0. The reported
+    residual measures how well J' = beta(J) persists along the orbit.
     """
-    p0 = traj.points[0]
-    g0 = man.metric_at(p0)
-    fr0 = Frame(traj.X_along[0], traj.e1[0], traj.e2[0])
+    if traj.J is None:
+        raise ValueError("trajectory was integrated without the adapted pair")
+    g0 = man.metric_at(traj.points[0])
     v0 = np.asarray(v0, dtype=float)
-    if abs(inner(g0, v0, fr0.X)) > 1e-8:
+    if abs(inner(g0, v0, traj.X_along[0])) > 1e-8:
         raise ValueError("v0 must be orthogonal to the field at the orbit start")
-    comp = np.array([inner(g0, v0, fr0.e1), inner(g0, v0, fr0.e2)])
-    b0 = traj.B[0]
-    sub = integrate_orbit(man, X, p0, float(traj.t[-1]), traj.step,
-                          with_jacobi=True, jacobi_inits=[(comp, b0 @ comp)])
-    return AdaptedJacobi(t=sub.t, J=sub.J, Jdot=sub.Jdot, residual=sub.adapted_residual)
+    c1, c2 = inner(g0, v0, traj.e1[0]), inner(g0, v0, traj.e2[0])
+    J = c1 * traj.J + c2 * traj.Jt
+    Jdot = c1 * traj.Jdot + c2 * traj.Jtdot
+    return AdaptedJacobi(t=traj.t, J=J, Jdot=Jdot,
+                         residual=float(_adapted_defect(traj.B, J, Jdot).max()))
 
 
 # ---------------------------------------------------------------------------

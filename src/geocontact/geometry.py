@@ -59,16 +59,16 @@ class VolumeParametrization:
 class ChartedManifold:
     """A single chart: metric field plus domain predicate on an open set.
 
-    When the metric entries are expression-backed (``metric_exprs``), first
-    derivatives of the metric are computed exactly with dual numbers; for an
-    opaque ``metric_fn`` (or with ``diff_mode="central"``) central
-    differences with step ``diff_step`` are used instead.
+    ``diff_mode`` and ``diff_step`` choose how ``_jet`` differentiates chart
+    data: exactly with dual numbers where the data has an expression table
+    (``metric_exprs`` for the metric) and the mode is "dual", by central
+    differences with step ``diff_step`` otherwise.
     """
 
     name: str
     metric_fn: Callable[[Array], Array]  # (N, 3) -> (N, 3, 3)
     domain_fn: Callable[[Array], Array]  # (N, 3) -> (N,) bool
-    metric_exprs: Optional[tuple] = None  # 3x3 nested tuple of ExprAst
+    metric_exprs: Optional[expr.ExprTable] = None  # the metric as a 3x3 table
     diff_mode: str = "dual"
     diff_step: float = DEFAULT_DIFF_STEP
     volume_param: Optional[VolumeParametrization] = field(default=None, repr=False)
@@ -88,37 +88,6 @@ class ChartedManifold:
             raise OutOfChart(f"point outside the chart of {self.name!r}")
 
 
-def _broadcast_column(values, n):
-    out = np.asarray(values, dtype=float)
-    if out.ndim == 0:
-        return np.full(n, float(out))
-    return out
-
-
-def _distinct_upper(asts):
-    """Group the 6 upper-triangle slots by structurally identical ASTs."""
-    groups = {}
-    for i in range(3):
-        for j in range(i, 3):
-            groups.setdefault(asts[i][j], []).append((i, j))
-    return groups
-
-
-def metric_fn_from_exprs(asts):
-    """Vectorised metric evaluator from a 3x3 (upper-triangle read) AST table."""
-    groups = _distinct_upper(asts)
-
-    def fn(pts):
-        n = pts.shape[0]
-        g = np.empty((n, 3, 3))
-        for ast, slots in groups.items():
-            col = _broadcast_column(expr.eval_scalar(ast, pts), n)
-            for i, j in slots:
-                g[:, i, j] = g[:, j, i] = col
-        return g
-    return fn
-
-
 def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifold:
     """Build a chart from 3x3 metric expression strings and a domain expression.
 
@@ -126,11 +95,8 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
     by storage). ``domain`` is either the literal "true" or an expression
     whose positivity defines the chart.
     """
-    asts = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            asts[i][j] = asts[j][i] = expr.parse(entries[i][j])
-    asts = tuple(tuple(row) for row in asts)
+    table = expr.ExprTable.of([[expr.parse(entries[min(i, j)][max(i, j)]) for j in range(3)]
+                               for i in range(3)])
 
     if isinstance(domain, str):
         if domain.strip() == "true":
@@ -145,44 +111,57 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
     else:
         domain_fn = domain
 
-    return ChartedManifold(name=name, metric_fn=metric_fn_from_exprs(asts),
-                           domain_fn=domain_fn, metric_exprs=asts, **kwargs)
+    return ChartedManifold(name=name, metric_fn=table.evaluate,
+                           domain_fn=domain_fn, metric_exprs=table, **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Metric derivatives
+# Derivatives
 # ---------------------------------------------------------------------------
 
-def _stencil(pts, h):
-    """All 6 axis shifts of pts: shape (6, N, 3), order (+1,-1,+2,-2,+3,-3)."""
+def _jet(man: ChartedManifold, fn, pts, table=None):
+    """Value and first partials of chart data at an (N, 3) batch.
+
+    The one place that decides how a derivative is taken, behind the public
+    ``metric_partials``, ``christoffel(_with_partials)`` and
+    ``vector_jacobian``. ``fn`` maps an (N, 3) batch to values of shape
+    (N, *S); ``table`` is the same data as an ``expr.ExprTable``, when there
+    is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
+
+    - with a table and ``man.diff_mode == "dual"``, exactly, by one dual
+      number walk per distinct AST of the table;
+    - otherwise by central differences with step ``man.diff_step``: the
+      centre and its six axis shifts, ordered (+1, -1, +2, -2, +3, -3), are
+      one batch of ``fn`` and one chart check.
+    """
     n = pts.shape[0]
-    out = np.empty((6, n, 3))
+    if table is not None and man.diff_mode == "dual":
+        man.require_inside(pts)
+        val = np.empty((n,) + table.shape)
+        d = np.empty((n, 3) + table.shape)
+        for ast, slots in table.groups:
+            dual = expr.eval_dual(ast, pts)
+            for slot in slots:
+                val[(...,) + slot] = dual.value
+                d[(...,) + slot] = dual.partials
+        return val, d
+    h = man.diff_step
+    batch = np.repeat(pts[None], 7, axis=0)
     for k in range(3):
-        out[2 * k] = pts
-        out[2 * k][:, k] += h
-        out[2 * k + 1] = pts
-        out[2 * k + 1][:, k] -= h
-    return out
+        batch[1 + 2 * k, :, k] += h
+        batch[2 + 2 * k, :, k] -= h
+    batch = batch.reshape(-1, 3)
+    man.require_inside(batch)
+    out = np.asarray(fn(batch), dtype=float)
+    out = out.reshape((7, n) + out.shape[1:])
+    d = np.stack([(out[1 + 2 * k] - out[2 + 2 * k]) / (2 * h) for k in range(3)], axis=1)
+    return out[0], d
 
 
 def metric_partials(man: ChartedManifold, p):
     """First partials of the metric: dg[..., k, i, j] = d_k g_ij."""
     pts, single = as_points(p)
-    man.require_inside(pts)
-    n = pts.shape[0]
-    if man.metric_exprs is not None and man.diff_mode == "dual":
-        dg = np.empty((n, 3, 3, 3))
-        for ast, slots in _distinct_upper(man.metric_exprs).items():
-            d = expr.eval_dual(ast, pts)
-            part = d.partials if d.partials.ndim == 2 else np.broadcast_to(d.partials, (n, 3))
-            for i, j in slots:
-                dg[:, :, i, j] = dg[:, :, j, i] = part
-    else:
-        h = man.diff_step
-        shifted = _stencil(pts, h)
-        man.require_inside(shifted.reshape(-1, 3))
-        gs = np.asarray(man.metric_fn(shifted.reshape(-1, 3)), dtype=float).reshape(6, n, 3, 3)
-        dg = np.stack([(gs[2 * k] - gs[2 * k + 1]) / (2 * h) for k in range(3)], axis=1)
+    dg = _jet(man, man.metric_fn, pts, man.metric_exprs)[1]
     return dg[0] if single else dg
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .curvature import sectional
-from .errors import ConfigError, NoParametrization, NotConstantCurvature
+from .errors import ConfigError, NoParametrization, NotConstantCurvature, config_value
 from .field import PointDiagnosis, RealPair, contact_defect_grid, diagnose
 from .flow import integrate_orbit
 
@@ -41,10 +41,12 @@ class Tolerances:
     @classmethod
     def from_mapping(cls, mapping):
         base = cls()
-        for key, value in (mapping or {}).items():
+        if mapping is not None and not isinstance(mapping, dict):
+            raise ConfigError("config section 'tolerances' must be a JSON object")
+        for key in mapping or {}:
             if not hasattr(base, key):
                 raise ConfigError(f"unknown tolerance {key!r}")
-            setattr(base, key, float(value))
+            setattr(base, key, config_value(mapping, key, float, "tolerances"))
         return base
 
 
@@ -135,13 +137,9 @@ def check_constant_curvature(entry: CatalogEntry, c, points, spread_tol=1e-4, se
     rng = np.random.default_rng(seed)
     pts = np.asarray(points, float)
     sel = pts[rng.choice(len(pts), size=min(10, len(pts)), replace=False)]
-    values = []
-    for p in sel:
-        for _ in range(5):
-            v = rng.standard_normal(3)
-            w = rng.standard_normal(3)
-            values.append(sectional(entry.manifold, p, v, w))
-    values = np.asarray(values)
+    planes = rng.standard_normal((len(sel), 5, 2, 3))  # 5 planes (v, w) per point
+    values = sectional(entry.manifold, np.repeat(sel, 5, axis=0),
+                       planes[:, :, 0].reshape(-1, 3), planes[:, :, 1].reshape(-1, 3))
     spread = float(values.max() - values.min())
     if spread > spread_tol or abs(values.mean() - c) > spread_tol:
         raise NotConstantCurvature(

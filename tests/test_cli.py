@@ -185,6 +185,18 @@ def test_orbit_of_two_steps_runs(tmp_path, capsys):
     assert len([l for l in out.split("\n")[1:] if l and not l.startswith("#")]) == 3
 
 
+def test_orbit_leaving_chart_before_third_sample_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     "domain": "1 - x3"},
+        "field": {"components": ["0", "0", "1"]},
+        "orbit": {"start": [0.0, 0.0, 0.9995], "t_end": 0.01, "step": 0.001}})
+    code, out, err = run(capsys, ["orbit", "--config", cfg])
+    assert code == 1 and out == ""
+    assert "0.9995" in err and "1 sample" in err
+    assert "Traceback" not in err
+
+
 def test_orbit_needs_orbit_section_for_custom(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
@@ -301,6 +313,23 @@ def test_bad_expression_in_config(tmp_path, capsys):
         "grid": {"min": [0, 0, 0], "max": [1, 1, 1], "counts": [2, 2, 2]}})
     code, _, _ = run(capsys, ["analyze", "--config", cfg])
     assert code == 2
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"grid": {"max": [1, 1, 2], "counts": [2, 2, 2]}}, "grid.min"),
+    ({"grid": 5}, "grid"),
+    ({"volume": {"nodes": "abc"}}, "volume.nodes"),
+    ({"tolerances": {"unit_defect": "abc"}}, "tolerances.unit_defect"),
+    ({"diff": {"step": "abc"}}, "diff.step"),
+    ({"diff": {"mode": "central", "step": 0}}, "diff.step"),
+    ({"orbit": {"start": [0, 0, 1], "t_end": "x"}}, "orbit.t_end"),
+], ids=["missing-grid-min", "grid-not-object", "volume-nodes", "tolerance",
+        "diff-step", "diff-step-zero", "orbit-t-end"])
+def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
+    cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert code == 2 and out == ""
+    assert key.split(".")[-1] in err and "Traceback" not in err
 
 
 def test_invalid_json_config(tmp_path, capsys):

@@ -150,6 +150,26 @@ def test_sectional_degenerate_plane():
     with pytest.raises(DegeneratePlane):
         sectional(flat(), np.array([0.0, 0, 0]),
                   np.array([1.0, 0, 0]), np.array([2.0, 0, 0]))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.25, 0.125]])
+    with pytest.raises(DegeneratePlane, match="0.125"):
+        sectional(flat(), pts, np.array([1.0, 0, 0]),
+                  np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 0.0]]))
+
+
+def test_batched_curvature_matches_single_points(entries):
+    """riemann and sectional at an (N, 3) batch equal their N = 1 calls."""
+    man = entries["heisenberg_reeb"].manifold
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(-1, 1, (6, 3))
+    v, w = rng.standard_normal((2, 6, 3))
+    K = sectional(man, pts, v, w)
+    R = riemann(man, pts, v, w, w)
+    for k in range(len(pts)):
+        assert abs(K[k] - sectional(man, pts[k], v[k], w[k])) < 1e-12
+        np.testing.assert_allclose(R[k], riemann(man, pts[k], v[k], w[k], w[k]), atol=1e-12)
+    # a single vector applies to every point
+    np.testing.assert_allclose(sectional(man, pts, v[0], w[0]),
+                               [sectional(man, p, v[0], w[0]) for p in pts], atol=1e-12)
 
 
 def test_sectional_basis_invariance(entries):

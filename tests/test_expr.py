@@ -146,6 +146,16 @@ def test_constant_expression_dual():
     np.testing.assert_allclose(d.partials, [0.0, 0.0, 0.0])
 
 
+def test_table_evaluates_each_distinct_entry_once():
+    table = expr.ExprTable.of([[parse("1/x3^2" if i == j else "0") for j in range(3)]
+                               for i in range(3)])
+    assert table.shape == (3, 3) and len(table.groups) == 2
+    pts = np.array([[0.1, 0.2, 2.0], [0.0, 0.0, 0.5]])
+    np.testing.assert_array_equal(table.evaluate(pts), [np.eye(3) / 4.0, np.eye(3) * 4.0])
+    field = expr.ExprTable.of(tuple(parse(c) for c in ("0", "0", "1")))
+    np.testing.assert_array_equal(field.evaluate(pts), [[0.0, 0.0, 1.0]] * 2)
+
+
 # the shared derivative-check corpus (also exercised by the acceptance suite)
 CORPUS = [
     "x1 + x2*x3",

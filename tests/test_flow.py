@@ -114,7 +114,7 @@ def test_adapted_jacobi_custom_start(entries, orbit_cache):
     entry = entries["h3_vertical"]
     traj = orbit_cache("h3_vertical")
     v0 = traj.e1[0] - 2.0 * traj.e2[0]  # in the orthogonal plane at the start
-    sol = adapted_jacobi(entry.manifold, entry.field, traj, v0)
+    sol = adapted_jacobi(entry.manifold, traj, v0)
     assert sol.residual < 1e-8
     np.testing.assert_allclose(sol.J[0], [1.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(sol.norms(), np.sqrt(5.0) * np.exp(-sol.t), rtol=1e-6)
@@ -124,7 +124,7 @@ def test_adapted_jacobi_rejects_nonorthogonal_start(entries, orbit_cache):
     entry = entries["h3_vertical"]
     traj = orbit_cache("h3_vertical")
     with pytest.raises(ValueError):
-        adapted_jacobi(entry.manifold, entry.field, traj, traj.X_along[0])
+        adapted_jacobi(entry.manifold, traj, traj.X_along[0])
 
 
 @pytest.mark.parametrize("name", ORBIT_NAMES)
@@ -211,6 +211,8 @@ def test_wronskian_needs_jacobi_pair(entries):
                            with_jacobi=False)
     with pytest.raises(ValueError):
         wronskian(traj)
+    with pytest.raises(ValueError):
+        adapted_jacobi(entry.manifold, traj, traj.e1[0])
 
 
 def test_parallel_jacobi_defect_h3(orbit_cache):

@@ -1,0 +1,65 @@
+"""Golden reports: the CLI's stdout is pinned byte for byte by sha256.
+
+A change that moves any digit of these reports must update the digest
+here and state which values moved, and by how much, against the
+tolerance that governs them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from geocontact import cli
+
+from conftest import ENTRY_NAMES
+
+
+def _orbit_doc(name, start):
+    return {"manifold": name, "orbit": {"start": start, "t_end": 0.2, "step": 0.001}}
+
+
+#: case id -> (argv, config document written to --config, or None)
+CASES = {
+    **{f"analyze:{name}": (["analyze", "--entry", name], None) for name in ENTRY_NAMES},
+    "analyze-central:s3_hopf": (["analyze"], {"manifold": "s3_hopf",
+                                              "diff": {"mode": "central"}}),
+    "verify:T3.1,C3.2,T5.1,C5.2:all": (["verify", "T3.1", "C3.2", "T5.1", "C5.2", "--all"],
+                                       None),
+    "orbit:h3_vertical": (["orbit"], _orbit_doc("h3_vertical", [0.0, 0.0, 1.0])),
+    "orbit:s3_hopf": (["orbit"], _orbit_doc("s3_hopf", [0.3, 0.2, 0.1])),
+    "volume:s3_hopf:16": (["volume", "--entry", "s3_hopf", "--nodes", "16"], None),
+}
+
+DIGESTS = {
+    "analyze-central:s3_hopf": "2bd168591f7e500df78dc5bb622699bffbb7939e3d1613bb9d5f11ff1dd41809",
+    "analyze:euclidean_parallel": "50e1c2d12e3a5a5f68ce86b2d0e513cd3c769ebddf4646db67d58f628c5626e1",
+    "analyze:euclidean_skew": "6036021b0cf5c76aa84c25299b5249b99be756246472705878279b093ceab376",
+    "analyze:h2xr_vertical": "b12b783b5c4943fb3d5f9928fe684b73110d736d0a1cfc7eacf999fe2d523d4f",
+    "analyze:h3_vertical": "b928f1ad1c27e98e38c3b5ba5c492e311dfef2db477fd147b7966a0c4c084873",
+    "analyze:heisenberg_reeb": "3894667fa8dee4daa1bc2bbcbd48b6ce95d9cd9fb236ea9f89f03ca6464f75de",
+    "analyze:s3_hopf": "62e7387d9373d5a27635db71100f6dad8763ac381f4288dc4e25432e964e13c8",
+    "analyze:s3_weighted(2,3)": "dc7afb2beca519172b451cbbf2c3c2b074de74397317309e2f5c535b149a6203",
+    "orbit:h3_vertical": "67718b89ee0990e349d20f08e882d5fd89370adcd349a493658a781065053c49",
+    "orbit:s3_hopf": "c8a16ef3c065ec66154a445ae7a7e282e7a4289f0879d8056675fba021fd5bb0",
+    "verify:T3.1,C3.2,T5.1,C5.2:all": "bb174ada82e2db1e163240479c3351be154d1b6d778e34f80388d298f8ab35c4",
+    "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
+}
+
+
+def report_digest(tmp_path, capsys, case):
+    argv, doc = CASES[case]
+    if doc is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_is_golden(tmp_path, capsys, case):
+    code, digest = report_digest(tmp_path, capsys, case)
+    assert code == 0
+    assert digest == DIGESTS[case]
