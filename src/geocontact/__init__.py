@@ -16,9 +16,9 @@ from .geometry import (ChartedManifold, Frame, VolumeParametrization, frame_at,
 from .curvature import (JacobiTensor, christoffel, covariant_derivative,
                         jacobi_tensor, ricci_direction, riemann, riemann_tensor,
                         sectional)
-from .field import (BetaMatrix, ComplexPair, PointDiagnosis, RealPair, UnitField,
-                    beta_matrix, beta_rank, contact_defect, contact_defect_grid,
-                    diagnose, diagnose_point, eigen_classify)
+from .field import (BetaMatrix, ComplexPair, Diagnosis, PointDiagnosis, RealPair, UnitField,
+                    beta_matrix, beta_rank, beta_ranks, contact_defect, contact_defect_grid,
+                    diagnose, diagnose_point, eigen_classify, eigen_columns)
 from .flow import (AdaptedJacobi, Trajectory, WronskianResult,
                    adapted_jacobi, arcoth, first_zero_space_form,
                    integrate_orbit, jacobi_component_closed_form,

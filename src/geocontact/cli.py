@@ -19,12 +19,12 @@ from .catalog import CatalogEntry, GridSpec, OrbitSpec
 from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization, OutOfChart,
                      UnknownEntry, config_value)
 from .curvature import trace_discriminant
-from .field import RealPair, UnitField, diagnose
+from .field import UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, riccati_residuals,
                    trace_evolution_residual, wronskian)
 from .geometry import manifold_from_exprs
 from .verify import (THEOREM_IDS, Tolerances, applicable_theorems, run_theorem,
-                     volume_integral)
+                     verify_all, volume_integral)
 
 
 def _fmt(value) -> str:
@@ -55,6 +55,13 @@ def _check_keys(mapping, section):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _expression(value):
+    """Converter of an expression string for ``config_value``."""
+    if not isinstance(value, str):
+        raise TypeError("not an expression string")
+    return value
+
+
 def _triple(kind):
     """Converter of a 3-element list for ``config_value``."""
     def convert(values):
@@ -83,13 +90,9 @@ def resolve_config(config: dict) -> Resolved:
         entry = catalog.builtin(man_spec)
     elif isinstance(man_spec, dict):
         _check_keys(man_spec, "manifold")
-        if "metric" not in man_spec:
-            raise ConfigError("custom manifold needs a metric")
-        metric = man_spec["metric"]
-        if len(metric) != 3 or any(len(row) != 3 for row in metric):
-            raise ConfigError("metric must be a 3x3 table of expressions")
-        manifold = manifold_from_exprs("custom", tuple(tuple(row) for row in metric),
-                                       domain=man_spec.get("domain", "true"))
+        manifold = manifold_from_exprs(
+            "custom", config_value(man_spec, "metric", _triple(_triple(_expression)), "manifold"),
+            domain=config_value(man_spec, "domain", _expression, "manifold", default="true"))
         if field_spec is None:
             raise ConfigError("custom manifold needs a field")
         entry = CatalogEntry(name="custom", manifold=manifold,
@@ -99,13 +102,9 @@ def resolve_config(config: dict) -> Resolved:
         raise ConfigError("config needs a manifold (catalog name or custom object)")
 
     if field_spec is not None:
-        if not isinstance(field_spec, dict):
-            raise ConfigError("field must be an object with components")
         _check_keys(field_spec, "field")
-        comps = field_spec.get("components")
-        if not isinstance(comps, (list, tuple)) or len(comps) != 3:
-            raise ConfigError("field needs exactly 3 component expressions")
-        entry.field = UnitField.from_exprs("custom", tuple(comps))
+        entry.field = UnitField.from_exprs(
+            "custom", config_value(field_spec, "components", _triple(_expression), "field"))
 
     if "grid" in config:
         grid = config["grid"]
@@ -196,24 +195,22 @@ def cmd_analyze(args) -> int:
     entry, tol = resolved.entry, resolved.tolerances
     if entry.grid is None:
         raise ConfigError("analyze needs a grid")
-    lines = [ANALYZE_HEADER]
     pts = entry.grid.points()
     inside = entry.manifold.contains(pts)
     skipped = pts[~inside]
-    failed = False
-    for p, d in zip(pts[inside], diagnose(entry.manifold, entry.field, pts[inside],
-                                          unit_tol=np.inf)):
-        failed |= d.unit_defect > tol.unit_defect or d.geodesic_defect > tol.geodesic_defect
-        if isinstance(d.eigen, RealPair):
-            eig = ("real", d.eigen.lam, 0.0, d.eigen.mu, 0.0)
-        else:
-            eig = ("complex", d.eigen.a, d.eigen.b, d.eigen.a, -d.eigen.b)
-        lines.append(",".join(
-            [_fmt(p[0]), _fmt(p[1]), _fmt(p[2]),
-             _fmt(d.unit_defect), _fmt(d.geodesic_defect), _fmt(d.killing_defect),
-             _fmt(d.contact_defect), eig[0], _fmt(eig[1]), _fmt(eig[2]),
-             _fmt(eig[3]), _fmt(eig[4]), _fmt(d.ric_X), _fmt(d.Delta),
-             _fmt(d.delta), str(d.beta_rank)]))
+    diag = diagnose(entry.manifold, entry.field, pts[inside], unit_tol=np.inf)
+    failed = np.any((diag.unit_defect > tol.unit_defect)
+                    | (diag.geodesic_defect > tol.geodesic_defect))
+    # the float columns in CSV order; eig_kind goes in after the contact defect
+    values = np.column_stack([diag.p, diag.unit_defect, diag.geodesic_defect,
+                              diag.killing_defect, diag.contact_defect,
+                              np.stack([diag.eig_re, diag.eig_im], axis=2).reshape(-1, 4),
+                              diag.ric_X, diag.Delta, diag.delta])
+    lines = [ANALYZE_HEADER]
+    for row, cplx, rank in zip(values, diag.complex, diag.beta_rank):
+        cells = [_fmt(v) for v in row]
+        lines.append(",".join(cells[:7] + ["complex" if cplx else "real"] + cells[7:]
+                              + [str(rank)]))
     lines.append(f"# version: geocontact {__version__}")
     lines.append(f"# config: {_echo_json(resolved)}")
     if len(skipped):
@@ -272,31 +269,18 @@ def cmd_orbit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.all:
-        entries = catalog.all_entries()
-        tolerances = Tolerances()
-        volume_nodes = 32
-        echo = {"verify": "all"}
-        if args.config:
-            resolved = _load(args)
-            tolerances, echo = resolved.tolerances, resolved.echo
-            volume_nodes = resolved.volume_nodes
-        reports = []
-        for entry in entries:
-            wanted = args.theorems or applicable_theorems(entry)
-            for theorem in wanted:
-                if theorem in applicable_theorems(entry):
-                    reports.append(run_theorem(entry, theorem, tol=tolerances,
-                                               volume_nodes=volume_nodes))
+        resolved = _load(args) if args.config else Resolved(None, Tolerances(), 32,
+                                                            {"verify": "all"})
+        reports = verify_all(catalog.all_entries(), resolved.tolerances,
+                             resolved.volume_nodes, args.theorems)
     else:
         resolved = _load(args)
-        entry, tolerances, echo = resolved.entry, resolved.tolerances, resolved.echo
-        wanted = args.theorems or applicable_theorems(entry)
-        reports = [run_theorem(entry, theorem, c=args.c, tol=tolerances,
+        reports = [run_theorem(resolved.entry, theorem, c=args.c, tol=resolved.tolerances,
                                volume_nodes=resolved.volume_nodes)
-                   for theorem in wanted]
+                   for theorem in args.theorems or applicable_theorems(resolved.entry)]
     doc = {
         "version": f"geocontact {__version__}",
-        "config": echo,
+        "config": resolved.echo,
         "reports": [r.to_dict() for r in reports],
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)

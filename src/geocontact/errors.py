@@ -45,6 +45,10 @@ class SingularMetric(GeoContactError):
     """Metric matrix numerically non-invertible."""
 
 
+class NotPositiveDefinite(GeoContactError):
+    """Metric matrix not positive definite at a point of the chart."""
+
+
 class DegenerateSeed(GeoContactError):
     """Both frame seeds lie (numerically) in the span of the field."""
 

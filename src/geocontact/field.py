@@ -97,7 +97,7 @@ def beta_matrix(man: ChartedManifold, X: UnitField, p, frame: Frame | None = Non
     """Shape operator at one point, in ``frame`` or the standard ``frame_at`` frame."""
     pts, _ = as_points(p)
     man.require_inside(pts)
-    g = np.asarray(man.metric_fn(pts), dtype=float)
+    g = man.metric_at(pts)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     _require_unit(X, pts, np.abs(inner(g, xv, xv) - 1.0), unit_tol)
     if frame is None:
@@ -129,26 +129,52 @@ class ComplexPair:
 EigenClass = RealPair | ComplexPair
 
 
+def eigen_columns(B):
+    """Eigenvalues of 2x2 matrices B[..., 2, 2] as (complex, re, im), complex
+    below the discriminant noise floor. re and im (..., 2) are in ``analyze``
+    order: (lam, mu) and (0, 0) for a real pair, (a, a) and (b, -b) for a +/- b*i.
+    """
+    tr, disc = trace_discriminant(B)
+    cplx = disc < -EIGEN_DISC_TOL
+    lam, mu = real_eigenvalues(B)
+    a = 0.5 * tr
+    b = 0.5 * np.sqrt(np.maximum(-disc, 0.0))
+    re = np.where(cplx[..., None], a[..., None], np.stack([lam, mu], axis=-1))
+    im = np.where(cplx[..., None], np.stack([b, -b], axis=-1), 0.0)
+    return cplx, re, im
+
+
+def _eigen_pair(cplx, re, im) -> EigenClass:
+    if cplx:
+        return ComplexPair(a=float(re[0]), b=float(im[0]))
+    return RealPair(lam=float(re[0]), mu=float(re[1]))
+
+
 def eigen_classify(beta: BetaMatrix) -> EigenClass:
     """Closed-form 2x2 eigenvalues; complex only beyond the discriminant noise floor."""
-    tr, disc = trace_discriminant(beta.B)
-    if disc < -EIGEN_DISC_TOL:
-        return ComplexPair(a=float(0.5 * tr), b=float(0.5 * np.sqrt(-disc)))
-    lam, mu = real_eigenvalues(beta.B)
-    return RealPair(lam=float(lam), mu=float(mu))
+    return _eigen_pair(*(col[0] for col in eigen_columns(beta.B[None])))
+
+
+def beta_ranks(B, rel_tol: float = RANK_REL_TOL, abs_tol: float = RANK_ABS_TOL):
+    """Numerical rank of each B[..., 2, 2] from its singular values, one SVD call."""
+    sv = np.linalg.svd(B, compute_uv=False)
+    return np.sum(sv > np.maximum(rel_tol * sv[..., :1], abs_tol), axis=-1)
 
 
 def beta_rank(beta: BetaMatrix, rel_tol: float = RANK_REL_TOL,
               abs_tol: float = RANK_ABS_TOL) -> int:
     """Numerical rank of B from its singular values."""
-    sv = np.linalg.svd(beta.B, compute_uv=False)
-    cut = max(rel_tol * sv[0], abs_tol)
-    return int(np.sum(sv > cut))
+    return int(beta_ranks(beta.B, rel_tol, abs_tol))
 
 
 # ---------------------------------------------------------------------------
 # Point diagnosis
 # ---------------------------------------------------------------------------
+
+#: the float quantities of a diagnosis, one column each
+SCALAR_COLUMNS = ("unit_defect", "geodesic_defect", "killing_defect", "contact_defect",
+                  "ric_X", "Delta", "delta")
+
 
 @dataclass
 class PointDiagnosis:
@@ -165,12 +191,52 @@ class PointDiagnosis:
     beta: BetaMatrix
 
 
+@dataclass(frozen=True)
+class Diagnosis:
+    """Every pointwise diagnostic of an (N, 3) batch, one array per quantity.
+
+    Row k belongs to the point p[k]; ``diag[k]`` is that row as a
+    ``PointDiagnosis`` and iterating yields the rows in order.
+    """
+
+    p: np.ndarray                # (N, 3)
+    unit_defect: np.ndarray      # (N,) each, down to ``delta``
+    geodesic_defect: np.ndarray
+    killing_defect: np.ndarray
+    contact_defect: np.ndarray   # B21 - B12
+    B: np.ndarray                # (N, 2, 2), B[n, i, j] = <beta(e_j), e_i>
+    frame: np.ndarray            # (N, 3, 3), columns X (normalised), e1, e2
+    tangency: np.ndarray         # (N,) max_i |<nabla_{e_i} X, X>|
+    complex: np.ndarray          # (N,) bool, then (N, 2) each: see ``eigen_columns``
+    eig_re: np.ndarray
+    eig_im: np.ndarray
+    ric_X: np.ndarray
+    Delta: np.ndarray
+    delta: np.ndarray
+    beta_rank: np.ndarray        # (N,) int
+
+    def __len__(self):
+        return self.p.shape[0]
+
+    def __getitem__(self, k) -> PointDiagnosis:
+        beta = BetaMatrix(B=self.B[k], frame=Frame(*self.frame[k].T),
+                          tangency=float(self.tangency[k]))
+        return PointDiagnosis(
+            p=self.p[k], eigen=_eigen_pair(self.complex[k], self.eig_re[k], self.eig_im[k]),
+            beta_rank=int(self.beta_rank[k]), beta=beta,
+            **{name: float(getattr(self, name)[k]) for name in SCALAR_COLUMNS})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def diagnose(man: ChartedManifold, X: UnitField, pts,
-             unit_tol: float = UNIT_TOL) -> list[PointDiagnosis]:
+             unit_tol: float = UNIT_TOL) -> Diagnosis:
     """Every pointwise diagnostic of the field at an (N, 3) batch, in one pass.
 
     The metric, the field, Gamma and the Riemann tensor are evaluated once
-    for the whole batch. In the frame (X, e1, e2) of ``frames_at``:
+    for the whole batch, and so are the eigenvalue classes and the ranks
+    of B. In the frame (X, e1, e2) of ``frames_at``:
 
     - unit defect |<X, X> - 1|, with X as given;
     - geodesic defect |nabla_X X|, with X as given;
@@ -184,7 +250,7 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     """
     pts = as_points(pts)[0]
     man.require_inside(pts)
-    g = np.asarray(man.metric_fn(pts), dtype=float)
+    g = man.metric_at(pts)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     unit = np.abs(inner(g, xv, xv) - 1.0)
     _require_unit(X, pts, unit, unit_tol)
@@ -193,25 +259,20 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
 
     gam, dgam = christoffel_with_partials(man, pts)
     A = covariant_jacobian(man, X, pts, xv, gam)
-    gram = _frame_gram(g, A, np.stack([xn, e1, e2], axis=2))
+    frame = np.stack([xn, e1, e2], axis=2)
+    gram = _frame_gram(g, A, frame)
     B = np.swapaxes(gram[:, 1:, 1:], 1, 2)
-    geodesic = g_norm(g, np.einsum("nki,ni->nk", A, xv))
-    killing = np.abs(gram + np.swapaxes(gram, 1, 2)).max(axis=(1, 2))
-    tangency = np.abs(gram[:, 1:, 0]).max(axis=1)
 
     M = jacobi_matrix(assemble_riemann(gam, dgam), g, xn, np.stack([e1, e2], axis=1))
     Delta, delta = real_eigenvalues(M)
-    ric = M[:, 0, 0] + M[:, 1, 1]
-
-    out = []
-    for k in range(len(pts)):
-        beta = BetaMatrix(B=B[k], frame=Frame(xn[k], e1[k], e2[k]), tangency=float(tangency[k]))
-        out.append(PointDiagnosis(
-            p=pts[k], unit_defect=float(unit[k]), geodesic_defect=float(geodesic[k]),
-            killing_defect=float(killing[k]), contact_defect=contact_defect(beta),
-            eigen=eigen_classify(beta), ric_X=float(ric[k]), Delta=float(Delta[k]),
-            delta=float(delta[k]), beta_rank=beta_rank(beta), beta=beta))
-    return out
+    cplx, eig_re, eig_im = eigen_columns(B)
+    return Diagnosis(
+        p=pts, unit_defect=unit, geodesic_defect=g_norm(g, np.einsum("nki,ni->nk", A, xv)),
+        killing_defect=np.abs(gram + np.swapaxes(gram, 1, 2)).max(axis=(1, 2)),
+        contact_defect=B[:, 1, 0] - B[:, 0, 1], B=B, frame=frame,
+        tangency=np.abs(gram[:, 1:, 0]).max(axis=1), complex=cplx, eig_re=eig_re,
+        eig_im=eig_im, ric_X=M[:, 0, 0] + M[:, 1, 1], Delta=Delta, delta=delta,
+        beta_rank=beta_ranks(B))
 
 
 def diagnose_point(man: ChartedManifold, X: UnitField, p,
@@ -233,7 +294,7 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
     grids.
     """
     pts, single = as_points(points)
-    g = np.asarray(man.metric_fn(pts), dtype=float)
+    g = man.metric_at(pts)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     e1, e2 = frames_at(g, xv / g_norm(g, xv)[:, None], orientation=orientation)
     B = shape_operator(man, X, pts, g, xv, e1, e2)

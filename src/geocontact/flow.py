@@ -273,10 +273,15 @@ def wronskian(traj: Trajectory) -> WronskianResult:
                            residual=float(np.abs(traj.A - expected).max()))
 
 
-def max_parallel_jacobi_defect(traj: Trajectory) -> float:
-    """max over consecutive samples of ||M(t+h) - M(t)||_F / h."""
-    dm = np.diff(traj.M, axis=0)
-    return float(np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / traj.step)
+def max_parallel_jacobi_defect(traj: Trajectory, window: float = 0.0) -> float:
+    """max of ||M(t + w) - M(t)||_F / w, w = ``window`` in whole steps (at least one,
+    at most the orbit; inf for one sample). A longer window damps the 1/w gain on
+    curvature noise while still detecting genuine drift of R_X along the flow."""
+    if len(traj) < 2:
+        return np.inf
+    stride = max(1, min(len(traj) - 1, int(round(window / traj.step))))
+    dm = traj.M[stride:] - traj.M[:-stride]
+    return float(np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / (stride * traj.step))
 
 
 def noncontact_eigen_drift(traj: Trajectory, defect_tol: float = 1e-8):

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import DegenerateSeed, OutOfChart
+from .errors import DegenerateSeed, NotPositiveDefinite, OutOfChart
 
 Array = np.ndarray
 
@@ -74,8 +74,18 @@ class ChartedManifold:
     volume_param: Optional[VolumeParametrization] = field(default=None, repr=False)
 
     def metric_at(self, p) -> Array:
+        """g at a point, or at an (N, 3) batch; raises NotPositiveDefinite
+        naming the first point where a leading principal minor is not
+        positive (Sylvester's criterion)."""
         pts, single = as_points(p)
         g = np.asarray(self.metric_fn(pts), dtype=float)
+        g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
+        minor2 = g00 * g11 - g01 * g10
+        det = g22 * minor2 - g21 * (g00 * g12 - g02 * g10) + g20 * (g01 * g12 - g02 * g11)
+        ok = np.minimum(np.minimum(g00, minor2), det) > 0.0  # False at NaN too
+        if not ok.all():
+            raise NotPositiveDefinite(
+                f"metric of {self.name!r} is not positive definite at {pts[np.argmin(ok)]}")
         return g[0] if single else g
 
     def contains(self, p):

@@ -1,10 +1,11 @@
 """Theorem-level verdict suites over grids and orbits, plus the contact
 volume quadrature.
 
-Each suite walks a sample set, decides per sample whether the hypotheses of
-the named statement hold (within tolerances) and whether its conclusion
-does; a violation is a sample with hypotheses satisfied but conclusion
-failed. Numerical floors make the exact statements decidable:
+Each suite diagnoses a sample set in one batch and builds two boolean masks
+over its rows: where the hypotheses of the named statement hold (within
+tolerances) and where its conclusion does; a violation is a sample with
+hypotheses satisfied but conclusion failed. Numerical floors make the exact
+statements decidable:
 
     |B21 - B12| <= not_contact   counts as "not contact at the sample"
     |B21 - B12| >  contact_floor counts as "contact at the sample"
@@ -20,8 +21,9 @@ import numpy as np
 from .catalog import CatalogEntry
 from .curvature import sectional
 from .errors import ConfigError, NoParametrization, NotConstantCurvature, config_value
-from .field import PointDiagnosis, RealPair, contact_defect_grid, diagnose
-from .flow import integrate_orbit
+from .field import (SCALAR_COLUMNS, Diagnosis, PointDiagnosis, RealPair, contact_defect_grid,
+                    diagnose)
+from .flow import integrate_orbit, max_parallel_jacobi_defect
 
 THEOREM_IDS = ("T3.1", "C3.2", "T5.1", "C5.2", "T6.1", "P7.6")
 
@@ -62,51 +64,29 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "entry": self.entry,
-            "samples": self.samples,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "conclusion_satisfied": self.conclusion_satisfied,
-            "violations": [_violation_dict(p, d) for p, d in self.violations],
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return {**vars(self), "violations": [_violation_dict(p, d) for p, d in self.violations]}
 
 
 def _violation_dict(p, diag: PointDiagnosis):
     eig = diag.eigen
-    if isinstance(eig, RealPair):
-        eig_doc = {"kind": "real", "lam": eig.lam, "mu": eig.mu}
-    else:
-        eig_doc = {"kind": "complex", "a": eig.a, "b": eig.b}
-    return {
-        "point": [float(c) for c in p],
-        "unit_defect": diag.unit_defect,
-        "geodesic_defect": diag.geodesic_defect,
-        "killing_defect": diag.killing_defect,
-        "contact_defect": diag.contact_defect,
-        "eigen": eig_doc,
-        "ric_X": diag.ric_X,
-        "Delta": diag.Delta,
-        "delta": diag.delta,
-        "beta_rank": diag.beta_rank,
-    }
+    return {"point": [float(c) for c in p], "beta_rank": diag.beta_rank,
+            "eigen": {"kind": "real" if isinstance(eig, RealPair) else "complex", **asdict(eig)},
+            **{name: getattr(diag, name) for name in SCALAR_COLUMNS}}
 
 
-def _finish(theorem, entry_name, diags, hyp_mask, concl_mask, details=None):
-    violations = [(d.p, d) for d, h, c in zip(diags, hyp_mask, concl_mask) if h and not c]
-    hyp = int(np.sum(hyp_mask))
-    if violations:
-        verdict = "violated"
-    elif hyp == 0:
-        verdict = "hypotheses-not-met"
-    else:
-        verdict = "consistent"
-    concl = int(sum(1 for h, c in zip(hyp_mask, concl_mask) if h and c))
-    return TheoremReport(theorem=theorem, entry=entry_name, samples=len(diags),
-                         hypothesis_satisfied=hyp, conclusion_satisfied=concl,
-                         violations=violations, verdict=verdict,
+def _finish(theorem, entry_name, diag: Diagnosis, hyp, concl, details=None):
+    """Report from the hypothesis and conclusion masks over the rows of ``diag``.
+
+    A mask is (N,) or a scalar that holds for every row.
+    """
+    hyp, concl = (np.broadcast_to(mask, len(diag)) for mask in (hyp, concl))
+    bad = np.flatnonzero(hyp & ~concl)
+    n_hyp = int(hyp.sum())
+    verdict = "violated" if bad.size else "consistent" if n_hyp else "hypotheses-not-met"
+    return TheoremReport(theorem=theorem, entry=entry_name, samples=len(diag),
+                         hypothesis_satisfied=n_hyp,
+                         conclusion_satisfied=int((hyp & concl).sum()),
+                         violations=[(diag.p[k], diag[k]) for k in bad], verdict=verdict,
                          details=details or {})
 
 
@@ -116,16 +96,6 @@ def _grid_points(entry: CatalogEntry, points):
     if entry.grid is None:
         raise ConfigError(f"{entry.name} has no sample grid; provide one")
     return entry.grid.points()
-
-
-def _real_eig_max(diag):
-    if isinstance(diag.eigen, RealPair):
-        return max(abs(diag.eigen.lam), abs(diag.eigen.mu))
-    return None
-
-
-def _beta_norm(diag):
-    return float(np.linalg.norm(diag.beta.B))
 
 
 # ---------------------------------------------------------------------------
@@ -157,37 +127,27 @@ def verify_space_form(entry: CatalogEntry, c: float, points=None,
     (c < 0); the corollary form translates these into contact verdicts.
     """
     tol = tol or Tolerances()
+    if theorem not in ("T5.1", "C5.2"):
+        raise ConfigError(f"verify_space_form handles T5.1/C5.2, not {theorem!r}")
     pts = _grid_points(entry, points)
     spread = check_constant_curvature(entry, c, pts)
-    diags = diagnose(entry.manifold, entry.field, pts)
-    bound = np.sqrt(abs(c))
-    hyp = [True] * len(diags)  # constant curvature holds globally (prechecked)
-    concl = []
+    diag = diagnose(entry.manifold, entry.field, pts)
+    # a real pair within the bound sqrt(|c|)
+    bounded = ~diag.complex & (np.abs(diag.eig_re).max(axis=1) <= np.sqrt(abs(c)) + tol.hypothesis)
     if theorem == "T5.1":
-        for d in diags:
-            m = _real_eig_max(d)
-            if m is None:
-                concl.append(True)
-            elif c > 0:
-                concl.append(False)
-            else:
-                concl.append(m <= bound + tol.hypothesis)
-    elif theorem == "C5.2":
-        for d in diags:
-            is_contact = abs(d.contact_defect) > tol.contact_floor
-            not_contact = abs(d.contact_defect) <= tol.not_contact
-            if c > 0:
-                concl.append(is_contact)
-            elif c == 0:
-                nonzero_beta = _beta_norm(d) > tol.hypothesis
-                concl.append(is_contact if nonzero_beta else not is_contact)
-            else:
-                m = _real_eig_max(d)
-                concl.append(True if not not_contact
-                             else (m is not None and m <= bound + tol.hypothesis))
+        concl = diag.complex | (bounded & (c <= 0))
     else:
-        raise ConfigError(f"verify_space_form handles T5.1/C5.2, not {theorem!r}")
-    return _finish(theorem, entry.name, diags, hyp, concl,
+        defect = np.abs(diag.contact_defect)
+        is_contact = defect > tol.contact_floor
+        if c > 0:
+            concl = is_contact
+        elif c == 0:
+            nonzero_beta = np.linalg.norm(diag.B, axis=(1, 2)) > tol.hypothesis
+            concl = is_contact == nonzero_beta
+        else:
+            concl = (defect > tol.not_contact) | bounded
+    # constant curvature holds globally (prechecked)
+    return _finish(theorem, entry.name, diag, True, concl,
                    details={"c": c, "sectional_spread": spread})
 
 
@@ -201,39 +161,24 @@ def verify_ricci(entry: CatalogEntry, points=None, theorem: str = "C3.2",
     dichotomy (T3.1): at a non-contact sample either Ric(X) < 0 or both
     Ric(X) and beta vanish."""
     tol = tol or Tolerances()
-    pts = _grid_points(entry, points)
-    diags = diagnose(entry.manifold, entry.field, pts)
-    hyp, concl = [], []
-    for d in diags:
-        bnorm = _beta_norm(d)
-        if theorem == "C3.2":
-            h = d.ric_X >= -tol.hypothesis and bnorm > tol.hypothesis
-            c = abs(d.contact_defect) > tol.contact_floor
-        elif theorem == "T3.1":
-            h = abs(d.contact_defect) <= tol.not_contact
-            c = (d.ric_X < tol.hypothesis) or \
-                (abs(d.ric_X) <= tol.hypothesis and bnorm <= tol.hypothesis)
-        else:
-            raise ConfigError(f"verify_ricci handles C3.2/T3.1, not {theorem!r}")
-        hyp.append(h)
-        concl.append(c if h else True)
-    return _finish(theorem, entry.name, diags, hyp, concl)
+    if theorem not in ("C3.2", "T3.1"):
+        raise ConfigError(f"verify_ricci handles C3.2/T3.1, not {theorem!r}")
+    diag = diagnose(entry.manifold, entry.field, _grid_points(entry, points))
+    small_beta = np.linalg.norm(diag.B, axis=(1, 2)) <= tol.hypothesis
+    defect = np.abs(diag.contact_defect)
+    if theorem == "C3.2":
+        hyp = (diag.ric_X >= -tol.hypothesis) & ~small_beta
+        concl = defect > tol.contact_floor
+    else:
+        hyp = defect <= tol.not_contact
+        flat = (np.abs(diag.ric_X) <= tol.hypothesis) & small_beta
+        concl = (diag.ric_X < tol.hypothesis) | flat
+    return _finish(theorem, entry.name, diag, hyp, concl)
 
 
 # ---------------------------------------------------------------------------
 # Parallel Jacobi tensor criterion
 # ---------------------------------------------------------------------------
-
-def _strided_jacobi_drift(traj, dt_window: float) -> float:
-    """||nabla_X R_X|| estimate from Jacobi-tensor drift over a time window.
-
-    Longer windows suppress the 1/dt amplification of the pointwise
-    curvature evaluation noise while still detecting genuine drift.
-    """
-    stride = max(1, min(len(traj) - 1, int(round(dt_window / traj.step))))
-    dm = traj.M[stride:] - traj.M[:-stride]
-    return float(np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / (stride * traj.step))
-
 
 def verify_parallel_jacobi(entry: CatalogEntry, points=None, orbit_t_end: float = 0.1,
                            orbit_step: float = 1e-3, seed_counts=(3, 3, 3),
@@ -255,21 +200,14 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None, orbit_t_end: float 
             raise ConfigError(f"{entry.name} has no sample grid; provide seeds")
         points = entry.grid.subgrid(seed_counts).points()
     pts = np.asarray(points, float)
-    diags = diagnose(entry.manifold, entry.field, pts)
-    hyp, concl, defects = [], [], []
-    for p, d in zip(pts, diags):
-        traj = integrate_orbit(entry.manifold, entry.field, p, orbit_t_end,
-                               orbit_step, with_jacobi=False)
-        pj = _strided_jacobi_drift(traj, orbit_t_end / 2) if len(traj) >= 2 else np.inf
-        defects.append(pj)
-        parallel_ok = pj < tol.hypothesis
-        case_i = d.Delta > tol.hypothesis
-        case_ii = abs(d.Delta) <= tol.hypothesis and d.beta_rank == 2
-        h = parallel_ok and (case_i or case_ii)
-        hyp.append(h)
-        concl.append(abs(d.contact_defect) > tol.contact_floor if h else True)
-    return _finish("T6.1", entry.name, diags, hyp, concl,
-                   details={"max_jacobi_tensor_drift": float(np.max(defects)),
+    diag = diagnose(entry.manifold, entry.field, pts)
+    drift = np.array([max_parallel_jacobi_defect(
+        integrate_orbit(entry.manifold, entry.field, p, orbit_t_end, orbit_step,
+                        with_jacobi=False), window=orbit_t_end / 2) for p in pts])
+    rank_ii = (np.abs(diag.Delta) <= tol.hypothesis) & (diag.beta_rank == 2)
+    hyp = (drift < tol.hypothesis) & ((diag.Delta > tol.hypothesis) | rank_ii)
+    return _finish("T6.1", entry.name, diag, hyp, np.abs(diag.contact_defect) > tol.contact_floor,
+                   details={"max_jacobi_tensor_drift": float(np.max(drift)),
                             "orbit_t_end": orbit_t_end, "orbit_step": orbit_step})
 
 
@@ -338,19 +276,16 @@ def verify_reebability(entry: CatalogEntry, nodes: int = 32,
     if entry.manifold.volume_param is None:
         return TheoremReport("P7.6", entry.name, 0, 0, 0, [], "hypotheses-not-met",
                              details={"reason": "no closed-manifold parametrization"})
-    pts = entry.grid.points()
-    diags = diagnose(entry.manifold, entry.field, pts)
-    killing_max = max(d.killing_defect for d in diags)
+    diag = diagnose(entry.manifold, entry.field, entry.grid.points())
+    killing_max = float(diag.killing_defect.max())
     volume = volume_integral(entry, nodes)
     verdict_reeb = reebability_verdict(entry, volume, killing_max, tol)
-    contact_everywhere = all(abs(d.contact_defect) > tol.contact_floor for d in diags)
-    hyp = [killing_max < tol.killing] * len(diags)
-    concl = [(verdict_reeb == "reeb-realizable") if contact_everywhere else True] * len(diags)
-    report = _finish("P7.6", entry.name, diags, hyp, concl,
-                     details={"volume": volume.to_dict(),
-                              "killing_defect_max": killing_max,
-                              "reebability": verdict_reeb})
-    return report
+    contact_everywhere = np.all(np.abs(diag.contact_defect) > tol.contact_floor)
+    return _finish("P7.6", entry.name, diag, killing_max < tol.killing,
+                   verdict_reeb == "reeb-realizable" or not contact_everywhere,
+                   details={"volume": volume.to_dict(),
+                            "killing_defect_max": killing_max,
+                            "reebability": verdict_reeb})
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +319,14 @@ def run_theorem(entry: CatalogEntry, theorem: str, c: Optional[float] = None,
     raise ConfigError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
 
 
-def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = 32):
-    """Every applicable suite over the given entries; reports in a stable order."""
+def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = 32,
+               theorems=()):
+    """Per entry, the requested suites (all by default) in the requested order,
+    skipping those that do not apply to the entry."""
     reports = []
     for entry in entries:
-        for theorem in applicable_theorems(entry):
-            reports.append(run_theorem(entry, theorem, tol=tol, volume_nodes=volume_nodes))
+        applicable = applicable_theorems(entry)
+        for theorem in theorems or applicable:
+            if theorem in applicable:
+                reports.append(run_theorem(entry, theorem, tol=tol, volume_nodes=volume_nodes))
     return reports

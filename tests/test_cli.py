@@ -323,13 +323,36 @@ def test_bad_expression_in_config(tmp_path, capsys):
     ({"diff": {"step": "abc"}}, "diff.step"),
     ({"diff": {"mode": "central", "step": 0}}, "diff.step"),
     ({"orbit": {"start": [0, 0, 1], "t_end": "x"}}, "orbit.t_end"),
+    ({"manifold": {"metric": 5}}, "manifold.metric"),
+    ({"manifold": {"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}, "manifold.metric"),
+    ({"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "domain": 5},
+      "field": {"components": ["0", "0", "1"]}}, "manifold.domain"),
+    ({"field": {"components": [0, 0, 1]}}, "field.components"),
 ], ids=["missing-grid-min", "grid-not-object", "volume-nodes", "tolerance",
-        "diff-step", "diff-step-zero", "orbit-t-end"])
+        "diff-step", "diff-step-zero", "orbit-t-end", "metric-not-table",
+        "metric-numbers", "domain-not-string", "components-numbers"])
 def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
     code, out, err = run(capsys, ["analyze", "--config", cfg])
     assert code == 2 and out == ""
     assert key.split(".")[-1] in err and "Traceback" not in err
+
+
+#: metric diag(x1, 1, 1): positive definite only where x1 > 0
+SIGNED_METRIC_DOC = {
+    "manifold": {"metric": [["x1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    "field": {"components": ["0", "0", "1"]},
+    "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]},
+    "orbit": {"start": [-0.5, 0.0, 0.0], "t_end": 0.01, "step": 0.001}}
+
+
+@pytest.mark.parametrize("command, point", [
+    ("analyze", "[-1. -1. -1.]"), ("verify", "[-1. -1. -1.]"), ("orbit", "[-0.5  0.   0. ]")])
+def test_metric_not_positive_definite(tmp_path, capsys, command, point):
+    cfg = write_config(tmp_path, SIGNED_METRIC_DOC)
+    code, _, err = run(capsys, [command, "--config", cfg])
+    assert code == 1
+    assert "not positive definite at " + point in err and "Traceback" not in err
 
 
 def test_invalid_json_config(tmp_path, capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import geocontact as gc
+from geocontact.curvature import EIGEN_DISC_TOL, real_eigenvalues, trace_discriminant
 from geocontact.errors import NotUnit
 from geocontact.field import (BetaMatrix, ComplexPair, RealPair, UnitField,
-                              beta_matrix, beta_rank, contact_defect,
+                              beta_matrix, beta_rank, beta_ranks, contact_defect,
                               contact_defect_grid, diagnose, diagnose_point,
-                              eigen_classify)
+                              eigen_classify, eigen_columns)
 from geocontact.geometry import Frame, frame_at, inner
 
 
@@ -202,6 +203,31 @@ def test_beta_rank_tolerances():
     assert beta_rank(dummy_beta([[1.0, 0.0], [0.0, 0.5]])) == 2
 
 
+def test_batched_eigen_columns_and_ranks_match_per_matrix_reference():
+    """Equal, bit for bit, to the closed forms and the SVD applied one matrix at a time."""
+    rng = np.random.default_rng(3)
+    B = np.concatenate([rng.standard_normal((200, 2, 2)),
+                        [[[0.0, -1e-7], [1e-7, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+                         [[1.0, 0.0], [0.0, 1e-10]]]])
+    cplx, re, im = eigen_columns(B)
+    assert 0 < cplx.sum() < len(B)
+    assert not np.signbit(im[~cplx]).any() and np.all(im[~cplx] == 0.0)
+    np.testing.assert_array_equal(im[cplx, 1], -im[cplx, 0])
+    ranks = beta_ranks(B)
+    for k, b in enumerate(B):
+        tr, disc = trace_discriminant(b)
+        if disc < -EIGEN_DISC_TOL:
+            assert cplx[k]
+            assert (re[k, 0], re[k, 1], im[k, 0]) == (0.5 * tr, 0.5 * tr, 0.5 * np.sqrt(-disc))
+        else:
+            assert not cplx[k] and tuple(re[k]) == tuple(real_eigenvalues(b))
+        sv = np.linalg.svd(b, compute_uv=False)
+        assert ranks[k] == np.sum(sv > max(1e-6 * sv[0], 1e-9))
+        assert beta_rank(dummy_beta(b)) == ranks[k]
+        assert eigen_classify(dummy_beta(b)) == (ComplexPair(re[k, 0], im[k, 0]) if cplx[k]
+                                                 else RealPair(re[k, 0], re[k, 1]))
+
+
 # ---------------------------------------------------------------------------
 # Point diagnosis
 # ---------------------------------------------------------------------------
@@ -251,6 +277,32 @@ def test_diagnose_batch_matches_single_points(entries, name):
     for k, d in zip(perm, shuffled):
         np.testing.assert_allclose(_diagnosis_arrays(d), _diagnosis_arrays(batch[k]),
                                    rtol=0, atol=1e-12)
+
+
+def test_diagnosis_rows_are_its_columns(entries):
+    entry = entries["s3_weighted(2,3)"]
+    diag = diagnose(entry.manifold, entry.field, entry.grid.points()[::7])
+    for k, row in enumerate(diag):
+        np.testing.assert_array_equal(row.p, diag.p[k])
+        for name in ("unit_defect", "killing_defect", "contact_defect", "Delta", "beta_rank"):
+            assert getattr(row, name) == getattr(diag, name)[k]
+        np.testing.assert_array_equal(np.stack(row.beta.frame.basis(), axis=1), diag.frame[k])
+        assert row.beta.tangency == diag.tangency[k]
+    assert k == len(diag) - 1
+
+
+def test_diagnose_makes_one_svd_call(entries, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    entry = entries["heisenberg_reeb"]
+    diagnose(entry.manifold, entry.field, entry.grid.points())
+    assert calls == [(125, 2, 2)]
 
 
 def test_diagnose_names_first_non_unit_point():

@@ -219,6 +219,22 @@ def test_parallel_jacobi_defect_h3(orbit_cache):
     assert max_parallel_jacobi_defect(orbit_cache("h3_vertical")) < 1e-6
 
 
+def test_parallel_jacobi_defect_window(entries):
+    entry = entries["s3_weighted(2,3)"]
+    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]), 0.1, 1e-3,
+                           with_jacobi=False)
+    dm = traj.M[10:] - traj.M[:-10]
+    expected = np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / (10 * traj.step)
+    assert max_parallel_jacobi_defect(traj, window=0.0104) == expected
+    one_step = np.sqrt((np.diff(traj.M, axis=0) ** 2).sum(axis=(1, 2))).max() / traj.step
+    assert max_parallel_jacobi_defect(traj) == one_step
+    assert max_parallel_jacobi_defect(traj, window=5.0) == \
+        np.sqrt(((traj.M[-1] - traj.M[0]) ** 2).sum()) / (100 * traj.step)
+    traj.M = traj.M[:1]
+    traj.t = traj.t[:1]
+    assert max_parallel_jacobi_defect(traj) == np.inf
+
+
 def test_noncontact_eigen_drift_diagnostic(orbit_cache):
     drift = noncontact_eigen_drift(orbit_cache("h3_vertical"))
     assert drift is not None and drift < 1e-8

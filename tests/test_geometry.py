@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact.errors import OutOfChart
+from geocontact.errors import NotPositiveDefinite, OutOfChart
 from geocontact.geometry import (frame_at, frame_residual, frames_at, g_norm,
                                  inner, metric_partials)
 
@@ -20,6 +20,23 @@ def flat():
 def test_flat_partials_vanish():
     dg = metric_partials(flat(), np.array([0.3, -0.7, 1.1]))
     assert np.abs(dg).max() == 0.0
+
+
+def test_metric_at_rejects_indefinite_metrics():
+    """The leading-minor test agrees with the eigenvalues and names the first bad point."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((400, 3, 3))
+    g = g + np.swapaxes(g, 1, 2) + rng.uniform(0.0, 8.0, (400, 1, 1)) * np.eye(3)
+    definite = np.linalg.eigvalsh(g).min(axis=1) > 0.0
+    assert 0 < definite.sum() < len(g)
+    man = gc.ChartedManifold("table", lambda pts: g[pts[:, 0].astype(int)],
+                             lambda pts: np.ones(len(pts), dtype=bool))
+    pts = np.zeros((len(g), 3))
+    pts[:, 0] = np.arange(len(g))
+    np.testing.assert_array_equal(man.metric_at(pts[definite]), g[definite])
+    first = np.flatnonzero(~definite)[0]
+    with pytest.raises(NotPositiveDefinite, match=rf"at \[{first}\. +0\. +0\.\]"):
+        man.metric_at(pts)
 
 
 def h3_partials_oracle(p):
