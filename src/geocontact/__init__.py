@@ -21,7 +21,7 @@ from .field import (BetaMatrix, ComplexPair, Diagnosis, PointDiagnosis, RealPair
                     diagnose, diagnose_point, eigen_classify, eigen_columns)
 from .flow import (AdaptedJacobi, Trajectory, WronskianResult,
                    adapted_jacobi, arcoth, first_zero_space_form,
-                   integrate_orbit, jacobi_component_closed_form,
+                   integrate_orbit, integrate_orbits, jacobi_component_closed_form,
                    max_parallel_jacobi_defect, riccati_residual, rk4_step,
                    trace_comparison, trace_evolution_residual, wronskian)
 from .catalog import NAMES, CatalogEntry, GridSpec, OrbitSpec, all_entries, builtin, self_check

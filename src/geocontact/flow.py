@@ -22,8 +22,8 @@ import numpy as np
 from .curvature import (assemble_riemann, christoffel, christoffel_with_partials,
                         jacobi_matrix, real_eigenvalues, riemann_tensor)
 from .errors import OutOfChart, PoleReached, StepTooLarge
-from .field import UnitField, beta_matrix, shape_operator
-from .geometry import ChartedManifold, frame_at, inner
+from .field import UNIT_TOL, UnitField, _require_unit, shape_operator
+from .geometry import ChartedManifold, as_points, frames_at, inner
 
 #: target accuracy of the fixed-step integration; residual invariants are
 #: asserted against small multiples of this
@@ -83,65 +83,106 @@ class Trajectory:
 
 
 def _transport_rhs(man, X, with_jacobi):
+    """Right-hand side of the augmented system for an (N, 9 + 8 with_jacobi) state.
+
+    A state row holds p, e1 and e2, then J, J', Jt and Jt' in frame components.
+    """
     def rhs(t, y):
-        p = y[0:3]
-        e = y[3:9].reshape(2, 3)
+        p = y[:, 0:3]
+        e = y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
-        if not with_jacobi:
+        if with_jacobi:
+            gam, dgam = christoffel_with_partials(man, p)
+        else:
             gam = christoffel(man, p)
-            de = -np.einsum("kij,i,aj->ak", gam, xv, e)
-            return np.concatenate([xv, de.ravel()])
-        gam, dgam = christoffel_with_partials(man, p)
-        de = -np.einsum("kij,i,aj->ak", gam, xv, e)
-        m = jacobi_matrix(assemble_riemann(gam[None], dgam[None]), man.metric_at(p)[None],
-                          xv[None], e[None])[0]
-        j, jdot, jt, jtdot = y[9:].reshape(4, 2)
-        return np.concatenate([xv, de.ravel(), jdot, -m @ j, jtdot, -m @ jt])
+        de = -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
+        if not with_jacobi:
+            return np.concatenate([xv, de], axis=1)
+        m = jacobi_matrix(assemble_riemann(gam, dgam), man.metric_at(p), xv, e)
+        j, jt = y[:, 9:11, None], y[:, 13:15, None]
+        return np.concatenate([xv, de, y[:, 11:13], (-m @ j)[..., 0],
+                               y[:, 15:17], (-m @ jt)[..., 0]], axis=1)
     return rhs
 
 
-def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
-                    with_jacobi=True) -> Trajectory:
-    """Integrate the orbit of X from p0 with transported frames.
+def _rk4_rows(man, rhs, y, h):
+    """One RK4 step of every row of ``y`` and the mask of rows still in the chart.
 
-    Stops early (``truncated``) if the orbit or an RK4 stage leaves the
-    chart. With ``with_jacobi`` the canonical adapted pair, J(0) = e1 and
-    Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
+    If a stage or a stencil leaves the chart (``OutOfChart``), the step is
+    redone one row at a time, so only the rows that raise alone stop.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if not man.contains(p0):
-        raise OutOfChart(f"orbit start outside the chart of {man.name!r}")
+    try:
+        nxt = rk4_step(rhs, 0.0, y, h)
+    except OutOfChart:
+        if len(y) == 1:
+            return y, np.zeros(1, dtype=bool)
+        nxt, ok = y.copy(), np.zeros(len(y), dtype=bool)
+        for k in range(len(y)):
+            nxt[k:k + 1], ok[k:k + 1] = _rk4_rows(man, rhs, y[k:k + 1], h)
+        return nxt, ok
+    return nxt, man.contains(nxt[:, 0:3])
+
+
+def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
+                     with_jacobi=True) -> list[Trajectory]:
+    """Integrate the orbits of X from an (N, 3) batch of starts with transported frames.
+
+    All orbits advance as one RK4 state, one batched kernel call per stage.
+    A seed whose orbit or RK4 stage leaves the chart stops there
+    (``truncated``) while the others go on; each trajectory equals the one
+    its start gives alone. With ``with_jacobi`` the canonical adapted pair,
+    J(0) = e1 and Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
+    Raises OutOfChart or NotUnit naming the first bad start.
+    """
+    starts = as_points(starts)[0]
+    outside = np.flatnonzero(~man.contains(starts))
+    if outside.size:
+        raise OutOfChart(f"orbit start {starts[outside[0]]} outside the chart of {man.name!r}")
     if step <= 0:
         raise ValueError("step must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
 
-    g0 = man.metric_at(p0)
-    fr0 = frame_at(g0, X.value(p0))
-    b0 = beta_matrix(man, X, p0, frame=fr0).B  # also checks that X is unit at p0
-    y = [p0, fr0.e1, fr0.e2]
+    g0 = man.metric_at(starts)
+    xv0 = X.value(starts)
+    _require_unit(X, starts, np.abs(inner(g0, xv0, xv0) - 1.0), UNIT_TOL)
+    # normalised as frame_at normalises a single vector, bit for bit
+    e1, e2 = frames_at(g0, xv0 / np.sqrt(xv0[:, None] @ g0 @ xv0[..., None])[:, 0])
+    y = [starts, e1, e2]
     if with_jacobi:
+        b0 = shape_operator(man, X, starts, g0, xv0, e1, e2)
         for j0 in np.eye(2):
-            y.extend([j0, b0 @ j0])
-    y = np.concatenate(y)
+            y.extend([np.broadcast_to(j0, (len(starts), 2)), b0 @ j0])
+    y = np.concatenate(y, axis=1)
 
     rhs = _transport_rhs(man, X, with_jacobi)
     # keep the grid uniform and land exactly on t_end
     nsteps = max(1, int(round(t_end / step)))
     step = t_end / nsteps
-    states = [y]
-    truncated = False
-    for _ in range(nsteps):
-        try:
-            y_next = rk4_step(rhs, 0.0, y, step)
-        except OutOfChart:
-            truncated = True
-            break
-        if not man.contains(y_next[0:3]):
-            truncated = True
-            break
-        y = y_next
-        states.append(y)
+    hist = np.empty((len(y), nsteps + 1, y.shape[1]))  # per seed, its states in time order
+    hist[:, 0] = y
+    rows = np.arange(len(y))  # the seeds still in the chart, y holds their states
+    samples = np.full(len(y), nsteps + 1)
+    for s in range(1, nsteps + 1):
+        y, ok = _rk4_rows(man, rhs, y, step)
+        if not ok.all():
+            samples[rows[~ok]] = s
+            rows, y = rows[ok], y[ok]
+            if not rows.size:
+                break
+        hist[rows, s] = y
+    return [_trajectory(man, X, hist[k, :samples[k]], step, bool(samples[k] <= nsteps),
+                        with_jacobi) for k in range(len(hist))]
 
-    arr = np.stack(states)
+
+def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
+                    with_jacobi=True) -> Trajectory:
+    """The orbit of X from one start p0: ``integrate_orbits`` with N = 1."""
+    return integrate_orbits(man, X, [p0], t_end, step, with_jacobi)[0]
+
+
+def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
+    """One seed's trajectory from its states arr (n, state): frame-drift check, B, M, Jacobi."""
     n = arr.shape[0]
     t = np.arange(n) * step
     points = arr[:, 0:3]

@@ -23,7 +23,7 @@ from .curvature import sectional
 from .errors import ConfigError, NoParametrization, NotConstantCurvature, config_value
 from .field import (SCALAR_COLUMNS, Diagnosis, PointDiagnosis, RealPair, contact_defect_grid,
                     diagnose)
-from .flow import integrate_orbit, max_parallel_jacobi_defect
+from .flow import integrate_orbits, max_parallel_jacobi_defect
 
 THEOREM_IDS = ("T3.1", "C3.2", "T5.1", "C5.2", "T6.1", "P7.6")
 
@@ -201,9 +201,9 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None, orbit_t_end: float 
         points = entry.grid.subgrid(seed_counts).points()
     pts = np.asarray(points, float)
     diag = diagnose(entry.manifold, entry.field, pts)
-    drift = np.array([max_parallel_jacobi_defect(
-        integrate_orbit(entry.manifold, entry.field, p, orbit_t_end, orbit_step,
-                        with_jacobi=False), window=orbit_t_end / 2) for p in pts])
+    drift = np.array([max_parallel_jacobi_defect(traj, window=orbit_t_end / 2) for traj in
+                      integrate_orbits(entry.manifold, entry.field, pts, orbit_t_end, orbit_step,
+                                       with_jacobi=False)])
     rank_ii = (np.abs(diag.Delta) <= tol.hypothesis) & (diag.beta_rank == 2)
     hyp = (drift < tol.hypothesis) & ((diag.Delta > tol.hypothesis) | rank_ii)
     return _finish("T6.1", entry.name, diag, hyp, np.abs(diag.contact_defect) > tol.contact_floor,
@@ -322,7 +322,10 @@ def run_theorem(entry: CatalogEntry, theorem: str, c: Optional[float] = None,
 def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = 32,
                theorems=()):
     """Per entry, the requested suites (all by default) in the requested order,
-    skipping those that do not apply to the entry."""
+    skipping those that do not apply to the entry; an unknown id is a ConfigError."""
+    for theorem in theorems:
+        if theorem not in THEOREM_IDS:
+            raise ConfigError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
     reports = []
     for entry in entries:
         applicable = applicable_theorems(entry)

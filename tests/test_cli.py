@@ -256,6 +256,13 @@ def test_verify_bad_theorem(capsys):
     assert code == 2
 
 
+def test_verify_all_rejects_unknown_theorem(capsys):
+    code, out, err = run(capsys, ["verify", "X9", "--all"])
+    assert code == 2
+    assert out == ""
+    assert "X9" in err and "Traceback" not in err
+
+
 def test_verify_unknown_entry(capsys):
     code, _, _ = run(capsys, ["verify", "T5.1", "--entry", "mystery"])
     assert code == 2

@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import brentq
 
 import geocontact as gc
-from geocontact.errors import OutOfChart, PoleReached, StepTooLarge
+from geocontact.errors import NotUnit, OutOfChart, PoleReached, StepTooLarge
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
-                             integrate_orbit, jacobi_component_closed_form,
+                             integrate_orbit, integrate_orbits,
+                             jacobi_component_closed_form,
                              max_parallel_jacobi_defect, noncontact_eigen_drift,
                              riccati_residual, rk4_step, trace_comparison,
                              trace_evolution_residual, wronskian)
@@ -47,13 +48,80 @@ def test_orbit_requires_in_chart_start(entries):
         integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0, -1.0]), 1.0, 1e-2)
 
 
-def test_orbit_truncates_at_chart_boundary():
+def slab():
+    """Flat chart x3 < 1 with the unit field d/dx3, whose orbits leave through x3 = 1."""
     man = gc.manifold_from_exprs(
         "slab", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")), domain="1 - x3")
-    z = gc.UnitField.from_exprs("z", ("0", "0", "1"))
+    return man, gc.UnitField.from_exprs("z", ("0", "0", "1"))
+
+
+def test_orbit_truncates_at_chart_boundary():
+    man, z = slab()
     traj = integrate_orbit(man, z, np.array([0.0, 0.0, 0.5]), 2.0, 1e-2)
     assert traj.truncated
     assert traj.points[-1, 2] < 1.0
+
+
+TRAJECTORY_ARRAYS = ("points", "e1", "e2", "B", "M")
+JACOBI_ARRAYS = ("J", "Jdot", "Jt", "Jtdot")
+
+
+def assert_same_trajectory(batched, solo, with_jacobi):
+    assert batched.truncated == solo.truncated
+    assert batched.step == solo.step
+    for name in TRAJECTORY_ARRAYS + (JACOBI_ARRAYS if with_jacobi else ()):
+        assert np.array_equal(getattr(batched, name), getattr(solo, name)), name
+
+
+@pytest.mark.parametrize("name", ["s3_hopf", "h2xr_vertical"])
+@pytest.mark.parametrize("with_jacobi,t_end", [(False, 0.1), (True, 0.02)])
+def test_batched_orbits_equal_solo_orbits(entries, name, with_jacobi, t_end):
+    """The 27 T6.1 seeds as one batch give each seed's solo trajectory bit for bit."""
+    entry = entries[name]
+    seeds = entry.grid.subgrid((3, 3, 3)).points()
+    batch = integrate_orbits(entry.manifold, entry.field, seeds, t_end, 1e-3,
+                             with_jacobi=with_jacobi)
+    assert len(batch) == len(seeds)
+    for p, traj in zip(seeds, batch):
+        solo = integrate_orbit(entry.manifold, entry.field, p, t_end, 1e-3,
+                               with_jacobi=with_jacobi)
+        assert_same_trajectory(traj, solo, with_jacobi)
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_batched_orbits_truncate_per_seed(with_jacobi):
+    """Only the seed that reaches x3 = 1 stops; the others run to t_end."""
+    man, z = slab()
+    starts = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.95], [0.3, 0.0, -0.5], [0.0, 0.4, 0.2]])
+    batch = integrate_orbits(man, z, starts, 0.1, 1e-2, with_jacobi=with_jacobi)
+    assert [traj.truncated for traj in batch] == [False, True, False, False]
+    assert batch[1].points[-1, 2] < 1.0
+    assert all(len(traj) == 11 for k, traj in enumerate(batch) if k != 1)
+    for p, traj in zip(starts, batch):
+        assert_same_trajectory(traj, integrate_orbit(man, z, p, 0.1, 1e-2, with_jacobi),
+                               with_jacobi)
+
+
+def test_batched_orbits_name_the_start_outside_the_chart():
+    man, z = slab()
+    starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 0.0, 2.0]])
+    with pytest.raises(OutOfChart, match=r"orbit start \[0\.  0\.  1\.5\]"):
+        integrate_orbits(man, z, starts, 0.1, 1e-2)
+
+
+def test_batched_orbits_name_the_first_non_unit_start():
+    man, _ = slab()
+    bump = gc.UnitField.from_exprs("bump", ("0", "0", "1 + x1^2"))
+    starts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(NotUnit, match=r"unit defect 5\.625e-01 at \[0\.5 0\.  0\. \]"):
+        integrate_orbits(man, bump, starts, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("t_end", [-0.01, 0.0, np.nan, np.inf])
+def test_orbit_rejects_t_end_not_positive_and_finite(entries, t_end):
+    entry = entries["h3_vertical"]
+    with pytest.raises(ValueError, match="t_end"):
+        integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0.0, 1.0]), t_end, 1e-3)
 
 
 def test_step_too_large_raises(entries):

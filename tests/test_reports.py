@@ -38,6 +38,7 @@ CASES = {
     "verify:T5.1,C5.2,T3.1,C3.2:tilted": (["verify", "T5.1", "C5.2", "T3.1", "C3.2",
                                            "--c", "0"], TILTED_DOC),
     "verify:T6.1:h2xr_vertical": (["verify", "T6.1", "--entry", "h2xr_vertical"], None),
+    "verify:T6.1:s3_hopf": (["verify", "T6.1", "--entry", "s3_hopf"], None),
     "verify:P7.6:s3_hopf": (["verify", "P7.6", "--entry", "s3_hopf"], None),
 }
 
@@ -60,6 +61,7 @@ DIGESTS = {
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
     "verify:T6.1:h2xr_vertical": "9c4e4aa9e2916ff0a82ce3ad3b204aabc0801233a9a46cf2a7356a87235ac3a4",
+    "verify:T6.1:s3_hopf": "21047bd3f582a6804dbc6556107d619d466d7039f0b2b63f3250acfd745e34bc",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
 
