@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -60,6 +61,14 @@ def _expression(value):
     if not isinstance(value, str):
         raise TypeError("not an expression string")
     return value
+
+
+def _finite(value):
+    """Converter of a finite number for ``config_value``."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
 
 
 def _triple(kind):
@@ -117,10 +126,10 @@ def resolve_config(config: dict) -> Resolved:
     if "orbit" in config:
         orbit = config["orbit"]
         _check_keys(orbit, "orbit")
-        step = config_value(orbit, "step", float, "orbit", default=1e-3)
+        step = config_value(orbit, "step", _finite, "orbit", default=1e-3)
         if step <= 0:
             raise ConfigError("orbit step must be positive")
-        t_end = config_value(orbit, "t_end", float, "orbit", default=2.0)
+        t_end = config_value(orbit, "t_end", _finite, "orbit", default=2.0)
         if round(t_end / step) < 2:
             # the residuals difference B centrally, so they need 3 samples
             raise ConfigError("orbit t_end must be at least two steps")
@@ -132,7 +141,7 @@ def resolve_config(config: dict) -> Resolved:
         if mode not in ("dual", "central"):
             raise ConfigError("diff mode must be 'dual' or 'central'")
         entry.manifold.diff_mode = mode
-        entry.manifold.diff_step = config_value(diff, "step", float, "diff",
+        entry.manifold.diff_step = config_value(diff, "step", _finite, "diff",
                                                 default=entry.manifold.diff_step)
         if not entry.manifold.diff_step > 0:
             raise ConfigError("diff step must be positive")

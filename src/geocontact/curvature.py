@@ -25,13 +25,24 @@ MAX_METRIC_CONDITION = 1e12
 EIGEN_DISC_TOL = 1e-12
 
 
+def _require_conditioned(man, pts, g):
+    """Raise SingularMetric naming the first point where g is not finite or
+    its 2-norm condition number max|lambda| / min|lambda| (g is symmetric)
+    is infinite or above MAX_METRIC_CONDITION."""
+    ok = np.isfinite(g).all(axis=(1, 2))
+    lam = np.abs(np.linalg.eigvalsh(np.where(ok[:, None, None], g, 1.0)))
+    small = lam.min(axis=1)
+    ok &= (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
+    if not ok.all():
+        raise SingularMetric(
+            f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}")
+
+
 def christoffel(man: ChartedManifold, p):
     """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from one ``_jet``."""
     pts, single = as_points(p)
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs)  # dg[n, k, i, j] = d_k g_ij
-    cond = np.linalg.cond(g)
-    if np.any(~np.isfinite(cond)) or np.any(cond > MAX_METRIC_CONDITION):
-        raise SingularMetric(f"metric of {man.name!r} numerically singular")
+    _require_conditioned(man, pts, g)
     ginv = np.linalg.inv(g)
     # term_{ijl} = d_i g_jl + d_j g_il - d_l g_ij  (dg axes are n, k, i, j)
     term = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)

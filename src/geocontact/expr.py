@@ -13,15 +13,18 @@ Numbers are decimal literals with an optional exponent. Variables are
 exactly x1, x2, x3. Known functions: sin cos tan sinh cosh tanh exp log
 sqrt abs.
 
-ASTs are immutable; evaluation is pure. ``eval_scalar`` works on a single
-point or on an (N, 3) batch of points, ``eval_dual`` additionally carries
-exact first-order partial derivatives via dual numbers.
+ASTs are immutable; evaluation is pure. ``eval_scalar`` evaluates an
+expression or an ``ExprTable`` at a single point or an (N, 3) batch of
+points, ``eval_dual`` also returns exact first partial derivatives. Both
+run code compiled once per table: straight-line numpy source, generated
+on the first evaluation and kept on the table.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,198 +219,258 @@ def parse(source: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
+# Compiled evaluation
 # ---------------------------------------------------------------------------
 
 class DualScalar:
-    """Value plus exact first-order partials with respect to (x1, x2, x3).
+    """Result of ``eval_dual``: values and their exact first partials.
 
-    ``value`` may be a float or an ndarray (batched evaluation); ``partials``
-    has one trailing axis of length 3.
+    At an (N, 3) batch ``value`` has shape (N, *S) and ``partials`` shape
+    (N, 3, *S) with partials[:, k] = d_k value, S the shape of the table
+    (() for a single expression); a single point drops the leading axis, and
+    a single expression at a single point has a float value.
     """
 
     __slots__ = ("value", "partials")
 
     def __init__(self, value, partials):
         self.value = value
-        self.partials = np.asarray(partials, dtype=float)
+        self.partials = partials
 
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.partials!r})"
 
-    def __add__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value + other.value, self.partials + other.partials)
-        return DualScalar(self.value + other, self.partials)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value - other.value, self.partials - other.partials)
-        return DualScalar(self.value - other, self.partials)
-
-    def __rsub__(self, other):
-        return DualScalar(other - self.value, -self.partials)
-
-    def __mul__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value * other.value,
-                              _scale(other.value, self.partials) + _scale(self.value, other.partials))
-        return DualScalar(self.value * other, _scale(other, self.partials))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualScalar):
-            inv = 1.0 / other.value
-            return DualScalar(self.value * inv,
-                              _scale(inv, self.partials)
-                              - _scale(self.value * inv * inv, other.partials))
-        return DualScalar(self.value / other, self.partials / other)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.value
-        return DualScalar(other * inv, _scale(-other * inv * inv, self.partials))
-
-    def __neg__(self):
-        return DualScalar(-self.value, -self.partials)
-
-
-def _scale(factor, partials):
-    # multiply (...,) values onto (..., 3) partials
-    return np.asarray(factor)[..., None] * partials if np.ndim(factor) else factor * partials
-
-
-def _value_of(x):
-    return x.value if isinstance(x, DualScalar) else x
-
-
-def _lift(fn, dfn):
-    """Build a DualScalar-aware elementwise function from fn and its derivative."""
-    def apply(x):
-        if isinstance(x, DualScalar):
-            return DualScalar(fn(x.value), _scale(dfn(x.value), x.partials))
-        return fn(x)
-    return apply
-
-
-_UNARY = {
-    "sin": _lift(np.sin, np.cos),
-    "cos": _lift(np.cos, lambda v: -np.sin(v)),
-    "tan": _lift(np.tan, lambda v: 1.0 / np.cos(v) ** 2),
-    "sinh": _lift(np.sinh, np.cosh),
-    "cosh": _lift(np.cosh, np.sinh),
-    "tanh": _lift(np.tanh, lambda v: 1.0 / np.cosh(v) ** 2),
-    "exp": _lift(np.exp, np.exp),
-    "log": _lift(np.log, lambda v: 1.0 / v),
-    "sqrt": _lift(np.sqrt, lambda v: 0.5 / np.sqrt(v)),
-    "abs": _lift(np.abs, np.sign),
+#: derivative of each function as source in its argument {0} and value {1};
+#: None where the derivative is the value itself
+_DERIVATIVE = {
+    "sin": "cos({0})", "cos": "-sin({0})", "tan": "1.0 / cos({0}) ** 2",
+    "sinh": "cosh({0})", "cosh": "sinh({0})", "tanh": "1.0 / cosh({0}) ** 2",
+    "exp": None, "log": "1.0 / {0}", "sqrt": "0.5 / {1}", "abs": "sign({0})",
 }
 
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def _check(cond, message, node):
-    if np.any(cond):
-        raise DomainError(message, to_string(node))
+_CHECKS = {"==": "not {0}.all()", "<": "({0} < 0).any()", "<=": "({0} <= 0).any()"}
 
 
-def _pow(base, expo, node):
-    bval, eval_ = _value_of(base), _value_of(expo)
-    const_exp = not isinstance(expo, DualScalar) or not np.any(expo.partials)
-    if const_exp and np.ndim(eval_) == 0 and float(eval_) == int(eval_):
-        n = int(eval_)
-        if n == 0:
-            return np.ones_like(np.asarray(bval, dtype=float)) if np.ndim(bval) else 1.0
-        _check((np.asarray(bval) == 0) & (n < 0), "zero base with negative exponent", node)
-        if isinstance(base, DualScalar):
-            return DualScalar(np.power(base.value, n),
-                              _scale(n * np.power(base.value, n - 1), base.partials))
-        return np.power(bval, float(n))
-    # general case via exp(e * log(b)): base must be strictly positive
-    _check(np.asarray(bval) <= 0, "non-integer power of a non-positive base", node)
-    return _UNARY["exp"](expo * _UNARY["log"](base))
+class _Unreachable(Exception):
+    """A check on constants always fails: the code after it never runs."""
 
 
-def _eval(node, xs):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return xs[node.index]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, xs)
-    if isinstance(node, Func):
-        arg = _eval(node.arg, xs)
-        v = _value_of(arg)
-        if node.name == "log":
-            _check(np.asarray(v) <= 0, "log of a non-positive value", node)
-        elif node.name == "sqrt":
-            dual = isinstance(arg, DualScalar)
-            _check(np.asarray(v) < 0, "sqrt of a negative value", node)
-            if dual:
-                _check(np.asarray(v) == 0, "sqrt derivative at zero", node)
-        return _UNARY[node.name](arg)
-    if isinstance(node, Bin):
-        a = _eval(node.lhs, xs)
-        if node.op == "^":
-            return _pow(a, _eval(node.rhs, xs), node)
-        b = _eval(node.rhs, xs)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        _check(np.asarray(_value_of(b)) == 0, "division by zero", node)
-        return a / b
-    raise TypeError(f"not an expression node: {node!r}")
+class _Codegen:
+    """Straight-line numpy source for a table, one statement per operation.
 
-
-def _coords(p):
-    arr = np.asarray(p, dtype=float)
-    if arr.shape[-1] != 3:
-        raise ValueError("points must have 3 coordinates")
-    return arr[..., 0], arr[..., 1], arr[..., 2], arr.ndim == 1
-
-
-def eval_scalar(ast, p):
-    """Evaluate at a point (3,) -> float, or a batch (N, 3) -> (N,)."""
-    x1, x2, x3, single = _coords(p)
-    out = _eval(ast, (x1, x2, x3))
-    if single:
-        return float(out)
-    return np.broadcast_to(np.asarray(out, dtype=float), x1.shape).copy() \
-        if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-
-
-def eval_dual(ast, p) -> DualScalar:
-    """Evaluate with exact first-order partials.
-
-    For a single point the result has float value and (3,) partials; for an
-    (N, 3) batch the value is (N,) and the partials are (N, 3).
+    Each distinct subexpression of the whole table is computed once, and
+    subexpressions without a variable are folded to constants by running
+    the same source on them. Operands are names in the generated code:
+    ``x1``-``x3`` and temporaries ``t<i>`` hold (N,) arrays, constants
+    ``k<i>`` live in its namespace. With ``dual`` a value that depends on a
+    variable also carries its partials, an (N, 3) array or a constant (3,)
+    vector. The operations, their order and the checks are those of
+    dual-number arithmetic on (value, partials) pairs, dividing by a dual b
+    as a * (1/b), and of plain arithmetic, dividing as a / b, without
+    ``dual``; so every value, partial and sign of zero is the one those
+    give, and every DomainError names the same subexpression.
     """
-    x1, x2, x3, single = _coords(p)
-    shape = () if single else x1.shape
-    basis = np.eye(3)
-    xs = tuple(
-        DualScalar(xi, np.broadcast_to(basis[i], shape + (3,)).copy())
-        for i, xi in enumerate((x1, x2, x3))
-    )
-    out = _eval(ast, xs)
-    if not isinstance(out, DualScalar):  # constant expression
-        value = np.broadcast_to(np.asarray(out, dtype=float), shape).copy() if shape else float(out)
-        return DualScalar(value, np.zeros(shape + (3,)))
-    value, partials = out.value, out.partials
-    if np.ndim(value) < len(shape):
-        value = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    if partials.ndim < len(shape) + 1:
-        partials = np.broadcast_to(partials, shape + (3,)).copy()
-    if single and np.ndim(value):
-        value = float(value)
-    return DualScalar(value, partials)
+
+    def __init__(self, dual):
+        self.dual = dual
+        self.ns = {name: getattr(np, name) for name in FUNCTIONS + ("power", "sign")}
+        self.ns.update(DomainError=DomainError, to_string=to_string, _errors=[])
+        self.statements = []  # (source, runtime names it reads)
+        self.memo = {}        # subexpression -> (value, partials or None)
+        self.temps = 0
+
+    def const(self, value):
+        name = f"k{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def op(self, template, *args):
+        """template applied to the operands; folded when they are all constants."""
+        src = template.format(*args)
+        if all(a[0] == "k" for a in args):
+            return self.const(eval(src, self.ns))
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.statements.append((f"{name} = {src}", args))
+        return name
+
+    def check(self, cmp, operand, message, node):
+        """Raise DomainError(message) where ``operand cmp 0`` at some row."""
+        i = len(self.ns["_errors"])
+        error = f"raise DomainError(_errors[{i}][0], to_string(_errors[{i}][1]))"
+        self.ns["_errors"].append((message, node))
+        if operand[0] != "k":
+            self.statements.append((f"if {_CHECKS[cmp].format(operand)}: {error}", [operand]))
+        elif eval(_CHECKS[cmp].format("v"), {"v": np.asarray(self.ns[operand])}):
+            self.statements.append((error, []))
+            raise _Unreachable
+
+    def scale(self, factor, partials):
+        return self.op("{0}[:, None] * {1}", factor, partials)
+
+    def visit(self, node):
+        hit = self.memo.get(node)
+        if hit is None:
+            hit = self.memo[node] = self._visit(node)
+        return hit
+
+    def _visit(self, node):
+        if isinstance(node, Num):
+            return self.const(node.value), None
+        if isinstance(node, Var):
+            return node.name, self.const(np.eye(3)[node.index]) if self.dual else None
+        if isinstance(node, Neg):
+            v, p = self.visit(node.arg)
+            return self.op("-{0}", v), None if p is None else self.op("-{0}", p)
+        if isinstance(node, Func):
+            v, p = self.visit(node.arg)
+            if node.name == "log":
+                self.check("<=", v, "log of a non-positive value", node)
+            elif node.name == "sqrt":
+                self.check("<", v, "sqrt of a negative value", node)
+                if p is not None:
+                    self.check("==", v, "sqrt derivative at zero", node)
+            return self.func(node.name, v, p)
+        if isinstance(node, Bin):
+            a, pa = self.visit(node.lhs)
+            b, pb = self.visit(node.rhs)
+            if node.op == "^":
+                return self.power(a, pa, b, pb, node)
+            if node.op == "/":
+                self.check("==", b, "division by zero", node)
+            if pa is None and pb is None:
+                return self.op("{0} %s {1}" % node.op, a, b), None
+            if node.op == "*":
+                return self.mul(a, pa, b, pb)
+            if node.op == "/":
+                return self.div(a, pa, b, pb)
+            if pa is None:  # constant +/- dual
+                return (self.op("{0} + {1}", b, a), pb) if node.op == "+" else \
+                    (self.op("{0} - {1}", a, b), self.op("-{0}", pb))
+            return self.op("{0} %s {1}" % node.op, a, b), \
+                pa if pb is None else self.op("{0} %s {1}" % node.op, pa, pb)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def func(self, name, v, p):
+        f = self.op(name + "({0})", v)
+        if p is None:
+            return f, None
+        d = f if _DERIVATIVE[name] is None else self.op(_DERIVATIVE[name], v, f)
+        return f, self.scale(d, p)
+
+    def mul(self, a, pa, b, pb):
+        if pa is None and pb is None:
+            return self.op("{0} * {1}", a, b), None
+        if pa is None:  # constant * dual
+            return self.op("{0} * {1}", b, a), self.op("{0} * {1}", a, pb)
+        if pb is None:
+            return self.op("{0} * {1}", a, b), self.op("{0} * {1}", b, pa)
+        return self.op("{0} * {1}", a, b), \
+            self.op("{0}[:, None] * {1} + {2}[:, None] * {3}", b, pa, a, pb)
+
+    def div(self, a, pa, b, pb):
+        if pb is None:
+            return self.op("{0} / {1}", a, b), self.op("{0} / {1}", pa, b)
+        inv = self.op("1.0 / {0}", b)
+        if pa is None:
+            return self.op("{0} * {1}", a, inv), \
+                self.op("(-{0} * {1} * {1})[:, None] * {2}", a, inv, pb)
+        q = self.op("{0} * {1}", a, inv)
+        return q, self.op("{0}[:, None] * {1} - ({2} * {0})[:, None] * {3}", inv, pa, q, pb)
+
+    def power(self, a, pa, b, pb, node):
+        if b[0] == "k" and float(self.ns[b]).is_integer():
+            n = int(self.ns[b])
+            if n == 0:
+                return self.const(1.0), None
+            if n < 0:
+                self.check("==", a, "zero base with negative exponent", node)
+            if pa is None:
+                return self.op("power({0}, %r)" % float(n), a), None
+            return self.op("power({0}, %d)" % n, a), \
+                self.scale(self.op("%d * power({0}, %d)" % (n, n - 1), a), pa)
+        # general case via exp(e * log(b)): base must be strictly positive
+        self.check("<=", a, "non-integer power of a non-positive base", node)
+        return self.func("exp", *self.mul(b, pb, *self.func("log", a, pa)))
+
+    def store(self, slot, value, partials):
+        at = "".join(f", {i}" for i in slot)
+        self.statements.append((f"out[:{at}] = {value}", [value]))
+        if self.dual:
+            partials = partials or "0.0"
+            self.statements.append((f"d[:, :{at}] = {partials}", [partials]))
+
+    def source(self):
+        """The function's source, each temporary deleted after its last use."""
+        last = {}
+        for i, (_, reads) in enumerate(self.statements):
+            for name in reads:
+                last[name] = i
+        dead = {}
+        for name, i in last.items():
+            if name[0] == "t":
+                dead.setdefault(i, []).append(name)
+        lines = ["def table(x1, x2, x3, out, d):"]
+        for i, (src, _) in enumerate(self.statements):
+            lines.append("    " + src)
+            if i in dead:
+                lines.append("    del " + ", ".join(dead[i]))
+        return "\n".join(lines) + "\n"
+
+
+def _compile(table, dual):
+    """Compile the table to a function (x1, x2, x3, out, d) filling out (and d)."""
+    gen = _Codegen(dual)
+    try:
+        for ast, slots in table.groups:
+            value, partials = gen.visit(ast)
+            for slot in slots:
+                gen.store(slot, value, partials)
+    except _Unreachable:
+        pass
+    exec(compile(gen.source(), "<expr table>", "exec"), gen.ns)
+    return gen.ns.pop("table")  # no cycle through its globals: freed with the table
+
+
+@functools.lru_cache(maxsize=256)
+def _table_of(ast):
+    return ExprTable.of(ast)
+
+
+def _run(source, p, dual):
+    table = source if isinstance(source, ExprTable) else _table_of(source)
+    pts = np.asarray(p, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None]
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must have shape (3,) or (N, 3)")
+    out = np.empty(pts.shape[:1] + table.shape)
+    d = np.empty(pts.shape[:1] + (3,) + table.shape) if dual else None
+    table._program(dual)(pts[:, 0], pts[:, 1], pts[:, 2], out, d)
+    if single:
+        out = out[0] if table.shape else float(out[0])
+    if d is None:
+        return out
+    return DualScalar(out, d[0] if single else d)
+
+
+def eval_scalar(source, p):
+    """Values of an expression or an ``ExprTable`` at a point (3,) or a batch (N, 3).
+
+    A single expression gives a float at a point and (N,) at a batch; a
+    table of shape S gives (*S) and (N, *S).
+    """
+    return _run(source, p, dual=False)
+
+
+def eval_dual(source, p) -> DualScalar:
+    """Values and exact first partials of an expression or an ``ExprTable``.
+
+    See ``DualScalar`` for the shapes.
+    """
+    return _run(source, p, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +479,35 @@ def eval_dual(ast, p) -> DualScalar:
 
 @dataclass(frozen=True, eq=False)
 class ExprTable:
-    """Chart data given by a (3,) or (3, 3) table of expressions.
+    """Chart data given by a (), (3,) or (3, 3) table of expressions.
 
     ``groups`` pairs each distinct AST with the index tuples of its slots,
-    found once when the table is built, so that repeated entries (the zeros
-    of a diagonal metric, the halves of a symmetric one) are evaluated once.
+    found once when the table is built. The table is compiled to numpy
+    source on its first evaluation, once for values and once for values
+    with partials, and repeated entries and shared subexpressions are
+    computed once.
     """
 
     shape: tuple
     groups: tuple  # ((ast, (slot, ...)), ...)
+    _programs: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, asts):
-        """Table of a (3,) or (3, 3) nested sequence of ASTs."""
+        """Table of an AST or a (3,) or (3, 3) nested sequence of ASTs."""
         cells = np.array(asts, dtype=object)
         groups = {}
         for slot in np.ndindex(cells.shape):
             groups.setdefault(cells[slot], []).append(slot)
         return cls(cells.shape, tuple((ast, tuple(slots)) for ast, slots in groups.items()))
 
+    def _program(self, dual):
+        """The compiled function, built on first use."""
+        fn = self._programs.get(dual)
+        if fn is None:
+            fn = self._programs[dual] = _compile(self, dual)
+        return fn
+
     def evaluate(self, pts):
         """Values of the table at an (N, 3) batch, shape (N, *shape)."""
-        out = np.empty((len(pts),) + self.shape)
-        for ast, slots in self.groups:
-            col = eval_scalar(ast, pts)
-            for slot in slots:
-                out[(...,) + slot] = col
-        return out
+        return eval_scalar(self, pts)

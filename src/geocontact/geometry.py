@@ -7,6 +7,7 @@ an output with a leading batch axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -93,9 +94,12 @@ class ChartedManifold:
         ok = np.asarray(self.domain_fn(pts), dtype=bool) & np.all(np.isfinite(pts), axis=1)
         return bool(ok[0]) if single else ok
 
-    def require_inside(self, pts):
-        if not np.all(self.contains(pts)):
-            raise OutOfChart(f"point outside the chart of {self.name!r}")
+    def require_inside(self, p):
+        """Raise OutOfChart naming the first point (of a batch) outside the chart."""
+        pts = as_points(p)[0]
+        ok = self.contains(pts)
+        if not ok.all():
+            raise OutOfChart(f"point {pts[np.argmin(ok)]} outside the chart of {self.name!r}")
 
 
 def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifold:
@@ -113,11 +117,10 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
             def domain_fn(pts):
                 return np.ones(pts.shape[0], dtype=bool)
         else:
-            dom_ast = expr.parse(domain)
+            dom = expr.ExprTable.of(expr.parse(domain))
 
             def domain_fn(pts):
-                vals = expr.eval_scalar(dom_ast, pts)
-                return np.asarray(vals) > 0.0
+                return expr.eval_scalar(dom, pts) > 0.0
     else:
         domain_fn = domain
 
@@ -138,34 +141,32 @@ def _jet(man: ChartedManifold, fn, pts, table=None):
     (N, *S); ``table`` is the same data as an ``expr.ExprTable``, when there
     is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
 
-    - with a table and ``man.diff_mode == "dual"``, exactly, by one dual
-      number walk per distinct AST of the table;
+    - with a table and ``man.diff_mode == "dual"``, exactly, by one call of
+      the table's compiled value-and-partials code;
     - otherwise by central differences with step ``man.diff_step``: the
       centre and its six axis shifts, ordered (+1, -1, +2, -2, +3, -3), are
       one batch of ``fn`` and one chart check.
     """
-    n = pts.shape[0]
     if table is not None and man.diff_mode == "dual":
         man.require_inside(pts)
-        val = np.empty((n,) + table.shape)
-        d = np.empty((n, 3) + table.shape)
-        for ast, slots in table.groups:
-            dual = expr.eval_dual(ast, pts)
-            for slot in slots:
-                val[(...,) + slot] = dual.value
-                d[(...,) + slot] = dual.partials
-        return val, d
+        jet = expr.eval_dual(table, pts)
+        return jet.value, jet.partials
     h = man.diff_step
-    batch = np.repeat(pts[None], 7, axis=0)
-    for k in range(3):
-        batch[1 + 2 * k, :, k] += h
-        batch[2 + 2 * k, :, k] -= h
-    batch = batch.reshape(-1, 3)
+    batch = (pts + _stencil(h)).reshape(-1, 3)
     man.require_inside(batch)
     out = np.asarray(fn(batch), dtype=float)
-    out = out.reshape((7, n) + out.shape[1:])
-    d = np.stack([(out[1 + 2 * k] - out[2 + 2 * k]) / (2 * h) for k in range(3)], axis=1)
-    return out[0], d
+    out = out.reshape((7, pts.shape[0]) + out.shape[1:])
+    return out[0], ((out[1::2] - out[2::2]) / (2 * h)).swapaxes(0, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil(h):
+    """Offsets of the centre and its axis shifts (+1, -1, +2, -2, +3, -3) by h,
+    shape (7, 1, 3); -0.0 where a coordinate stays, as x + -0.0 is x bit for bit."""
+    shift = np.full((7, 1, 3), -0.0)
+    for k in range(3):
+        shift[1 + 2 * k, 0, k], shift[2 + 2 * k, 0, k] = h, -h
+    return shift
 
 
 def metric_partials(man: ChartedManifold, p):

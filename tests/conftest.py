@@ -13,6 +13,16 @@ ENTRY_NAMES = (
     "heisenberg_reeb",
 )
 
+#: a custom chart whose expressions use sin, exp, sqrt, log, a non-integer
+#: power and quotients of non-constants, with a domain expression
+CUSTOM_G = "exp(sin(x1)/2)*log(3 + x2^2)*(1 + x3^2)^0.75"
+CUSTOM_DOC = {"manifold": {"metric": [[CUSTOM_G, "x1*x2/(4 + x3^2)", "0"],
+                                      ["x1*x2/(4 + x3^2)", CUSTOM_G, "0"],
+                                      ["0", "0", CUSTOM_G]],
+                           "domain": "2 - sqrt(x1^2 + x2^2 + x3^2)"},
+              "field": {"components": ["0", "0", f"sqrt(1 + x1^2)/sqrt((1 + x1^2)*{CUSTOM_G})"]},
+              "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}}
+
 
 @pytest.fixture(scope="session")
 def entries():

@@ -335,9 +335,13 @@ def test_bad_expression_in_config(tmp_path, capsys):
     ({"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "domain": 5},
       "field": {"components": ["0", "0", "1"]}}, "manifold.domain"),
     ({"field": {"components": [0, 0, 1]}}, "field.components"),
+    ({"orbit": {"start": [0, 0, 1], "t_end": float("inf")}}, "orbit.t_end"),
+    ({"orbit": {"start": [0, 0, 1], "step": float("nan")}}, "orbit.step"),
+    ({"diff": {"mode": "central", "step": float("inf")}}, "diff.step"),
 ], ids=["missing-grid-min", "grid-not-object", "volume-nodes", "tolerance",
         "diff-step", "diff-step-zero", "orbit-t-end", "metric-not-table",
-        "metric-numbers", "domain-not-string", "components-numbers"])
+        "metric-numbers", "domain-not-string", "components-numbers",
+        "orbit-t-end-infinite", "orbit-step-nan", "diff-step-infinite"])
 def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
     code, out, err = run(capsys, ["analyze", "--config", cfg])

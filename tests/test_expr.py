@@ -1,11 +1,16 @@
 """Parser, evaluator and dual-number backend."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import geocontact as gc
+from conftest import CUSTOM_DOC, ENTRY_NAMES
 from geocontact import expr
 from geocontact.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
+from geocontact.geometry import _jet
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +100,25 @@ def test_domain_errors_carry_subexpression():
         eval_scalar(parse("x1^-1"), (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         eval_scalar(parse("x1^0.5"), (-2.0, 0.0, 0.0))
+
+
+def test_non_finite_constant_exponent_is_a_general_power():
+    # exp(inf * log(b)); an integer test on the exponent raised OverflowError
+    assert eval_scalar(parse("x1^1e400"), (2.0, 0.0, 0.0)) == np.inf
+    assert eval_scalar(parse("x1^1e400"), (0.5, 0.0, 0.0)) == 0.0
+    with pytest.raises(DomainError, match="non-integer power"):
+        eval_scalar(parse("x1^1e400"), (0.0, 0.0, 0.0))
+
+
+def test_table_is_compiled_once_per_mode():
+    table = expr.ExprTable.of(tuple(parse(c) for c in ("x1*x2", "sin(x1*x2)", "1")))
+    pts = np.array([[0.5, 2.0, 0.0]])
+    table.evaluate(pts)
+    expr.eval_dual(table, pts)
+    programs = (table._program(False), table._program(True))
+    expr.eval_dual(table, pts)
+    table.evaluate(pts)
+    assert (table._program(False), table._program(True)) == programs
 
 
 def test_batched_matches_pointwise():
@@ -210,3 +234,111 @@ def test_print_reparse_idempotent(source):
     printed = to_string(ast)
     assert parse(printed) == ast
     assert to_string(parse(printed)) == printed
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: values and partials are compared bit for bit, signs of
+# zero included, through sha256 digests recorded before the compiled
+# evaluator replaced the tree-walking one
+# ---------------------------------------------------------------------------
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _custom_chart():
+    m = CUSTOM_DOC["manifold"]
+    man = gc.manifold_from_exprs("custom", m["metric"], domain=m["domain"])
+    return man, gc.UnitField.from_exprs("custom", CUSTOM_DOC["field"]["components"])
+
+
+def table_digests(man, fld, pts):
+    """Digest of the chart test at pts, and of each table's values and dual
+    jet at the rows of pts inside the chart."""
+    inside = man.contains(pts)
+    pts = pts[inside]
+    return {
+        "metric": _digest(man.metric_exprs.evaluate(pts),
+                          *_jet(man, man.metric_fn, pts, man.metric_exprs)),
+        "field": _digest(fld.component_exprs.evaluate(pts),
+                         *_jet(man, fld.component_fn, pts, fld.component_exprs)),
+        "domain": _digest(inside),
+    }
+
+
+TABLE_DIGESTS = {
+    "euclidean_parallel": {
+        "metric": "858813c6310e5addef783d560192d9e24f78d051451b40638d51d27277dc0e33",
+        "field": "1214b24d391fcbf22c1b4ecec6b0779df86f8f249c80d5c76c8c7000c9144ae1",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "euclidean_skew": {
+        "metric": "858813c6310e5addef783d560192d9e24f78d051451b40638d51d27277dc0e33",
+        "field": "4ae086a80dc09fa834096fefa76636dbf848a4bd9a9d0efe0f04100d8c98a631",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "s3_hopf": {
+        "metric": "8e60636fb3b6ca067c6fa0643770df29868463a9ebd559978757e1ca8b757962",
+        "field": "ee984e0e562fd831f68141660f240aa72e8863946eecde86b409eec2815f1fdd",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "s3_weighted(2,3)": {
+        "metric": "8764438f7937d5c1c4dc1f4e98fa8d543bd06989edb9bb6383a74c43ac63b9ad",
+        "field": "07bfa7beb1f70645407df686db9425f38e651fb92b2d3d13a47d1c035849e627",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "h2xr_vertical": {
+        "metric": "4a5244789749f15e5c40bc977c155bad9db712398296ad6a3c56fff77567e6d7",
+        "field": "b1d2f054ba3eacbf2bae808ae4bc798d13a48829b159ee87ddf4d59c4369a123",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "h3_vertical": {
+        "metric": "bf8f1c7eba277e49442bfe23a00e7b9b320882d3a631d56ab149de9f154230d1",
+        "field": "7a64f1fc70e5a64adff54f368bf721090e297e29ccb03f41550bb24eb75ef4fb",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "heisenberg_reeb": {
+        "metric": "d3512e1b556c1dd246179e2c0658ac6e00cf5d734978038abf74da7744dd7cad",
+        "field": "1214b24d391fcbf22c1b4ecec6b0779df86f8f249c80d5c76c8c7000c9144ae1",
+        "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
+    },
+    "custom": {
+        "metric": "3d38cb2f0ac48c7a2fc7420a5384a07fb3d2e1737a7b27a72e4244d5e7425c19",
+        "field": "208a455ce2379a8afe51362d1b6ac1a6429dc1e2c73f5c37c5c66bcd4ceca0d4",
+        "domain": "2ed6d52bc5f79eb438759cc6d2eef373122b7a65adfd5e2e062f9b3f028b786e",
+    },
+}
+
+CORPUS_DIGESTS = {
+    "values": "0036c09c3d6c38bc26e7610adb015e9f90f3ccd81200dbe4df7f874ebbc3f1ec",
+    "partials": "d58feb4f12c52c3f71fedc85be1f3fb2fb7770cb514a52165905c16b1a876950",
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_NAMES) + ["custom"])
+def test_table_outputs_are_pinned(entries, name):
+    if name == "custom":
+        man, fld = _custom_chart()
+        pts = gc.GridSpec((-1.2, -1.2, -1.2), (1.2, 1.2, 1.2), (7, 7, 7)).points()
+    else:
+        entry = entries[name]
+        man, fld, pts = entry.manifold, entry.field, entry.grid.points()
+    assert table_digests(man, fld, pts) == TABLE_DIGESTS[name]
+
+
+def corpus_digests():
+    pts = gc.GridSpec((0.2, 0.2, 0.2), (1.5, 1.5, 1.5), (4, 5, 6)).points()
+    values, partials = [], []
+    for source in CORPUS:
+        ast = parse(source)
+        dual = eval_dual(ast, pts)
+        values += [eval_scalar(ast, pts), dual.value]
+        partials.append(dual.partials)
+    return {"values": _digest(*values), "partials": _digest(*partials)}
+
+
+def test_corpus_outputs_are_pinned():
+    assert corpus_digests() == CORPUS_DIGESTS

@@ -1,5 +1,7 @@
 """Charts, metric derivatives and orthonormal frames."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,18 @@ def test_partials_out_of_chart():
     man.diff_mode = "central"
     man.diff_step = 1e-2
     with pytest.raises(OutOfChart):
+        metric_partials(man, np.array([0.0, 0.0, 5e-3]))
+
+
+def test_out_of_chart_names_the_first_point_outside():
+    man = gc.builtin("h3_vertical").manifold
+    pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, -1.0], [0.0, 0.0, -2.0]])
+    with pytest.raises(OutOfChart, match=re.escape(str(pts[1]))):
+        metric_partials(man, pts)
+    # the first stencil point outside: the centre shifted by -h along x3
+    man.diff_mode = "central"
+    man.diff_step = 1e-2
+    with pytest.raises(OutOfChart, match=re.escape(str(np.array([0.0, 0.0, 5e-3 - 1e-2])))):
         metric_partials(man, np.array([0.0, 0.0, 5e-3]))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from geocontact import cli
 
-from conftest import ENTRY_NAMES
+from conftest import CUSTOM_DOC, ENTRY_NAMES
 
 
 def _orbit_doc(name, start):
@@ -30,6 +30,7 @@ CASES = {
     **{f"analyze:{name}": (["analyze", "--entry", name], None) for name in ENTRY_NAMES},
     "analyze-central:s3_hopf": (["analyze"], {"manifold": "s3_hopf",
                                               "diff": {"mode": "central"}}),
+    "analyze:custom-expressions": (["analyze"], CUSTOM_DOC),
     "verify:T3.1,C3.2,T5.1,C5.2:all": (["verify", "T3.1", "C3.2", "T5.1", "C5.2", "--all"],
                                        None),
     "orbit:h3_vertical": (["orbit"], _orbit_doc("h3_vertical", [0.0, 0.0, 1.0])),
@@ -43,10 +44,11 @@ CASES = {
 }
 
 #: case id -> exit code, where it is not 0
-EXIT_CODES = {"verify:T5.1,C5.2,T3.1,C3.2:tilted": 1}
+EXIT_CODES = {"verify:T5.1,C5.2,T3.1,C3.2:tilted": 1, "analyze:custom-expressions": 1}
 
 DIGESTS = {
     "analyze-central:s3_hopf": "2bd168591f7e500df78dc5bb622699bffbb7939e3d1613bb9d5f11ff1dd41809",
+    "analyze:custom-expressions": "c832d371f1626e695d2ad93f0ca712bb56ea3046055abc47042873e0261dd492",
     "analyze:euclidean_parallel": "50e1c2d12e3a5a5f68ce86b2d0e513cd3c769ebddf4646db67d58f628c5626e1",
     "analyze:euclidean_skew": "6036021b0cf5c76aa84c25299b5249b99be756246472705878279b093ceab376",
     "analyze:h2xr_vertical": "b12b783b5c4943fb3d5f9928fe684b73110d736d0a1cfc7eacf999fe2d523d4f",
