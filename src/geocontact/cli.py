@@ -21,7 +21,7 @@ from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization,
                      UnknownEntry, config_value)
 from .curvature import trace_discriminant
 from .field import UnitField, diagnose
-from .flow import (integrate_orbit, noncontact_eigen_drift, riccati_residuals,
+from .flow import (integrate_orbit, noncontact_eigen_drift, orbit_steps, riccati_residuals,
                    trace_evolution_residual, wronskian)
 from .geometry import manifold_from_exprs
 from .verify import (THEOREM_IDS, Tolerances, applicable_theorems, run_theorem,
@@ -130,7 +130,11 @@ def resolve_config(config: dict) -> Resolved:
         if step <= 0:
             raise ConfigError("orbit step must be positive")
         t_end = config_value(orbit, "t_end", _finite, "orbit", default=2.0)
-        if round(t_end / step) < 2:
+        try:
+            nsteps = orbit_steps(t_end, step)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config value orbit.t_end: {exc}") from None
+        if nsteps < 2:
             # the residuals difference B centrally, so they need 3 samples
             raise ConfigError("orbit t_end must be at least two steps")
         entry.orbit = OrbitSpec(config_value(orbit, "start", _triple(float), "orbit"), t_end, step)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
-from .geometry import ChartedManifold, Frame, _jet, as_points, frame_at, inner
+from .geometry import (ChartedManifold, Frame, _jet, _require_finite_metric,
+                       _require_positive_definite, as_points, frame_at, inner)
 
 MAX_METRIC_CONDITION = 1e12
 
@@ -26,22 +27,34 @@ EIGEN_DISC_TOL = 1e-12
 
 
 def _require_conditioned(man, pts, g):
-    """Raise SingularMetric naming the first point where g is not finite or
-    its 2-norm condition number max|lambda| / min|lambda| (g is symmetric)
-    is infinite or above MAX_METRIC_CONDITION."""
-    ok = np.isfinite(g).all(axis=(1, 2))
-    lam = np.abs(np.linalg.eigvalsh(np.where(ok[:, None, None], g, 1.0)))
+    """Raise SingularMetric naming the first point where g is not finite or,
+    failing that, where its 2-norm condition number max|lambda| / min|lambda|
+    (g is symmetric) is infinite or above MAX_METRIC_CONDITION."""
+    _require_finite_metric(man, pts, g)
+    lam = np.abs(np.linalg.eigvalsh(g))
     small = lam.min(axis=1)
-    ok &= (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
+    ok = (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
     if not ok.all():
         raise SingularMetric(
             f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}")
 
 
-def christoffel(man: ChartedManifold, p):
-    """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from one ``_jet``."""
+def christoffel(man: ChartedManifold, p, metric_out=None):
+    """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from one ``_jet``.
+
+    ``metric_out``, a contiguous array of g's shape ((N, 3, 3), or (3, 3)
+    at a point), receives g after ``metric_at``'s positive-definiteness
+    check, so a caller that needs g as well makes no second metric pass.
+    Without it, g is only checked to be finite and conditioned.
+    """
     pts, single = as_points(p)
-    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs)  # dg[n, k, i, j] = d_k g_ij
+    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs,  # dg[n, k, i, j] = d_k g_ij
+                 _require_finite_metric)
+    if metric_out is not None:
+        _require_positive_definite(man, pts, g)
+        out = metric_out.reshape(g.shape)  # a view; g lives on only in the caller's array
+        out[...] = g
+        g = out
     _require_conditioned(man, pts, g)
     ginv = np.linalg.inv(g)
     # term_{ijl} = d_i g_jl + d_j g_il - d_l g_ij  (dg axes are n, k, i, j)
@@ -50,15 +63,19 @@ def christoffel(man: ChartedManifold, p):
     return gamma[0] if single else gamma
 
 
-def christoffel_with_partials(man: ChartedManifold, p):
+def christoffel_with_partials(man: ChartedManifold, p, metric_out=None):
     """Gamma and its partials: the central-difference ``_jet`` of ``christoffel``.
 
     Returns (gam, dgam) with gam[..., k, i, j] = Gamma^k_ij and
     dgam[..., m, k, i, j] = d_m Gamma^k_ij. The point itself and its six
-    stencil shifts are one ``christoffel`` batch.
+    stencil shifts are one ``christoffel`` batch; ``metric_out`` receives
+    the checked metric of its centre rows, as in ``christoffel``.
     """
     pts, single = as_points(p)
-    gam, dgam = _jet(man, lambda q: christoffel(man, q), pts)
+    stencil_g = None if metric_out is None else np.empty((7 * len(pts), 3, 3))
+    gam, dgam = _jet(man, lambda q: christoffel(man, q, stencil_g), pts)
+    if metric_out is not None:
+        metric_out[...] = stencil_g[0] if single else stencil_g[:len(pts)]
     return (gam[0], dgam[0]) if single else (gam, dgam)
 
 

@@ -66,9 +66,10 @@ def _frame_gram(g, A, F):
     return np.swapaxes(A @ F, 1, 2) @ (g @ F)
 
 
-def shape_operator(man: ChartedManifold, X: UnitField, pts, g, xv, e1, e2):
-    """B[n, i, j] = <beta(e_j), e_i> at an (N, 3) batch in the frames (e1, e2)."""
-    A = covariant_jacobian(man, X, pts, xv, christoffel(man, pts))
+def shape_operator(man: ChartedManifold, X: UnitField, pts, g, gam, xv, e1, e2):
+    """B[n, i, j] = <beta(e_j), e_i> at an (N, 3) batch in the frames (e1, e2),
+    from the metric g and the Christoffel symbols gam there."""
+    A = covariant_jacobian(man, X, pts, xv, gam)
     return np.swapaxes(_frame_gram(g, A, np.stack([e1, e2], axis=2)), 1, 2)
 
 
@@ -96,13 +97,13 @@ def beta_matrix(man: ChartedManifold, X: UnitField, p, frame: Frame | None = Non
                 unit_tol: float = UNIT_TOL) -> BetaMatrix:
     """Shape operator at one point, in ``frame`` or the standard ``frame_at`` frame."""
     pts, _ = as_points(p)
-    man.require_inside(pts)
-    g = man.metric_at(pts)
+    g = np.empty((1, 3, 3))
+    gam = christoffel(man, pts, g)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     _require_unit(X, pts, np.abs(inner(g, xv, xv) - 1.0), unit_tol)
     if frame is None:
         frame = frame_at(g[0], xv[0])
-    A = covariant_jacobian(man, X, pts, xv, christoffel(man, pts))
+    A = covariant_jacobian(man, X, pts, xv, gam)
     gram = _frame_gram(g, A, np.stack(frame.basis(), axis=1)[None])[0]
     return BetaMatrix(B=gram[1:, 1:].T, frame=frame, tangency=float(np.abs(gram[1:, 0]).max()))
 
@@ -249,15 +250,14 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     Raises NotUnit at the first point whose unit defect exceeds ``unit_tol``.
     """
     pts = as_points(pts)[0]
-    man.require_inside(pts)
-    g = man.metric_at(pts)
+    g = np.empty((len(pts), 3, 3))
+    gam, dgam = christoffel_with_partials(man, pts, g)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     unit = np.abs(inner(g, xv, xv) - 1.0)
     _require_unit(X, pts, unit, unit_tol)
     xn = xv / g_norm(g, xv)[:, None]
     e1, e2 = frames_at(g, xn)
 
-    gam, dgam = christoffel_with_partials(man, pts)
     A = covariant_jacobian(man, X, pts, xv, gam)
     frame = np.stack([xn, e1, e2], axis=2)
     gram = _frame_gram(g, A, frame)
@@ -294,9 +294,10 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
     grids.
     """
     pts, single = as_points(points)
-    g = man.metric_at(pts)
+    g = np.empty((len(pts), 3, 3))
+    gam = christoffel(man, pts, g)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     e1, e2 = frames_at(g, xv / g_norm(g, xv)[:, None], orientation=orientation)
-    B = shape_operator(man, X, pts, g, xv, e1, e2)
+    B = shape_operator(man, X, pts, g, gam, xv, e1, e2)
     out = B[:, 1, 0] - B[:, 0, 1]
     return float(out[0]) if single else out

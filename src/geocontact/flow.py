@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import (assemble_riemann, christoffel, christoffel_with_partials,
-                        jacobi_matrix, real_eigenvalues, riemann_tensor)
+                        jacobi_matrix, real_eigenvalues)
 from .errors import OutOfChart, PoleReached, StepTooLarge
 from .field import UNIT_TOL, UnitField, _require_unit, shape_operator
 from .geometry import ChartedManifold, as_points, frames_at, inner
@@ -92,13 +92,14 @@ def _transport_rhs(man, X, with_jacobi):
         e = y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
         if with_jacobi:
-            gam, dgam = christoffel_with_partials(man, p)
+            g = np.empty((len(p), 3, 3))
+            gam, dgam = christoffel_with_partials(man, p, g)
         else:
             gam = christoffel(man, p)
         de = -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
         if not with_jacobi:
             return np.concatenate([xv, de], axis=1)
-        m = jacobi_matrix(assemble_riemann(gam, dgam), man.metric_at(p), xv, e)
+        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
         j, jt = y[:, 9:11, None], y[:, 13:15, None]
         return np.concatenate([xv, de, y[:, 11:13], (-m @ j)[..., 0],
                                y[:, 15:17], (-m @ jt)[..., 0]], axis=1)
@@ -123,6 +124,19 @@ def _rk4_rows(man, rhs, y, h):
     return nxt, man.contains(nxt[:, 0:3])
 
 
+def orbit_steps(t_end, step) -> int:
+    """RK4 steps of the uniform grid from 0 that lands exactly on t_end.
+
+    Raises ValueError if one seed's trajectory buffer, steps + 1 states of
+    17 floats (with the Jacobi pair), is larger than numpy can address.
+    """
+    nsteps = max(1, int(round(t_end / step)))
+    if (nsteps + 1) * 17 * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"{t_end!r} is {nsteps:.3g} steps of {step!r}, "
+                         "more than one trajectory buffer can hold")
+    return nsteps
+
+
 def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
                      with_jacobi=True) -> list[Trajectory]:
     """Integrate the orbits of X from an (N, 3) batch of starts with transported frames.
@@ -143,21 +157,24 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
 
-    g0 = man.metric_at(starts)
+    if with_jacobi:  # B(0) needs Gamma, which brings g along
+        g0 = np.empty((len(starts), 3, 3))
+        gam0 = christoffel(man, starts, g0)
+    else:
+        g0 = man.metric_at(starts)
     xv0 = X.value(starts)
     _require_unit(X, starts, np.abs(inner(g0, xv0, xv0) - 1.0), UNIT_TOL)
     # normalised as frame_at normalises a single vector, bit for bit
     e1, e2 = frames_at(g0, xv0 / np.sqrt(xv0[:, None] @ g0 @ xv0[..., None])[:, 0])
     y = [starts, e1, e2]
     if with_jacobi:
-        b0 = shape_operator(man, X, starts, g0, xv0, e1, e2)
+        b0 = shape_operator(man, X, starts, g0, gam0, xv0, e1, e2)
         for j0 in np.eye(2):
             y.extend([np.broadcast_to(j0, (len(starts), 2)), b0 @ j0])
     y = np.concatenate(y, axis=1)
 
     rhs = _transport_rhs(man, X, with_jacobi)
-    # keep the grid uniform and land exactly on t_end
-    nsteps = max(1, int(round(t_end / step)))
+    nsteps = orbit_steps(t_end, step)
     step = t_end / nsteps
     hist = np.empty((len(y), nsteps + 1, y.shape[1]))  # per seed, its states in time order
     hist[:, 0] = y
@@ -189,7 +206,8 @@ def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
     e1 = arr[:, 3:6]
     e2 = arr[:, 6:9]
 
-    g = man.metric_at(points)
+    g = np.empty((n, 3, 3))
+    gam, dgam = christoffel_with_partials(man, points, g)
     xv = X.value(points)
     xn = xv / np.sqrt(inner(g, xv, xv))[:, None]
     drift = _frame_drift(g, xn, e1, e2)
@@ -198,8 +216,8 @@ def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
             f"frame orthonormality drifted to {drift:.3e}; halve the step")
 
     traj = Trajectory(t=t, points=points, e1=e1, e2=e2,
-                      B=shape_operator(man, X, points, g, xv, e1, e2),
-                      M=jacobi_matrix(riemann_tensor(man, points), g, xn,
+                      B=shape_operator(man, X, points, g, gam, xv, e1, e2),
+                      M=jacobi_matrix(assemble_riemann(gam, dgam), g, xn,
                                       np.stack([e1, e2], axis=1)),
                       X_along=xn, step=step, truncated=truncated)
     if with_jacobi:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import DegenerateSeed, NotPositiveDefinite, OutOfChart
+from .errors import DegenerateSeed, NotPositiveDefinite, OutOfChart, SingularMetric
 
 Array = np.ndarray
 
@@ -75,18 +75,11 @@ class ChartedManifold:
     volume_param: Optional[VolumeParametrization] = field(default=None, repr=False)
 
     def metric_at(self, p) -> Array:
-        """g at a point, or at an (N, 3) batch; raises NotPositiveDefinite
-        naming the first point where a leading principal minor is not
-        positive (Sylvester's criterion)."""
+        """g at a point, or at an (N, 3) batch; raises NotPositiveDefinite naming
+        the first point where g is not positive definite."""
         pts, single = as_points(p)
         g = np.asarray(self.metric_fn(pts), dtype=float)
-        g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
-        minor2 = g00 * g11 - g01 * g10
-        det = g22 * minor2 - g21 * (g00 * g12 - g02 * g10) + g20 * (g01 * g12 - g02 * g11)
-        ok = np.minimum(np.minimum(g00, minor2), det) > 0.0  # False at NaN too
-        if not ok.all():
-            raise NotPositiveDefinite(
-                f"metric of {self.name!r} is not positive definite at {pts[np.argmin(ok)]}")
+        _require_positive_definite(self, pts, g)
         return g[0] if single else g
 
     def contains(self, p):
@@ -100,6 +93,27 @@ class ChartedManifold:
         ok = self.contains(pts)
         if not ok.all():
             raise OutOfChart(f"point {pts[np.argmin(ok)]} outside the chart of {self.name!r}")
+
+
+def _require_positive_definite(man: ChartedManifold, pts, g):
+    """Raise NotPositiveDefinite naming the first point of the batch where a
+    leading principal minor of g (N, 3, 3) is not positive (Sylvester's
+    criterion). Every g handed out as the metric passes this check."""
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
+    minor2 = g00 * g11 - g01 * g10
+    det = g22 * minor2 - g21 * (g00 * g12 - g02 * g10) + g20 * (g01 * g12 - g02 * g11)
+    ok = np.minimum(np.minimum(g00, minor2), det) > 0.0  # False at NaN too
+    if not ok.all():
+        raise NotPositiveDefinite(
+            f"metric of {man.name!r} is not positive definite at {pts[np.argmin(ok)]}")
+
+
+def _require_finite_metric(man: ChartedManifold, pts, g):
+    """Raise SingularMetric naming the first point of the batch where g is not finite."""
+    ok = np.isfinite(g.reshape(len(pts), -1)).all(axis=1)
+    if not ok.all():
+        raise SingularMetric(
+            f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}: not finite")
 
 
 def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifold:
@@ -132,7 +146,7 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
 # Derivatives
 # ---------------------------------------------------------------------------
 
-def _jet(man: ChartedManifold, fn, pts, table=None):
+def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
     """Value and first partials of chart data at an (N, 3) batch.
 
     The one place that decides how a derivative is taken, behind the public
@@ -145,7 +159,9 @@ def _jet(man: ChartedManifold, fn, pts, table=None):
       the table's compiled value-and-partials code;
     - otherwise by central differences with step ``man.diff_step``: the
       centre and its six axis shifts, ordered (+1, -1, +2, -2, +3, -3), are
-      one batch of ``fn`` and one chart check.
+      one batch of ``fn`` and one chart check. ``check(man, batch, values)``,
+      if given, vets the values of the whole stencil before they are
+      differenced.
     """
     if table is not None and man.diff_mode == "dual":
         man.require_inside(pts)
@@ -155,6 +171,8 @@ def _jet(man: ChartedManifold, fn, pts, table=None):
     batch = (pts + _stencil(h)).reshape(-1, 3)
     man.require_inside(batch)
     out = np.asarray(fn(batch), dtype=float)
+    if check is not None:
+        check(man, batch, out)
     out = out.reshape((7, pts.shape[0]) + out.shape[1:])
     return out[0], ((out[1::2] - out[2::2]) / (2 * h)).swapaxes(0, 1)
 
@@ -172,7 +190,7 @@ def _stencil(h):
 def metric_partials(man: ChartedManifold, p):
     """First partials of the metric: dg[..., k, i, j] = d_k g_ij."""
     pts, single = as_points(p)
-    dg = _jet(man, man.metric_fn, pts, man.metric_exprs)[1]
+    dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)[1]
     return dg[0] if single else dg
 
 

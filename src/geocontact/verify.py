@@ -226,15 +226,30 @@ class VolumeResult:
         return asdict(self)
 
 
+#: grid rows per ``contact_defect_grid`` call of the volume quadrature
+VOLUME_BLOCK_ROWS = 8192
+
+
 def _midpoint_value(entry: CatalogEntry, nodes: int, orientation: int) -> float:
+    """Midpoint rule on the nodes^3 tensor grid, in row blocks of VOLUME_BLOCK_ROWS.
+
+    Rows run in ``meshgrid(..., indexing="ij")`` order. Only each block's
+    products defect * density are kept, and one ``np.sum`` over all of them
+    adds them as a single array would (pairwise summation depends on the
+    array, so per-block sums would not).
+    """
     param = entry.manifold.volume_param
     axes = [(np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box]
     cell = np.prod([(hi - lo) / nodes for lo, hi in param.box])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    params = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = param.chart_map(params)
-    defect = contact_defect_grid(entry.manifold, entry.field, pts, orientation=orientation)
-    return float(np.sum(defect * param.density(params)) * cell)
+    products = []
+    for start in range(0, nodes ** 3, VOLUME_BLOCK_ROWS):
+        rows = np.arange(start, min(start + VOLUME_BLOCK_ROWS, nodes ** 3))
+        params = np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(rows, (nodes,) * 3))],
+                          axis=1)
+        defect = contact_defect_grid(entry.manifold, entry.field, param.chart_map(params),
+                                     orientation=orientation)
+        products.append(defect * param.density(params))
+    return float(np.sum(np.concatenate(products)) * cell)
 
 
 def volume_integral(entry: CatalogEntry, nodes: int, orientation: int = 1) -> VolumeResult:

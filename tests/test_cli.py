@@ -338,10 +338,12 @@ def test_bad_expression_in_config(tmp_path, capsys):
     ({"orbit": {"start": [0, 0, 1], "t_end": float("inf")}}, "orbit.t_end"),
     ({"orbit": {"start": [0, 0, 1], "step": float("nan")}}, "orbit.step"),
     ({"diff": {"mode": "central", "step": float("inf")}}, "diff.step"),
+    # finite, but its trajectory buffer would be larger than numpy can address
+    ({"orbit": {"start": [0, 0, 1], "t_end": 1e300}}, "orbit.t_end"),
 ], ids=["missing-grid-min", "grid-not-object", "volume-nodes", "tolerance",
         "diff-step", "diff-step-zero", "orbit-t-end", "metric-not-table",
         "metric-numbers", "domain-not-string", "components-numbers",
-        "orbit-t-end-infinite", "orbit-step-nan", "diff-step-infinite"])
+        "orbit-t-end-infinite", "orbit-step-nan", "diff-step-infinite", "orbit-t-end-huge"])
 def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
     code, out, err = run(capsys, ["analyze", "--config", cfg])

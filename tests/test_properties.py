@@ -1,11 +1,14 @@
 """Property tests (Hypothesis): the expression language, its compiled
-evaluator and the singular-metric check.
+evaluator, the singular-metric checks and the row invariance of the
+batched kernels.
 
 Examples are derandomized and no example database is written, so a run is
 reproducible and leaves no files behind.
 """
 
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -13,11 +16,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import ENTRY_NAMES
 from geocontact import cli, expr
 from geocontact.curvature import MAX_METRIC_CONDITION, christoffel
 from geocontact.errors import DomainError, SingularMetric
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
-from geocontact.geometry import ChartedManifold
+from geocontact.field import (SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose,
+                              diagnose_point)
+from geocontact.geometry import DEFAULT_DIFF_STEP, ChartedManifold
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -145,3 +151,82 @@ def test_singular_metric_from_the_cli_exits_one(tmp_path, capsys):
     assert cli.main(["analyze", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "numerically singular at [0. 0. 0.]" in err and "Traceback" not in err
+
+
+def central_chart(metric_fn):
+    return ChartedManifold("nonfinite", metric_fn=metric_fn, diff_mode="central",
+                           domain_fn=lambda pts: np.ones(len(pts), dtype=bool))
+
+
+P = np.array([0.1, 0.2, 0.3])
+
+
+def infinite_past_first_shift(pts):
+    """diag(1, 1, 1), with g_22 = inf at and beyond P + h e1."""
+    g = np.tile(np.eye(3), (len(pts), 1, 1))
+    g[pts[:, 0] >= P[0] + DEFAULT_DIFF_STEP, 1, 1] = np.inf
+    return g
+
+
+@pytest.mark.parametrize("metric_fn, named", [
+    (lambda pts: np.broadcast_to(np.diag([1.0, np.inf, 1.0]), (len(pts), 3, 3)), P),
+    (infinite_past_first_shift, P + DEFAULT_DIFF_STEP * np.eye(3)[0]),
+], ids=["infinite-at-the-point", "infinite-at-a-shift"])
+def test_nonfinite_metric_on_the_central_stencil(metric_fn, named):
+    """Central differences of a metric that is not finite somewhere on the
+    stencil raise SingularMetric naming the first such stencil point, without
+    a warning and before any inf or NaN reaches Gamma."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric, match=re.escape(f"singular at {named}: not finite")):
+            christoffel(central_chart(metric_fn), P)
+
+
+#: an entry name and up to 7 rows in its default grid box, as box fractions
+ENTRY_ROWS = st.tuples(st.sampled_from(ENTRY_NAMES), st.lists(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=7))
+
+ROW_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def box_points(entry, fractions):
+    lo, hi = np.array(entry.grid.lo), np.array(entry.grid.hi)
+    return lo + np.array(fractions) * (hi - lo)
+
+
+@ROW_SETTINGS
+@given(ENTRY_ROWS, st.lists(st.integers(0, 7), max_size=3))
+def test_contact_defect_grid_is_invariant_under_row_splits(entries, entry_rows, cuts):
+    """A batch gives the bytes of its blocks' calls, concatenated, for any split."""
+    name, fractions = entry_rows
+    entry = entries[name]
+    pts = box_points(entry, fractions)
+    whole = contact_defect_grid(entry.manifold, entry.field, pts)
+    blocks = np.split(pts, sorted({min(c, len(pts)) for c in cuts}))
+    parts = [contact_defect_grid(entry.manifold, entry.field, b) for b in blocks if len(b)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+def row_bytes(d):
+    """The bytes of every quantity of a ``PointDiagnosis`` row."""
+    eigen = [type(d.eigen).__name__, *dataclasses.astuple(d.eigen)]
+    numbers = [d.p, d.beta.B, *d.beta.frame.basis(), d.beta.tangency, d.beta_rank,
+               *(getattr(d, c) for c in SCALAR_COLUMNS)]
+    return repr(eigen).encode() + b"".join(np.asarray(x, float).tobytes() for x in numbers)
+
+
+@ROW_SETTINGS
+@given(ENTRY_ROWS)
+def test_diagnose_rows_equal_their_single_point_calls(entries, entry_rows):
+    """Each row of a batched ``diagnose`` is, bit for bit, the N = 1 call
+    ``diagnose_point`` at its point, and so is every column."""
+    name, fractions = entry_rows
+    entry = entries[name]
+    pts = box_points(entry, fractions)
+    batch = diagnose(entry.manifold, entry.field, pts)
+    singles = [diagnose(entry.manifold, entry.field, pts[k:k + 1]) for k in range(len(pts))]
+    for column in dataclasses.fields(Diagnosis):
+        assert getattr(batch, column.name).tobytes() == np.concatenate(
+            [getattr(one, column.name) for one in singles]).tobytes(), column.name
+    for k, row in enumerate(batch):
+        assert row_bytes(row) == row_bytes(diagnose_point(entry.manifold, entry.field, pts[k]))
