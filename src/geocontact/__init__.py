@@ -13,12 +13,9 @@ from . import errors
 from .expr import DualScalar, ExprAst, eval_dual, eval_scalar, parse, to_string
 from .geometry import (ChartedManifold, Frame, VolumeParametrization, frame_at,
                        frames_at, inner, manifold_from_exprs, metric_partials)
-from .curvature import (JacobiTensor, christoffel, covariant_derivative,
-                        jacobi_tensor, ricci_direction, riemann, riemann_tensor,
-                        sectional)
-from .field import (BetaMatrix, ComplexPair, Diagnosis, PointDiagnosis, RealPair, UnitField,
-                    beta_matrix, beta_rank, beta_ranks, contact_defect, contact_defect_grid,
-                    diagnose, diagnose_point, eigen_classify, eigen_columns)
+from .curvature import christoffel, riemann, riemann_tensor, sectional
+from .field import (ComplexPair, Diagnosis, PointDiagnosis, RealPair, UnitField, beta_ranks,
+                    contact_defect_grid, diagnose, diagnose_point, eigen_columns)
 from .flow import (AdaptedJacobi, Trajectory, WronskianResult,
                    adapted_jacobi, arcoth, first_zero_space_form,
                    integrate_orbit, integrate_orbits, jacobi_component_closed_form,

@@ -50,8 +50,8 @@ class CatalogEntry:
     """A named manifold/field pair with an expected-diagnostics template.
 
     ``expected`` maps template keys to values checked by ``self_check``
-    against measured PointDiagnosis data; keys absent from the template are
-    unconstrained.
+    against the measured ``diagnose`` columns; keys absent from the template
+    are unconstrained.
     """
 
     name: str
@@ -292,11 +292,6 @@ def describe():
 # Self-check of the expected templates
 # ---------------------------------------------------------------------------
 
-def _eig_kind(diag):
-    from .field import ComplexPair
-    return "complex" if isinstance(diag.eigen, ComplexPair) else "real"
-
-
 def self_check(entry: CatalogEntry, points=None, unit_tol=1e-8, geodesic_tol=1e-6):
     """Compare measured diagnostics with the entry's expected template.
 
@@ -305,44 +300,44 @@ def self_check(entry: CatalogEntry, points=None, unit_tol=1e-8, geodesic_tol=1e-
     """
     pts = entry.grid.points() if points is None else np.asarray(points, float)
     exp = entry.expected
+    diag = diagnose(entry.manifold, entry.field, pts)
+    disc = trace_discriminant(diag.B)[1]
     bad = []
-    for p, d in zip(pts, diagnose(entry.manifold, entry.field, pts)):
+    for k, p in enumerate(pts):
         where = np.array2string(p, precision=3)
 
         def complain(key, got):
             bad.append(f"{entry.name} at {where}: {key} expected {exp[key]!r}, got {got!r}")
 
-        if d.unit_defect > unit_tol:
-            bad.append(f"{entry.name} at {where}: unit defect {d.unit_defect:.2e}")
-        if d.geodesic_defect > geodesic_tol:
-            bad.append(f"{entry.name} at {where}: geodesic defect {d.geodesic_defect:.2e}")
-        if "contact_abs" in exp and abs(abs(d.contact_defect) - exp["contact_abs"]) > \
+        contact, B = float(diag.contact_defect[k]), diag.B[k]
+        kind = "complex" if diag.complex[k] else "real"
+        if diag.unit_defect[k] > unit_tol:
+            bad.append(f"{entry.name} at {where}: unit defect {diag.unit_defect[k]:.2e}")
+        if diag.geodesic_defect[k] > geodesic_tol:
+            bad.append(f"{entry.name} at {where}: geodesic defect {diag.geodesic_defect[k]:.2e}")
+        if "contact_abs" in exp and abs(abs(contact) - exp["contact_abs"]) > \
                 (ZERO_DEFECT_TOL if exp["contact_abs"] == 0.0 else VALUE_TOL):
-            complain("contact_abs", d.contact_defect)
-        if "contact_abs_min" in exp and abs(d.contact_defect) <= exp["contact_abs_min"]:
-            complain("contact_abs_min", d.contact_defect)
-        if "beta_norm" in exp and abs(np.linalg.norm(d.beta.B) - exp["beta_norm"]) > VALUE_TOL:
-            complain("beta_norm", np.linalg.norm(d.beta.B))
-        if "beta" in exp and np.abs(d.beta.B - np.asarray(exp["beta"])).max() > VALUE_TOL:
-            complain("beta", d.beta.B)
-        if "beta_rank" in exp and d.beta_rank != exp["beta_rank"]:
-            complain("beta_rank", d.beta_rank)
-        if "eig_kind" in exp and _eig_kind(d) != exp["eig_kind"]:
-            complain("eig_kind", _eig_kind(d))
+            complain("contact_abs", contact)
+        if "contact_abs_min" in exp and abs(contact) <= exp["contact_abs_min"]:
+            complain("contact_abs_min", contact)
+        if "beta_norm" in exp and abs(np.linalg.norm(B) - exp["beta_norm"]) > VALUE_TOL:
+            complain("beta_norm", float(np.linalg.norm(B)))
+        if "beta" in exp and np.abs(B - np.asarray(exp["beta"])).max() > VALUE_TOL:
+            complain("beta", B)
+        if "beta_rank" in exp and diag.beta_rank[k] != exp["beta_rank"]:
+            complain("beta_rank", int(diag.beta_rank[k]))
+        if "eig_kind" in exp and kind != exp["eig_kind"]:
+            complain("eig_kind", kind)
         if "real_eigs_sorted" in exp:
-            if _eig_kind(d) != "real":
-                complain("real_eigs_sorted", d.eigen)
-            else:
-                got = tuple(sorted((d.eigen.lam, d.eigen.mu)))
-                if max(abs(a - b) for a, b in zip(got, exp["real_eigs_sorted"])) > VALUE_TOL:
-                    complain("real_eigs_sorted", got)
-        if "disc_max" in exp:
-            disc = trace_discriminant(d.beta.B)[1]
-            if disc >= exp["disc_max"]:
-                complain("disc_max", disc)
-        for key, attr in (("Delta", "Delta"), ("delta", "delta"), ("ric_X", "ric_X")):
-            if key in exp and abs(getattr(d, attr) - exp[key]) > VALUE_TOL:
-                complain(key, getattr(d, attr))
-        if "killing_max" in exp and d.killing_defect > exp["killing_max"]:
-            complain("killing_max", d.killing_defect)
+            got = tuple(sorted(diag.eig_re[k].tolist())) if kind == "real" else kind
+            if kind != "real" or max(abs(a - b) for a, b in
+                                     zip(got, exp["real_eigs_sorted"])) > VALUE_TOL:
+                complain("real_eigs_sorted", got)
+        if "disc_max" in exp and disc[k] >= exp["disc_max"]:
+            complain("disc_max", float(disc[k]))
+        for key in ("Delta", "delta", "ric_X"):
+            if key in exp and abs(getattr(diag, key)[k] - exp[key]) > VALUE_TOL:
+                complain(key, float(getattr(diag, key)[k]))
+        if "killing_max" in exp and diag.killing_defect[k] > exp["killing_max"]:
+            complain("killing_max", float(diag.killing_defect[k]))
     return bad

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import __version__, catalog
 from .catalog import CatalogEntry, GridSpec, OrbitSpec
 from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization, OutOfChart,
-                     UnknownEntry, config_value)
+                     UnknownEntry, config_value, finite_number)
 from .curvature import trace_discriminant
 from .field import UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, orbit_steps, riccati_residuals,
@@ -61,14 +60,6 @@ def _expression(value):
     if not isinstance(value, str):
         raise TypeError("not an expression string")
     return value
-
-
-def _finite(value):
-    """Converter of a finite number for ``config_value``."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError("not a finite number")
-    return number
 
 
 def _triple(kind):
@@ -121,15 +112,15 @@ def resolve_config(config: dict) -> Resolved:
         counts = config_value(grid, "counts", _triple(int), "grid", default=(5, 5, 5))
         if any(c < 1 for c in counts):
             raise ConfigError("grid counts must be >= 1")
-        entry.grid = GridSpec(config_value(grid, "min", _triple(float), "grid"),
-                              config_value(grid, "max", _triple(float), "grid"), counts)
+        entry.grid = GridSpec(config_value(grid, "min", _triple(finite_number), "grid"),
+                              config_value(grid, "max", _triple(finite_number), "grid"), counts)
     if "orbit" in config:
         orbit = config["orbit"]
         _check_keys(orbit, "orbit")
-        step = config_value(orbit, "step", _finite, "orbit", default=1e-3)
+        step = config_value(orbit, "step", finite_number, "orbit", default=1e-3)
         if step <= 0:
             raise ConfigError("orbit step must be positive")
-        t_end = config_value(orbit, "t_end", _finite, "orbit", default=2.0)
+        t_end = config_value(orbit, "t_end", finite_number, "orbit", default=2.0)
         try:
             nsteps = orbit_steps(t_end, step)
         except ValueError as exc:
@@ -137,7 +128,8 @@ def resolve_config(config: dict) -> Resolved:
         if nsteps < 2:
             # the residuals difference B centrally, so they need 3 samples
             raise ConfigError("orbit t_end must be at least two steps")
-        entry.orbit = OrbitSpec(config_value(orbit, "start", _triple(float), "orbit"), t_end, step)
+        entry.orbit = OrbitSpec(config_value(orbit, "start", _triple(finite_number), "orbit"),
+                                t_end, step)
     if "diff" in config:
         diff = config["diff"]
         _check_keys(diff, "diff")
@@ -145,7 +137,7 @@ def resolve_config(config: dict) -> Resolved:
         if mode not in ("dual", "central"):
             raise ConfigError("diff mode must be 'dual' or 'central'")
         entry.manifold.diff_mode = mode
-        entry.manifold.diff_step = config_value(diff, "step", _finite, "diff",
+        entry.manifold.diff_step = config_value(diff, "step", finite_number, "diff",
                                                 default=entry.manifold.diff_step)
         if not entry.manifold.diff_step > 0:
             raise ConfigError("diff step must be positive")
@@ -161,11 +153,13 @@ def resolve_config(config: dict) -> Resolved:
 
 def _load(args) -> Resolved:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
     elif getattr(args, "entry", None):
         config = {"manifold": args.entry}
     else:
@@ -302,7 +296,7 @@ def cmd_verify(args) -> int:
 
 def cmd_volume(args) -> int:
     resolved = _load(args)
-    nodes = args.nodes or resolved.volume_nodes
+    nodes = resolved.volume_nodes if args.nodes is None else args.nodes
     result = volume_integral(resolved.entry, nodes)
     doc = {
         "version": f"geocontact {__version__}",
@@ -349,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true",
                           help="run every applicable suite over the full catalog")
     p_verify.add_argument("--entry")
-    p_verify.add_argument("--c", type=float, default=None,
+    p_verify.add_argument("--c", type=finite_number, default=None,
                           help="constant curvature value for the space-form suites")
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -12,13 +12,11 @@ With these signs the round sphere has K = +1 and hyperbolic space K = -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
-from .geometry import (ChartedManifold, Frame, _jet, _require_finite_metric,
-                       _require_positive_definite, as_points, frame_at, inner)
+from .geometry import (ChartedManifold, _jet, _require_finite_metric,
+                       _require_positive_definite, as_points, inner)
 
 MAX_METRIC_CONDITION = 1e12
 
@@ -128,19 +126,6 @@ def sectional(man: ChartedManifold, p, v, w):
     return float(out[0]) if single else out
 
 
-@dataclass(frozen=True)
-class JacobiTensor:
-    """Matrix of v -> R(v, X)X on X-perp in an orthonormal frame.
-
-    ``Delta`` and ``delta`` are its eigenvalues, the maximum and minimum of
-    the mixed sectional curvatures K(v, X) over the plane field.
-    """
-
-    matrix: np.ndarray  # (2, 2)
-    Delta: float
-    delta: float
-
-
 def trace_discriminant(m):
     """Trace and discriminant of 2x2 matrices m[..., 2, 2].
 
@@ -174,22 +159,6 @@ def jacobi_matrix(riem, g, X, e):
     return np.einsum("nbl,nlm,nam->nab", rx, g, e)
 
 
-def jacobi_tensor(man: ChartedManifold, p, frame: Frame) -> JacobiTensor:
-    pts, _ = as_points(p)
-    e = np.stack([frame.e1, frame.e2])[None]
-    m = jacobi_matrix(riemann_tensor(man, pts), man.metric_at(pts), frame.X[None], e)[0]
-    big, small = real_eigenvalues(m)
-    return JacobiTensor(matrix=m, Delta=float(big), delta=float(small))
-
-
-def ricci_direction(man: ChartedManifold, p, X, frame: Frame | None = None) -> float:
-    """Ricci curvature in the unit direction X: K(e1, X) + K(e2, X)."""
-    if frame is None:
-        frame = frame_at(man.metric_at(p), X)
-    m = jacobi_tensor(man, p, frame).matrix
-    return float(m[0, 0] + m[1, 1])
-
-
 # ---------------------------------------------------------------------------
 # Covariant differentiation of vector fields
 # ---------------------------------------------------------------------------
@@ -212,12 +181,3 @@ def covariant_jacobian(man: ChartedManifold, W, pts, wval, gam):
     every direction v afterwards costs one 3x3 product.
     """
     return vector_jacobian(man, W, pts) + np.einsum("nkij,nj->nki", gam, wval)
-
-
-def covariant_derivative(man: ChartedManifold, p, W, v):
-    """(nabla_v W) at p: directional derivative plus Christoffel correction."""
-    pts, single = as_points(p)
-    man.require_inside(pts)
-    a = covariant_jacobian(man, W, pts, W.value(pts), christoffel(man, pts))
-    out = np.einsum("nki,ni->nk", a, _rows(pts, v)[0])
-    return out[0] if single else out

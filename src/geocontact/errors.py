@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the config value converters."""
+
+import math
 
 
 class GeoContactError(Exception):
@@ -97,3 +99,11 @@ def config_value(section, key, kind, where, default=None):
         return kind(section[key])
     except (TypeError, ValueError):
         raise ConfigError(f"invalid config value {where}.{key}: {section[key]!r}") from None
+
+
+def finite_number(value):
+    """Converter of a finite number for ``config_value`` and the CLI flags."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number

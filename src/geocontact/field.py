@@ -19,8 +19,7 @@ from .curvature import (EIGEN_DISC_TOL, assemble_riemann, christoffel,
                         christoffel_with_partials, covariant_jacobian, jacobi_matrix,
                         real_eigenvalues, trace_discriminant)
 from .errors import NotUnit
-from .geometry import (ChartedManifold, Frame, as_points, frame_at, frames_at,
-                       g_norm, inner)
+from .geometry import ChartedManifold, as_points, frames_at, g_norm, inner
 
 UNIT_TOL = 1e-6
 RANK_REL_TOL = 1e-6
@@ -73,44 +72,11 @@ def shape_operator(man: ChartedManifold, X: UnitField, pts, g, gam, xv, e1, e2):
     return np.swapaxes(_frame_gram(g, A, np.stack([e1, e2], axis=2)), 1, 2)
 
 
-@dataclass(frozen=True)
-class BetaMatrix:
-    """2x2 matrix B_ij = <beta(e_j), e_i> of the shape operator in a frame.
-
-    ``tangency`` records max |<nabla_{e_i} X, X>|, which must vanish for a
-    unit field (the image of beta lies in X-perp).
-    """
-
-    B: np.ndarray
-    frame: Frame
-    tangency: float
-
-
 def _require_unit(X: UnitField, pts, unit_defects, unit_tol):
     bad = np.flatnonzero(unit_defects > unit_tol)
     if bad.size:
         k = bad[0]
         raise NotUnit(f"field {X.name!r} has unit defect {unit_defects[k]:.3e} at {pts[k]}")
-
-
-def beta_matrix(man: ChartedManifold, X: UnitField, p, frame: Frame | None = None,
-                unit_tol: float = UNIT_TOL) -> BetaMatrix:
-    """Shape operator at one point, in ``frame`` or the standard ``frame_at`` frame."""
-    pts, _ = as_points(p)
-    g = np.empty((1, 3, 3))
-    gam = christoffel(man, pts, g)
-    xv = np.asarray(X.component_fn(pts), dtype=float)
-    _require_unit(X, pts, np.abs(inner(g, xv, xv) - 1.0), unit_tol)
-    if frame is None:
-        frame = frame_at(g[0], xv[0])
-    A = covariant_jacobian(man, X, pts, xv, gam)
-    gram = _frame_gram(g, A, np.stack(frame.basis(), axis=1)[None])[0]
-    return BetaMatrix(B=gram[1:, 1:].T, frame=frame, tangency=float(np.abs(gram[1:, 0]).max()))
-
-
-def contact_defect(beta: BetaMatrix) -> float:
-    """d(alpha)(e1, e2) = B21 - B12; zero iff beta is self-adjoint."""
-    return float(beta.B[1, 0] - beta.B[0, 1])
 
 
 @dataclass(frozen=True)
@@ -151,21 +117,10 @@ def _eigen_pair(cplx, re, im) -> EigenClass:
     return RealPair(lam=float(re[0]), mu=float(re[1]))
 
 
-def eigen_classify(beta: BetaMatrix) -> EigenClass:
-    """Closed-form 2x2 eigenvalues; complex only beyond the discriminant noise floor."""
-    return _eigen_pair(*(col[0] for col in eigen_columns(beta.B[None])))
-
-
 def beta_ranks(B, rel_tol: float = RANK_REL_TOL, abs_tol: float = RANK_ABS_TOL):
     """Numerical rank of each B[..., 2, 2] from its singular values, one SVD call."""
     sv = np.linalg.svd(B, compute_uv=False)
     return np.sum(sv > np.maximum(rel_tol * sv[..., :1], abs_tol), axis=-1)
-
-
-def beta_rank(beta: BetaMatrix, rel_tol: float = RANK_REL_TOL,
-              abs_tol: float = RANK_ABS_TOL) -> int:
-    """Numerical rank of B from its singular values."""
-    return int(beta_ranks(beta.B, rel_tol, abs_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +134,8 @@ SCALAR_COLUMNS = ("unit_defect", "geodesic_defect", "killing_defect", "contact_d
 
 @dataclass
 class PointDiagnosis:
+    """Row k of a ``Diagnosis``, its eigenvalues as a ``RealPair`` or ``ComplexPair``."""
+
     p: np.ndarray
     unit_defect: float
     geodesic_defect: float
@@ -189,7 +146,9 @@ class PointDiagnosis:
     Delta: float
     delta: float
     beta_rank: int
-    beta: BetaMatrix
+    B: np.ndarray      # (2, 2)
+    frame: np.ndarray  # (3, 3), columns X, e1, e2
+    tangency: float
 
 
 @dataclass(frozen=True)
@@ -220,11 +179,10 @@ class Diagnosis:
         return self.p.shape[0]
 
     def __getitem__(self, k) -> PointDiagnosis:
-        beta = BetaMatrix(B=self.B[k], frame=Frame(*self.frame[k].T),
-                          tangency=float(self.tangency[k]))
         return PointDiagnosis(
             p=self.p[k], eigen=_eigen_pair(self.complex[k], self.eig_re[k], self.eig_im[k]),
-            beta_rank=int(self.beta_rank[k]), beta=beta,
+            beta_rank=int(self.beta_rank[k]), B=self.B[k], frame=self.frame[k],
+            tangency=float(self.tangency[k]),
             **{name: float(getattr(self, name)[k]) for name in SCALAR_COLUMNS})
 
     def __iter__(self):
@@ -289,9 +247,8 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
                         orientation: int = 1):
     """Contact defect at an (N, 3) batch of points in oriented frames.
 
-    Same mathematics as ``contact_defect(beta_matrix(...))`` point by point,
-    without the curvature work of ``diagnose``, for quadrature over large
-    grids.
+    The ``contact_defect`` column of ``diagnose`` (at orientation 1) without
+    its curvature work and unit check, for quadrature over large grids.
     """
     pts, single = as_points(points)
     g = np.empty((len(pts), 3, 3))

@@ -110,7 +110,7 @@ def _require_positive_definite(man: ChartedManifold, pts, g):
 
 def _require_finite_metric(man: ChartedManifold, pts, g):
     """Raise SingularMetric naming the first point of the batch where g is not finite."""
-    ok = np.isfinite(g.reshape(len(pts), -1)).all(axis=1)
+    ok = np.isfinite(g.reshape(len(pts), 9)).all(axis=1)
     if not ok.all():
         raise SingularMetric(
             f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}: not finite")
@@ -222,13 +222,6 @@ class Frame:
 
     def basis(self):
         return self.X, self.e1, self.e2
-
-
-def frame_residual(gm, frame: Frame) -> float:
-    """Max deviation of the frame Gram matrix from the identity."""
-    vecs = np.stack(frame.basis())
-    gram = vecs @ np.asarray(gm) @ vecs.T
-    return float(np.abs(gram - np.eye(3)).max())
 
 
 def frame_at(gm, X, orientation: int = 1) -> Frame:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .curvature import sectional
-from .errors import ConfigError, NoParametrization, NotConstantCurvature, config_value
-from .field import (SCALAR_COLUMNS, Diagnosis, PointDiagnosis, RealPair, contact_defect_grid,
-                    diagnose)
+from .errors import (ConfigError, NoParametrization, NotConstantCurvature, config_value,
+                     finite_number)
+from .field import SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose
 from .flow import integrate_orbits, max_parallel_jacobi_defect
 
 THEOREM_IDS = ("T3.1", "C3.2", "T5.1", "C5.2", "T6.1", "P7.6")
@@ -48,7 +48,7 @@ class Tolerances:
         for key in mapping or {}:
             if not hasattr(base, key):
                 raise ConfigError(f"unknown tolerance {key!r}")
-            setattr(base, key, config_value(mapping, key, float, "tolerances"))
+            setattr(base, key, config_value(mapping, key, finite_number, "tolerances"))
         return base
 
 
@@ -59,19 +59,21 @@ class TheoremReport:
     samples: int
     hypothesis_satisfied: int
     conclusion_satisfied: int
-    violations: list  # (point, PointDiagnosis) pairs
+    violations: list  # the ``_violation`` record of each violating row
     verdict: str      # consistent | violated | hypotheses-not-met
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {**vars(self), "violations": [_violation_dict(p, d) for p, d in self.violations]}
+        return asdict(self)
 
 
-def _violation_dict(p, diag: PointDiagnosis):
-    eig = diag.eigen
-    return {"point": [float(c) for c in p], "beta_rank": diag.beta_rank,
-            "eigen": {"kind": "real" if isinstance(eig, RealPair) else "complex", **asdict(eig)},
-            **{name: getattr(diag, name) for name in SCALAR_COLUMNS}}
+def _violation(diag: Diagnosis, k) -> dict:
+    """Row k of ``diag`` as the JSON record of a violation."""
+    re, im = diag.eig_re[k].tolist(), diag.eig_im[k].tolist()
+    eigen = ({"kind": "complex", "a": re[0], "b": im[0]} if diag.complex[k]
+             else {"kind": "real", "lam": re[0], "mu": re[1]})
+    return {"point": diag.p[k].tolist(), "beta_rank": int(diag.beta_rank[k]), "eigen": eigen,
+            **{name: float(getattr(diag, name)[k]) for name in SCALAR_COLUMNS}}
 
 
 def _finish(theorem, entry_name, diag: Diagnosis, hyp, concl, details=None):
@@ -86,7 +88,7 @@ def _finish(theorem, entry_name, diag: Diagnosis, hyp, concl, details=None):
     return TheoremReport(theorem=theorem, entry=entry_name, samples=len(diag),
                          hypothesis_satisfied=n_hyp,
                          conclusion_satisfied=int((hyp & concl).sum()),
-                         violations=[(diag.p[k], diag[k]) for k in bad], verdict=verdict,
+                         violations=[_violation(diag, k) for k in bad], verdict=verdict,
                          details=details or {})
 
 

@@ -16,7 +16,7 @@ import geocontact as gc
 from geocontact import cli
 from geocontact.curvature import sectional
 from geocontact.expr import eval_dual, eval_scalar, parse
-from geocontact.field import ComplexPair, beta_matrix, diagnose_point
+from geocontact.field import ComplexPair, diagnose, diagnose_point
 from geocontact.flow import (first_zero_space_form, max_parallel_jacobi_defect,
                              riccati_residual, rk4_step, trace_evolution_residual,
                              wronskian)
@@ -42,14 +42,12 @@ def test_criterion_01_h3_shape_operator(entries):
         entry = entries["h3_vertical"]
         pts = entry.grid.points()
         assert len(pts) == 125
-        for p in pts:
-            g = entry.manifold.metric_at(p)
-            fr = frame_at(g, entry.field.value(p))
-            b = beta_matrix(entry.manifold, entry.field, p, frame=fr)
-            assert np.abs(b.B + np.eye(2)).max() < 1e-6
-            assert abs(b.B[1, 0] - b.B[0, 1]) < 1e-8
-            for e in (fr.e1, fr.e2):
-                assert abs(sectional(entry.manifold, p, e, fr.X) - (-1.0)) < 1e-6
+        d = diagnose(entry.manifold, entry.field, pts)
+        assert np.abs(d.B + np.eye(2)).max() < 1e-6
+        assert np.abs(d.B[:, 1, 0] - d.B[:, 0, 1]).max() < 1e-8
+        for a in (1, 2):  # K(e_a, X) in the frame (X, e1, e2) of each row
+            K = sectional(entry.manifold, pts, d.frame[:, :, a], d.frame[:, :, 0])
+            assert np.abs(K - (-1.0)).max() < 1e-6
 
 
 def test_criterion_02_h2xr_rank_one(entries):
@@ -77,7 +75,7 @@ def test_criterion_03_s3_hopf_complex_eigenvalues(entries):
         assert len(pts) == 125
         for p in pts:
             d = diagnose_point(entry.manifold, entry.field, p)
-            b = d.beta.B
+            b = d.B
             disc = (b[0, 0] + b[1, 1]) ** 2 - 4 * (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
             assert disc < -0.5
             assert isinstance(d.eigen, ComplexPair)

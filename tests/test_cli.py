@@ -88,6 +88,14 @@ def test_analyze_out_of_chart_block(tmp_path, capsys):
     assert len(rows) == 2  # x3 = 0.5, 1.0 survive; -1, -0.5, 0 are out
     block = [l for l in lines if l.startswith("# out_of_chart")]
     assert block == ["# out_of_chart: 3"]
+    # no point inside the chart: the header, then every point as out of chart
+    cfg = write_config(tmp_path, {"manifold": "h3_vertical", "grid": {
+        "min": [0, 0, -2], "max": [0, 0, -1], "counts": [1, 1, 2]}}, name="outside.json")
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == cli.ANALYZE_HEADER and lines[1].startswith("# version")
+    assert lines[3:] == ["# out_of_chart: 2", "# 0,0,-2", "# 0,0,-1"]
 
 
 def test_analyze_byte_identical(tmp_path, capsys):
@@ -340,10 +348,18 @@ def test_bad_expression_in_config(tmp_path, capsys):
     ({"diff": {"mode": "central", "step": float("inf")}}, "diff.step"),
     # finite, but its trajectory buffer would be larger than numpy can address
     ({"orbit": {"start": [0, 0, 1], "t_end": 1e300}}, "orbit.t_end"),
+    # a NaN tolerance would make every comparison with it False
+    ({"tolerances": {"orbit_residual": float("nan")}}, "tolerances.orbit_residual"),
+    ({"tolerances": {"contact_floor": float("inf")}}, "tolerances.contact_floor"),
+    ({"grid": {"min": [float("nan"), 0, 0], "max": [1, 1, 2]}}, "grid.min"),
+    ({"grid": {"min": [0, 0, 1], "max": [1, float("inf"), 2]}}, "grid.max"),
+    ({"orbit": {"start": [float("nan"), 0, 1]}}, "orbit.start"),
 ], ids=["missing-grid-min", "grid-not-object", "volume-nodes", "tolerance",
         "diff-step", "diff-step-zero", "orbit-t-end", "metric-not-table",
         "metric-numbers", "domain-not-string", "components-numbers",
-        "orbit-t-end-infinite", "orbit-step-nan", "diff-step-infinite", "orbit-t-end-huge"])
+        "orbit-t-end-infinite", "orbit-step-nan", "diff-step-infinite", "orbit-t-end-huge",
+        "tolerance-nan", "tolerance-infinite", "grid-min-nan", "grid-max-infinite",
+        "orbit-start-nan"])
 def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
     code, out, err = run(capsys, ["analyze", "--config", cfg])
@@ -373,11 +389,27 @@ def test_invalid_json_config(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     code, _, _ = run(capsys, ["analyze", "--config", str(path)])
     assert code == 2
+    path = tmp_path / "not_utf8.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, ["analyze", "--config", str(path)])
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
-def test_missing_config(capsys):
+def test_missing_config(tmp_path, capsys):
     code, _, _ = run(capsys, ["analyze", "--config", "/nonexistent/config.json"])
     assert code == 2
+    code, out, err = run(capsys, ["analyze", "--config", str(tmp_path)])  # a directory
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--entry", "s3_hopf", "--nodes", "0"],
+    ["verify", "T5.1", "--entry", "h3_vertical", "--c", "nan"],
+    ["verify", "T5.1", "--entry", "h3_vertical", "--c", "inf"],
+], ids=["nodes-zero", "c-nan", "c-inf"])
+def test_bad_numeric_flag_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_tolerance_override(tmp_path, capsys):

@@ -9,14 +9,29 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact.curvature import (christoffel, covariant_derivative, jacobi_tensor,
-                                  ricci_direction, riemann, sectional)
+from geocontact.curvature import (christoffel, covariant_jacobian, jacobi_matrix, riemann,
+                                  riemann_tensor, sectional)
 from geocontact.errors import DegeneratePlane, SingularMetric
-from geocontact.geometry import frame_at, inner
+from geocontact.field import diagnose
+from geocontact.geometry import inner
 
 
 def flat():
     return gc.manifold_from_exprs("flat", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")))
+
+
+def covariant_derivative(man, p, W, v):
+    """nabla_v W at p: the ``covariant_jacobian`` of the N = 1 batch, applied to v."""
+    pts = p[None]
+    return covariant_jacobian(man, W, pts, W.value(pts), christoffel(man, pts))[0] @ v
+
+
+def jacobi_matrices(man, X, pts):
+    """The diagnosis of X at pts and the matrix M of v -> R(v, X)X in each of its frames."""
+    d = diagnose(man, X, pts)
+    M = jacobi_matrix(riemann_tensor(man, d.p), man.metric_at(d.p), d.frame[:, :, 0],
+                      np.swapaxes(d.frame[:, :, 1:], 1, 2))
+    return d, M
 
 
 # ---------------------------------------------------------------------------
@@ -210,51 +225,50 @@ def test_riemann_symmetries_and_bianchi(entries, name):
 # Ricci and the Jacobi tensor
 # ---------------------------------------------------------------------------
 
-def test_ricci_examples(entries):
-    X = np.array([0.0, 0, 1])
-    assert abs(ricci_direction(flat(), np.array([0.0, 0, 0]), X)) < 1e-14
+def constant_field(v):
+    return gc.UnitField.from_callable("const", lambda pts: np.tile(v, (len(pts), 1)))
 
+
+def test_ricci_examples(entries):
+    z = gc.UnitField.from_exprs("z", ("0", "0", "1"))
+    assert abs(diagnose(flat(), z, [[0.0, 0, 0]]).ric_X[0]) < 1e-14
+
+    # Ric in a random unit direction v: the column of a field equal to v at p
     man_s3 = entries["s3_hopf"].manifold
     p = np.array([0.2, -0.1, 0.4])
     g = man_s3.metric_at(p)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(3)
     v = v / np.sqrt(inner(g, v, v))
-    assert abs(ricci_direction(man_s3, p, v) - 2.0) < 1e-8
+    assert abs(diagnose(man_s3, constant_field(v), p[None]).ric_X[0] - 2.0) < 1e-8
 
     entry = entries["h2xr_vertical"]
-    q = np.array([0.0, 1.0, 0.0])
-    assert abs(ricci_direction(entry.manifold, q, entry.field.value(q)) - (-1.0)) < 1e-8
+    q = np.array([[0.0, 1.0, 0.0]])
+    assert abs(diagnose(entry.manifold, entry.field, q).ric_X[0] - (-1.0)) < 1e-8
 
 
 def test_jacobi_tensor_examples(entries):
-    fr = frame_at(np.eye(3), np.array([0.0, 0, 1]))
-    jt = jacobi_tensor(flat(), np.array([0.0, 0, 0]), fr)
-    assert np.abs(jt.matrix).max() < 1e-14 and jt.Delta == jt.delta == 0.0
+    z = gc.UnitField.from_exprs("z", ("0", "0", "1"))
+    d, M = jacobi_matrices(flat(), z, np.array([[0.0, 0, 0]]))
+    assert np.abs(M).max() < 1e-14 and d.Delta[0] == d.delta[0] == 0.0
 
     entry = entries["h3_vertical"]
-    p = np.array([0.0, 0.0, 1.0])
-    fr = frame_at(entry.manifold.metric_at(p), entry.field.value(p))
-    jt = jacobi_tensor(entry.manifold, p, fr)
-    np.testing.assert_allclose(jt.matrix, -np.eye(2), atol=1e-9)
-    assert abs(jt.Delta + 1) < 1e-9 and abs(jt.delta + 1) < 1e-9
+    d, M = jacobi_matrices(entry.manifold, entry.field, np.array([[0.0, 0.0, 1.0]]))
+    np.testing.assert_allclose(M[0], -np.eye(2), atol=1e-9)
+    assert abs(d.Delta[0] + 1) < 1e-9 and abs(d.delta[0] + 1) < 1e-9
 
     entry = entries["h2xr_vertical"]
-    q = np.array([0.0, 1.0, 0.0])
-    fr = frame_at(entry.manifold.metric_at(q), entry.field.value(q))
-    jt = jacobi_tensor(entry.manifold, q, fr)
-    np.testing.assert_allclose(jt.matrix, np.diag([-1.0, 0.0]), atol=1e-9)
-    assert abs(jt.Delta) < 1e-9 and abs(jt.delta + 1) < 1e-9
+    d, M = jacobi_matrices(entry.manifold, entry.field, np.array([[0.0, 1.0, 0.0]]))
+    np.testing.assert_allclose(M[0], np.diag([-1.0, 0.0]), atol=1e-9)
+    assert abs(d.Delta[0]) < 1e-9 and abs(d.delta[0] + 1) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["s3_hopf", "heisenberg_reeb", "s3_weighted(2,3)"])
 def test_jacobi_tensor_self_adjoint(entries, name):
     entry = entries[name]
-    for p in entry.grid.points()[::11]:
-        fr = frame_at(entry.manifold.metric_at(p), entry.field.value(p))
-        jt = jacobi_tensor(entry.manifold, p, fr)
-        assert abs(jt.matrix[0, 1] - jt.matrix[1, 0]) < 1e-6
-        assert jt.Delta >= jt.delta
+    d, M = jacobi_matrices(entry.manifold, entry.field, entry.grid.points()[::11])
+    assert np.abs(M[:, 0, 1] - M[:, 1, 0]).max() < 1e-6
+    assert np.all(d.Delta >= d.delta)
 
 
 def test_metric_compatibility_along_curve(entries, orbit_cache):

@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact.curvature import EIGEN_DISC_TOL, real_eigenvalues, trace_discriminant
+from geocontact.curvature import (EIGEN_DISC_TOL, christoffel, real_eigenvalues,
+                                  trace_discriminant)
 from geocontact.errors import NotUnit
-from geocontact.field import (BetaMatrix, ComplexPair, RealPair, UnitField,
-                              beta_matrix, beta_rank, beta_ranks, contact_defect,
-                              contact_defect_grid, diagnose, diagnose_point,
-                              eigen_classify, eigen_columns)
-from geocontact.geometry import Frame, frame_at, inner
+from geocontact.field import (ComplexPair, RealPair, UnitField, beta_ranks,
+                              contact_defect_grid, diagnose, diagnose_point, eigen_columns,
+                              shape_operator)
+from geocontact.geometry import Frame, frame_at
 
 
 def flat():
     return gc.manifold_from_exprs("flat", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")))
-
-
-def dummy_beta(B):
-    fr = Frame(np.array([0.0, 0, 1]), np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    return BetaMatrix(B=np.asarray(B, float), frame=fr, tangency=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,48 +81,44 @@ def test_killing_defect_examples(entries):
 
 def test_beta_h3_minus_identity(entries):
     entry = entries["h3_vertical"]
-    for x3 in (0.5, 1.0, 2.0):
-        b = beta_matrix(entry.manifold, entry.field, np.array([0.1, -0.2, x3]))
-        np.testing.assert_allclose(b.B, -np.eye(2), atol=1e-10)
-        assert b.tangency < 1e-10
+    d = diagnose(entry.manifold, entry.field, [[0.1, -0.2, x3] for x3 in (0.5, 1.0, 2.0)])
+    np.testing.assert_allclose(d.B, np.broadcast_to(-np.eye(2), d.B.shape), atol=1e-10)
+    assert d.tangency.max() < 1e-10
 
 
 def test_beta_h2xr_rank_one(entries):
     entry = entries["h2xr_vertical"]
-    b = beta_matrix(entry.manifold, entry.field, np.array([0.0, 1.0, 0.0]))
-    eig = eigen_classify(b)
-    assert isinstance(eig, RealPair)
-    lo, hi = sorted((eig.lam, eig.mu))
+    d = diagnose(entry.manifold, entry.field, np.array([[0.0, 1.0, 0.0]]))
+    assert not d.complex[0]
+    lo, hi = sorted(d.eig_re[0])
     assert abs(hi) < 1e-10
     assert lo < -0.1
-    assert beta_rank(b) == 1
+    assert d.beta_rank[0] == 1
     # measured value of the nonzero eigenvalue, reported for the record:
     # it is -1 independent of x2 (matches a direct Christoffel computation)
-    for x2 in (0.5, 1.0, 2.0):
-        bb = beta_matrix(entry.manifold, entry.field, np.array([0.3, x2, -0.4]))
-        ee = eigen_classify(bb)
-        assert abs(min(ee.lam, ee.mu) - (-1.0)) < 1e-9
+    d = diagnose(entry.manifold, entry.field, [[0.3, x2, -0.4] for x2 in (0.5, 1.0, 2.0)])
+    assert not d.complex.any()
+    assert np.abs(d.eig_re.min(axis=1) - (-1.0)).max() < 1e-9
 
 
 def test_beta_flat_parallel_zero():
     z = UnitField.from_exprs("z", ("0", "0", "1"))
-    b = beta_matrix(flat(), z, np.array([0.0, 0, 0]))
-    assert np.abs(b.B).max() == 0.0
-    assert beta_rank(b) == 0
+    d = diagnose(flat(), z, np.array([[0.0, 0, 0]]))
+    assert np.abs(d.B).max() == 0.0
+    assert d.beta_rank[0] == 0
 
 
 def test_beta_requires_unit_field():
     twice = UnitField.from_exprs("2z", ("0", "0", "2"))
     with pytest.raises(NotUnit):
-        beta_matrix(flat(), twice, np.array([0.0, 0, 0]))
+        diagnose(flat(), twice, np.array([[0.0, 0, 0]]))
 
 
 def test_beta_image_tangent_to_complement(entries):
     for name in ("s3_hopf", "heisenberg_reeb", "euclidean_skew", "s3_weighted(2,3)"):
         entry = entries[name]
-        for p in entry.grid.points()[::17]:
-            b = beta_matrix(entry.manifold, entry.field, p)
-            assert b.tangency < 1e-6
+        d = diagnose(entry.manifold, entry.field, entry.grid.points()[::17])
+        assert d.tangency.max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +127,9 @@ def test_beta_image_tangent_to_complement(entries):
 
 def test_contact_defect_examples(entries):
     h3 = entries["h3_vertical"]
-    assert abs(contact_defect(beta_matrix(h3.manifold, h3.field, np.array([0.0, 0, 1.0])))) < 1e-12
+    assert abs(diagnose(h3.manifold, h3.field, [[0.0, 0, 1.0]]).contact_defect[0]) < 1e-12
     h2 = entries["h2xr_vertical"]
-    assert abs(contact_defect(beta_matrix(h2.manifold, h2.field, np.array([0.0, 1.0, 0.0])))) < 1e-12
+    assert abs(diagnose(h2.manifold, h2.field, [[0.0, 1.0, 0.0]]).contact_defect[0]) < 1e-12
 
 
 def hopf_ambient_defect(u):
@@ -168,10 +159,9 @@ def hopf_ambient_defect(u):
 
 def test_hopf_contact_defect_against_ambient_oracle(entries):
     entry = entries["s3_hopf"]
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        u = rng.uniform(-1.5, 1.5, 3)
-        measured = abs(contact_defect(beta_matrix(entry.manifold, entry.field, u)))
+    pts = np.random.default_rng(41).uniform(-1.5, 1.5, (10, 3))
+    defects = diagnose(entry.manifold, entry.field, pts).contact_defect
+    for u, measured in zip(pts, np.abs(defects)):
         assert abs(measured - hopf_ambient_defect(u)) < 1e-9
         assert abs(measured - 2.0) < 1e-9
 
@@ -181,26 +171,25 @@ def test_hopf_contact_defect_against_ambient_oracle(entries):
 # ---------------------------------------------------------------------------
 
 def test_eigen_classify_cases():
-    eig = eigen_classify(dummy_beta([[-1.0, 0.0], [0.0, -1.0]]))
-    assert eig == RealPair(-1.0, -1.0)
-    eig = eigen_classify(dummy_beta([[0.0, -1.0], [1.0, 0.0]]))
-    assert eig == ComplexPair(0.0, 1.0)
-    eig = eigen_classify(dummy_beta([[0.0, 0.0], [0.0, -1.0]]))
-    assert eig == RealPair(0.0, -1.0)
+    cplx, re, im = eigen_columns(np.array([[[-1.0, 0.0], [0.0, -1.0]],
+                                           [[0.0, -1.0], [1.0, 0.0]],
+                                           [[0.0, 0.0], [0.0, -1.0]]]))
+    assert cplx.tolist() == [False, True, False]
+    assert re.tolist() == [[-1.0, -1.0], [0.0, 0.0], [0.0, -1.0]]
+    assert im.tolist() == [[0.0, 0.0], [1.0, -1.0], [0.0, 0.0]]
 
 
 def test_eigen_discriminant_noise_floor():
     # a tiny negative discriminant still counts as a repeated real pair
     eps = 1e-7
-    eig = eigen_classify(dummy_beta([[0.0, -eps], [eps, 0.0]]))
-    assert isinstance(eig, RealPair)
+    cplx, _, _ = eigen_columns(np.array([[0.0, -eps], [eps, 0.0]]))
+    assert not cplx
 
 
 def test_beta_rank_tolerances():
-    assert beta_rank(dummy_beta([[0.0, 0.0], [0.0, 0.0]])) == 0
-    assert beta_rank(dummy_beta([[1e-12, 0.0], [0.0, 1e-13]])) == 0
-    assert beta_rank(dummy_beta([[1.0, 0.0], [0.0, 1e-10]])) == 1
-    assert beta_rank(dummy_beta([[1.0, 0.0], [0.0, 0.5]])) == 2
+    B = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1e-12, 0.0], [0.0, 1e-13]],
+                  [[1.0, 0.0], [0.0, 1e-10]], [[1.0, 0.0], [0.0, 0.5]]])
+    assert beta_ranks(B).tolist() == [0, 0, 1, 2]
 
 
 def test_batched_eigen_columns_and_ranks_match_per_matrix_reference():
@@ -223,9 +212,10 @@ def test_batched_eigen_columns_and_ranks_match_per_matrix_reference():
             assert not cplx[k] and tuple(re[k]) == tuple(real_eigenvalues(b))
         sv = np.linalg.svd(b, compute_uv=False)
         assert ranks[k] == np.sum(sv > max(1e-6 * sv[0], 1e-9))
-        assert beta_rank(dummy_beta(b)) == ranks[k]
-        assert eigen_classify(dummy_beta(b)) == (ComplexPair(re[k, 0], im[k, 0]) if cplx[k]
-                                                 else RealPair(re[k, 0], re[k, 1]))
+        # the N = 1 batch is row k, bit for bit
+        assert beta_ranks(b[None])[0] == ranks[k]
+        one = eigen_columns(b[None])
+        assert [col[0].tobytes() for col in one] == [col[k].tobytes() for col in (cplx, re, im)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +231,7 @@ def test_diagnose_h3(entries):
     assert abs(d.ric_X + 2.0) < 1e-9
     assert abs(d.Delta + 1.0) < 1e-9 and abs(d.delta + 1.0) < 1e-9
     assert d.beta_rank == 2
-    assert d.contact_defect == d.beta.B[1, 0] - d.beta.B[0, 1]
+    assert d.contact_defect == d.B[1, 0] - d.B[0, 1]
 
 
 def test_diagnose_h2xr(entries):
@@ -256,8 +246,8 @@ def _diagnosis_arrays(d):
     eig = (d.eigen.lam, d.eigen.mu) if isinstance(d.eigen, RealPair) else (d.eigen.a, d.eigen.b)
     return np.concatenate([
         d.p, [d.unit_defect, d.geodesic_defect, d.killing_defect, d.contact_defect,
-              d.ric_X, d.Delta, d.delta, d.beta_rank, d.beta.tangency], eig,
-        d.beta.B.ravel(), d.beta.frame.X, d.beta.frame.e1, d.beta.frame.e2])
+              d.ric_X, d.Delta, d.delta, d.beta_rank, d.tangency], eig,
+        d.B.ravel(), d.frame.ravel()])
 
 
 @pytest.mark.parametrize("name", ["s3_hopf", "h2xr_vertical", "heisenberg_reeb",
@@ -286,8 +276,9 @@ def test_diagnosis_rows_are_its_columns(entries):
         np.testing.assert_array_equal(row.p, diag.p[k])
         for name in ("unit_defect", "killing_defect", "contact_defect", "Delta", "beta_rank"):
             assert getattr(row, name) == getattr(diag, name)[k]
-        np.testing.assert_array_equal(np.stack(row.beta.frame.basis(), axis=1), diag.frame[k])
-        assert row.beta.tangency == diag.tangency[k]
+        np.testing.assert_array_equal(row.B, diag.B[k])
+        np.testing.assert_array_equal(row.frame, diag.frame[k])
+        assert row.tangency == diag.tangency[k]
     assert k == len(diag) - 1
 
 
@@ -342,6 +333,15 @@ def rotated_frame(g, fr, theta):
     return Frame(fr.X, e1, e2)
 
 
+def shape_operators(entry, p, frames):
+    """B at p in each of ``frames``, one ``shape_operator`` batch."""
+    pts = np.repeat(p[None], len(frames), axis=0)
+    g = np.empty((len(pts), 3, 3))
+    gam = christoffel(entry.manifold, pts, g)
+    return shape_operator(entry.manifold, entry.field, pts, g, gam, entry.field.value(pts),
+                          np.array([fr.e1 for fr in frames]), np.array([fr.e2 for fr in frames]))
+
+
 @pytest.mark.parametrize("name", ["s3_hopf", "heisenberg_reeb", "h3_vertical",
                                   "euclidean_skew"])
 def test_frame_invariance(entries, name):
@@ -350,19 +350,20 @@ def test_frame_invariance(entries, name):
     p = np.asarray(entry.orbit.start, float)
     g = entry.manifold.metric_at(p)
     fr = frame_at(g, entry.field.value(p))
-    b = beta_matrix(entry.manifold, entry.field, p, frame=fr)
-    for _ in range(4):
-        theta = rng.uniform(0, 2 * np.pi)
-        b_rot = beta_matrix(entry.manifold, entry.field, p,
-                            frame=rotated_frame(g, fr, theta))
-        assert abs(np.trace(b_rot.B) - np.trace(b.B)) < 1e-8
-        assert abs(np.linalg.det(b_rot.B) - np.linalg.det(b.B)) < 1e-8
-        assert abs(abs(contact_defect(b_rot)) - abs(contact_defect(b))) < 1e-8
-        assert type(eigen_classify(b_rot)) is type(eigen_classify(b))
+    # the frame, four rotations of it and (last) the orientation reversal
+    frames = [fr, *(rotated_frame(g, fr, rng.uniform(0, 2 * np.pi)) for _ in range(4)),
+              Frame(fr.X, fr.e2, fr.e1)]
+    B = shape_operators(entry, p, frames)
+    defect = B[:, 1, 0] - B[:, 0, 1]
+    cplx = eigen_columns(B)[0]
+    b = B[0]
+    for b_rot, defect_rot, cplx_rot in zip(B[1:5], defect[1:5], cplx[1:5]):
+        assert abs(np.trace(b_rot) - np.trace(b)) < 1e-8
+        assert abs(np.linalg.det(b_rot) - np.linalg.det(b)) < 1e-8
+        assert abs(abs(defect_rot) - abs(defect[0])) < 1e-8
+        assert cplx_rot == cplx[0]
     # orientation reversal flips the sign of the defect
-    swapped = Frame(fr.X, fr.e2, fr.e1)
-    b_swap = beta_matrix(entry.manifold, entry.field, p, frame=swapped)
-    assert abs(contact_defect(b_swap) + contact_defect(b)) < 1e-10
+    assert abs(defect[5] + defect[0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,7 @@ def test_selfadjoint_defect_eigen_consistency(entries, name):
     entry = entries[name]
     for p in entry.grid.points()[::13]:
         d = diagnose_point(entry.manifold, entry.field, p)
-        b = d.beta.B
+        b = d.B
         sym_defect = abs(b[1, 0] - b[0, 1])
         assert abs(abs(d.contact_defect) - sym_defect) < 1e-14
         if sym_defect < 1e-8:
@@ -391,7 +392,7 @@ def test_killing_implies_skew(entries, name):
     for p in entry.grid.points()[::13]:
         d = diagnose_point(entry.manifold, entry.field, p)
         if d.killing_defect < 1e-8:
-            sym = 0.5 * (d.beta.B + d.beta.B.T)
+            sym = 0.5 * (d.B + d.B.T)
             assert np.linalg.norm(sym) < 1e-6
 
 
@@ -412,7 +413,7 @@ def test_central_difference_backend_agrees(entries):
     p = np.array([0.4, -0.3, 0.8])
     d_exact = diagnose_point(exact.manifold, exact.field, p)
     d_central = diagnose_point(man, fld, p)
-    assert np.abs(d_central.beta.B - d_exact.beta.B).max() < 1e-9
+    assert np.abs(d_central.B - d_exact.B).max() < 1e-9
     assert abs(d_central.contact_defect - d_exact.contact_defect) < 1e-9
     assert abs(d_central.Delta - d_exact.Delta) < 1e-6
     assert abs(d_central.ric_X - d_exact.ric_X) < 1e-6
@@ -423,7 +424,7 @@ def test_contact_defect_grid_matches_pointwise(entries):
     pts = entry.grid.points()[::7]
     batch = contact_defect_grid(entry.manifold, entry.field, pts)
     for k, p in enumerate(pts):
-        d = contact_defect(beta_matrix(entry.manifold, entry.field, p))
+        d = diagnose_point(entry.manifold, entry.field, p).contact_defect
         assert abs(batch[k] - d) < 1e-12
     flipped = contact_defect_grid(entry.manifold, entry.field, pts, orientation=-1)
     np.testing.assert_allclose(flipped, -batch, atol=1e-14)

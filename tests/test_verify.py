@@ -9,7 +9,7 @@ import geocontact as gc
 from geocontact import verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.errors import ConfigError, NoParametrization, NotConstantCurvature
-from geocontact.field import RealPair, contact_defect_grid
+from geocontact.field import contact_defect_grid
 from geocontact.geometry import VolumeParametrization, manifold_from_exprs
 from geocontact.verify import (Tolerances, reebability_verdict, run_theorem,
                                verify_parallel_jacobi, verify_reebability,
@@ -66,8 +66,7 @@ def test_space_form_violation_detected():
     report = verify_space_form(entry, 0.0)
     assert report.verdict == "violated"
     assert len(report.violations) > 0
-    point, diag = report.violations[0]
-    assert isinstance(diag.eigen, RealPair)
+    assert report.violations[0]["eigen"]["kind"] == "real"
 
 
 # ---------------------------------------------------------------------------
