@@ -8,7 +8,9 @@ usage/config errors. All output is deterministic: floats are printed with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -17,13 +19,13 @@ import numpy as np
 from . import __version__, catalog
 from .catalog import CatalogEntry, GridSpec, OrbitSpec
 from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization, OutOfChart,
-                     UnknownEntry, config_value, finite_number)
+                     UnknownEntry, finite_number)
 from .curvature import trace_discriminant
 from .field import UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, orbit_steps, riccati_residuals,
                    trace_evolution_residual, wronskian)
-from .geometry import manifold_from_exprs
-from .verify import (THEOREM_IDS, Tolerances, applicable_theorems, run_theorem,
+from .geometry import DEFAULT_DIFF_STEP, manifold_from_exprs
+from .verify import (THEOREM_IDS, VOLUME_NODES, Tolerances, applicable_theorems, run_theorem,
                      verify_all, volume_integral)
 
 
@@ -35,40 +37,81 @@ def _fmt(value) -> str:
 # Config handling
 # ---------------------------------------------------------------------------
 
-_SECTIONS = {
-    None: {"manifold", "field", "grid", "orbit", "diff", "tolerances", "volume"},
-    "grid": {"min", "max", "counts"},
-    "orbit": {"start", "t_end", "step"},
-    "diff": {"mode", "step"},
-    "volume": {"nodes"},
-    "manifold": {"metric", "domain"},
-    "field": {"components"},
-}
-
-
-def _check_keys(mapping, section):
-    where = "config" if section is None else f"config section {section!r}"
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(mapping) - _SECTIONS[section]
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _number(ok=lambda v: True, kind=float):
+    """Converter of a finite JSON int or float (not a bool) that passes ``ok``, as ``kind``."""
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("not a number")
+        number = float(value)
+        if not (math.isfinite(number) and ok(number)):
+            raise ValueError("out of bounds")
+        return kind(number)
+    return convert
 
 
 def _expression(value):
-    """Converter of an expression string for ``config_value``."""
     if not isinstance(value, str):
         raise TypeError("not an expression string")
     return value
 
 
+def _one_of(*options):
+    """Converter of one of ``options``: ``index`` raises ValueError for any other value."""
+    return lambda value: options[options.index(value)]
+
+
 def _triple(kind):
-    """Converter of a 3-element list for ``config_value``."""
+    """Converter of a 3-element list whose elements ``kind`` converts."""
     def convert(values):
         if not isinstance(values, (list, tuple)) or len(values) != 3:
             raise ValueError("not a triple")
         return tuple(kind(v) for v in values)
     return convert
+
+
+def _counts(values):
+    """Grid counts, each at least 1, of a point array numpy can address."""
+    counts = _triple(_number(lambda v: v.is_integer() and v >= 1, int))(values)
+    if math.prod(counts) * 3 * 8 > np.iinfo(np.intp).max:
+        raise ValueError("more grid points than numpy can address")
+    return counts
+
+
+#: section -> key -> (converter, default); a default of None marks a required key
+_SCHEMA = {
+    "manifold": {"metric": (_triple(_triple(_expression)), None),
+                 "domain": (_expression, "true")},
+    "field": {"components": (_triple(_expression), None)},
+    "grid": {"min": (_triple(_number()), None), "max": (_triple(_number()), None),
+             "counts": (_counts, (5, 5, 5))},
+    "orbit": {"start": (_triple(_number()), None), "t_end": (_number(), OrbitSpec.t_end),
+              "step": (_number(lambda v: v > 0), OrbitSpec.step)},
+    "diff": {"mode": (_one_of("dual", "central"), "dual"),
+             "step": (_number(lambda v: v > 0), DEFAULT_DIFF_STEP)},
+    "tolerances": {f.name: (_number(lambda v: v >= 0), f.default)
+                   for f in dataclasses.fields(Tolerances)},
+    "volume": {"nodes": (_number(lambda v: v.is_integer() and v >= 2, int), VOLUME_NODES)},
+}
+
+
+def _section(config, name):
+    """Section ``name`` of a config document: every key of ``_SCHEMA[name]``
+    converted, or its default if the key (or the whole section) is absent."""
+    mapping = config.get(name, {})
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    unknown = set(mapping) - set(_SCHEMA[name])
+    if unknown:
+        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    values = {}
+    for key, (convert, default) in _SCHEMA[name].items():
+        if key not in mapping and default is None:
+            raise ConfigError(f"config needs {name}.{key}")
+        try:
+            values[key] = convert(mapping[key]) if key in mapping else default
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"invalid config value {name}.{key}: {mapping[key]!r}") from None
+    return values
 
 
 @dataclass
@@ -82,73 +125,44 @@ class Resolved:
 
 
 def resolve_config(config: dict) -> Resolved:
-    _check_keys(config, None)
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(config) - set(_SCHEMA)
+    if unknown:
+        raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
 
-    man_spec = config.get("manifold")
-    field_spec = config.get("field")
-    if isinstance(man_spec, str):
-        entry = catalog.builtin(man_spec)
-    elif isinstance(man_spec, dict):
-        _check_keys(man_spec, "manifold")
-        manifold = manifold_from_exprs(
-            "custom", config_value(man_spec, "metric", _triple(_triple(_expression)), "manifold"),
-            domain=config_value(man_spec, "domain", _expression, "manifold", default="true"))
-        if field_spec is None:
+    if isinstance(config.get("manifold"), str):
+        entry = catalog.builtin(config["manifold"])
+    elif isinstance(config.get("manifold"), dict):
+        spec = _section(config, "manifold")
+        if "field" not in config:
             raise ConfigError("custom manifold needs a field")
-        entry = CatalogEntry(name="custom", manifold=manifold,
-                             field=None, expected={}, notes="user-defined",
-                             grid=None, orbit=None)
+        entry = CatalogEntry(name="custom", manifold=manifold_from_exprs(
+            "custom", spec["metric"], domain=spec["domain"]), field=None, expected={},
+            notes="user-defined", grid=None, orbit=None)
     else:
         raise ConfigError("config needs a manifold (catalog name or custom object)")
 
-    if field_spec is not None:
-        _check_keys(field_spec, "field")
-        entry.field = UnitField.from_exprs(
-            "custom", config_value(field_spec, "components", _triple(_expression), "field"))
-
+    if "field" in config:
+        entry.field = UnitField.from_exprs("custom", _section(config, "field")["components"])
     if "grid" in config:
-        grid = config["grid"]
-        _check_keys(grid, "grid")
-        counts = config_value(grid, "counts", _triple(int), "grid", default=(5, 5, 5))
-        if any(c < 1 for c in counts):
-            raise ConfigError("grid counts must be >= 1")
-        entry.grid = GridSpec(config_value(grid, "min", _triple(finite_number), "grid"),
-                              config_value(grid, "max", _triple(finite_number), "grid"), counts)
+        grid = _section(config, "grid")
+        entry.grid = GridSpec(grid["min"], grid["max"], grid["counts"])
     if "orbit" in config:
-        orbit = config["orbit"]
-        _check_keys(orbit, "orbit")
-        step = config_value(orbit, "step", finite_number, "orbit", default=1e-3)
-        if step <= 0:
-            raise ConfigError("orbit step must be positive")
-        t_end = config_value(orbit, "t_end", finite_number, "orbit", default=2.0)
+        orbit = _section(config, "orbit")
         try:
-            nsteps = orbit_steps(t_end, step)
+            nsteps = orbit_steps(orbit["t_end"], orbit["step"])
         except ValueError as exc:
             raise ConfigError(f"invalid config value orbit.t_end: {exc}") from None
         if nsteps < 2:
             # the residuals difference B centrally, so they need 3 samples
             raise ConfigError("orbit t_end must be at least two steps")
-        entry.orbit = OrbitSpec(config_value(orbit, "start", _triple(finite_number), "orbit"),
-                                t_end, step)
+        entry.orbit = OrbitSpec(orbit["start"], orbit["t_end"], orbit["step"])
     if "diff" in config:
-        diff = config["diff"]
-        _check_keys(diff, "diff")
-        mode = diff.get("mode", "dual")
-        if mode not in ("dual", "central"):
-            raise ConfigError("diff mode must be 'dual' or 'central'")
-        entry.manifold.diff_mode = mode
-        entry.manifold.diff_step = config_value(diff, "step", finite_number, "diff",
-                                                default=entry.manifold.diff_step)
-        if not entry.manifold.diff_step > 0:
-            raise ConfigError("diff step must be positive")
-
-    tolerances = Tolerances.from_mapping(config.get("tolerances"))
-    volume_nodes = 32
-    if "volume" in config:
-        _check_keys(config["volume"], "volume")
-        volume_nodes = config_value(config["volume"], "nodes", int, "volume", default=32)
-    return Resolved(entry=entry, tolerances=tolerances,
-                    volume_nodes=volume_nodes, echo=config)
+        diff = _section(config, "diff")
+        entry.manifold.diff_mode, entry.manifold.diff_step = diff["mode"], diff["step"]
+    return Resolved(entry=entry, tolerances=Tolerances(**_section(config, "tolerances")),
+                    volume_nodes=_section(config, "volume")["nodes"], echo=config)
 
 
 def _load(args) -> Resolved:
@@ -276,7 +290,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.all:
-        resolved = _load(args) if args.config else Resolved(None, Tolerances(), 32,
+        resolved = _load(args) if args.config else Resolved(None, Tolerances(), VOLUME_NODES,
                                                             {"verify": "all"})
         reports = verify_all(catalog.all_entries(), resolved.tolerances,
                              resolved.volume_nodes, args.theorems)
@@ -365,6 +379,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, NoParametrization, UnknownEntry, ExprError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except GeoContactError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the config value converters."""
+"""Exception types shared across the toolkit, and the converter of finite-number flags."""
 
 import math
 
@@ -87,22 +87,8 @@ class ConfigError(GeoContactError):
     """Invalid CLI configuration document."""
 
 
-def config_value(section, key, kind, where, default=None):
-    """``section[key]`` of a config document converted by ``kind``; a
-    ConfigError naming ``where.key`` if it is missing and has no default
-    (None) or ``kind`` rejects it."""
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"config needs {where}.{key}")
-        return default
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"invalid config value {where}.{key}: {section[key]!r}") from None
-
-
 def finite_number(value):
-    """Converter of a finite number for ``config_value`` and the CLI flags."""
+    """Converter of a finite number for the CLI flags."""
     number = float(value)
     if not math.isfinite(number):
         raise ValueError("not a finite number")

@@ -127,10 +127,12 @@ def _rk4_rows(man, rhs, y, h):
 def orbit_steps(t_end, step) -> int:
     """RK4 steps of the uniform grid from 0 that lands exactly on t_end.
 
-    Raises ValueError if one seed's trajectory buffer, steps + 1 states of
-    17 floats (with the Jacobi pair), is larger than numpy can address.
+    Raises ValueError if t_end / step is not finite or one seed's trajectory
+    buffer, steps + 1 states of 17 floats (with the Jacobi pair), is larger
+    than numpy can address.
     """
-    nsteps = max(1, int(round(t_end / step)))
+    ratio = t_end / step
+    nsteps = max(1, int(round(ratio))) if np.isfinite(ratio) else np.inf
     if (nsteps + 1) * 17 * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"{t_end!r} is {nsteps:.3g} steps of {step!r}, "
                          "more than one trajectory buffer can hold")

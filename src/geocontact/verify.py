@@ -20,12 +20,14 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .curvature import sectional
-from .errors import (ConfigError, NoParametrization, NotConstantCurvature, config_value,
-                     finite_number)
+from .errors import ConfigError, NoParametrization, NotConstantCurvature
 from .field import SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose
 from .flow import integrate_orbits, max_parallel_jacobi_defect
 
 THEOREM_IDS = ("T3.1", "C3.2", "T5.1", "C5.2", "T6.1", "P7.6")
+
+#: default nodes per axis of the contact volume quadrature
+VOLUME_NODES = 32
 
 
 @dataclass
@@ -39,17 +41,6 @@ class Tolerances:
     killing: float = 1e-8
     hypothesis: float = 1e-6
     orbit_residual: float = 1e-4
-
-    @classmethod
-    def from_mapping(cls, mapping):
-        base = cls()
-        if mapping is not None and not isinstance(mapping, dict):
-            raise ConfigError("config section 'tolerances' must be a JSON object")
-        for key in mapping or {}:
-            if not hasattr(base, key):
-                raise ConfigError(f"unknown tolerance {key!r}")
-            setattr(base, key, config_value(mapping, key, finite_number, "tolerances"))
-        return base
 
 
 @dataclass
@@ -264,6 +255,8 @@ def volume_integral(entry: CatalogEntry, nodes: int, orientation: int = 1) -> Vo
         raise NoParametrization(f"{entry.name} has no integration parametrization")
     if nodes < 2:
         raise ConfigError("need at least 2 nodes per axis")
+    if nodes ** 3 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{nodes} nodes per axis make more grid rows than numpy can index")
     value = _midpoint_value(entry, nodes, orientation)
     coarse = _midpoint_value(entry, max(2, nodes // 2), orientation)
     return VolumeResult(value=value, nodes=nodes,
@@ -285,7 +278,7 @@ def reebability_verdict(entry: CatalogEntry, volume: VolumeResult,
     return "inconclusive"
 
 
-def verify_reebability(entry: CatalogEntry, nodes: int = 32,
+def verify_reebability(entry: CatalogEntry, nodes: int = VOLUME_NODES,
                        tol: Optional[Tolerances] = None) -> TheoremReport:
     """P7.6 consistency: a Killing field measured contact everywhere must
     have nonzero contact volume (be Reeb-realizable)."""
@@ -320,7 +313,7 @@ def applicable_theorems(entry: CatalogEntry):
 
 def run_theorem(entry: CatalogEntry, theorem: str, c: Optional[float] = None,
                 points=None, tol: Optional[Tolerances] = None,
-                volume_nodes: int = 32) -> TheoremReport:
+                volume_nodes: int = VOLUME_NODES) -> TheoremReport:
     """Dispatch a single theorem suite for one entry."""
     if theorem in ("T5.1", "C5.2"):
         cc = entry.space_form_c if c is None else c
@@ -336,7 +329,7 @@ def run_theorem(entry: CatalogEntry, theorem: str, c: Optional[float] = None,
     raise ConfigError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
 
 
-def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = 32,
+def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = VOLUME_NODES,
                theorems=()):
     """Per entry, the requested suites (all by default) in the requested order,
     skipping those that do not apply to the entry; an unknown id is a ConfigError."""

@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,17 +356,53 @@ def test_bad_expression_in_config(tmp_path, capsys):
     ({"grid": {"min": [float("nan"), 0, 0], "max": [1, 1, 2]}}, "grid.min"),
     ({"grid": {"min": [0, 0, 1], "max": [1, float("inf"), 2]}}, "grid.max"),
     ({"orbit": {"start": [float("nan"), 0, 1]}}, "orbit.start"),
+    # a JSON number of the wrong sign, fraction or type is not converted
+    ({"tolerances": {"orbit_residual": -1}}, "tolerances.orbit_residual"),
+    ({"grid": {"min": [0, 0, 1], "max": [1, 1, 2], "counts": [2.7, 2, 2]}}, "grid.counts"),
+    ({"grid": {"min": [0, 0, 1], "max": [1, 1, 2], "counts": ["3", True, 2]}}, "grid.counts"),
+    ({"grid": {"min": ["0", "0", "1"], "max": [1, 1, 2]}}, "grid.min"),
+    ({"volume": {"nodes": 2.9}}, "volume.nodes"),
+    ({"diff": {"step": True}}, "diff.step"),
+    ({"tolerances": {"unit_defect": True}}, "tolerances.unit_defect"),
+    # t_end / step overflows to inf
+    ({"orbit": {"start": [0, 0, 1], "step": 5e-324}}, "orbit.t_end"),
 ], ids=["missing-grid-min", "grid-not-object", "volume-nodes", "tolerance",
         "diff-step", "diff-step-zero", "orbit-t-end", "metric-not-table",
         "metric-numbers", "domain-not-string", "components-numbers",
         "orbit-t-end-infinite", "orbit-step-nan", "diff-step-infinite", "orbit-t-end-huge",
         "tolerance-nan", "tolerance-infinite", "grid-min-nan", "grid-max-infinite",
-        "orbit-start-nan"])
+        "orbit-start-nan", "tolerance-negative", "counts-fractional", "counts-not-numbers",
+        "grid-min-strings", "nodes-fractional", "diff-step-bool", "tolerance-bool",
+        "orbit-step-subnormal"])
 def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
     code, out, err = run(capsys, ["analyze", "--config", cfg])
     assert code == 2 and out == ""
     assert key.split(".")[-1] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # a point array larger than numpy can address: rejected before any allocation
+    ("analyze", {"grid": {"min": [0, 0, 1], "max": [1, 1, 2], "counts": [1000000] * 3}},
+     "grid.counts"),
+    # addressable, but far more than any machine holds: numpy's MemoryError
+    ("analyze", {"grid": {"min": [0, 0, 1], "max": [1, 1, 2],
+                          "counts": [1000000, 1000000, 100000]}}, "not enough memory"),
+    ("orbit", {"orbit": {"start": [0, 0, 1], "t_end": 1e13}}, "not enough memory"),
+], ids=["grid-unaddressable", "grid-too-large", "orbit-too-long"])
+def test_input_too_large_to_hold_exits_two(tmp_path, capsys, command, doc, message):
+    cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
+    code, out, err = run(capsys, [command, "--config", cfg])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_readme_config_table_matches_the_schema():
+    """The README's config table lists exactly the (section, key) pairs of the schema."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(section, key) for section, keys in cli._SCHEMA.items() for key in keys}
 
 
 #: metric diag(x1, 1, 1): positive definite only where x1 > 0
@@ -406,7 +444,9 @@ def test_missing_config(tmp_path, capsys):
     ["volume", "--entry", "s3_hopf", "--nodes", "0"],
     ["verify", "T5.1", "--entry", "h3_vertical", "--c", "nan"],
     ["verify", "T5.1", "--entry", "h3_vertical", "--c", "inf"],
-], ids=["nodes-zero", "c-nan", "c-inf"])
+    # nodes^3 grid rows are more than numpy can index
+    ["volume", "--entry", "s3_hopf", "--nodes", "2097152"],
+], ids=["nodes-zero", "c-nan", "c-inf", "nodes-unindexable"])
 def test_bad_numeric_flag_exits_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and "Traceback" not in err

@@ -1,6 +1,6 @@
 """Property tests (Hypothesis): the expression language, its compiled
-evaluator, the singular-metric checks and the row invariance of the
-batched kernels.
+evaluator, the singular-metric checks, the row invariance of the
+batched kernels and the config validator.
 
 Examples are derandomized and no example database is written, so a run is
 reproducible and leaves no files behind.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import ENTRY_NAMES
 from geocontact import cli, expr
 from geocontact.curvature import MAX_METRIC_CONDITION, christoffel
-from geocontact.errors import DomainError, SingularMetric
+from geocontact.errors import ConfigError, DomainError, ExprError, SingularMetric, UnknownEntry
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
 from geocontact.field import (SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose,
                               diagnose_point)
@@ -234,3 +234,76 @@ def test_diagnose_rows_equal_their_single_point_calls(entries, entry_rows):
             getattr(one, column.name).tobytes() for one in singles), column.name
     for k, row in enumerate(batch):
         assert row_bytes(row) == row_bytes(diagnose_point(entry.manifold, entry.field, pts[k]))
+
+
+#: JSON scalars at and beyond the schema's bounds, of every JSON type
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([float("nan"), float("inf"), -float("inf"), 5e-324, 1e300,
+                                   -1.0, 0.0, 2.0, 3.0, 1e13, 2097152])
+                | st.text(max_size=6))
+
+#: any JSON value: scalars, lists (often triples) and objects
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, min_size=3, max_size=3) | st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=12)
+
+#: per key of the schema, values that it accepts (the tolerances take any small number)
+VALID_VALUES = {
+    "metric": st.just([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    "domain": st.sampled_from(["true", "x3"]),
+    "components": st.lists(st.sampled_from(["0", "1", "x3"]), min_size=3, max_size=3),
+    **dict.fromkeys(["min", "max", "start"],
+                    st.lists(st.floats(-2.0, 2.0) | st.integers(-2, 2), min_size=3, max_size=3)),
+    "counts": st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    "t_end": st.floats(0.002, 1.0),
+    "step": st.floats(1e-5, 1e-3),
+    "mode": st.sampled_from(["dual", "central"]),
+    "nodes": st.integers(2, 64),
+}
+
+
+def now_and_then(draw):
+    """True about one draw in eight."""
+    return draw(st.integers(0, 7)) == 7
+
+
+@st.composite
+def config_documents(draw):
+    """A document over the schema's sections and keys, mostly valid and on a
+    catalog manifold; now and then a value of any JSON type, a section that
+    is not an object, a missing key, or an unknown section or key."""
+    doc = {}
+    for name, keys in cli._SCHEMA.items():
+        if draw(st.booleans()):
+            continue
+        if now_and_then(draw):
+            doc[name] = draw(JSON_VALUES)
+            continue
+        doc[name] = {key: draw(JSON_VALUES if now_and_then(draw) else
+                               VALID_VALUES.get(key, st.floats(0.0, 1e-3)))
+                     for key in keys if not now_and_then(draw)}
+        if now_and_then(draw):
+            doc[name]["unknown"] = draw(JSON_VALUES)
+    if not now_and_then(draw):
+        doc["manifold"] = draw(st.sampled_from(ENTRY_NAMES))
+    if now_and_then(draw):
+        doc["unknown"] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config_documents())
+@example(config={"manifold": "h3_vertical", "orbit": {"start": [0, 0, 1], "step": 5e-324}})
+@example(config={"manifold": "s3_hopf", "grid": {"min": [0, 0, 0], "max": [1, 1, 1],
+                                                 "counts": [10**30, 1, 1]}})
+def test_config_documents_resolve_or_raise_a_usage_error(config):
+    """Any config document resolves, or raises one of the errors ``main``
+    turns into exit 2; the echo is the document itself."""
+    try:
+        resolved = cli.resolve_config(config)
+    except (ConfigError, UnknownEntry, ExprError):
+        return
+    assert resolved.echo is config

@@ -8,6 +8,7 @@ import pytest
 import geocontact as gc
 from geocontact import verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
+from geocontact.cli import resolve_config
 from geocontact.errors import ConfigError, NoParametrization, NotConstantCurvature
 from geocontact.field import contact_defect_grid
 from geocontact.geometry import VolumeParametrization, manifold_from_exprs
@@ -260,7 +261,8 @@ def test_run_theorem_dispatch(entries):
 
 
 def test_tolerances_mapping():
-    tol = Tolerances.from_mapping({"contact_floor": 1e-5})
+    tol = resolve_config({"manifold": "h3_vertical",
+                          "tolerances": {"contact_floor": 1e-5}}).tolerances
     assert tol.contact_floor == 1e-5
     with pytest.raises(ConfigError):
-        Tolerances.from_mapping({"frobnication": 1.0})
+        resolve_config({"manifold": "h3_vertical", "tolerances": {"frobnication": 1.0}})
