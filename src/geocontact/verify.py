@@ -13,6 +13,8 @@ statements decidable:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -219,30 +221,89 @@ class VolumeResult:
         return asdict(self)
 
 
-#: grid rows per ``contact_defect_grid`` call of the volume quadrature
-VOLUME_BLOCK_ROWS = 8192
+#: grid rows held at once by all workers of the volume quadrature together;
+#: each ``contact_defect_grid`` call takes an equal share of them
+VOLUME_ROWS_IN_FLIGHT = 8192
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: the number of volume quadrature workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(fill, blocks: int, workers: int) -> None:
+    """Call ``fill(k)`` for k in range(blocks) on ``workers`` threads, the
+    calling thread one of them.
+
+    Block 0 runs first on the calling thread alone (it compiles the
+    expression tables), and no thread starts for a single worker or block.
+    Blocks are handed out in order and a failure stops the hand-out, so
+    every block below a failed one still runs: the error raised is that of
+    the lowest failed block, the one a serial loop would raise.
+    """
+    fill(0)
+    lock = threading.Lock()
+    pending = iter(range(1, blocks))
+    failed = {}
+
+    def work():
+        while True:
+            with lock:
+                k = None if failed else next(pending, None)
+            if k is None:
+                return
+            try:
+                fill(k)
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    failed[k] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, blocks) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 def _midpoint_value(entry: CatalogEntry, nodes: int, orientation: int) -> float:
-    """Midpoint rule on the nodes^3 tensor grid, in row blocks of VOLUME_BLOCK_ROWS.
+    """Midpoint rule on the nodes^3 tensor grid, in row blocks spread over
+    ``_worker_count()`` threads, VOLUME_ROWS_IN_FLIGHT rows in all at once.
 
-    Rows run in ``meshgrid(..., indexing="ij")`` order. Only each block's
-    products defect * density are kept, and one ``np.sum`` over all of them
-    adds them as a single array would (pairwise summation depends on the
-    array, so per-block sums would not).
+    Rows run in ``meshgrid(..., indexing="ij")`` order. Each block writes
+    its products defect * density into its slice of one array, and one
+    ``np.sum`` over it adds them as a single kernel call's array would
+    (pairwise summation depends on the array, so per-block sums would not).
     """
+    rows = nodes ** 3
+    try:
+        products = np.empty(rows)
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+        raise ConfigError(f"nodes = {nodes} makes {rows} grid rows, more than fit in memory") \
+            from None
     param = entry.manifold.volume_param
     axes = [(np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box]
     cell = np.prod([(hi - lo) / nodes for lo, hi in param.box])
-    products = []
-    for start in range(0, nodes ** 3, VOLUME_BLOCK_ROWS):
-        rows = np.arange(start, min(start + VOLUME_BLOCK_ROWS, nodes ** 3))
-        params = np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(rows, (nodes,) * 3))],
-                          axis=1)
+    workers = _worker_count()
+    size = max(1, VOLUME_ROWS_IN_FLIGHT // workers)
+
+    def fill(k):
+        start, stop = k * size, min((k + 1) * size, rows)
+        index = np.unravel_index(np.arange(start, stop), (nodes,) * 3)
+        params = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
         defect = contact_defect_grid(entry.manifold, entry.field, param.chart_map(params),
                                      orientation=orientation)
-        products.append(defect * param.density(params))
-    return float(np.sum(np.concatenate(products)) * cell)
+        products[start:stop] = defect * param.density(params)
+
+    _run_blocks(fill, -(-rows // size), workers)
+    return float(np.sum(products) * cell)
 
 
 def volume_integral(entry: CatalogEntry, nodes: int, orientation: int = 1) -> VolumeResult:
@@ -255,8 +316,6 @@ def volume_integral(entry: CatalogEntry, nodes: int, orientation: int = 1) -> Vo
         raise NoParametrization(f"{entry.name} has no integration parametrization")
     if nodes < 2:
         raise ConfigError("need at least 2 nodes per axis")
-    if nodes ** 3 > np.iinfo(np.intp).max:
-        raise ConfigError(f"{nodes} nodes per axis make more grid rows than numpy can index")
     value = _midpoint_value(entry, nodes, orientation)
     coarse = _midpoint_value(entry, max(2, nodes // 2), orientation)
     return VolumeResult(value=value, nodes=nodes,

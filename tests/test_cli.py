@@ -389,7 +389,11 @@ def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
     ("analyze", {"grid": {"min": [0, 0, 1], "max": [1, 1, 2],
                           "counts": [1000000, 1000000, 100000]}}, "not enough memory"),
     ("orbit", {"orbit": {"start": [0, 0, 1], "t_end": 1e13}}, "not enough memory"),
-], ids=["grid-unaddressable", "grid-too-large", "orbit-too-long"])
+    # the volume's product array, allocated before any grid row is evaluated
+    ("volume", {"manifold": "s3_hopf", "volume": {"nodes": 1000000}}, "nodes = 1000000"),
+    ("volume", {"manifold": "s3_hopf", "volume": {"nodes": 1500000}}, "nodes = 1500000"),
+], ids=["grid-unaddressable", "grid-too-large", "orbit-too-long", "volume-beyond-memory",
+        "volume-bytes-unaddressable"])
 def test_input_too_large_to_hold_exits_two(tmp_path, capsys, command, doc, message):
     cfg = write_config(tmp_path, {"manifold": "h3_vertical", **doc})
     code, out, err = run(capsys, [command, "--config", cfg])
@@ -446,7 +450,12 @@ def test_missing_config(tmp_path, capsys):
     ["verify", "T5.1", "--entry", "h3_vertical", "--c", "inf"],
     # nodes^3 grid rows are more than numpy can index
     ["volume", "--entry", "s3_hopf", "--nodes", "2097152"],
-], ids=["nodes-zero", "c-nan", "c-inf", "nodes-unindexable"])
+    # nodes^3 products of more bytes than numpy can address, or than memory holds:
+    # the product array fails to allocate before any grid row is evaluated
+    ["volume", "--entry", "s3_hopf", "--nodes", "1500000"],
+    ["volume", "--entry", "s3_hopf", "--nodes", "1000000"],
+], ids=["nodes-zero", "c-nan", "c-inf", "nodes-unindexable", "nodes-bytes-unaddressable",
+        "nodes-beyond-memory"])
 def test_bad_numeric_flag_exits_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and "Traceback" not in err

@@ -1,15 +1,18 @@
 """Theorem verdict suites and the contact-volume quadrature."""
 
+import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact import verify
+from geocontact import catalog, cli, verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.cli import resolve_config
-from geocontact.errors import ConfigError, NoParametrization, NotConstantCurvature
+from geocontact.errors import ConfigError, NoParametrization, NotConstantCurvature, OutOfChart
 from geocontact.field import contact_defect_grid
 from geocontact.geometry import VolumeParametrization, manifold_from_exprs
 from geocontact.verify import (Tolerances, reebability_verdict, run_theorem,
@@ -155,19 +158,24 @@ def test_volume_requires_parametrization(entries):
         volume_integral(entries["h3_vertical"], 16)
 
 
-def test_volume_zero_defect_fixture():
-    """Flat box chart with a parallel field: the integrand vanishes."""
-    man = manifold_from_exprs("box", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")))
+def box_entry(domain="true"):
+    """Flat box chart with a parallel field, integrated over the unit cube."""
+    man = manifold_from_exprs("box", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+                              domain=domain)
     man.volume_param = VolumeParametrization(
         name="unit_box", box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
         chart_map=lambda params: params,
         density=lambda params: np.ones(params.shape[0]))
-    entry = CatalogEntry(name="box", manifold=man,
-                         field=gc.UnitField.from_exprs("z", ("0", "0", "1")),
-                         expected={}, notes="",
-                         grid=GridSpec((0.1, 0.1, 0.1), (0.9, 0.9, 0.9), (3, 3, 3)),
-                         orbit=OrbitSpec((0.5, 0.5, 0.1)))
-    result = volume_integral(entry, 8)
+    return CatalogEntry(name="box", manifold=man,
+                        field=gc.UnitField.from_exprs("z", ("0", "0", "1")),
+                        expected={}, notes="",
+                        grid=GridSpec((0.1, 0.1, 0.1), (0.9, 0.9, 0.9), (3, 3, 3)),
+                        orbit=OrbitSpec((0.5, 0.5, 0.1)))
+
+
+def test_volume_zero_defect_fixture():
+    """Flat box chart with a parallel field: the integrand vanishes."""
+    result = volume_integral(box_entry(), 8)
     assert abs(result.value) < 1e-12
 
 
@@ -186,17 +194,86 @@ def test_volume_blocks_keep_the_unblocked_bytes(entries, name, monkeypatch):
     """12^3 = 1,728 rows in blocks of 500 (3.456 blocks; 6^3 = 216 rows, less
     than one block, on the coarse grid) give the one-call value bit for bit."""
     expected = [unblocked_midpoint_value(entries[name], n) for n in (12, 6)]
-    monkeypatch.setattr(verify, "VOLUME_BLOCK_ROWS", 500)
+    monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", 500 * verify._worker_count())
     result = volume_integral(entries[name], 12)
     assert result.value == expected[0]
     assert result.estimated_error == abs(expected[0] - expected[1])
 
 
+def use_workers(monkeypatch, workers):
+    """Run the volume quadrature on ``workers`` threads in blocks of 500 rows."""
+    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", 500 * workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
+def test_volume_workers_keep_the_unblocked_bytes(entries, name, workers, monkeypatch):
+    """1,728 rows in four blocks of 500 on 1, 2 or 3 workers, switching threads
+    every microsecond, give the one-call value bit for bit (a block handed out
+    twice or not at all would not). The worker threads are workers - 1 (the
+    calling thread is one of them); the coarse grid, a single block, starts none."""
+    expected = [unblocked_midpoint_value(entries[name], n) for n in (12, 6)]
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    use_workers(monkeypatch, workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = volume_integral(entries[name], 12)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.value == expected[0]
+    assert result.estimated_error == abs(expected[0] - expected[1])
+    assert len(started) == workers - 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
+    """The chart ends at x1 = 0.5, so on a 12-node grid in blocks of 500 rows
+    blocks 1, 2 and 3 each leave it at a different first point (rows 864,
+    1000 and 1500). Every worker count raises block 1's OutOfChart, no block
+    starts after a failure (so block 3 never runs on 2 workers), the `volume`
+    command exits 1 without a traceback, and no thread is left."""
+    entry = box_entry(domain="0.5 - x1")
+    blocks = []
+    param = entry.manifold.volume_param
+
+    def chart_map(params):  # called once per block
+        blocks.append(len(params))
+        return param.chart_map(params)
+
+    entry.manifold.volume_param = dataclasses.replace(param, chart_map=chart_map)
+    baseline = threading.active_count()
+    use_workers(monkeypatch, 1)
+    with pytest.raises(OutOfChart) as serial:
+        volume_integral(entry, 12)
+    assert "[0.54166667 0.04166667 0.04166667]" in str(serial.value)  # row 864
+    use_workers(monkeypatch, workers)
+    blocks.clear()
+    with pytest.raises(OutOfChart) as threaded:
+        volume_integral(entry, 12)
+    assert str(threaded.value) == str(serial.value)
+    assert len(blocks) <= 1 + workers  # block 0, then at most one per worker
+    monkeypatch.setitem(catalog._BUILDERS, "box_edge", lambda: entry)
+    assert cli.main(["volume", "--entry", "box_edge", "--nodes", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {serial.value}\n"
+    assert threading.active_count() == baseline
+
+
 def test_volume_traced_peak_is_bounded(entries):
     """The traced peak of one 40-node volume (64,000 rows, then 8,000 for the
-    coarse grid) stays under 16 MB. Measured with numpy 2.4 on CPython 3.11:
-    8.0 MB in blocks of VOLUME_BLOCK_ROWS, 64.5 MB as one kernel call on the
-    whole grid."""
+    coarse grid) stays under 16 MB; tracemalloc traces the worker threads
+    too. Measured with numpy 2.4 on CPython 3.11: 7.6 MB on 2 workers in
+    blocks of 4,096 rows, 7.4 MB on one thread in blocks of 8,192 rows, 64.5 MB
+    as one kernel call on the whole grid."""
     entry = entries["s3_hopf"]
     volume_integral(entry, 2)  # compile the expression tables outside the trace
     tracemalloc.start()
