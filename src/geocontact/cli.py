@@ -369,6 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: command -> the config key that sizes its largest arrays, named when they do not fit
+_SIZED_BY = {"analyze": "grid.counts", "orbit": "orbit.t_end", "verify": "grid.counts"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -381,7 +385,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        print(f"error: not enough memory for {_SIZED_BY.get(args.command, 'the input')}: {exc}",
+              file=sys.stderr)
         return 2
     except GeoContactError as exc:
         print(f"error: {exc}", file=sys.stderr)

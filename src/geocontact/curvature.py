@@ -163,16 +163,6 @@ def jacobi_matrix(riem, g, X, e):
 # Covariant differentiation of vector fields
 # ---------------------------------------------------------------------------
 
-def vector_jacobian(man: ChartedManifold, W, p):
-    """Component Jacobian jac[..., i, j] = d_j W^i of a ``UnitField``.
-
-    The partials of the field's ``_jet``; field values come from ``W.value``.
-    """
-    pts, single = as_points(p)
-    jac = np.swapaxes(_jet(man, W.component_fn, pts, W.component_exprs)[1], 1, 2)
-    return jac[0] if single else jac
-
-
 def covariant_jacobian(man: ChartedManifold, W, pts, wval, gam):
     """A[n, k, i] = d_i W^k + Gamma^k_ij W^j, so that nabla_v W = A v.
 
@@ -180,4 +170,5 @@ def covariant_jacobian(man: ChartedManifold, W, pts, wval, gam):
     the Christoffel symbols there. Gamma is contracted with W once, so that
     every direction v afterwards costs one 3x3 product.
     """
-    return vector_jacobian(man, W, pts) + np.einsum("nkij,nj->nki", gam, wval)
+    dw = _jet(man, W.component_fn, pts, W.component_exprs)[1]  # dw[n, i, k] = d_i W^k
+    return np.swapaxes(dw, 1, 2) + np.einsum("nkij,nj->nki", gam, wval)

@@ -4,7 +4,10 @@ Everything here reduces to the shape operator beta(v) = nabla_v X restricted
 to the orthogonal plane field: its symmetric part measures the failure of
 the flow to be isometric, its antisymmetric part is the contact defect
 d(alpha)(e1, e2) = B21 - B12, and its eigenvalues drive the space-form and
-rank criteria.
+rank criteria. With alpha = gX the defect is also orientation * eps^{ijk}
+alpha_i d_j alpha_k / sqrt(det g) in an oriented frame (X, e1, e2), since
+alpha ^ d(alpha) = eps^{ijk} alpha_i d_j alpha_k dx1 ^ dx2 ^ dx3 (Geiges,
+An Introduction to Contact Topology, 2008, 1.1).
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .curvature import (EIGEN_DISC_TOL, assemble_riemann, christoffel,
-                        christoffel_with_partials, covariant_jacobian, jacobi_matrix,
-                        real_eigenvalues, trace_discriminant)
-from .errors import NotUnit
-from .geometry import ChartedManifold, as_points, frames_at, g_norm, inner
+# christoffel is not called here; perfbench's tracer test checks this binding
+from .curvature import (EIGEN_DISC_TOL, _require_conditioned, assemble_riemann,
+                        christoffel, christoffel_with_partials, covariant_jacobian,
+                        jacobi_matrix, real_eigenvalues, trace_discriminant)
+from .errors import DegenerateSeed, NotUnit
+from .geometry import (ChartedManifold, _jet, _require_finite_metric,
+                       _require_positive_definite, as_points, frames_at, g_norm, inner)
 
 UNIT_TOL = 1e-6
 RANK_REL_TOL = 1e-6
@@ -240,21 +245,33 @@ def diagnose_point(man: ChartedManifold, X: UnitField, p,
 
 
 # ---------------------------------------------------------------------------
-# Vectorised contact defect (quadrature fast path)
+# Frame-free contact defect (quadrature kernel)
 # ---------------------------------------------------------------------------
 
 def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
                         orientation: int = 1):
-    """Contact defect at an (N, 3) batch of points in oriented frames.
+    """Contact defect at an (N, 3) batch from the first jets of g and X alone,
 
-    The ``contact_defect`` column of ``diagnose`` (at orientation 1) without
-    its curvature work and unit check, for quadrature over large grids.
+        d(alpha)(e1, e2) = orientation * eps^{ijk} alpha_i d_j alpha_k / (|X| sqrt(det g)),
+
+    with d_j alpha_k = d_j g_kl X^l + g_kl d_j X^l: ``diagnose``'s ``contact_defect``
+    (at orientation 1) for any nonzero X. g passes ``christoffel``'s checks in
+    its order (chart, finite, positive definite, conditioned); DegenerateSeed
+    names the first point where X is zero or not finite.
     """
     pts, single = as_points(points)
-    g = np.empty((len(pts), 3, 3))
-    gam = christoffel(man, pts, g)
-    xv = np.asarray(X.component_fn(pts), dtype=float)
-    e1, e2 = frames_at(g, xv / g_norm(g, xv)[:, None], orientation=orientation)
-    B = shape_operator(man, X, pts, g, gam, xv, e1, e2)
-    out = B[:, 1, 0] - B[:, 0, 1]
+    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
+    det = _require_positive_definite(man, pts, g)
+    _require_conditioned(man, pts, g)
+    xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)  # dx[n, j, l] = d_j X^l
+    alpha = (g @ xv[..., None])[..., 0]
+    # summed term by term: einsum's reductions round differently at other batch sizes
+    norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
+    ok = (0.0 < norm2) & (norm2 < np.inf)  # False at NaN too
+    if not ok.all():
+        raise DegenerateSeed(f"field {X.name!r} is zero or not finite at {pts[np.argmin(ok)]}")
+    da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
+    curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
+    wedge = alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]
+    out = orientation * wedge / np.sqrt(det * norm2)
     return float(out[0]) if single else out

@@ -25,10 +25,6 @@ from .errors import OutOfChart, PoleReached, StepTooLarge
 from .field import UNIT_TOL, UnitField, _require_unit, shape_operator
 from .geometry import ChartedManifold, as_points, frames_at, inner
 
-#: target accuracy of the fixed-step integration; residual invariants are
-#: asserted against small multiples of this
-DEFAULT_INTEGRATION_TOL = 1e-5
-
 FRAME_DRIFT_LIMIT = 1e-6
 
 
@@ -239,8 +235,6 @@ def _frame_drift(g, xn, e1, e2):
     vecs = np.stack([xn, e1, e2], axis=1)   # (n, 3, 3)
     gram = np.einsum("nai,nij,nbj->nab", vecs, g, vecs)
     return float(np.abs(gram - np.eye(3)).max())
-
-
 
 
 # ---------------------------------------------------------------------------

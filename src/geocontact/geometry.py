@@ -21,9 +21,6 @@ Array = np.ndarray
 #: default absolute step for central differences on opaque functions
 DEFAULT_DIFF_STEP = 1e-5
 
-#: residual bound enforced on constructed orthonormal frames
-FRAME_TOL = 1e-10
-
 #: sine of the angle below which a seed counts as parallel to the field
 SEED_ANGLE_TOL = 1e-6
 
@@ -98,7 +95,7 @@ class ChartedManifold:
 def _require_positive_definite(man: ChartedManifold, pts, g):
     """Raise NotPositiveDefinite naming the first point of the batch where a
     leading principal minor of g (N, 3, 3) is not positive (Sylvester's
-    criterion). Every g handed out as the metric passes this check."""
+    criterion), else return det g (N,). Every g handed out as the metric passes it."""
     g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
     minor2 = g00 * g11 - g01 * g10
     det = g22 * minor2 - g21 * (g00 * g12 - g02 * g10) + g20 * (g01 * g12 - g02 * g11)
@@ -106,6 +103,7 @@ def _require_positive_definite(man: ChartedManifold, pts, g):
     if not ok.all():
         raise NotPositiveDefinite(
             f"metric of {man.name!r} is not positive definite at {pts[np.argmin(ok)]}")
+    return det
 
 
 def _require_finite_metric(man: ChartedManifold, pts, g):
@@ -149,9 +147,9 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
 def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
     """Value and first partials of chart data at an (N, 3) batch.
 
-    The one place that decides how a derivative is taken, behind the public
-    ``metric_partials``, ``christoffel(_with_partials)`` and
-    ``vector_jacobian``. ``fn`` maps an (N, 3) batch to values of shape
+    The one place that decides how a derivative is taken, behind
+    ``metric_partials``, ``christoffel(_with_partials)``, ``covariant_jacobian``
+    and ``contact_defect_grid``. ``fn`` maps an (N, 3) batch to values of shape
     (N, *S); ``table`` is the same data as an ``expr.ExprTable``, when there
     is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
 
@@ -220,11 +218,8 @@ class Frame:
     e1: Array
     e2: Array
 
-    def basis(self):
-        return self.X, self.e1, self.e2
 
-
-def frame_at(gm, X, orientation: int = 1) -> Frame:
+def frame_at(gm, X) -> Frame:
     """Orthonormal frame (X, e1, e2) at one point: the N = 1 case of ``frames_at``.
 
     ``X`` need not be unit; the frame carries its g-normalisation.
@@ -232,19 +227,18 @@ def frame_at(gm, X, orientation: int = 1) -> Frame:
     gm = np.asarray(gm, dtype=float)
     X = np.asarray(X, dtype=float)
     Xn = X / g_norm(gm, X)
-    e1, e2 = frames_at(gm[None], Xn[None], orientation=orientation)
+    e1, e2 = frames_at(gm[None], Xn[None])
     return Frame(Xn, e1[0], e2[0])
 
 
-def frames_at(g, X, orientation: int = 1):
+def frames_at(g, X):
     """Batched g-orthonormal frames of X-perp by greedy Gram-Schmidt.
 
     ``g``: (N, 3, 3), ``X``: (N, 3) with unit g-norm (not checked). Returns
     (e1, e2) of shape (N, 3) each. The candidates are the standard basis
     vectors in order; a candidate within angle SEED_ANGLE_TOL of the span of
     X and the vectors already taken is skipped. e2 is flipped where needed
-    so that det[X e1 e2] has the sign of ``orientation`` in chart
-    coordinates.
+    so that det[X e1 e2] > 0 in chart coordinates.
     """
     g = np.asarray(g, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -268,7 +262,6 @@ def frames_at(g, X, orientation: int = 1):
             raise DegenerateSeed("standard basis failed to span the complement")
         picked.append(e)
     e1, e2 = picked
-    det = np.linalg.det(np.stack([X, e1, e2], axis=2))
-    flip = orientation * det < 0
+    flip = np.linalg.det(np.stack([X, e1, e2], axis=2)) < 0
     e2[flip] = -e2[flip]
     return e1, e2

@@ -387,8 +387,10 @@ def test_bad_config_value_exits_two(tmp_path, capsys, doc, key):
      "grid.counts"),
     # addressable, but far more than any machine holds: numpy's MemoryError
     ("analyze", {"grid": {"min": [0, 0, 1], "max": [1, 1, 2],
-                          "counts": [1000000, 1000000, 100000]}}, "not enough memory"),
-    ("orbit", {"orbit": {"start": [0, 0, 1], "t_end": 1e13}}, "not enough memory"),
+                          "counts": [1000000, 1000000, 100000]}},
+     "not enough memory for grid.counts"),
+    ("orbit", {"orbit": {"start": [0, 0, 1], "t_end": 1e13}},
+     "not enough memory for orbit.t_end"),
     # the volume's product array, allocated before any grid row is evaluated
     ("volume", {"manifold": "s3_hopf", "volume": {"nodes": 1000000}}, "nodes = 1000000"),
     ("volume", {"manifold": "s3_hopf", "volume": {"nodes": 1500000}}, "nodes = 1500000"),

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import geocontact as gc
+from geocontact import catalog
 from geocontact.curvature import (EIGEN_DISC_TOL, christoffel, real_eigenvalues,
                                   trace_discriminant)
-from geocontact.errors import NotUnit
+from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
+                               OutOfChart, SingularMetric)
 from geocontact.field import (ComplexPair, RealPair, UnitField, beta_ranks,
                               contact_defect_grid, diagnose, diagnose_point, eigen_columns,
                               shape_operator)
@@ -428,3 +430,52 @@ def test_contact_defect_grid_matches_pointwise(entries):
         assert abs(batch[k] - d) < 1e-12
     flipped = contact_defect_grid(entry.manifold, entry.field, pts, orientation=-1)
     np.testing.assert_allclose(flipped, -batch, atol=1e-14)
+
+
+def diag_chart(name, entries, domain="true"):
+    """A chart with the diagonal metric ``entries``."""
+    return gc.manifold_from_exprs(name, ((entries[0], "0", "0"), ("0", entries[1], "0"),
+                                         ("0", "0", entries[2])), domain=domain)
+
+
+#: the batch of the error cases: fine, indefinite, ill-conditioned, outside a unit ball
+ERROR_ROWS = np.array([[0.5, 0.0, 0.0], [-0.5, 0.1, 0.0], [0.0, 0.2, 0.0], [2.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("mode", ["dual", "central"])
+@pytest.mark.parametrize("man, error, message", [
+    (diag_chart("indefinite", ("x1", "1", "1")), NotPositiveDefinite,
+     "not positive definite at [-0.5  0.1  0. ]"),
+    (diag_chart("ill", ("1", "1", "1e-13 + x1^2")), SingularMetric,
+     "numerically singular at [0.  0.2 0. ]"),
+    (diag_chart("ball", ("1", "1", "1"), domain="1 - x1^2 - x2^2 - x3^2"), OutOfChart,
+     "point [2. 0. 0.] outside the chart"),
+    (diag_chart("pole", ("1/x1", "1", "1")), DomainError, "division by zero in '(1.0 / x1)'"),
+    # the chart is checked before the metric, positive definiteness before conditioning
+    (diag_chart("indefinite_ball", ("x1", "1", "1"), domain="1 - x1^2 - x2^2 - x3^2"),
+     OutOfChart, "point [2. 0. 0.] outside the chart"),
+    (diag_chart("ill_indefinite", ("1.5 - x1", "1", "1e-13 + x1^2")), NotPositiveDefinite,
+     "not positive definite at [2. 0. 0.]"),
+], ids=["indefinite", "ill-conditioned", "outside", "division-by-zero", "chart-first",
+        "definiteness-before-conditioning"])
+def test_contact_defect_grid_names_the_first_bad_point(man, error, message, mode):
+    """The metric checks of the shape-operator path, with their errors, first
+    points and order: chart, finiteness, positive definiteness, conditioning."""
+    man.diff_mode = mode
+    with pytest.raises(error) as info:
+        contact_defect_grid(man, UnitField.from_exprs("z", ("0", "0", "1")), ERROR_ROWS)
+    assert message in str(info.value)
+
+
+def test_contact_defect_grid_of_a_non_unit_field(entries):
+    """For any nonzero X the defect is d(alpha)(e1, e2) of alpha = gX: scaling X
+    by 2 doubles it. A field that vanishes is named at its first zero."""
+    entry = entries["s3_hopf"]
+    pts = entry.grid.points()[::9]
+    double = UnitField.from_exprs("double", [f"2*({c})" for c in catalog._HOPF_COMPONENTS])
+    np.testing.assert_allclose(contact_defect_grid(entry.manifold, double, pts),
+                               2 * contact_defect_grid(entry.manifold, entry.field, pts),
+                               rtol=0, atol=1e-12)
+    vanishing = UnitField.from_exprs("vanishing", ("0", "0", "x1 - 0.5"))
+    with pytest.raises(DegenerateSeed, match=r"zero or not finite at \[0.5 0.  0. \]"):
+        contact_defect_grid(entry.manifold, vanishing, ERROR_ROWS)

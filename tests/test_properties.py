@@ -209,6 +209,22 @@ def test_contact_defect_grid_is_invariant_under_row_splits(entries, entry_rows, 
     assert whole.tobytes() == b"".join(part.tobytes() for part in parts)
 
 
+@ROW_SETTINGS
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+@given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=7))
+def test_frame_free_defect_equals_the_shape_operator_defect(entries, name, fractions):
+    """Two formulas for one quantity: B21 - B12 of the shape operator in a
+    frame (``diagnose``) and eps alpha d(alpha) / sqrt(det g) from first jets
+    (``contact_defect_grid``) agree within 1e-12; orientation -1 negates the latter."""
+    entry = entries[name]
+    pts = box_points(entry, fractions)
+    frame_free = contact_defect_grid(entry.manifold, entry.field, pts)
+    shape = diagnose(entry.manifold, entry.field, pts).contact_defect
+    assert np.abs(frame_free - shape).max() <= 1e-12
+    flipped = contact_defect_grid(entry.manifold, entry.field, pts, orientation=-1)
+    assert np.array_equal(flipped, -frame_free)
+
+
 def row_bytes(d):
     """The bytes of every quantity of a ``PointDiagnosis`` row."""
     eigen = [type(d.eigen).__name__, *dataclasses.astuple(d.eigen)]

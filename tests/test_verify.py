@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact import catalog, cli, verify
+from geocontact import catalog, cli, curvature, field, geometry, verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.cli import resolve_config
 from geocontact.errors import ConfigError, NoParametrization, NotConstantCurvature, OutOfChart
@@ -151,6 +151,22 @@ def test_volume_weighted_closed_form(entries):
     weighted entries (substitute u = sin^2(eta) in the fibre integral)."""
     result = volume_integral(entries["s3_weighted(2,3)"], 32)
     assert abs(abs(result.value) - 4 * np.pi ** 2 / 6.0) < 3 * result.estimated_error + 1e-6
+
+
+def test_volume_needs_no_christoffel_symbols_or_frames(entries, monkeypatch):
+    """The quadrature runs on the frame-free kernel: with Gamma, frames and the
+    shape operator unavailable, an 8-node volume keeps its bytes."""
+    expected = volume_integral(entries["s3_hopf"], 8)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("called on the volume path")
+
+    for module in (curvature, geometry, field):
+        for name in ("christoffel", "christoffel_with_partials", "covariant_jacobian",
+                     "frames_at", "shape_operator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unavailable)
+    assert volume_integral(entries["s3_hopf"], 8) == expected
 
 
 def test_volume_requires_parametrization(entries):
