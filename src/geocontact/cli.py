@@ -25,8 +25,8 @@ from .field import UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, orbit_steps, riccati_residuals,
                    trace_evolution_residual, wronskian)
 from .geometry import DEFAULT_DIFF_STEP, manifold_from_exprs
-from .verify import (THEOREM_IDS, VOLUME_NODES, Tolerances, applicable_theorems, run_theorem,
-                     verify_all, volume_integral)
+from .verify import (THEOREM_IDS, VOLUME_NODES, Tolerances, applicable_theorems, verify_all,
+                     verify_entry, volume_integral)
 
 
 def _fmt(value) -> str:
@@ -296,9 +296,9 @@ def cmd_verify(args) -> int:
                              resolved.volume_nodes, args.theorems)
     else:
         resolved = _load(args)
-        reports = [run_theorem(resolved.entry, theorem, c=args.c, tol=resolved.tolerances,
-                               volume_nodes=resolved.volume_nodes)
-                   for theorem in args.theorems or applicable_theorems(resolved.entry)]
+        reports = verify_entry(resolved.entry,
+                               args.theorems or applicable_theorems(resolved.entry), c=args.c,
+                               tol=resolved.tolerances, volume_nodes=resolved.volume_nodes)
     doc = {
         "version": f"geocontact {__version__}",
         "config": resolved.echo,

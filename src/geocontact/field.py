@@ -84,6 +84,14 @@ def _require_unit(X: UnitField, pts, unit_defects, unit_tol):
         raise NotUnit(f"field {X.name!r} has unit defect {unit_defects[k]:.3e} at {pts[k]}")
 
 
+def _require_nonzero(X: UnitField, pts, norms):
+    """DegenerateSeed at the first point whose field norm (or squared norm) is
+    zero or not finite."""
+    ok = (0.0 < norms) & (norms < np.inf)  # False at NaN too
+    if not ok.all():
+        raise DegenerateSeed(f"field {X.name!r} is zero or not finite at {pts[np.argmin(ok)]}")
+
+
 @dataclass(frozen=True)
 class RealPair:
     lam: float
@@ -210,7 +218,8 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     - the shape operator B, its contact defect, eigenvalues and rank;
     - the Jacobi tensor: Ric(X) and its eigenvalues Delta >= delta.
 
-    Raises NotUnit at the first point whose unit defect exceeds ``unit_tol``.
+    Raises NotUnit at the first point whose unit defect exceeds ``unit_tol``,
+    then DegenerateSeed at the first point where X is zero or not finite.
     """
     pts = as_points(pts)[0]
     g = np.empty((len(pts), 3, 3))
@@ -218,7 +227,9 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     xv = np.asarray(X.component_fn(pts), dtype=float)
     unit = np.abs(inner(g, xv, xv) - 1.0)
     _require_unit(X, pts, unit, unit_tol)
-    xn = xv / g_norm(g, xv)[:, None]
+    norm = g_norm(g, xv)
+    _require_nonzero(X, pts, norm)
+    xn = xv / norm[:, None]
     e1, e2 = frames_at(g, xn)
 
     A = covariant_jacobian(man, X, pts, xv, gam)
@@ -267,9 +278,7 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
     alpha = (g @ xv[..., None])[..., 0]
     # summed term by term: einsum's reductions round differently at other batch sizes
     norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
-    ok = (0.0 < norm2) & (norm2 < np.inf)  # False at NaN too
-    if not ok.all():
-        raise DegenerateSeed(f"field {X.name!r} is zero or not finite at {pts[np.argmin(ok)]}")
+    _require_nonzero(X, pts, norm2)
     da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
     curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
     wedge = alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]

@@ -1,11 +1,12 @@
 """Theorem-level verdict suites over grids and orbits, plus the contact
 volume quadrature.
 
-Each suite diagnoses a sample set in one batch and builds two boolean masks
-over its rows: where the hypotheses of the named statement hold (within
+Each suite reads a ``diagnose`` batch of its samples and builds two boolean
+masks over its rows: where the hypotheses of the named statement hold (within
 tolerances) and where its conclusion does; a violation is a sample with
-hypotheses satisfied but conclusion failed. Numerical floors make the exact
-statements decidable:
+hypotheses satisfied but conclusion failed. The suites of one entry share one
+``Samples``: one diagnosis of its grid and one constant-curvature check.
+Numerical floors make the exact statements decidable:
 
     |B21 - B12| <= not_contact   counts as "not contact at the sample"
     |B21 - B12| >  contact_floor counts as "contact at the sample"
@@ -85,12 +86,45 @@ def _finish(theorem, entry_name, diag: Diagnosis, hyp, concl, details=None):
                          details=details or {})
 
 
-def _grid_points(entry: CatalogEntry, points):
-    if points is not None:
-        return np.asarray(points, float)
-    if entry.grid is None:
-        raise ConfigError(f"{entry.name} has no sample grid; provide one")
-    return entry.grid.points()
+class Samples:
+    """The sample points of an entry's suites and what the suites read there:
+    one ``diagnose`` batch and one constant-curvature check per c, each
+    computed when a suite first asks for it and kept from then on.
+
+    ``given`` is the (N, 3) array of points passed in, or None for the
+    entry's grid. The suites of one ``verify_entry`` call share one
+    ``Samples``, so the errors of bad input come from the first suite that
+    needs the quantity, as they would with no sharing.
+    """
+
+    def __init__(self, entry: CatalogEntry, points=None):
+        self.entry = entry
+        self.given = None if points is None else np.asarray(points, float)
+        self._diagnosis = None
+        self._spreads = {}
+
+    def points(self) -> np.ndarray:
+        if self.given is not None:
+            return self.given
+        if self.entry.grid is None:
+            raise ConfigError(f"{self.entry.name} has no sample grid; provide one")
+        return self.entry.grid.points()
+
+    def diagnosis(self) -> Diagnosis:
+        if self._diagnosis is None:
+            self._diagnosis = diagnose(self.entry.manifold, self.entry.field, self.points())
+        return self._diagnosis
+
+    def curvature_spread(self, c) -> float:
+        """``check_constant_curvature`` at these points."""
+        if c not in self._spreads:
+            self._spreads[c] = check_constant_curvature(self.entry, c, self.points())
+        return self._spreads[c]
+
+
+def _samples(entry: CatalogEntry, points) -> Samples:
+    """``points`` if it is a shared ``Samples``, else the entry's own ``Samples`` of them."""
+    return points if isinstance(points, Samples) else Samples(entry, points)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +158,9 @@ def verify_space_form(entry: CatalogEntry, c: float, points=None,
     tol = tol or Tolerances()
     if theorem not in ("T5.1", "C5.2"):
         raise ConfigError(f"verify_space_form handles T5.1/C5.2, not {theorem!r}")
-    pts = _grid_points(entry, points)
-    spread = check_constant_curvature(entry, c, pts)
-    diag = diagnose(entry.manifold, entry.field, pts)
+    samples = _samples(entry, points)
+    spread = samples.curvature_spread(c)
+    diag = samples.diagnosis()
     # a real pair within the bound sqrt(|c|)
     bounded = ~diag.complex & (np.abs(diag.eig_re).max(axis=1) <= np.sqrt(abs(c)) + tol.hypothesis)
     if theorem == "T5.1":
@@ -158,7 +192,7 @@ def verify_ricci(entry: CatalogEntry, points=None, theorem: str = "C3.2",
     tol = tol or Tolerances()
     if theorem not in ("C3.2", "T3.1"):
         raise ConfigError(f"verify_ricci handles C3.2/T3.1, not {theorem!r}")
-    diag = diagnose(entry.manifold, entry.field, _grid_points(entry, points))
+    diag = _samples(entry, points).diagnosis()
     small_beta = np.linalg.norm(diag.B, axis=(1, 2)) <= tol.hypothesis
     defect = np.abs(diag.contact_defect)
     if theorem == "C3.2":
@@ -190,11 +224,12 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None, orbit_t_end: float 
     catalog entry by construction).
     """
     tol = tol or Tolerances()
-    if points is None:
+    pts = _samples(entry, points).given
+    if pts is None:
         if entry.grid is None:
             raise ConfigError(f"{entry.name} has no sample grid; provide seeds")
-        points = entry.grid.subgrid(seed_counts).points()
-    pts = np.asarray(points, float)
+        pts = entry.grid.subgrid(seed_counts).points()
+    # its own batch: rows of a larger batch need not carry the same bytes
     diag = diagnose(entry.manifold, entry.field, pts)
     drift = np.array([max_parallel_jacobi_defect(traj, window=orbit_t_end / 2) for traj in
                       integrate_orbits(entry.manifold, entry.field, pts, orbit_t_end, orbit_step,
@@ -338,14 +373,14 @@ def reebability_verdict(entry: CatalogEntry, volume: VolumeResult,
 
 
 def verify_reebability(entry: CatalogEntry, nodes: int = VOLUME_NODES,
-                       tol: Optional[Tolerances] = None) -> TheoremReport:
+                       tol: Optional[Tolerances] = None, points=None) -> TheoremReport:
     """P7.6 consistency: a Killing field measured contact everywhere must
     have nonzero contact volume (be Reeb-realizable)."""
     tol = tol or Tolerances()
     if entry.manifold.volume_param is None:
         return TheoremReport("P7.6", entry.name, 0, 0, 0, [], "hypotheses-not-met",
                              details={"reason": "no closed-manifold parametrization"})
-    diag = diagnose(entry.manifold, entry.field, entry.grid.points())
+    diag = _samples(entry, points).diagnosis()
     killing_max = float(diag.killing_defect.max())
     volume = volume_integral(entry, nodes)
     verdict_reeb = reebability_verdict(entry, volume, killing_max, tol)
@@ -373,7 +408,8 @@ def applicable_theorems(entry: CatalogEntry):
 def run_theorem(entry: CatalogEntry, theorem: str, c: Optional[float] = None,
                 points=None, tol: Optional[Tolerances] = None,
                 volume_nodes: int = VOLUME_NODES) -> TheoremReport:
-    """Dispatch a single theorem suite for one entry."""
+    """Dispatch a single theorem suite for one entry; ``points`` is an (N, 3)
+    array, a ``Samples`` shared with other suites, or None for the entry's grid."""
     if theorem in ("T5.1", "C5.2"):
         cc = entry.space_form_c if c is None else c
         if cc is None:
@@ -384,8 +420,18 @@ def run_theorem(entry: CatalogEntry, theorem: str, c: Optional[float] = None,
     if theorem == "T6.1":
         return verify_parallel_jacobi(entry, points, tol=tol)
     if theorem == "P7.6":
-        return verify_reebability(entry, nodes=volume_nodes, tol=tol)
+        return verify_reebability(entry, nodes=volume_nodes, tol=tol, points=points)
     raise ConfigError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
+
+
+def verify_entry(entry: CatalogEntry, theorems, c: Optional[float] = None,
+                 tol: Optional[Tolerances] = None,
+                 volume_nodes: int = VOLUME_NODES) -> list[TheoremReport]:
+    """The given suites for one entry in the given order, all reading one
+    ``Samples`` of the entry's grid, which is dropped on return."""
+    samples = Samples(entry)
+    return [run_theorem(entry, theorem, c=c, points=samples, tol=tol, volume_nodes=volume_nodes)
+            for theorem in theorems]
 
 
 def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = VOLUME_NODES,
@@ -398,7 +444,6 @@ def verify_all(entries, tol: Optional[Tolerances] = None, volume_nodes: int = VO
     reports = []
     for entry in entries:
         applicable = applicable_theorems(entry)
-        for theorem in theorems or applicable:
-            if theorem in applicable:
-                reports.append(run_theorem(entry, theorem, tol=tol, volume_nodes=volume_nodes))
+        reports += verify_entry(entry, [t for t in theorems or applicable if t in applicable],
+                                tol=tol, volume_nodes=volume_nodes)
     return reports

@@ -305,6 +305,20 @@ def test_diagnose_names_first_non_unit_point():
         diagnose(flat(), bump, pts)
 
 
+def test_diagnose_names_first_vanishing_point():
+    """A field that is zero or not finite somewhere is named there, after the
+    unit check and before the frame is normalised (so no numpy warning)."""
+    vanishing = UnitField.from_exprs("vanishing", ("0", "0", "x1 - 0.5"))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(DegenerateSeed, match=r"zero or not finite at \[0\.5 1\.  0\. \]"):
+        diagnose(flat(), vanishing, pts, unit_tol=np.inf)
+    with pytest.raises(NotUnit, match=r"at \[0\. 0\. 0\.\]"):
+        diagnose(flat(), vanishing, pts)
+    with pytest.raises(DegenerateSeed, match=r"zero or not finite at \[0\.5 0\.  0\. \]"):
+        diagnose(flat(), UnitField.from_callable("nan", lambda p: np.where(
+            p[:, :1] == 0.5, np.nan, 1.0) * [0.0, 0.0, 1.0]), pts[::2], unit_tol=np.inf)
+
+
 @pytest.mark.parametrize("name,value", [("s3_hopf", 1.0), ("heisenberg_reeb", 0.25)])
 def test_mixed_curvature_eigenvalues_accurate(entries, name, value):
     """Delta and delta of a Jacobi tensor proportional to the identity.

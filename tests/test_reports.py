@@ -33,6 +33,8 @@ CASES = {
     "analyze:custom-expressions": (["analyze"], CUSTOM_DOC),
     "verify:T3.1,C3.2,T5.1,C5.2:all": (["verify", "T3.1", "C3.2", "T5.1", "C5.2", "--all"],
                                        None),
+    # every suite on every entry, P7.6 and T6.1 included
+    "verify:all": (["verify", "--all"], None),
     "orbit:h3_vertical": (["orbit"], _orbit_doc("h3_vertical", [0.0, 0.0, 1.0])),
     "orbit:s3_hopf": (["orbit"], _orbit_doc("s3_hopf", [0.3, 0.2, 0.1])),
     "volume:s3_hopf:16": (["volume", "--entry", "s3_hopf", "--nodes", "16"], None),
@@ -60,6 +62,7 @@ DIGESTS = {
     "orbit:s3_hopf": "c8a16ef3c065ec66154a445ae7a7e282e7a4289f0879d8056675fba021fd5bb0",
     "verify:P7.6:s3_hopf": "a23f0fe43b435f4f4aeacb082ab697a49e0679f96e113ae3dfe4d87d70ec3144",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "bb174ada82e2db1e163240479c3351be154d1b6d778e34f80388d298f8ab35c4",
+    "verify:all": "29bf90f230c62a87466994490ba7ccbdbcaf82ae90c3e7b8225f51909ab78cda",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
     "verify:T6.1:h2xr_vertical": "9c4e4aa9e2916ff0a82ce3ad3b204aabc0801233a9a46cf2a7356a87235ac3a4",

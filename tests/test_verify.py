@@ -1,9 +1,11 @@
 """Theorem verdict suites and the contact-volume quadrature."""
 
 import dataclasses
+import json
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import geocontact as gc
 from geocontact import catalog, cli, curvature, field, geometry, verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.cli import resolve_config
-from geocontact.errors import ConfigError, NoParametrization, NotConstantCurvature, OutOfChart
+from geocontact.errors import (ConfigError, NoParametrization, NotConstantCurvature, NotUnit,
+                               OutOfChart)
 from geocontact.field import contact_defect_grid
 from geocontact.geometry import VolumeParametrization, manifold_from_exprs
 from geocontact.verify import (Tolerances, reebability_verdict, run_theorem,
@@ -351,6 +354,105 @@ def test_run_theorem_dispatch(entries):
         run_theorem(entries["s3_hopf"], "T0.0")
     with pytest.raises(ConfigError):
         run_theorem(entries["heisenberg_reeb"], "T5.1")  # no constant curvature
+
+
+# ---------------------------------------------------------------------------
+# Shared samples
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends the row count of its third
+    argument: the points of ``diagnose``, the first plane vectors of ``sectional``."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_survey_diagnoses_each_grid_once(monkeypatch, capsys):
+    """The grid suites of an entry read one diagnosis, and the space-form
+    suites one curvature check: 7 grids, 4 of them space forms. An entry's
+    diagnosis is dropped before the next entry's is computed."""
+    diagnose, made, alive = verify.diagnose, [], []
+
+    def tracking(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        diag = diagnose(*args, **kwargs)
+        made.append(weakref.ref(diag))
+        return diag
+
+    monkeypatch.setattr(verify, "diagnose", tracking)
+    diagnoses = count_calls(monkeypatch, verify, "diagnose")
+    sectionals = count_calls(monkeypatch, verify, "sectional")
+    assert cli.main(["verify", "T3.1", "C3.2", "T5.1", "C5.2", "--all"]) == 0
+    assert diagnoses == [125] * 7
+    assert sectionals == [50] * 4
+    assert alive == [0] * 7
+
+
+def test_parallel_jacobi_keeps_its_own_seed_batch(monkeypatch, capsys):
+    diagnoses = count_calls(monkeypatch, verify, "diagnose")
+    assert cli.main(["verify", "T6.1", "--entry", "s3_hopf"]) == 0
+    assert diagnoses == [27]
+
+
+def test_verify_entry_shares_across_suites(entries, monkeypatch):
+    diagnoses = count_calls(monkeypatch, verify, "diagnose")
+    sectionals = count_calls(monkeypatch, verify, "sectional")
+    reports = verify.verify_entry(entries["s3_hopf"], ["T5.1", "T3.1", "C5.2", "C3.2", "P7.6"],
+                                  volume_nodes=4)
+    assert [r.theorem for r in reports] == ["T5.1", "T3.1", "C5.2", "C3.2", "P7.6"]
+    assert diagnoses == [125] and sectionals == [50]
+    # the same reports as each suite run alone
+    assert [r.to_dict() for r in reports] == [
+        run_theorem(entries["s3_hopf"], r.theorem, volume_nodes=4).to_dict() for r in reports]
+
+
+#: a flat chart with a constant field of length 2
+NON_UNIT_DOC = {"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                "field": {"components": ["0", "0", "2"]},
+                "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}}
+
+
+@pytest.mark.parametrize("theorems, c, error, message", [
+    (["T5.1", "T3.1"], 1.0, NotConstantCurvature,
+     "custom: sectional values in [0.000000, 0.000000], expected constant 1.0"),
+    (["T3.1", "T5.1"], 0.0, NotUnit, "field 'custom' has unit defect 3.000e+00 at [-1. -1. -1.]"),
+    (["T5.1", "C5.2"], 0.0, NotUnit, "field 'custom' has unit defect 3.000e+00 at [-1. -1. -1.]"),
+], ids=["curvature-first", "unit-first", "space-forms"])
+def test_shared_samples_keep_the_first_error(tmp_path, capsys, theorems, c, error, message):
+    """Bad input raises the error of the first suite that reads the bad
+    quantity, as when every suite computed its own."""
+    entry = resolve_config(NON_UNIT_DOC).entry
+    with pytest.raises(error) as info:
+        verify.verify_entry(entry, theorems, c=c)
+    assert str(info.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(NON_UNIT_DOC), encoding="utf-8")
+    assert cli.main(["verify", *theorems, "--c", str(c), "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_verify_names_a_vanishing_field(tmp_path, capsys):
+    """A field with zeros fails the unit check first in ``verify`` and is
+    named at its first zero in ``analyze``, which skips the unit check."""
+    doc = {"manifold": "s3_hopf", "field": {"components": ["0", "0", "x1"]},
+           "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field 'custom' has unit defect 7.500e-01 at [-1. -1. -1.]\n"
+    assert cli.main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field 'custom' is zero or not finite at [ 0. -1. -1.]\n"
 
 
 def test_tolerances_mapping():
