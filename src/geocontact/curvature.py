@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
-from .geometry import (ChartedManifold, _jet, _require_finite_metric,
+from .geometry import (ChartedManifold, _jet, _jet_points, _require_finite_metric,
                        _require_positive_definite, as_points, inner)
 
 MAX_METRIC_CONDITION = 1e12
@@ -75,6 +75,14 @@ def christoffel_with_partials(man: ChartedManifold, p, metric_out=None):
     if metric_out is not None:
         metric_out[...] = stencil_g[0] if single else stencil_g[:len(pts)]
     return (gam[0], dgam[0]) if single else (gam, dgam)
+
+
+def _partials_inside(man: ChartedManifold, pts):
+    """Mask of the rows of an (N, 3) batch at which ``christoffel_with_partials``
+    reaches only chart points: its stencil and the jet points of each stencil
+    point, so that it raises no OutOfChart at the rows of the mask."""
+    reach = _jet_points(man, _jet_points(man, pts), man.metric_exprs)
+    return man.contains(reach).reshape(-1, len(pts)).all(axis=0)
 
 
 def assemble_riemann(gam, dgam):

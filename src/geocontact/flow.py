@@ -1,8 +1,8 @@
 """Orbit integration, parallel transport, adapted Jacobi fields and the
 Riccati / trace-evolution / Wronskian diagnostics along flow lines.
 
-The orbit, the parallel frame and the Jacobi components are integrated
-jointly as one augmented first-order system with classical fixed-step RK4:
+The orbit, the parallel frame and the Jacobi components form one augmented
+first-order system, integrated with classical fixed-step RK4:
 
     p'   = X(p)
     e_a' = -Gamma(p)(X(p), e_a)                   (parallel transport)
@@ -10,6 +10,13 @@ jointly as one augmented first-order system with classical fixed-step RK4:
 
 Since frames are parallel and X is geodesic, the second-order Jacobi
 equation reduces exactly to scalar components in the transported frame.
+M depends on the orbit point and the frame but never on J, so the system is
+integrated in three passes per block of ``JACOBI_BLOCK`` steps: the transport
+of (p, e1, e2), which records every RK4 stage; one batched curvature call for
+the M of all those stages; and the Jacobi pass, the same RK4 tableau on
+(J, J', Jt, Jt') with the recorded M. The J slice of an RK4 update is
+elementwise, so the passes repeat the joint integration's floating-point
+operations and give its results bit for bit.
 """
 
 from __future__ import annotations
@@ -19,17 +26,29 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import (assemble_riemann, christoffel, christoffel_with_partials,
-                        jacobi_matrix, real_eigenvalues)
-from .errors import OutOfChart, PoleReached, StepTooLarge
+from .curvature import (_partials_inside, assemble_riemann, christoffel,
+                        christoffel_with_partials, jacobi_matrix, real_eigenvalues)
+from .errors import GeoContactError, OutOfChart, PoleReached, StepTooLarge
 from .field import UNIT_TOL, UnitField, _require_unit, shape_operator
 from .geometry import ChartedManifold, as_points, frames_at, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
 
+#: RK4 steps of one seed per batched curvature call. N seeds share blocks of
+#: JACOBI_BLOCK // N steps, so a block's curvature stencil has at most
+#: 7 * 4 * JACOBI_BLOCK rows. With its recorded stages, a block then peaks
+#: below the post-pass of a 2000-step orbit (7 * 2001 rows).
+JACOBI_BLOCK = 400
+
 
 def rk4_step(f, t, y, h):
     """One classical Runge-Kutta 4 step for y' = f(t, y)."""
+    return _rk4(f, t, y, h)
+
+
+def _rk4(f, t, y, h):
+    """The tableau of ``rk4_step``. The Jacobi pass calls it directly, so that
+    ``rk4_step`` runs once per orbit step."""
     k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
@@ -78,27 +97,44 @@ class Trajectory:
         return comp[:, 0, None] * self.e1 + comp[:, 1, None] * self.e2
 
 
-def _transport_rhs(man, X, with_jacobi):
-    """Right-hand side of the augmented system for an (N, 9 + 8 with_jacobi) state.
+def _frame_rates(gam, xv, e):
+    """e_a' = -Gamma(X, e_a) for the frames e (N, 2, 3), as the six frame columns."""
+    return -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
 
-    A state row holds p, e1 and e2, then J, J', Jt and Jt' in frame components.
-    """
+
+def _transport_rhs(man, X):
+    """Right-hand side of the transport of an (N, 9) state: p, e1 and e2."""
     def rhs(t, y):
         p = y[:, 0:3]
-        e = y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
-        if with_jacobi:
-            g = np.empty((len(p), 3, 3))
-            gam, dgam = christoffel_with_partials(man, p, g)
-        else:
-            gam = christoffel(man, p)
-        de = -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
-        if not with_jacobi:
-            return np.concatenate([xv, de], axis=1)
-        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
-        j, jt = y[:, 9:11, None], y[:, 13:15, None]
-        return np.concatenate([xv, de, y[:, 11:13], (-m @ j)[..., 0],
-                               y[:, 15:17], (-m @ jt)[..., 0]], axis=1)
+        return np.concatenate(
+            [xv, _frame_rates(christoffel(man, p), xv, y[:, 3:9].reshape(-1, 2, 3))], axis=1)
+    return rhs
+
+
+def _stage_curvature(man, p, e, xv):
+    """Gamma and the Jacobi matrix M at a batch of RK4 stages: points p,
+    transported frames e (N, 2, 3) and field values xv."""
+    g = np.empty((len(p), 3, 3))
+    gam, dgam = christoffel_with_partials(man, p, g)
+    return gam, jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
+
+
+def _jacobi_rhs(m, w):
+    """Derivative of the (N, 8) Jacobi state J, J', Jt, Jt' under J'' = -M J."""
+    j, jt = w[:, 0:2, None], w[:, 4:6, None]
+    return np.concatenate([w[:, 2:4], (-m @ j)[..., 0], w[:, 6:8], (-m @ jt)[..., 0]], axis=1)
+
+
+def _joint_rhs(man, X):
+    """Right-hand side of the whole augmented system, an (N, 17) state: transport,
+    then the Jacobi state. Each stage checks the field, then the curvature
+    stencil and its metric, so a seed fails at its first failing stage."""
+    def rhs(t, y):
+        p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
+        xv = X.value(p)
+        gam, m = _stage_curvature(man, p, e, xv)
+        return np.concatenate([xv, _frame_rates(gam, xv, e), _jacobi_rhs(m, y[:, 9:])], axis=1)
     return rhs
 
 
@@ -120,6 +156,80 @@ def _rk4_rows(man, rhs, y, h):
     return nxt, man.contains(nxt[:, 0:3])
 
 
+def _steps(man, rhs, y, count, h):
+    """Up to ``count`` RK4 steps of the rows of y: per step, the mask of the rows
+    that stay in the chart and their states. Stops when no row is left."""
+    for _ in range(count):
+        y, ok = _rk4_rows(man, rhs, y, h)
+        if not ok.all():
+            y = y[ok]
+        yield ok, y
+        if not len(y):
+            return
+
+
+def _jacobi_steps(man, X, y, nsteps, h):
+    """``_steps`` of the augmented system, in blocks of three passes.
+
+    A block whose transport or batched curvature raises (a stage stencil that
+    leaves the chart, a metric check) is redone with ``_joint_rhs``, one stage
+    at a time in time order: a seed then stops at its first stage whose
+    stencil leaves the chart, and the first other failure is raised.
+    """
+    rhs = _transport_rhs(man, X)
+    done = 0
+    while done < nsteps:
+        count = min(nsteps - done, max(1, JACOBI_BLOCK // len(y)))
+        try:
+            block = _jacobi_block(man, rhs, y, count, h)
+        except GeoContactError:  # the joint stages raise the same error, or an earlier one
+            block = _steps(man, _joint_rhs(man, X), y, count, h)
+        for ok, y in block:
+            yield ok, y
+        done += count
+
+
+def _jacobi_block(man, rhs, y, count, h):
+    """``count`` steps of ``_steps`` on the (N, 17) states y: the transport, one
+    curvature batch over its stages, the Jacobi pass. Raises what either raises."""
+    stages = []  # (state, field value) of every stage the transport completed
+
+    def recording(t, state):
+        k = rhs(t, state)
+        stages.append((state, k[:, 0:3]))
+        return k
+
+    plan, z = [], y[:, 0:9]
+    for _ in range(count):
+        first = len(stages)
+        nxt, ok = _rk4_rows(man, recording, z, h)
+        if len(stages) - first == 4 and len(stages[-1][0]) == len(z):
+            pick = ok  # one batch: its four stages, of the rows that completed
+        else:  # redone row by row: the stages of the completed rows once more
+            first, pick = len(stages), slice(None)
+            if ok.any():
+                _rk4(recording, 0.0, z[ok], h)
+        z = nxt[ok]
+        plan.append((first, pick, ok, z))
+        if not len(z):
+            break
+
+    if stages:  # every recorded stage is checked, those of failed attempts too
+        q = np.concatenate([q for q, _ in stages])
+        m = _stage_curvature(man, q[:, 0:3], q[:, 3:9].reshape(-1, 2, 3),
+                             np.concatenate([xv for _, xv in stages]))[1]
+        m = np.split(m, np.cumsum([len(q) for q, _ in stages])[:-1])
+
+    block, w = [], y[:, 9:]
+    for first, pick, ok, z in plan:
+        w = w[ok]
+        if len(w):  # _rk4 evaluates its four stages in order
+            stage_m = iter([mi[pick] for mi in m[first:first + 4]])
+            w = _rk4(lambda t, v: _jacobi_rhs(next(stage_m), v), 0.0, w, h)
+        block.append((ok, np.concatenate([z, w], axis=1)))
+    return block
+
+
 def orbit_steps(t_end, step) -> int:
     """RK4 steps of the uniform grid from 0 that lands exactly on t_end.
 
@@ -139,17 +249,26 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
                      with_jacobi=True) -> list[Trajectory]:
     """Integrate the orbits of X from an (N, 3) batch of starts with transported frames.
 
-    All orbits advance as one RK4 state, one batched kernel call per stage.
+    All orbits advance as one RK4 state, one batched kernel call per stage;
+    with ``with_jacobi``, the curvature of ``JACOBI_BLOCK`` steps' stages is one
+    batched call (see the module docstring).
     A seed whose orbit or RK4 stage leaves the chart stops there
     (``truncated``) while the others go on; each trajectory equals the one
     its start gives alone. With ``with_jacobi`` the canonical adapted pair,
     J(0) = e1 and Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
-    Raises OutOfChart or NotUnit naming the first bad start.
+    A trajectory also ends before its first sample whose curvature stencil
+    leaves the chart, and is then ``truncated``. Raises OutOfChart or NotUnit
+    naming the first bad start; a start whose own stencil leaves the chart is
+    bad.
     """
     starts = as_points(starts)[0]
     outside = np.flatnonzero(~man.contains(starts))
     if outside.size:
         raise OutOfChart(f"orbit start {starts[outside[0]]} outside the chart of {man.name!r}")
+    near = np.flatnonzero(~_partials_inside(man, starts))
+    if near.size:
+        raise OutOfChart(f"orbit start {starts[near[0]]}: its curvature stencil (diff_step "
+                         f"{man.diff_step!r}) leaves the chart of {man.name!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if not 0 < t_end < np.inf:
@@ -171,18 +290,20 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
             y.extend([np.broadcast_to(j0, (len(starts), 2)), b0 @ j0])
     y = np.concatenate(y, axis=1)
 
-    rhs = _transport_rhs(man, X, with_jacobi)
     nsteps = orbit_steps(t_end, step)
     step = t_end / nsteps
     hist = np.empty((len(y), nsteps + 1, y.shape[1]))  # per seed, its states in time order
     hist[:, 0] = y
-    rows = np.arange(len(y))  # the seeds still in the chart, y holds their states
+    rows = np.arange(len(y))  # the seeds still in the chart
     samples = np.full(len(y), nsteps + 1)
-    for s in range(1, nsteps + 1):
-        y, ok = _rk4_rows(man, rhs, y, step)
+    if with_jacobi:
+        steps = _jacobi_steps(man, X, y, nsteps, step)
+    else:
+        steps = _steps(man, _transport_rhs(man, X), y, nsteps, step)
+    for s, (ok, y) in enumerate(steps, 1):
         if not ok.all():
             samples[rows[~ok]] = s
-            rows, y = rows[ok], y[ok]
+            rows = rows[ok]
             if not rows.size:
                 break
         hist[rows, s] = y
@@ -197,7 +318,13 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
 
 
 def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
-    """One seed's trajectory from its states arr (n, state): frame-drift check, B, M, Jacobi."""
+    """One seed's trajectory from its states arr (n, state): frame-drift check, B, M, Jacobi.
+
+    It ends before the first sample whose curvature stencil leaves the chart.
+    """
+    inside = _partials_inside(man, arr[:, 0:3])
+    if not inside.all():
+        arr, truncated = arr[:np.argmin(inside)], True
     n = arr.shape[0]
     t = np.arange(n) * step
     points = arr[:, 0:3]

@@ -161,18 +161,25 @@ def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
       if given, vets the values of the whole stencil before they are
       differenced.
     """
-    if table is not None and man.diff_mode == "dual":
-        man.require_inside(pts)
+    batch = _jet_points(man, pts, table)
+    man.require_inside(batch)
+    if batch is pts:
         jet = expr.eval_dual(table, pts)
         return jet.value, jet.partials
-    h = man.diff_step
-    batch = (pts + _stencil(h)).reshape(-1, 3)
-    man.require_inside(batch)
     out = np.asarray(fn(batch), dtype=float)
     if check is not None:
         check(man, batch, out)
     out = out.reshape((7, pts.shape[0]) + out.shape[1:])
-    return out[0], ((out[1::2] - out[2::2]) / (2 * h)).swapaxes(0, 1)
+    return out[0], ((out[1::2] - out[2::2]) / (2 * man.diff_step)).swapaxes(0, 1)
+
+
+def _jet_points(man: ChartedManifold, pts, table=None):
+    """The points at which ``_jet`` evaluates and checks chart data: ``pts``
+    itself where it differentiates exactly, else the central stencil, 7N rows
+    in the order of ``_stencil`` with the rows of ``pts`` innermost."""
+    if table is not None and man.diff_mode == "dual":
+        return pts
+    return (pts + _stencil(man.diff_step)).reshape(-1, 3)
 
 
 @functools.lru_cache(maxsize=8)

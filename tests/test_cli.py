@@ -195,6 +195,16 @@ def test_orbit_of_two_steps_runs(tmp_path, capsys):
     assert len([l for l in out.split("\n")[1:] if l and not l.startswith("#")]) == 3
 
 
+def test_orbit_start_whose_stencil_leaves_the_chart_names_the_start(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "manifold": "h3_vertical",
+        "orbit": {"start": [0.0, 0.0, 0.000005], "t_end": 0.01, "step": 0.001}})
+    code, out, err = run(capsys, ["orbit", "--config", cfg])
+    assert code == 1 and out == ""
+    assert "orbit start [0.e+00 0.e+00 5.e-06]" in err and "diff_step 1e-05" in err
+    assert "Traceback" not in err
+
+
 def test_orbit_leaving_chart_before_third_sample_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],

@@ -1,11 +1,18 @@
 """Orbit integration, adapted Jacobi fields, residuals and closed forms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import geocontact as gc
-from geocontact.errors import NotUnit, OutOfChart, PoleReached, StepTooLarge
+from geocontact import flow
+from geocontact.curvature import assemble_riemann, christoffel_with_partials, jacobi_matrix
+from geocontact.errors import (NotPositiveDefinite, NotUnit, OutOfChart, PoleReached,
+                               StepTooLarge)
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
                              integrate_orbit, integrate_orbits,
                              jacobi_component_closed_form,
@@ -115,6 +122,221 @@ def test_batched_orbits_name_the_first_non_unit_start():
     starts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(NotUnit, match=r"unit defect 5\.625e-01 at \[0\.5 0\.  0\. \]"):
         integrate_orbits(man, bump, starts, 0.1, 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Three passes against the joint integration
+# ---------------------------------------------------------------------------
+
+def joint_rhs(man, X):
+    """The augmented system as one right-hand side: every RK4 stage makes its
+    own christoffel_with_partials call. The reference for the three passes."""
+    def rhs(t, y):
+        p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
+        xv = X.value(p)
+        g = np.empty((len(p), 3, 3))
+        gam, dgam = christoffel_with_partials(man, p, g)
+        de = -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
+        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
+        j, jt = y[:, 9:11, None], y[:, 13:15, None]
+        return np.concatenate([xv, de, y[:, 11:13], (-m @ j)[..., 0],
+                               y[:, 15:17], (-m @ jt)[..., 0]], axis=1)
+    return rhs
+
+
+def joint_orbits(man, X, starts, t_end, step):
+    """``integrate_orbits`` with the Jacobi pair, stepped by ``joint_rhs``; the
+    initial states are the first samples of a one-step run."""
+    first = integrate_orbits(man, X, starts, step, step)
+    y = np.array([np.concatenate([getattr(tr, name)[0] for name in
+                                  ("points", "e1", "e2") + JACOBI_ARRAYS]) for tr in first])
+    nsteps = flow.orbit_steps(t_end, step)
+    step = t_end / nsteps
+    hist = np.empty((len(y), nsteps + 1, 17))
+    hist[:, 0] = y
+    rows, samples = np.arange(len(y)), np.full(len(y), nsteps + 1)
+    for s in range(1, nsteps + 1):
+        y, ok = flow._rk4_rows(man, joint_rhs(man, X), y, step)
+        if not ok.all():
+            samples[rows[~ok]] = s
+            rows, y = rows[ok], y[ok]
+            if not rows.size:
+                break
+        hist[rows, s] = y
+    return [flow._trajectory(man, X, hist[k, :samples[k]], step, bool(samples[k] <= nsteps),
+                             True) for k in range(len(hist))]
+
+
+def assert_joint_result(man, X, starts, t_end, step):
+    """The three passes give the joint integration's trajectories bit for bit,
+    or raise its error with its message."""
+    try:
+        expected = joint_orbits(man, X, starts, t_end, step)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            integrate_orbits(man, X, starts, t_end, step)
+        assert str(raised.value) == str(exc)
+        return
+    got = integrate_orbits(man, X, starts, t_end, step)
+    assert len(got) == len(expected)
+    for traj, ref in zip(got, expected):
+        assert len(traj) == len(ref)
+        assert_same_trajectory(traj, ref, True)
+        for name in ("t", "X_along", "A", "adapted"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+def h3_cap(diff_mode="dual"):
+    """The h3_vertical metric on 0 < x3 < 1.2, whose upward orbits x3 e^t leave the chart."""
+    man = gc.manifold_from_exprs(
+        "h3_cap", (("1/x3^2", "0", "0"), ("0", "1/x3^2", "0"), ("0", "0", "1/x3^2")),
+        domain="x3 * (1.2 - x3)", diff_mode=diff_mode)
+    return man, gc.UnitField.from_exprs("vertical_h3", ("0", "0", "x3"))
+
+
+ORACLE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def grid_starts(draw, grid, max_seeds=3):
+    """1 to max_seeds points of a catalog grid box."""
+    point = st.tuples(*[st.floats(lo, hi) for lo, hi in zip(grid.lo, grid.hi)])
+    return np.array(draw(st.lists(point, min_size=1, max_size=max_seeds)))
+
+
+@ORACLE
+@given(st.data(), st.sampled_from(["h3_vertical", "s3_hopf", "s3_weighted(2,3)",
+                                   "heisenberg_reeb"]),
+       st.integers(1, 10), st.sampled_from([1e-3, 5e-3]))
+def test_three_passes_equal_the_joint_integration(entries, data, name, nsteps, step):
+    """Blocks of 3 steps per seed batch, so that block edges and a final partial
+    block occur; every Trajectory array equals the joint integration's."""
+    entry = entries[name]
+    starts = data.draw(grid_starts(entry.grid))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
+        assert_joint_result(entry.manifold, entry.field, starts, nsteps * step, step)
+
+
+def near_cap(k, d):
+    """A start on h3_cap whose k-th sample of step 1e-2 lies d below the cap x3 = 1.2."""
+    return (1.2 - d) * np.exp(-k * 1e-2)
+
+
+@ORACLE
+@given(st.floats(1.0, 1.1999) | st.builds(near_cap, st.integers(1, 8), st.floats(0.0, 2e-5)),
+       st.lists(st.floats(0.3, 0.9), min_size=0, max_size=2), st.integers(0, 2),
+       st.integers(2, 12), st.sampled_from(["dual", "central"]))
+def test_three_passes_equal_the_joint_integration_when_a_seed_truncates(
+        edge, others, slot, nsteps, diff_mode):
+    """One seed of a batch leaves the chart, at a stage or step end or first by
+    a stage stencil; blocks hold 3 steps."""
+    man, X = h3_cap(diff_mode)
+    x3 = list(others)
+    x3.insert(min(slot, len(x3)), edge)
+    starts = np.array([[0.1 * k, -0.2, z] for k, z in enumerate(x3)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
+        assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2)
+
+
+@pytest.mark.parametrize("edge,joint", [(1.15, False), (near_cap(3, 5e-6), True)])
+def test_truncation_by_transport_and_by_stencil(monkeypatch, edge, joint):
+    """A seed whose stage centre leaves the chart truncates in the transport (the
+    others' stages are recorded once more, row by row). One whose stage stencil
+    leaves first sends its block back to the joint stages."""
+    man, X = h3_cap()
+    made = []
+    joint_rhs = flow._joint_rhs
+    monkeypatch.setattr(flow, "_joint_rhs", lambda *args: made.append(1) or joint_rhs(*args))
+    starts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, edge], [0.3, 0.0, 0.8]])
+    for block in (3, 9, flow.JACOBI_BLOCK):
+        monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
+        for batch in (starts, starts[1:2]):
+            made.clear()
+            assert_joint_result(man, X, batch, 0.1, 1e-2)
+            assert bool(made) == joint
+
+
+def fold2():
+    """diag(1, 1, 1 - x3) with the field d/dx3: g33 reaches 0 at x3 = 1, inside the chart."""
+    man = gc.manifold_from_exprs("fold2", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1 - x3")))
+    return man, gc.UnitField.from_exprs("z", ("0", "0", "1"))
+
+
+def test_a_metric_failing_on_a_stage_stencil_names_the_stencil_check():
+    """The transport alone would meet the singular centre first."""
+    man, z = fold2()
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"metric of 'fold2' is not positive definite at \[0\. 0\. 1\.\]"):
+        integrate_orbit(man, z, np.zeros(3), 2.0, 1e-2)
+
+
+def test_stage_failures_inside_a_batch_give_each_seeds_solo_result():
+    man, z = slab()
+    starts = np.array([[0.2, 0.0, 0.5], [0.0, 0.0, 0.949995], [0.0, 0.1, -0.3]])
+    batch = integrate_orbits(man, z, starts, 0.2, 1e-2)
+    assert [len(traj) for traj in batch] == [21, 5, 21]
+    for p, traj in zip(starts, batch):
+        assert_same_trajectory(traj, integrate_orbit(man, z, p, 0.2, 1e-2), True)
+    assert_joint_result(man, z, starts, 0.2, 1e-2)
+
+    man, z = fold2()
+    starts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    with pytest.raises(NotPositiveDefinite, match=r"at \[0\. 0\. 1\.\]"):
+        integrate_orbits(man, z, starts, 2.0, 1e-2)
+    assert_joint_result(man, z, starts, 2.0, 1e-2)
+
+
+@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
+def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
+    """n steps make n rk4_step calls and ceil(n / K) + 1 christoffel_with_partials
+    calls (one per block and the post-pass), where one per stage would be 4n + 1."""
+    calls = {"rk4_step": 0, "christoffel_with_partials": 0}
+
+    def counted(name):
+        fn = getattr(flow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(flow, name, counted(name))
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
+    entry = entries["h3_vertical"]
+    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0.0, 1.0]),
+                           nsteps * 1e-3, 1e-3)
+    assert len(traj) == nsteps + 1 and not traj.truncated
+    assert calls == {"rk4_step": nsteps,
+                     "christoffel_with_partials": math.ceil(nsteps / block) + 1}
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_orbit_ends_before_its_first_sample_whose_stencil_leaves_the_chart(with_jacobi):
+    """Sample 5's stencil leaves the chart, and with the Jacobi pair so does the
+    stencil of step 5's last stage, whose centre stays in: both stop at 5 samples."""
+    man, z = slab()
+    traj = integrate_orbit(man, z, np.array([0.0, 0.0, 0.949995]), 0.2, 1e-2, with_jacobi)
+    assert traj.truncated and len(traj) == 5
+    assert traj.points[-1, 2] == pytest.approx(0.989995, abs=1e-12)
+
+
+@pytest.mark.parametrize("diff_mode,x3", [("dual", 0.999995), ("central", 0.999985)])
+def test_orbit_start_whose_stencil_leaves_the_chart_is_named(diff_mode, x3):
+    """The central mode also differences the metric at each stencil point, so
+    its curvature reaches twice as far."""
+    man, z = slab()
+    man.diff_mode = diff_mode
+    starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, x3]])
+    for with_jacobi in (False, True):
+        with pytest.raises(OutOfChart, match=r"orbit start \[0\. +0\. +0\.9999.5\]: its "
+                                             r"curvature stencil \(diff_step 1e-05\)"):
+            integrate_orbits(man, z, starts, 0.1, 1e-2, with_jacobi)
+    if diff_mode == "central":
+        man.diff_mode = "dual"
+        assert len(integrate_orbits(man, z, starts, 0.1, 1e-2)) == 2
 
 
 @pytest.mark.parametrize("t_end", [-0.01, 0.0, np.nan, np.inf])
