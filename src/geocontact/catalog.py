@@ -272,10 +272,10 @@ def builtin(name: str) -> CatalogEntry:
     raise UnknownEntry(f"no catalog entry named {name!r}")
 
 
-def all_entries(weighted: str = DEFAULT_WEIGHTED):
+def all_entries():
     """The seven concrete entries, instantiating the weighted one."""
     out = [builtin(n) for n in NAMES if n != "s3_weighted(k1,k2)"]
-    out.insert(3, builtin(weighted))
+    out.insert(3, builtin(DEFAULT_WEIGHTED))
     return out
 
 
@@ -292,13 +292,13 @@ def describe():
 # Self-check of the expected templates
 # ---------------------------------------------------------------------------
 
-def self_check(entry: CatalogEntry, points=None, unit_tol=1e-8, geodesic_tol=1e-6):
-    """Compare measured diagnostics with the entry's expected template.
+def self_check(entry: CatalogEntry):
+    """Compare measured diagnostics on the entry's grid with its expected template.
 
     Returns a list of mismatch descriptions (empty when the entry is
-    healthy). Always enforces the unit and geodesic defect bounds.
+    healthy). Always enforces the unit (1e-8) and geodesic (1e-6) defect bounds.
     """
-    pts = entry.grid.points() if points is None else np.asarray(points, float)
+    pts = entry.grid.points()
     exp = entry.expected
     diag = diagnose(entry.manifold, entry.field, pts)
     disc = trace_discriminant(diag.B)[1]
@@ -311,9 +311,9 @@ def self_check(entry: CatalogEntry, points=None, unit_tol=1e-8, geodesic_tol=1e-
 
         contact, B = float(diag.contact_defect[k]), diag.B[k]
         kind = "complex" if diag.complex[k] else "real"
-        if diag.unit_defect[k] > unit_tol:
+        if diag.unit_defect[k] > 1e-8:
             bad.append(f"{entry.name} at {where}: unit defect {diag.unit_defect[k]:.2e}")
-        if diag.geodesic_defect[k] > geodesic_tol:
+        if diag.geodesic_defect[k] > 1e-6:
             bad.append(f"{entry.name} at {where}: geodesic defect {diag.geodesic_defect[k]:.2e}")
         if "contact_abs" in exp and abs(abs(contact) - exp["contact_abs"]) > \
                 (ZERO_DEFECT_TOL if exp["contact_abs"] == 0.0 else VALUE_TOL):

@@ -130,10 +130,10 @@ def _eigen_pair(cplx, re, im) -> EigenClass:
     return RealPair(lam=float(re[0]), mu=float(re[1]))
 
 
-def beta_ranks(B, rel_tol: float = RANK_REL_TOL, abs_tol: float = RANK_ABS_TOL):
+def beta_ranks(B):
     """Numerical rank of each B[..., 2, 2] from its singular values, one SVD call."""
     sv = np.linalg.svd(B, compute_uv=False)
-    return np.sum(sv > np.maximum(rel_tol * sv[..., :1], abs_tol), axis=-1)
+    return np.sum(sv > np.maximum(RANK_REL_TOL * sv[..., :1], RANK_ABS_TOL), axis=-1)
 
 
 # ---------------------------------------------------------------------------

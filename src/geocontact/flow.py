@@ -16,7 +16,8 @@ of (p, e1, e2), which records every RK4 stage; one batched curvature call for
 the M of all those stages; and the Jacobi pass, the same RK4 tableau on
 (J, J', Jt, Jt') with the recorded M. The J slice of an RK4 update is
 elementwise, so the passes repeat the joint integration's floating-point
-operations and give its results bit for bit.
+operations and give its results bit for bit. A block in which any stage fails
+is replayed by the joint integration: at most one block per truncating seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .curvature import (_partials_inside, assemble_riemann, christoffel,
                         christoffel_with_partials, jacobi_matrix, real_eigenvalues)
 from .errors import GeoContactError, OutOfChart, PoleReached, StepTooLarge
-from .field import UNIT_TOL, UnitField, _require_unit, shape_operator
+from .field import UNIT_TOL, UnitField, _require_nonzero, _require_unit, shape_operator
 from .geometry import ChartedManifold, as_points, frames_at, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
@@ -171,10 +172,10 @@ def _steps(man, rhs, y, count, h):
 def _jacobi_steps(man, X, y, nsteps, h):
     """``_steps`` of the augmented system, in blocks of three passes.
 
-    A block whose transport or batched curvature raises (a stage stencil that
-    leaves the chart, a metric check) is redone with ``_joint_rhs``, one stage
-    at a time in time order: a seed then stops at its first stage whose
-    stencil leaves the chart, and the first other failure is raised.
+    A block whose transport or curvature batch raises any GeoContactError is
+    replayed with ``_joint_rhs`` one stage at a time: a seed stops at its
+    first stage that leaves the chart, the first other failure is raised.
+    Each replay ends a seed or raises: one block per truncating seed at most.
     """
     rhs = _transport_rhs(man, X)
     done = 0
@@ -191,8 +192,9 @@ def _jacobi_steps(man, X, y, nsteps, h):
 
 def _jacobi_block(man, rhs, y, count, h):
     """``count`` steps of ``_steps`` on the (N, 17) states y: the transport, one
-    curvature batch over its stages, the Jacobi pass. Raises what either raises."""
-    stages = []  # (state, field value) of every stage the transport completed
+    curvature batch over its stages, the Jacobi pass of the rows whose step ends
+    in the chart. Raises what the transport or the curvature raises."""
+    stages = []  # (state, field value) of every transport stage, four per step
 
     def recording(t, state):
         k = rhs(t, state)
@@ -201,31 +203,22 @@ def _jacobi_block(man, rhs, y, count, h):
 
     plan, z = [], y[:, 0:9]
     for _ in range(count):
-        first = len(stages)
-        nxt, ok = _rk4_rows(man, recording, z, h)
-        if len(stages) - first == 4 and len(stages[-1][0]) == len(z):
-            pick = ok  # one batch: its four stages, of the rows that completed
-        else:  # redone row by row: the stages of the completed rows once more
-            first, pick = len(stages), slice(None)
-            if ok.any():
-                _rk4(recording, 0.0, z[ok], h)
+        nxt = rk4_step(recording, 0.0, z, h)
+        ok = man.contains(nxt[:, 0:3])
         z = nxt[ok]
-        plan.append((first, pick, ok, z))
+        plan.append((ok, z))
         if not len(z):
             break
 
-    if stages:  # every recorded stage is checked, those of failed attempts too
-        q = np.concatenate([q for q, _ in stages])
-        m = _stage_curvature(man, q[:, 0:3], q[:, 3:9].reshape(-1, 2, 3),
-                             np.concatenate([xv for _, xv in stages]))[1]
-        m = np.split(m, np.cumsum([len(q) for q, _ in stages])[:-1])
+    q = np.concatenate([q for q, _ in stages])
+    m = _stage_curvature(man, q[:, 0:3], q[:, 3:9].reshape(-1, 2, 3),
+                         np.concatenate([xv for _, xv in stages]))[1]
+    m = np.split(m, np.cumsum([len(q) for q, _ in stages])[:-1])
 
     block, w = [], y[:, 9:]
-    for first, pick, ok, z in plan:
-        w = w[ok]
-        if len(w):  # _rk4 evaluates its four stages in order
-            stage_m = iter([mi[pick] for mi in m[first:first + 4]])
-            w = _rk4(lambda t, v: _jacobi_rhs(next(stage_m), v), 0.0, w, h)
+    for s, (ok, z) in enumerate(plan):
+        stage_m = iter([mi[ok] for mi in m[4 * s:4 * s + 4]])  # _rk4 takes them in order
+        w = _rk4(lambda t, v: _jacobi_rhs(next(stage_m), v), 0.0, w[ok], h)
         block.append((ok, np.concatenate([z, w], axis=1)))
     return block
 
@@ -281,8 +274,9 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
         g0 = man.metric_at(starts)
     xv0 = X.value(starts)
     _require_unit(X, starts, np.abs(inner(g0, xv0, xv0) - 1.0), UNIT_TOL)
-    # normalised as frame_at normalises a single vector, bit for bit
-    e1, e2 = frames_at(g0, xv0 / np.sqrt(xv0[:, None] @ g0 @ xv0[..., None])[:, 0])
+    norm0 = np.sqrt(xv0[:, None] @ g0 @ xv0[..., None])[:, 0]  # as in frame_at, bit for bit
+    _require_nonzero(X, starts, norm0[:, 0])
+    e1, e2 = frames_at(g0, xv0 / norm0)
     y = [starts, e1, e2]
     if with_jacobi:
         b0 = shape_operator(man, X, starts, g0, gam0, xv0, e1, e2)
@@ -466,15 +460,15 @@ def max_parallel_jacobi_defect(traj: Trajectory, window: float = 0.0) -> float:
     return float(np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / (stride * traj.step))
 
 
-def noncontact_eigen_drift(traj: Trajectory, defect_tol: float = 1e-8):
+def noncontact_eigen_drift(traj: Trajectory):
     """Optional diagnostic: eigenvalue drift along a non-contact orbit.
 
     Returns the max deviation of the real shape-operator eigenvalues from
     their initial values, or None if any sample is contact (|B21 - B12|
-    above ``defect_tol``). Reported for information only.
+    above 1e-8). Reported for information only.
     """
     defect = traj.B[:, 1, 0] - traj.B[:, 0, 1]
-    if np.any(np.abs(defect) > defect_tol):
+    if np.any(np.abs(defect) > 1e-8):
         return None
     lam, mu = real_eigenvalues(traj.B)
     return float(max(np.abs(lam - lam[0]).max(), np.abs(mu - mu[0]).max()))

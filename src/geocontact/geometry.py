@@ -195,7 +195,8 @@ def _stencil(h):
 def metric_partials(man: ChartedManifold, p):
     """First partials of the metric: dg[..., k, i, j] = d_k g_ij."""
     pts, single = as_points(p)
-    dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)[1]
+    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
+    _require_finite_metric(man, pts, g)  # the dual jet checks no values
     return dg[0] if single else dg
 
 

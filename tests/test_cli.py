@@ -217,6 +217,18 @@ def test_orbit_leaving_chart_before_third_sample_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_orbit_start_where_the_field_is_not_finite_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "manifold": "euclidean_parallel",
+        "field": {"components": ["0", "0", "exp(1000*x1)-exp(1000*x1)+1"]},
+        "orbit": {"start": [1.0, 0.0, 0.0]}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, ["orbit", "--config", cfg])
+    assert code == 1 and out == ""
+    assert "field 'custom' is zero or not finite at [1. 0. 0.]" in err
+    assert "Traceback" not in err
+
+
 def test_orbit_needs_orbit_section_for_custom(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},

@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 import geocontact as gc
 from geocontact import flow
 from geocontact.curvature import assemble_riemann, christoffel_with_partials, jacobi_matrix
-from geocontact.errors import (NotPositiveDefinite, NotUnit, OutOfChart, PoleReached,
-                               StepTooLarge)
+from geocontact.errors import (DegenerateSeed, NotPositiveDefinite, NotUnit, OutOfChart,
+                               PoleReached, StepTooLarge)
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
                              integrate_orbit, integrate_orbits,
                              jacobi_component_closed_form,
@@ -124,6 +124,18 @@ def test_batched_orbits_name_the_first_non_unit_start():
         integrate_orbits(man, bump, starts, 0.1, 1e-2)
 
 
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(with_jacobi):
+    """exp(1000 x1) - exp(1000 x1) is NaN at x1 = 1, and a NaN unit defect passes
+    the unit check; the start is named as ``diagnose`` names its points."""
+    man, _ = slab()
+    nan = gc.UnitField.from_exprs("nan", ("0", "0", "exp(1000*x1)-exp(1000*x1)+1"))
+    starts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DegenerateSeed, match=r"field 'nan' is zero or not finite at \[1\. 0\. 0\.\]"):
+        integrate_orbits(man, nan, starts, 0.1, 1e-2, with_jacobi)
+
+
 # ---------------------------------------------------------------------------
 # Three passes against the joint integration
 # ---------------------------------------------------------------------------
@@ -194,6 +206,13 @@ def h3_cap(diff_mode="dual"):
     return man, gc.UnitField.from_exprs("vertical_h3", ("0", "0", "x3"))
 
 
+def count_replays(monkeypatch):
+    """Note each block that ``flow._joint_rhs`` is made to replay; returns the notes."""
+    made, joint_rhs = [], flow._joint_rhs
+    monkeypatch.setattr(flow, "_joint_rhs", lambda *args: made.append(1) or joint_rhs(*args))
+    return made
+
+
 ORACLE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
@@ -210,12 +229,15 @@ def grid_starts(draw, grid, max_seeds=3):
        st.integers(1, 10), st.sampled_from([1e-3, 5e-3]))
 def test_three_passes_equal_the_joint_integration(entries, data, name, nsteps, step):
     """Blocks of 3 steps per seed batch, so that block edges and a final partial
-    block occur; every Trajectory array equals the joint integration's."""
+    block occur; every Trajectory array equals the joint integration's, and
+    orbits that stay in the chart replay no block."""
     entry = entries[name]
     starts = data.draw(grid_starts(entry.grid))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
+        replays = count_replays(mp)
         assert_joint_result(entry.manifold, entry.field, starts, nsteps * step, step)
+    assert not replays
 
 
 def near_cap(k, d):
@@ -240,22 +262,20 @@ def test_three_passes_equal_the_joint_integration_when_a_seed_truncates(
         assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2)
 
 
-@pytest.mark.parametrize("edge,joint", [(1.15, False), (near_cap(3, 5e-6), True)])
-def test_truncation_by_transport_and_by_stencil(monkeypatch, edge, joint):
-    """A seed whose stage centre leaves the chart truncates in the transport (the
-    others' stages are recorded once more, row by row). One whose stage stencil
-    leaves first sends its block back to the joint stages."""
+@pytest.mark.parametrize("edge", [1.15, near_cap(3, 5e-6)])
+def test_truncation_by_transport_and_by_stencil(monkeypatch, edge):
+    """A seed whose stage centre leaves the chart and one whose stage stencil leaves
+    first both send exactly one block back to the joint stages; seeds that stay
+    in the chart replay none."""
     man, X = h3_cap()
-    made = []
-    joint_rhs = flow._joint_rhs
-    monkeypatch.setattr(flow, "_joint_rhs", lambda *args: made.append(1) or joint_rhs(*args))
+    replays = count_replays(monkeypatch)
     starts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, edge], [0.3, 0.0, 0.8]])
     for block in (3, 9, flow.JACOBI_BLOCK):
         monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
-        for batch in (starts, starts[1:2]):
-            made.clear()
+        for batch, blocks in ((starts, 1), (starts[1:2], 1), (starts[0::2], 0)):
+            replays.clear()
             assert_joint_result(man, X, batch, 0.1, 1e-2)
-            assert bool(made) == joint
+            assert len(replays) == blocks
 
 
 def fold2():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact.errors import NotPositiveDefinite, OutOfChart
+from geocontact.errors import NotPositiveDefinite, OutOfChart, SingularMetric
 from geocontact.field import diagnose
 from geocontact.geometry import frame_at, frames_at, g_norm, inner, metric_partials
 
@@ -86,6 +86,16 @@ def test_partials_out_of_chart():
     man.diff_step = 1e-2
     with pytest.raises(OutOfChart):
         metric_partials(man, np.array([0.0, 0.0, 5e-3]))
+
+
+@pytest.mark.parametrize("diff_mode", ["dual", "central"])
+def test_partials_of_a_metric_that_is_not_finite_name_the_point(diff_mode):
+    """exp(800) overflows: both modes raise, where the dual jet alone would give inf."""
+    man = gc.manifold_from_exprs("exp", (("exp(x1)", "0", "0"), ("0", "1", "0"),
+                                         ("0", "0", "1")), diff_mode=diff_mode)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SingularMetric, match=re.escape("'exp' numerically singular at [800.   0.   0.]")):
+        metric_partials(man, np.array([800.0, 0.0, 0.0]))
 
 
 def test_out_of_chart_names_the_first_point_outside():

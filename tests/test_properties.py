@@ -3,7 +3,8 @@ evaluator, the singular-metric checks, the row invariance of the
 batched kernels and the config validator.
 
 Examples are derandomized and no example database is written, so a run is
-reproducible and leaves no files behind.
+reproducible. Hypothesis still keeps its own caches under `.hypothesis/`
+(`constants/`, `unicode_data/`), which git ignores.
 """
 
 import dataclasses
