@@ -380,7 +380,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # no numpy warnings on stderr, worker threads too
+            return args.fn(args)
     except (ConfigError, NoParametrization, UnknownEntry, ExprError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,14 +10,17 @@ first-order system, integrated with classical fixed-step RK4:
 
 Since frames are parallel and X is geodesic, the second-order Jacobi
 equation reduces exactly to scalar components in the transported frame.
-M depends on the orbit point and the frame but never on J, so the system is
-integrated in three passes per block of ``JACOBI_BLOCK`` steps: the transport
-of (p, e1, e2), which records every RK4 stage; one batched curvature call for
-the M of all those stages; and the Jacobi pass, the same RK4 tableau on
-(J, J', Jt, Jt') with the recorded M. The J slice of an RK4 update is
-elementwise, so the passes repeat the joint integration's floating-point
-operations and give its results bit for bit. A block in which any stage fails
-is replayed by the joint integration: at most one block per truncating seed.
+The system is triangular: p' depends on p alone, e' on p and e, and M on p
+and e but never on J. So each block of ``JACOBI_BLOCK`` steps runs in five
+passes: RK4 on p alone, recording every stage point; one batched curvature
+call that gives Gamma and R at all those stages; the same RK4 tableau on
+(e1, e2) with the recorded Gamma, recording every stage frame; one batched
+``jacobi_matrix`` call for the M of all stage frames; and the Jacobi pass on
+(J, J', Jt, Jt') with the recorded M. An RK4 update is elementwise on each
+slice of the state, so the passes repeat the joint integration's
+floating-point operations and give its results bit for bit. A block in which
+any stage fails is replayed by the joint integration: at most one block per
+truncating seed.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ def rk4_step(f, t, y, h):
 
 
 def _rk4(f, t, y, h):
-    """The tableau of ``rk4_step``. The Jacobi pass calls it directly, so that
-    ``rk4_step`` runs once per orbit step."""
+    """The tableau of ``rk4_step``. The frame and Jacobi passes call it directly,
+    so that ``rk4_step`` runs once per orbit step."""
     k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
@@ -113,14 +116,6 @@ def _transport_rhs(man, X):
     return rhs
 
 
-def _stage_curvature(man, p, e, xv):
-    """Gamma and the Jacobi matrix M at a batch of RK4 stages: points p,
-    transported frames e (N, 2, 3) and field values xv."""
-    g = np.empty((len(p), 3, 3))
-    gam, dgam = christoffel_with_partials(man, p, g)
-    return gam, jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
-
-
 def _jacobi_rhs(m, w):
     """Derivative of the (N, 8) Jacobi state J, J', Jt, Jt' under J'' = -M J."""
     j, jt = w[:, 0:2, None], w[:, 4:6, None]
@@ -134,7 +129,9 @@ def _joint_rhs(man, X):
     def rhs(t, y):
         p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
-        gam, m = _stage_curvature(man, p, e, xv)
+        g = np.empty((len(p), 3, 3))
+        gam, dgam = christoffel_with_partials(man, p, g)
+        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
         return np.concatenate([xv, _frame_rates(gam, xv, e), _jacobi_rhs(m, y[:, 9:])], axis=1)
     return rhs
 
@@ -170,19 +167,18 @@ def _steps(man, rhs, y, count, h):
 
 
 def _jacobi_steps(man, X, y, nsteps, h):
-    """``_steps`` of the augmented system, in blocks of three passes.
+    """``_steps`` of the augmented system, in blocks of ``_jacobi_block``.
 
-    A block whose transport or curvature batch raises any GeoContactError is
-    replayed with ``_joint_rhs`` one stage at a time: a seed stops at its
-    first stage that leaves the chart, the first other failure is raised.
-    Each replay ends a seed or raises: one block per truncating seed at most.
+    A block that raises any GeoContactError is replayed with ``_joint_rhs``
+    one stage at a time: a seed stops at its first stage that leaves the
+    chart, the first other failure is raised. Each replay ends a seed or
+    raises: one block per truncating seed at most.
     """
-    rhs = _transport_rhs(man, X)
     done = 0
     while done < nsteps:
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(y)))
         try:
-            block = _jacobi_block(man, rhs, y, count, h)
+            block = _jacobi_block(man, X, y, count, h)
         except GeoContactError:  # the joint stages raise the same error, or an earlier one
             block = _steps(man, _joint_rhs(man, X), y, count, h)
         for ok, y in block:
@@ -190,36 +186,52 @@ def _jacobi_steps(man, X, y, nsteps, h):
         done += count
 
 
-def _jacobi_block(man, rhs, y, count, h):
-    """``count`` steps of ``_steps`` on the (N, 17) states y: the transport, one
-    curvature batch over its stages, the Jacobi pass of the rows whose step ends
-    in the chart. Raises what the transport or the curvature raises."""
-    stages = []  # (state, field value) of every transport stage, four per step
-
-    def recording(t, state):
-        k = rhs(t, state)
-        stages.append((state, k[:, 0:3]))
-        return k
-
-    plan, z = [], y[:, 0:9]
+def _stage_pass(rate, z, count, h, step=_rk4):
+    """The states after each of ``count`` RK4 steps from z, where ``rate(k, z)``
+    is the derivative at the pass's k-th stage (four per step, in order)."""
+    stage, out = iter(range(4 * count)), []
     for _ in range(count):
-        nxt = rk4_step(recording, 0.0, z, h)
-        ok = man.contains(nxt[:, 0:3])
-        z = nxt[ok]
-        plan.append((ok, z))
-        if not len(z):
-            break
+        z = step(lambda t, v: rate(next(stage), v), 0.0, z, h)
+        out.append(z)
+    return out
 
-    q = np.concatenate([q for q, _ in stages])
-    m = _stage_curvature(man, q[:, 0:3], q[:, 3:9].reshape(-1, 2, 3),
-                         np.concatenate([xv for _, xv in stages]))[1]
-    m = np.split(m, np.cumsum([len(q) for q, _ in stages])[:-1])
 
-    block, w = [], y[:, 9:]
-    for s, (ok, z) in enumerate(plan):
-        stage_m = iter([mi[ok] for mi in m[4 * s:4 * s + 4]])  # _rk4 takes them in order
-        w = _rk4(lambda t, v: _jacobi_rhs(next(stage_m), v), 0.0, w[ok], h)
-        block.append((ok, np.concatenate([z, w], axis=1)))
+def _jacobi_block(man, X, y, count, h):
+    """``count`` steps of ``_steps`` on the (N, 17) states y, in five passes.
+
+    The point pass integrates p alone; one curvature batch gives Gamma and R
+    at all its stages; the frame pass transports (e1, e2) with that Gamma;
+    one ``jacobi_matrix`` call gives M at all stage frames; the Jacobi pass
+    integrates (J, J', Jt, Jt'). Raises what the field or the curvature
+    raises. Inside the block a step end is the next step's first stage, so
+    one outside the chart makes the block raise; after the block's last step
+    the rows outside the chart are dropped, as ``_steps`` drops them.
+    """
+    n, stages = len(y), []  # (point, field value) of every stage of the point pass
+
+    def field(k, p):
+        stages.append((p, X.value(p)))
+        return stages[-1][1]
+
+    points = _stage_pass(field, y[:, 0:3], count, h, rk4_step)
+    q, xv = (np.concatenate(a) for a in zip(*stages))
+    g = np.empty((len(q), 3, 3))
+    gam, dgam = christoffel_with_partials(man, q, g)
+    rows = [slice(k, k + n) for k in range(0, len(q), n)]
+    frames = []
+
+    def transport(k, e):
+        frames.append(e)
+        return _frame_rates(gam[rows[k]], xv[rows[k]], e.reshape(-1, 2, 3))
+
+    es = _stage_pass(transport, y[:, 3:9], count, h)
+    m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv,
+                      np.concatenate(frames).reshape(-1, 2, 3))
+    ws = _stage_pass(lambda k, w: _jacobi_rhs(m[rows[k]], w), y[:, 9:], count, h)
+    every = np.ones(n, dtype=bool)
+    block = [(every, np.concatenate(z, axis=1)) for z in zip(points, es, ws)]
+    ok = man.contains(points[-1])
+    block[-1] = ok, block[-1][1][ok]
     return block
 
 

@@ -14,6 +14,7 @@ Numerical floors make the exact statements decidable:
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass, field, asdict
@@ -277,7 +278,9 @@ def _run_blocks(fill, blocks: int, workers: int) -> None:
     expression tables), and no thread starts for a single worker or block.
     Blocks are handed out in order and a failure stops the hand-out, so
     every block below a failed one still runs: the error raised is that of
-    the lowest failed block, the one a serial loop would raise.
+    the lowest failed block, the one a serial loop would raise. Each thread
+    runs in a copy of the caller's context, so numpy's floating-point error
+    state (``np.errstate``) holds on all of them.
     """
     fill(0)
     lock = threading.Lock()
@@ -296,7 +299,8 @@ def _run_blocks(fill, blocks: int, workers: int) -> None:
                 with lock:
                     failed[k] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(min(workers, blocks) - 1)]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(min(workers, blocks) - 1)]
     for thread in threads:
         thread.start()
     try:

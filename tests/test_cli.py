@@ -1,7 +1,10 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,11 +225,25 @@ def test_orbit_start_where_the_field_is_not_finite_exits_one(tmp_path, capsys):
         "manifold": "euclidean_parallel",
         "field": {"components": ["0", "0", "exp(1000*x1)-exp(1000*x1)+1"]},
         "orbit": {"start": [1.0, 0.0, 0.0]}})
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, ["orbit", "--config", cfg])
+    code, out, err = run(capsys, ["orbit", "--config", cfg])
     assert code == 1 and out == ""
     assert "field 'custom' is zero or not finite at [1. 0. 0.]" in err
     assert "Traceback" not in err
+
+
+def test_floating_point_warnings_stay_off_stderr(tmp_path):
+    """The overflow and the invalid subtraction inside the field's expression
+    code print no RuntimeWarning: stderr is the named error line alone."""
+    cfg = write_config(tmp_path, {
+        "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+        "field": {"components": ["exp(1000*x1)-exp(1000*x1)+1", "0", "0"]},
+        "orbit": {"start": [1, 0, 0]}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "geocontact", "orbit", "--config", cfg],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: field 'custom' is zero or not finite at [1. 0. 0.]\n"
 
 
 def test_orbit_needs_orbit_section_for_custom(tmp_path, capsys):

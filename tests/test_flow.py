@@ -1,5 +1,6 @@
 """Orbit integration, adapted Jacobi fields, residuals and closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.optimize import brentq
 
 import geocontact as gc
 from geocontact import flow
-from geocontact.curvature import assemble_riemann, christoffel_with_partials, jacobi_matrix
+from geocontact.curvature import (assemble_riemann, christoffel, christoffel_with_partials,
+                                  jacobi_matrix)
 from geocontact.errors import (DegenerateSeed, NotPositiveDefinite, NotUnit, OutOfChart,
                                PoleReached, StepTooLarge)
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
@@ -137,18 +139,19 @@ def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(with_
 
 
 # ---------------------------------------------------------------------------
-# Three passes against the joint integration
+# Block passes against the joint integration
 # ---------------------------------------------------------------------------
 
 def joint_rhs(man, X):
-    """The augmented system as one right-hand side: every RK4 stage makes its
-    own christoffel_with_partials call. The reference for the three passes."""
+    """The augmented system as one right-hand side: every RK4 stage transports
+    the frame with its own christoffel call and takes M from its own
+    christoffel_with_partials call. The reference for the block passes."""
     def rhs(t, y):
         p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
         g = np.empty((len(p), 3, 3))
         gam, dgam = christoffel_with_partials(man, p, g)
-        de = -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
+        de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
         m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
         j, jt = y[:, 9:11, None], y[:, 13:15, None]
         return np.concatenate([xv, de, y[:, 11:13], (-m @ j)[..., 0],
@@ -180,7 +183,7 @@ def joint_orbits(man, X, starts, t_end, step):
 
 
 def assert_joint_result(man, X, starts, t_end, step):
-    """The three passes give the joint integration's trajectories bit for bit,
+    """The block passes give the joint integration's trajectories bit for bit,
     or raise its error with its message."""
     try:
         expected = joint_orbits(man, X, starts, t_end, step)
@@ -226,17 +229,20 @@ def grid_starts(draw, grid, max_seeds=3):
 @ORACLE
 @given(st.data(), st.sampled_from(["h3_vertical", "s3_hopf", "s3_weighted(2,3)",
                                    "heisenberg_reeb"]),
-       st.integers(1, 10), st.sampled_from([1e-3, 5e-3]))
-def test_three_passes_equal_the_joint_integration(entries, data, name, nsteps, step):
+       st.integers(1, 10), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
+def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, step, diff_mode):
     """Blocks of 3 steps per seed batch, so that block edges and a final partial
     block occur; every Trajectory array equals the joint integration's, and
-    orbits that stay in the chart replay no block."""
+    orbits that stay in the chart replay no block. On both backends the Gamma
+    that the frame pass takes from the block's curvature batch is the Gamma
+    of a christoffel call at the stage alone."""
     entry = entries[name]
+    man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
     starts = data.draw(grid_starts(entry.grid))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
         replays = count_replays(mp)
-        assert_joint_result(entry.manifold, entry.field, starts, nsteps * step, step)
+        assert_joint_result(man, entry.field, starts, nsteps * step, step)
     assert not replays
 
 
@@ -249,7 +255,7 @@ def near_cap(k, d):
 @given(st.floats(1.0, 1.1999) | st.builds(near_cap, st.integers(1, 8), st.floats(0.0, 2e-5)),
        st.lists(st.floats(0.3, 0.9), min_size=0, max_size=2), st.integers(0, 2),
        st.integers(2, 12), st.sampled_from(["dual", "central"]))
-def test_three_passes_equal_the_joint_integration_when_a_seed_truncates(
+def test_five_passes_equal_the_joint_integration_when_a_seed_truncates(
         edge, others, slot, nsteps, diff_mode):
     """One seed of a batch leaves the chart, at a stage or step end or first by
     a stage stencil; blocks hold 3 steps."""
@@ -276,6 +282,62 @@ def test_truncation_by_transport_and_by_stencil(monkeypatch, edge):
             replays.clear()
             assert_joint_result(man, X, batch, 0.1, 1e-2)
             assert len(replays) == blocks
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_step_end_just_past_the_cap_replays_one_block(monkeypatch, k):
+    """Step k of 6 ends 5e-6 above x3 = 1.2, in blocks of 3 steps: in the middle
+    of a block, at its last step and at the first step of the next. Step k's
+    last stage lies beyond its end, so its block replays, and the seed ends
+    after k samples as in the joint integration."""
+    man, X = h3_cap()
+    replays = count_replays(monkeypatch)
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
+    start = np.array([[0.0, 0.0, (1.2 + 5e-6) * np.exp(-k * 1e-2)]])
+    assert_joint_result(man, X, start, 6e-2, 1e-2)
+    assert len(replays) == 1
+    assert len(integrate_orbits(man, X, start, 6e-2, 1e-2)[0]) == k
+
+
+def sudden_cap():
+    """0 < x3 < 1.2 with the unit field (1.3 - x3)^-1 d/dx3, whose speed grows so
+    fast that a step ends beyond its last stage; the field's sqrt raises
+    DomainError above the cap."""
+    man = gc.manifold_from_exprs(
+        "sudden_cap", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "(1.3 - x3)^2")),
+        domain="x3 * (1.2 - x3)")
+    return man, gc.UnitField.from_exprs("fast", ("0", "0", "1/(1.3 - x3) + 0*sqrt(1.2 - x3)"))
+
+
+def sudden_cap_start(k, d, h=1e-2):
+    """The x3 from which k RK4 steps of sudden_cap's flow end d above the cap."""
+    def end(x):
+        for _ in range(k):
+            k1 = 1 / (1.3 - x)
+            k2 = 1 / (1.3 - (x + 0.5 * h * k1))
+            k3 = 1 / (1.3 - (x + 0.5 * h * k2))
+            k4 = 1 / (1.3 - (x + h * k3))
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return x
+    return brentq(lambda x: end(x) - 1.2 - d, 0.5, 1.2, xtol=1e-15)
+
+
+@pytest.mark.parametrize("k,blocks", [(2, 1), (3, 0), (4, 1)])
+def test_a_step_end_outside_the_chart_beyond_its_stages(monkeypatch, k, blocks):
+    """Step k of 6 ends 5e-5 above the cap while its stages, stencils included,
+    stay below, in blocks of 3 steps. Inside a block the step end is the next
+    stage, where the field raises and the block replays; at a block's last
+    step only the block's step-end chart check drops the seed, which would
+    otherwise raise DomainError at the next block's first stage. Each seed
+    ends after k samples, as in the joint integration."""
+    man, X = sudden_cap()
+    replays = count_replays(monkeypatch)
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
+    start = np.array([[0.0, 0.0, sudden_cap_start(k, 5e-5)]])
+    assert_joint_result(man, X, start, 6e-2, 1e-2)
+    assert len(replays) == blocks
+    traj = integrate_orbits(man, X, start, 6e-2, 1e-2)[0]
+    assert traj.truncated and len(traj) == k
 
 
 def fold2():
@@ -310,9 +372,11 @@ def test_stage_failures_inside_a_batch_give_each_seeds_solo_result():
 
 @pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
 def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
-    """n steps make n rk4_step calls and ceil(n / K) + 1 christoffel_with_partials
-    calls (one per block and the post-pass), where one per stage would be 4n + 1."""
-    calls = {"rk4_step": 0, "christoffel_with_partials": 0}
+    """n steps make n rk4_step calls, ceil(n / K) + 1 christoffel_with_partials
+    calls (one per block and the post-pass), where one per stage would be 4n + 1,
+    and one christoffel call (B(0) at the start), where one per stage would be
+    4n + 1 too."""
+    calls = {"rk4_step": 0, "christoffel_with_partials": 0, "christoffel": 0}
 
     def counted(name):
         fn = getattr(flow, name)
@@ -330,7 +394,8 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
                            nsteps * 1e-3, 1e-3)
     assert len(traj) == nsteps + 1 and not traj.truncated
     assert calls == {"rk4_step": nsteps,
-                     "christoffel_with_partials": math.ceil(nsteps / block) + 1}
+                     "christoffel_with_partials": math.ceil(nsteps / block) + 1,
+                     "christoffel": 1}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

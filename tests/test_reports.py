@@ -37,6 +37,9 @@ CASES = {
     "verify:all": (["verify", "--all"], None),
     "orbit:h3_vertical": (["orbit"], _orbit_doc("h3_vertical", [0.0, 0.0, 1.0])),
     "orbit:s3_hopf": (["orbit"], _orbit_doc("s3_hopf", [0.3, 0.2, 0.1])),
+    # the catalog's default orbits: 2,000 steps, five Jacobi blocks each
+    "orbit-default:h3_vertical": (["orbit", "--entry", "h3_vertical"], None),
+    "orbit-default:s3_hopf": (["orbit", "--entry", "s3_hopf"], None),
     "volume:s3_hopf:16": (["volume", "--entry", "s3_hopf", "--nodes", "16"], None),
     "verify:T5.1,C5.2,T3.1,C3.2:tilted": (["verify", "T5.1", "C5.2", "T3.1", "C3.2",
                                            "--c", "0"], TILTED_DOC),
@@ -60,6 +63,9 @@ DIGESTS = {
     "analyze:s3_weighted(2,3)": "dc7afb2beca519172b451cbbf2c3c2b074de74397317309e2f5c535b149a6203",
     "orbit:h3_vertical": "67718b89ee0990e349d20f08e882d5fd89370adcd349a493658a781065053c49",
     "orbit:s3_hopf": "c8a16ef3c065ec66154a445ae7a7e282e7a4289f0879d8056675fba021fd5bb0",
+    "orbit-default:h3_vertical":
+        "9b25c252d53b4fd0317a40a7e65d13670b73d04347c9068d5f895f33190e73f9",
+    "orbit-default:s3_hopf": "af08021e766e6062b64542a7d3e8f3f4697a0ab62755cb49dc7338714a1223f0",
     "verify:P7.6:s3_hopf": "a23f0fe43b435f4f4aeacb082ab697a49e0679f96e113ae3dfe4d87d70ec3144",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "bb174ada82e2db1e163240479c3351be154d1b6d778e34f80388d298f8ab35c4",
     "verify:all": "29bf90f230c62a87466994490ba7ccbdbcaf82ae90c3e7b8225f51909ab78cda",

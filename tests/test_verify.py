@@ -287,6 +287,24 @@ def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
     assert threading.active_count() == baseline
 
 
+def test_volume_workers_keep_the_callers_floating_point_error_state():
+    """Every block sees the caller's np.errstate, so the CLI's one errstate also
+    silences warnings on the worker threads. A barrier holds blocks 1 and 2
+    until both run, so one of them runs on a worker thread."""
+    caller, barrier, seen = threading.get_ident(), threading.Barrier(2, timeout=30), {}
+
+    def fill(k):
+        if k:
+            barrier.wait()
+        seen[k] = threading.get_ident() == caller, np.geterr()["over"]
+
+    with np.errstate(over="ignore"):
+        verify._run_blocks(fill, 3, 2)
+    assert sorted(seen) == [0, 1, 2]
+    assert {on_caller for on_caller, _ in seen.values()} == {True, False}
+    assert {state for _, state in seen.values()} == {"ignore"}
+
+
 def test_volume_traced_peak_is_bounded(entries):
     """The traced peak of one 40-node volume (64,000 rows, then 8,000 for the
     coarse grid) stays under 16 MB; tracemalloc traces the worker threads
