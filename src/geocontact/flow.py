@@ -11,28 +11,37 @@ first-order system, integrated with classical fixed-step RK4:
 Since frames are parallel and X is geodesic, the second-order Jacobi
 equation reduces exactly to scalar components in the transported frame.
 The system is triangular: p' depends on p alone, e' on p and e, and M on p
-and e but never on J. So each block of ``JACOBI_BLOCK`` steps runs in five
+and e but never on J. Once the stage points are known, the frame and Jacobi
+equations are linear: e' = A e with A = -Gamma(X, .), and
+(J, J')' = [[0, I], [-M, 0]] (J, J'). One RK4 step of y' = A y is then one
+step matrix P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = A1 and
+Kc = Ac Sc for the stage maps S2 = I + h/2 K1, S3 = I + h/2 K2 and
+S4 = I + h K3; the c-th stage state is Sc y (Hairer, Norsett & Wanner,
+Solving ODEs I, II.1 and IV.2).
+
+With the Jacobi pair, each block of ``JACOBI_BLOCK`` steps runs in five
 passes: RK4 on p alone, recording every stage point; one batched curvature
-call that gives Gamma and R at all those stages; the same RK4 tableau on
-(e1, e2) with the recorded Gamma, recording every stage frame; one batched
-``jacobi_matrix`` call for the M of all stage frames; and the Jacobi pass on
-(J, J', Jt, Jt') with the recorded M. An RK4 update is elementwise on each
-slice of the state, so the passes repeat the joint integration's
-floating-point operations and give its results bit for bit. A block in which
-any stage fails is replayed by the joint integration: at most one block per
-truncating seed.
+call that gives Gamma and R at all those stages; the frame step matrices of
+the block, applied step by step to (e1, e2), and the stage frames; one
+batched ``jacobi_matrix`` call for the M of all stage frames; and the Jacobi
+step matrices, applied to (J, J') and (Jt, Jt'). A block in which any stage
+fails is replayed by ``_joint_step``, which builds the same stage maps one
+stage at a time: block and replay agree bit for bit, and both agree with
+stage-form RK4 of all 17 components (k = f(y) at each stage) to rounding.
+At most one block per truncating seed is replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .curvature import (_partials_inside, assemble_riemann, christoffel,
                         christoffel_with_partials, jacobi_matrix, real_eigenvalues)
-from .errors import GeoContactError, OutOfChart, PoleReached, StepTooLarge
+from .errors import DomainError, GeoContactError, OutOfChart, PoleReached, StepTooLarge
 from .field import UNIT_TOL, UnitField, _require_nonzero, _require_unit, shape_operator
 from .geometry import ChartedManifold, as_points, frames_at, inner
 
@@ -40,19 +49,14 @@ FRAME_DRIFT_LIMIT = 1e-6
 
 #: RK4 steps of one seed per batched curvature call. N seeds share blocks of
 #: JACOBI_BLOCK // N steps, so a block's curvature stencil has at most
-#: 7 * 4 * JACOBI_BLOCK rows. With its recorded stages, a block then peaks
-#: below the post-pass of a 2000-step orbit (7 * 2001 rows).
+#: 7 * 4 * JACOBI_BLOCK rows (7.3 MB of Gamma partials). Its step matrices
+#: add about ten stacks of at most (count, 4, N, 4, 4) floats, 0.2 MB each.
+#: A block then peaks below the post-pass of a 2000-step orbit (7 * 2001 rows).
 JACOBI_BLOCK = 400
 
 
 def rk4_step(f, t, y, h):
     """One classical Runge-Kutta 4 step for y' = f(t, y)."""
-    return _rk4(f, t, y, h)
-
-
-def _rk4(f, t, y, h):
-    """The tableau of ``rk4_step``. The frame and Jacobi passes call it directly,
-    so that ``rk4_step`` runs once per orbit step."""
     k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
@@ -101,64 +105,154 @@ class Trajectory:
         return comp[:, 0, None] * self.e1 + comp[:, 1, None] * self.e2
 
 
-def _frame_rates(gam, xv, e):
-    """e_a' = -Gamma(X, e_a) for the frames e (N, 2, 3), as the six frame columns."""
-    return -np.einsum("nkij,ni,naj->nak", gam, xv, e).reshape(-1, 6)
+#: RK4 nodes of the stages after the first: stage c + 1 starts at y + node_c h k_c.
+_NODES = (0.5, 0.5, 1.0)
+
+
+def _rk4_stage(a, s, c, h):
+    """Stage c (0 to 3) of one RK4 step of y' = A y, in matrices.
+
+    ``a`` is A at the stage and ``s`` its stage map (None for the first
+    stage's identity), so that the stage state is s y. Returns K = A s and
+    the next stage map I + node h K (None after the last stage). The block
+    applies it to whole (count, N) stacks, the replay one stage at a time;
+    every product is per matrix, so both give the same bits.
+    """
+    k = a if s is None else a @ s
+    return k, None if c == 3 else np.eye(a.shape[-1]) + (_NODES[c] * h) * k
+
+
+def _step_matrix(ks, h):
+    """P = I + h/6 (K1 + 2 K2 + 2 K3 + K4): the RK4 step y -> P y of y' = A y."""
+    k1, k2, k3, k4 = ks
+    return np.eye(k1.shape[-1]) + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_matrices(a, h):
+    """The RK4 step matrices (count, N, d, d) of y' = A y and the stage maps of
+    the stages after the first (count, 3, N, d, d), from A at every stage of a
+    block, ``a`` of shape (count, 4, N, d, d)."""
+    ks, maps = [], [None]
+    for c in range(4):
+        k, s = _rk4_stage(a[:, c], maps[-1], c, h)
+        ks.append(k)
+        maps.append(s)
+    return _step_matrix(ks, h), np.stack(maps[1:4], axis=1)
+
+
+def _transport_matrix(gam, xv):
+    """A = -Gamma(X, .) per row, so that parallel transport is e' = A e:
+    A[n, k, j] = -Gamma^k_ij X^i, summed term by term so that a row's bits
+    do not depend on its batch."""
+    x = xv[:, None, :, None]
+    return -(x[:, :, 0] * gam[:, :, 0] + x[:, :, 1] * gam[:, :, 1] + x[:, :, 2] * gam[:, :, 2])
+
+
+def _jacobi_rates(m):
+    """[[0, I], [-M, 0]] per row: (J, J')' of J'' = -M J as a matrix."""
+    rates = np.zeros(m.shape[:-2] + (4, 4))
+    rates[..., 0:2, 2:4] = np.eye(2)
+    rates[..., 2:4, 0:2] = -m
+    return rates
+
+
+def _columns(v, d):
+    """The (N, k d) state slice v as k column vectors of length d, (N, d, k),
+    in C order, so that its products take the same path in block and replay."""
+    return np.ascontiguousarray(np.swapaxes(v.reshape(len(v), -1, d), 1, 2))
+
+
+def _rows(cols):
+    """Column vectors (..., d, k) back as the state slice (..., k d) they came
+    from, in C order: ``jacobi_matrix``'s bits depend on its frames' layout."""
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(cols.shape[:-2] + (-1,))
+
+
+def _carry(steps, z):
+    """z (N, d, k) and its images under the step matrices (count, N, d, d) in
+    turn, (count + 1, N, d, k)."""
+    out = np.empty((len(steps) + 1,) + z.shape)
+    out[0] = z
+    for s, step in enumerate(steps):
+        out[s + 1] = step @ out[s]
+    return out
+
+
+def _stage_field(man, X, q):
+    """X at the stage points q. Where the field's expression fails (DomainError)
+    at a row outside the chart, the stage has left the chart: OutOfChart naming
+    the first such row, as the curvature stencil would raise."""
+    try:
+        return X.value(q)
+    except DomainError:
+        man.require_inside(q)
+        raise
 
 
 def _transport_rhs(man, X):
     """Right-hand side of the transport of an (N, 9) state: p, e1 and e2."""
     def rhs(t, y):
-        p = y[:, 0:3]
-        xv = X.value(p)
-        return np.concatenate(
-            [xv, _frame_rates(christoffel(man, p), xv, y[:, 3:9].reshape(-1, 2, 3))], axis=1)
-    return rhs
-
-
-def _jacobi_rhs(m, w):
-    """Derivative of the (N, 8) Jacobi state J, J', Jt, Jt' under J'' = -M J."""
-    j, jt = w[:, 0:2, None], w[:, 4:6, None]
-    return np.concatenate([w[:, 2:4], (-m @ j)[..., 0], w[:, 6:8], (-m @ jt)[..., 0]], axis=1)
-
-
-def _joint_rhs(man, X):
-    """Right-hand side of the whole augmented system, an (N, 17) state: transport,
-    then the Jacobi state. Each stage checks the field, then the curvature
-    stencil and its metric, so a seed fails at its first failing stage."""
-    def rhs(t, y):
         p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
-        xv = X.value(p)
-        g = np.empty((len(p), 3, 3))
-        gam, dgam = christoffel_with_partials(man, p, g)
-        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
-        return np.concatenate([xv, _frame_rates(gam, xv, e), _jacobi_rhs(m, y[:, 9:])], axis=1)
+        xv = _stage_field(man, X, p)
+        de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
+        return np.concatenate([xv, de], axis=1)
     return rhs
 
 
-def _rk4_rows(man, rhs, y, h):
-    """One RK4 step of every row of ``y`` and the mask of rows still in the chart.
+def _joint_step(man, X):
+    """One RK4 step of (N, 17) states, stage by stage: the replay of a failed block.
+
+    Each stage evaluates the field, then the curvature stencil and its metric,
+    so a seed fails at its first failing stage; then it takes the stage's step
+    of the frame and Jacobi stage maps by ``_rk4_stage``, as a block does for
+    all its stages at once.
+    """
+    def step(y, h):
+        e, w = _columns(y[:, 3:9], 3), _columns(y[:, 9:], 4)
+        maps, ks = [None, None], ([], [])
+
+        def stage(t, q):
+            c = len(ks[0])
+            xv = _stage_field(man, X, q)
+            g = np.empty((len(q), 3, 3))
+            gam, dgam = christoffel_with_partials(man, q, g)
+            frame = e if maps[0] is None else maps[0] @ e
+            m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frame).reshape(-1, 2, 3))
+            for r, a in enumerate((_transport_matrix(gam, xv), _jacobi_rates(m))):
+                k, maps[r] = _rk4_stage(a, maps[r], c, h)
+                ks[r].append(k)
+            return xv
+
+        p = rk4_step(stage, 0.0, y[:, 0:3], h)
+        return np.concatenate([p, _rows(_step_matrix(ks[0], h) @ e),
+                               _rows(_step_matrix(ks[1], h) @ w)], axis=1)
+    return step
+
+
+def _rk4_rows(man, step, y, h):
+    """One step ``step(y, h)`` of every row of ``y`` and the mask of rows still
+    in the chart.
 
     If a stage or a stencil leaves the chart (``OutOfChart``), the step is
     redone one row at a time, so only the rows that raise alone stop.
     """
     try:
-        nxt = rk4_step(rhs, 0.0, y, h)
+        nxt = step(y, h)
     except OutOfChart:
         if len(y) == 1:
             return y, np.zeros(1, dtype=bool)
         nxt, ok = y.copy(), np.zeros(len(y), dtype=bool)
         for k in range(len(y)):
-            nxt[k:k + 1], ok[k:k + 1] = _rk4_rows(man, rhs, y[k:k + 1], h)
+            nxt[k:k + 1], ok[k:k + 1] = _rk4_rows(man, step, y[k:k + 1], h)
         return nxt, ok
     return nxt, man.contains(nxt[:, 0:3])
 
 
-def _steps(man, rhs, y, count, h):
-    """Up to ``count`` RK4 steps of the rows of y: per step, the mask of the rows
+def _steps(man, step, y, count, h):
+    """Up to ``count`` steps of the rows of y: per step, the mask of the rows
     that stay in the chart and their states. Stops when no row is left."""
     for _ in range(count):
-        y, ok = _rk4_rows(man, rhs, y, h)
+        y, ok = _rk4_rows(man, step, y, h)
         if not ok.all():
             y = y[ok]
         yield ok, y
@@ -169,10 +263,10 @@ def _steps(man, rhs, y, count, h):
 def _jacobi_steps(man, X, y, nsteps, h):
     """``_steps`` of the augmented system, in blocks of ``_jacobi_block``.
 
-    A block that raises any GeoContactError is replayed with ``_joint_rhs``
-    one stage at a time: a seed stops at its first stage that leaves the
-    chart, the first other failure is raised. Each replay ends a seed or
-    raises: one block per truncating seed at most.
+    A block that raises any GeoContactError is replayed with ``_joint_step``:
+    a seed stops at its first stage that leaves the chart, the first other
+    failure is raised. Each replay ends a seed or raises: one block per
+    truncating seed at most.
     """
     done = 0
     while done < nsteps:
@@ -180,58 +274,49 @@ def _jacobi_steps(man, X, y, nsteps, h):
         try:
             block = _jacobi_block(man, X, y, count, h)
         except GeoContactError:  # the joint stages raise the same error, or an earlier one
-            block = _steps(man, _joint_rhs(man, X), y, count, h)
+            block = _steps(man, _joint_step(man, X), y, count, h)
         for ok, y in block:
             yield ok, y
         done += count
-
-
-def _stage_pass(rate, z, count, h, step=_rk4):
-    """The states after each of ``count`` RK4 steps from z, where ``rate(k, z)``
-    is the derivative at the pass's k-th stage (four per step, in order)."""
-    stage, out = iter(range(4 * count)), []
-    for _ in range(count):
-        z = step(lambda t, v: rate(next(stage), v), 0.0, z, h)
-        out.append(z)
-    return out
 
 
 def _jacobi_block(man, X, y, count, h):
     """``count`` steps of ``_steps`` on the (N, 17) states y, in five passes.
 
     The point pass integrates p alone; one curvature batch gives Gamma and R
-    at all its stages; the frame pass transports (e1, e2) with that Gamma;
-    one ``jacobi_matrix`` call gives M at all stage frames; the Jacobi pass
-    integrates (J, J', Jt, Jt'). Raises what the field or the curvature
-    raises. Inside the block a step end is the next step's first stage, so
-    one outside the chart makes the block raise; after the block's last step
-    the rows outside the chart are dropped, as ``_steps`` drops them.
+    at all its stages; the frame step matrices, from A = -Gamma(X, .) at every
+    stage, carry (e1, e2) step by step and give the stage frames; one
+    ``jacobi_matrix`` call gives M at all stage frames; the Jacobi step
+    matrices carry (J, J') and (Jt, Jt'). Every step has the bits of
+    ``_joint_step``'s. Raises what the field or the curvature raises. Inside
+    the block a step end is the next step's first stage, so one outside the
+    chart makes the block raise; after the block's last step the rows outside
+    the chart are dropped, as ``_steps`` drops them.
     """
     n, stages = len(y), []  # (point, field value) of every stage of the point pass
 
-    def field(k, p):
-        stages.append((p, X.value(p)))
+    def field(t, q):
+        stages.append((q, _stage_field(man, X, q)))
         return stages[-1][1]
 
-    points = _stage_pass(field, y[:, 0:3], count, h, rk4_step)
+    p, points = y[:, 0:3], np.empty((count, n, 3))
+    for s in range(count):
+        p = points[s] = rk4_step(field, 0.0, p, h)
     q, xv = (np.concatenate(a) for a in zip(*stages))
     g = np.empty((len(q), 3, 3))
     gam, dgam = christoffel_with_partials(man, q, g)
-    rows = [slice(k, k + n) for k in range(0, len(q), n)]
-    frames = []
-
-    def transport(k, e):
-        frames.append(e)
-        return _frame_rates(gam[rows[k]], xv[rows[k]], e.reshape(-1, 2, 3))
-
-    es = _stage_pass(transport, y[:, 3:9], count, h)
-    m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv,
-                      np.concatenate(frames).reshape(-1, 2, 3))
-    ws = _stage_pass(lambda k, w: _jacobi_rhs(m[rows[k]], w), y[:, 9:], count, h)
+    stack = (count, 4, n)
+    frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
+    es = _carry(frame_steps, _columns(y[:, 3:9], 3))
+    frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
+    m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frames).reshape(-1, 2, 3))
+    jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
+    ws = _carry(jacobi_steps, _columns(y[:, 9:], 4))
+    out = np.concatenate([points, _rows(es[1:]), _rows(ws[1:])], axis=-1)
     every = np.ones(n, dtype=bool)
-    block = [(every, np.concatenate(z, axis=1)) for z in zip(points, es, ws)]
+    block = [(every, z) for z in out]
     ok = man.contains(points[-1])
-    block[-1] = ok, block[-1][1][ok]
+    block[-1] = ok, out[-1][ok]
     return block
 
 
@@ -305,7 +390,7 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     if with_jacobi:
         steps = _jacobi_steps(man, X, y, nsteps, step)
     else:
-        steps = _steps(man, _transport_rhs(man, X), y, nsteps, step)
+        steps = _steps(man, partial(rk4_step, _transport_rhs(man, X), 0.0), y, nsteps, step)
     for s, (ok, y) in enumerate(steps, 1):
         if not ok.all():
             samples[rows[~ok]] = s

@@ -220,6 +220,38 @@ def test_orbit_leaving_chart_before_third_sample_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def cap_orbit(tmp_path, capsys, x3_component):
+    """``orbit`` on diag(1, 1, 1/x3^2) over 0 < x3 < 1.2 with the field
+    (0, 0, x3_component) from [0, 0, 1]; the orbit x3 = e^t leaves at t = 0.18."""
+    cfg = write_config(tmp_path, {
+        "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/x3^2"]],
+                     "domain": "x3 * (1.2 - x3)"},
+        "field": {"components": ["0", "0", x3_component]},
+        "orbit": {"start": [0, 0, 1], "t_end": 0.5, "step": 0.01}})
+    return run(capsys, ["orbit", "--config", cfg])
+
+
+def test_orbit_whose_field_is_undefined_beyond_the_chart_truncates(tmp_path, capsys):
+    """The field's sqrt fails only above the cap, where the orbit has left the
+    chart: the report is that of the field x3, truncated after 19 samples."""
+    code, out, err = cap_orbit(tmp_path, capsys, "x3 + 0*sqrt(1.2 - x3)")
+    assert (code, err) == (0, "")
+    plain = cap_orbit(tmp_path, capsys, "x3")
+    assert plain[0] == 0
+    rows = [[line for line in text.split("\n") if not line.startswith("# config:")]
+            for text in (out, plain[1])]
+    assert rows[0] == rows[1]
+    assert "# truncated: true" in rows[0]
+    assert len([line for line in rows[0][1:] if line and not line.startswith("#")]) == 19
+
+
+def test_orbit_whose_field_is_undefined_inside_the_chart_exits_two(tmp_path, capsys):
+    """sqrt(1.1 - x3) fails inside the chart: the expression is at fault."""
+    code, out, err = cap_orbit(tmp_path, capsys, "x3 + 0*sqrt(1.1 - x3)")
+    assert code == 2 and out == ""
+    assert err == "error: sqrt of a negative value in 'sqrt((1.1 - x3))'\n"
+
+
 def test_orbit_start_where_the_field_is_not_finite_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": "euclidean_parallel",

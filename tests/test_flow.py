@@ -1,6 +1,7 @@
 """Orbit integration, adapted Jacobi fields, residuals and closed forms."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ import geocontact as gc
 from geocontact import flow
 from geocontact.curvature import (assemble_riemann, christoffel, christoffel_with_partials,
                                   jacobi_matrix)
-from geocontact.errors import (DegenerateSeed, NotPositiveDefinite, NotUnit, OutOfChart,
-                               PoleReached, StepTooLarge)
+from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
+                               OutOfChart, PoleReached, StepTooLarge)
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
                              integrate_orbit, integrate_orbits,
                              jacobi_component_closed_form,
@@ -142,10 +143,11 @@ def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(with_
 # Block passes against the joint integration
 # ---------------------------------------------------------------------------
 
-def joint_rhs(man, X):
-    """The augmented system as one right-hand side: every RK4 stage transports
-    the frame with its own christoffel call and takes M from its own
-    christoffel_with_partials call. The reference for the block passes."""
+def classical_rhs(man, X):
+    """The augmented system as one right-hand side, for stage-form RK4 (k = f(y)
+    at every stage): the frame rates come from a christoffel call at the stage
+    alone, M from the stage's own christoffel_with_partials call. The tolerance
+    oracle for the step matrices of blocks and replays."""
     def rhs(t, y):
         p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
@@ -159,9 +161,14 @@ def joint_rhs(man, X):
     return rhs
 
 
-def joint_orbits(man, X, starts, t_end, step):
-    """``integrate_orbits`` with the Jacobi pair, stepped by ``joint_rhs``; the
-    initial states are the first samples of a one-step run."""
+#: the replay's step, taken before any test counts replays by patching it
+JOINT_STEP = flow._joint_step
+
+
+def joint_orbits(man, X, starts, t_end, step, stepper=JOINT_STEP):
+    """``integrate_orbits`` with the Jacobi pair, every step by ``stepper(man, X)``
+    (the replay's stage-by-stage step unless given); the initial states are
+    the first samples of a one-step run."""
     first = integrate_orbits(man, X, starts, step, step)
     y = np.array([np.concatenate([getattr(tr, name)[0] for name in
                                   ("points", "e1", "e2") + JACOBI_ARRAYS]) for tr in first])
@@ -171,7 +178,7 @@ def joint_orbits(man, X, starts, t_end, step):
     hist[:, 0] = y
     rows, samples = np.arange(len(y)), np.full(len(y), nsteps + 1)
     for s in range(1, nsteps + 1):
-        y, ok = flow._rk4_rows(man, joint_rhs(man, X), y, step)
+        y, ok = flow._rk4_rows(man, stepper(man, X), y, step)
         if not ok.all():
             samples[rows[~ok]] = s
             rows, y = rows[ok], y[ok]
@@ -182,9 +189,14 @@ def joint_orbits(man, X, starts, t_end, step):
                              True) for k in range(len(hist))]
 
 
+def classical_step(man, X):
+    """Stage-form RK4 of ``classical_rhs``, as a ``joint_orbits`` stepper."""
+    return functools.partial(rk4_step, classical_rhs(man, X), 0.0)
+
+
 def assert_joint_result(man, X, starts, t_end, step):
-    """The block passes give the joint integration's trajectories bit for bit,
-    or raise its error with its message."""
+    """The block passes give the trajectories of the replay's stage-by-stage
+    integration bit for bit, or raise its error with its message."""
     try:
         expected = joint_orbits(man, X, starts, t_end, step)
     except Exception as exc:
@@ -210,9 +222,9 @@ def h3_cap(diff_mode="dual"):
 
 
 def count_replays(monkeypatch):
-    """Note each block that ``flow._joint_rhs`` is made to replay; returns the notes."""
-    made, joint_rhs = [], flow._joint_rhs
-    monkeypatch.setattr(flow, "_joint_rhs", lambda *args: made.append(1) or joint_rhs(*args))
+    """Note each block that ``flow._joint_step`` is made to replay; returns the notes."""
+    made = []
+    monkeypatch.setattr(flow, "_joint_step", lambda *args: made.append(1) or JOINT_STEP(*args))
     return made
 
 
@@ -232,10 +244,10 @@ def grid_starts(draw, grid, max_seeds=3):
        st.integers(1, 10), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
 def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, step, diff_mode):
     """Blocks of 3 steps per seed batch, so that block edges and a final partial
-    block occur; every Trajectory array equals the joint integration's, and
-    orbits that stay in the chart replay no block. On both backends the Gamma
-    that the frame pass takes from the block's curvature batch is the Gamma
-    of a christoffel call at the stage alone."""
+    block occur; every Trajectory array equals that of the replay's joint
+    stages at every step, and orbits that stay in the chart replay no block.
+    On both backends the block's curvature batch, and its stacked step
+    matrices, give each stage the bits of the replay's stage-alone calls."""
     entry = entries[name]
     man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
     starts = data.draw(grid_starts(entry.grid))
@@ -244,6 +256,53 @@ def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, st
         replays = count_replays(mp)
         assert_joint_result(man, entry.field, starts, nsteps * step, step)
     assert not replays
+
+
+@ORACLE
+@given(st.data(), st.sampled_from(["h3_vertical", "s3_hopf", "s3_weighted(2,3)",
+                                   "heisenberg_reeb"]),
+       st.integers(1, 40), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
+def test_blocks_agree_with_classical_rk4(entries, data, name, nsteps, step, diff_mode):
+    """Stage-form RK4 of all 17 components (``classical_rhs``) steps the points
+    as the blocks do, bit for bit; the frame and Jacobi step matrices round
+    differently, by at most 1e-11 in any frame, B, M or Jacobi array."""
+    entry = entries[name]
+    man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
+    starts = data.draw(grid_starts(entry.grid))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "JACOBI_BLOCK", 7 * len(starts))
+        got = integrate_orbits(man, entry.field, starts, nsteps * step, step)
+    expected = joint_orbits(man, entry.field, starts, nsteps * step, step, classical_step)
+    for traj, ref in zip(got, expected, strict=True):
+        assert len(traj) == len(ref) and traj.truncated == ref.truncated
+        assert np.array_equal(traj.points, ref.points)
+        for array in ("e1", "e2", "B", "M", "A") + JACOBI_ARRAYS:
+            np.testing.assert_allclose(getattr(traj, array), getattr(ref, array),
+                                       rtol=0, atol=1e-11, err_msg=array)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_step_matrices_of_a_constant_rate_are_rk4s(d):
+    """For a constant A, the step matrix is RK4's stability polynomial
+    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, and the stage maps give the
+    classical stage states z + h/2 k1, z + h/2 k2 and z + h k3 of z' = A z,
+    both to a few ulps."""
+    rng = np.random.default_rng(16)
+    h, ulp = 0.1, np.finfo(float).eps
+    a = rng.standard_normal((2, 1, 3, d, d))  # one A per step and row, the same at every stage
+    steps, maps = flow._step_matrices(np.broadcast_to(a, (2, 4, 3, d, d)), h)
+    ha = h * a[:, 0]
+    taylor = np.eye(d) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
+    np.testing.assert_allclose(steps, taylor, rtol=0, atol=8 * ulp)
+    z = rng.standard_normal((2, 3, d, 2))
+    k1 = a[:, 0] @ z
+    k2 = a[:, 0] @ (z + 0.5 * h * k1)
+    k3 = a[:, 0] @ (z + 0.5 * h * k2)
+    stages = np.stack([z + 0.5 * h * k1, z + 0.5 * h * k2, z + h * k3], axis=1)
+    np.testing.assert_allclose(maps @ z[:, None], stages, rtol=0, atol=8 * ulp)
+    k4 = a[:, 0] @ (z + h * k3)
+    np.testing.assert_allclose(steps @ z, z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4),
+                               rtol=0, atol=8 * ulp)
 
 
 def near_cap(k, d):
@@ -340,6 +399,32 @@ def test_a_step_end_outside_the_chart_beyond_its_stages(monkeypatch, k, blocks):
     assert traj.truncated and len(traj) == k
 
 
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_a_field_undefined_beyond_the_chart_leaves_it_as_a_defined_one_does(with_jacobi):
+    """x3 + 0*sqrt(1.2 - x3) is x3 in the chart and raises DomainError above the
+    cap x3 = 1.2: a stage there is a chart exit, so each seed truncates where
+    the field x3 truncates it, with the same trajectory, alone and in a batch."""
+    man, plain = h3_cap()
+    guarded = gc.UnitField.from_exprs("guarded", ("0", "0", "x3 + 0*sqrt(1.2 - x3)"))
+    starts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 0.5]])
+    for batch in (starts[:1], starts):
+        got = integrate_orbits(man, guarded, batch, 0.5, 1e-2, with_jacobi)
+        expected = integrate_orbits(man, plain, batch, 0.5, 1e-2, with_jacobi)
+        for traj, ref in zip(got, expected, strict=True):
+            assert_same_trajectory(traj, ref, with_jacobi)
+        assert got[0].truncated and len(got[0]) == 19
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_a_field_undefined_inside_the_chart_raises_its_domain_error(with_jacobi):
+    """sqrt(1.1 - x3) fails below the cap x3 = 1.2, inside the chart: the
+    expression is at fault, not the orbit, and its DomainError is raised."""
+    man, _ = h3_cap()
+    short = gc.UnitField.from_exprs("short", ("0", "0", "x3 + 0*sqrt(1.1 - x3)"))
+    with pytest.raises(DomainError, match=r"sqrt of a negative value in 'sqrt\(\(1\.1 - x3\)\)'"):
+        integrate_orbit(man, short, np.array([0.0, 0.0, 1.0]), 0.5, 1e-2, with_jacobi)
+
+
 def fold2():
     """diag(1, 1, 1 - x3) with the field d/dx3: g33 reaches 0 at x3 = 1, inside the chart."""
     man = gc.manifold_from_exprs("fold2", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1 - x3")))
@@ -370,13 +455,9 @@ def test_stage_failures_inside_a_batch_give_each_seeds_solo_result():
     assert_joint_result(man, z, starts, 2.0, 1e-2)
 
 
-@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
-def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
-    """n steps make n rk4_step calls, ceil(n / K) + 1 christoffel_with_partials
-    calls (one per block and the post-pass), where one per stage would be 4n + 1,
-    and one christoffel call (B(0) at the start), where one per stage would be
-    4n + 1 too."""
-    calls = {"rk4_step": 0, "christoffel_with_partials": 0, "christoffel": 0}
+def count_calls(monkeypatch, names):
+    """Count the calls of the named ``flow`` functions; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(flow, name)
@@ -386,8 +467,18 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(flow, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
+def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
+    """n steps make n rk4_step calls, ceil(n / K) + 1 christoffel_with_partials
+    calls (one per block and the post-pass), where one per stage would be 4n + 1,
+    and one christoffel call (B(0) at the start), where one per stage would be
+    4n + 1 too."""
+    calls = count_calls(monkeypatch, ["rk4_step", "christoffel_with_partials", "christoffel"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["h3_vertical"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0.0, 1.0]),
@@ -396,6 +487,25 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
     assert calls == {"rk4_step": nsteps,
                      "christoffel_with_partials": math.ceil(nsteps / block) + 1,
                      "christoffel": 1}
+
+
+@pytest.mark.parametrize("nsteps,block", [(7, 3), (1200, flow.JACOBI_BLOCK)])
+def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeypatch,
+                                                                nsteps, block):
+    """A block's frame and Jacobi stage maps come from two ``_step_matrices``
+    calls of four ``_rk4_stage`` calls each, where stage-form RK4 makes a
+    frame and a Jacobi right-hand-side call at every stage (8n); M comes from
+    one ``jacobi_matrix`` call per block and the post-pass; nothing replays."""
+    calls = count_calls(monkeypatch, ["_rk4_stage", "_step_matrices", "jacobi_matrix",
+                                      "_joint_step", "_transport_rhs"])
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
+    entry = entries["s3_hopf"]
+    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
+                           nsteps * 1e-3, 1e-3)
+    blocks = math.ceil(nsteps / block)
+    assert len(traj) == nsteps + 1 and not traj.truncated
+    assert calls == {"_rk4_stage": 8 * blocks, "_step_matrices": 2 * blocks,
+                     "jacobi_matrix": blocks + 1, "_joint_step": 0, "_transport_rhs": 0}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

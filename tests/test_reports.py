@@ -61,11 +61,11 @@ DIGESTS = {
     "analyze:heisenberg_reeb": "3894667fa8dee4daa1bc2bbcbd48b6ce95d9cd9fb236ea9f89f03ca6464f75de",
     "analyze:s3_hopf": "62e7387d9373d5a27635db71100f6dad8763ac381f4288dc4e25432e964e13c8",
     "analyze:s3_weighted(2,3)": "dc7afb2beca519172b451cbbf2c3c2b074de74397317309e2f5c535b149a6203",
-    "orbit:h3_vertical": "67718b89ee0990e349d20f08e882d5fd89370adcd349a493658a781065053c49",
-    "orbit:s3_hopf": "c8a16ef3c065ec66154a445ae7a7e282e7a4289f0879d8056675fba021fd5bb0",
+    "orbit:h3_vertical": "830ca9d55a957ded2f294ec1d90ac8c42ce96dc099683872f25e81c29d1ee6d2",
+    "orbit:s3_hopf": "c63c479a6d90cfe031bc32564bc8bdb266bd7949ac33cc1d87b44d7b4a3ec2a2",
     "orbit-default:h3_vertical":
-        "9b25c252d53b4fd0317a40a7e65d13670b73d04347c9068d5f895f33190e73f9",
-    "orbit-default:s3_hopf": "af08021e766e6062b64542a7d3e8f3f4697a0ab62755cb49dc7338714a1223f0",
+        "91ccbd6d040b41cee47af9011722ffc976457c519d2b1e6281e32912f2c8cb7f",
+    "orbit-default:s3_hopf": "74057ce145ac531bbd128abc950f443422c9c8f4a8c77a6a0f181ee29532d752",
     "verify:P7.6:s3_hopf": "a23f0fe43b435f4f4aeacb082ab697a49e0679f96e113ae3dfe4d87d70ec3144",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "bb174ada82e2db1e163240479c3351be154d1b6d778e34f80388d298f8ab35c4",
     "verify:all": "29bf90f230c62a87466994490ba7ccbdbcaf82ae90c3e7b8225f51909ab78cda",
