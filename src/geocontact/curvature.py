@@ -161,8 +161,10 @@ def jacobi_matrix(riem, g, X, e):
 
     ``riem`` (N, 3, 3, 3, 3), ``g`` (N, 3, 3), ``X`` (N, 3) and the frame
     vectors ``e`` (N, 2, 3). With J = J_a e_a, the components of R(J, X)X
-    are M @ J.
+    are M @ J. The operands are taken in C order, since the einsums' loop
+    order, and so M's bits, would follow their strides.
     """
+    riem, g, X, e = (np.ascontiguousarray(a) for a in (riem, g, X, e))
     rx = np.einsum("nlijk,nai,nj,nk->nal", riem, e, X, X)  # R(e_a, X)X
     return np.einsum("nbl,nlm,nam->nab", rx, g, e)
 

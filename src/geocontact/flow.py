@@ -19,22 +19,24 @@ Kc = Ac Sc for the stage maps S2 = I + h/2 K1, S3 = I + h/2 K2 and
 S4 = I + h K3; the c-th stage state is Sc y (Hairer, Norsett & Wanner,
 Solving ODEs I, II.1 and IV.2).
 
-With the Jacobi pair, each block of ``JACOBI_BLOCK`` steps runs in five
-passes: RK4 on p alone, recording every stage point; one batched curvature
-call that gives Gamma and R at all those stages; the frame step matrices of
-the block, applied step by step to (e1, e2), and the stage frames; one
-batched ``jacobi_matrix`` call for the M of all stage frames; and the Jacobi
-step matrices, applied to (J, J') and (Jt, Jt'). A block in which any stage
-fails is replayed by ``_joint_step``, which builds the same stage maps one
-stage at a time: block and replay agree bit for bit, and both agree with
-stage-form RK4 of all 17 components (k = f(y) at each stage) to rounding.
-At most one block per truncating seed is replayed.
+With or without the Jacobi pair (``with_jacobi``), an orbit runs in blocks
+of ``JACOBI_BLOCK`` steps. A block first runs RK4 on p alone, recording
+every stage point, then makes one batched curvature call at all those
+stages: ``christoffel`` for the transport alone, or
+``christoffel_with_partials`` for Gamma and R with the Jacobi pair. The
+frame step matrices of the block, from A = -Gamma(X, .) at every stage,
+carry (e1, e2) step by step. With the Jacobi pair they also give the stage
+frames, one batched ``jacobi_matrix`` call gives M at all of them, and the
+Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which any
+stage fails is replayed by ``_joint_step``, which builds the same stage maps
+one stage at a time: block and replay agree bit for bit, and both agree with
+stage-form RK4 of all 9 or 17 components (k = f(y) at each stage) to
+rounding. At most one block per truncating seed is replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -47,11 +49,12 @@ from .geometry import ChartedManifold, as_points, frames_at, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
 
-#: RK4 steps of one seed per batched curvature call. N seeds share blocks of
-#: JACOBI_BLOCK // N steps, so a block's curvature stencil has at most
-#: 7 * 4 * JACOBI_BLOCK rows (7.3 MB of Gamma partials). Its step matrices
-#: add about ten stacks of at most (count, 4, N, 4, 4) floats, 0.2 MB each.
-#: A block then peaks below the post-pass of a 2000-step orbit (7 * 2001 rows).
+#: RK4 steps of one seed per batched curvature call, in both modes. N seeds
+#: share blocks of JACOBI_BLOCK // N steps, so a block's curvature batch has
+#: at most 4 * JACOBI_BLOCK rows, and with the Jacobi pair its stencil 7 times
+#: as many (7.3 MB of Gamma partials). Its step matrices add about ten stacks
+#: of at most (count, 4, N, 4, 4) floats, 0.2 MB each. A block then peaks
+#: below the post-pass of a 2000-step orbit (7 * 2001 rows).
 JACOBI_BLOCK = 400
 
 
@@ -163,9 +166,8 @@ def _columns(v, d):
 
 
 def _rows(cols):
-    """Column vectors (..., d, k) back as the state slice (..., k d) they came
-    from, in C order: ``jacobi_matrix``'s bits depend on its frames' layout."""
-    return np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(cols.shape[:-2] + (-1,))
+    """Column vectors (..., d, k) back as the state slice (..., k d) they came from."""
+    return np.swapaxes(cols, -1, -2).reshape(cols.shape[:-2] + (-1,))
 
 
 def _carry(steps, z):
@@ -189,43 +191,40 @@ def _stage_field(man, X, q):
         raise
 
 
-def _transport_rhs(man, X):
-    """Right-hand side of the transport of an (N, 9) state: p, e1 and e2."""
-    def rhs(t, y):
-        p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
-        xv = _stage_field(man, X, p)
-        de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
-        return np.concatenate([xv, de], axis=1)
-    return rhs
+def _joint_step(man, X, with_jacobi):
+    """One RK4 step of (N, 9) or, ``with_jacobi``, (N, 17) states, stage by
+    stage: the replay of a failed block.
 
-
-def _joint_step(man, X):
-    """One RK4 step of (N, 17) states, stage by stage: the replay of a failed block.
-
-    Each stage evaluates the field, then the curvature stencil and its metric,
-    so a seed fails at its first failing stage; then it takes the stage's step
-    of the frame and Jacobi stage maps by ``_rk4_stage``, as a block does for
-    all its stages at once.
+    Each stage evaluates the field, then ``christoffel`` (or the curvature
+    stencil and its metric), so a seed fails at its first failing stage; then
+    it takes the stage's step of the frame (and Jacobi) stage maps by
+    ``_rk4_stage``, as a block does for all its stages at once.
     """
     def step(y, h):
-        e, w = _columns(y[:, 3:9], 3), _columns(y[:, 9:], 4)
-        maps, ks = [None, None], ([], [])
+        zs = [_columns(y[:, 3:9], 3)]
+        if with_jacobi:
+            zs.append(_columns(y[:, 9:], 4))
+        maps, ks = [None] * len(zs), [[] for _ in zs]
 
         def stage(t, q):
             c = len(ks[0])
             xv = _stage_field(man, X, q)
-            g = np.empty((len(q), 3, 3))
-            gam, dgam = christoffel_with_partials(man, q, g)
-            frame = e if maps[0] is None else maps[0] @ e
-            m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frame).reshape(-1, 2, 3))
-            for r, a in enumerate((_transport_matrix(gam, xv), _jacobi_rates(m))):
+            if with_jacobi:
+                g = np.empty((len(q), 3, 3))
+                gam, dgam = christoffel_with_partials(man, q, g)
+                frame = _rows(zs[0] if maps[0] is None else maps[0] @ zs[0]).reshape(-1, 2, 3)
+                m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, frame)
+                rates = _transport_matrix(gam, xv), _jacobi_rates(m)
+            else:
+                rates = (_transport_matrix(christoffel(man, q), xv),)
+            for r, a in enumerate(rates):
                 k, maps[r] = _rk4_stage(a, maps[r], c, h)
                 ks[r].append(k)
             return xv
 
         p = rk4_step(stage, 0.0, y[:, 0:3], h)
-        return np.concatenate([p, _rows(_step_matrix(ks[0], h) @ e),
-                               _rows(_step_matrix(ks[1], h) @ w)], axis=1)
+        return np.concatenate([p] + [_rows(_step_matrix(k, h) @ z) for k, z in zip(ks, zs)],
+                              axis=1)
     return step
 
 
@@ -260,8 +259,8 @@ def _steps(man, step, y, count, h):
             return
 
 
-def _jacobi_steps(man, X, y, nsteps, h):
-    """``_steps`` of the augmented system, in blocks of ``_jacobi_block``.
+def _jacobi_steps(man, X, y, nsteps, h, with_jacobi):
+    """``_steps`` of the (N, 9) or (N, 17) states, in blocks of ``_jacobi_block``.
 
     A block that raises any GeoContactError is replayed with ``_joint_step``:
     a seed stops at its first stage that leaves the chart, the first other
@@ -272,26 +271,26 @@ def _jacobi_steps(man, X, y, nsteps, h):
     while done < nsteps:
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(y)))
         try:
-            block = _jacobi_block(man, X, y, count, h)
+            block = _jacobi_block(man, X, y, count, h, with_jacobi)
         except GeoContactError:  # the joint stages raise the same error, or an earlier one
-            block = _steps(man, _joint_step(man, X), y, count, h)
+            block = _steps(man, _joint_step(man, X, with_jacobi), y, count, h)
         for ok, y in block:
             yield ok, y
         done += count
 
 
-def _jacobi_block(man, X, y, count, h):
-    """``count`` steps of ``_steps`` on the (N, 17) states y, in five passes.
+def _jacobi_block(man, X, y, count, h, with_jacobi):
+    """``count`` steps of ``_steps`` on the (N, 9) or (N, 17) states y.
 
-    The point pass integrates p alone; one curvature batch gives Gamma and R
-    at all its stages; the frame step matrices, from A = -Gamma(X, .) at every
-    stage, carry (e1, e2) step by step and give the stage frames; one
-    ``jacobi_matrix`` call gives M at all stage frames; the Jacobi step
-    matrices carry (J, J') and (Jt, Jt'). Every step has the bits of
-    ``_joint_step``'s. Raises what the field or the curvature raises. Inside
-    the block a step end is the next step's first stage, so one outside the
-    chart makes the block raise; after the block's last step the rows outside
-    the chart are dropped, as ``_steps`` drops them.
+    The point pass integrates p alone; one curvature batch gives Gamma (and
+    R) at all its stages; the frame step matrices, from A = -Gamma(X, .) at
+    every stage, carry (e1, e2) step by step. With the Jacobi pair they also
+    give the stage frames, one ``jacobi_matrix`` call gives M at all of them,
+    and the Jacobi step matrices carry (J, J') and (Jt, Jt'). Every step has
+    the bits of ``_joint_step``'s. Raises what the field or the curvature
+    raises. Inside the block a step end is the next step's first stage, so
+    one outside the chart makes the block raise; after the block's last step
+    the rows outside the chart are dropped, as ``_steps`` drops them.
     """
     n, stages = len(y), []  # (point, field value) of every stage of the point pass
 
@@ -303,16 +302,21 @@ def _jacobi_block(man, X, y, count, h):
     for s in range(count):
         p = points[s] = rk4_step(field, 0.0, p, h)
     q, xv = (np.concatenate(a) for a in zip(*stages))
-    g = np.empty((len(q), 3, 3))
-    gam, dgam = christoffel_with_partials(man, q, g)
+    if with_jacobi:
+        g = np.empty((len(q), 3, 3))
+        gam, dgam = christoffel_with_partials(man, q, g)
+    else:
+        gam = christoffel(man, q)
     stack = (count, 4, n)
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
     es = _carry(frame_steps, _columns(y[:, 3:9], 3))
-    frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
-    m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frames).reshape(-1, 2, 3))
-    jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
-    ws = _carry(jacobi_steps, _columns(y[:, 9:], 4))
-    out = np.concatenate([points, _rows(es[1:]), _rows(ws[1:])], axis=-1)
+    out = [points, _rows(es[1:])]
+    if with_jacobi:
+        frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
+        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frames).reshape(-1, 2, 3))
+        jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
+        out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
+    out = np.concatenate(out, axis=-1)
     every = np.ones(n, dtype=bool)
     block = [(every, z) for z in out]
     ok = man.contains(points[-1])
@@ -339,9 +343,10 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
                      with_jacobi=True) -> list[Trajectory]:
     """Integrate the orbits of X from an (N, 3) batch of starts with transported frames.
 
-    All orbits advance as one RK4 state, one batched kernel call per stage;
-    with ``with_jacobi``, the curvature of ``JACOBI_BLOCK`` steps' stages is one
-    batched call (see the module docstring).
+    All orbits advance as one RK4 state, in blocks whose stages share one
+    batched curvature call: ``christoffel`` for the transport alone, or
+    ``christoffel_with_partials`` with ``with_jacobi`` (see the module
+    docstring).
     A seed whose orbit or RK4 stage leaves the chart stops there
     (``truncated``) while the others go on; each trajectory equals the one
     its start gives alone. With ``with_jacobi`` the canonical adapted pair,
@@ -387,11 +392,7 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     hist[:, 0] = y
     rows = np.arange(len(y))  # the seeds still in the chart
     samples = np.full(len(y), nsteps + 1)
-    if with_jacobi:
-        steps = _jacobi_steps(man, X, y, nsteps, step)
-    else:
-        steps = _steps(man, partial(rk4_step, _transport_rhs(man, X), 0.0), y, nsteps, step)
-    for s, (ok, y) in enumerate(steps, 1):
+    for s, (ok, y) in enumerate(_jacobi_steps(man, X, y, nsteps, step, with_jacobi), 1):
         if not ok.all():
             samples[rows[~ok]] = s
             rows = rows[ok]

@@ -271,6 +271,27 @@ def test_jacobi_tensor_self_adjoint(entries, name):
     assert np.all(d.Delta >= d.delta)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_jacobi_matrix_bits_do_not_depend_on_the_frames_layout(n):
+    """Frames passed as a strided swapaxes view give M bit for bit as their
+    C-ordered copy, as do strided R, g and X: the einsums' loop order would
+    otherwise follow the strides."""
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        riem = rng.standard_normal((n, 3, 3, 3, 3))
+        g = rng.standard_normal((n, 3, 3))
+        x = rng.standard_normal((n, 3))
+        cols = rng.standard_normal((n, 3, 2))  # frame vectors as columns
+        e = np.swapaxes(cols, 1, 2)
+        assert not e.flags.c_contiguous
+        expected = jacobi_matrix(riem, g, x, np.ascontiguousarray(e))
+        assert np.array_equal(jacobi_matrix(riem, g, x, e), expected)
+        strided = (np.swapaxes(np.swapaxes(riem, 1, 4).copy(), 1, 4),
+                   np.swapaxes(np.swapaxes(g, 1, 2).copy(), 1, 2),
+                   np.asfortranarray(x))
+        assert np.array_equal(jacobi_matrix(*strided, e), expected)
+
+
 def test_metric_compatibility_along_curve(entries, orbit_cache):
     """d/dt g(V, W) = g(DV, W) + g(V, DW) for coordinate-constant V, W."""
     entry = entries["h3_vertical"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -161,24 +162,39 @@ def classical_rhs(man, X):
     return rhs
 
 
+def transport_rhs(man, X):
+    """The transport of an (N, 9) state, p, e1 and e2, as one right-hand side,
+    the frame rates from a christoffel call at the stage alone: the tolerance
+    oracle for orbits without the Jacobi pair, as ``classical_rhs`` is with it."""
+    def rhs(t, y):
+        p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
+        xv = flow._stage_field(man, X, p)
+        de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
+        return np.concatenate([xv, de], axis=1)
+    return rhs
+
+
 #: the replay's step, taken before any test counts replays by patching it
 JOINT_STEP = flow._joint_step
 
+#: with_jacobi, both ways: the block tests run each case in both modes
+MODES = (True, False)
 
-def joint_orbits(man, X, starts, t_end, step, stepper=JOINT_STEP):
-    """``integrate_orbits`` with the Jacobi pair, every step by ``stepper(man, X)``
+
+def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=JOINT_STEP):
+    """``integrate_orbits`` with every step by ``stepper(man, X, with_jacobi)``
     (the replay's stage-by-stage step unless given); the initial states are
     the first samples of a one-step run."""
-    first = integrate_orbits(man, X, starts, step, step)
-    y = np.array([np.concatenate([getattr(tr, name)[0] for name in
-                                  ("points", "e1", "e2") + JACOBI_ARRAYS]) for tr in first])
+    first = integrate_orbits(man, X, starts, step, step, with_jacobi)
+    names = ("points", "e1", "e2") + (JACOBI_ARRAYS if with_jacobi else ())
+    y = np.array([np.concatenate([getattr(tr, name)[0] for name in names]) for tr in first])
     nsteps = flow.orbit_steps(t_end, step)
     step = t_end / nsteps
-    hist = np.empty((len(y), nsteps + 1, 17))
+    hist = np.empty((len(y), nsteps + 1, y.shape[1]))
     hist[:, 0] = y
     rows, samples = np.arange(len(y)), np.full(len(y), nsteps + 1)
     for s in range(1, nsteps + 1):
-        y, ok = flow._rk4_rows(man, stepper(man, X), y, step)
+        y, ok = flow._rk4_rows(man, stepper(man, X, with_jacobi), y, step)
         if not ok.all():
             samples[rows[~ok]] = s
             rows, y = rows[ok], y[ok]
@@ -186,30 +202,33 @@ def joint_orbits(man, X, starts, t_end, step, stepper=JOINT_STEP):
                 break
         hist[rows, s] = y
     return [flow._trajectory(man, X, hist[k, :samples[k]], step, bool(samples[k] <= nsteps),
-                             True) for k in range(len(hist))]
+                             with_jacobi) for k in range(len(hist))]
 
 
-def classical_step(man, X):
-    """Stage-form RK4 of ``classical_rhs``, as a ``joint_orbits`` stepper."""
-    return functools.partial(rk4_step, classical_rhs(man, X), 0.0)
+def classical_step(man, X, with_jacobi):
+    """Stage-form RK4 of ``classical_rhs`` or ``transport_rhs``, as a
+    ``joint_orbits`` stepper."""
+    rhs = classical_rhs if with_jacobi else transport_rhs
+    return functools.partial(rk4_step, rhs(man, X), 0.0)
 
 
-def assert_joint_result(man, X, starts, t_end, step):
+def assert_joint_result(man, X, starts, t_end, step, with_jacobi=True):
     """The block passes give the trajectories of the replay's stage-by-stage
     integration bit for bit, or raise its error with its message."""
     try:
-        expected = joint_orbits(man, X, starts, t_end, step)
+        expected = joint_orbits(man, X, starts, t_end, step, with_jacobi)
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
-            integrate_orbits(man, X, starts, t_end, step)
+            integrate_orbits(man, X, starts, t_end, step, with_jacobi)
         assert str(raised.value) == str(exc)
         return
-    got = integrate_orbits(man, X, starts, t_end, step)
+    got = integrate_orbits(man, X, starts, t_end, step, with_jacobi)
     assert len(got) == len(expected)
+    names = ("t", "X_along") + (("A", "adapted") if with_jacobi else ())
     for traj, ref in zip(got, expected):
         assert len(traj) == len(ref)
-        assert_same_trajectory(traj, ref, True)
-        for name in ("t", "X_along", "A", "adapted"):
+        assert_same_trajectory(traj, ref, with_jacobi)
+        for name in names:
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
 
@@ -244,17 +263,19 @@ def grid_starts(draw, grid, max_seeds=3):
        st.integers(1, 10), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
 def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, step, diff_mode):
     """Blocks of 3 steps per seed batch, so that block edges and a final partial
-    block occur; every Trajectory array equals that of the replay's joint
-    stages at every step, and orbits that stay in the chart replay no block.
-    On both backends the block's curvature batch, and its stacked step
-    matrices, give each stage the bits of the replay's stage-alone calls."""
+    block occur; in both modes every Trajectory array equals that of the
+    replay's joint stages at every step, and orbits that stay in the chart
+    replay no block. On both backends the block's curvature batch, and its
+    stacked step matrices, give each stage the bits of the replay's
+    stage-alone calls."""
     entry = entries[name]
     man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
     starts = data.draw(grid_starts(entry.grid))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
         replays = count_replays(mp)
-        assert_joint_result(man, entry.field, starts, nsteps * step, step)
+        for with_jacobi in MODES:
+            assert_joint_result(man, entry.field, starts, nsteps * step, step, with_jacobi)
     assert not replays
 
 
@@ -263,22 +284,26 @@ def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, st
                                    "heisenberg_reeb"]),
        st.integers(1, 40), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
 def test_blocks_agree_with_classical_rk4(entries, data, name, nsteps, step, diff_mode):
-    """Stage-form RK4 of all 17 components (``classical_rhs``) steps the points
-    as the blocks do, bit for bit; the frame and Jacobi step matrices round
-    differently, by at most 1e-11 in any frame, B, M or Jacobi array."""
+    """Stage-form RK4 of all 17 components (``classical_rhs``), or of the 9 of
+    the transport (``transport_rhs``), steps the points as the blocks do, bit
+    for bit; the frame and Jacobi step matrices round differently, by at most
+    1e-11 in any frame, B, M or Jacobi array."""
     entry = entries[name]
     man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
     starts = data.draw(grid_starts(entry.grid))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "JACOBI_BLOCK", 7 * len(starts))
-        got = integrate_orbits(man, entry.field, starts, nsteps * step, step)
-    expected = joint_orbits(man, entry.field, starts, nsteps * step, step, classical_step)
-    for traj, ref in zip(got, expected, strict=True):
-        assert len(traj) == len(ref) and traj.truncated == ref.truncated
-        assert np.array_equal(traj.points, ref.points)
-        for array in ("e1", "e2", "B", "M", "A") + JACOBI_ARRAYS:
-            np.testing.assert_allclose(getattr(traj, array), getattr(ref, array),
-                                       rtol=0, atol=1e-11, err_msg=array)
+    for with_jacobi in MODES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "JACOBI_BLOCK", 7 * len(starts))
+            got = integrate_orbits(man, entry.field, starts, nsteps * step, step, with_jacobi)
+        expected = joint_orbits(man, entry.field, starts, nsteps * step, step, with_jacobi,
+                                classical_step)
+        arrays = ("e1", "e2", "B", "M") + (("A",) + JACOBI_ARRAYS if with_jacobi else ())
+        for traj, ref in zip(got, expected, strict=True):
+            assert len(traj) == len(ref) and traj.truncated == ref.truncated
+            assert np.array_equal(traj.points, ref.points)
+            for array in arrays:
+                np.testing.assert_allclose(getattr(traj, array), getattr(ref, array),
+                                           rtol=0, atol=1e-11, err_msg=array)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -317,29 +342,30 @@ def near_cap(k, d):
 def test_five_passes_equal_the_joint_integration_when_a_seed_truncates(
         edge, others, slot, nsteps, diff_mode):
     """One seed of a batch leaves the chart, at a stage or step end or first by
-    a stage stencil; blocks hold 3 steps."""
+    a stage stencil; blocks hold 3 steps; both modes."""
     man, X = h3_cap(diff_mode)
     x3 = list(others)
     x3.insert(min(slot, len(x3)), edge)
     starts = np.array([[0.1 * k, -0.2, z] for k, z in enumerate(x3)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
-        assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2)
+        for with_jacobi in MODES:
+            assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi)
 
 
 @pytest.mark.parametrize("edge", [1.15, near_cap(3, 5e-6)])
 def test_truncation_by_transport_and_by_stencil(monkeypatch, edge):
     """A seed whose stage centre leaves the chart and one whose stage stencil leaves
-    first both send exactly one block back to the joint stages; seeds that stay
-    in the chart replay none."""
+    first both send exactly one block back to the joint stages, in both modes;
+    seeds that stay in the chart replay none."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
     starts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, edge], [0.3, 0.0, 0.8]])
-    for block in (3, 9, flow.JACOBI_BLOCK):
+    for block, with_jacobi in itertools.product((3, 9, flow.JACOBI_BLOCK), MODES):
         monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
         for batch, blocks in ((starts, 1), (starts[1:2], 1), (starts[0::2], 0)):
             replays.clear()
-            assert_joint_result(man, X, batch, 0.1, 1e-2)
+            assert_joint_result(man, X, batch, 0.1, 1e-2, with_jacobi)
             assert len(replays) == blocks
 
 
@@ -348,14 +374,16 @@ def test_a_step_end_just_past_the_cap_replays_one_block(monkeypatch, k):
     """Step k of 6 ends 5e-6 above x3 = 1.2, in blocks of 3 steps: in the middle
     of a block, at its last step and at the first step of the next. Step k's
     last stage lies beyond its end, so its block replays, and the seed ends
-    after k samples as in the joint integration."""
+    after k samples as in the joint integration, in both modes."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
     monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
     start = np.array([[0.0, 0.0, (1.2 + 5e-6) * np.exp(-k * 1e-2)]])
-    assert_joint_result(man, X, start, 6e-2, 1e-2)
-    assert len(replays) == 1
-    assert len(integrate_orbits(man, X, start, 6e-2, 1e-2)[0]) == k
+    for with_jacobi in MODES:
+        replays.clear()
+        assert_joint_result(man, X, start, 6e-2, 1e-2, with_jacobi)
+        assert len(replays) == 1
+        assert len(integrate_orbits(man, X, start, 6e-2, 1e-2, with_jacobi)[0]) == k
 
 
 def sudden_cap():
@@ -495,9 +523,11 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
     """A block's frame and Jacobi stage maps come from two ``_step_matrices``
     calls of four ``_rk4_stage`` calls each, where stage-form RK4 makes a
     frame and a Jacobi right-hand-side call at every stage (8n); M comes from
-    one ``jacobi_matrix`` call per block and the post-pass; nothing replays."""
+    one ``jacobi_matrix`` call per block and the post-pass; the frame rates
+    need no ``christoffel`` call of their own, which stage-form transport made
+    at every stage (the one call gives B(0)); nothing replays."""
     calls = count_calls(monkeypatch, ["_rk4_stage", "_step_matrices", "jacobi_matrix",
-                                      "_joint_step", "_transport_rhs"])
+                                      "_joint_step", "christoffel"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
@@ -505,7 +535,29 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
     assert calls == {"_rk4_stage": 8 * blocks, "_step_matrices": 2 * blocks,
-                     "jacobi_matrix": blocks + 1, "_joint_step": 0, "_transport_rhs": 0}
+                     "jacobi_matrix": blocks + 1, "_joint_step": 0, "christoffel": 1}
+
+
+@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
+def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypatch,
+                                                              nsteps, block):
+    """Without the Jacobi pair, n steps make ceil(n / K) christoffel calls, one per
+    block, where stage-form transport made 4n; the frame stage maps come from
+    one ``_step_matrices`` call of four ``_rk4_stage`` calls per block; only the
+    post-pass calls ``christoffel_with_partials`` and ``jacobi_matrix``; nothing
+    replays."""
+    calls = count_calls(monkeypatch, ["rk4_step", "christoffel", "christoffel_with_partials",
+                                      "_rk4_stage", "_step_matrices", "jacobi_matrix",
+                                      "_joint_step"])
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
+    entry = entries["s3_hopf"]
+    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
+                           nsteps * 1e-3, 1e-3, with_jacobi=False)
+    blocks = math.ceil(nsteps / block)
+    assert len(traj) == nsteps + 1 and not traj.truncated
+    assert calls == {"rk4_step": nsteps, "christoffel": blocks, "christoffel_with_partials": 1,
+                     "_rk4_stage": 4 * blocks, "_step_matrices": blocks, "jacobi_matrix": 1,
+                     "_joint_step": 0}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

@@ -68,11 +68,11 @@ DIGESTS = {
     "orbit-default:s3_hopf": "74057ce145ac531bbd128abc950f443422c9c8f4a8c77a6a0f181ee29532d752",
     "verify:P7.6:s3_hopf": "a23f0fe43b435f4f4aeacb082ab697a49e0679f96e113ae3dfe4d87d70ec3144",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "bb174ada82e2db1e163240479c3351be154d1b6d778e34f80388d298f8ab35c4",
-    "verify:all": "29bf90f230c62a87466994490ba7ccbdbcaf82ae90c3e7b8225f51909ab78cda",
+    "verify:all": "754fe9f4d7bc7facbedde42fba6e6ce093012da8e6b13ee1ea283ec3af090db9",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
-    "verify:T6.1:h2xr_vertical": "9c4e4aa9e2916ff0a82ce3ad3b204aabc0801233a9a46cf2a7356a87235ac3a4",
-    "verify:T6.1:s3_hopf": "21047bd3f582a6804dbc6556107d619d466d7039f0b2b63f3250acfd745e34bc",
+    "verify:T6.1:h2xr_vertical": "cf6edbc88755fec084f3948652ce28bcf5775f677107297426b467db6d80b303",
+    "verify:T6.1:s3_hopf": "970a828a03a6fabf4afdfc29801a3f96b8193a5ba0a7dc8b9466d762b8cd69e3",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
 
