@@ -31,11 +31,13 @@ class UnknownIdentifier(ExprSyntaxError):
 class DomainError(ExprError):
     """Evaluation left the domain of a partial function (log, sqrt, /, ^).
 
-    ``subexpression`` is the printed form of the offending AST node.
+    ``subexpression`` is the printed form of the offending AST node; the
+    message ends with the first point where it failed, when the batch had one.
     """
 
-    def __init__(self, message, subexpression):
-        super().__init__(f"{message} in '{subexpression}'")
+    def __init__(self, message, subexpression, point=None):
+        at = "" if point is None else f" at {point}"
+        super().__init__(f"{message} in '{subexpression}'{at}")
         self.subexpression = subexpression
 
 

@@ -249,7 +249,18 @@ _DERIVATIVE = {
     "exp": None, "log": "1.0 / {0}", "sqrt": "0.5 / {1}", "abs": "sign({0})",
 }
 
-_CHECKS = {"==": "not {0}.all()", "<": "({0} < 0).any()", "<=": "({0} <= 0).any()"}
+#: per comparison, whether a check fails at some row and, built only then, where
+_CHECKS = {"==": ("not {0}.all()", "{0} == 0"), "<": ("({0} < 0).any()", "{0} < 0"),
+           "<=": ("({0} <= 0).any()", "{0} <= 0")}
+
+
+def _domain_error(errors, i, mask, x1, x2, x3):
+    """Raise the DomainError of check i, naming the point of the first row where
+    ``mask`` holds (True: every row), or no point in an empty batch."""
+    message, node = errors[i]
+    k = int(np.argmax(mask))
+    raise DomainError(message, to_string(node),
+                      np.array([x1[k], x2[k], x3[k]]) if k < len(x1) else None)
 
 
 class _Unreachable(Exception):
@@ -275,7 +286,8 @@ class _Codegen:
     def __init__(self, dual):
         self.dual = dual
         self.ns = {name: getattr(np, name) for name in FUNCTIONS + ("power", "sign")}
-        self.ns.update(DomainError=DomainError, to_string=to_string, _errors=[])
+        self.errors = []  # (message, node) of each check
+        self.ns["_fail"] = functools.partial(_domain_error, self.errors)
         self.statements = []  # (source, runtime names it reads)
         self.memo = {}        # subexpression -> (value, partials or None)
         self.temps = 0
@@ -296,14 +308,16 @@ class _Codegen:
         return name
 
     def check(self, cmp, operand, message, node):
-        """Raise DomainError(message) where ``operand cmp 0`` at some row."""
-        i = len(self.ns["_errors"])
-        error = f"raise DomainError(_errors[{i}][0], to_string(_errors[{i}][1]))"
-        self.ns["_errors"].append((message, node))
+        """Raise DomainError(message) where ``operand cmp 0`` at some row,
+        naming the first such row's point."""
+        fails, where = _CHECKS[cmp]
+        error = f"_fail({len(self.errors)}, {{}}, x1, x2, x3)"
+        self.errors.append((message, node))
         if operand[0] != "k":
-            self.statements.append((f"if {_CHECKS[cmp].format(operand)}: {error}", [operand]))
-        elif eval(_CHECKS[cmp].format("v"), {"v": np.asarray(self.ns[operand])}):
-            self.statements.append((error, []))
+            self.statements.append((f"if {fails.format(operand)}: "
+                                    + error.format(where.format(operand)), [operand]))
+        elif eval(fails.format("v"), {"v": np.asarray(self.ns[operand])}):
+            self.statements.append((error.format("True"), []))
             raise _Unreachable
 
     def scale(self, factor, partials):

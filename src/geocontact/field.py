@@ -4,8 +4,8 @@ Everything here reduces to the shape operator beta(v) = nabla_v X restricted
 to the orthogonal plane field: its symmetric part measures the failure of
 the flow to be isometric, its antisymmetric part is the contact defect
 d(alpha)(e1, e2) = B21 - B12, and its eigenvalues drive the space-form and
-rank criteria. With alpha = gX the defect is also orientation * eps^{ijk}
-alpha_i d_j alpha_k / sqrt(det g) in an oriented frame (X, e1, e2), since
+rank criteria. With alpha = gX the defect is also eps^{ijk} alpha_i d_j alpha_k
+/ sqrt(det g) in a positively oriented frame (X, e1, e2), since
 alpha ^ d(alpha) = eps^{ijk} alpha_i d_j alpha_k dx1 ^ dx2 ^ dx3 (Geiges,
 An Introduction to Contact Topology, 2008, 1.1).
 """
@@ -259,14 +259,13 @@ def diagnose_point(man: ChartedManifold, X: UnitField, p,
 # Frame-free contact defect (quadrature kernel)
 # ---------------------------------------------------------------------------
 
-def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
-                        orientation: int = 1):
+def contact_defect_grid(man: ChartedManifold, X: UnitField, points):
     """Contact defect at an (N, 3) batch from the first jets of g and X alone,
 
-        d(alpha)(e1, e2) = orientation * eps^{ijk} alpha_i d_j alpha_k / (|X| sqrt(det g)),
+        d(alpha)(e1, e2) = eps^{ijk} alpha_i d_j alpha_k / (|X| sqrt(det g)),
 
     with d_j alpha_k = d_j g_kl X^l + g_kl d_j X^l: ``diagnose``'s ``contact_defect``
-    (at orientation 1) for any nonzero X. g passes ``christoffel``'s checks in
+    for any nonzero X. g passes ``christoffel``'s checks in
     its order (chart, finite, positive definite, conditioned); DegenerateSeed
     names the first point where X is zero or not finite.
     """
@@ -282,5 +281,5 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points,
     da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
     curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
     wedge = alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]
-    out = orientation * wedge / np.sqrt(det * norm2)
+    out = wedge / np.sqrt(det * norm2)
     return float(out[0]) if single else out

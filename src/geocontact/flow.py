@@ -27,11 +27,11 @@ stages: ``christoffel`` for the transport alone, or
 frame step matrices of the block, from A = -Gamma(X, .) at every stage,
 carry (e1, e2) step by step. With the Jacobi pair they also give the stage
 frames, one batched ``jacobi_matrix`` call gives M at all of them, and the
-Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which any
-stage fails is replayed by ``_joint_step``, which builds the same stage maps
-one stage at a time: block and replay agree bit for bit, and both agree with
-stage-form RK4 of all 9 or 17 components (k = f(y) at each stage) to
-rounding. At most one block per truncating seed is replayed.
+Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
+fails is replayed as one-step blocks. A row's bits depend neither on its
+batch nor on its block's length, so block and replay agree bit for bit, and
+both agree with stage-form RK4 of all 9 or 17 components (k = f(y) at each
+stage) to rounding. At most one block per truncating seed is replayed.
 """
 
 from __future__ import annotations
@@ -108,39 +108,18 @@ class Trajectory:
         return comp[:, 0, None] * self.e1 + comp[:, 1, None] * self.e2
 
 
-#: RK4 nodes of the stages after the first: stage c + 1 starts at y + node_c h k_c.
-_NODES = (0.5, 0.5, 1.0)
-
-
-def _rk4_stage(a, s, c, h):
-    """Stage c (0 to 3) of one RK4 step of y' = A y, in matrices.
-
-    ``a`` is A at the stage and ``s`` its stage map (None for the first
-    stage's identity), so that the stage state is s y. Returns K = A s and
-    the next stage map I + node h K (None after the last stage). The block
-    applies it to whole (count, N) stacks, the replay one stage at a time;
-    every product is per matrix, so both give the same bits.
-    """
-    k = a if s is None else a @ s
-    return k, None if c == 3 else np.eye(a.shape[-1]) + (_NODES[c] * h) * k
-
-
-def _step_matrix(ks, h):
-    """P = I + h/6 (K1 + 2 K2 + 2 K3 + K4): the RK4 step y -> P y of y' = A y."""
-    k1, k2, k3, k4 = ks
-    return np.eye(k1.shape[-1]) + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _step_matrices(a, h):
-    """The RK4 step matrices (count, N, d, d) of y' = A y and the stage maps of
-    the stages after the first (count, 3, N, d, d), from A at every stage of a
-    block, ``a`` of shape (count, 4, N, d, d)."""
-    ks, maps = [], [None]
-    for c in range(4):
-        k, s = _rk4_stage(a[:, c], maps[-1], c, h)
-        ks.append(k)
-        maps.append(s)
-    return _step_matrix(ks, h), np.stack(maps[1:4], axis=1)
+    """From A at every stage of a block, ``a`` (count, 4, N, d, d), the RK4 step
+    matrices P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = A y, (count, N, d, d),
+    and the stage maps S2, S3, S4 (count, 3, N, d, d) of the module docstring.
+    Every product is per matrix, so a row's bits do not depend on its batch."""
+    eye = np.eye(a.shape[-1])
+    ks, maps = [a[:, 0]], []
+    for c, node in enumerate((0.5, 0.5, 1.0), 1):
+        maps.append(eye + (node * h) * ks[-1])
+        ks.append(a[:, c] @ maps[-1])
+    k1, k2, k3, k4 = ks
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), np.stack(maps, axis=1)
 
 
 def _transport_matrix(gam, xv):
@@ -161,7 +140,7 @@ def _jacobi_rates(m):
 
 def _columns(v, d):
     """The (N, k d) state slice v as k column vectors of length d, (N, d, k),
-    in C order, so that its products take the same path in block and replay."""
+    in C order, so that its products take the same path at every N."""
     return np.ascontiguousarray(np.swapaxes(v.reshape(len(v), -1, d), 1, 2))
 
 
@@ -189,43 +168,6 @@ def _stage_field(man, X, q):
     except DomainError:
         man.require_inside(q)
         raise
-
-
-def _joint_step(man, X, with_jacobi):
-    """One RK4 step of (N, 9) or, ``with_jacobi``, (N, 17) states, stage by
-    stage: the replay of a failed block.
-
-    Each stage evaluates the field, then ``christoffel`` (or the curvature
-    stencil and its metric), so a seed fails at its first failing stage; then
-    it takes the stage's step of the frame (and Jacobi) stage maps by
-    ``_rk4_stage``, as a block does for all its stages at once.
-    """
-    def step(y, h):
-        zs = [_columns(y[:, 3:9], 3)]
-        if with_jacobi:
-            zs.append(_columns(y[:, 9:], 4))
-        maps, ks = [None] * len(zs), [[] for _ in zs]
-
-        def stage(t, q):
-            c = len(ks[0])
-            xv = _stage_field(man, X, q)
-            if with_jacobi:
-                g = np.empty((len(q), 3, 3))
-                gam, dgam = christoffel_with_partials(man, q, g)
-                frame = _rows(zs[0] if maps[0] is None else maps[0] @ zs[0]).reshape(-1, 2, 3)
-                m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, frame)
-                rates = _transport_matrix(gam, xv), _jacobi_rates(m)
-            else:
-                rates = (_transport_matrix(christoffel(man, q), xv),)
-            for r, a in enumerate(rates):
-                k, maps[r] = _rk4_stage(a, maps[r], c, h)
-                ks[r].append(k)
-            return xv
-
-        p = rk4_step(stage, 0.0, y[:, 0:3], h)
-        return np.concatenate([p] + [_rows(_step_matrix(k, h) @ z) for k, z in zip(ks, zs)],
-                              axis=1)
-    return step
 
 
 def _rk4_rows(man, step, y, h):
@@ -262,8 +204,10 @@ def _steps(man, step, y, count, h):
 def _jacobi_steps(man, X, y, nsteps, h, with_jacobi):
     """``_steps`` of the (N, 9) or (N, 17) states, in blocks of ``_jacobi_block``.
 
-    A block that raises any GeoContactError is replayed with ``_joint_step``:
-    a seed stops at its first stage that leaves the chart, the first other
+    After a block the rows whose last step ended outside the chart are
+    dropped, one chart check per block. A block that raises any
+    GeoContactError is replayed by ``_steps`` as one-step blocks, so a seed
+    stops before its first step that leaves the chart and the first other
     failure is raised. Each replay ends a seed or raises: one block per
     truncating seed at most.
     """
@@ -271,26 +215,33 @@ def _jacobi_steps(man, X, y, nsteps, h, with_jacobi):
     while done < nsteps:
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(y)))
         try:
-            block = _jacobi_block(man, X, y, count, h, with_jacobi)
-        except GeoContactError:  # the joint stages raise the same error, or an earlier one
-            block = _steps(man, _joint_step(man, X, with_jacobi), y, count, h)
+            out = _jacobi_block(man, X, y, count, h, with_jacobi)
+        except GeoContactError:  # one-step blocks raise the same error, or an earlier one
+            block = _steps(man, lambda z, k: _jacobi_block(man, X, z, 1, k, with_jacobi)[0],
+                           y, count, h)
+        else:
+            ok = man.contains(out[-1, :, 0:3])
+            block = [(np.ones(len(y), dtype=bool), z) for z in out[:-1]] + [(ok, out[-1][ok])]
         for ok, y in block:
             yield ok, y
         done += count
 
 
 def _jacobi_block(man, X, y, count, h, with_jacobi):
-    """``count`` steps of ``_steps`` on the (N, 9) or (N, 17) states y.
+    """The states (count, N, 9 or 17) after each of ``count`` steps of the
+    (N, 9) or (N, 17) states y.
 
     The point pass integrates p alone; one curvature batch gives Gamma (and
-    R) at all its stages; the frame step matrices, from A = -Gamma(X, .) at
-    every stage, carry (e1, e2) step by step. With the Jacobi pair they also
-    give the stage frames, one ``jacobi_matrix`` call gives M at all of them,
-    and the Jacobi step matrices carry (J, J') and (Jt, Jt'). Every step has
-    the bits of ``_joint_step``'s. Raises what the field or the curvature
-    raises. Inside the block a step end is the next step's first stage, so
-    one outside the chart makes the block raise; after the block's last step
-    the rows outside the chart are dropped, as ``_steps`` drops them.
+    R) at all its stages, with the metric checked there in both modes; the
+    frame step matrices, from A = -Gamma(X, .) at every stage, carry (e1, e2)
+    step by step. With the Jacobi pair they also give the stage frames, one
+    ``jacobi_matrix`` call gives M at all of them, and the Jacobi step
+    matrices carry (J, J') and (Jt, Jt'). A row's bits depend neither on its
+    batch nor on ``count``. Raises what the field or the curvature raises, in
+    that order: the field at each stage in turn, then the chart check of all
+    the curvature points, then their metric checks. Inside the block a step
+    end is the next step's first stage, so one outside the chart makes the
+    block raise; the last step's ends are not checked here.
     """
     n, stages = len(y), []  # (point, field value) of every stage of the point pass
 
@@ -302,11 +253,11 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     for s in range(count):
         p = points[s] = rk4_step(field, 0.0, p, h)
     q, xv = (np.concatenate(a) for a in zip(*stages))
+    g = np.empty((len(q), 3, 3))  # the metric, checked positive definite in both modes
     if with_jacobi:
-        g = np.empty((len(q), 3, 3))
         gam, dgam = christoffel_with_partials(man, q, g)
     else:
-        gam = christoffel(man, q)
+        gam = christoffel(man, q, g)
     stack = (count, 4, n)
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
     es = _carry(frame_steps, _columns(y[:, 3:9], 3))
@@ -316,12 +267,7 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
         m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frames).reshape(-1, 2, 3))
         jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
         out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
-    out = np.concatenate(out, axis=-1)
-    every = np.ones(n, dtype=bool)
-    block = [(every, z) for z in out]
-    ok = man.contains(points[-1])
-    block[-1] = ok, out[-1][ok]
-    return block
+    return np.concatenate(out, axis=-1)
 
 
 def orbit_steps(t_end, step) -> int:

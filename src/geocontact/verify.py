@@ -312,7 +312,7 @@ def _run_blocks(fill, blocks: int, workers: int) -> None:
         raise failed[min(failed)]
 
 
-def _midpoint_value(entry: CatalogEntry, nodes: int, orientation: int) -> float:
+def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
     """Midpoint rule on the nodes^3 tensor grid, in row blocks spread over
     ``_worker_count()`` threads, VOLUME_ROWS_IN_FLIGHT rows in all at once.
 
@@ -337,15 +337,14 @@ def _midpoint_value(entry: CatalogEntry, nodes: int, orientation: int) -> float:
         start, stop = k * size, min((k + 1) * size, rows)
         index = np.unravel_index(np.arange(start, stop), (nodes,) * 3)
         params = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
-        defect = contact_defect_grid(entry.manifold, entry.field, param.chart_map(params),
-                                     orientation=orientation)
+        defect = contact_defect_grid(entry.manifold, entry.field, param.chart_map(params))
         products[start:stop] = defect * param.density(params)
 
     _run_blocks(fill, -(-rows // size), workers)
     return float(np.sum(products) * cell)
 
 
-def volume_integral(entry: CatalogEntry, nodes: int, orientation: int = 1) -> VolumeResult:
+def volume_integral(entry: CatalogEntry, nodes: int) -> VolumeResult:
     """Contact volume by midpoint quadrature: integral of the contact defect
     against the Riemannian volume, in the orientation of the parametrization.
 
@@ -355,8 +354,8 @@ def volume_integral(entry: CatalogEntry, nodes: int, orientation: int = 1) -> Vo
         raise NoParametrization(f"{entry.name} has no integration parametrization")
     if nodes < 2:
         raise ConfigError("need at least 2 nodes per axis")
-    value = _midpoint_value(entry, nodes, orientation)
-    coarse = _midpoint_value(entry, max(2, nodes // 2), orientation)
+    value = _midpoint_value(entry, nodes)
+    coarse = _midpoint_value(entry, max(2, nodes // 2))
     return VolumeResult(value=value, nodes=nodes,
                         estimated_error=abs(value - coarse),
                         parametrization=entry.manifold.volume_param.name)

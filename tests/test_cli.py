@@ -122,6 +122,21 @@ def test_analyze_nongeodesic_exits_one(tmp_path, capsys):
     assert code == 1  # unit but not geodesic
 
 
+def test_analyze_names_the_first_point_where_the_field_is_undefined(tmp_path, capsys):
+    """sqrt(x1 + 2) fails at the grid points with x1 < -2, inside the chart:
+    exit 2, naming the first of them."""
+    cfg = write_config(tmp_path, {
+        "manifold": "euclidean_parallel",
+        "field": {"components": ["0", "0", "sqrt(x1+2)/sqrt(x1+2)"]},
+        "grid": {"min": [-3, -1, -1], "max": [1, 1, 1], "counts": [5, 3, 3]}})
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert code == 2 and out == ""
+    match = re.fullmatch(r"error: sqrt of a negative value in 'sqrt\(\(x1 \+ 2\.0\)\)' "
+                         r"at \[(.*)\]\n", err)
+    point = np.array(match.group(1).split(), dtype=float)
+    assert point[0] < -2
+
+
 def test_analyze_custom_field_on_catalog_manifold(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": "h3_vertical",
@@ -246,10 +261,12 @@ def test_orbit_whose_field_is_undefined_beyond_the_chart_truncates(tmp_path, cap
 
 
 def test_orbit_whose_field_is_undefined_inside_the_chart_exits_two(tmp_path, capsys):
-    """sqrt(1.1 - x3) fails inside the chart: the expression is at fault."""
+    """sqrt(1.1 - x3) fails inside the chart: the expression is at fault, and
+    the error names the first stage point where it fails, x3 = e^0.1."""
     code, out, err = cap_orbit(tmp_path, capsys, "x3 + 0*sqrt(1.1 - x3)")
     assert code == 2 and out == ""
-    assert err == "error: sqrt of a negative value in 'sqrt((1.1 - x3))'\n"
+    assert err == ("error: sqrt of a negative value in 'sqrt((1.1 - x3))' "
+                   "at [0.         0.         1.10517101]\n")
 
 
 def test_orbit_start_where_the_field_is_not_finite_exits_one(tmp_path, capsys):

@@ -102,6 +102,26 @@ def test_domain_errors_carry_subexpression():
         eval_scalar(parse("x1^0.5"), (-2.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("source,first", [
+    ("1/(x1 - 1)", 2), ("log(x1)", 1), ("sqrt(x1 + 2.5)", 5), ("x1^-1", 4), ("x1^0.5", 1),
+    ("sqrt(-1) + x1", 0)])
+def test_domain_errors_name_the_first_failing_row(source, first, dual):
+    """Each check names the point of the first row where it fails; a check that
+    fails on constants names the first row of the batch."""
+    pts = np.array([[2.0, 0.5, 0.0], [-2.0, 1.5, 0.0], [1.0, 2.5, 0.0], [-1.0, 3.5, 0.0],
+                    [0.0, 4.5, 0.0], [-3.0, 5.5, 0.0]])
+    with pytest.raises(DomainError) as err:
+        (eval_dual if dual else eval_scalar)(parse(source), pts)
+    assert str(err.value).endswith(f" at {pts[first]}")
+
+
+def test_a_domain_error_in_an_empty_batch_names_no_point():
+    with pytest.raises(DomainError) as err:
+        eval_scalar(parse("sqrt(-1) + x1"), np.empty((0, 3)))
+    assert str(err.value) == "sqrt of a negative value in 'sqrt((-1.0))'"
+
+
 def test_non_finite_constant_exponent_is_a_general_power():
     # exp(inf * log(b)); an integer test on the exponent raised OverflowError
     assert eval_scalar(parse("x1^1e400"), (2.0, 0.0, 0.0)) == np.inf

@@ -141,7 +141,7 @@ def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(with_
 
 
 # ---------------------------------------------------------------------------
-# Block passes against the joint integration
+# Blocks against one-step blocks and stage-form RK4
 # ---------------------------------------------------------------------------
 
 def classical_rhs(man, X):
@@ -174,17 +174,20 @@ def transport_rhs(man, X):
     return rhs
 
 
-#: the replay's step, taken before any test counts replays by patching it
-JOINT_STEP = flow._joint_step
+def one_step_block(man, X, with_jacobi):
+    """The replay's step: a block of one step."""
+    return lambda y, h: flow._jacobi_block(man, X, y, 1, h, with_jacobi)[0]
+
 
 #: with_jacobi, both ways: the block tests run each case in both modes
 MODES = (True, False)
 
 
-def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=JOINT_STEP):
+def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=one_step_block):
     """``integrate_orbits`` with every step by ``stepper(man, X, with_jacobi)``
-    (the replay's stage-by-stage step unless given); the initial states are
-    the first samples of a one-step run."""
+    (the replay's one-step block unless given), a step that leaves the chart
+    redone seed by seed; the initial states are the first samples of a
+    one-step run."""
     first = integrate_orbits(man, X, starts, step, step, with_jacobi)
     names = ("points", "e1", "e2") + (JACOBI_ARRAYS if with_jacobi else ())
     y = np.array([np.concatenate([getattr(tr, name)[0] for name in names]) for tr in first])
@@ -213,8 +216,8 @@ def classical_step(man, X, with_jacobi):
 
 
 def assert_joint_result(man, X, starts, t_end, step, with_jacobi=True):
-    """The block passes give the trajectories of the replay's stage-by-stage
-    integration bit for bit, or raise its error with its message."""
+    """The blocks give the trajectories of one-step blocks bit for bit, or
+    raise their error with its message."""
     try:
         expected = joint_orbits(man, X, starts, t_end, step, with_jacobi)
     except Exception as exc:
@@ -241,9 +244,10 @@ def h3_cap(diff_mode="dual"):
 
 
 def count_replays(monkeypatch):
-    """Note each block that ``flow._joint_step`` is made to replay; returns the notes."""
-    made = []
-    monkeypatch.setattr(flow, "_joint_step", lambda *args: made.append(1) or JOINT_STEP(*args))
+    """Note each block that is replayed, as ``flow._steps`` runs only then;
+    returns the notes."""
+    made, steps = [], flow._steps
+    monkeypatch.setattr(flow, "_steps", lambda *args: made.append(1) or steps(*args))
     return made
 
 
@@ -263,11 +267,10 @@ def grid_starts(draw, grid, max_seeds=3):
        st.integers(1, 10), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
 def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, step, diff_mode):
     """Blocks of 3 steps per seed batch, so that block edges and a final partial
-    block occur; in both modes every Trajectory array equals that of the
-    replay's joint stages at every step, and orbits that stay in the chart
-    replay no block. On both backends the block's curvature batch, and its
-    stacked step matrices, give each stage the bits of the replay's
-    stage-alone calls."""
+    block occur; in both modes every Trajectory array equals that of one-step
+    blocks at every step, and orbits that stay in the chart replay no block.
+    On both backends the block's curvature batch, and its stacked step
+    matrices, give each stage the bits of a one-step block's."""
     entry = entries[name]
     man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
     starts = data.draw(grid_starts(entry.grid))
@@ -342,7 +345,8 @@ def near_cap(k, d):
 def test_five_passes_equal_the_joint_integration_when_a_seed_truncates(
         edge, others, slot, nsteps, diff_mode):
     """One seed of a batch leaves the chart, at a stage or step end or first by
-    a stage stencil; blocks hold 3 steps; both modes."""
+    a stage stencil; blocks hold 3 steps; both modes. Every seed stops after
+    the samples, and at the points, of stage-form RK4."""
     man, X = h3_cap(diff_mode)
     x3 = list(others)
     x3.insert(min(slot, len(x3)), edge)
@@ -351,12 +355,18 @@ def test_five_passes_equal_the_joint_integration_when_a_seed_truncates(
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
         for with_jacobi in MODES:
             assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi)
+            got = integrate_orbits(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi)
+            expected = joint_orbits(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi,
+                                    classical_step)
+            for traj, ref in zip(got, expected, strict=True):
+                assert len(traj) == len(ref) and traj.truncated == ref.truncated
+                assert np.array_equal(traj.points, ref.points)
 
 
 @pytest.mark.parametrize("edge", [1.15, near_cap(3, 5e-6)])
 def test_truncation_by_transport_and_by_stencil(monkeypatch, edge):
     """A seed whose stage centre leaves the chart and one whose stage stencil leaves
-    first both send exactly one block back to the joint stages, in both modes;
+    first both replay exactly one block as one-step blocks, in both modes;
     seeds that stay in the chart replay none."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
@@ -374,7 +384,7 @@ def test_a_step_end_just_past_the_cap_replays_one_block(monkeypatch, k):
     """Step k of 6 ends 5e-6 above x3 = 1.2, in blocks of 3 steps: in the middle
     of a block, at its last step and at the first step of the next. Step k's
     last stage lies beyond its end, so its block replays, and the seed ends
-    after k samples as in the joint integration, in both modes."""
+    after k samples as with one-step blocks, in both modes."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
     monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
@@ -416,7 +426,7 @@ def test_a_step_end_outside_the_chart_beyond_its_stages(monkeypatch, k, blocks):
     stage, where the field raises and the block replays; at a block's last
     step only the block's step-end chart check drops the seed, which would
     otherwise raise DomainError at the next block's first stage. Each seed
-    ends after k samples, as in the joint integration."""
+    ends after k samples, as with one-step blocks."""
     man, X = sudden_cap()
     replays = count_replays(monkeypatch)
     monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
@@ -483,6 +493,35 @@ def test_stage_failures_inside_a_batch_give_each_seeds_solo_result():
     assert_joint_result(man, z, starts, 2.0, 1e-2)
 
 
+def sign_flip(name, s, domain="true"):
+    """diag(1, 1, s/abs(s)) with the field d/dx3: g33 is -1 where s < 0."""
+    man = gc.manifold_from_exprs(
+        name, (("1", "0", "0"), ("0", "1", "0"), ("0", "0", f"({s})/abs({s})")), domain=domain)
+    return man, gc.UnitField.from_exprs("z", ("0", "0", "1"))
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_a_step_leaving_the_chart_ends_the_seed_before_its_metric_fails(with_jacobi):
+    """Step 2 from x3 = 1.165 has stages at 1.185, 1.195 (twice) and 1.205: the
+    metric is indefinite above 1.19 and the chart ends at 1.2. A step's chart
+    check of all its curvature points comes before their metric checks, so
+    the seed stops after 2 samples in both modes."""
+    man, z = sign_flip("flip_cap", "1.19 - x3", domain="x3*(1.2-x3)")
+    traj = integrate_orbit(man, z, np.array([0.0, 0.0, 1.165]), 0.06, 0.02, with_jacobi)
+    assert traj.truncated and len(traj) == 2
+    assert traj.points[-1, 2] == pytest.approx(1.185, abs=1e-12)
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_transport_stages_check_the_metric_is_positive_definite(with_jacobi):
+    """The metric is indefinite on 1.19 < x3 < 1.196, where only step 2's
+    middle stages fall: both modes name the first of them."""
+    man, z = sign_flip("flip_band", "(x3 - 1.196)*(x3 - 1.19)")
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"not positive definite at \[0\.    0\.    1\.195\]"):
+        integrate_orbit(man, z, np.array([0.0, 0.0, 1.165]), 0.06, 0.02, with_jacobi)
+
+
 def count_calls(monkeypatch, names):
     """Count the calls of the named ``flow`` functions; returns the live counts."""
     calls = dict.fromkeys(names, 0)
@@ -521,21 +560,21 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
 def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeypatch,
                                                                 nsteps, block):
     """A block's frame and Jacobi stage maps come from two ``_step_matrices``
-    calls of four ``_rk4_stage`` calls each, where stage-form RK4 makes a
-    frame and a Jacobi right-hand-side call at every stage (8n); M comes from
-    one ``jacobi_matrix`` call per block and the post-pass; the frame rates
-    need no ``christoffel`` call of their own, which stage-form transport made
-    at every stage (the one call gives B(0)); nothing replays."""
-    calls = count_calls(monkeypatch, ["_rk4_stage", "_step_matrices", "jacobi_matrix",
-                                      "_joint_step", "christoffel"])
+    calls, where stage-form RK4 makes a frame and a Jacobi right-hand-side
+    call at every stage (8n); M comes from one ``jacobi_matrix`` call per
+    block and the post-pass; the frame rates need no ``christoffel`` call of
+    their own, which stage-form transport made at every stage (the one call
+    gives B(0)); nothing replays, so ``_steps`` is never called."""
+    calls = count_calls(monkeypatch, ["_step_matrices", "jacobi_matrix", "_steps",
+                                      "christoffel"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
                            nsteps * 1e-3, 1e-3)
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
-    assert calls == {"_rk4_stage": 8 * blocks, "_step_matrices": 2 * blocks,
-                     "jacobi_matrix": blocks + 1, "_joint_step": 0, "christoffel": 1}
+    assert calls == {"_step_matrices": 2 * blocks, "jacobi_matrix": blocks + 1, "_steps": 0,
+                     "christoffel": 1}
 
 
 @pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
@@ -543,12 +582,11 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
                                                               nsteps, block):
     """Without the Jacobi pair, n steps make ceil(n / K) christoffel calls, one per
     block, where stage-form transport made 4n; the frame stage maps come from
-    one ``_step_matrices`` call of four ``_rk4_stage`` calls per block; only the
-    post-pass calls ``christoffel_with_partials`` and ``jacobi_matrix``; nothing
-    replays."""
+    one ``_step_matrices`` call per block; only the post-pass calls
+    ``christoffel_with_partials`` and ``jacobi_matrix``; nothing replays, so
+    ``_steps`` is never called."""
     calls = count_calls(monkeypatch, ["rk4_step", "christoffel", "christoffel_with_partials",
-                                      "_rk4_stage", "_step_matrices", "jacobi_matrix",
-                                      "_joint_step"])
+                                      "_step_matrices", "jacobi_matrix", "_steps"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
@@ -556,8 +594,7 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
     assert calls == {"rk4_step": nsteps, "christoffel": blocks, "christoffel_with_partials": 1,
-                     "_rk4_stage": 4 * blocks, "_step_matrices": blocks, "jacobi_matrix": 1,
-                     "_joint_step": 0}
+                     "_step_matrices": blocks, "jacobi_matrix": 1, "_steps": 0}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

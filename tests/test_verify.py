@@ -142,13 +142,6 @@ def test_volume_refinement_errors_shrink(entries):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_volume_orientation_flip(entries):
-    plus = volume_integral(entries["s3_hopf"], 8)
-    minus = volume_integral(entries["s3_hopf"], 8, orientation=-1)
-    assert abs(plus.value + minus.value) < 1e-10
-    assert abs(abs(plus.value) - abs(minus.value)) < 1e-10
-
-
 def test_volume_weighted_closed_form(entries):
     """Reduction to a 1d integral gives vol = 4 pi^2 / (k1 k2) for the
     weighted entries (substitute u = sin^2(eta) in the fibre integral)."""
