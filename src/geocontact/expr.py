@@ -16,13 +16,16 @@ sqrt abs.
 ASTs are immutable; evaluation is pure. ``eval_scalar`` evaluates an
 expression or an ``ExprTable`` at a single point or an (N, 3) batch of
 points, ``eval_dual`` also returns exact first partial derivatives. Both
-run code compiled once per table: straight-line numpy source, generated
-on the first evaluation and kept on the table.
+run compiled code: straight-line numpy source, generated on a table's first
+evaluation. Programs are held by a bounded per-process cache keyed by the
+table's content, and ``parse`` is memoised, so a table rebuilt from the
+same sources reuses the compiled code.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -38,9 +41,18 @@ FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", 
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num:
     value: float
+
+    def _key(self):
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other):  # tells 0.0 from -0.0, so caches keep them apart
+        return self._key() == other._key() if isinstance(other, Num) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -213,8 +225,12 @@ class _Parser:
         self.fail(("number", "name", "(", "-"))
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(source: str) -> ExprAst:
-    """Parse expression source into an immutable AST."""
+    """Parse expression source into an immutable AST.
+
+    Memoised: equal sources give the same (shared, immutable) AST objects.
+    """
     return _Parser(source).parse()
 
 
@@ -433,18 +449,23 @@ class _Codegen:
         return "\n".join(lines) + "\n"
 
 
-def _compile(table, dual):
-    """Compile the table to a function (x1, x2, x3, out, d) filling out (and d)."""
+@functools.lru_cache(maxsize=256)
+def _compile(shape, groups, dual):
+    """Compile a table to a function (x1, x2, x3, out, d) filling out (and d).
+
+    Keyed by the table's content, so equal tables share one program, held by
+    this bounded per-process cache rather than by any table.
+    """
     gen = _Codegen(dual)
     try:
-        for ast, slots in table.groups:
+        for ast, slots in groups:
             value, partials = gen.visit(ast)
             for slot in slots:
                 gen.store(slot, value, partials)
     except _Unreachable:
         pass
     exec(compile(gen.source(), "<expr table>", "exec"), gen.ns)
-    return gen.ns.pop("table")  # no cycle through its globals: freed with the table
+    return gen.ns.pop("table")  # no cycle through its globals: freed on eviction
 
 
 @functools.lru_cache(maxsize=256)
@@ -499,7 +520,9 @@ class ExprTable:
     found once when the table is built. The table is compiled to numpy
     source on its first evaluation, once for values and once for values
     with partials, and repeated entries and shared subexpressions are
-    computed once.
+    computed once. The programs come from a bounded per-process cache keyed
+    by (shape, groups, mode), so equal tables compile once per process;
+    ``_programs`` keeps this table's two for a lookup without hashing.
     """
 
     shape: tuple
@@ -516,10 +539,10 @@ class ExprTable:
         return cls(cells.shape, tuple((ast, tuple(slots)) for ast, slots in groups.items()))
 
     def _program(self, dual):
-        """The compiled function, built on first use."""
+        """The compiled function, taken from the process cache on first use."""
         fn = self._programs.get(dual)
         if fn is None:
-            fn = self._programs[dual] = _compile(self, dual)
+            fn = self._programs[dual] = _compile(self.shape, self.groups, dual)
         return fn
 
     def evaluate(self, pts):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
+from geocontact import expr
 
 ENTRY_NAMES = (
     "euclidean_parallel",
@@ -22,6 +23,14 @@ CUSTOM_DOC = {"manifold": {"metric": [[CUSTOM_G, "x1*x2/(4 + x3^2)", "0"],
                            "domain": "2 - sqrt(x1^2 + x2^2 + x3^2)"},
               "field": {"components": ["0", "0", f"sqrt(1 + x1^2)/sqrt((1 + x1^2)*{CUSTOM_G})"]},
               "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}}
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the process-wide expression caches (parsed sources, compiled
+    programs, single-expression tables), so a test sees no earlier test's entries."""
+    for cache in (expr.parse, expr._compile, expr._table_of):
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

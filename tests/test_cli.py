@@ -1,16 +1,19 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geocontact import cli
+from geocontact import cli, expr
+from test_reports import DIGESTS
 
 
 def run(capsys, argv):
@@ -349,6 +352,14 @@ def test_analyze_central_mode(tmp_path, capsys):
     assert all(abs(float(r[13]) + 1.0) < 1e-6 for r in rows)
 
 
+def test_verify_all_compiles_each_distinct_table_once_per_process(capsys, cold_caches):
+    for _ in range(2):
+        code, out, _ = run(capsys, ["verify", "--all"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["verify:all"]
+        assert expr._compile.cache_info().misses == 26  # none the second time
+
+
 def test_verify_bad_theorem(capsys):
     code, _, err = run(capsys, ["verify", "T42", "--entry", "s3_hopf"])
     assert code == 2
@@ -376,6 +387,21 @@ def test_volume_json(capsys):
     doc = json.loads(out)
     assert abs(doc["result"]["value"] - 4 * np.pi ** 2) < 0.1
     assert doc["result"]["nodes"] == 16
+
+
+def test_cold_volume_keeps_its_report(capsys, cold_caches):
+    _, out, _ = run(capsys, ["volume", "--entry", "s3_hopf", "--nodes", "16"])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["volume:s3_hopf:16"]
+
+
+def test_cold_volume_compiles_before_any_worker_thread_starts(capsys, monkeypatch, cold_caches):
+    seen = []  # (compiling thread, threads alive) at each compile
+    source = expr._Codegen.source
+    monkeypatch.setattr(expr._Codegen, "source", lambda gen: seen.append(
+        (threading.get_ident(), threading.active_count())) or source(gen))
+    alone = (threading.get_ident(), threading.active_count())
+    run(capsys, ["volume", "--entry", "s3_hopf", "--nodes", "32"])  # 4 row blocks
+    assert seen and set(seen) == {alone}
 
 
 def test_volume_refinement(capsys):

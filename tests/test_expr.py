@@ -141,6 +141,77 @@ def test_table_is_compiled_once_per_mode():
     assert (table._program(False), table._program(True)) == programs
 
 
+# ---------------------------------------------------------------------------
+# Process-wide caches: parsed sources, compiled programs, single-AST tables
+# ---------------------------------------------------------------------------
+
+def compiles():
+    """Programs compiled since the caches were last cleared."""
+    return expr._compile.cache_info().misses
+
+
+def test_a_rebuilt_catalog_entry_compiles_nothing(cold_caches):
+    pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, 0.6]])
+    outputs = []
+    for build in range(2):
+        entry = gc.builtin("s3_hopf")
+        tables = (entry.manifold.metric_exprs, entry.field.component_exprs)
+        before = compiles()
+        outputs.append([(eval_scalar(t, pts), eval_dual(t, pts)) for t in tables])
+        assert compiles() - before == (4 if build == 0 else 0)
+    for (value, dual), (value2, dual2) in zip(*outputs):
+        np.testing.assert_array_equal(value, value2)
+        np.testing.assert_array_equal(dual.value, dual2.value)
+        np.testing.assert_array_equal(dual.partials, dual2.partials)
+
+
+def test_equal_sources_parse_to_the_same_objects(cold_caches):
+    assert parse("x1*x3 - x2") is parse("x1*x3 - x2")
+    assert expr.parse.cache_info().misses == 1
+
+
+def test_tables_differing_in_a_constant_or_shape_get_their_own_programs(cold_caches):
+    pts = np.array([[0.5, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    two, three = (expr.ExprTable.of(parse(s)) for s in ("2*x1", "3*x1"))
+    row = expr.ExprTable.of((parse("2*x1"),) * 3)
+    np.testing.assert_array_equal(two.evaluate(pts), [1.0, -2.0])
+    np.testing.assert_array_equal(three.evaluate(pts), [1.5, -3.0])
+    np.testing.assert_array_equal(row.evaluate(pts), [[1.0] * 3, [-2.0] * 3])
+    programs = [t._program(False) for t in (two, three, row)]
+    assert len(set(programs)) == 3 and compiles() == 3
+
+
+def test_a_shared_program_names_the_callers_point(cold_caches):
+    first, second = (expr.ExprTable.of(parse("log(x1)")) for _ in range(2))
+    with pytest.raises(DomainError) as one:
+        first.evaluate(np.array([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]))
+    with pytest.raises(DomainError) as two:
+        second.evaluate(np.array([[0.0, 3.0, 4.0]]))
+    assert first._program(False) is second._program(False) and compiles() == 1
+    assert one.value.subexpression == two.value.subexpression == "log(x1)"
+    assert str(one.value).endswith(f" at {np.array([-2.0, 0.0, 0.0])}")
+    assert str(two.value).endswith(f" at {np.array([0.0, 3.0, 4.0])}")
+
+
+def test_a_negative_zero_constant_keeps_its_sign(cold_caches):
+    p = (1.0, 0.0, 0.0)
+    assert not np.signbit(eval_scalar(Num(0.0), p))
+    assert np.signbit(eval_scalar(Num(-0.0), p))
+    assert Num(0.0) != Num(-0.0) and Num(2) == Num(2.0)
+
+
+def test_a_product_with_zero_keeps_the_sign_of_its_zero(cold_caches):
+    p = (1.0, 0.0, 0.0)
+    assert np.signbit(eval_scalar(Bin("*", Var("x1"), Num(-0.0)), p))
+    assert not np.signbit(eval_scalar(Bin("*", Var("x1"), Num(0.0)), p))
+
+
+def test_a_table_keeps_zeros_of_either_sign_apart(cold_caches):
+    table = expr.ExprTable.of([Num(-0.0), Num(0.0)])
+    np.testing.assert_array_equal(np.signbit(table.evaluate(np.zeros((1, 3)))), [[True, False]])
+    assert len(table.groups) == 2
+
+
 def test_batched_matches_pointwise():
     ast = parse("sin(x1)*x2 + x3^2")
     rng = np.random.default_rng(7)
