@@ -290,6 +290,9 @@ def cmd_orbit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.all:
+        for flag, value in (("--entry", args.entry), ("--c", args.c)):
+            if value is not None:
+                raise ConfigError(f"verify --all takes no {flag}: it runs every catalog entry")
         resolved = _load(args) if args.config else Resolved(None, Tolerances(), VOLUME_NODES,
                                                             {"verify": "all"})
         reports = verify_all(catalog.all_entries(), resolved.tolerances,
@@ -327,9 +330,9 @@ def cmd_volume(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON config document")
     common.add_argument("--out", help="write the report to a file instead of stdout")
-    common.add_argument("--json", action="store_true", help="JSON output where applicable")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", help="path to a JSON config document")
 
     parser = argparse.ArgumentParser(
         prog="geocontact",
@@ -337,20 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "induced by geodesic vector fields on 3-manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", parents=[common],
-                   help="list the built-in manifold/field pairs").set_defaults(fn=cmd_catalog)
+    p_catalog = sub.add_parser("catalog", parents=[common],
+                               help="list the built-in manifold/field pairs")
+    p_catalog.add_argument("--json", action="store_true", help="JSON output")
+    p_catalog.set_defaults(fn=cmd_catalog)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
+    p_analyze = sub.add_parser("analyze", parents=[configured],
                                help="per-point diagnostics over a grid (CSV)")
     p_analyze.add_argument("--entry", help="catalog entry (shortcut for a minimal config)")
     p_analyze.set_defaults(fn=cmd_analyze)
 
-    p_orbit = sub.add_parser("orbit", parents=[common],
+    p_orbit = sub.add_parser("orbit", parents=[configured],
                              help="orbit integration diagnostics (CSV)")
     p_orbit.add_argument("--entry")
     p_orbit.set_defaults(fn=cmd_orbit)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[configured],
                               help="theorem verdict suites (JSON)")
     p_verify.add_argument("theorems", nargs="*",
                           help=f"theorem ids, any of {', '.join(THEOREM_IDS)}")
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="constant curvature value for the space-form suites")
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_volume = sub.add_parser("volume", parents=[common],
+    p_volume = sub.add_parser("volume", parents=[configured],
                               help="contact volume by midpoint quadrature (JSON)")
     p_volume.add_argument("--entry")
     p_volume.add_argument("--nodes", type=int, default=None, help="nodes per axis")

@@ -57,24 +57,24 @@ class UnitField:
 
 
 # ---------------------------------------------------------------------------
-# Shape operator
+# Shape operator and Jacobi matrix
 # ---------------------------------------------------------------------------
 
-def _frame_gram(g, A, F):
-    """gram[n, a, b] = <nabla_{f_a} X, f_b> for the frame vectors f_a = F[n, :, a].
-
-    ``A`` is the covariant Jacobian of X (``covariant_jacobian``), ``g`` the
-    metric, both (N, 3, 3). Batched matmul in two stages: at N = 262,144 it
-    is about five times faster than the same contraction by einsum.
+def frame_terms(man: ChartedManifold, X: UnitField, pts, g, gam, dgam, xv, frame):
+    """(A, gram, M) at an (N, 3) batch: the one kernel of beta and M, behind
+    ``diagnose`` and the samples of an orbit. ``frame`` (N, 3, 3) has the columns
+    X / |X|, e1, e2; g, gam, dgam and xv are the metric, Gamma, its partials and
+    X there. A[n, k, i] = d_i X^k + Gamma^k_ij X^j is the covariant Jacobian;
+    gram[n, a, b] = <nabla_{f_a} X, f_b> for the columns f_a, so the shape
+    operator B[n, i, j] = <beta(e_j), e_i> is gram[:, 1:, 1:] transposed; and
+    M[n, a, b] = <R(e_b, X)X, e_a>. The Gram matrix is two batched matmuls: at
+    N = 262,144 they are about five times faster than the same einsum.
     """
-    return np.swapaxes(A @ F, 1, 2) @ (g @ F)
-
-
-def shape_operator(man: ChartedManifold, X: UnitField, pts, g, gam, xv, e1, e2):
-    """B[n, i, j] = <beta(e_j), e_i> at an (N, 3) batch in the frames (e1, e2),
-    from the metric g and the Christoffel symbols gam there."""
     A = covariant_jacobian(man, X, pts, xv, gam)
-    return np.swapaxes(_frame_gram(g, A, np.stack([e1, e2], axis=2)), 1, 2)
+    gram = np.swapaxes(A @ frame, 1, 2) @ (g @ frame)
+    M = jacobi_matrix(assemble_riemann(gam, dgam), g, frame[:, :, 0],
+                      np.swapaxes(frame[:, :, 1:], 1, 2))
+    return A, gram, M
 
 
 def _require_unit(X: UnitField, pts, unit_defects, unit_tol):
@@ -208,7 +208,7 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
 
     The metric, the field, Gamma and the Riemann tensor are evaluated once
     for the whole batch, and so are the eigenvalue classes and the ranks
-    of B. In the frame (X, e1, e2) of ``frames_at``:
+    of B. In the frame (X, e1, e2) of ``frames_at``, by ``frame_terms``:
 
     - unit defect |<X, X> - 1|, with X as given;
     - geodesic defect |nabla_X X|, with X as given;
@@ -218,8 +218,9 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     - the shape operator B, its contact defect, eigenvalues and rank;
     - the Jacobi tensor: Ric(X) and its eigenvalues Delta >= delta.
 
-    Raises NotUnit at the first point whose unit defect exceeds ``unit_tol``,
-    then DegenerateSeed at the first point where X is zero or not finite.
+    Raises the chart and metric errors of ``christoffel_with_partials``, then
+    NotUnit at the first point whose unit defect exceeds ``unit_tol``, then
+    DegenerateSeed at the first point where X is zero or not finite.
     """
     pts = as_points(pts)[0]
     g = np.empty((len(pts), 3, 3))
@@ -230,14 +231,9 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     norm = g_norm(g, xv)
     _require_nonzero(X, pts, norm)
     xn = xv / norm[:, None]
-    e1, e2 = frames_at(g, xn)
-
-    A = covariant_jacobian(man, X, pts, xv, gam)
-    frame = np.stack([xn, e1, e2], axis=2)
-    gram = _frame_gram(g, A, frame)
+    frame = np.stack([xn, *frames_at(g, xn)], axis=2)
+    A, gram, M = frame_terms(man, X, pts, g, gam, dgam, xv, frame)
     B = np.swapaxes(gram[:, 1:, 1:], 1, 2)
-
-    M = jacobi_matrix(assemble_riemann(gam, dgam), g, xn, np.stack([e1, e2], axis=1))
     Delta, delta = real_eigenvalues(M)
     cplx, eig_re, eig_im = eigen_columns(B)
     return Diagnosis(

@@ -32,6 +32,10 @@ fails is replayed as one-step blocks. A row's bits depend neither on its
 batch nor on its block's length, so block and replay agree bit for bit, and
 both agree with stage-form RK4 of all 9 or 17 components (k = f(y) at each
 stage) to rounding. At most one block per truncating seed is replayed.
+
+An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
+J'(0) = B(0) J(0). The samples' B and M come from ``frame_terms``, the
+kernel behind ``diagnose``, so sample 0 is that row bit for bit.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import numpy as np
 from .curvature import (_partials_inside, assemble_riemann, christoffel,
                         christoffel_with_partials, jacobi_matrix, real_eigenvalues)
 from .errors import DomainError, GeoContactError, OutOfChart, PoleReached, StepTooLarge
-from .field import UNIT_TOL, UnitField, _require_nonzero, _require_unit, shape_operator
-from .geometry import ChartedManifold, as_points, frames_at, inner
+from .field import UnitField, diagnose, frame_terms
+from .geometry import ChartedManifold, as_points, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
 
@@ -295,12 +299,14 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     docstring).
     A seed whose orbit or RK4 stage leaves the chart stops there
     (``truncated``) while the others go on; each trajectory equals the one
-    its start gives alone. With ``with_jacobi`` the canonical adapted pair,
-    J(0) = e1 and Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
+    its start gives alone. The frames and B(0) are the starts' ``diagnose``
+    rows; with ``with_jacobi`` the canonical adapted pair, J(0) = e1 and
+    Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
     A trajectory also ends before its first sample whose curvature stencil
-    leaves the chart, and is then ``truncated``. Raises OutOfChart or NotUnit
-    naming the first bad start; a start whose own stencil leaves the chart is
-    bad.
+    leaves the chart, and is then ``truncated``. Raises OutOfChart naming the
+    first start outside the chart or whose own stencil leaves it, ValueError
+    for the step or t_end, then what ``diagnose`` raises at the first bad
+    start: a metric error, NotUnit or DegenerateSeed.
     """
     starts = as_points(starts)[0]
     outside = np.flatnonzero(~man.contains(starts))
@@ -314,23 +320,11 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
         raise ValueError("step must be positive")
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
-
-    if with_jacobi:  # B(0) needs Gamma, which brings g along
-        g0 = np.empty((len(starts), 3, 3))
-        gam0 = christoffel(man, starts, g0)
-    else:
-        g0 = man.metric_at(starts)
-    xv0 = X.value(starts)
-    _require_unit(X, starts, np.abs(inner(g0, xv0, xv0) - 1.0), UNIT_TOL)
-    norm0 = np.sqrt(xv0[:, None] @ g0 @ xv0[..., None])[:, 0]  # as in frame_at, bit for bit
-    _require_nonzero(X, starts, norm0[:, 0])
-    e1, e2 = frames_at(g0, xv0 / norm0)
-    y = [starts, e1, e2]
-    if with_jacobi:
-        b0 = shape_operator(man, X, starts, g0, gam0, xv0, e1, e2)
-        for j0 in np.eye(2):
-            y.extend([np.broadcast_to(j0, (len(starts), 2)), b0 @ j0])
-    y = np.concatenate(y, axis=1)
+    start = diagnose(man, X, starts)  # sample 0's frames and B(0)
+    y = [starts, start.frame[:, :, 1], start.frame[:, :, 2]]
+    for j0 in np.eye(2):  # J(0) = e1 and Jt(0) = e2, with J'(0) = B(0) J(0)
+        y += [np.broadcast_to(j0, (len(starts), 2)), start.B @ j0]
+    y = np.concatenate(y, axis=1)[:, :17 if with_jacobi else 9]  # the transport: p, e1, e2
 
     nsteps = orbit_steps(t_end, step)
     step = t_end / nsteps
@@ -373,16 +367,15 @@ def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
     gam, dgam = christoffel_with_partials(man, points, g)
     xv = X.value(points)
     xn = xv / np.sqrt(inner(g, xv, xv))[:, None]
-    drift = _frame_drift(g, xn, e1, e2)
+    frame = np.stack([xn, e1, e2], axis=2)
+    drift = float(np.abs(np.swapaxes(frame, 1, 2) @ g @ frame - np.eye(3)).max())
     if drift > FRAME_DRIFT_LIMIT:
         raise StepTooLarge(
             f"frame orthonormality drifted to {drift:.3e}; halve the step")
 
-    traj = Trajectory(t=t, points=points, e1=e1, e2=e2,
-                      B=shape_operator(man, X, points, g, gam, xv, e1, e2),
-                      M=jacobi_matrix(assemble_riemann(gam, dgam), g, xn,
-                                      np.stack([e1, e2], axis=1)),
-                      X_along=xn, step=step, truncated=truncated)
+    _, gram, M = frame_terms(man, X, points, g, gam, dgam, xv, frame)
+    traj = Trajectory(t=t, points=points, e1=e1, e2=e2, B=np.swapaxes(gram[:, 1:, 1:], 1, 2),
+                      M=M, X_along=xn, step=step, truncated=truncated)
     if with_jacobi:
         traj.J, traj.Jdot, traj.Jt, traj.Jtdot = np.moveaxis(arr[:, 9:].reshape(n, 4, 2), 1, 0)
         traj.A = traj.J[:, 0] * traj.Jt[:, 1] - traj.J[:, 1] * traj.Jt[:, 0]
@@ -394,12 +387,6 @@ def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
 def _adapted_defect(B, J, Jdot):
     """|Jdot - B J| per sample."""
     return np.linalg.norm(Jdot - np.einsum("nij,nj->ni", B, J), axis=1)
-
-
-def _frame_drift(g, xn, e1, e2):
-    vecs = np.stack([xn, e1, e2], axis=1)   # (n, 3, 3)
-    gram = np.einsum("nai,nij,nbj->nab", vecs, g, vecs)
-    return float(np.abs(gram - np.eye(3)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,20 @@ def test_unknown_subcommand(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--entry", "s3_hopf", "--json"],
+                                  ["orbit", "--entry", "h3_vertical", "--json"],
+                                  ["verify", "T5.1", "--entry", "s3_hopf", "--json"],
+                                  ["volume", "--entry", "s3_hopf", "--json"],
+                                  ["catalog", "--config", "missing.json"]])
+def test_a_flag_its_command_would_not_read_is_a_usage_error(capsys, argv):
+    """``--json`` belongs to ``catalog`` alone and ``--config`` to every other
+    command, so neither is accepted and then ignored."""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    flag = next(a for a in argv if a.startswith("--") and a != "--entry")
+    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -357,7 +371,9 @@ def test_verify_all_compiles_each_distinct_table_once_per_process(capsys, cold_c
         code, out, _ = run(capsys, ["verify", "--all"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["verify:all"]
-        assert expr._compile.cache_info().misses == 26  # none the second time
+        # none the second time; T6.1's orbit starts take g from the metric's
+        # dual jet, so they compile no metric-value program of their own
+        assert expr._compile.cache_info().misses == 23
 
 
 def test_verify_bad_theorem(capsys):
@@ -370,6 +386,15 @@ def test_verify_all_rejects_unknown_theorem(capsys):
     assert code == 2
     assert out == ""
     assert "X9" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--entry", "h3_vertical"], ["--c", "0.5"], ["--c", "0"]])
+def test_verify_all_rejects_entry_and_c(capsys, flags):
+    """``--all`` runs every catalog entry, each with its own curvature, so an
+    entry or a curvature given with it would be ignored."""
+    code, out, err = run(capsys, ["verify", "T5.1", "--all", *flags])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flags[0] in err
 
 
 def test_verify_unknown_entry(capsys):

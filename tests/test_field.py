@@ -5,13 +5,13 @@ import pytest
 
 import geocontact as gc
 from geocontact import catalog
-from geocontact.curvature import (EIGEN_DISC_TOL, christoffel, real_eigenvalues,
-                                  trace_discriminant)
+from geocontact.curvature import (EIGEN_DISC_TOL, christoffel_with_partials,
+                                  real_eigenvalues, trace_discriminant)
 from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
                                OutOfChart, SingularMetric)
 from geocontact.field import (ComplexPair, RealPair, UnitField, beta_ranks,
                               contact_defect_grid, diagnose, diagnose_point, eigen_columns,
-                              shape_operator)
+                              frame_terms)
 from geocontact.geometry import Frame, frame_at
 
 
@@ -350,12 +350,14 @@ def rotated_frame(g, fr, theta):
 
 
 def shape_operators(entry, p, frames):
-    """B at p in each of ``frames``, one ``shape_operator`` batch."""
+    """B at p in each of ``frames``, one ``frame_terms`` batch."""
     pts = np.repeat(p[None], len(frames), axis=0)
     g = np.empty((len(pts), 3, 3))
-    gam = christoffel(entry.manifold, pts, g)
-    return shape_operator(entry.manifold, entry.field, pts, g, gam, entry.field.value(pts),
-                          np.array([fr.e1 for fr in frames]), np.array([fr.e2 for fr in frames]))
+    gam, dgam = christoffel_with_partials(entry.manifold, pts, g)
+    frame = np.array([np.stack([fr.X, fr.e1, fr.e2], axis=1) for fr in frames])
+    gram = frame_terms(entry.manifold, entry.field, pts, g, gam, dgam, entry.field.value(pts),
+                       frame)[1]
+    return np.swapaxes(gram[:, 1:, 1:], 1, 2)
 
 
 @pytest.mark.parametrize("name", ["s3_hopf", "heisenberg_reeb", "h3_vertical",

@@ -14,9 +14,9 @@ from scipy.optimize import brentq
 import geocontact as gc
 from geocontact import flow
 from geocontact.curvature import (assemble_riemann, christoffel, christoffel_with_partials,
-                                  jacobi_matrix)
+                                  jacobi_matrix, real_eigenvalues)
 from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
-                               OutOfChart, PoleReached, StepTooLarge)
+                               OutOfChart, PoleReached, SingularMetric, StepTooLarge)
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
                              integrate_orbit, integrate_orbits,
                              jacobi_component_closed_form,
@@ -138,6 +138,37 @@ def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(with_
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DegenerateSeed, match=r"field 'nan' is zero or not finite at \[1\. 0\. 0\.\]"):
         integrate_orbits(man, nan, starts, 0.1, 1e-2, with_jacobi)
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+@pytest.mark.parametrize("name", ORBIT_NAMES)
+def test_an_orbits_first_sample_is_its_starts_diagnosis(entries, name, with_jacobi):
+    """From every in-chart point of the default grid, sample 0 of the orbit is
+    the start's ``diagnose`` row bit for bit: the frame, B, the eigenvalues of
+    M and its trace Ric(X)."""
+    entry = entries[name]
+    starts = entry.grid.points()
+    starts = starts[entry.manifold.contains(starts)]
+    diag = gc.diagnose(entry.manifold, entry.field, starts)
+    trajs = integrate_orbits(entry.manifold, entry.field, starts, 2e-3, 1e-3, with_jacobi)
+    e1, e2, B, M = (np.array([getattr(t, k)[0] for t in trajs]) for k in ("e1", "e2", "B", "M"))
+    assert np.array_equal(np.stack([e1, e2], axis=2), diag.frame[:, :, 1:])
+    assert np.array_equal(B, diag.B)
+    assert np.array_equal(np.stack(real_eigenvalues(M)), np.stack([diag.Delta, diag.delta]))
+    assert np.array_equal(M[:, 0, 0] + M[:, 1, 1], diag.ric_X)
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_a_start_whose_metric_fails_raises_before_the_first_step(monkeypatch, with_jacobi):
+    """The start's ``diagnose`` row checks its metric in both modes, so a metric
+    singular everywhere is named at the start before any RK4 step."""
+    calls = count_calls(monkeypatch, ["rk4_step"])
+    man = gc.manifold_from_exprs("thin", (("1e-13", "0", "0"), ("0", "1", "0"),
+                                          ("0", "0", "1")))
+    z = gc.UnitField.from_exprs("z", ("0", "0", "1"))
+    with pytest.raises(SingularMetric, match=r"singular at \[0\.  0\.  0\.5\]"):
+        integrate_orbit(man, z, np.array([0.0, 0.0, 0.5]), 0.1, 1e-2, with_jacobi)
+    assert calls == {"rk4_step": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +574,11 @@ def count_calls(monkeypatch, names):
 def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
     """n steps make n rk4_step calls, ceil(n / K) + 1 christoffel_with_partials
     calls (one per block and the post-pass), where one per stage would be 4n + 1,
-    and one christoffel call (B(0) at the start), where one per stage would be
-    4n + 1 too."""
-    calls = count_calls(monkeypatch, ["rk4_step", "christoffel_with_partials", "christoffel"])
+    and no christoffel call, where one per stage would be 4n + 1 too; the start
+    is one ``diagnose`` call (its frames and B(0)) and the post-pass one
+    ``frame_terms`` call (B and M at every sample)."""
+    calls = count_calls(monkeypatch, ["rk4_step", "christoffel_with_partials", "christoffel",
+                                      "diagnose", "frame_terms"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["h3_vertical"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0.0, 1.0]),
@@ -553,7 +586,7 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
     assert len(traj) == nsteps + 1 and not traj.truncated
     assert calls == {"rk4_step": nsteps,
                      "christoffel_with_partials": math.ceil(nsteps / block) + 1,
-                     "christoffel": 1}
+                     "christoffel": 0, "diagnose": 1, "frame_terms": 1}
 
 
 @pytest.mark.parametrize("nsteps,block", [(7, 3), (1200, flow.JACOBI_BLOCK)])
@@ -562,19 +595,20 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
     """A block's frame and Jacobi stage maps come from two ``_step_matrices``
     calls, where stage-form RK4 makes a frame and a Jacobi right-hand-side
     call at every stage (8n); M comes from one ``jacobi_matrix`` call per
-    block and the post-pass; the frame rates need no ``christoffel`` call of
-    their own, which stage-form transport made at every stage (the one call
-    gives B(0)); nothing replays, so ``_steps`` is never called."""
+    block and one ``frame_terms`` call in the post-pass; the frame rates need
+    no ``christoffel`` call of their own, which stage-form transport made at
+    every stage (the start is one ``diagnose`` call); nothing replays, so
+    ``_steps`` is never called."""
     calls = count_calls(monkeypatch, ["_step_matrices", "jacobi_matrix", "_steps",
-                                      "christoffel"])
+                                      "christoffel", "diagnose", "frame_terms"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
                            nsteps * 1e-3, 1e-3)
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
-    assert calls == {"_step_matrices": 2 * blocks, "jacobi_matrix": blocks + 1, "_steps": 0,
-                     "christoffel": 1}
+    assert calls == {"_step_matrices": 2 * blocks, "jacobi_matrix": blocks, "_steps": 0,
+                     "christoffel": 0, "diagnose": 1, "frame_terms": 1}
 
 
 @pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
@@ -582,11 +616,13 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
                                                               nsteps, block):
     """Without the Jacobi pair, n steps make ceil(n / K) christoffel calls, one per
     block, where stage-form transport made 4n; the frame stage maps come from
-    one ``_step_matrices`` call per block; only the post-pass calls
-    ``christoffel_with_partials`` and ``jacobi_matrix``; nothing replays, so
-    ``_steps`` is never called."""
+    one ``_step_matrices`` call per block; the start is one ``diagnose`` call,
+    and only the post-pass calls ``christoffel_with_partials`` and
+    ``frame_terms`` (B and M), so no block calls ``jacobi_matrix``; nothing
+    replays, so ``_steps`` is never called."""
     calls = count_calls(monkeypatch, ["rk4_step", "christoffel", "christoffel_with_partials",
-                                      "_step_matrices", "jacobi_matrix", "_steps"])
+                                      "_step_matrices", "jacobi_matrix", "_steps", "diagnose",
+                                      "frame_terms"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
@@ -594,7 +630,8 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
     assert calls == {"rk4_step": nsteps, "christoffel": blocks, "christoffel_with_partials": 1,
-                     "_step_matrices": blocks, "jacobi_matrix": 1, "_steps": 0}
+                     "_step_matrices": blocks, "jacobi_matrix": 0, "_steps": 0,
+                     "diagnose": 1, "frame_terms": 1}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

@@ -159,7 +159,7 @@ def test_volume_needs_no_christoffel_symbols_or_frames(entries, monkeypatch):
 
     for module in (curvature, geometry, field):
         for name in ("christoffel", "christoffel_with_partials", "covariant_jacobian",
-                     "frames_at", "shape_operator"):
+                     "frames_at", "frame_terms"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unavailable)
     assert volume_integral(entries["s3_hopf"], 8) == expected
