@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,34 +78,38 @@ def _counts(values):
     return counts
 
 
-#: section -> key -> (converter, default); a default of None marks a required key
+#: section -> (whether it sets up the entry, key -> (converter, default)); a
+#: default of None marks a required key. ``verify --all`` runs every catalog
+#: entry on its own setup, so it reads only the sections that set up none.
 _SCHEMA = {
-    "manifold": {"metric": (_triple(_triple(_expression)), None),
-                 "domain": (_expression, "true")},
-    "field": {"components": (_triple(_expression), None)},
-    "grid": {"min": (_triple(_number()), None), "max": (_triple(_number()), None),
-             "counts": (_counts, (5, 5, 5))},
-    "orbit": {"start": (_triple(_number()), None), "t_end": (_number(), OrbitSpec.t_end),
-              "step": (_number(lambda v: v > 0), OrbitSpec.step)},
-    "diff": {"mode": (_one_of("dual", "central"), "dual"),
-             "step": (_number(lambda v: v > 0), DEFAULT_DIFF_STEP)},
-    "tolerances": {f.name: (_number(lambda v: v >= 0), f.default)
-                   for f in dataclasses.fields(Tolerances)},
-    "volume": {"nodes": (_number(lambda v: v.is_integer() and v >= 2, int), VOLUME_NODES)},
+    "manifold": (True, {"metric": (_triple(_triple(_expression)), None),
+                        "domain": (_expression, "true")}),
+    "field": (True, {"components": (_triple(_expression), None)}),
+    "grid": (True, {"min": (_triple(_number()), None), "max": (_triple(_number()), None),
+                    "counts": (_counts, (5, 5, 5))}),
+    "orbit": (True, {"start": (_triple(_number()), None),
+                     "t_end": (_number(), OrbitSpec.t_end),
+                     "step": (_number(lambda v: v > 0), OrbitSpec.step)}),
+    "diff": (True, {"mode": (_one_of("dual", "central"), "dual"),
+                    "step": (_number(lambda v: v > 0), DEFAULT_DIFF_STEP)}),
+    "tolerances": (False, {f.name: (_number(lambda v: v >= 0), f.default)
+                           for f in dataclasses.fields(Tolerances)}),
+    "volume": (False, {"nodes": (_number(lambda v: v.is_integer() and v >= 2, int),
+                                 VOLUME_NODES)}),
 }
 
 
 def _section(config, name):
-    """Section ``name`` of a config document: every key of ``_SCHEMA[name]``
+    """Section ``name`` of a config document: every key of its ``_SCHEMA`` entry
     converted, or its default if the key (or the whole section) is absent."""
-    mapping = config.get(name, {})
+    mapping, keys = config.get(name, {}), _SCHEMA[name][1]
     if not isinstance(mapping, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
-    unknown = set(mapping) - set(_SCHEMA[name])
+    unknown = set(mapping) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     values = {}
-    for key, (convert, default) in _SCHEMA[name].items():
+    for key, (convert, default) in keys.items():
         if key not in mapping and default is None:
             raise ConfigError(f"config needs {name}.{key}")
         try:
@@ -118,20 +123,29 @@ def _section(config, name):
 class Resolved:
     """Effective analysis setup: entry, tolerances and echoed config."""
 
-    entry: CatalogEntry
+    entry: Optional[CatalogEntry]  # None for the whole catalog (``verify --all``)
     tolerances: Tolerances
     volume_nodes: int
     echo: dict
 
 
-def resolve_config(config: dict) -> Resolved:
+def resolve_config(config: dict, catalog_wide=False) -> Resolved:
+    """The setup a config document gives. ``catalog_wide`` (``verify --all``)
+    builds no entry: a section that would set one up is a ConfigError."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
 
-    if isinstance(config.get("manifold"), str):
+    if catalog_wide:
+        unread = [name for name, (sets_up_entry, _) in _SCHEMA.items()
+                  if sets_up_entry and name in config]
+        if unread:
+            raise ConfigError(f"verify --all runs every catalog entry on its own setup: "
+                              f"config section {unread[0]!r} would not apply")
+        entry = None
+    elif isinstance(config.get("manifold"), str):
         entry = catalog.builtin(config["manifold"])
     elif isinstance(config.get("manifold"), dict):
         spec = _section(config, "manifold")
@@ -165,7 +179,7 @@ def resolve_config(config: dict) -> Resolved:
                     volume_nodes=_section(config, "volume")["nodes"], echo=config)
 
 
-def _load(args) -> Resolved:
+def _load(args, catalog_wide=False) -> Resolved:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -178,7 +192,7 @@ def _load(args) -> Resolved:
         config = {"manifold": args.entry}
     else:
         raise ConfigError("give --config or --entry")
-    return resolve_config(config)
+    return resolve_config(config, catalog_wide)
 
 
 def _echo_json(resolved: Resolved) -> str:
@@ -293,8 +307,8 @@ def cmd_verify(args) -> int:
         for flag, value in (("--entry", args.entry), ("--c", args.c)):
             if value is not None:
                 raise ConfigError(f"verify --all takes no {flag}: it runs every catalog entry")
-        resolved = _load(args) if args.config else Resolved(None, Tolerances(), VOLUME_NODES,
-                                                            {"verify": "all"})
+        resolved = _load(args, catalog_wide=True) if args.config else \
+            Resolved(None, Tolerances(), VOLUME_NODES, {"verify": "all"})
         reports = verify_all(catalog.all_entries(), resolved.tolerances,
                              resolved.volume_nodes, args.theorems)
     else:

@@ -24,14 +24,42 @@ MAX_METRIC_CONDITION = 1e12
 EIGEN_DISC_TOL = 1e-12
 
 
+def _surely_conditioned(g):
+    """Rows of g (N, 3, 3) whose condition number is certainly at most
+    MAX_METRIC_CONDITION / 2, found without eigenvalues.
+
+    g is positive definite where its leading minors are positive, and then
+    cond(g) = l1 / l3 = l1^2 l2 / det g <= (tr g)^3 / det g for its
+    eigenvalues l1 >= l2 >= l3 > 0. With every entry at most tr g in size,
+    each product of the cofactor expansion of det g is at most (tr g)^3, so
+    at a row that passes, its rounding is below 0.2% of det g; det g between
+    the smallest normal float and inf keeps underflow and overflow out. The
+    factor 2 covers that rounding and eigvalsh's own. A row whose products
+    overflow (entries above about 5e102) gets an inf or NaN that fails a
+    test, silently: it goes to eigvalsh.
+    """
+    a, b, c = g[:, 0, 0], g[:, 1, 1], g[:, 2, 2]
+    d, e, f = g[:, 1, 0], g[:, 2, 1], g[:, 2, 0]  # the lower triangle, as eigvalsh reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = a + b + c
+        det = a * (b * c - e * e) - d * (d * c - e * f) + f * (d * e - b * f)
+        return ((a > 0) & (a * b - d * d > 0) & (det >= np.finfo(float).tiny) & (det < np.inf)
+                & (np.abs(g).max(axis=(1, 2)) <= tr)
+                & (tr ** 3 <= 0.5 * MAX_METRIC_CONDITION * det))
+
+
 def _require_conditioned(man, pts, g):
     """Raise SingularMetric naming the first point where g is not finite or,
     failing that, where its 2-norm condition number max|lambda| / min|lambda|
-    (g is symmetric) is infinite or above MAX_METRIC_CONDITION."""
+    (g is symmetric) is infinite or above MAX_METRIC_CONDITION. Only the rows
+    that ``_surely_conditioned`` cannot certify go to ``eigvalsh``."""
     _require_finite_metric(man, pts, g)
-    lam = np.abs(np.linalg.eigvalsh(g))
-    small = lam.min(axis=1)
-    ok = (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
+    ok = _surely_conditioned(g)
+    rest = ~ok
+    if rest.any():
+        lam = np.abs(np.linalg.eigvalsh(g[rest]))
+        small = lam.min(axis=1)
+        ok[rest] = (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
     if not ok.all():
         raise SingularMetric(
             f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}")

@@ -17,9 +17,12 @@ ASTs are immutable; evaluation is pure. ``eval_scalar`` evaluates an
 expression or an ``ExprTable`` at a single point or an (N, 3) batch of
 points, ``eval_dual`` also returns exact first partial derivatives. Both
 run compiled code: straight-line numpy source, generated on a table's first
-evaluation. Programs are held by a bounded per-process cache keyed by the
-table's content, and ``parse`` is memoised, so a table rebuilt from the
-same sources reuses the compiled code.
+evaluation. ``ExprTable.at_point`` runs a third, scalar program of the same
+statements on the Python floats of one point, bit for bit the values of the
+numpy program without its per-call array overhead. Programs are held by a
+bounded per-process cache keyed by the table's content and mode, and
+``parse`` is memoised, so a table rebuilt from the same sources reuses the
+compiled code.
 """
 
 from __future__ import annotations
@@ -265,18 +268,28 @@ _DERIVATIVE = {
     "exp": None, "log": "1.0 / {0}", "sqrt": "0.5 / {1}", "abs": "sign({0})",
 }
 
-#: per comparison, whether a check fails at some row and, built only then, where
+#: per comparison, whether a check fails at some row and, built only then, where;
+#: the second is also the scalar mode's test of its one row
 _CHECKS = {"==": ("not {0}.all()", "{0} == 0"), "<": ("({0} < 0).any()", "{0} < 0"),
            "<=": ("({0} <= 0).any()", "{0} <= 0")}
 
 
+#: the scalar mode's Python functions, only where IEEE-754 fixes their bits:
+#: a correctly rounded sqrt, abs, and x * x for power(x, 2). Each is total on
+#: what its checks let through (sqrt: no negative), so none raises, as numpy
+#: does not. Every other function is numpy's ufunc applied to the float.
+_SCALAR_FUNCTIONS = {"sqrt": math.sqrt, "abs": abs,
+                     "power": lambda x, n: x * x if n == 2.0 else np.power(x, n)}
+
+
 def _domain_error(errors, i, mask, x1, x2, x3):
     """Raise the DomainError of check i, naming the point of the first row where
-    ``mask`` holds (True: every row), or no point in an empty batch."""
+    ``mask`` holds (True: every row), or no point in an empty batch. x1-x3 are
+    (N,) arrays, or the floats of one point in the scalar mode."""
     message, node = errors[i]
+    rows = np.array([x1, x2, x3], dtype=float).reshape(3, -1)
     k = int(np.argmax(mask))
-    raise DomainError(message, to_string(node),
-                      np.array([x1[k], x2[k], x3[k]]) if k < len(x1) else None)
+    raise DomainError(message, to_string(node), rows[:, k] if k < rows.shape[1] else None)
 
 
 class _Unreachable(Exception):
@@ -284,27 +297,35 @@ class _Unreachable(Exception):
 
 
 class _Codegen:
-    """Straight-line numpy source for a table, one statement per operation.
+    """Straight-line source for a table, one statement per operation, in one
+    of three modes: ``value``, ``dual`` or ``scalar``.
 
     Each distinct subexpression of the whole table is computed once, and
     subexpressions without a variable are folded to constants by running
-    the same source on them. Operands are names in the generated code:
-    ``x1``-``x3`` and temporaries ``t<i>`` hold (N,) arrays, constants
-    ``k<i>`` live in its namespace. With ``dual`` a value that depends on a
-    variable also carries its partials, an (N, 3) array or a constant (3,)
-    vector. The operations, their order and the checks are those of
-    dual-number arithmetic on (value, partials) pairs, dividing by a dual b
-    as a * (1/b), and of plain arithmetic, dividing as a / b, without
-    ``dual``; so every value, partial and sign of zero is the one those
-    give, and every DomainError names the same subexpression.
+    the same source on them with numpy's functions, in every mode. Operands
+    are names in the generated code: ``x1``-``x3`` and temporaries ``t<i>``
+    hold (N,) arrays, constants ``k<i>`` live in its namespace. In ``dual``
+    a value that depends on a variable also carries its partials, an (N, 3)
+    array or a constant (3,) vector. The operations, their order and the
+    checks are those of dual-number arithmetic on (value, partials) pairs,
+    dividing by a dual b as a * (1/b), and of plain arithmetic, dividing as
+    a / b, in the other modes; so every value, partial and sign of zero is
+    the one those give, and every DomainError names the same subexpression.
+
+    ``scalar`` emits the statements and checks of ``value`` in the same
+    order, on the Python floats of one point, and returns the table's values
+    as a tuple in C order. Its namespace binds ``_SCALAR_FUNCTIONS`` over
+    numpy's, so its results are the value program's bit for bit, inf and
+    NaN included.
     """
 
-    def __init__(self, dual):
-        self.dual = dual
+    def __init__(self, mode):
+        self.dual, self.scalar = mode == "dual", mode == "scalar"
         self.ns = {name: getattr(np, name) for name in FUNCTIONS + ("power", "sign")}
         self.errors = []  # (message, node) of each check
         self.ns["_fail"] = functools.partial(_domain_error, self.errors)
         self.statements = []  # (source, runtime names it reads)
+        self.outputs = {}     # scalar mode: slot -> the operand it returns
         self.memo = {}        # subexpression -> (value, partials or None)
         self.temps = 0
 
@@ -330,8 +351,9 @@ class _Codegen:
         error = f"_fail({len(self.errors)}, {{}}, x1, x2, x3)"
         self.errors.append((message, node))
         if operand[0] != "k":
-            self.statements.append((f"if {fails.format(operand)}: "
-                                    + error.format(where.format(operand)), [operand]))
+            test, rows = (where, "True") if self.scalar else (fails, where)
+            self.statements.append((f"if {test.format(operand)}: "
+                                    + error.format(rows.format(operand)), [operand]))
         elif eval(fails.format("v"), {"v": np.asarray(self.ns[operand])}):
             self.statements.append((error.format("True"), []))
             raise _Unreachable
@@ -425,6 +447,9 @@ class _Codegen:
         return self.func("exp", *self.mul(b, pb, *self.func("log", a, pa)))
 
     def store(self, slot, value, partials):
+        if self.scalar:
+            self.outputs[slot] = value
+            return
         at = "".join(f", {i}" for i in slot)
         self.statements.append((f"out[:{at}] = {value}", [value]))
         if self.dual:
@@ -432,7 +457,13 @@ class _Codegen:
             self.statements.append((f"d[:, :{at}] = {partials}", [partials]))
 
     def source(self):
-        """The function's source, each temporary deleted after its last use."""
+        """The function's source, each temporary array deleted after its last
+        use; the scalar mode's floats stay until it returns them."""
+        if self.scalar:
+            outputs = "".join(f"{self.outputs[slot]}, " for slot in sorted(self.outputs))
+            return "".join(["def table(x1, x2, x3):\n"]
+                           + [f"    {src}\n" for src, _ in self.statements]
+                           + [f"    return ({outputs})\n"])
         last = {}
         for i, (_, reads) in enumerate(self.statements):
             for name in reads:
@@ -450,13 +481,14 @@ class _Codegen:
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(shape, groups, dual):
-    """Compile a table to a function (x1, x2, x3, out, d) filling out (and d).
+def _compile(shape, groups, mode):
+    """Compile a table to a function (x1, x2, x3, out, d) filling out (and d),
+    or in the scalar mode (x1, x2, x3) returning the values.
 
-    Keyed by the table's content, so equal tables share one program, held by
-    this bounded per-process cache rather than by any table.
+    Keyed by the table's content and the mode, so equal tables share one
+    program, held by this bounded per-process cache rather than by any table.
     """
-    gen = _Codegen(dual)
+    gen = _Codegen(mode)
     try:
         for ast, slots in groups:
             value, partials = gen.visit(ast)
@@ -464,6 +496,9 @@ def _compile(shape, groups, dual):
                 gen.store(slot, value, partials)
     except _Unreachable:
         pass
+    if gen.scalar:  # Python floats for the folded constants and Python's functions
+        gen.ns.update({k: float(v) for k, v in gen.ns.items() if k[0] == "k"})
+        gen.ns.update(_SCALAR_FUNCTIONS)
     exec(compile(gen.source(), "<expr table>", "exec"), gen.ns)
     return gen.ns.pop("table")  # no cycle through its globals: freed on eviction
 
@@ -483,7 +518,7 @@ def _run(source, p, dual):
         raise ValueError("points must have shape (3,) or (N, 3)")
     out = np.empty(pts.shape[:1] + table.shape)
     d = np.empty(pts.shape[:1] + (3,) + table.shape) if dual else None
-    table._program(dual)(pts[:, 0], pts[:, 1], pts[:, 2], out, d)
+    table._program("dual" if dual else "value")(pts[:, 0], pts[:, 1], pts[:, 2], out, d)
     if single:
         out = out[0] if table.shape else float(out[0])
     if d is None:
@@ -517,12 +552,13 @@ class ExprTable:
     """Chart data given by a (), (3,) or (3, 3) table of expressions.
 
     ``groups`` pairs each distinct AST with the index tuples of its slots,
-    found once when the table is built. The table is compiled to numpy
-    source on its first evaluation, once for values and once for values
-    with partials, and repeated entries and shared subexpressions are
-    computed once. The programs come from a bounded per-process cache keyed
-    by (shape, groups, mode), so equal tables compile once per process;
-    ``_programs`` keeps this table's two for a lookup without hashing.
+    found once when the table is built. The table is compiled on its first
+    evaluation in each mode: numpy source for values and for values with
+    partials, and Python-float source for the values at one point
+    (``at_point``). Repeated entries and shared subexpressions are computed
+    once. The programs come from a bounded per-process cache keyed by
+    (shape, groups, mode), so equal tables compile once per process;
+    ``_programs`` keeps this table's for a lookup without hashing.
     """
 
     shape: tuple
@@ -538,13 +574,19 @@ class ExprTable:
             groups.setdefault(cells[slot], []).append(slot)
         return cls(cells.shape, tuple((ast, tuple(slots)) for ast, slots in groups.items()))
 
-    def _program(self, dual):
-        """The compiled function, taken from the process cache on first use."""
-        fn = self._programs.get(dual)
+    def _program(self, mode):
+        """The compiled function of a mode, taken from the process cache on first use."""
+        fn = self._programs.get(mode)
         if fn is None:
-            fn = self._programs[dual] = _compile(self.shape, self.groups, dual)
+            fn = self._programs[mode] = _compile(self.shape, self.groups, mode)
         return fn
 
     def evaluate(self, pts):
         """Values of the table at an (N, 3) batch, shape (N, *shape)."""
         return eval_scalar(self, pts)
+
+    def at_point(self, x1, x2, x3):
+        """Values of the table at the point (x1, x2, x3) of floats, a tuple in
+        C order, from the scalar program: those of ``evaluate`` at that one
+        row, bit for bit, and the same DomainError where it raises."""
+        return self._program("scalar")(x1, x2, x3)

@@ -21,7 +21,11 @@ Solving ODEs I, II.1 and IV.2).
 
 With or without the Jacobi pair (``with_jacobi``), an orbit runs in blocks
 of ``JACOBI_BLOCK`` steps. A block first runs RK4 on p alone, recording
-every stage point, then makes one batched curvature call at all those
+every stage point and field value. A one-row block of a field given by
+expressions takes its stage values from the table's scalar program
+(``ExprTable.at_point``): the same statements on Python floats, bit for bit
+the numpy program's values without its per-call overhead. ``rk4_step``
+still makes every step. The block then makes one batched curvature call at all those
 stages: ``christoffel`` for the transport alone, or
 ``christoffel_with_partials`` for Gamma and R with the Jacobi pair. The
 frame step matrices of the block, from A = -Gamma(X, .) at every stage,
@@ -163,12 +167,14 @@ def _carry(steps, z):
     return out
 
 
-def _stage_field(man, X, q):
-    """X at the stage points q. Where the field's expression fails (DomainError)
-    at a row outside the chart, the stage has left the chart: OutOfChart naming
-    the first such row, as the curvature stencil would raise."""
+def _stage_field(man, X, q, at_point=None):
+    """X at the stage points q, from ``at_point`` at a one-row stage if given:
+    the field table's ``ExprTable.at_point``, the same values on Python floats.
+    Where the field's expression fails (DomainError) at a row outside the
+    chart, the stage has left the chart: OutOfChart naming the first such row,
+    as the curvature stencil would raise."""
     try:
-        return X.value(q)
+        return X.value(q) if at_point is None else np.array([at_point(*q.tolist()[0])])
     except DomainError:
         man.require_inside(q)
         raise
@@ -235,7 +241,8 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     """The states (count, N, 9 or 17) after each of ``count`` steps of the
     (N, 9) or (N, 17) states y.
 
-    The point pass integrates p alone; one curvature batch gives Gamma (and
+    The point pass integrates p alone, on the field table's scalar program
+    when the block has one row; one curvature batch gives Gamma (and
     R) at all its stages, with the metric checked there in both modes; the
     frame step matrices, from A = -Gamma(X, .) at every stage, carry (e1, e2)
     step by step. With the Jacobi pair they also give the stage frames, one
@@ -248,9 +255,11 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     block raise; the last step's ends are not checked here.
     """
     n, stages = len(y), []  # (point, field value) of every stage of the point pass
+    table = X.component_exprs
+    at_point = table.at_point if n == 1 and table is not None else None
 
     def field(t, q):
-        stages.append((q, _stage_field(man, X, q)))
+        stages.append((q, _stage_field(man, X, q, at_point)))
         return stages[-1][1]
 
     p, points = y[:, 0:3], np.empty((count, n, 3))

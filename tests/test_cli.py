@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ENTRY_NAMES
 from geocontact import cli, expr
 from test_reports import DIGESTS
 
@@ -397,6 +398,33 @@ def test_verify_all_rejects_entry_and_c(capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1 and flags[0] in err
 
 
+@pytest.mark.parametrize("doc", [{}, {"tolerances": {"contact_floor": 1e-5}}],
+                         ids=["empty", "tolerances"])
+def test_verify_all_config_with_only_what_it_reads_runs(tmp_path, capsys, doc):
+    """``--all`` reads the tolerances (and the volume nodes) alone; a config of
+    them needs no manifold, and the echo is the document as applied."""
+    code, out, err = run(capsys, ["verify", "T3.1", "--all", "--config",
+                                  write_config(tmp_path, doc)])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["config"] == doc
+    assert len(report["reports"]) == len(ENTRY_NAMES)
+
+
+@pytest.mark.parametrize("section", ["manifold", "field", "grid", "orbit", "diff"])
+def test_verify_all_config_rejects_sections_it_would_not_apply(tmp_path, capsys, section):
+    """Every catalog entry runs on its own setup under ``--all``, so a section
+    that sets up an entry is a usage error naming it, even a valid one."""
+    doc = {"manifold": "h3_vertical", "field": {"components": ["0", "0", "x3"]},
+           "grid": H3_GRID, "orbit": {"start": [0, 0, 1], "t_end": 0.01, "step": 0.001},
+           "diff": {"mode": "central", "step": 1e-5}}
+    cfg = write_config(tmp_path, {section: doc[section], "tolerances": {}})
+    code, out, err = run(capsys, ["verify", "T3.1", "--all", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"config section {section!r}" in err and "Traceback" not in err
+
+
 def test_verify_unknown_entry(capsys):
     code, _, _ = run(capsys, ["verify", "T5.1", "--entry", "mystery"])
     assert code == 2
@@ -547,7 +575,8 @@ def test_readme_config_table_matches_the_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, flags=re.MULTILINE)
     assert len(rows) == len(set(rows))
-    assert set(rows) == {(section, key) for section, keys in cli._SCHEMA.items() for key in keys}
+    assert set(rows) == {(section, key) for section, (_, keys) in cli._SCHEMA.items()
+                         for key in keys}
 
 
 #: metric diag(x1, 1, 1): positive definite only where x1 > 0

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from geocontact.curvature import (christoffel, covariant_jacobian, jacobi_matrix, riemann,
-                                  riemann_tensor, sectional)
+from conftest import ENTRY_NAMES
+from geocontact.curvature import (_surely_conditioned, christoffel, covariant_jacobian,
+                                  jacobi_matrix, riemann, riemann_tensor, sectional)
 from geocontact.errors import DegeneratePlane, SingularMetric
 from geocontact.field import diagnose
 from geocontact.geometry import inner
@@ -87,6 +88,18 @@ def test_singular_metric_raises():
         "pinch", (("x1^2", "0", "0"), ("0", "1", "0"), ("0", "0", "1")))
     with pytest.raises(SingularMetric):
         christoffel(man, np.array([1e-9, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_catalog_metrics_skip_eigvalsh(entries, monkeypatch, name):
+    """On every catalog grid, the trace-determinant bound certifies each row's
+    condition, so christoffel runs no eigvalsh."""
+    entry = entries[name]
+    pts = entry.grid.points()
+    pts = pts[entry.manifold.contains(pts)]
+    assert _surely_conditioned(entry.manifold.metric_at(pts)).all()
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    christoffel(entry.manifold, pts)
 
 
 # ---------------------------------------------------------------------------

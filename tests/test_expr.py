@@ -135,10 +135,10 @@ def test_table_is_compiled_once_per_mode():
     pts = np.array([[0.5, 2.0, 0.0]])
     table.evaluate(pts)
     expr.eval_dual(table, pts)
-    programs = (table._program(False), table._program(True))
+    programs = (table._program("value"), table._program("dual"))
     expr.eval_dual(table, pts)
     table.evaluate(pts)
-    assert (table._program(False), table._program(True)) == programs
+    assert (table._program("value"), table._program("dual")) == programs
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_tables_differing_in_a_constant_or_shape_get_their_own_programs(cold_cac
     np.testing.assert_array_equal(two.evaluate(pts), [1.0, -2.0])
     np.testing.assert_array_equal(three.evaluate(pts), [1.5, -3.0])
     np.testing.assert_array_equal(row.evaluate(pts), [[1.0] * 3, [-2.0] * 3])
-    programs = [t._program(False) for t in (two, three, row)]
+    programs = [t._program("value") for t in (two, three, row)]
     assert len(set(programs)) == 3 and compiles() == 3
 
 
@@ -187,7 +187,7 @@ def test_a_shared_program_names_the_callers_point(cold_caches):
         first.evaluate(np.array([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]))
     with pytest.raises(DomainError) as two:
         second.evaluate(np.array([[0.0, 3.0, 4.0]]))
-    assert first._program(False) is second._program(False) and compiles() == 1
+    assert first._program("value") is second._program("value") and compiles() == 1
     assert one.value.subexpression == two.value.subexpression == "log(x1)"
     assert str(one.value).endswith(f" at {np.array([-2.0, 0.0, 0.0])}")
     assert str(two.value).endswith(f" at {np.array([0.0, 3.0, 4.0])}")

@@ -99,6 +99,61 @@ def test_batched_orbits_equal_solo_orbits(entries, name, with_jacobi, t_end):
         assert_same_trajectory(traj, solo, with_jacobi)
 
 
+def transcendental():
+    """Flat space in coordinates twisted by f(x3): the pullback of the Euclidean
+    metric by (x1, x2, x3) -> (R(f) (x1, x2), x3), R(f) the rotation by f, and
+    of its unit field d/dy1, X = (cos f, -sin f, 0), a geodesic field. f and
+    its derivative fp use exp, sin, cos, tanh, cosh and non-integer powers,
+    unlike the catalog's polynomial and sqrt charts."""
+    f = "(0.3*sin(x3) + 0.2*tanh(x3) + 0.1*exp(x3) + 0.05*(1 + x3^2)^1.5)"
+    fp = "(0.3*cos(x3) + 0.2/cosh(x3)^2 + 0.1*exp(x3) + 0.15*x3*(1 + x3^2)^0.5)"
+    man = gc.manifold_from_exprs("twisted", (
+        ("1", "0", f"-x2*{fp}"), ("0", "1", f"x1*{fp}"),
+        (f"-x2*{fp}", f"x1*{fp}", f"1 + {fp}^2*(x1^2 + x2^2)")))
+    return man, gc.UnitField.from_exprs("twisted_y1", (f"cos({f})", f"-sin({f})", "0"))
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_transcendental_orbits_batched_equal_solo(with_jacobi):
+    """A solo orbit takes its stage fields from the scalar program, a batch
+    from the numpy program: the two agree bit for bit through exp, sin, cos,
+    tanh and x^1.5 too."""
+    man, field = transcendental()
+    starts = np.array([[0.0, 0.0, 0.1], [-0.5, 0.4, 0.7], [0.0, 0.0, -0.6]])
+    batch = integrate_orbits(man, field, starts, 0.05, 1e-3, with_jacobi=with_jacobi)
+    for p, traj in zip(starts, batch):
+        solo = integrate_orbit(man, field, p, 0.05, 1e-3, with_jacobi=with_jacobi)
+        assert len(solo) == 51 and not solo.truncated
+        assert_same_trajectory(traj, solo, with_jacobi)
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_one_seed_point_pass_runs_on_floats_through_rk4_step(entries, monkeypatch, with_jacobi):
+    """A one-seed orbit evaluates its field table with numpy only at its start
+    and in the post-pass over all its samples, yet still makes every step
+    with ``rk4_step``."""
+    entry = entries["s3_hopf"]
+    table, batches, steps = entry.field.component_exprs, [], []
+    eval_scalar, step = gc.expr.eval_scalar, flow.rk4_step
+
+    def counted_eval(source, p):
+        if source is table:
+            batches.append(len(p))
+        return eval_scalar(source, p)
+
+    def counted_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(gc.expr, "eval_scalar", counted_eval)
+    monkeypatch.setattr(flow, "rk4_step", counted_step)
+    traj = integrate_orbit(entry.manifold, entry.field, entry.orbit.start, 0.5, 1e-3,
+                           with_jacobi=with_jacobi)
+    assert len(traj) == 501 and not traj.truncated
+    assert batches == [1, 501]  # the start's diagnose and the post-pass
+    assert len(steps) == 500
+
+
 @pytest.mark.parametrize("with_jacobi", [False, True])
 def test_batched_orbits_truncate_per_seed(with_jacobi):
     """Only the seed that reaches x3 = 1 stops; the others run to t_end."""

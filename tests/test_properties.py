@@ -1,6 +1,7 @@
 """Property tests (Hypothesis): the expression language, its compiled
-evaluator, the singular-metric checks, the row invariance of the
-batched kernels and the config validator.
+evaluator and its scalar mode, the singular-metric checks and their
+eigenvalue-free certificate, the row invariance of the batched kernels and
+the config validator.
 
 Examples are derandomized and no example database is written, so a run is
 reproducible. Hypothesis still keeps its own caches under `.hypothesis/`
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import ENTRY_NAMES
 from geocontact import cli, expr
-from geocontact.curvature import MAX_METRIC_CONDITION, christoffel
+from geocontact.curvature import MAX_METRIC_CONDITION, _surely_conditioned, christoffel
 from geocontact.errors import ConfigError, DomainError, ExprError, SingularMetric, UnknownEntry
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
 from geocontact.field import (SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose,
@@ -105,6 +106,32 @@ def test_batch_equals_its_single_row_calls_bit_for_bit(asts, rows):
         assert bits(dual.partials) == bits(np.concatenate([d.partials for _, d in singles]))
 
 
+def outcome(evaluate):
+    """The bits of what ``evaluate()`` returns, or the message and subexpression
+    of the DomainError it raises (the message names the point)."""
+    try:
+        with np.errstate(all="ignore"):
+            return bits(np.asarray(evaluate(), dtype=float).ravel())
+    except DomainError as exc:
+        return str(exc), exc.subexpression
+
+
+@SETTINGS
+@given(st.tuples(ANY, ANY, ANY), st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+@example(asts=(parse("sin(exp(1000*x1))"), parse("sqrt(x2*1e308*10)^2"),
+               parse("cos(x3*1e308*10) + abs(-x3*1e308*10)")),
+         row=(1.0, 0.5, 0.25))
+@example(asts=(parse("sin(exp(1000*x1))"), parse("log(x2 - 2)"), parse("x3")),
+         row=(1.0, 1.0, 0.0))
+def test_scalar_program_equals_the_numpy_program(asts, row):
+    """At one row, the scalar program gives the numpy program's values bit for
+    bit, inf and NaN too (the first example), or the same DomainError at the
+    same point."""
+    for table in (expr.ExprTable.of(asts), expr.ExprTable.of(asts[0])):
+        assert outcome(lambda: table.at_point(*row)) == \
+            outcome(lambda: table.evaluate(np.array([row]))[0])
+
+
 def constant_chart(g):
     return ChartedManifold("const", metric_fn=lambda pts: np.broadcast_to(g, (len(pts), 3, 3)),
                            domain_fn=lambda pts: np.ones(len(pts), dtype=bool))
@@ -141,6 +168,63 @@ def test_well_conditioned_metric_passes(cond, seed):
 @pytest.mark.parametrize("g", [np.zeros((3, 3)), np.full((3, 3), np.nan)], ids=["zero", "nan"])
 def test_singular_metric_zero_or_nan(g):
     raises_singular_without_warning(g)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e110, 1e150])
+def test_well_conditioned_metric_at_any_scale_passes_without_warning(scale):
+    """Where det g underflows, or the certificate's products overflow (entries
+    above about 5e102), the row goes to eigvalsh, without a numpy warning."""
+    g = scale * np.diag([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _surely_conditioned(g[None]).all() == (scale == 1.0)
+        christoffel(constant_chart(g), np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]))
+
+
+def metric_of(kind, e1, e2, scale, seed):
+    """A symmetric 3x3 matrix of a kind: rotated eigenvalues (1, 10^e1, 10^e2)
+    (``spd``), with one or two of them negated (``indefinite``), with the
+    smallest in [1e-13, 1e-10], around both the bound and the certificate's
+    threshold (``near``), zero, SPD with a NaN pair, or a matrix with
+    a leading 2x2 block singular to rounding and large off-diagonal entries,
+    whose cofactor expansion cancels (``lopsided``); times 10^scale."""
+    if kind == "zero":
+        return np.zeros((3, 3))
+    if kind == "lopsided":
+        b = 10.0 ** (3.0 + e2)
+        g12 = 1.0 - 2.0 ** -53 * (1 + seed % 64)
+        g = np.array([[1.0, g12, b], [g12, 1.0, b], [b, b, 10.0 ** e1]])
+    else:
+        lam = np.array([1.0, 10.0 ** e1, 10.0 ** (-11.5 + e2 / 2 if kind == "near" else e2)])
+        if kind == "indefinite":
+            lam[: 1 + seed % 2] *= -1.0
+        q = rotation(seed)
+        g = q @ np.diag(lam) @ q.T
+        g = 0.5 * (g + g.T)
+        if kind == "nan":
+            g[seed % 3, (seed + 1) % 3] = g[(seed + 1) % 3, seed % 3] = np.nan
+    return g * 10.0 ** scale
+
+
+KINDS = ("spd", "indefinite", "near", "zero", "nan", "lopsided")
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(KINDS), st.floats(-12.5, 3.0), st.floats(-3.0, 3.0),
+                          st.integers(-160, 160), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=8))
+def test_condition_certificate_passes_only_what_eigvalsh_passes(rows):
+    """The rows that skip ``eigvalsh`` are a subset of the rows it passes."""
+    g = np.array([metric_of(*row) for row in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sure = _surely_conditioned(g)
+    finite = np.isfinite(g).all(axis=(1, 2))
+    assert not sure[~finite].any()
+    lam = np.abs(np.linalg.eigvalsh(g[finite]))
+    small = lam.min(axis=1)
+    passes = (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
+    assert not (sure[finite] & ~passes).any()
 
 
 def test_singular_metric_from_the_cli_exits_one(tmp_path, capsys):
@@ -291,7 +375,7 @@ def config_documents(draw):
     catalog manifold; now and then a value of any JSON type, a section that
     is not an object, a missing key, or an unknown section or key."""
     doc = {}
-    for name, keys in cli._SCHEMA.items():
+    for name, (_, keys) in cli._SCHEMA.items():
         if draw(st.booleans()):
             continue
         if now_and_then(draw):
@@ -316,9 +400,15 @@ def config_documents(draw):
                                                  "counts": [10**30, 1, 1]}})
 def test_config_documents_resolve_or_raise_a_usage_error(config):
     """Any config document resolves, or raises one of the errors ``main``
-    turns into exit 2; the echo is the document itself."""
-    try:
-        resolved = cli.resolve_config(config)
-    except (ConfigError, UnknownEntry, ExprError):
-        return
-    assert resolved.echo is config
+    turns into exit 2; the echo is the document itself. For the whole
+    catalog (``verify --all``) it resolves only without the sections that
+    set up an entry."""
+    for catalog_wide in (False, True):
+        try:
+            resolved = cli.resolve_config(config, catalog_wide)
+        except (ConfigError, UnknownEntry, ExprError):
+            continue
+        assert resolved.echo is config
+        if catalog_wide:
+            assert resolved.entry is None
+            assert not any(entry and name in config for name, (entry, _) in cli._SCHEMA.items())
