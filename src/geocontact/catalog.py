@@ -266,8 +266,8 @@ def builtin(name: str) -> CatalogEntry:
     m = _WEIGHTED.match(name.strip())
     if m:
         k1, k2 = float(m.group(1)), float(m.group(2))
-        if k1 == 0.0 or k2 == 0.0:
-            raise UnknownEntry("weighted entry needs nonzero weights")
+        if not all(np.finfo(float).tiny <= k * k < np.inf for k in (k1, k2)):
+            raise UnknownEntry(f"weighted entry {name!r} needs weights with normal squares")
         return _s3_weighted(k1, k2)
     raise UnknownEntry(f"no catalog entry named {name!r}")
 

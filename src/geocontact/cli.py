@@ -294,7 +294,7 @@ def cmd_orbit(args) -> int:
     lines.append(f"# max_wronskian_residual: {_fmt(wr.residual)}")
     if traj.truncated:
         lines.append("# truncated: true")
-    drift = noncontact_eigen_drift(traj)
+    drift = noncontact_eigen_drift(traj, tol.not_contact)
     if drift is not None:
         lines.append(f"# noncontact_eigen_drift: {_fmt(drift)}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -313,8 +313,10 @@ def cmd_verify(args) -> int:
                              resolved.volume_nodes, args.theorems)
     else:
         resolved = _load(args)
-        reports = verify_entry(resolved.entry,
-                               args.theorems or applicable_theorems(resolved.entry), c=args.c,
+        theorems = args.theorems or applicable_theorems(resolved.entry)
+        if args.c is not None and not {"T5.1", "C5.2"} & set(theorems):
+            raise ConfigError("unrecognized arguments: --c (no T5.1 or C5.2 to read it)")
+        reports = verify_entry(resolved.entry, theorems, c=args.c,
                                tol=resolved.tolerances, volume_nodes=resolved.volume_nodes)
     doc = {
         "version": f"geocontact {__version__}",

@@ -14,74 +14,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneratePlane, SingularMetric
+from .errors import DegeneratePlane
 from .geometry import (ChartedManifold, _jet, _jet_points, _require_finite_metric,
-                       _require_positive_definite, as_points, inner)
-
-MAX_METRIC_CONDITION = 1e12
+                       _require_metric, as_points, inner)
 
 #: discriminants within this of zero count as a repeated real eigenvalue
 EIGEN_DISC_TOL = 1e-12
 
 
-def _surely_conditioned(g):
-    """Rows of g (N, 3, 3) whose condition number is certainly at most
-    MAX_METRIC_CONDITION / 2, found without eigenvalues.
-
-    g is positive definite where its leading minors are positive, and then
-    cond(g) = l1 / l3 = l1^2 l2 / det g <= (tr g)^3 / det g for its
-    eigenvalues l1 >= l2 >= l3 > 0. With every entry at most tr g in size,
-    each product of the cofactor expansion of det g is at most (tr g)^3, so
-    at a row that passes, its rounding is below 0.2% of det g; det g between
-    the smallest normal float and inf keeps underflow and overflow out. The
-    factor 2 covers that rounding and eigvalsh's own. A row whose products
-    overflow (entries above about 5e102) gets an inf or NaN that fails a
-    test, silently: it goes to eigvalsh.
-    """
-    a, b, c = g[:, 0, 0], g[:, 1, 1], g[:, 2, 2]
-    d, e, f = g[:, 1, 0], g[:, 2, 1], g[:, 2, 0]  # the lower triangle, as eigvalsh reads
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = a + b + c
-        det = a * (b * c - e * e) - d * (d * c - e * f) + f * (d * e - b * f)
-        return ((a > 0) & (a * b - d * d > 0) & (det >= np.finfo(float).tiny) & (det < np.inf)
-                & (np.abs(g).max(axis=(1, 2)) <= tr)
-                & (tr ** 3 <= 0.5 * MAX_METRIC_CONDITION * det))
-
-
-def _require_conditioned(man, pts, g):
-    """Raise SingularMetric naming the first point where g is not finite or,
-    failing that, where its 2-norm condition number max|lambda| / min|lambda|
-    (g is symmetric) is infinite or above MAX_METRIC_CONDITION. Only the rows
-    that ``_surely_conditioned`` cannot certify go to ``eigvalsh``."""
-    _require_finite_metric(man, pts, g)
-    ok = _surely_conditioned(g)
-    rest = ~ok
-    if rest.any():
-        lam = np.abs(np.linalg.eigvalsh(g[rest]))
-        small = lam.min(axis=1)
-        ok[rest] = (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
-    if not ok.all():
-        raise SingularMetric(
-            f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}")
-
-
 def christoffel(man: ChartedManifold, p, metric_out=None):
     """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from one ``_jet``.
 
-    ``metric_out``, a contiguous array of g's shape ((N, 3, 3), or (3, 3)
-    at a point), receives g after ``metric_at``'s positive-definiteness
-    check, so a caller that needs g as well makes no second metric pass.
-    Without it, g is only checked to be finite and conditioned.
+    g passes ``_require_metric``, which raises the metric errors. ``metric_out``,
+    a contiguous array of g's shape ((N, 3, 3), or (3, 3) at a point), receives
+    it, so a caller that needs g as well makes no second metric pass.
     """
     pts, single = as_points(p)
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs,  # dg[n, k, i, j] = d_k g_ij
                  _require_finite_metric)
+    _require_metric(man, pts, g)
     if metric_out is not None:
-        _require_positive_definite(man, pts, g)
         out = metric_out.reshape(g.shape)  # a view; g lives on only in the caller's array
         out[...] = g
         g = out
-    _require_conditioned(man, pts, g)
     ginv = np.linalg.inv(g)
     # term_{ijl} = d_i g_jl + d_j g_il - d_l g_ij  (dg axes are n, k, i, j)
     term = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)
@@ -94,8 +49,8 @@ def christoffel_with_partials(man: ChartedManifold, p, metric_out=None):
 
     Returns (gam, dgam) with gam[..., k, i, j] = Gamma^k_ij and
     dgam[..., m, k, i, j] = d_m Gamma^k_ij. The point itself and its six
-    stencil shifts are one ``christoffel`` batch; ``metric_out`` receives
-    the checked metric of its centre rows, as in ``christoffel``.
+    stencil shifts are one ``christoffel`` batch, whose metric check they
+    all pass; ``metric_out`` receives the metric of the centre rows.
     """
     pts, single = as_points(p)
     stencil_g = None if metric_out is None else np.empty((7 * len(pts), 3, 3))

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import expr
 # christoffel is not called here; perfbench's tracer test checks this binding
-from .curvature import (EIGEN_DISC_TOL, _require_conditioned, assemble_riemann,
-                        christoffel, christoffel_with_partials, covariant_jacobian,
-                        jacobi_matrix, real_eigenvalues, trace_discriminant)
-from .errors import DegenerateSeed, NotUnit
-from .geometry import (ChartedManifold, _jet, _require_finite_metric,
-                       _require_positive_definite, as_points, frames_at, g_norm, inner)
+from .curvature import (EIGEN_DISC_TOL, assemble_riemann, christoffel,
+                        christoffel_with_partials, covariant_jacobian, jacobi_matrix,
+                        real_eigenvalues, trace_discriminant)
+from .errors import DegenerateSeed, NotUnit, SingularMetric
+from .geometry import (ChartedManifold, _jet, _require_finite_metric, _require_metric,
+                       as_points, frames_at, g_norm, inner)
 
 UNIT_TOL = 1e-6
 RANK_REL_TOL = 1e-6
@@ -261,21 +261,28 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points):
         d(alpha)(e1, e2) = eps^{ijk} alpha_i d_j alpha_k / (|X| sqrt(det g)),
 
     with d_j alpha_k = d_j g_kl X^l + g_kl d_j X^l: ``diagnose``'s ``contact_defect``
-    for any nonzero X. g passes ``christoffel``'s checks in
-    its order (chart, finite, positive definite, conditioned); DegenerateSeed
-    names the first point where X is zero or not finite.
+    for any nonzero X. Raises the chart errors, ``_require_metric``'s, then
+    DegenerateSeed where X is zero or not finite and SingularMetric where
+    det g |X|^2 is not a positive normal float, each at the first such point.
     """
     pts, single = as_points(points)
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
-    det = _require_positive_definite(man, pts, g)
-    _require_conditioned(man, pts, g)
+    _require_metric(man, pts, g)
     xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)  # dx[n, j, l] = d_j X^l
     alpha = (g @ xv[..., None])[..., 0]
     # summed term by term: einsum's reductions round differently at other batch sizes
     norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
     _require_nonzero(X, pts, norm2)
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
+    with np.errstate(over="ignore", invalid="ignore"):  # det g |X|^2, det g by cofactors
+        scale = (g22 * (g00 * g11 - g01 * g10) - g21 * (g00 * g12 - g02 * g10)
+                 + g20 * (g01 * g12 - g02 * g11)) * norm2
+    ok = (scale >= np.finfo(float).tiny) & (scale < np.inf)
+    if not ok.all():
+        raise SingularMetric(f"metric of {man.name!r} numerically singular at "
+                             f"{pts[np.argmin(ok)]}: det g |X|^2 is not a normal float")
     da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
     curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
     wedge = alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]
-    out = wedge / np.sqrt(det * norm2)
+    out = wedge / np.sqrt(scale)
     return float(out[0]) if single else out

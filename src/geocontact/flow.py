@@ -243,7 +243,7 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
 
     The point pass integrates p alone, on the field table's scalar program
     when the block has one row; one curvature batch gives Gamma (and
-    R) at all its stages, with the metric checked there in both modes; the
+    R) at all its stages, whose metric ``_require_metric`` checks; the
     frame step matrices, from A = -Gamma(X, .) at every stage, carry (e1, e2)
     step by step. With the Jacobi pair they also give the stage frames, one
     ``jacobi_matrix`` call gives M at all of them, and the Jacobi step
@@ -266,7 +266,7 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     for s in range(count):
         p = points[s] = rk4_step(field, 0.0, p, h)
     q, xv = (np.concatenate(a) for a in zip(*stages))
-    g = np.empty((len(q), 3, 3))  # the metric, checked positive definite in both modes
+    g = np.empty((len(q), 3, 3))  # the checked metric of every stage
     if with_jacobi:
         gam, dgam = christoffel_with_partials(man, q, g)
     else:
@@ -500,15 +500,15 @@ def max_parallel_jacobi_defect(traj: Trajectory, window: float = 0.0) -> float:
     return float(np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / (stride * traj.step))
 
 
-def noncontact_eigen_drift(traj: Trajectory):
+def noncontact_eigen_drift(traj: Trajectory, not_contact=1e-8):
     """Optional diagnostic: eigenvalue drift along a non-contact orbit.
 
     Returns the max deviation of the real shape-operator eigenvalues from
     their initial values, or None if any sample is contact (|B21 - B12|
-    above 1e-8). Reported for information only.
+    above ``tolerances.not_contact``). Reported for information only.
     """
     defect = traj.B[:, 1, 0] - traj.B[:, 0, 1]
-    if np.any(np.abs(defect) > 1e-8):
+    if np.any(np.abs(defect) > not_contact):
         return None
     lam, mu = real_eigenvalues(traj.B)
     return float(max(np.abs(lam - lam[0]).max(), np.abs(mu - mu[0]).max()))

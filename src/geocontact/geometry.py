@@ -72,11 +72,10 @@ class ChartedManifold:
     volume_param: Optional[VolumeParametrization] = field(default=None, repr=False)
 
     def metric_at(self, p) -> Array:
-        """g at a point, or at an (N, 3) batch; raises NotPositiveDefinite naming
-        the first point where g is not positive definite."""
+        """g at a point, or at an (N, 3) batch, checked by ``_require_metric``."""
         pts, single = as_points(p)
         g = np.asarray(self.metric_fn(pts), dtype=float)
-        _require_positive_definite(self, pts, g)
+        _require_metric(self, pts, g)
         return g[0] if single else g
 
     def contains(self, p):
@@ -92,18 +91,54 @@ class ChartedManifold:
             raise OutOfChart(f"point {pts[np.argmin(ok)]} outside the chart of {self.name!r}")
 
 
-def _require_positive_definite(man: ChartedManifold, pts, g):
-    """Raise NotPositiveDefinite naming the first point of the batch where a
-    leading principal minor of g (N, 3, 3) is not positive (Sylvester's
-    criterion), else return det g (N,). Every g handed out as the metric passes it."""
-    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
-    minor2 = g00 * g11 - g01 * g10
-    det = g22 * minor2 - g21 * (g00 * g12 - g02 * g10) + g20 * (g01 * g12 - g02 * g11)
-    ok = np.minimum(np.minimum(g00, minor2), det) > 0.0  # False at NaN too
-    if not ok.all():
+#: largest 2-norm condition number max|lambda| / min|lambda| of an accepted metric
+MAX_METRIC_CONDITION = 1e12
+
+
+def _surely_conditioned(g):
+    """Rows of g (N, 3, 3) certainly positive definite with condition number at
+    most MAX_METRIC_CONDITION / 2, found without eigenvalues: by Sylvester's
+    leading minors, and cond(g) = l1 / l3 = l1^2 l2 / det g <= (tr g)^3 / det g
+    for eigenvalues l1 >= l2 >= l3 > 0. With every entry at most tr g in size,
+    each product of det g's cofactor expansion is at most (tr g)^3, so at a row
+    that passes, its rounding is below 0.2% of det g; det g between the smallest
+    normal float and inf keeps underflow and overflow out. The factor 2 covers
+    that rounding and eigvalsh's own. A row whose products overflow (entries
+    above about 5e102) fails a test, silently: it goes to eigvalsh."""
+    a, b, c = g[:, 0, 0], g[:, 1, 1], g[:, 2, 2]
+    d, e, f = g[:, 1, 0], g[:, 2, 1], g[:, 2, 0]  # the lower triangle, as eigvalsh reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = a + b + c
+        det = a * (b * c - e * e) - d * (d * c - e * f) + f * (d * e - b * f)
+        return ((a > 0) & (a * b - d * d > 0) & (det >= np.finfo(float).tiny) & (det < np.inf)
+                & (np.abs(g).max(axis=(1, 2)) <= tr)
+                & (tr ** 3 <= 0.5 * MAX_METRIC_CONDITION * det))
+
+
+def _require_metric(man: ChartedManifold, pts, g):
+    """The one metric check, passed by every g handed out as the metric. Raises,
+    naming the first such point of pts (N, 3): SingularMetric where g (N, 3, 3)
+    is not finite; else NotPositiveDefinite at a conditioned row with an
+    eigenvalue <= 0; else SingularMetric where cond(g) = max|lambda| / min|lambda|
+    is infinite or above MAX_METRIC_CONDITION. An ill-conditioned row is never
+    called indefinite: its smallest eigenvalue may have rounding's sign. One
+    ``eigvalsh`` decides both on the rows ``_surely_conditioned`` cannot certify."""
+    _require_finite_metric(man, pts, g)
+    conditioned = _surely_conditioned(g)
+    definite, rest = conditioned.copy(), ~conditioned
+    if rest.any():
+        lam = np.linalg.eigvalsh(g[rest])  # ascending
+        size = np.abs(lam)
+        small = size.min(axis=1)
+        conditioned[rest] = (size.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
+        definite[rest] = lam[:, 0] > 0.0
+    indefinite = conditioned & ~definite
+    if indefinite.any():
         raise NotPositiveDefinite(
-            f"metric of {man.name!r} is not positive definite at {pts[np.argmin(ok)]}")
-    return det
+            f"metric of {man.name!r} is not positive definite at {pts[np.argmax(indefinite)]}")
+    if not conditioned.all():
+        raise SingularMetric(
+            f"metric of {man.name!r} numerically singular at {pts[np.argmin(conditioned)]}")
 
 
 def _require_finite_metric(man: ChartedManifold, pts, g):
@@ -196,7 +231,7 @@ def metric_partials(man: ChartedManifold, p):
     """First partials of the metric: dg[..., k, i, j] = d_k g_ij."""
     pts, single = as_points(p)
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
-    _require_finite_metric(man, pts, g)  # the dual jet checks no values
+    _require_metric(man, pts, g)
     return dg[0] if single else dg
 
 

@@ -1,9 +1,12 @@
 """Catalog entries: lookups, documented values and the expected-template self-check."""
 
+import re
+
 import numpy as np
 import pytest
 
 import geocontact as gc
+from geocontact import cli
 from geocontact.catalog import NAMES, all_entries, builtin, self_check
 from geocontact.errors import UnknownEntry
 
@@ -21,6 +24,19 @@ def test_unknown_entry():
         builtin("klein_bottle")
     with pytest.raises(UnknownEntry):
         builtin("s3_weighted(0,2)")
+
+
+@pytest.mark.parametrize("weights", ["1e200,1", "1e400,1", "1,1e-200"])
+def test_weights_whose_squares_are_not_normal_floats_are_unknown(capsys, weights):
+    """The metric is built from the squared weights: an inf or a 0 there would
+    fail later, as an unknown identifier 'inf' or a division by zero."""
+    name = f"s3_weighted({weights})"
+    with pytest.raises(UnknownEntry, match=re.escape(f"weighted entry {name!r} needs weights")):
+        builtin(name)
+    assert cli.main(["analyze", "--entry", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weighted entry") and err.count("\n") == 1
+    assert cli.main(["analyze", "--entry", "s3_weighted(2,3)"]) == 0
 
 
 def test_weighted_name_parsing():

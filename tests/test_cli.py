@@ -58,10 +58,13 @@ def test_unknown_subcommand(capsys):
                                   ["orbit", "--entry", "h3_vertical", "--json"],
                                   ["verify", "T5.1", "--entry", "s3_hopf", "--json"],
                                   ["volume", "--entry", "s3_hopf", "--json"],
-                                  ["catalog", "--config", "missing.json"]])
+                                  ["catalog", "--config", "missing.json"],
+                                  ["verify", "T6.1", "--entry", "s3_hopf", "--c", "1"],
+                                  ["verify", "--entry", "h2xr_vertical", "--c", "-1"]])
 def test_a_flag_its_command_would_not_read_is_a_usage_error(capsys, argv):
-    """``--json`` belongs to ``catalog`` alone and ``--config`` to every other
-    command, so neither is accepted and then ignored."""
+    """``--json`` belongs to ``catalog`` alone, ``--config`` to every other
+    command and ``--c`` to the space-form suites T5.1 and C5.2, so none is
+    accepted and then ignored."""
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     flag = next(a for a in argv if a.startswith("--") and a != "--entry")
@@ -207,6 +210,24 @@ def test_orbit_flat_residuals_zero(tmp_path, capsys):
     assert max(abs(float(r[11])) for r in rows) == 0.0      # adaptedness
 
 
+@pytest.mark.parametrize("not_contact, printed", [(None, False), (1e-6, True)])
+def test_orbit_reads_the_not_contact_tolerance(tmp_path, capsys, not_contact, printed):
+    """The contact defect is -1e-7 at every sample: not contact at 1e-6, contact
+    at the default 1e-8, so the non-contact eigenvalue drift is reported only
+    at 1e-6."""
+    doc = {"manifold": {"metric": [["1", "0", "0"], ["0", "1 + 1e-14*x1^2", "-1e-7*x1"],
+                                   ["0", "-1e-7*x1", "1"]]},
+           "field": {"components": ["0", "0", "1"]},
+           "orbit": {"start": [0.3, -0.2, 0.1], "t_end": 0.05, "step": 0.001}}
+    if not_contact is not None:
+        doc["tolerances"] = {"not_contact": not_contact}
+    code, out, _ = run(capsys, ["orbit", "--config", write_config(tmp_path, doc)])
+    assert code == 0
+    rows = [l.split(",") for l in out.split("\n")[1:] if l and not l.startswith("#")]
+    assert {float(r[7]) for r in rows} == {-1e-7}
+    assert ("# noncontact_eigen_drift: " in out) == printed
+
+
 def test_orbit_uses_catalog_default(tmp_path, capsys):
     cfg = write_config(tmp_path, {"manifold": "euclidean_parallel"})
     code, out, _ = run(capsys, ["orbit", "--config", cfg])
@@ -332,6 +353,14 @@ def test_verify_space_form_cli(capsys):
     doc = json.loads(out)
     assert doc["reports"][0]["verdict"] == "consistent"
     assert doc["reports"][0]["theorem"] == "T5.1"
+
+
+def test_verify_c_reaches_the_space_form_suites_of_the_default_list(capsys):
+    code, out, _ = run(capsys, ["verify", "--entry", "s3_hopf", "--c", "1"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["theorem"] for r in reports][:2] == ["T5.1", "C5.2"]
+    assert reports[0]["details"]["c"] == 1.0
 
 
 def test_verify_t61_h2xr(capsys):

@@ -10,11 +10,11 @@ import pytest
 
 import geocontact as gc
 from conftest import ENTRY_NAMES
-from geocontact.curvature import (_surely_conditioned, christoffel, covariant_jacobian,
-                                  jacobi_matrix, riemann, riemann_tensor, sectional)
+from geocontact.curvature import (christoffel, covariant_jacobian, jacobi_matrix, riemann,
+                                  riemann_tensor, sectional)
 from geocontact.errors import DegeneratePlane, SingularMetric
 from geocontact.field import diagnose
-from geocontact.geometry import inner
+from geocontact.geometry import _surely_conditioned, inner
 
 
 def flat():

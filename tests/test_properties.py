@@ -19,13 +19,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ENTRY_NAMES
+import geocontact as gc
 from geocontact import cli, expr
-from geocontact.curvature import MAX_METRIC_CONDITION, _surely_conditioned, christoffel
-from geocontact.errors import ConfigError, DomainError, ExprError, SingularMetric, UnknownEntry
+from geocontact.curvature import christoffel, christoffel_with_partials, riemann_tensor
+from geocontact.errors import (ConfigError, DomainError, ExprError, NotPositiveDefinite,
+                               SingularMetric, UnknownEntry)
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
 from geocontact.field import (SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose,
                               diagnose_point)
-from geocontact.geometry import DEFAULT_DIFF_STEP, ChartedManifold
+from geocontact.geometry import (DEFAULT_DIFF_STEP, MAX_METRIC_CONDITION, ChartedManifold,
+                                 _surely_conditioned, metric_partials)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -214,17 +217,127 @@ KINDS = ("spd", "indefinite", "near", "zero", "nan", "lopsided")
                           st.integers(-160, 160), st.integers(0, 2**32 - 1)),
                 min_size=1, max_size=8))
 def test_condition_certificate_passes_only_what_eigvalsh_passes(rows):
-    """The rows that skip ``eigvalsh`` are a subset of the rows it passes."""
+    """The rows that skip ``eigvalsh`` are a subset of the rows it passes, and
+    positive definite: the metric check takes their sign on trust."""
     g = np.array([metric_of(*row) for row in rows])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sure = _surely_conditioned(g)
     finite = np.isfinite(g).all(axis=(1, 2))
     assert not sure[~finite].any()
-    lam = np.abs(np.linalg.eigvalsh(g[finite]))
+    signed = np.linalg.eigvalsh(g[finite])
+    lam = np.abs(signed)
     small = lam.min(axis=1)
     passes = (lam.max(axis=1) <= MAX_METRIC_CONDITION * small) & (small > 0.0)
     assert not (sure[finite] & ~passes).any()
+    assert (signed[sure[finite]].min(axis=1) > 0.0).all()
+
+
+def point_rows(n):
+    """n points (k, 0, 0), k = 0, ..., n - 1."""
+    pts = np.zeros((n, 3))
+    pts[:, 0] = np.arange(n)
+    return pts
+
+
+def table_chart(g):
+    """The metric g[k] (N, 3, 3) around the point (k, 0, 0), constant there,
+    differentiated by central differences."""
+    return ChartedManifold("table", metric_fn=lambda pts: g[np.rint(pts[:, 0]).astype(int)],
+                           domain_fn=lambda pts: np.ones(len(pts), dtype=bool))
+
+
+E1 = gc.UnitField.from_callable("e1", lambda pts: np.broadcast_to([1.0, 0.0, 0.0], pts.shape))
+
+
+def metric_error(call):
+    """The class and message of the metric error that ``call()`` raises, or None."""
+    try:
+        call()
+    except (NotPositiveDefinite, SingularMetric) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(KINDS), st.floats(-12.5, 3.0), st.floats(-3.0, 3.0),
+                          st.integers(-60, 60), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=8))
+def test_every_metric_entry_point_raises_the_same_metric_error(rows):
+    """A batch of metrics gets one outcome from every entry point that checks
+    the metric: the same error class naming the same point, or none. At these
+    scales det g |X|^2 of a conditioned metric is a normal float, so
+    ``contact_defect_grid`` adds its own range error only where its cofactor
+    det g cancels, after the metric passed everywhere else."""
+    g = np.array([metric_of(*row) for row in rows])
+    man, pts = table_chart(g), point_rows(len(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = metric_error(lambda: man.metric_at(pts))
+        for call in (lambda: metric_partials(man, pts),
+                     lambda: christoffel(man, pts),
+                     lambda: christoffel(man, pts, np.empty((len(pts), 3, 3))),
+                     lambda: christoffel_with_partials(man, pts),
+                     lambda: diagnose(man, E1, pts, unit_tol=np.inf)):
+            assert metric_error(call) == first
+        contact = metric_error(lambda: contact_defect_grid(man, E1, pts))
+    if first is None and contact is not None:
+        assert "det g |X|^2 is not a normal float" in contact[1]
+    else:
+        assert contact == first
+
+
+def test_a_metric_that_is_clearly_indefinite_is_rejected_by_every_kernel():
+    """diag(1, 1, x1) at x1 = -0.5 has eigenvalues (1, 1, -0.5)."""
+    man = gc.manifold_from_exprs("tilt", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "x1")))
+    p = np.array([-0.5, 0.0, 0.0])
+    for kernel in (christoffel, riemann_tensor):
+        with pytest.raises(NotPositiveDefinite, match=re.escape(
+                "metric of 'tilt' is not positive definite at [-0.5  0.   0. ]")):
+            kernel(man, p)
+
+
+def test_a_well_conditioned_metric_below_the_det_underflow_passes():
+    """1e-120 diag(1, 2, 3) has condition number 3, though det g underflows
+    to 0; det g |X|^2 does as well, so the contact kernel names its point."""
+    man = gc.manifold_from_exprs("tiny", (("1e-120", "0", "0"), ("0", "2e-120", "0"),
+                                          ("0", "0", "3e-120")))
+    pts = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])
+    unit = gc.UnitField.from_exprs("unit", ("1e60", "0", "0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(man.metric_at(pts)[0], np.diag([1e-120, 2e-120, 3e-120]))
+        g = np.empty((2, 3, 3))
+        assert np.all(christoffel(man, pts, g) == 0.0)
+        assert np.array_equal(g, man.metric_at(pts))
+        assert np.abs(diagnose(man, unit, pts).unit_defect).max() < 1e-12
+        with pytest.raises(SingularMetric, match=re.escape(
+                "'tiny' numerically singular at [0.1 0.2 0.3]: det g |X|^2 is not a normal")):
+            contact_defect_grid(man, unit, pts)
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e150])
+def test_the_contact_kernel_names_a_point_where_det_g_leaves_the_floats(scale):
+    """Where det g |X|^2 underflows or overflows, the quotient would be NaN or
+    0: the kernel raises instead, without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric, match=re.escape(
+                "numerically singular at [0. 0. 0.]: det g |X|^2 is not a normal float")):
+            contact_defect_grid(constant_chart(scale * np.diag([1.0, 2.0, 3.0])), E1,
+                                np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("metric_out", [False, True])
+def test_a_numerically_singular_metric_is_never_classed_by_its_sign(metric_out):
+    """Rotations of diag(1, 0.5, 1e-17): cond 1e17 puts the smallest eigenvalue
+    below rounding, so its sign is noise and every rotation is singular."""
+    for seed in range(200):
+        q = rotation(seed)
+        g = q @ np.diag([1.0, 0.5, 1e-17]) @ q.T
+        with pytest.raises(SingularMetric, match="numerically singular at"):
+            christoffel(constant_chart(g), np.zeros((2, 3)),
+                        np.empty((2, 3, 3)) if metric_out else None)
 
 
 def test_singular_metric_from_the_cli_exits_one(tmp_path, capsys):
