@@ -8,6 +8,12 @@ Index conventions (fixed here once and validated by the space-form tests):
     K(v, w)           = <R(v, w)w, v> / (|v|^2 |w|^2 - <v, w>^2)
 
 With these signs the round sphere has K = +1 and hyperbolic space K = -1.
+
+Gamma solves the Koszul system by a Cholesky factor of g (``christoffel``).
+The Jacobi operator R(., X)X, behind ``jacobi_matrix`` and ``sectional``, is
+built from Gamma and its partials without the full tensor
+(``_jacobi_operator``); ``assemble_riemann`` builds R for ``riemann_tensor``
+and ``riemann`` alone.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegeneratePlane
-from .geometry import (ChartedManifold, _jet, _jet_points, _require_finite_metric,
-                       _require_metric, as_points, inner)
+from .geometry import (ChartedManifold, _cholesky, _jet, _jet_points,
+                       _require_finite_metric, _require_metric, as_points, inner)
 
 #: discriminants within this of zero count as a repeated real eigenvalue
 EIGEN_DISC_TOL = 1e-12
@@ -28,6 +34,11 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
     g passes ``_require_metric``, which raises the metric errors. ``metric_out``,
     a contiguous array of g's shape ((N, 3, 3), or (3, 3) at a point), receives
     it, so a caller that needs g as well makes no second metric pass.
+
+    Gamma solves g Gamma_{.ij} = (d_i g_j. + d_j g_i. - d_. g_ij) / 2 by the
+    Cholesky factor of g (``_cholesky``), forward and back substitution in
+    place in the C-ordered result, so a row's bits depend on neither its batch
+    nor the layout of the inputs.
     """
     pts, single = as_points(p)
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs,  # dg[n, k, i, j] = d_k g_ij
@@ -37,10 +48,24 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
         out = metric_out.reshape(g.shape)  # a view; g lives on only in the caller's array
         out[...] = g
         g = out
-    ginv = np.linalg.inv(g)
-    # term_{ijl} = d_i g_jl + d_j g_il - d_l g_ij  (dg axes are n, k, i, j)
-    term = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)
-    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, term)
+    # gamma[n, l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, then L^-T L^-1 of that
+    gamma = np.add(dg.transpose(0, 3, 1, 2), dg.transpose(0, 3, 2, 1), order="C")
+    gamma -= dg
+    gamma *= 0.5
+    l11, l21, l31, l22, l32, l33 = (f[:, None, None] for f in _cholesky(g))
+    b0, b1, b2 = gamma[:, 0], gamma[:, 1], gamma[:, 2]  # views of the rows l = 0, 1, 2
+    b0 /= l11  # forward: L y = b
+    b1 -= l21 * b0
+    b1 /= l22
+    b2 -= l31 * b0
+    b2 -= l32 * b1
+    b2 /= l33
+    b2 /= l33  # back: L^T x = y
+    b1 -= l32 * b2
+    b1 /= l22
+    b0 -= l21 * b1
+    b0 -= l31 * b2
+    b0 /= l11
     return gamma[0] if single else gamma
 
 
@@ -101,19 +126,24 @@ def riemann(man: ChartedManifold, p, x, y, z):
 
 
 def sectional(man: ChartedManifold, p, v, w):
-    """Sectional curvature of the plane spanned by v and w.
+    """Sectional curvature of the plane spanned by v and w: <R(v, w)w, v> over
+    |v|^2 |w|^2 - <v, w>^2, R(., w)w from ``_jacobi_operator`` with X = w.
 
     A float at a point, (N,) at an (N, 3) batch; v and w are (3,) or one row
-    per point. Raises DegeneratePlane naming the first degenerate plane.
+    per point. Raises DegeneratePlane naming the first plane whose Gram
+    determinant is at most 1e-12 |v|^2 |w|^2, a bound that scales with g.
     """
     pts, single = as_points(p)
     v, w = _rows(pts, v, w)
     g = man.metric_at(pts)
-    gram = inner(g, v, v) * inner(g, w, w) - inner(g, v, w) ** 2
-    bad = np.flatnonzero(gram <= 1e-12)
+    vv, ww = inner(g, v, v), inner(g, w, w)
+    gram = vv * ww - inner(g, v, w) ** 2
+    bad = np.flatnonzero(gram <= 1e-12 * vv * ww)
     if bad.size:
         raise DegeneratePlane(f"sectional curvature of a degenerate plane at {pts[bad[0]]}")
-    out = inner(g, riemann(man, pts, v, w, w), v) / gram
+    gam, dgam = christoffel_with_partials(man, pts)
+    rv = np.einsum("nli,ni->nl", _jacobi_operator(gam, dgam, w), v)  # R(v, w)w
+    out = inner(g, rv, v) / gram
     return float(out[0]) if single else out
 
 
@@ -139,17 +169,39 @@ def real_eigenvalues(m):
     return 0.5 * (tr + root), 0.5 * (tr - root)
 
 
-def jacobi_matrix(riem, g, X, e):
-    """M[n, a, b] = <R(e_b, X)X, e_a> for an (N,) batch of frames.
+def _jacobi_operator(gam, dgam, X):
+    """RX[n, l, i] = R^l_ijk X^j X^k, so that R(v, X)X = RX @ v, from Gamma (N, 3,
+    3, 3), its partials (N, 3, 3, 3, 3) and X (N, 3), without the Riemann tensor:
 
-    ``riem`` (N, 3, 3, 3, 3), ``g`` (N, 3, 3), ``X`` (N, 3) and the frame
-    vectors ``e`` (N, 2, 3). With J = J_a e_a, the components of R(J, X)X
-    are M @ J. The operands are taken in C order, since the einsums' loop
-    order, and so M's bits, would follow their strides.
+        RX = d_i Gamma^l_jk X^j X^k - X^j d_j Gamma^l_ik X^k
+             + Gamma^l_im Gamma^m_jk X^j X^k - GX GX,   GX[l, m] = Gamma^l_mj X^j,
+
+    the last term by the symmetry of Gamma in its lower indices. The operands
+    are taken in C order: the matmuls' paths, and so RX's bits, would follow
+    their strides.
     """
-    riem, g, X, e = (np.ascontiguousarray(a) for a in (riem, g, X, e))
-    rx = np.einsum("nlijk,nai,nj,nk->nal", riem, e, X, X)  # R(e_a, X)X
-    return np.einsum("nbl,nlm,nam->nab", rx, g, e)
+    gam, dgam, X = (np.ascontiguousarray(a) for a in (gam, dgam, X))
+    n, x = len(X), X[:, :, None]
+    dgx = (dgam.reshape(n, 27, 3) @ x).reshape(n, 3, 9)  # d_m Gamma^l_jk X^k at [m, 3 l + j]
+    gx = (gam.reshape(n, 9, 3) @ x).reshape(n, 3, 3)
+    rx = np.subtract(np.swapaxes((dgx.reshape(n, 9, 3) @ x).reshape(n, 3, 3), 1, 2),
+                     (X[:, None, :] @ dgx).reshape(n, 3, 3))
+    rx += (gam.reshape(n, 9, 3) @ (gx @ x)).reshape(n, 3, 3)
+    rx -= gx @ gx
+    return rx
+
+
+def jacobi_matrix(gam, dgam, g, X, e):
+    """M[n, a, b] = <R(e_b, X)X, e_a> for an (N,) batch of frames: M = E g RX E^T,
+    RX from ``_jacobi_operator`` and E the rows e_a.
+
+    ``gam`` (N, 3, 3, 3), ``dgam`` (N, 3, 3, 3, 3), ``g`` (N, 3, 3), ``X`` (N, 3)
+    and the frame vectors ``e`` (N, 2, 3). With J = J_a e_a, the components of
+    R(J, X)X are M @ J. The operands are taken in C order, so that M's bits
+    depend on neither the batch nor the layout.
+    """
+    g, e = np.ascontiguousarray(g), np.ascontiguousarray(e)
+    return e @ g @ _jacobi_operator(gam, dgam, X) @ np.swapaxes(e, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import expr
 # christoffel is not called here; perfbench's tracer test checks this binding
-from .curvature import (EIGEN_DISC_TOL, assemble_riemann, christoffel,
-                        christoffel_with_partials, covariant_jacobian, jacobi_matrix,
-                        real_eigenvalues, trace_discriminant)
+from .curvature import (EIGEN_DISC_TOL, christoffel, christoffel_with_partials,
+                        covariant_jacobian, jacobi_matrix, real_eigenvalues,
+                        trace_discriminant)
 from .errors import DegenerateSeed, NotUnit, SingularMetric
-from .geometry import (ChartedManifold, _jet, _require_finite_metric, _require_metric,
-                       as_points, frames_at, g_norm, inner)
+from .geometry import (ChartedManifold, _cholesky, _jet, _require_finite_metric,
+                       _require_metric, as_points, frames_at, g_norm, inner)
 
 UNIT_TOL = 1e-6
 RANK_REL_TOL = 1e-6
@@ -72,8 +72,7 @@ def frame_terms(man: ChartedManifold, X: UnitField, pts, g, gam, dgam, xv, frame
     """
     A = covariant_jacobian(man, X, pts, xv, gam)
     gram = np.swapaxes(A @ frame, 1, 2) @ (g @ frame)
-    M = jacobi_matrix(assemble_riemann(gam, dgam), g, frame[:, :, 0],
-                      np.swapaxes(frame[:, :, 1:], 1, 2))
+    M = jacobi_matrix(gam, dgam, g, frame[:, :, 0], np.swapaxes(frame[:, :, 1:], 1, 2))
     return A, gram, M
 
 
@@ -206,7 +205,7 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
              unit_tol: float = UNIT_TOL) -> Diagnosis:
     """Every pointwise diagnostic of the field at an (N, 3) batch, in one pass.
 
-    The metric, the field, Gamma and the Riemann tensor are evaluated once
+    The metric, the field, Gamma and its partials are evaluated once
     for the whole batch, and so are the eigenvalue classes and the ranks
     of B. In the frame (X, e1, e2) of ``frames_at``, by ``frame_terms``:
 
@@ -273,10 +272,10 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points):
     # summed term by term: einsum's reductions round differently at other batch sizes
     norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
     _require_nonzero(X, pts, norm2)
-    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
-    with np.errstate(over="ignore", invalid="ignore"):  # det g |X|^2, det g by cofactors
-        scale = (g22 * (g00 * g11 - g01 * g10) - g21 * (g00 * g12 - g02 * g10)
-                 + g20 * (g01 * g12 - g02 * g11)) * norm2
+    l11, _, _, l22, _, l33 = _cholesky(g)
+    root = l11 * l22 * l33  # sqrt(det g), from the Cholesky factor: no cancellation
+    with np.errstate(over="ignore"):
+        scale = root * root * norm2  # det g |X|^2
     ok = (scale >= np.finfo(float).tiny) & (scale < np.inf)
     if not ok.all():
         raise SingularMetric(f"metric of {man.name!r} numerically singular at "

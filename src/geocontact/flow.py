@@ -27,10 +27,11 @@ expressions takes its stage values from the table's scalar program
 the numpy program's values without its per-call overhead. ``rk4_step``
 still makes every step. The block then makes one batched curvature call at all those
 stages: ``christoffel`` for the transport alone, or
-``christoffel_with_partials`` for Gamma and R with the Jacobi pair. The
-frame step matrices of the block, from A = -Gamma(X, .) at every stage,
-carry (e1, e2) step by step. With the Jacobi pair they also give the stage
-frames, one batched ``jacobi_matrix`` call gives M at all of them, and the
+``christoffel_with_partials`` for Gamma and its partials with the Jacobi
+pair. The frame step matrices of the block, from A = -Gamma(X, .) at every
+stage, carry (e1, e2) step by step. With the Jacobi pair they also give the
+stage frames, one batched ``jacobi_matrix`` call gives M at all of them
+(from Gamma and its partials, without the full Riemann tensor), and the
 Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
 fails is replayed as one-step blocks. A row's bits depend neither on its
 batch nor on its block's length, so block and replay agree bit for bit, and
@@ -49,8 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import (_partials_inside, assemble_riemann, christoffel,
-                        christoffel_with_partials, jacobi_matrix, real_eigenvalues)
+from .curvature import (_partials_inside, christoffel, christoffel_with_partials,
+                        jacobi_matrix, real_eigenvalues)
 from .errors import DomainError, GeoContactError, OutOfChart, PoleReached, StepTooLarge
 from .field import UnitField, diagnose, frame_terms
 from .geometry import ChartedManifold, as_points, inner
@@ -242,8 +243,8 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     (N, 9) or (N, 17) states y.
 
     The point pass integrates p alone, on the field table's scalar program
-    when the block has one row; one curvature batch gives Gamma (and
-    R) at all its stages, whose metric ``_require_metric`` checks; the
+    when the block has one row; one curvature batch gives Gamma (and its
+    partials) at all its stages, whose metric ``_require_metric`` checks; the
     frame step matrices, from A = -Gamma(X, .) at every stage, carry (e1, e2)
     step by step. With the Jacobi pair they also give the stage frames, one
     ``jacobi_matrix`` call gives M at all of them, and the Jacobi step
@@ -277,7 +278,7 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     out = [points, _rows(es[1:])]
     if with_jacobi:
         frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
-        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, _rows(frames).reshape(-1, 2, 3))
+        m = jacobi_matrix(gam, dgam, g, xv, _rows(frames).reshape(-1, 2, 3))
         jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
         out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
     return np.concatenate(out, axis=-1)

@@ -141,6 +141,22 @@ def _require_metric(man: ChartedManifold, pts, g):
             f"metric of {man.name!r} numerically singular at {pts[np.argmin(conditioned)]}")
 
 
+def _cholesky(g):
+    """The factor L of g = L L^T at each row of a checked metric g (N, 3, 3),
+    read from the lower triangle as ``eigvalsh`` reads it: (l11, l21, l31, l22,
+    l32, l33), each (N,). Cholesky is backward stable on every positive definite
+    g (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002,
+    10.1), so l11 l22 l33 = sqrt(det g) keeps about cond(g) eps relative
+    accuracy where the cofactor det g can lose every digit, and each l has the
+    scale of sqrt(g), so it stays finite where det g underflows or overflows."""
+    l11 = np.sqrt(g[:, 0, 0])
+    l21, l31 = g[:, 1, 0] / l11, g[:, 2, 0] / l11
+    l22 = np.sqrt(g[:, 1, 1] - l21 * l21)
+    l32 = (g[:, 2, 1] - l31 * l21) / l22
+    l33 = np.sqrt(g[:, 2, 2] - l31 * l31 - l32 * l32)
+    return l11, l21, l31, l22, l32, l33
+
+
 def _require_finite_metric(man: ChartedManifold, pts, g):
     """Raise SingularMetric naming the first point of the batch where g is not finite."""
     ok = np.isfinite(g.reshape(len(pts), 9)).all(axis=1)

@@ -380,6 +380,19 @@ def test_verify_custom_manifold_config(tmp_path, capsys):
     assert json.loads(out)["reports"][0]["verdict"] == "consistent"
 
 
+def test_verify_space_form_of_a_scaled_flat_metric(tmp_path, capsys):
+    """1e-7 I with the unit field (0, 0, 1e3.5) is flat, as I is: the
+    degenerate-plane bound of the sectional curvature scales with g, so the
+    suite's random planes pass and T5.1 is consistent at either scale."""
+    cfg = write_config(tmp_path, {
+        "manifold": {"metric": [["1e-7", "0", "0"], ["0", "1e-7", "0"], ["0", "0", "1e-7"]]},
+        "field": {"components": ["0", "0", "3162.2776601683795"]},
+        "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}})
+    code, out, err = run(capsys, ["verify", "T5.1", "--config", cfg, "--c", "0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reports"][0]["verdict"] == "consistent"
+
+
 def test_verify_deterministic_json(capsys):
     _, first, _ = run(capsys, ["verify", "T5.1", "--entry", "s3_hopf", "--c", "1"])
     _, second, _ = run(capsys, ["verify", "T5.1", "--entry", "s3_hopf", "--c", "1"])

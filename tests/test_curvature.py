@@ -10,8 +10,8 @@ import pytest
 
 import geocontact as gc
 from conftest import ENTRY_NAMES
-from geocontact.curvature import (christoffel, covariant_jacobian, jacobi_matrix, riemann,
-                                  riemann_tensor, sectional)
+from geocontact.curvature import (christoffel, christoffel_with_partials, covariant_jacobian,
+                                  jacobi_matrix, riemann, sectional)
 from geocontact.errors import DegeneratePlane, SingularMetric
 from geocontact.field import diagnose
 from geocontact.geometry import _surely_conditioned, inner
@@ -30,8 +30,8 @@ def covariant_derivative(man, p, W, v):
 def jacobi_matrices(man, X, pts):
     """The diagnosis of X at pts and the matrix M of v -> R(v, X)X in each of its frames."""
     d = diagnose(man, X, pts)
-    M = jacobi_matrix(riemann_tensor(man, d.p), man.metric_at(d.p), d.frame[:, :, 0],
-                      np.swapaxes(d.frame[:, :, 1:], 1, 2))
+    M = jacobi_matrix(*christoffel_with_partials(man, d.p), man.metric_at(d.p),
+                      d.frame[:, :, 0], np.swapaxes(d.frame[:, :, 1:], 1, 2))
     return d, M
 
 
@@ -287,19 +287,21 @@ def test_jacobi_tensor_self_adjoint(entries, name):
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_jacobi_matrix_bits_do_not_depend_on_the_frames_layout(n):
     """Frames passed as a strided swapaxes view give M bit for bit as their
-    C-ordered copy, as do strided R, g and X: the einsums' loop order would
-    otherwise follow the strides."""
+    C-ordered copy, as do strided Gamma, its partials, g and X: the matmuls'
+    paths would otherwise follow the strides."""
     rng = np.random.default_rng(n)
     for _ in range(200):
-        riem = rng.standard_normal((n, 3, 3, 3, 3))
+        gam = rng.standard_normal((n, 3, 3, 3))
+        dgam = rng.standard_normal((n, 3, 3, 3, 3))
         g = rng.standard_normal((n, 3, 3))
         x = rng.standard_normal((n, 3))
         cols = rng.standard_normal((n, 3, 2))  # frame vectors as columns
         e = np.swapaxes(cols, 1, 2)
         assert not e.flags.c_contiguous
-        expected = jacobi_matrix(riem, g, x, np.ascontiguousarray(e))
-        assert np.array_equal(jacobi_matrix(riem, g, x, e), expected)
-        strided = (np.swapaxes(np.swapaxes(riem, 1, 4).copy(), 1, 4),
+        expected = jacobi_matrix(gam, dgam, g, x, np.ascontiguousarray(e))
+        assert np.array_equal(jacobi_matrix(gam, dgam, g, x, e), expected)
+        strided = (np.swapaxes(np.swapaxes(gam, 1, 3).copy(), 1, 3),
+                   np.swapaxes(np.swapaxes(dgam, 1, 4).copy(), 1, 4),
                    np.swapaxes(np.swapaxes(g, 1, 2).copy(), 1, 2),
                    np.asfortranarray(x))
         assert np.array_equal(jacobi_matrix(*strided, e), expected)

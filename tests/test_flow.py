@@ -13,8 +13,8 @@ from scipy.optimize import brentq
 
 import geocontact as gc
 from geocontact import flow
-from geocontact.curvature import (assemble_riemann, christoffel, christoffel_with_partials,
-                                  jacobi_matrix, real_eigenvalues)
+from geocontact.curvature import (christoffel, christoffel_with_partials, jacobi_matrix,
+                                  real_eigenvalues)
 from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
                                OutOfChart, PoleReached, SingularMetric, StepTooLarge)
 from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
@@ -241,7 +241,7 @@ def classical_rhs(man, X):
         g = np.empty((len(p), 3, 3))
         gam, dgam = christoffel_with_partials(man, p, g)
         de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
-        m = jacobi_matrix(assemble_riemann(gam, dgam), g, xv, e)
+        m = jacobi_matrix(gam, dgam, g, xv, e)
         j, jt = y[:, 9:11, None], y[:, 13:15, None]
         return np.concatenate([xv, de, y[:, 11:13], (-m @ j)[..., 0],
                                y[:, 15:17], (-m @ jt)[..., 0]], axis=1)

@@ -1,7 +1,8 @@
 """Property tests (Hypothesis): the expression language, its compiled
 evaluator and its scalar mode, the singular-metric checks and their
-eigenvalue-free certificate, the row invariance of the batched kernels and
-the config validator.
+eigenvalue-free certificate, the Cholesky solve for Gamma and the Jacobi
+operator against the full Riemann tensor, the row invariance of the batched
+kernels and the config validator.
 
 Examples are derandomized and no example database is written, so a run is
 reproducible. Hypothesis still keeps its own caches under `.hypothesis/`
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from conftest import ENTRY_NAMES
 import geocontact as gc
 from geocontact import cli, expr
-from geocontact.curvature import christoffel, christoffel_with_partials, riemann_tensor
+from geocontact.curvature import (assemble_riemann, christoffel, christoffel_with_partials,
+                                  jacobi_matrix, riemann_tensor)
 from geocontact.errors import (ConfigError, DomainError, ExprError, NotPositiveDefinite,
                                SingularMetric, UnknownEntry)
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
@@ -266,9 +268,9 @@ def metric_error(call):
 def test_every_metric_entry_point_raises_the_same_metric_error(rows):
     """A batch of metrics gets one outcome from every entry point that checks
     the metric: the same error class naming the same point, or none. At these
-    scales det g |X|^2 of a conditioned metric is a normal float, so
-    ``contact_defect_grid`` adds its own range error only where its cofactor
-    det g cancels, after the metric passed everywhere else."""
+    scales det g |X|^2 of a conditioned metric is a normal float, and
+    ``contact_defect_grid`` takes det g from the Cholesky factor, which does
+    not cancel, so its own range error never fires here."""
     g = np.array([metric_of(*row) for row in rows])
     man, pts = table_chart(g), point_rows(len(g))
     with warnings.catch_warnings():
@@ -280,11 +282,120 @@ def test_every_metric_entry_point_raises_the_same_metric_error(rows):
                      lambda: christoffel_with_partials(man, pts),
                      lambda: diagnose(man, E1, pts, unit_tol=np.inf)):
             assert metric_error(call) == first
-        contact = metric_error(lambda: contact_defect_grid(man, E1, pts))
-    if first is None and contact is not None:
-        assert "det g |X|^2 is not a normal float" in contact[1]
-    else:
-        assert contact == first
+        assert metric_error(lambda: contact_defect_grid(man, E1, pts)) == first
+
+
+EPS = np.finfo(float).eps
+
+#: batches of the positive definite kinds of ``metric_of``, 10^-150 to 10^150
+SPD_ROWS = st.lists(st.tuples(st.sampled_from(("spd", "near")), st.floats(-12.5, 3.0),
+                              st.floats(-3.0, 3.0), st.integers(-150, 150),
+                              st.integers(0, 2**32 - 1)), min_size=1, max_size=8)
+
+
+def linear_chart(g, dg):
+    """The metric g[k] + (x - (k, 0, 0)) . dg[k] around the point (k, 0, 0), with
+    dg[k, m] (3, 3) symmetric, differentiated by central differences."""
+    def metric_fn(pts):
+        k = np.rint(pts[:, 0]).astype(int)
+        return g[k] + np.einsum("nm,nmij->nij", pts - point_rows(len(g))[k], dg[k])
+    return ChartedManifold("linear", metric_fn=metric_fn,
+                           domain_fn=lambda pts: np.ones(len(pts), dtype=bool))
+
+
+@SETTINGS
+@given(SPD_ROWS, st.integers(0, 2**32 - 1))
+@example(rows=[("spd", 0.0, 0.0, -120, 0), ("near", -11.09, 3.0, 150, 0)], seed=0)
+def test_christoffel_solves_the_koszul_system_stably(rows, seed):
+    """On every accepted metric of the batch, Gamma is finite and C-ordered,
+    each row is the bits of its N = 1 call, and Gamma_{.ij} solves
+    g x = b_ij = (d_i g_j. + d_j g_i. - d_. g_ij) / 2 with a normwise backward
+    error of a few eps, within cond(g) eps of ``np.linalg.solve``."""
+    g = np.array([metric_of(*row) for row in rows])
+    accepted = [metric_error(lambda: constant_chart(m).metric_at(point_rows(1))) is None
+                for m in g]
+    assume(any(accepted))
+    scale = 10.0 ** np.array([row[3] for row in rows])[accepted, None, None, None]
+    dg = np.random.default_rng(seed).standard_normal((len(scale), 3, 3, 3)) * scale
+    man = linear_chart(g[accepted], dg + np.swapaxes(dg, 2, 3))
+    pts = point_rows(len(scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gam = christoffel(man, pts)
+        assert np.isfinite(gam).all() and gam.flags.c_contiguous
+        for k in range(len(pts)):
+            assert christoffel(man, pts[k:k + 1]).tobytes() == gam[k].tobytes()
+        g, d = man.metric_at(pts), metric_partials(man, pts)  # the jet christoffel used
+    b = (0.5 * (np.einsum("nijl->nlij", d) + np.einsum("njil->nlij", d) - d)).reshape(-1, 3, 9)
+    x = gam.reshape(-1, 3, 9)
+    size = np.linalg.norm
+    residual = size(g @ x - b, axis=1)
+    assert (residual <= 16 * EPS * (size(g, 2, axis=(1, 2))[:, None] * size(x, axis=1)
+                                    + size(b, axis=1))).all()
+    ref = np.linalg.solve(g, b)
+    assert (size(x - ref, axis=1)
+            <= 16 * EPS * np.linalg.cond(g)[:, None] * size(ref, axis=1)).all()
+
+
+def contract(riem, g, X, e):
+    """<R(e_b, X)X, e_a> from the full tensor R[l, i, j, k]: the reference of
+    ``jacobi_matrix``."""
+    rx = np.einsum("nlijk,nai,nj,nk->nal", riem, e, X, X)
+    return np.einsum("nbl,nlm,nam->nab", rx, g, e)
+
+
+def assert_jacobi_matrix_is_the_riemann_contraction(gam, dgam, g, X, e):
+    """``jacobi_matrix`` equals ``contract`` of ``assemble_riemann`` within the
+    rounding of the terms: 64 eps times the contraction of their sizes."""
+    a, da = np.abs(gam), np.abs(dgam)
+    sizes = (np.einsum("niljk->nlijk", da) + np.einsum("njlik->nlijk", da)
+             + np.einsum("nlim,nmjk->nlijk", a, a) + np.einsum("nljm,nmik->nlijk", a, a))
+    error = np.abs(jacobi_matrix(gam, dgam, g, X, e)
+                   - contract(assemble_riemann(gam, dgam), g, X, e))
+    assert (error <= 64 * EPS * contract(sizes, np.abs(g), np.abs(X), np.abs(e))).all()
+
+
+@SETTINGS
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_jacobi_matrix_is_the_riemann_contraction_on_random_symbols(n, seed):
+    """Gamma symmetric in its lower indices and d Gamma in its last two, as
+    the Levi-Civita symbols are; g, X and the frames arbitrary."""
+    rng = np.random.default_rng(seed)
+    gam = rng.standard_normal((n, 3, 3, 3))
+    dgam = rng.standard_normal((n, 3, 3, 3, 3))
+    g = rng.standard_normal((n, 3, 3))
+    assert_jacobi_matrix_is_the_riemann_contraction(
+        gam + np.swapaxes(gam, 2, 3), dgam + np.swapaxes(dgam, 3, 4), g + np.swapaxes(g, 1, 2),
+        rng.standard_normal((n, 3)), rng.standard_normal((n, 2, 3)))
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_jacobi_matrix_is_the_riemann_contraction_on_the_catalog_grids(entries, name):
+    entry = entries[name]
+    pts = entry.grid.points()
+    g = np.empty((len(pts), 3, 3))
+    gam, dgam = christoffel_with_partials(entry.manifold, pts, g)
+    frame = diagnose(entry.manifold, entry.field, pts).frame
+    assert_jacobi_matrix_is_the_riemann_contraction(gam, dgam, g, frame[:, :, 0],
+                                                    np.swapaxes(frame[:, :, 1:], 1, 2))
+
+
+def test_the_contact_kernel_keeps_its_digits_on_an_ill_conditioned_metric():
+    """The ``near`` metric of seed 0 with eigenvalues (1, 1e-10, 8.1e-12) passes
+    the metric check at cond 1.2e11. With a constant g and the field
+    X = (1 - x2, x1, 1/2), d_j alpha_k = g_kl d_j X^l, so the defect has a
+    closed form; with det g the product of ``eigvalsh``, the kernel agrees
+    with it to cond(g) eps, where a cofactor det g is off by 44%."""
+    g = metric_of("near", -11.09, 3.0, 0, 0)
+    X = gc.UnitField.from_exprs("lin", ("1 - x2", "x1", "0.5"))
+    pts = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-0.3, 0.5, 0.2]])
+    lam = np.linalg.eigvalsh(g)
+    xv = X.value(pts)
+    da = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) @ g
+    curl = np.array([da[1, 2] - da[2, 1], da[2, 0] - da[0, 2], da[0, 1] - da[1, 0]])
+    ref = (xv @ g) @ curl / np.sqrt(np.einsum("ni,ij,nj->n", xv, g, xv) * lam.prod())
+    out = contact_defect_grid(constant_chart(g), X, pts)
+    assert np.abs(out / ref - 1.0).max() <= lam[-1] / lam[0] * EPS
 
 
 def test_a_metric_that_is_clearly_indefinite_is_rejected_by_every_kernel():

@@ -52,27 +52,27 @@ CASES = {
 EXIT_CODES = {"verify:T5.1,C5.2,T3.1,C3.2:tilted": 1, "analyze:custom-expressions": 1}
 
 DIGESTS = {
-    "analyze-central:s3_hopf": "2bd168591f7e500df78dc5bb622699bffbb7939e3d1613bb9d5f11ff1dd41809",
-    "analyze:custom-expressions": "c832d371f1626e695d2ad93f0ca712bb56ea3046055abc47042873e0261dd492",
+    "analyze-central:s3_hopf": "f54200c7f051ab51adf82c79cba9a651a7333cc723a38849fad492835618f156",
+    "analyze:custom-expressions": "1e8468179d5ec9a72e27a96800e438fb62658bd06374def24b5a746e45ec6856",
     "analyze:euclidean_parallel": "50e1c2d12e3a5a5f68ce86b2d0e513cd3c769ebddf4646db67d58f628c5626e1",
     "analyze:euclidean_skew": "6036021b0cf5c76aa84c25299b5249b99be756246472705878279b093ceab376",
-    "analyze:h2xr_vertical": "b12b783b5c4943fb3d5f9928fe684b73110d736d0a1cfc7eacf999fe2d523d4f",
-    "analyze:h3_vertical": "b928f1ad1c27e98e38c3b5ba5c492e311dfef2db477fd147b7966a0c4c084873",
-    "analyze:heisenberg_reeb": "3894667fa8dee4daa1bc2bbcbd48b6ce95d9cd9fb236ea9f89f03ca6464f75de",
-    "analyze:s3_hopf": "62e7387d9373d5a27635db71100f6dad8763ac381f4288dc4e25432e964e13c8",
-    "analyze:s3_weighted(2,3)": "dc7afb2beca519172b451cbbf2c3c2b074de74397317309e2f5c535b149a6203",
-    "orbit:h3_vertical": "830ca9d55a957ded2f294ec1d90ac8c42ce96dc099683872f25e81c29d1ee6d2",
-    "orbit:s3_hopf": "c63c479a6d90cfe031bc32564bc8bdb266bd7949ac33cc1d87b44d7b4a3ec2a2",
+    "analyze:h2xr_vertical": "222d8826e9fbea2fb14fb03f766301b7f18d035b33320198c31abefb4c4c02a3",
+    "analyze:h3_vertical": "2ec255850d5158acd959db45e5cf5c18dc7eeaf59ab2fabf94116779ba3cba18",
+    "analyze:heisenberg_reeb": "3b0a345b05d16f61734bd74a38a03811fa9340749b0f70cfdcf6b87eeab9c0ed",
+    "analyze:s3_hopf": "1d48c5ae42a3097d7bbb82ef36a7cbd791488724941d14e6b922628d34609813",
+    "analyze:s3_weighted(2,3)": "df9a742fc107d0a1f5621483bf886b0a552bc63feab9e3109b2bc5efcdcf7701",
+    "orbit:h3_vertical": "681c52dee4de01f4322937e21a998e773a458854c787204b24dbd39114fc544b",
+    "orbit:s3_hopf": "5247ed58a5a0ad00858b4e85500420b57773fc2de656e0d05adc36d29f14f7e6",
     "orbit-default:h3_vertical":
-        "91ccbd6d040b41cee47af9011722ffc976457c519d2b1e6281e32912f2c8cb7f",
-    "orbit-default:s3_hopf": "74057ce145ac531bbd128abc950f443422c9c8f4a8c77a6a0f181ee29532d752",
-    "verify:P7.6:s3_hopf": "a23f0fe43b435f4f4aeacb082ab697a49e0679f96e113ae3dfe4d87d70ec3144",
-    "verify:T3.1,C3.2,T5.1,C5.2:all": "bb174ada82e2db1e163240479c3351be154d1b6d778e34f80388d298f8ab35c4",
-    "verify:all": "754fe9f4d7bc7facbedde42fba6e6ce093012da8e6b13ee1ea283ec3af090db9",
+        "200b779e172cb715ed40ec2f2b90433dbc1a32b4d3e431828b45b94393b0df39",
+    "orbit-default:s3_hopf": "2ada28ccf83493526a6eb4c0e27ddf6675da20baca4b16472f3011d7affa512a",
+    "verify:P7.6:s3_hopf": "a210ba8f336941c1a929787d96e76898afa01b2e3a679b64b88b94203999e1e1",
+    "verify:T3.1,C3.2,T5.1,C5.2:all": "d4c14346cf3a521e5b02b3f7f35a56af4092e7cbb4ba1afd82dcc0b48954d171",
+    "verify:all": "e9521bf1f47f4fb30e19ce931fe139077f908367123a5856aacf5f5dbacfb67b",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
-    "verify:T6.1:h2xr_vertical": "cf6edbc88755fec084f3948652ce28bcf5775f677107297426b467db6d80b303",
-    "verify:T6.1:s3_hopf": "970a828a03a6fabf4afdfc29801a3f96b8193a5ba0a7dc8b9466d762b8cd69e3",
+    "verify:T6.1:h2xr_vertical": "9de9f6292e2ddc0e7755dd6d4be25a4965e70ade6093d9c0bf3320763111cb2e",
+    "verify:T6.1:s3_hopf": "ca5049e8a290e448d06c204fc9f3512f89297320e3714ad8bfe3dee3b3edaeff",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
 
