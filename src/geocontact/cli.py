@@ -94,7 +94,7 @@ _SCHEMA = {
                     "step": (_number(lambda v: v > 0), DEFAULT_DIFF_STEP)}),
     "tolerances": (False, {f.name: (_number(lambda v: v >= 0), f.default)
                            for f in dataclasses.fields(Tolerances)}),
-    "volume": (False, {"nodes": (_number(lambda v: v.is_integer() and v >= 2, int),
+    "volume": (False, {"nodes": (_number(lambda v: v.is_integer() and v >= 4, int),
                                  VOLUME_NODES)}),
 }
 

@@ -10,10 +10,9 @@ Index conventions (fixed here once and validated by the space-form tests):
 With these signs the round sphere has K = +1 and hyperbolic space K = -1.
 
 Gamma solves the Koszul system by a Cholesky factor of g (``christoffel``).
-The Jacobi operator R(., X)X, behind ``jacobi_matrix`` and ``sectional``, is
-built from Gamma and its partials without the full tensor
-(``_jacobi_operator``); ``assemble_riemann`` builds R for ``riemann_tensor``
-and ``riemann`` alone.
+Every reader of R uses one operator R(., y)z, built from Gamma and its partials
+without the full tensor (``_curvature_operator``): ``jacobi_matrix`` at (X, X),
+``sectional`` at (w, w), ``riemann`` applied to x, ``riemann_tensor`` at (d_j, d_k).
 """
 
 from __future__ import annotations
@@ -69,20 +68,19 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
     return gamma[0] if single else gamma
 
 
-def christoffel_with_partials(man: ChartedManifold, p, metric_out=None):
-    """Gamma and its partials: the central-difference ``_jet`` of ``christoffel``.
+def christoffel_with_partials(man: ChartedManifold, p):
+    """g, Gamma and its partials: the central-difference ``_jet`` of ``christoffel``.
 
-    Returns (gam, dgam) with gam[..., k, i, j] = Gamma^k_ij and
-    dgam[..., m, k, i, j] = d_m Gamma^k_ij. The point itself and its six
-    stencil shifts are one ``christoffel`` batch, whose metric check they
-    all pass; ``metric_out`` receives the metric of the centre rows.
+    Returns (g, gam, dgam) with g[..., i, j] = g_ij, gam[..., k, i, j] =
+    Gamma^k_ij and dgam[..., m, k, i, j] = d_m Gamma^k_ij. The point itself and
+    its six stencil shifts are one ``christoffel`` batch, whose metric check
+    they all pass; g is a copy of the metric of the centre rows.
     """
     pts, single = as_points(p)
-    stencil_g = None if metric_out is None else np.empty((7 * len(pts), 3, 3))
+    stencil_g = np.empty((7 * len(pts), 3, 3))
     gam, dgam = _jet(man, lambda q: christoffel(man, q, stencil_g), pts)
-    if metric_out is not None:
-        metric_out[...] = stencil_g[0] if single else stencil_g[:len(pts)]
-    return (gam[0], dgam[0]) if single else (gam, dgam)
+    g = stencil_g[:len(pts)].copy()
+    return (g[0], gam[0], dgam[0]) if single else (g, gam, dgam)
 
 
 def _partials_inside(man: ChartedManifold, pts):
@@ -93,25 +91,20 @@ def _partials_inside(man: ChartedManifold, pts):
     return man.contains(reach).reshape(-1, len(pts)).all(axis=0)
 
 
-def assemble_riemann(gam, dgam):
-    """R[l, i, j, k] from Gamma and its partials (leading batch axis)."""
-    return (np.einsum("niljk->nlijk", dgam)            # d_i G^l_jk
-            - np.einsum("njlik->nlijk", dgam)          # d_j G^l_ik
-            + np.einsum("nlim,nmjk->nlijk", gam, gam)
-            - np.einsum("nljm,nmik->nlijk", gam, gam))
-
-
-def riemann_tensor(man: ChartedManifold, p):
-    """Full curvature tensor R[l, i, j, k], the l-component of R(d_i, d_j) d_k."""
-    pts, single = as_points(p)
-    gam, dgam = christoffel_with_partials(man, pts)
-    riem = assemble_riemann(gam, dgam)
-    return riem[0] if single else riem
-
-
 def _rows(pts, *vectors):
     """Each vector as one row per point: (3,) broadcasts, (N, 3) passes."""
     return [np.broadcast_to(np.asarray(v, dtype=float), pts.shape) for v in vectors]
+
+
+def riemann_tensor(man: ChartedManifold, p):
+    """Full curvature tensor R[l, i, j, k], the l-component of R(d_i, d_j) d_k:
+    ``_curvature_operator`` at the nine pairs (d_j, d_k)."""
+    pts, single = as_points(p)
+    _, gam, dgam = christoffel_with_partials(man, pts)
+    basis = _rows(pts, *np.eye(3))
+    riem = np.stack([_curvature_operator(gam, dgam, y, z) for y in basis for z in basis],
+                    axis=-1).reshape(-1, 3, 3, 3, 3)
+    return riem[0] if single else riem
 
 
 def riemann(man: ChartedManifold, p, x, y, z):
@@ -121,28 +114,30 @@ def riemann(man: ChartedManifold, p, x, y, z):
     """
     pts, single = as_points(p)
     x, y, z = _rows(pts, x, y, z)
-    out = np.einsum("nlijk,ni,nj,nk->nl", riemann_tensor(man, pts), x, y, z)
+    _, gam, dgam = christoffel_with_partials(man, pts)
+    out = np.einsum("nli,ni->nl", _curvature_operator(gam, dgam, y, z), x)
     return out[0] if single else out
 
 
 def sectional(man: ChartedManifold, p, v, w):
     """Sectional curvature of the plane spanned by v and w: <R(v, w)w, v> over
-    |v|^2 |w|^2 - <v, w>^2, R(., w)w from ``_jacobi_operator`` with X = w.
+    |v|^2 |w|^2 - <v, w>^2, R(., w)w from ``_curvature_operator`` at (w, w).
 
     A float at a point, (N,) at an (N, 3) batch; v and w are (3,) or one row
-    per point. Raises DegeneratePlane naming the first plane whose Gram
-    determinant is at most 1e-12 |v|^2 |w|^2, a bound that scales with g.
+    per point. Raises the chart and metric errors of ``christoffel_with_partials``
+    first (OutOfChart where a degenerate plane's stencil leaves the chart), then
+    DegeneratePlane naming the first plane whose Gram determinant is at most
+    1e-12 |v|^2 |w|^2, a bound that scales with g.
     """
     pts, single = as_points(p)
     v, w = _rows(pts, v, w)
-    g = man.metric_at(pts)
+    g, gam, dgam = christoffel_with_partials(man, pts)
     vv, ww = inner(g, v, v), inner(g, w, w)
     gram = vv * ww - inner(g, v, w) ** 2
     bad = np.flatnonzero(gram <= 1e-12 * vv * ww)
     if bad.size:
         raise DegeneratePlane(f"sectional curvature of a degenerate plane at {pts[bad[0]]}")
-    gam, dgam = christoffel_with_partials(man, pts)
-    rv = np.einsum("nli,ni->nl", _jacobi_operator(gam, dgam, w), v)  # R(v, w)w
+    rv = np.einsum("nli,ni->nl", _curvature_operator(gam, dgam, w, w), v)  # R(v, w)w
     out = inner(g, rv, v) / gram
     return float(out[0]) if single else out
 
@@ -169,31 +164,32 @@ def real_eigenvalues(m):
     return 0.5 * (tr + root), 0.5 * (tr - root)
 
 
-def _jacobi_operator(gam, dgam, X):
-    """RX[n, l, i] = R^l_ijk X^j X^k, so that R(v, X)X = RX @ v, from Gamma (N, 3,
-    3, 3), its partials (N, 3, 3, 3, 3) and X (N, 3), without the Riemann tensor:
+def _curvature_operator(gam, dgam, y, z):
+    """RX[n, l, i] = R^l_ijk y^j z^k, so that R(v, y)z = RX @ v, from Gamma (N, 3,
+    3, 3), its partials (N, 3, 3, 3, 3) and y, z (N, 3), without the Riemann tensor:
 
-        RX = d_i Gamma^l_jk X^j X^k - X^j d_j Gamma^l_ik X^k
-             + Gamma^l_im Gamma^m_jk X^j X^k - GX GX,   GX[l, m] = Gamma^l_mj X^j,
+        RX = d_i Gamma^l_jk y^j z^k - y^j d_j Gamma^l_ik z^k
+             + Gamma^l_im Gamma^m_jk y^j z^k - GY GZ,   GY[l, m] = Gamma^l_mj y^j,
 
-    the last term by the symmetry of Gamma in its lower indices. The operands
-    are taken in C order: the matmuls' paths, and so RX's bits, would follow
-    their strides.
+    GZ likewise, the last term by the symmetry of Gamma in its lower indices.
+    The operands are taken in C order: the matmuls' paths, and so RX's bits,
+    would follow their strides.
     """
-    gam, dgam, X = (np.ascontiguousarray(a) for a in (gam, dgam, X))
-    n, x = len(X), X[:, :, None]
-    dgx = (dgam.reshape(n, 27, 3) @ x).reshape(n, 3, 9)  # d_m Gamma^l_jk X^k at [m, 3 l + j]
-    gx = (gam.reshape(n, 9, 3) @ x).reshape(n, 3, 3)
-    rx = np.subtract(np.swapaxes((dgx.reshape(n, 9, 3) @ x).reshape(n, 3, 3), 1, 2),
-                     (X[:, None, :] @ dgx).reshape(n, 3, 3))
-    rx += (gam.reshape(n, 9, 3) @ (gx @ x)).reshape(n, 3, 3)
-    rx -= gx @ gx
+    gam, dgam, y, z = (np.ascontiguousarray(a) for a in (gam, dgam, y, z))
+    n, yc, zc = len(y), y[:, :, None], z[:, :, None]
+    dgz = (dgam.reshape(n, 27, 3) @ zc).reshape(n, 3, 9)  # d_m Gamma^l_jk z^k at [m, 3 l + j]
+    gy = (gam.reshape(n, 9, 3) @ yc).reshape(n, 3, 3)
+    gz = (gam.reshape(n, 9, 3) @ zc).reshape(n, 3, 3)
+    rx = np.subtract(np.swapaxes((dgz.reshape(n, 9, 3) @ yc).reshape(n, 3, 3), 1, 2),
+                     (y[:, None, :] @ dgz).reshape(n, 3, 3))
+    rx += (gam.reshape(n, 9, 3) @ (gz @ yc)).reshape(n, 3, 3)
+    rx -= gy @ gz
     return rx
 
 
 def jacobi_matrix(gam, dgam, g, X, e):
     """M[n, a, b] = <R(e_b, X)X, e_a> for an (N,) batch of frames: M = E g RX E^T,
-    RX from ``_jacobi_operator`` and E the rows e_a.
+    RX from ``_curvature_operator`` at (X, X) and E the rows e_a.
 
     ``gam`` (N, 3, 3, 3), ``dgam`` (N, 3, 3, 3, 3), ``g`` (N, 3, 3), ``X`` (N, 3)
     and the frame vectors ``e`` (N, 2, 3). With J = J_a e_a, the components of
@@ -201,7 +197,7 @@ def jacobi_matrix(gam, dgam, g, X, e):
     depend on neither the batch nor the layout.
     """
     g, e = np.ascontiguousarray(g), np.ascontiguousarray(e)
-    return e @ g @ _jacobi_operator(gam, dgam, X) @ np.swapaxes(e, 1, 2)
+    return e @ g @ _curvature_operator(gam, dgam, X, X) @ np.swapaxes(e, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,9 @@ def covariant_jacobian(man: ChartedManifold, W, pts, wval, gam):
 
     ``pts`` is an (N, 3) batch, ``wval`` the field values there and ``gam``
     the Christoffel symbols there. Gamma is contracted with W once, so that
-    every direction v afterwards costs one 3x3 product.
+    every direction v afterwards costs one 3x3 product. Gamma and W are taken
+    in C order, as the einsum's bits would follow their strides.
     """
+    gam, wval = np.ascontiguousarray(gam), np.ascontiguousarray(wval)
     dw = _jet(man, W.component_fn, pts, W.component_exprs)[1]  # dw[n, i, k] = d_i W^k
     return np.swapaxes(dw, 1, 2) + np.einsum("nkij,nj->nki", gam, wval)

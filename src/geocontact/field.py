@@ -222,8 +222,7 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     DegenerateSeed at the first point where X is zero or not finite.
     """
     pts = as_points(pts)[0]
-    g = np.empty((len(pts), 3, 3))
-    gam, dgam = christoffel_with_partials(man, pts, g)
+    g, gam, dgam = christoffel_with_partials(man, pts)
     xv = np.asarray(X.component_fn(pts), dtype=float)
     unit = np.abs(inner(g, xv, xv) - 1.0)
     _require_unit(X, pts, unit, unit_tol)

@@ -267,10 +267,10 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     for s in range(count):
         p = points[s] = rk4_step(field, 0.0, p, h)
     q, xv = (np.concatenate(a) for a in zip(*stages))
-    g = np.empty((len(q), 3, 3))  # the checked metric of every stage
     if with_jacobi:
-        gam, dgam = christoffel_with_partials(man, q, g)
+        g, gam, dgam = christoffel_with_partials(man, q)
     else:
+        g = np.empty((len(q), 3, 3))  # the checked metric of every stage
         gam = christoffel(man, q, g)
     stack = (count, 4, n)
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
@@ -373,8 +373,7 @@ def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
     e1 = arr[:, 3:6]
     e2 = arr[:, 6:9]
 
-    g = np.empty((n, 3, 3))
-    gam, dgam = christoffel_with_partials(man, points, g)
+    g, gam, dgam = christoffel_with_partials(man, points)
     xv = X.value(points)
     xn = xv / np.sqrt(inner(g, xv, xv))[:, None]
     frame = np.stack([xn, e1, e2], axis=2)

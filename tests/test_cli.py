@@ -414,9 +414,10 @@ def test_verify_all_compiles_each_distinct_table_once_per_process(capsys, cold_c
         code, out, _ = run(capsys, ["verify", "--all"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["verify:all"]
-        # none the second time; T6.1's orbit starts take g from the metric's
-        # dual jet, so they compile no metric-value program of their own
-        assert expr._compile.cache_info().misses == 23
+        # none the second time; T6.1's orbit starts and the space-form suites'
+        # sectional curvatures take g from the metric's dual jet, so they
+        # compile no metric-value program of their own
+        assert expr._compile.cache_info().misses == 20
 
 
 def test_verify_bad_theorem(capsys):
@@ -482,6 +483,22 @@ def test_volume_json(capsys):
     doc = json.loads(out)
     assert abs(doc["result"]["value"] - 4 * np.pi ** 2) < 0.1
     assert doc["result"]["nodes"] == 16
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+def test_volume_below_four_nodes_exits_two(tmp_path, capsys, nodes):
+    """Below 4 nodes the half-resolution grid of the error estimate has fewer
+    than 2 nodes, or at 2 was the fine grid itself, an estimated error of 0
+    that P7.6 read as a sure verdict. The flag names the bound, the config
+    key its own name."""
+    code, out, err = run(capsys, ["volume", "--entry", "s3_hopf", "--nodes", str(nodes)])
+    assert code == 2 and out == "" and "need at least 4 nodes per axis" in err
+    cfg = write_config(tmp_path, {"manifold": "s3_hopf", "volume": {"nodes": nodes}})
+    for argv in (["volume", "--config", cfg], ["verify", "P7.6", "--config", cfg]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "volume.nodes" in err and "Traceback" not in err
+    code, out, _ = run(capsys, ["volume", "--entry", "s3_hopf", "--nodes", "4"])
+    assert code == 0 and json.loads(out)["result"]["estimated_error"] > 0.0
 
 
 def test_cold_volume_keeps_its_report(capsys, cold_caches):

@@ -10,9 +10,10 @@ import pytest
 
 import geocontact as gc
 from conftest import ENTRY_NAMES
+from geocontact import curvature, field, flow, geometry, verify
 from geocontact.curvature import (christoffel, christoffel_with_partials, covariant_jacobian,
                                   jacobi_matrix, riemann, sectional)
-from geocontact.errors import DegeneratePlane, SingularMetric
+from geocontact.errors import DegeneratePlane, OutOfChart, SingularMetric
 from geocontact.field import diagnose
 from geocontact.geometry import _surely_conditioned, inner
 
@@ -30,8 +31,8 @@ def covariant_derivative(man, p, W, v):
 def jacobi_matrices(man, X, pts):
     """The diagnosis of X at pts and the matrix M of v -> R(v, X)X in each of its frames."""
     d = diagnose(man, X, pts)
-    M = jacobi_matrix(*christoffel_with_partials(man, d.p), man.metric_at(d.p),
-                      d.frame[:, :, 0], np.swapaxes(d.frame[:, :, 1:], 1, 2))
+    g, gam, dgam = christoffel_with_partials(man, d.p)
+    M = jacobi_matrix(gam, dgam, g, d.frame[:, :, 0], np.swapaxes(d.frame[:, :, 1:], 1, 2))
     return d, M
 
 
@@ -126,6 +127,20 @@ def test_h3_shape_operator_direction(entries):
     np.testing.assert_allclose(out, [-1.0, 0.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_covariant_jacobian_bits_do_not_depend_on_the_layout(entries, n):
+    """Gamma and W passed as strided copies give A bit for bit as their
+    C-ordered originals: the einsum's path would otherwise follow the strides."""
+    entry = entries["s3_weighted(2,3)"]
+    pts = entry.grid.points()[:n]
+    gam, wval = christoffel(entry.manifold, pts), entry.field.value(pts)
+    expected = covariant_jacobian(entry.manifold, entry.field, pts, wval, gam)
+    strided = (np.asfortranarray(wval), np.swapaxes(np.swapaxes(gam, 1, 3).copy(), 1, 3))
+    assert not strided[1].flags.c_contiguous
+    assert np.array_equal(covariant_jacobian(entry.manifold, entry.field, pts, *strided),
+                          expected)
+
+
 # ---------------------------------------------------------------------------
 # Riemann tensor and sectional curvature
 # ---------------------------------------------------------------------------
@@ -182,6 +197,52 @@ def test_sectional_degenerate_plane():
     with pytest.raises(DegeneratePlane, match="0.125"):
         sectional(flat(), pts, np.array([1.0, 0, 0]),
                   np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 0.0]]))
+
+
+def test_sectional_raises_the_stencil_errors_before_a_degenerate_plane():
+    """The curvature stencil, diff_step around p, is checked first: at a point
+    within diff_step of the chart's edge a degenerate plane raises OutOfChart."""
+    man = gc.manifold_from_exprs("half", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+                                 domain="x3")
+    v = np.array([1.0, 0, 0])
+    with pytest.raises(DegeneratePlane):
+        sectional(man, np.array([0.0, 0.0, 1.0]), v, 2 * v)
+    with pytest.raises(OutOfChart):
+        sectional(man, np.array([0.0, 0.0, 0.1 * man.diff_step]), v, 2 * v)
+
+
+def test_sectional_checks_the_metric_once(entries, monkeypatch):
+    """One ``_require_metric`` call per ``sectional`` call: on the stencil batch
+    of ``christoffel_with_partials``, whose centre rows give g."""
+    calls, original = [], geometry._require_metric
+
+    def counting(man, pts, g):
+        calls.append(len(pts))
+        return original(man, pts, g)
+
+    for module in (geometry, curvature, field):
+        monkeypatch.setattr(module, "_require_metric", counting)
+    pts = np.random.default_rng(31).uniform(-1, 1, (4, 3))
+    sectional(entries["heisenberg_reeb"].manifold, pts, [1.0, 0, 0], [0.0, 1, 0])
+    assert calls == [7 * len(pts)]
+
+
+def test_no_reader_of_the_jacobi_operator_builds_the_riemann_tensor(entries, monkeypatch):
+    """``diagnose``, the orbit blocks with the Jacobi pair and ``sectional``
+    read R through the curvature operator alone: with ``riemann_tensor``
+    unavailable they still run."""
+    entry = entries["heisenberg_reeb"]
+    man, pts = entry.manifold, entry.grid.points()[:5]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("riemann_tensor called")
+
+    for module in (gc, curvature, field, flow, verify):
+        if hasattr(module, "riemann_tensor"):
+            monkeypatch.setattr(module, "riemann_tensor", unavailable)
+    diagnose(man, entry.field, pts)
+    flow.integrate_orbit(man, entry.field, entry.orbit.start, 0.05, 0.01)
+    sectional(man, pts, [1.0, 0, 0], [0.0, 1, 0])
 
 
 def test_batched_curvature_matches_single_points(entries):

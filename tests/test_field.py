@@ -352,8 +352,7 @@ def rotated_frame(g, fr, theta):
 def shape_operators(entry, p, frames):
     """B at p in each of ``frames``, one ``frame_terms`` batch."""
     pts = np.repeat(p[None], len(frames), axis=0)
-    g = np.empty((len(pts), 3, 3))
-    gam, dgam = christoffel_with_partials(entry.manifold, pts, g)
+    g, gam, dgam = christoffel_with_partials(entry.manifold, pts)
     frame = np.array([np.stack([fr.X, fr.e1, fr.e2], axis=1) for fr in frames])
     gram = frame_terms(entry.manifold, entry.field, pts, g, gam, dgam, entry.field.value(pts),
                        frame)[1]

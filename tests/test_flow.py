@@ -238,8 +238,7 @@ def classical_rhs(man, X):
     def rhs(t, y):
         p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
         xv = X.value(p)
-        g = np.empty((len(p), 3, 3))
-        gam, dgam = christoffel_with_partials(man, p, g)
+        g, gam, dgam = christoffel_with_partials(man, p)
         de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
         m = jacobi_matrix(gam, dgam, g, xv, e)
         j, jt = y[:, 9:11, None], y[:, 13:15, None]

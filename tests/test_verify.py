@@ -305,7 +305,7 @@ def test_volume_traced_peak_is_bounded(entries):
     blocks of 4,096 rows, 7.4 MB on one thread in blocks of 8,192 rows, 64.5 MB
     as one kernel call on the whole grid."""
     entry = entries["s3_hopf"]
-    volume_integral(entry, 2)  # compile the expression tables outside the trace
+    volume_integral(entry, 4)  # compile the expression tables outside the trace
     tracemalloc.start()
     try:
         volume_integral(entry, 40)
