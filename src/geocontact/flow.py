@@ -36,7 +36,11 @@ Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
 fails is replayed as one-step blocks. A row's bits depend neither on its
 batch nor on its block's length, so block and replay agree bit for bit, and
 both agree with stage-form RK4 of all 9 or 17 components (k = f(y) at each
-stage) to rounding. At most one block per truncating seed is replayed.
+stage) to rounding. In both modes a seed stops before its first step that
+leaves the chart or whose end's curvature stencil does (``_partials_inside``,
+the post-pass's reach), checked once per block at all its step ends or after
+each replayed step, so the post-pass keeps every sample it is given. Each
+replay ends a seed or raises: at most one block per truncating seed replays.
 
 An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
 J'(0) = B(0) J(0). The samples' B and M come from ``frame_terms``, the
@@ -182,8 +186,8 @@ def _stage_field(man, X, q, at_point=None):
 
 
 def _rk4_rows(man, step, y, h):
-    """One step ``step(y, h)`` of every row of ``y`` and the mask of rows still
-    in the chart.
+    """One step ``step(y, h)`` of every row of ``y`` and the mask of rows whose
+    step end's curvature stencil stays in the chart (``_partials_inside``).
 
     If a stage or a stencil leaves the chart (``OutOfChart``), the step is
     redone one row at a time, so only the rows that raise alone stop.
@@ -197,45 +201,24 @@ def _rk4_rows(man, step, y, h):
         for k in range(len(y)):
             nxt[k:k + 1], ok[k:k + 1] = _rk4_rows(man, step, y[k:k + 1], h)
         return nxt, ok
-    return nxt, man.contains(nxt[:, 0:3])
+    return nxt, _partials_inside(man, nxt[:, 0:3])
 
 
-def _steps(man, step, y, count, h):
-    """Up to ``count`` steps of the rows of y: per step, the mask of the rows
-    that stay in the chart and their states. Stops when no row is left."""
-    for _ in range(count):
-        y, ok = _rk4_rows(man, step, y, h)
-        if not ok.all():
-            y = y[ok]
-        yield ok, y
-        if not len(y):
-            return
-
-
-def _jacobi_steps(man, X, y, nsteps, h, with_jacobi):
-    """``_steps`` of the (N, 9) or (N, 17) states, in blocks of ``_jacobi_block``.
-
-    After a block the rows whose last step ended outside the chart are
-    dropped, one chart check per block. A block that raises any
-    GeoContactError is replayed by ``_steps`` as one-step blocks, so a seed
-    stops before its first step that leaves the chart and the first other
-    failure is raised. Each replay ends a seed or raises: one block per
-    truncating seed at most.
-    """
-    done = 0
-    while done < nsteps:
-        count = min(nsteps - done, max(1, JACOBI_BLOCK // len(y)))
-        try:
-            out = _jacobi_block(man, X, y, count, h, with_jacobi)
-        except GeoContactError:  # one-step blocks raise the same error, or an earlier one
-            block = _steps(man, lambda z, k: _jacobi_block(man, X, z, 1, k, with_jacobi)[0],
-                           y, count, h)
-        else:
-            ok = man.contains(out[-1, :, 0:3])
-            block = [(np.ones(len(y), dtype=bool), z) for z in out[:-1]] + [(ok, out[-1][ok])]
-        for ok, y in block:
-            yield ok, y
-        done += count
+def _replay(man, X, y, count, h, with_jacobi):
+    """``count`` one-step blocks of y through ``_rk4_rows``: the states (count,
+    N, state) after each step and the steps each seed made before it stopped.
+    The first failure other than leaving the chart is raised."""
+    out, made = np.empty((count,) + y.shape), np.zeros(len(y), dtype=int)
+    rows = np.arange(len(y))  # the seeds still going
+    one_step = lambda z, k: _jacobi_block(man, X, z, 1, k, with_jacobi)[0]
+    for s in range(count):
+        y, ok = _rk4_rows(man, one_step, y, h)
+        rows, y = rows[ok], y[ok]
+        if not rows.size:
+            break
+        out[s, rows] = y
+        made[rows] += 1
+    return out, made
 
 
 def _jacobi_block(man, X, y, count, h, with_jacobi):
@@ -251,9 +234,7 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     matrices carry (J, J') and (Jt, Jt'). A row's bits depend neither on its
     batch nor on ``count``. Raises what the field or the curvature raises, in
     that order: the field at each stage in turn, then the chart check of all
-    the curvature points, then their metric checks. Inside the block a step
-    end is the next step's first stage, so one outside the chart makes the
-    block raise; the last step's ends are not checked here.
+    the curvature points, then their metric checks; the caller checks step ends.
     """
     n, stages = len(y), []  # (point, field value) of every stage of the point pass
     table = X.component_exprs
@@ -270,8 +251,7 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     if with_jacobi:
         g, gam, dgam = christoffel_with_partials(man, q)
     else:
-        g = np.empty((len(q), 3, 3))  # the checked metric of every stage
-        gam = christoffel(man, q, g)
+        gam = christoffel(man, q)
     stack = (count, 4, n)
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
     es = _carry(frame_steps, _columns(y[:, 3:9], 3))
@@ -306,14 +286,12 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     All orbits advance as one RK4 state, in blocks whose stages share one
     batched curvature call: ``christoffel`` for the transport alone, or
     ``christoffel_with_partials`` with ``with_jacobi`` (see the module
-    docstring).
-    A seed whose orbit or RK4 stage leaves the chart stops there
-    (``truncated``) while the others go on; each trajectory equals the one
-    its start gives alone. The frames and B(0) are the starts' ``diagnose``
-    rows; with ``with_jacobi`` the canonical adapted pair, J(0) = e1 and
-    Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside.
-    A trajectory also ends before its first sample whose curvature stencil
-    leaves the chart, and is then ``truncated``. Raises OutOfChart naming the
+    docstring). A seed stops before its first step that leaves the chart or
+    whose end's curvature stencil does, and is then ``truncated``, while the
+    others go on; each trajectory equals the one its start gives alone. The
+    frames and B(0) are the starts' ``diagnose`` rows; with ``with_jacobi``
+    the canonical adapted pair, J(0) = e1 and Jt(0) = e2 with
+    J'(0) = B(0) J(0), is integrated alongside. Raises OutOfChart naming the
     first start outside the chart or whose own stencil leaves it, ValueError
     for the step or t_end, then what ``diagnose`` raises at the first bad
     start: a metric error, NotUnit or DegenerateSeed.
@@ -340,15 +318,20 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     step = t_end / nsteps
     hist = np.empty((len(y), nsteps + 1, y.shape[1]))  # per seed, its states in time order
     hist[:, 0] = y
-    rows = np.arange(len(y))  # the seeds still in the chart
-    samples = np.full(len(y), nsteps + 1)
-    for s, (ok, y) in enumerate(_jacobi_steps(man, X, y, nsteps, step, with_jacobi), 1):
-        if not ok.all():
-            samples[rows[~ok]] = s
-            rows = rows[ok]
-            if not rows.size:
-                break
-        hist[rows, s] = y
+    rows = np.arange(len(y))  # the seeds still going
+    samples, done = np.ones(len(y), dtype=int), 0
+    while done < nsteps and rows.size:
+        count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
+        try:
+            out = _jacobi_block(man, X, y, count, step, with_jacobi)
+        except GeoContactError:  # one-step blocks raise the same error, or an earlier one
+            out, made = _replay(man, X, y, count, step, with_jacobi)
+        else:  # each seed's steps before its first end whose stencil leaves the chart
+            inside = _partials_inside(man, out[..., 0:3].reshape(-1, 3)).reshape(count, -1)
+            made = np.where(inside.all(axis=0), count, inside.argmin(axis=0))
+        hist[rows, done + 1:done + 1 + count] = np.swapaxes(out, 0, 1)
+        samples[rows] += made
+        rows, y, done = rows[made == count], out[-1, made == count], done + count
     return [_trajectory(man, X, hist[k, :samples[k]], step, bool(samples[k] <= nsteps),
                         with_jacobi) for k in range(len(hist))]
 
@@ -360,13 +343,8 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
 
 
 def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
-    """One seed's trajectory from its states arr (n, state): frame-drift check, B, M, Jacobi.
-
-    It ends before the first sample whose curvature stencil leaves the chart.
-    """
-    inside = _partials_inside(man, arr[:, 0:3])
-    if not inside.all():
-        arr, truncated = arr[:np.argmin(inside)], True
+    """One seed's trajectory from all its states arr (n, state): frame-drift
+    check, B, M, Jacobi."""
     n = arr.shape[0]
     t = np.arange(n) * step
     points = arr[:, 0:3]

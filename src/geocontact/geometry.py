@@ -170,22 +170,20 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
 
     Only the upper triangle of ``entries`` is read (the metric is symmetric
     by storage). ``domain`` is either the literal "true" or an expression
-    whose positivity defines the chart.
+    whose positivity defines the chart; a chart with any other domain is a
+    ``ChartedManifold`` built with its ``domain_fn``.
     """
     table = expr.ExprTable.of([[expr.parse(entries[min(i, j)][max(i, j)]) for j in range(3)]
                                for i in range(3)])
 
-    if isinstance(domain, str):
-        if domain.strip() == "true":
-            def domain_fn(pts):
-                return np.ones(pts.shape[0], dtype=bool)
-        else:
-            dom = expr.ExprTable.of(expr.parse(domain))
-
-            def domain_fn(pts):
-                return expr.eval_scalar(dom, pts) > 0.0
+    if domain.strip() == "true":
+        def domain_fn(pts):
+            return np.ones(pts.shape[0], dtype=bool)
     else:
-        domain_fn = domain
+        dom = expr.ExprTable.of(expr.parse(domain))
+
+        def domain_fn(pts):
+            return expr.eval_scalar(dom, pts) > 0.0
 
     return ChartedManifold(name=name, metric_fn=table.evaluate,
                            domain_fn=domain_fn, metric_exprs=table, **kwargs)

@@ -36,7 +36,9 @@ VOLUME_NODES = 32
 
 @dataclass
 class Tolerances:
-    """Numerical floors used by the verdict suites; all config-overridable."""
+    """Numerical floors, all config-overridable. ``unit_defect`` and
+    ``geodesic_defect`` set ``analyze``'s exit code alone: ``verify`` and
+    ``orbit`` require a unit field to ``field.UNIT_TOL`` whatever they say."""
 
     unit_defect: float = 1e-6
     geodesic_defect: float = 1e-6
@@ -230,7 +232,8 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None,
         if entry.grid is None:
             raise ConfigError(f"{entry.name} has no sample grid; provide seeds")
         pts = entry.grid.subgrid((3, 3, 3)).points()
-    # its own batch: rows of a larger batch need not carry the same bytes
+    # diagnose rows do not depend on their batch; T6.1 runs its own because its
+    # 3 x 3 x 3 seeds need not be grid points
     diag = diagnose(entry.manifold, entry.field, pts)
     drift = np.array([max_parallel_jacobi_defect(traj, window=0.1 / 2) for traj in
                       integrate_orbits(entry.manifold, entry.field, pts, 0.1, 1e-3,

@@ -380,6 +380,19 @@ def test_verify_custom_manifold_config(tmp_path, capsys):
     assert json.loads(out)["reports"][0]["verdict"] == "consistent"
 
 
+def test_unit_tolerance_is_read_by_analyze_alone(tmp_path, capsys):
+    """A field of norm 1.0001 with tolerances.unit_defect 1e-2: analyze takes
+    the config's floor and exits 0, while verify requires a unit field to
+    field.UNIT_TOL and exits 1, naming the defect."""
+    cfg = write_config(tmp_path, {
+        "manifold": "euclidean_parallel", "field": {"components": ["0", "0", "1.0001"]},
+        "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [2, 2, 2]},
+        "tolerances": {"unit_defect": 1e-2}})
+    assert run(capsys, ["analyze", "--config", cfg])[0] == 0
+    code, out, err = run(capsys, ["verify", "T3.1", "--config", cfg])
+    assert (code, out) == (1, "") and "unit defect 2.000e-04" in err
+
+
 def test_verify_space_form_of_a_scaled_flat_metric(tmp_path, capsys):
     """1e-7 I with the unit field (0, 0, 1e3.5) is flat, as I is: the
     degenerate-plane bound of the sectional curvature scales with g, so the

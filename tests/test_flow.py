@@ -329,10 +329,10 @@ def h3_cap(diff_mode="dual"):
 
 
 def count_replays(monkeypatch):
-    """Note each block that is replayed, as ``flow._steps`` runs only then;
+    """Note each block that is replayed, as ``flow._replay`` runs only then;
     returns the notes."""
-    made, steps = [], flow._steps
-    monkeypatch.setattr(flow, "_steps", lambda *args: made.append(1) or steps(*args))
+    made, replay = [], flow._replay
+    monkeypatch.setattr(flow, "_replay", lambda *args: made.append(1) or replay(*args))
     return made
 
 
@@ -450,18 +450,24 @@ def test_five_passes_equal_the_joint_integration_when_a_seed_truncates(
 
 @pytest.mark.parametrize("edge", [1.15, near_cap(3, 5e-6)])
 def test_truncation_by_transport_and_by_stencil(monkeypatch, edge):
-    """A seed whose stage centre leaves the chart and one whose stage stencil leaves
-    first both replay exactly one block as one-step blocks, in both modes;
-    seeds that stay in the chart replay none."""
+    """A seed whose stage centre leaves the chart replays exactly one block as
+    one-step blocks, in both modes. So does one whose sample 3's stencil leaves
+    first, except without the Jacobi pair when sample 3 ends a block (blocks of
+    1 or 3 steps): the block's check of its step ends stops the seed there,
+    and the next block, whose stages leave the chart, never runs. With the
+    pair, step 3's last stage lies beyond its end, so its block replays.
+    Seeds that stay in the chart replay none."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
     starts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, edge], [0.3, 0.0, 0.8]])
     for block, with_jacobi in itertools.product((3, 9, flow.JACOBI_BLOCK), MODES):
         monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
-        for batch, blocks in ((starts, 1), (starts[1:2], 1), (starts[0::2], 0)):
+        for batch, edge_seeds in ((starts, 1), (starts[1:2], 1), (starts[0::2], 0)):
+            ends_block = 3 % max(1, block // len(batch)) == 0
+            stopped_by_check = edge != 1.15 and not with_jacobi and ends_block
             replays.clear()
             assert_joint_result(man, X, batch, 0.1, 1e-2, with_jacobi)
-            assert len(replays) == blocks
+            assert len(replays) == (0 if stopped_by_check else edge_seeds)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -491,17 +497,22 @@ def sudden_cap():
     return man, gc.UnitField.from_exprs("fast", ("0", "0", "1/(1.3 - x3) + 0*sqrt(1.2 - x3)"))
 
 
-def sudden_cap_start(k, d, h=1e-2):
-    """The x3 from which k RK4 steps of sudden_cap's flow end d above the cap."""
+def cap_start(speed, k, d, h=1e-2):
+    """The x3 from which k RK4 steps of x3' = speed(x3) end d above the cap x3 = 1.2."""
     def end(x):
         for _ in range(k):
-            k1 = 1 / (1.3 - x)
-            k2 = 1 / (1.3 - (x + 0.5 * h * k1))
-            k3 = 1 / (1.3 - (x + 0.5 * h * k2))
-            k4 = 1 / (1.3 - (x + h * k3))
+            k1 = speed(x)
+            k2 = speed(x + 0.5 * h * k1)
+            k3 = speed(x + 0.5 * h * k2)
+            k4 = speed(x + h * k3)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return x
     return brentq(lambda x: end(x) - 1.2 - d, 0.5, 1.2, xtol=1e-15)
+
+
+def sudden_cap_start(k, d):
+    """The x3 from which k RK4 steps of sudden_cap's flow end d above the cap."""
+    return cap_start(lambda x: 1 / (1.3 - x), k, d)
 
 
 @pytest.mark.parametrize("k,blocks", [(2, 1), (3, 0), (4, 1)])
@@ -520,6 +531,57 @@ def test_a_step_end_outside_the_chart_beyond_its_stages(monkeypatch, k, blocks):
     assert len(replays) == blocks
     traj = integrate_orbits(man, X, start, 6e-2, 1e-2)[0]
     assert traj.truncated and len(traj) == k
+
+
+def slow_cap():
+    """diag(1, 1, x3) on 0 < x3 < 1.2 with the unit field x3^(-1/2) d/dx3, which
+    slows as it climbs: a step's last stage falls short of its end, by about
+    h^3 x3^-3.5 / 192 (5.5e-9 near the cap for h = 1e-2)."""
+    man = gc.manifold_from_exprs("slow_cap", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "x3")),
+                                 domain="x3 * (1.2 - x3)")
+    return man, gc.UnitField.from_exprs("slow", ("0", "0", "1/sqrt(x3)"))
+
+
+@pytest.mark.parametrize("with_jacobi", MODES)
+def test_a_block_end_whose_stencil_leaves_the_chart_stops_its_seed_without_a_replay(
+        monkeypatch, with_jacobi):
+    """Step 3 of 6 ends 1e-5 - 2e-9 below the cap, in blocks of 3 steps: the
+    stencil of that block's last step end leaves the chart, but neither its
+    centre nor any stage's stencil does. The block's check of its step ends
+    stops the seed after 3 samples with no replay, as one-step blocks do; the
+    orbit checks stencils once for its start and once for its one block, and
+    its post-pass not at all."""
+    man, X = slow_cap()
+    start = np.array([[0.0, 0.0, cap_start(lambda x: x ** -0.5, 3, -(1e-5 - 2e-9))]])
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
+    assert_joint_result(man, X, start, 6e-2, 1e-2, with_jacobi)
+    log = []
+
+    def logged(name):
+        fn = getattr(flow, name)
+        return lambda *args: log.append(name) or fn(*args)
+
+    for name in ("_partials_inside", "_replay", "_trajectory"):
+        monkeypatch.setattr(flow, name, logged(name))
+    traj = integrate_orbits(man, X, start, 6e-2, 1e-2, with_jacobi)[0]
+    assert traj.truncated and len(traj) == 3
+    assert log == ["_partials_inside", "_partials_inside", "_trajectory"]
+
+
+@pytest.mark.parametrize("with_jacobi", MODES)
+def test_a_grazing_orbit_stops_before_its_sample_whose_stencil_leaves_the_chart(with_jacobi):
+    """The flat line x1 = t from x1 = -0.05 grazes the chart x3 + x1^2 > 1 at
+    height 5e-6: only at x1 = 0, sample 5 and the last stage of step 5, does a
+    stencil leave it, and no stage centre ever does. Without the Jacobi pair no
+    block raises, so the block's check of all its step ends stops the seed;
+    both modes stop after 5 samples, as one-step blocks do."""
+    man = gc.manifold_from_exprs("graze", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+                                 domain="x3 + x1^2 - 1")
+    X = gc.UnitField.from_exprs("x1", ("1", "0", "0"))
+    start = np.array([[-0.05, 0.0, 1 + 5e-6]])
+    assert_joint_result(man, X, start, 0.1, 1e-2, with_jacobi)
+    traj = integrate_orbits(man, X, start, 0.1, 1e-2, with_jacobi)[0]
+    assert traj.truncated and len(traj) == 5
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])
@@ -654,8 +716,8 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
     block and one ``frame_terms`` call in the post-pass; the frame rates need
     no ``christoffel`` call of their own, which stage-form transport made at
     every stage (the start is one ``diagnose`` call); nothing replays, so
-    ``_steps`` is never called."""
-    calls = count_calls(monkeypatch, ["_step_matrices", "jacobi_matrix", "_steps",
+    ``_replay`` is never called."""
+    calls = count_calls(monkeypatch, ["_step_matrices", "jacobi_matrix", "_replay",
                                       "christoffel", "diagnose", "frame_terms"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
@@ -663,7 +725,7 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
                            nsteps * 1e-3, 1e-3)
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
-    assert calls == {"_step_matrices": 2 * blocks, "jacobi_matrix": blocks, "_steps": 0,
+    assert calls == {"_step_matrices": 2 * blocks, "jacobi_matrix": blocks, "_replay": 0,
                      "christoffel": 0, "diagnose": 1, "frame_terms": 1}
 
 
@@ -675,9 +737,9 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
     one ``_step_matrices`` call per block; the start is one ``diagnose`` call,
     and only the post-pass calls ``christoffel_with_partials`` and
     ``frame_terms`` (B and M), so no block calls ``jacobi_matrix``; nothing
-    replays, so ``_steps`` is never called."""
+    replays, so ``_replay`` is never called."""
     calls = count_calls(monkeypatch, ["rk4_step", "christoffel", "christoffel_with_partials",
-                                      "_step_matrices", "jacobi_matrix", "_steps", "diagnose",
+                                      "_step_matrices", "jacobi_matrix", "_replay", "diagnose",
                                       "frame_terms"])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["s3_hopf"]
@@ -686,7 +748,7 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
     blocks = math.ceil(nsteps / block)
     assert len(traj) == nsteps + 1 and not traj.truncated
     assert calls == {"rk4_step": nsteps, "christoffel": blocks, "christoffel_with_partials": 1,
-                     "_step_matrices": blocks, "jacobi_matrix": 0, "_steps": 0,
+                     "_step_matrices": blocks, "jacobi_matrix": 0, "_replay": 0,
                      "diagnose": 1, "frame_terms": 1}
 
 

@@ -25,6 +25,13 @@ TILTED_DOC = {"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0
               "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}}
 
 
+#: the h3_vertical metric and field on 0 < x3 < 1.2, whose upward orbits leave the chart
+H3_CAP = {"manifold": {"metric": [["1/x3^2", "0", "0"], ["0", "1/x3^2", "0"],
+                                  ["0", "0", "1/x3^2"]],
+                       "domain": "x3*(1.2 - x3)"},
+          "field": {"components": ["0", "0", "x3"]}}
+
+
 #: case id -> (argv, config document written to --config, or None)
 CASES = {
     **{f"analyze:{name}": (["analyze", "--entry", name], None) for name in ENTRY_NAMES},
@@ -46,6 +53,11 @@ CASES = {
     "verify:T6.1:h2xr_vertical": (["verify", "T6.1", "--entry", "h2xr_vertical"], None),
     "verify:T6.1:s3_hopf": (["verify", "T6.1", "--entry", "s3_hopf"], None),
     "verify:P7.6:s3_hopf": (["verify", "P7.6", "--entry", "s3_hopf"], None),
+    # truncating orbits: one that prints "# truncated: true", and T6.1 seeds near the cap
+    "orbit:h3_cap": (["orbit"], {**H3_CAP, "orbit": {"start": [0.1, -0.2, 1.0], "t_end": 0.5,
+                                                     "step": 0.001}}),
+    "verify:T6.1:h3_cap": (["verify", "T6.1"], {**H3_CAP, "grid": {
+        "min": [-0.5, -0.5, 0.9], "max": [0.5, 0.5, 1.15], "counts": [3, 3, 5]}}),
 }
 
 #: case id -> exit code, where it is not 0
@@ -61,6 +73,7 @@ DIGESTS = {
     "analyze:heisenberg_reeb": "3b0a345b05d16f61734bd74a38a03811fa9340749b0f70cfdcf6b87eeab9c0ed",
     "analyze:s3_hopf": "1d48c5ae42a3097d7bbb82ef36a7cbd791488724941d14e6b922628d34609813",
     "analyze:s3_weighted(2,3)": "df9a742fc107d0a1f5621483bf886b0a552bc63feab9e3109b2bc5efcdcf7701",
+    "orbit:h3_cap": "bfd561065016a0471f07091a80335e2b078be42c3e7f4ca9c74a3cc96a46ffca",
     "orbit:h3_vertical": "681c52dee4de01f4322937e21a998e773a458854c787204b24dbd39114fc544b",
     "orbit:s3_hopf": "5247ed58a5a0ad00858b4e85500420b57773fc2de656e0d05adc36d29f14f7e6",
     "orbit-default:h3_vertical":
@@ -72,6 +85,7 @@ DIGESTS = {
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
     "verify:T6.1:h2xr_vertical": "9de9f6292e2ddc0e7755dd6d4be25a4965e70ade6093d9c0bf3320763111cb2e",
+    "verify:T6.1:h3_cap": "92386e2bf7b40e2a319d843a5746fe27bb9e97fe82a52ad470457e59214ecd8a",
     "verify:T6.1:s3_hopf": "ca5049e8a290e448d06c204fc9f3512f89297320e3714ad8bfe3dee3b3edaeff",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
