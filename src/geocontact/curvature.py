@@ -3,7 +3,7 @@
 Index conventions (fixed here once and validated by the space-form tests):
 
     Gamma[k, i, j]    = Gamma^k_ij
-    R[l, i, j, k]     = component l of R(d_i, d_j) d_k
+    R[l, i, j, k]     = component l of R(d_i, d_j) d_k = riemann(man, p, d_i, d_j, d_k)
     R(x, y)z          = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z
     K(v, w)           = <R(v, w)w, v> / (|v|^2 |w|^2 - <v, w>^2)
 
@@ -12,7 +12,7 @@ With these signs the round sphere has K = +1 and hyperbolic space K = -1.
 Gamma solves the Koszul system by a Cholesky factor of g (``christoffel``).
 Every reader of R uses one operator R(., y)z, built from Gamma and its partials
 without the full tensor (``_curvature_operator``): ``jacobi_matrix`` at (X, X),
-``sectional`` at (w, w), ``riemann`` applied to x, ``riemann_tensor`` at (d_j, d_k).
+``sectional`` at (w, w) and ``riemann`` applied to x, the one public reader of R.
 """
 
 from __future__ import annotations
@@ -96,21 +96,10 @@ def _rows(pts, *vectors):
     return [np.broadcast_to(np.asarray(v, dtype=float), pts.shape) for v in vectors]
 
 
-def riemann_tensor(man: ChartedManifold, p):
-    """Full curvature tensor R[l, i, j, k], the l-component of R(d_i, d_j) d_k:
-    ``_curvature_operator`` at the nine pairs (d_j, d_k)."""
-    pts, single = as_points(p)
-    _, gam, dgam = christoffel_with_partials(man, pts)
-    basis = _rows(pts, *np.eye(3))
-    riem = np.stack([_curvature_operator(gam, dgam, y, z) for y in basis for z in basis],
-                    axis=-1).reshape(-1, 3, 3, 3, 3)
-    return riem[0] if single else riem
-
-
 def riemann(man: ChartedManifold, p, x, y, z):
-    """Curvature vector R(x, y)z: (3,) at a point, (N, 3) at an (N, 3) batch.
-
-    The vectors are (3,) or one row per point.
+    """Curvature vector R(x, y)z, the README's reader of R: (3,) at a point, (N, 3) at
+    an (N, 3) batch. The vectors are (3,) or one row per point; R[l, i, j, k] is
+    component l of riemann(man, p, d_i, d_j, d_k).
     """
     pts, single = as_points(p)
     x, y, z = _rows(pts, x, y, z)

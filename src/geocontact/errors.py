@@ -81,10 +81,6 @@ class NoParametrization(GeoContactError):
     """Entry has no integration parametrization for volume quadrature."""
 
 
-class PoleReached(GeoContactError):
-    """Comparison function evaluated at (or too close to) its blow-up time."""
-
-
 class ConfigError(GeoContactError):
     """Invalid CLI configuration document."""
 

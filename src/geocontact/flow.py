@@ -56,7 +56,7 @@ import numpy as np
 
 from .curvature import (_partials_inside, christoffel, christoffel_with_partials,
                         jacobi_matrix, real_eigenvalues)
-from .errors import DomainError, GeoContactError, OutOfChart, PoleReached, StepTooLarge
+from .errors import DomainError, GeoContactError, OutOfChart, StepTooLarge
 from .field import UnitField, diagnose, frame_terms
 from .geometry import ChartedManifold, as_points, inner
 
@@ -86,7 +86,8 @@ class Trajectory:
 
     Array layout: t (n,), points (n, 3), e1/e2 (n, 3), B/M (n, 2, 2); when
     the canonical adapted pair was integrated (``with_jacobi``), its blocks
-    J, Jdot, Jt, Jtdot are (n, 2) and A and ``adapted`` are (n,).
+    J, Jdot, Jt, Jtdot are (n, 2) and A and ``adapted`` are (n,). The adapted
+    field from c1 e1 + c2 e2 is c1 J + c2 Jt, in the chart J1 e1 + J2 e2.
     """
 
     t: np.ndarray
@@ -112,13 +113,6 @@ class Trajectory:
     def adapted_residual(self) -> Optional[float]:
         """max |Jdot - B J| over the samples and the pair."""
         return None if self.adapted is None else float(self.adapted.max())
-
-    def ambient_jacobi(self, which="J"):
-        """Adapted solution as ambient chart vectors J1*e1 + J2*e2, shape (n, 3)."""
-        comp = getattr(self, which)
-        if comp is None:
-            raise ValueError("trajectory carries no Jacobi data")
-        return comp[:, 0, None] * self.e1 + comp[:, 1, None] * self.e2
 
 
 def _step_matrices(a, h):
@@ -377,45 +371,6 @@ def _adapted_defect(B, J, Jdot):
 
 
 # ---------------------------------------------------------------------------
-# Adapted Jacobi fields
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdaptedJacobi:
-    """An adapted Jacobi solution along an orbit, in frame components."""
-
-    t: np.ndarray
-    J: np.ndarray      # (n, 2)
-    Jdot: np.ndarray   # (n, 2)
-    residual: float    # max |Jdot - B J| over the samples
-
-    def norms(self):
-        return np.linalg.norm(self.J, axis=1)
-
-
-def adapted_jacobi(man: ChartedManifold, traj: Trajectory, v0) -> AdaptedJacobi:
-    """The adapted Jacobi field with J(0) = v0 along traj's orbit.
-
-    v0 is an ambient tangent vector orthogonal to the field at the orbit
-    start (to within 1e-8). The initial derivative J'(0) = B(0) J(0) is
-    linear in J(0), so the field is c1 J + c2 Jt of the trajectory's
-    canonical pair, (c1, c2) the frame components of v0. The reported
-    residual measures how well J' = beta(J) persists along the orbit.
-    """
-    if traj.J is None:
-        raise ValueError("trajectory was integrated without the adapted pair")
-    g0 = man.metric_at(traj.points[0])
-    v0 = np.asarray(v0, dtype=float)
-    if abs(inner(g0, v0, traj.X_along[0])) > 1e-8:
-        raise ValueError("v0 must be orthogonal to the field at the orbit start")
-    c1, c2 = inner(g0, v0, traj.e1[0]), inner(g0, v0, traj.e2[0])
-    J = c1 * traj.J + c2 * traj.Jt
-    Jdot = c1 * traj.Jdot + c2 * traj.Jtdot
-    return AdaptedJacobi(t=traj.t, J=J, Jdot=Jdot,
-                         residual=float(_adapted_defect(traj.B, J, Jdot).max()))
-
-
-# ---------------------------------------------------------------------------
 # Residuals along trajectories
 # ---------------------------------------------------------------------------
 
@@ -497,7 +452,7 @@ def noncontact_eigen_drift(traj: Trajectory, not_contact=1e-8):
 # ---------------------------------------------------------------------------
 
 def arcoth(x):
-    """Inverse hyperbolic cotangent, 0.5 log((x+1)/(x-1)) for |x| > 1."""
+    """0.5 log((x+1)/(x-1)) for |x| > 1, the c < 0 zero of ``first_zero_space_form``."""
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) <= 1.0):
         raise ValueError("arcoth requires |x| > 1")
@@ -505,25 +460,11 @@ def arcoth(x):
     return float(out) if out.ndim == 0 else out
 
 
-def jacobi_component_closed_form(kappa: float, j0: float, jp0: float, t):
-    """Solution of j'' + kappa j = 0 with j(0) = j0, j'(0) = jp0."""
-    t = np.asarray(t, dtype=float)
-    if kappa > 0:
-        r = np.sqrt(kappa)
-        out = j0 * np.cos(r * t) + (jp0 / r) * np.sin(r * t)
-    elif kappa < 0:
-        r = np.sqrt(-kappa)
-        out = j0 * np.cosh(r * t) + (jp0 / r) * np.sinh(r * t)
-    else:
-        out = j0 + jp0 * t
-    return float(out) if out.ndim == 0 else out
-
-
 def first_zero_space_form(c: float, lam: float):
     """Smallest positive zero of the normalised component (j0 = 1, j'0 = lam).
 
-    Returns None when the component stays positive for positive times; for
-    c < 0 this is exactly the rigidity regime lam >= -sqrt(|c|).
+    None when it stays positive for positive times; for c < 0 exactly the
+    rigidity regime lam >= -sqrt(|c|). ``demos/03_space_form_eigenvalues.py`` prints it.
     """
     if c > 0:
         r = np.sqrt(c)
@@ -535,16 +476,3 @@ def first_zero_space_form(c: float, lam: float):
     if ratio > 1.0:
         return float(arcoth(ratio) / r)
     return None
-
-
-def trace_comparison(f0: float, t: float) -> float:
-    """Comparison solution of f' + f^2/2 = 0 with f(0) = f0.
-
-    Closed form ((t/2) + 1/f0)^(-1); blows up at t = -2/f0, where
-    PoleReached is raised.
-    """
-    if f0 == 0.0:
-        raise ValueError("f0 must be nonzero")
-    if abs(t + 2.0 / f0) < 1e-12:
-        raise PoleReached(f"comparison function pole at t = {-2.0 / f0!r}")
-    return 1.0 / (t / 2.0 + 1.0 / f0)

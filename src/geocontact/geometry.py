@@ -72,7 +72,7 @@ class ChartedManifold:
     volume_param: Optional[VolumeParametrization] = field(default=None, repr=False)
 
     def metric_at(self, p) -> Array:
-        """g at a point, or at an (N, 3) batch, checked by ``_require_metric``."""
+        """g at a point or an (N, 3) batch, checked by ``_require_metric``; the README's API."""
         pts, single = as_points(p)
         g = np.asarray(self.metric_fn(pts), dtype=float)
         _require_metric(self, pts, g)

@@ -191,7 +191,8 @@ def verify_ricci(entry: CatalogEntry, points=None, theorem: str = "C3.2",
                  tol: Optional[Tolerances] = None) -> TheoremReport:
     """Nonnegative-Ricci contact criterion (C3.2) or the non-contact
     dichotomy (T3.1): at a non-contact sample either Ric(X) < 0 or both
-    Ric(X) and beta vanish."""
+    Ric(X) and beta vanish. Both assume a complete flow, as T6.1 does; on the
+    README's warped chart, whose flow is not complete, both report violations."""
     tol = tol or Tolerances()
     if theorem not in ("C3.2", "T3.1"):
         raise ConfigError(f"verify_ricci handles C3.2/T3.1, not {theorem!r}")
@@ -381,8 +382,8 @@ def reebability_verdict(entry: CatalogEntry, volume: VolumeResult,
 
 def verify_reebability(entry: CatalogEntry, nodes: int = VOLUME_NODES,
                        tol: Optional[Tolerances] = None, points=None) -> TheoremReport:
-    """P7.6 consistency: a Killing field measured contact everywhere must
-    have nonzero contact volume (be Reeb-realizable)."""
+    """P7.6 consistency on a closed manifold, which is assumed: a Killing field
+    measured contact everywhere must have nonzero contact volume (be Reeb-realizable)."""
     tol = tol or Tolerances()
     if entry.manifold.volume_param is None:
         return TheoremReport("P7.6", entry.name, 0, 0, 0, [], "hypotheses-not-met",

@@ -24,6 +24,15 @@ CUSTOM_DOC = {"manifold": {"metric": [[CUSTOM_G, "x1*x2/(4 + x3^2)", "0"],
               "field": {"components": ["0", "0", f"sqrt(1 + x1^2)/sqrt((1 + x1^2)*{CUSTOM_G})"]},
               "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [3, 3, 3]}}
 
+#: g = f(x3)^2 (dx1^2 + dx2^2) + dx3^2, f = 2 - x3^2, and X = d_3: B = (f'/f) I
+#: and R_X = -(f''/f) I, so Delta = delta = 2/(2 - x3^2), and R_X drifts along
+#: the flow, which reaches the degenerate boundary x3 = +-sqrt(2) in finite time
+WARPED_DOC = {"manifold": {"metric": [["(2 - x3^2)^2", "0", "0"], ["0", "(2 - x3^2)^2", "0"],
+                                      ["0", "0", "1"]],
+                           "domain": "2 - x3^2"},
+              "field": {"components": ["0", "0", "1"]},
+              "grid": {"min": [-0.5, -0.5, -0.5], "max": [0.5, 0.5, 0.5], "counts": [5, 5, 5]}}
+
 
 @pytest.fixture
 def cold_caches():

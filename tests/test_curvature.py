@@ -10,7 +10,7 @@ import pytest
 
 import geocontact as gc
 from conftest import ENTRY_NAMES
-from geocontact import curvature, field, flow, geometry, verify
+from geocontact import curvature, field, geometry
 from geocontact.curvature import (christoffel, christoffel_with_partials, covariant_jacobian,
                                   jacobi_matrix, riemann, sectional)
 from geocontact.errors import DegeneratePlane, OutOfChart, SingularMetric
@@ -225,24 +225,6 @@ def test_sectional_checks_the_metric_once(entries, monkeypatch):
     pts = np.random.default_rng(31).uniform(-1, 1, (4, 3))
     sectional(entries["heisenberg_reeb"].manifold, pts, [1.0, 0, 0], [0.0, 1, 0])
     assert calls == [7 * len(pts)]
-
-
-def test_no_reader_of_the_jacobi_operator_builds_the_riemann_tensor(entries, monkeypatch):
-    """``diagnose``, the orbit blocks with the Jacobi pair and ``sectional``
-    read R through the curvature operator alone: with ``riemann_tensor``
-    unavailable they still run."""
-    entry = entries["heisenberg_reeb"]
-    man, pts = entry.manifold, entry.grid.points()[:5]
-
-    def unavailable(*args, **kwargs):
-        raise AssertionError("riemann_tensor called")
-
-    for module in (gc, curvature, field, flow, verify):
-        if hasattr(module, "riemann_tensor"):
-            monkeypatch.setattr(module, "riemann_tensor", unavailable)
-    diagnose(man, entry.field, pts)
-    flow.integrate_orbit(man, entry.field, entry.orbit.start, 0.05, 0.01)
-    sectional(man, pts, [1.0, 0, 0], [0.0, 1, 0])
 
 
 def test_batched_curvature_matches_single_points(entries):

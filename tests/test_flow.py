@@ -16,13 +16,11 @@ from geocontact import flow
 from geocontact.curvature import (christoffel, christoffel_with_partials, jacobi_matrix,
                                   real_eigenvalues)
 from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
-                               OutOfChart, PoleReached, SingularMetric, StepTooLarge)
-from geocontact.flow import (adapted_jacobi, arcoth, first_zero_space_form,
-                             integrate_orbit, integrate_orbits,
-                             jacobi_component_closed_form,
+                               OutOfChart, SingularMetric, StepTooLarge)
+from geocontact.flow import (arcoth, first_zero_space_form, integrate_orbit, integrate_orbits,
                              max_parallel_jacobi_defect, noncontact_eigen_drift,
-                             riccati_residual, rk4_step, trace_comparison,
-                             trace_evolution_residual, wronskian)
+                             riccati_residual, rk4_step, trace_evolution_residual, wronskian)
+from oracles import jacobi_component_closed_form
 
 ORBIT_NAMES = ["euclidean_parallel", "euclidean_skew", "s3_hopf", "s3_weighted(2,3)",
                "h2xr_vertical", "h3_vertical", "heisenberg_reeb"]
@@ -839,23 +837,6 @@ def test_hopf_adapted_jacobi_norm_constant(entries, orbit_cache):
     assert np.abs(norms - 1.0).max() < 1e-5
 
 
-def test_adapted_jacobi_custom_start(entries, orbit_cache):
-    entry = entries["h3_vertical"]
-    traj = orbit_cache("h3_vertical")
-    v0 = traj.e1[0] - 2.0 * traj.e2[0]  # in the orthogonal plane at the start
-    sol = adapted_jacobi(entry.manifold, traj, v0)
-    assert sol.residual < 1e-8
-    np.testing.assert_allclose(sol.J[0], [1.0, -2.0], atol=1e-12)
-    np.testing.assert_allclose(sol.norms(), np.sqrt(5.0) * np.exp(-sol.t), rtol=1e-6)
-
-
-def test_adapted_jacobi_rejects_nonorthogonal_start(entries, orbit_cache):
-    entry = entries["h3_vertical"]
-    traj = orbit_cache("h3_vertical")
-    with pytest.raises(ValueError):
-        adapted_jacobi(entry.manifold, traj, traj.X_along[0])
-
-
 @pytest.mark.parametrize("name", ORBIT_NAMES)
 def test_adaptedness_residual(entries, orbit_cache, name):
     assert orbit_cache(name).adapted_residual < 1e-4
@@ -880,7 +861,7 @@ def test_commutation_flow_transversal(entries):
     shifted = integrate_orbit(entry.manifold, entry.field, p0 + s * v0, t_end, step,
                               with_jacobi=False)
     transversal = (shifted.points - traj.points) / s
-    ambient = traj.ambient_jacobi("J")
+    ambient = traj.J[:, 0, None] * traj.e1 + traj.J[:, 1, None] * traj.e2
     assert np.abs(transversal - ambient).max() < 1e-3
 
 
@@ -940,8 +921,6 @@ def test_wronskian_needs_jacobi_pair(entries):
                            with_jacobi=False)
     with pytest.raises(ValueError):
         wronskian(traj)
-    with pytest.raises(ValueError):
-        adapted_jacobi(entry.manifold, traj, traj.e1[0])
 
 
 def test_parallel_jacobi_defect_h3(orbit_cache):
@@ -1037,13 +1016,3 @@ def test_no_zero_in_rigidity_regime():
     short = np.linspace(0.0, 5.0, 5001)
     assert np.all(jacobi_component_closed_form(-1.0, 1.0, -1.0, short) > 0.0)
 
-
-def test_trace_comparison():
-    assert trace_comparison(-1.0, 0.0) == -1.0
-    assert trace_comparison(-1.0, 1.0) == -2.0
-    t = 2.0 - 1e-7
-    assert trace_comparison(-1.0, t) < -1e6
-    with pytest.raises(PoleReached):
-        trace_comparison(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        trace_comparison(0.0, 1.0)

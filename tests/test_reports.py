@@ -12,7 +12,7 @@ import pytest
 
 from geocontact import cli
 
-from conftest import CUSTOM_DOC, ENTRY_NAMES
+from conftest import CUSTOM_DOC, ENTRY_NAMES, WARPED_DOC
 
 
 def _orbit_doc(name, start):
@@ -58,6 +58,8 @@ CASES = {
                                                      "step": 0.001}}),
     "verify:T6.1:h3_cap": (["verify", "T6.1"], {**H3_CAP, "grid": {
         "min": [-0.5, -0.5, 0.9], "max": [0.5, 0.5, 1.15], "counts": [3, 3, 5]}}),
+    # the only golden whose T6.1 verdict its Jacobi tensor drift decides
+    "verify:T6.1:warped": (["verify", "T6.1"], WARPED_DOC),
 }
 
 #: case id -> exit code, where it is not 0
@@ -87,6 +89,7 @@ DIGESTS = {
     "verify:T6.1:h2xr_vertical": "9de9f6292e2ddc0e7755dd6d4be25a4965e70ade6093d9c0bf3320763111cb2e",
     "verify:T6.1:h3_cap": "92386e2bf7b40e2a319d843a5746fe27bb9e97fe82a52ad470457e59214ecd8a",
     "verify:T6.1:s3_hopf": "ca5049e8a290e448d06c204fc9f3512f89297320e3714ad8bfe3dee3b3edaeff",
+    "verify:T6.1:warped": "5a1380ea0654f9d4006108d7acf9fbf7713276ece2554f1fec76b912ec6c6a2a",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
+from conftest import WARPED_DOC
 from geocontact import catalog, cli, curvature, field, geometry, verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.cli import resolve_config
@@ -124,6 +125,30 @@ def test_parallel_jacobi_rank_gap(entries):
 def test_parallel_jacobi_negative_curvature(entries):
     report = verify_parallel_jacobi(entries["h3_vertical"])
     assert report.verdict == "hypotheses-not-met"
+
+
+def test_parallel_jacobi_drift_decides_on_the_warped_chart(tmp_path):
+    """On the warped chart Delta = 2/(2 - x3^2) > 0 at every seed, so only the
+    drift of the Jacobi tensor along the flow keeps T6.1 from 27 violations."""
+    report = verify_parallel_jacobi(resolve_config(WARPED_DOC).entry)
+    assert report.verdict == "hypotheses-not-met"
+    assert report.hypothesis_satisfied == 0 and report.samples == 27
+    drift = report.details["max_jacobi_tensor_drift"]
+    assert abs(drift - 1.168) < 1e-3 and drift > Tolerances().hypothesis
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(WARPED_DOC), encoding="utf-8")
+    assert cli.main(["verify", "T6.1", "--config", str(path)]) == 0
+
+
+def test_ricci_suites_assume_a_complete_flow(tmp_path, capsys):
+    """The warped chart's flow leaves it in finite time, and the README's
+    example holds: T3.1 is violated at all 125 samples and C3.2 at 100."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(WARPED_DOC), encoding="utf-8")
+    assert cli.main(["verify", "T3.1", "C3.2", "--config", str(path)]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(r["theorem"], r["verdict"], len(r["violations"])) for r in reports] == [
+        ("T3.1", "violated", 125), ("C3.2", "violated", 100)]
 
 
 # ---------------------------------------------------------------------------
