@@ -24,7 +24,7 @@ vol = gc.volume_integral(entry, 32)
 killing_max = max(d.killing_defect
                   for d in gc.diagnose(entry.manifold, entry.field, entry.grid.points()[::5]))
 print(f"\nKilling defect max ~ {killing_max:.1e}; "
-      f"verdict: {gc.reebability_verdict(entry, vol, killing_max)!r}")
+      f"verdict: {gc.reebability_verdict(vol, killing_max)!r}")
 
 # weighted circle actions: the volume scales like 1/(k1 k2)
 print("\nweighted actions (metric rescaled so the generator has unit length):")

@@ -51,7 +51,8 @@ class CatalogEntry:
 
     ``expected`` maps template keys to values checked by ``self_check``
     against the measured ``diagnose`` columns; keys absent from the template
-    are unconstrained.
+    are unconstrained. An entry whose field is Killing says so by
+    ``expected["killing_max"]``, the bound on its Killing defect.
     """
 
     name: str
@@ -62,7 +63,6 @@ class CatalogEntry:
     grid: GridSpec
     orbit: OrbitSpec
     space_form_c: Optional[float] = None
-    killing: bool = False
 
 
 _FLAT = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
@@ -110,7 +110,7 @@ def _euclidean_parallel() -> CatalogEntry:
               "plane field integrable",
         grid=GridSpec((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), (5, 5, 5)),
         orbit=OrbitSpec((0.1, -0.2, 0.3)),
-        space_form_c=0.0, killing=True)
+        space_form_c=0.0)
 
 
 _SKEW_DEN = "sqrt((1 + x3^2)*(1 + x3^2 + x1^2 + x2^2))"
@@ -152,7 +152,7 @@ def _s3_hopf() -> CatalogEntry:
               "field; isometric flow, contact defect 2",
         grid=GridSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 5, 5)),
         orbit=OrbitSpec((0.3, 0.2, 0.1)),
-        space_form_c=1.0, killing=True)
+        space_form_c=1.0)
 
 
 def _s3_weighted(k1: float, k2: float) -> CatalogEntry:
@@ -182,8 +182,7 @@ def _s3_weighted(k1: float, k2: float) -> CatalogEntry:
               "by 1/|W|^2 so the generating field has unit length and "
               "isometric flow",
         grid=GridSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 5, 5)),
-        orbit=OrbitSpec((0.3, 0.2, 0.1)),
-        killing=True)
+        orbit=OrbitSpec((0.3, 0.2, 0.1)))
 
 
 def _h2xr_vertical() -> CatalogEntry:
@@ -236,8 +235,7 @@ def _heisenberg_reeb() -> CatalogEntry:
         notes="nilpotent group metric dx1^2 + dx2^2 + (dx3 - x1 dx2)^2 with "
               "its central field; isometric flow, contact defect 1",
         grid=GridSpec((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), (5, 5, 5)),
-        orbit=OrbitSpec((0.3, -0.2, 0.1)),
-        killing=True)
+        orbit=OrbitSpec((0.3, -0.2, 0.1)))
 
 
 _BUILDERS = {
@@ -273,19 +271,13 @@ def builtin(name: str) -> CatalogEntry:
 
 
 def all_entries():
-    """The seven concrete entries, instantiating the weighted one."""
-    out = [builtin(n) for n in NAMES if n != "s3_weighted(k1,k2)"]
-    out.insert(3, builtin(DEFAULT_WEIGHTED))
-    return out
+    """The seven concrete entries in ``NAMES`` order, the weighted one as ``DEFAULT_WEIGHTED``."""
+    return [builtin(DEFAULT_WEIGHTED if name == "s3_weighted(k1,k2)" else name) for name in NAMES]
 
 
 def describe():
     """(name, description) pairs for the catalog listing."""
-    rows = []
-    for name in NAMES:
-        entry = builtin(DEFAULT_WEIGHTED) if name == "s3_weighted(k1,k2)" else builtin(name)
-        rows.append((name, entry.notes))
-    return rows
+    return [(name, entry.notes) for name, entry in zip(NAMES, all_entries())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line entry point: catalog, analyze, orbit, verify, volume.
 
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on
-usage/config errors. All output is deterministic: floats are printed with
-17 significant digits, JSON keys are sorted, lines end with LF.
+usage/config errors. All output is deterministic, and the report contract
+(17 significant digits, the version and config echo, sorted JSON keys, LF
+line ends) lives in two writers alone: ``_emit_csv`` and ``_emit_json``.
 """
 
 from __future__ import annotations
@@ -188,15 +189,11 @@ def _load(args, catalog_wide=False) -> Resolved:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-    elif getattr(args, "entry", None):
+    elif args.entry:
         config = {"manifold": args.entry}
     else:
         raise ConfigError("give --config or --entry")
     return resolve_config(config, catalog_wide)
-
-
-def _echo_json(resolved: Resolved) -> str:
-    return json.dumps(resolved.echo, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(text: str, out_path):
@@ -205,6 +202,24 @@ def _emit(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(args, resolved: Resolved, header: str, rows, notes=()):
+    """A CSV report: the header, one line per row (float cells with 17
+    significant digits, string cells as given), then the ``# version`` and
+    ``# config`` echo lines and one ``# `` line per note."""
+    body = "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n"
+                   for row in rows)
+    trailer = (f"version: geocontact {__version__}",
+               f"config: {json.dumps(resolved.echo, sort_keys=True, separators=(',', ':'))}",
+               *notes)
+    _emit(header + "\n" + body + "".join(f"# {line}\n" for line in trailer), args.out)
+
+
+def _emit_json(args, resolved: Resolved, **body):
+    """A JSON report: ``version``, ``config`` and ``body``, keys sorted."""
+    doc = {"version": f"geocontact {__version__}", "config": resolved.echo, **body}
+    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +251,16 @@ def cmd_analyze(args) -> int:
     diag = diagnose(entry.manifold, entry.field, pts[inside], unit_tol=np.inf)
     failed = np.any((diag.unit_defect > tol.unit_defect)
                     | (diag.geodesic_defect > tol.geodesic_defect))
-    # the float columns in CSV order; eig_kind goes in after the contact defect
+    # the float columns in CSV order (ranks print as integers); eig_kind goes in 8th
     values = np.column_stack([diag.p, diag.unit_defect, diag.geodesic_defect,
                               diag.killing_defect, diag.contact_defect,
                               np.stack([diag.eig_re, diag.eig_im], axis=2).reshape(-1, 4),
-                              diag.ric_X, diag.Delta, diag.delta])
-    lines = [ANALYZE_HEADER]
-    for row, cplx, rank in zip(values, diag.complex, diag.beta_rank):
-        cells = [_fmt(v) for v in row]
-        lines.append(",".join(cells[:7] + ["complex" if cplx else "real"] + cells[7:]
-                              + [str(rank)]))
-    lines.append(f"# version: geocontact {__version__}")
-    lines.append(f"# config: {_echo_json(resolved)}")
-    if len(skipped):
-        lines.append(f"# out_of_chart: {len(skipped)}")
-        lines.extend(f"# {_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}" for p in skipped)
-    _emit("\n".join(lines) + "\n", args.out)
+                              diag.ric_X, diag.Delta, diag.delta, diag.beta_rank])
+    rows = ([*row[:7], "complex" if cplx else "real", *row[7:]]
+            for row, cplx in zip(map(np.ndarray.tolist, values), diag.complex))
+    notes = ([f"out_of_chart: {len(skipped)}", *(",".join(map(_fmt, p)) for p in skipped)]
+             if len(skipped) else [])
+    _emit_csv(args, resolved, ANALYZE_HEADER, rows, notes)
     return 1 if failed else 0
 
 
@@ -279,25 +288,19 @@ def cmd_orbit(args) -> int:
     detb = traj.B[:, 0, 0] * traj.B[:, 1, 1] - traj.B[:, 0, 1] * traj.B[:, 1, 0]
     defect = traj.B[:, 1, 0] - traj.B[:, 0, 1]
 
-    lines = [ORBIT_HEADER]
-    for k in range(len(traj)):
-        lines.append(",".join([
-            _fmt(traj.t[k]), _fmt(traj.points[k, 0]), _fmt(traj.points[k, 1]),
-            _fmt(traj.points[k, 2]), _fmt(trb[k]), _fmt(detb[k]), _fmt(disc[k]),
-            _fmt(defect[k]), _fmt(traj.A[k]), _fmt(wr.A_expected[k]),
-            _fmt(riccati[k]), _fmt(traj.adapted[k])]))
-    lines.append(f"# version: geocontact {__version__}")
-    lines.append(f"# config: {_echo_json(resolved)}")
-    lines.append(f"# max_riccati_residual: {_fmt(max_riccati)}")
-    lines.append(f"# max_trace_residual: {_fmt(max_trace)}")
-    lines.append(f"# max_adapted_residual: {_fmt(traj.adapted_residual)}")
-    lines.append(f"# max_wronskian_residual: {_fmt(wr.residual)}")
+    # row by row: one list of 12 (N + 1) floats would grow the peak resident memory
+    rows = map(np.ndarray.tolist, np.column_stack([traj.t, traj.points, trb, detb, disc, defect,
+                                                   traj.A, wr.A_expected, riccati, traj.adapted]))
+    notes = [f"max_riccati_residual: {_fmt(max_riccati)}",
+             f"max_trace_residual: {_fmt(max_trace)}",
+             f"max_adapted_residual: {_fmt(traj.adapted_residual)}",
+             f"max_wronskian_residual: {_fmt(wr.residual)}"]
     if traj.truncated:
-        lines.append("# truncated: true")
+        notes.append("truncated: true")
     drift = noncontact_eigen_drift(traj, tol.not_contact)
     if drift is not None:
-        lines.append(f"# noncontact_eigen_drift: {_fmt(drift)}")
-    _emit("\n".join(lines) + "\n", args.out)
+        notes.append(f"noncontact_eigen_drift: {_fmt(drift)}")
+    _emit_csv(args, resolved, ORBIT_HEADER, rows, notes)
     worst = max(max_riccati, max_trace, traj.adapted_residual, wr.residual)
     return 1 if worst > tol.orbit_residual else 0
 
@@ -307,8 +310,8 @@ def cmd_verify(args) -> int:
         for flag, value in (("--entry", args.entry), ("--c", args.c)):
             if value is not None:
                 raise ConfigError(f"verify --all takes no {flag}: it runs every catalog entry")
-        resolved = _load(args, catalog_wide=True) if args.config else \
-            Resolved(None, Tolerances(), VOLUME_NODES, {"verify": "all"})
+        resolved = _load(args, catalog_wide=True) if args.config else dataclasses.replace(
+            resolve_config({}, catalog_wide=True), echo={"verify": "all"})
         reports = verify_all(catalog.all_entries(), resolved.tolerances,
                              resolved.volume_nodes, args.theorems)
     else:
@@ -318,25 +321,14 @@ def cmd_verify(args) -> int:
             raise ConfigError("unrecognized arguments: --c (no T5.1 or C5.2 to read it)")
         reports = verify_entry(resolved.entry, theorems, c=args.c,
                                tol=resolved.tolerances, volume_nodes=resolved.volume_nodes)
-    doc = {
-        "version": f"geocontact {__version__}",
-        "config": resolved.echo,
-        "reports": [r.to_dict() for r in reports],
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _emit_json(args, resolved, reports=[r.to_dict() for r in reports])
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 
 def cmd_volume(args) -> int:
     resolved = _load(args)
     nodes = resolved.volume_nodes if args.nodes is None else args.nodes
-    result = volume_integral(resolved.entry, nodes)
-    doc = {
-        "version": f"geocontact {__version__}",
-        "config": resolved.echo,
-        "result": result.to_dict(),
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _emit_json(args, resolved, result=volume_integral(resolved.entry, nodes).to_dict())
     return 0
 
 
@@ -349,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to a file instead of stdout")
     configured = argparse.ArgumentParser(add_help=False, parents=[common])
     configured.add_argument("--config", help="path to a JSON config document")
+    configured.add_argument("--entry", help="catalog entry (shortcut for a minimal config)")
 
     parser = argparse.ArgumentParser(
         prog="geocontact",
@@ -363,12 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", parents=[configured],
                                help="per-point diagnostics over a grid (CSV)")
-    p_analyze.add_argument("--entry", help="catalog entry (shortcut for a minimal config)")
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_orbit = sub.add_parser("orbit", parents=[configured],
                              help="orbit integration diagnostics (CSV)")
-    p_orbit.add_argument("--entry")
     p_orbit.set_defaults(fn=cmd_orbit)
 
     p_verify = sub.add_parser("verify", parents=[configured],
@@ -377,14 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"theorem ids, any of {', '.join(THEOREM_IDS)}")
     p_verify.add_argument("--all", action="store_true",
                           help="run every applicable suite over the full catalog")
-    p_verify.add_argument("--entry")
     p_verify.add_argument("--c", type=finite_number, default=None,
                           help="constant curvature value for the space-form suites")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_volume = sub.add_parser("volume", parents=[configured],
                               help="contact volume by midpoint quadrature (JSON)")
-    p_volume.add_argument("--entry")
     p_volume.add_argument("--nodes", type=int, default=None, help="nodes per axis")
     p_volume.set_defaults(fn=cmd_volume)
     return parser
@@ -403,7 +392,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # no numpy warnings on stderr, worker threads too
             return args.fn(args)
-    except (ConfigError, NoParametrization, UnknownEntry, ExprError, FileNotFoundError) as exc:
+    except (ConfigError, NoParametrization, UnknownEntry, ExprError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

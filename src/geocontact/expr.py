@@ -481,7 +481,7 @@ class _Codegen:
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(shape, groups, mode):
+def _compile(groups, mode):
     """Compile a table to a function (x1, x2, x3, out, d) filling out (and d),
     or in the scalar mode (x1, x2, x3) returning the values.
 
@@ -557,8 +557,8 @@ class ExprTable:
     partials, and Python-float source for the values at one point
     (``at_point``). Repeated entries and shared subexpressions are computed
     once. The programs come from a bounded per-process cache keyed by
-    (shape, groups, mode), so equal tables compile once per process;
-    ``_programs`` keeps this table's for a lookup without hashing.
+    (groups, mode), whose slots fix the shape, so equal tables compile once
+    per process; ``_programs`` keeps this table's for a lookup without hashing.
     """
 
     shape: tuple
@@ -578,7 +578,7 @@ class ExprTable:
         """The compiled function of a mode, taken from the process cache on first use."""
         fn = self._programs.get(mode)
         if fn is None:
-            fn = self._programs[mode] = _compile(self.shape, self.groups, mode)
+            fn = self._programs[mode] = _compile(self.groups, mode)
         return fn
 
     def evaluate(self, pts):

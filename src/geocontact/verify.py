@@ -366,8 +366,7 @@ def volume_integral(entry: CatalogEntry, nodes: int) -> VolumeResult:
                         parametrization=entry.manifold.volume_param.name)
 
 
-def reebability_verdict(entry: CatalogEntry, volume: VolumeResult,
-                        killing_defect_max: float,
+def reebability_verdict(volume: VolumeResult, killing_defect_max: float,
                         tol: Optional[Tolerances] = None) -> str:
     """Killing fields on closed manifolds are Reeb fields iff the contact
     volume is nonzero; decided up to the quadrature error estimate."""
@@ -391,7 +390,7 @@ def verify_reebability(entry: CatalogEntry, nodes: int = VOLUME_NODES,
     diag = _samples(entry, points).diagnosis()
     killing_max = float(diag.killing_defect.max())
     volume = volume_integral(entry, nodes)
-    verdict_reeb = reebability_verdict(entry, volume, killing_max, tol)
+    verdict_reeb = reebability_verdict(volume, killing_max, tol)
     contact_everywhere = np.all(np.abs(diag.contact_defect) > tol.contact_floor)
     return _finish("P7.6", entry.name, diag, killing_max < tol.killing,
                    verdict_reeb == "reeb-realizable" or not contact_everywhere,

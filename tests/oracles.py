@@ -6,12 +6,14 @@ demo or kernel reads them.
   form, the reference of ``first_zero_space_form``.
 - ``berger_sphere``: the Berger spheres, a one-parameter family of
   R-contact metrics on S^3 whose diagnostics are known in closed form.
+- ``skew_lines``: Harrison's linear fibrations of R^3 by pairwise skew
+  lines, whose unit fields are geodesic and contact everywhere.
 """
 
 import numpy as np
 
 from geocontact import CatalogEntry, GridSpec, OrbitSpec, UnitField, manifold_from_exprs
-from geocontact.catalog import _HOPF_COMPONENTS
+from geocontact.catalog import _FLAT, _HOPF_COMPONENTS
 
 
 def jacobi_component_closed_form(kappa: float, j0: float, jp0: float, t):
@@ -51,3 +53,31 @@ def berger_sphere(eps: float) -> CatalogEntry:
         notes="Berger sphere: the round 3-sphere with its Hopf circles scaled by eps",
         grid=GridSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 5, 5)),
         orbit=OrbitSpec((0.3, 0.2, 0.1)))
+
+
+def skew_lines(A) -> CatalogEntry:
+    """The fibration of flat R^3 by the lines (u, 0) + t (A u, 1), u in R^2,
+    for a real 2 x 2 matrix A = ((a, b), (c, d)) without real eigenvalues.
+
+    det(I + z A) = 1 + z tr A + z^2 det A > 0 for every z, so the point
+    (x1, x2, x3) lies on the line of u = (I + x3 A)^-1 (x1, x2) alone, and the
+    unit field along the lines is X = (w, 1) / sqrt(|w|^2 + 1) with w = A u.
+    With the inverse by cofactors, X = (n, det) / sqrt(|n|^2 + det^2), where
+    det = det(I + x3 A) and n = A adj(I + x3 A) (x1, x2). The lines are
+    straight, so X is geodesic, and pairwise skew, so by Harrison's theorem
+    (M. Harrison, "Contact structures induced by skew fibrations of R^3",
+    Bull. LMS 2019) X is contact everywhere. ``euclidean_skew`` is the case
+    A = ((0, -1), (1, 0)).
+    """
+    (a, b), (c, d) = ((f"({float(v)!r})" for v in row) for row in A)
+    u1, u2 = f"(1 + {d}*x3)*x1 - {b}*x3*x2", f"(1 + {a}*x3)*x2 - {c}*x3*x1"
+    n1, n2 = f"{a}*({u1}) + {b}*({u2})", f"{c}*({u1}) + {d}*({u2})"
+    det = f"(1 + {a}*x3)*(1 + {d}*x3) - {b}*{c}*x3^2"
+    norm = f"sqrt(({n1})^2 + ({n2})^2 + ({det})^2)"
+    name = f"skew_lines({A!r})"
+    return CatalogEntry(
+        name=name, manifold=manifold_from_exprs(name, _FLAT),
+        field=UnitField.from_exprs("skew_lines", tuple(f"({e})/{norm}" for e in (n1, n2, det))),
+        expected={}, notes="linear fibration of flat space by pairwise skew lines",
+        grid=GridSpec((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (5, 5, 5)),
+        orbit=OrbitSpec((0.2, -0.3, 0.1)), space_form_c=0.0)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import ENTRY_NAMES
+import geocontact as gc
 from geocontact import cli, expr
 from test_reports import DIGESTS
 
@@ -541,6 +542,75 @@ def test_volume_no_parametrization(capsys):
     code, _, err = run(capsys, ["volume", "--entry", "h3_vertical"])
     assert code == 2
     assert "parametrization" in err
+
+
+# ---------------------------------------------------------------------------
+# report writers: the CSV and JSON contract of every command
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [["catalog"], ["catalog", "--json"],
+                                  ["analyze", "--entry", "h3_vertical"],
+                                  ["orbit", "--entry", "h3_vertical"],
+                                  ["verify", "T3.1", "--entry", "s3_hopf"],
+                                  ["volume", "--entry", "s3_hopf", "--nodes", "8"]])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    """``--out`` writes what stdout would show, with LF line ends and one
+    final newline."""
+    code, out, _ = run(capsys, argv)
+    out_path = tmp_path / "report"
+    assert run(capsys, argv + ["--out", str(out_path)])[:2] == (code, "")
+    data = out_path.read_bytes()
+    assert data == out.encode("utf-8")
+    assert b"\r" not in data and data.endswith(b"\n") and not data.endswith(b"\n\n")
+
+
+@pytest.mark.parametrize("target", ["", "missing/report"])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, target):
+    """An ``--out`` path that is a directory or lies in a missing one exits 2
+    with one error line."""
+    code, out, err = run(capsys, ["catalog", "--out", str(tmp_path / target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def csv_columns(text):
+    """Column name -> array of the cells of a CSV report's rows, as strings."""
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    return {name: np.array(cells) for name, cells in zip(lines[0].split(","), zip(*rows))}
+
+
+def test_orbit_report_floats_parse_back_exactly(capsys):
+    entry = gc.builtin("h3_vertical")
+    spec = entry.orbit
+    traj = gc.integrate_orbit(entry.manifold, entry.field, np.asarray(spec.start, float),
+                              spec.t_end, spec.step, with_jacobi=True)
+    _, out, _ = run(capsys, ["orbit", "--entry", "h3_vertical"])
+    cols = {k: v.astype(float) for k, v in csv_columns(out).items()}
+    assert np.array_equal(cols["t"], traj.t)
+    for i in range(3):
+        assert np.array_equal(cols[f"x{i + 1}"], traj.points[:, i])
+    assert np.array_equal(cols["A_numeric"], traj.A)
+    assert np.array_equal(cols["adapted_residual"], traj.adapted)
+    riccati = cols["riccati_residual"]
+    assert np.isnan(riccati[[0, -1]]).all() and np.isfinite(riccati[1:-1]).all()
+
+
+def test_analyze_report_floats_parse_back_exactly(capsys):
+    entry = gc.builtin("s3_hopf")
+    diag = gc.diagnose(entry.manifold, entry.field, entry.grid.points(), unit_tol=np.inf)
+    _, out, _ = run(capsys, ["analyze", "--entry", "s3_hopf"])
+    cols = csv_columns(out)
+    expected = {"unit_defect": diag.unit_defect, "geodesic_defect": diag.geodesic_defect,
+                "killing_defect": diag.killing_defect, "contact_defect": diag.contact_defect,
+                "ric_X": diag.ric_X, "Delta": diag.Delta, "delta": diag.delta,
+                **{f"x{i + 1}": diag.p[:, i] for i in range(3)},
+                **{f"eig_{part}{k + 1}": getattr(diag, f"eig_{part}")[:, k]
+                   for part in ("re", "im") for k in range(2)}}
+    for name, column in expected.items():
+        assert np.array_equal(cols[name].astype(float), column), name
+    assert list(cols["eig_kind"]) == ["complex"] * len(diag.p)
+    assert list(cols["beta_rank"]) == [str(r) for r in diag.beta_rank]
 
 
 # ---------------------------------------------------------------------------

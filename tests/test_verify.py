@@ -346,14 +346,11 @@ def test_volume_traced_peak_is_bounded(entries):
 
 def test_reebability_verdicts(entries):
     vol = volume_integral(entries["s3_hopf"], 16)
-    assert reebability_verdict(entries["s3_hopf"], vol, killing_defect_max=1e-12) \
-        == "reeb-realizable"
-    assert reebability_verdict(entries["s3_hopf"], vol, killing_defect_max=0.5) \
-        == "inconclusive"
+    assert reebability_verdict(vol, killing_defect_max=1e-12) == "reeb-realizable"
+    assert reebability_verdict(vol, killing_defect_max=0.5) == "inconclusive"
     tiny = gc.VolumeResult(value=1e-12, nodes=16, estimated_error=1e-6,
                            parametrization="hopf")
-    assert reebability_verdict(entries["s3_hopf"], tiny, killing_defect_max=1e-12) \
-        == "not-reeb"
+    assert reebability_verdict(tiny, killing_defect_max=1e-12) == "not-reeb"
 
 
 def test_reebability_reports(entries):
