@@ -157,14 +157,6 @@ def _s3_hopf() -> CatalogEntry:
 
 def _s3_weighted(k1: float, k2: float) -> CatalogEntry:
     name = f"s3_weighted({k1:g},{k2:g})"
-    if k1 == k2:
-        # |W| is constant, so normalising the field keeps the round metric;
-        # the normalised field is exactly the unit Hopf field
-        entry = _s3_hopf()
-        entry.name = name
-        entry.notes = ("weighted circle action with equal weights; identical "
-                       "to the unit Hopf entry after normalisation")
-        return entry
     q = (f"4*{k1 * k1!r}*(x1^2 + x2^2) + "
          f"{k2 * k2!r}*(4*x3^2 + (x1^2 + x2^2 + x3^2 - 1)^2)")
     metric = tuple(tuple((f"4/({q})" if i == j else "0") for j in range(3)) for i in range(3))
@@ -182,7 +174,8 @@ def _s3_weighted(k1: float, k2: float) -> CatalogEntry:
               "by 1/|W|^2 so the generating field has unit length and "
               "isometric flow",
         grid=GridSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 5, 5)),
-        orbit=OrbitSpec((0.3, 0.2, 0.1)))
+        orbit=OrbitSpec((0.3, 0.2, 0.1)),
+        space_form_c=k1 * k1 if k1 * k1 == k2 * k2 else None)  # |W| = |k1|: radius 1/|k1|
 
 
 def _h2xr_vertical() -> CatalogEntry:

@@ -31,14 +31,15 @@ class UnknownIdentifier(ExprSyntaxError):
 class DomainError(ExprError):
     """Evaluation left the domain of a partial function (log, sqrt, /, ^).
 
-    ``subexpression`` is the printed form of the offending AST node; the
-    message ends with the first point where it failed, when the batch had one.
+    ``subexpression`` is the printed form of the offending AST node; ``point``
+    is the first point where it failed, when the batch had one (else None),
+    and the message ends with it.
     """
 
     def __init__(self, message, subexpression, point=None):
         at = "" if point is None else f" at {point}"
         super().__init__(f"{message} in '{subexpression}'{at}")
-        self.subexpression = subexpression
+        self.subexpression, self.point = subexpression, point
 
 
 class OutOfChart(GeoContactError):

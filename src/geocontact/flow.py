@@ -33,14 +33,16 @@ stage, carry (e1, e2) step by step. With the Jacobi pair they also give the
 stage frames, one batched ``jacobi_matrix`` call gives M at all of them
 (from Gamma and its partials, without the full Riemann tensor), and the
 Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
-fails is replayed as one-step blocks. A row's bits depend neither on its
-batch nor on its block's length, so block and replay agree bit for bit, and
-both agree with stage-form RK4 of all 9 or 17 components (k = f(y) at each
-stage) to rounding. In both modes a seed stops before its first step that
-leaves the chart or whose end's curvature stencil does (``_partials_inside``,
-the post-pass's reach), checked once per block at all its step ends or after
-each replayed step, so the post-pass keeps every sample it is given. Each
-replay ends a seed or raises: at most one block per truncating seed replays.
+fails is replayed seed by seed as one-step blocks (``_replay``). A row's bits
+depend neither on its batch nor on its block's length, so block and replay
+agree bit for bit, and both agree with stage-form RK4 of all 9 or 17
+components (k = f(y) at each stage) to rounding. In both modes a seed stops
+before its first step that leaves the chart or whose end's curvature stencil
+does (``_partials_inside``, the post-pass's reach), checked once per block at
+all its step ends or after each replayed step, so the post-pass keeps every
+sample it is given. Only the replay tells a chart exit (OutOfChart, or a
+DomainError outside the chart), which stops a seed, from any other error,
+which it raises; a failed block costs at most ``JACOBI_BLOCK`` one-seed steps.
 
 An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
 J'(0) = B(0) J(0). The samples' B and M come from ``frame_terms``, the
@@ -166,52 +168,28 @@ def _carry(steps, z):
     return out
 
 
-def _stage_field(man, X, q, at_point=None):
-    """X at the stage points q, from ``at_point`` at a one-row stage if given:
-    the field table's ``ExprTable.at_point``, the same values on Python floats.
-    Where the field's expression fails (DomainError) at a row outside the
-    chart, the stage has left the chart: OutOfChart naming the first such row,
-    as the curvature stencil would raise."""
-    try:
-        return X.value(q) if at_point is None else np.array([at_point(*q.tolist()[0])])
-    except DomainError:
-        man.require_inside(q)
-        raise
-
-
-def _rk4_rows(man, step, y, h):
-    """One step ``step(y, h)`` of every row of ``y`` and the mask of rows whose
-    step end's curvature stencil stays in the chart (``_partials_inside``).
-
-    If a stage or a stencil leaves the chart (``OutOfChart``), the step is
-    redone one row at a time, so only the rows that raise alone stop.
-    """
-    try:
-        nxt = step(y, h)
-    except OutOfChart:
-        if len(y) == 1:
-            return y, np.zeros(1, dtype=bool)
-        nxt, ok = y.copy(), np.zeros(len(y), dtype=bool)
-        for k in range(len(y)):
-            nxt[k:k + 1], ok[k:k + 1] = _rk4_rows(man, step, y[k:k + 1], h)
-        return nxt, ok
-    return nxt, _partials_inside(man, nxt[:, 0:3])
-
-
 def _replay(man, X, y, count, h, with_jacobi):
-    """``count`` one-step blocks of y through ``_rk4_rows``: the states (count,
-    N, state) after each step and the steps each seed made before it stopped.
-    The first failure other than leaving the chart is raised."""
+    """The block of ``count`` steps of y that raised, redone one step of one
+    seed at a time: the states (count, N, state) after each step and the
+    steps each seed made. A seed stops before its first step that leaves the
+    chart: OutOfChart, a DomainError at a point outside the chart, or an end
+    whose curvature stencil leaves it (``_partials_inside``). Any other error
+    is raised: the first failing seed's, as that seed alone raises it."""
     out, made = np.empty((count,) + y.shape), np.zeros(len(y), dtype=int)
-    rows = np.arange(len(y))  # the seeds still going
-    one_step = lambda z, k: _jacobi_block(man, X, z, 1, k, with_jacobi)[0]
-    for s in range(count):
-        y, ok = _rk4_rows(man, one_step, y, h)
-        rows, y = rows[ok], y[ok]
-        if not rows.size:
-            break
-        out[s, rows] = y
-        made[rows] += 1
+    for k in range(len(y)):
+        z = y[k:k + 1]
+        for s in range(count):
+            try:
+                z = _jacobi_block(man, X, z, 1, h, with_jacobi)[0]
+            except OutOfChart:
+                break
+            except DomainError as exc:
+                if man.contains(exc.point):
+                    raise
+                break
+            if not _partials_inside(man, z[:, 0:3])[0]:
+                break
+            out[s, k], made[k] = z[0], s + 1
     return out, made
 
 
@@ -235,8 +213,9 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     at_point = table.at_point if n == 1 and table is not None else None
 
     def field(t, q):
-        stages.append((q, _stage_field(man, X, q, at_point)))
-        return stages[-1][1]
+        xv = X.value(q) if at_point is None else np.array([at_point(*q.tolist()[0])])
+        stages.append((q, xv))
+        return xv
 
     p, points = y[:, 0:3], np.empty((count, n, 3))
     for s in range(count):
@@ -288,7 +267,9 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     J'(0) = B(0) J(0), is integrated alongside. Raises OutOfChart naming the
     first start outside the chart or whose own stencil leaves it, ValueError
     for the step or t_end, then what ``diagnose`` raises at the first bad
-    start: a metric error, NotUnit or DegenerateSeed.
+    start: a metric error, NotUnit or DegenerateSeed. A failed block replays
+    seed by seed, so an error along the orbits other than a chart exit is
+    what the first such seed, in seed order, raises alone.
     """
     starts = as_points(starts)[0]
     outside = np.flatnonzero(~man.contains(starts))
@@ -318,7 +299,7 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
         try:
             out = _jacobi_block(man, X, y, count, step, with_jacobi)
-        except GeoContactError:  # one-step blocks raise the same error, or an earlier one
+        except GeoContactError:  # the seeds one at a time stop or raise
             out, made = _replay(man, X, y, count, step, with_jacobi)
         else:  # each seed's steps before its first end whose stencil leaves the chart
             inside = _partials_inside(man, out[..., 0:3].reshape(-1, 3)).reshape(count, -1)

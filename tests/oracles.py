@@ -8,12 +8,15 @@ demo or kernel reads them.
   R-contact metrics on S^3 whose diagnostics are known in closed form.
 - ``skew_lines``: Harrison's linear fibrations of R^3 by pairwise skew
   lines, whose unit fields are geodesic and contact everywhere.
+- ``gluck_warner``: great-circle fibrations of S^3 from Gluck and Warner's
+  parametrization, whose unit fields are geodesic and, by Gluck's theorem,
+  contact everywhere.
 """
 
 import numpy as np
 
 from geocontact import CatalogEntry, GridSpec, OrbitSpec, UnitField, manifold_from_exprs
-from geocontact.catalog import _FLAT, _HOPF_COMPONENTS
+from geocontact.catalog import _FLAT, _HOPF_COMPONENTS, _ROUND_S3, _hopf_parametrization
 
 
 def jacobi_component_closed_form(kappa: float, j0: float, jp0: float, t):
@@ -81,3 +84,53 @@ def skew_lines(A) -> CatalogEntry:
         expected={}, notes="linear fibration of flat space by pairwise skew lines",
         grid=GridSpec((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (5, 5, 5)),
         orbit=OrbitSpec((0.2, -0.3, 0.1)), space_form_c=0.0)
+
+
+def gluck_warner(b, M, eps: float, iterations: int = 200) -> CatalogEntry:
+    """A great-circle fibration of the round 3-sphere, in the ``s3_hopf`` chart.
+
+    Gluck and Warner (Duke Math. J. 50, 1983) send the oriented plane of
+    orthonormal x, y in R^4 = H to (y x-bar, x-bar y), a pair of unit imaginary
+    quaternions; the great-circle fibrations are the graphs of the
+    distance-decreasing maps f: S^2 -> S^2. Here f(u) = (b + eps M u) /
+    |b + eps M u| with |b| = 1 and ||M||_2 = 1, whose Lipschitz constant
+    eps / (1 - eps) is below 1 for eps < 1/2. The fibre through q has the
+    direction y = q w, with w the fixed point of the contraction
+    w -> f(q w q-bar), found by iteration; eps = 0 is a Hopf fibration.
+
+    The chart point x is q = (|x|^2 - 1, 2 x) / (|x|^2 + 1), the inverse of
+    phi(q) = (q1, q2, q3) / (1 - q0), so the field is d phi(y), unit for the
+    round metric. Raises ArithmeticError if the fixed-point residual is above
+    1e-14 after ``iterations`` steps. By Gluck's theorem, which the source
+    paper re-proves, the field is contact everywhere; it is geodesic, and
+    Killing only when eps = 0.
+    """
+    b, M = np.asarray(b, dtype=float), np.asarray(M, dtype=float)
+
+    def fibre(pts):
+        r2 = (pts * pts).sum(axis=1)[:, None, None]
+        a, v = (r2 - 1.0) / (r2 + 1.0), 2.0 * pts[:, :, None] / (r2 + 1.0)  # q = (a, v)
+        cross = np.cross(v[:, None, :, 0], np.eye(3))  # cross[n, j] = v x e_j
+        rotation = (2.0 * a * a - 1.0) * np.eye(3) + 2.0 * v * np.swapaxes(v, 1, 2) \
+            + 2.0 * a * np.swapaxes(cross, 1, 2)  # u -> q u q-bar on imaginary u
+        step, w = eps * M @ rotation, np.broadcast_to(b, pts.shape)[..., None]
+        for _ in range(iterations):
+            nxt = b[:, None] + step @ w
+            nxt /= np.sqrt((nxt * nxt).sum(axis=1, keepdims=True))
+            w, residual = nxt, np.abs(nxt - w).max(initial=0.0)
+            if residual <= 1e-14:
+                break
+        else:
+            raise ArithmeticError(f"fixed point not reached: residual {residual:.3e}")
+        a, v, w = a[:, :, 0], v[..., 0], w[..., 0]
+        y0, y = -(v * w).sum(axis=1, keepdims=True), a * w + np.cross(v, w)  # q w
+        return y / (1.0 - a) + v * (y0 / (1.0 - a) ** 2)
+
+    name = f"gluck_warner({eps!r})"
+    man = manifold_from_exprs(name, _ROUND_S3)
+    man.volume_param = _hopf_parametrization()
+    return CatalogEntry(
+        name=name, manifold=man, field=UnitField.from_callable("great_circles", fibre),
+        expected={}, notes="great-circle fibration of the round 3-sphere (Gluck-Warner)",
+        grid=GridSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 5, 5)),
+        orbit=OrbitSpec((0.3, 0.2, 0.1)), space_form_c=1.0)

@@ -61,12 +61,20 @@ def test_field_value_examples(entries):
 
 
 def test_weighted_equal_weights_is_unit_hopf(entries):
-    even = builtin("s3_weighted(2,2)")
-    hopf = entries["s3_hopf"]
+    """Equal weights k take the construction of every weight pair: the round
+    sphere of radius 1/k, contact volume pi^2 / k^2 and curvature k^2. So (1, 1)
+    is the unit Hopf entry and the volume is continuous across k1 = k2."""
+    unit, hopf = builtin("s3_weighted(1,1)"), entries["s3_hopf"]
     pts = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.7]])
-    np.testing.assert_allclose(even.field.value(pts), hopf.field.value(pts), atol=1e-14)
-    np.testing.assert_allclose(even.manifold.metric_at(pts),
+    np.testing.assert_allclose(unit.field.value(pts), hopf.field.value(pts), atol=1e-14)
+    np.testing.assert_allclose(unit.manifold.metric_at(pts),
                                hopf.manifold.metric_at(pts), atol=1e-14)
+    even, near = (gc.volume_integral(builtin(name), 32) for name in ("s3_weighted(2,2)",
+                                                                     "s3_weighted(2,2.000001)"))
+    assert abs(even.value - np.pi ** 2) <= even.estimated_error
+    assert abs(even.value - near.value) <= 1e-4
+    assert builtin("s3_weighted(2,-2)").space_form_c == 4.0  # the metric reads k1^2 and k2^2
+    assert builtin("s3_weighted(2,3)").space_form_c is None
 
 
 def test_default_grids_inside_domain(entries):

@@ -251,10 +251,30 @@ def transport_rhs(man, X):
     oracle for orbits without the Jacobi pair, as ``classical_rhs`` is with it."""
     def rhs(t, y):
         p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
-        xv = flow._stage_field(man, X, p)
+        xv = X.value(p)
         de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
         return np.concatenate([xv, de], axis=1)
     return rhs
+
+
+def rk4_rows(man, step, y, h):
+    """One step ``step(y, h)`` of every row of y, all rows at once, and the mask
+    of rows whose step end's curvature stencil stays in the chart. If a stage
+    leaves the chart (OutOfChart, or a DomainError at a point outside it), the
+    step is redone one row at a time, so only the rows that raise alone stop:
+    the oracle's lockstep order, where ``flow._replay`` goes seed by seed."""
+    try:
+        nxt = step(y, h)
+    except (OutOfChart, DomainError) as exc:
+        if isinstance(exc, DomainError) and man.contains(exc.point):
+            raise
+        if len(y) == 1:
+            return y, np.zeros(1, dtype=bool)
+        nxt, ok = y.copy(), np.zeros(len(y), dtype=bool)
+        for k in range(len(y)):
+            nxt[k:k + 1], ok[k:k + 1] = rk4_rows(man, step, y[k:k + 1], h)
+        return nxt, ok
+    return nxt, flow._partials_inside(man, nxt[:, 0:3])
 
 
 def one_step_block(man, X, with_jacobi):
@@ -280,7 +300,7 @@ def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=one_step
     hist[:, 0] = y
     rows, samples = np.arange(len(y)), np.full(len(y), nsteps + 1)
     for s in range(1, nsteps + 1):
-        y, ok = flow._rk4_rows(man, stepper(man, X, with_jacobi), y, step)
+        y, ok = rk4_rows(man, stepper(man, X, with_jacobi), y, step)
         if not ok.all():
             samples[rows[~ok]] = s
             rows, y = rows[ok], y[ok]
@@ -659,6 +679,24 @@ def test_a_step_leaving_the_chart_ends_the_seed_before_its_metric_fails(with_jac
     assert traj.points[-1, 2] == pytest.approx(1.185, abs=1e-12)
 
 
+@pytest.mark.parametrize("with_jacobi", MODES)
+def test_a_batch_raises_its_first_failing_seeds_error(with_jacobi):
+    """Seed 0 meets the indefinite metric above x3 = 1.19 and raises
+    NotPositiveDefinite alone; seed 1, which starts nearer the cap, raises the
+    metric's DomainError at x3 = 1.19 in its first step, steps before seed 0
+    fails. The batch raises seed 0's error, as ``integrate_orbit`` of seed 0
+    does, not the earliest step's."""
+    man, z = sign_flip("flip", "1.19 - x3", domain="x3*(1.2 - x3)")
+    starts = np.array([[0.0, 0.0, 1.10], [0.1, 0.0, 1.18]])
+    with pytest.raises(NotPositiveDefinite) as alone:
+        integrate_orbit(man, z, starts[0], 0.5, 1e-2, with_jacobi)
+    with pytest.raises(DomainError, match=r"division by zero .* at \[0\.1 +0\. +1\.19\]"):
+        integrate_orbit(man, z, starts[1], 0.5, 1e-2, with_jacobi)
+    with pytest.raises(NotPositiveDefinite) as batch:
+        integrate_orbits(man, z, starts, 0.5, 1e-2, with_jacobi)
+    assert str(batch.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("with_jacobi", [False, True])
 def test_transport_stages_check_the_metric_is_positive_definite(with_jacobi):
     """The metric is indefinite on 1.19 < x3 < 1.196, where only step 2's
@@ -748,6 +786,16 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
     assert calls == {"rk4_step": nsteps, "christoffel": blocks, "christoffel_with_partials": 1,
                      "_step_matrices": blocks, "jacobi_matrix": 0, "_replay": 0,
                      "diagnose": 1, "frame_terms": 1}
+
+
+def test_the_catalogs_t61_batches_never_replay(monkeypatch):
+    """T6.1 on every catalog entry runs 27-seed batches of 100 steps without
+    the Jacobi pair, in blocks of 14 steps: no block raises, so ``_replay``,
+    the seed-by-seed path that only a failed block takes, never runs."""
+    calls = count_calls(monkeypatch, ["_jacobi_block", "_replay"])
+    reports = gc.verify_all(gc.catalog.all_entries(), theorems=("T6.1",))
+    assert len(reports) == 7
+    assert calls == {"_jacobi_block": 8 * len(reports), "_replay": 0}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

@@ -6,17 +6,22 @@ for the Berger spheres over eps in [0.3, 3] on the 5 x 5 x 5 grid over
 [-1, 1]^3, where the curvature errors are the central stencil's, largest at
 eps = 0.3; for the skew-line fibrations over 298 matrices A (every one with
 entries in {-2, -1, 0, 1, 2} that qualifies, and 150 uniform draws), each at
-500 random points of [-2, 2]^3 and the 5 x 5 x 5 grid.
+500 random points of [-2, 2]^3 and the 5 x 5 x 5 grid; for the Gluck-Warner
+fibrations over 300 draws of b and M with uniform entries in [-1, 1] and 285
+with normal ones, eps uniform in [0, 0.35] and 0.35 in every fifth draw, each
+at 300 random points of [-1, 1]^3 and the 5 x 5 x 5 grid, and their orbits
+(4 random starts each) and verdicts over 84 further uniform draws.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geocontact as gc
 from geocontact.field import contact_defect_grid
 from geocontact.verify import verify_entry, verify_parallel_jacobi, verify_ricci
-from oracles import berger_sphere, skew_lines
+from oracles import berger_sphere, gluck_warner, skew_lines
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
@@ -72,3 +77,63 @@ def test_linear_skew_line_fibrations_are_contact(A):
     reports = verify_entry(entry, ("T5.1", "C5.2", "T3.1", "C3.2", "T6.1"), c=0.0)
     assert [r.verdict for r in reports] == ["consistent", "consistent", "hypotheses-not-met",
                                             "consistent", "consistent"]
+
+
+def great_circle_lift(points):
+    """Chart points back on the unit sphere of R^4: the inverse of the
+    stereographic chart of ``s3_hopf``, (|x|^2 - 1, 2 x) / (|x|^2 + 1)."""
+    r2 = (points * points).sum(axis=1, keepdims=True)
+    return np.hstack([r2 - 1.0, 2.0 * points]) / (r2 + 1.0)
+
+
+_BOX = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_BOX, _BOX, _BOX).filter(lambda b: np.linalg.norm(b) >= 0.1),
+       st.tuples(*[_BOX] * 9).filter(lambda m: np.linalg.norm(m) >= 0.1),
+       st.floats(0.05, 0.35))
+@example(b=(0.0, 0.0, 1.0), m=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), eps=0.0)
+def test_gluck_warner_great_circle_fibrations_are_contact(b, m, eps):
+    """Gluck's theorem on Gluck and Warner's family: the fibre field is unit
+    (measured 1.8e-15) and geodesic (1.6e-9), Delta = delta = 1 (1.7e-10) and
+    Ric(X) = 2 (2.8e-10) as on any unit geodesic field of the unit sphere, the
+    frame-free contact defect is diagnose's (3.8e-15), and X is contact with
+    B's eigenvalues complex at every point (smallest |contact defect| 0.84).
+    At c = 1, T5.1, C5.2, C3.2 and T6.1 hold and T3.1 has no non-contact
+    sample; P7.6 holds for the Hopf field (eps = 0) and otherwise finds X not
+    Killing. The orbits are great circles: lifted to R^4 over t in [0, 0.5],
+    each spans a plane through 0, its third singular value at most 5.6e-11."""
+    b = np.array(b) / np.linalg.norm(b)
+    M = np.reshape(m, (3, 3)) / np.linalg.norm(np.reshape(m, (3, 3)), 2)
+    entry = gluck_warner(b, M, eps)
+    pts = np.vstack([np.random.default_rng(0).uniform(-1.0, 1.0, (300, 3)),
+                     entry.grid.points()])
+    diag = gc.diagnose(entry.manifold, entry.field, pts)
+    assert diag.unit_defect.max() <= 4e-15
+    assert diag.geodesic_defect.max() <= 4e-9
+    assert np.abs(diag.Delta - 1.0).max() <= 4e-10
+    assert np.abs(diag.delta - 1.0).max() <= 4e-10
+    assert np.abs(diag.ric_X - 2.0).max() <= 8e-10
+    frame_free = contact_defect_grid(entry.manifold, entry.field, pts)
+    assert np.abs(frame_free - diag.contact_defect).max() <= 1e-14
+    assert diag.complex.all()
+    assert np.abs(diag.contact_defect).min() >= 0.25
+    reports = verify_entry(entry, ("T5.1", "C5.2", "T3.1", "C3.2", "T6.1", "P7.6"),
+                           volume_nodes=8)
+    assert [r.verdict for r in reports] == [
+        "consistent", "consistent", "hypotheses-not-met", "consistent", "consistent",
+        "consistent" if eps == 0.0 else "hypotheses-not-met"]
+    starts = np.array([[0.3, 0.2, 0.1], [-0.5, 0.4, 0.2], [0.1, -0.7, -0.3], [0.6, 0.6, -0.6]])
+    for traj in gc.integrate_orbits(entry.manifold, entry.field, starts, 0.5, 0.5 / 80,
+                                    with_jacobi=False):
+        assert len(traj) == 81
+        assert np.linalg.svd(great_circle_lift(traj.points), compute_uv=False)[2] <= 1e-10
+
+
+def test_gluck_warner_raises_when_its_fixed_point_is_not_reached():
+    """Two iterations of the contraction at eps = 0.35 leave a residual far
+    above 1e-14: the field refuses to return an unconverged direction."""
+    entry = gluck_warner((1.0, 0.0, 0.0), np.eye(3), 0.35, iterations=2)
+    with pytest.raises(ArithmeticError, match="fixed point not reached"):
+        entry.field.value(np.array([[0.3, 0.2, 0.1]]))
