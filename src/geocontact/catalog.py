@@ -68,7 +68,7 @@ class CatalogEntry:
 _FLAT = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
 
 
-def _hopf_parametrization(weights=None) -> VolumeParametrization:
+def _hopf_parametrization(weights=None, name="hopf") -> VolumeParametrization:
     """Hopf coordinates (eta, xi1, xi2) on the 3-sphere, mapped to the chart.
 
     The density is sin(eta) cos(eta) for the round metric; for a weighted
@@ -93,7 +93,6 @@ def _hopf_parametrization(weights=None) -> VolumeParametrization:
             base = base / w2 ** 1.5
         return base
 
-    name = "hopf" if weights is None else f"hopf_weighted_{weights[0]:g}_{weights[1]:g}"
     return VolumeParametrization(name=name, box=((0.0, np.pi / 2), (0.0, 2 * np.pi), (0.0, 2 * np.pi)),
                                  chart_map=chart_map, density=density)
 
@@ -156,13 +155,14 @@ def _s3_hopf() -> CatalogEntry:
 
 
 def _s3_weighted(k1: float, k2: float) -> CatalogEntry:
-    name = f"s3_weighted({k1:g},{k2:g})"
+    w1, w2 = (repr(k).removesuffix(".0") for k in (k1, k2))  # shortest round trip, 2 for 2.0
+    name = f"s3_weighted({w1},{w2})"
     q = (f"4*{k1 * k1!r}*(x1^2 + x2^2) + "
          f"{k2 * k2!r}*(4*x3^2 + (x1^2 + x2^2 + x3^2 - 1)^2)")
     metric = tuple(tuple((f"4/({q})" if i == j else "0") for j in range(3)) for i in range(3))
     man = manifold_from_exprs(name, metric)
-    man.volume_param = _hopf_parametrization(weights=(k1, k2))
-    fld = UnitField.from_exprs(f"weighted_hopf_{k1:g}_{k2:g}", (
+    man.volume_param = _hopf_parametrization((k1, k2), f"hopf_weighted_{w1}_{w2}")
+    fld = UnitField.from_exprs(f"weighted_hopf_{w1}_{w2}", (
         f"{k2!r}*x1*x3 - {k1!r}*x2",
         f"{k1!r}*x1 + {k2!r}*x2*x3",
         f"{k2!r}*(x3^2 + (1 - x1^2 - x2^2 - x3^2)/2)",

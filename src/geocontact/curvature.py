@@ -9,7 +9,8 @@ Index conventions (fixed here once and validated by the space-form tests):
 
 With these signs the round sphere has K = +1 and hyperbolic space K = -1.
 
-Gamma solves the Koszul system by a Cholesky factor of g (``christoffel``).
+Gamma solves the Koszul system by a Cholesky factor of g (``christoffel``),
+component-major (inner loops over N), into the same C-ordered (N, 3, 3, 3) bits.
 Every reader of R uses one operator R(., y)z, built from Gamma and its partials
 without the full tensor (``_curvature_operator``): ``jacobi_matrix`` at (X, X),
 ``sectional`` at (w, w) and ``riemann`` applied to x, the one public reader of R.
@@ -36,8 +37,10 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
 
     Gamma solves g Gamma_{.ij} = (d_i g_j. + d_j g_i. - d_. g_ij) / 2 by the
     Cholesky factor of g (``_cholesky``), forward and back substitution in
-    place in the C-ordered result, so a row's bits depend on neither its batch
-    nor the layout of the inputs.
+    place, component-major: each operation loops over the N rows of a (3, 3,
+    3, N) array, with the bits of the same operations on (N, 3, 3) views. The
+    result is C-ordered (N, 3, 3, 3), and a row's bits depend on neither its
+    batch nor the layout of the inputs.
     """
     pts, single = as_points(p)
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs,  # dg[n, k, i, j] = d_k g_ij
@@ -47,12 +50,14 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
         out = metric_out.reshape(g.shape)  # a view; g lives on only in the caller's array
         out[...] = g
         g = out
-    # gamma[n, l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, then L^-T L^-1 of that
-    gamma = np.add(dg.transpose(0, 3, 1, 2), dg.transpose(0, 3, 2, 1), order="C")
-    gamma -= dg
+    # gamma[l, i, j, n] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, then L^-T L^-1 of that
+    d = np.moveaxis(dg, 0, -1)  # a view: d[k, i, j] is one (N,) row
+    gamma = np.add(d.transpose(2, 0, 1, 3), d.transpose(2, 1, 0, 3), order="C")
+    gamma -= d
     gamma *= 0.5
-    l11, l21, l31, l22, l32, l33 = (f[:, None, None] for f in _cholesky(g))
-    b0, b1, b2 = gamma[:, 0], gamma[:, 1], gamma[:, 2]  # views of the rows l = 0, 1, 2
+    del d, dg  # not held through the copy of the result, the solve's memory peak
+    l11, l21, l31, l22, l32, l33 = _cholesky(g)
+    b0, b1, b2 = gamma  # views of the rows l = 0, 1, 2, each (3, 3, N)
     b0 /= l11  # forward: L y = b
     b1 -= l21 * b0
     b1 /= l22
@@ -65,6 +70,7 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
     b0 -= l21 * b1
     b0 -= l31 * b2
     b0 /= l11
+    gamma = gamma.transpose(3, 0, 1, 2).copy()  # C-ordered (N, 3, 3, 3)
     return gamma[0] if single else gamma
 
 

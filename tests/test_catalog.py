@@ -45,6 +45,21 @@ def test_weighted_name_parsing():
     assert builtin("s3_weighted( 1.5 , 2.5 )").name == "s3_weighted(1.5,2.5)"
 
 
+def test_weighted_names_keep_every_digit_of_the_weights(capsys):
+    """Weights that differ name different entries, fields and parametrizations,
+    and an entry's name looks it up again."""
+    near, even = builtin("s3_weighted(2,2.000001)"), builtin("s3_weighted(2,2)")
+    assert (near.name, near.field.name) == ("s3_weighted(2,2.000001)", "weighted_hopf_2_2.000001")
+    assert (even.name, even.field.name) == ("s3_weighted(2,2)", "weighted_hopf_2_2")
+    assert near.manifold.volume_param.name == "hopf_weighted_2_2.000001"
+    assert even.manifold.volume_param.name == "hopf_weighted_2_2"
+    for entry in (near, even, builtin("s3_weighted( 1.5 , 2.5 )"), builtin("s3_weighted(1e20,-2)"),
+                  *all_entries()):
+        assert builtin(entry.name).name == entry.name
+    assert cli.main(["verify", "T6.1", "--entry", "s3_weighted(2,2.000001)"]) == 0
+    assert '"entry": "s3_weighted(2,2.000001)"' in capsys.readouterr().out
+
+
 def test_all_entries_instantiates_seven():
     entries = all_entries()
     assert len(entries) == 7

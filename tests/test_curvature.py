@@ -5,6 +5,8 @@ derived symbolically (Koszul formula on g = delta/x3^2 and on the product
 metric) and are frozen here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,93 @@ def test_catalog_metrics_skip_eigvalsh(entries, monkeypatch, name):
     assert _surely_conditioned(entry.manifold.metric_at(pts)).all()
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     christoffel(entry.manifold, pts)
+
+
+def christoffel_by_rows(g, dg):
+    """Gamma from g (N, 3, 3) and dg[n, k, i, j] = d_k g_ij by the solve of
+    ``christoffel`` on (N, 3, 3) views of the (N, 3, 3, 3) result, with the
+    factors broadcast as (N, 1, 1): the reference its bits are pinned to."""
+    gamma = np.add(dg.transpose(0, 3, 1, 2), dg.transpose(0, 3, 2, 1), order="C")
+    gamma -= dg
+    gamma *= 0.5
+    l11, l21, l31, l22, l32, l33 = (f[:, None, None] for f in geometry._cholesky(g))
+    b0, b1, b2 = gamma[:, 0], gamma[:, 1], gamma[:, 2]
+    b0 /= l11
+    b1 -= l21 * b0
+    b1 /= l22
+    b2 -= l31 * b0
+    b2 -= l32 * b1
+    b2 /= l33
+    b2 /= l33
+    b1 -= l32 * b2
+    b1 /= l22
+    b0 -= l21 * b1
+    b0 -= l31 * b2
+    b0 /= l11
+    return gamma
+
+
+def assert_christoffel_bits(man, pts):
+    """``christoffel`` at pts is a C-ordered (N, 3, 3, 3) array, bit for bit the
+    reference solve of the same jet, and hands that jet's g to ``metric_out``."""
+    g, dg = geometry._jet(man, man.metric_fn, pts, man.metric_exprs)
+    g_out = np.empty((len(pts), 3, 3))
+    gam = christoffel(man, pts, g_out)
+    assert gam.shape == (len(pts), 3, 3, 3) and gam.flags.c_contiguous
+    assert gam.tobytes() == christoffel_by_rows(g, dg).tobytes()
+    assert g_out.tobytes() == np.ascontiguousarray(g).tobytes()
+    return gam
+
+
+#: a metric whose Cholesky factor is dense (every off-diagonal term nonzero), so
+#: that no term of the substitution vanishes; diagonally dominant on |x| <= 1.5
+DENSE_G = (("2 + x1^2", "0.3*sin(x2)", "0.2*x3"),
+           ("0.3*sin(x2)", "3 + cos(x1*x3)", "0.1*x1*x2"),
+           ("0.2*x3", "0.1*x1*x2", "2.5 + x3^2/4"))
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_christoffel_bits_are_the_reference_solves_on_the_catalog_grids(entries, name):
+    entry = entries[name]
+    pts = entry.grid.points()
+    assert_christoffel_bits(entry.manifold, pts[entry.manifold.contains(pts)])
+
+
+def test_christoffel_bits_are_the_reference_solves_with_central_differences():
+    entry = gc.builtin("s3_hopf")
+    entry.manifold.diff_mode = "central"
+    assert_christoffel_bits(entry.manifold, entry.grid.points())
+
+
+@pytest.mark.parametrize("mode", ["dual", "central"])
+@pytest.mark.parametrize("n", [1, 4, 7, 1600])
+def test_christoffel_bits_do_not_depend_on_the_batch_or_the_layout(mode, n):
+    """Every batch size runs the one solve: N = 1 as a (3,) point and as a batch
+    of one, and a strided batch gives the bits of its C-ordered copy."""
+    man = gc.manifold_from_exprs("dense", DENSE_G)
+    man.diff_mode = mode
+    wide = np.random.default_rng(n).uniform(-1.5, 1.5, (3, 2 * n))
+    strided = wide.T[::2]
+    assert not strided.flags.c_contiguous
+    gam = assert_christoffel_bits(man, np.ascontiguousarray(strided))
+    assert christoffel(man, strided).tobytes() == gam.tobytes()
+    assert christoffel(man, strided[0]).tobytes() == gam[0].tobytes()
+
+
+def test_christoffel_peak_memory_is_bounded(entries):
+    """At 20,000 rows the tracemalloc peak of ``christoffel`` stays within 2.75
+    times its result: the solve holds no copy of dg, and releases dg before
+    the result is copied out (the (N, 3, 3)-view solve read 2.92)."""
+    man = entries["s3_hopf"].manifold
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (20_000, 3))
+    christoffel(man, pts[:2])  # compiles the metric's program outside the measurement
+    tracemalloc.start()
+    try:
+        gam = christoffel(man, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * gam.nbytes
 
 
 # ---------------------------------------------------------------------------
