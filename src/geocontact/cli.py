@@ -22,7 +22,7 @@ from . import __version__, catalog
 from .catalog import CatalogEntry, GridSpec, OrbitSpec
 from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization, OutOfChart,
                      UnknownEntry, finite_number)
-from .curvature import trace_discriminant
+from .curvature import _partials_inside, trace_discriminant
 from .field import UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, orbit_steps, riccati_residuals,
                    trace_evolution_residual, wronskian)
@@ -247,6 +247,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyze needs a grid")
     pts = entry.grid.points()
     inside = entry.manifold.contains(pts)
+    inside[inside] = _partials_inside(entry.manifold, pts[inside])  # the orbit starts' rule
     skipped = pts[~inside]
     diag = diagnose(entry.manifold, entry.field, pts[inside], unit_tol=np.inf)
     failed = np.any((diag.unit_defect > tol.unit_defect)
@@ -340,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to a file instead of stdout")
     configured = argparse.ArgumentParser(add_help=False, parents=[common])
-    configured.add_argument("--config", help="path to a JSON config document")
-    configured.add_argument("--entry", help="catalog entry (shortcut for a minimal config)")
+    setup = configured.add_mutually_exclusive_group()
+    setup.add_argument("--config", help="path to a JSON config document")
+    setup.add_argument("--entry", help="catalog entry (shortcut for a minimal config)")
 
     parser = argparse.ArgumentParser(
         prog="geocontact",

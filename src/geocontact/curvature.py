@@ -92,9 +92,9 @@ def christoffel_with_partials(man: ChartedManifold, p):
 def _partials_inside(man: ChartedManifold, pts):
     """Mask of the rows of an (N, 3) batch at which ``christoffel_with_partials``
     reaches only chart points: its stencil and the jet points of each stencil
-    point, so that it raises no OutOfChart at the rows of the mask."""
+    point, so that it raises no OutOfChart at the rows of the mask; empty at N = 0."""
     reach = _jet_points(man, _jet_points(man, pts), man.metric_exprs)
-    return man.contains(reach).reshape(-1, len(pts)).all(axis=0)
+    return man.contains(reach).reshape(len(reach) // max(len(pts), 1), len(pts)).all(axis=0)
 
 
 def _rows(pts, *vectors):

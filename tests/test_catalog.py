@@ -1,5 +1,7 @@
 """Catalog entries: lookups, documented values and the expected-template self-check."""
 
+import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 
 import geocontact as gc
 from geocontact import cli
-from geocontact.catalog import NAMES, all_entries, builtin, self_check
+from geocontact.catalog import _HOPF_COMPONENTS, NAMES, all_entries, builtin, self_check
 from geocontact.errors import UnknownEntry
+from geocontact.field import UnitField
 
 from conftest import ENTRY_NAMES
 
@@ -43,6 +46,13 @@ def test_weighted_name_parsing():
     entry = builtin("s3_weighted(2,3)")
     assert entry.name == "s3_weighted(2,3)"
     assert builtin("s3_weighted( 1.5 , 2.5 )").name == "s3_weighted(1.5,2.5)"
+
+
+def test_every_name_is_looked_up_with_surrounding_whitespace_stripped(capsys):
+    for name in ENTRY_NAMES:
+        assert builtin(f" {name}\t").name == name
+    assert cli.main(["orbit", "--entry", " s3_hopf"]) == 0
+    assert capsys.readouterr().out.startswith(cli.ORBIT_HEADER)
 
 
 def test_weighted_names_keep_every_digit_of_the_weights(capsys):
@@ -113,6 +123,80 @@ def test_catalog_self_check(entries, name):
     """Unit/geodesic bounds plus every expected-template value, 125 points."""
     mismatches = self_check(entries[name])
     assert mismatches == []
+
+
+#: the Hopf field stretched by 1 + 1e-7 x1: a unit defect up to 2e-7, below
+#: diagnose's NotUnit bound and above the self-check's 1e-8
+NEAR_HOPF = [f"(1 + 1e-7*x1)*({c})" for c in _HOPF_COMPONENTS]
+#: a unit field of flat space that is not geodesic
+TILTED = ("1/sqrt(1 + x1^2)", "0", "x1/sqrt(1 + x1^2)")
+
+#: case -> (entry, its field's components or None for its own, template values
+#: that replace or join its own, the number of mismatches, sha256 of the list
+#: joined by newlines); one wrong value per template key kind
+MUTANTS = {
+    "contact_abs:zero": ("s3_hopf", None, {"contact_abs": 0.0}, 125,
+                         "c0a49b5fd0141a6672afe57ec4ea35a30d832de4c675d8a9c0e990d5203673ae"),
+    "contact_abs:nonzero": ("heisenberg_reeb", None, {"contact_abs": 1.00002}, 125,
+                            "14f58f7acd8cc313ec70a4f3d7e023457a621ca14a6fbb03096cd867e725ae6d"),
+    "contact_abs_min": ("s3_weighted(2,3)", None, {"contact_abs_min": 5.0}, 65,
+                        "ad1c2fef0fffc9b4859e3f21860cd48079e3484522c3ae55e4c43c0c62dc589b"),
+    "beta_norm": ("euclidean_skew", None, {"beta_norm": 0.6428571428571429}, 109,
+                  "9a152d873ab5e6abe0f6bd59adebbd9f4791a4c722470c7b859096a4fcaf3d13"),
+    "beta_norm:weighted": ("s3_weighted(2,3)", None, {"beta_norm": 3.5}, 125,
+                           "3b729d6a85893f5db258e8c91ec4dafc662826c186ae35e92d6a9ca3af9a6a19"),
+    "beta": ("h3_vertical", None, {"beta": ((-1.0, 0.0), (0.0, -0.99))}, 125,
+             "c6603ba3cb4e821611a633a25d4a40a74e73589f77cca2a7a2801013b97f3219"),
+    "beta_rank": ("h2xr_vertical", None, {"beta_rank": 2}, 125,
+                  "d786e26f01285c5908959dc400bbd0419c930c5f9e065dae4fe7226a8cd057f6"),
+    "eig_kind": ("h2xr_vertical", None, {"eig_kind": "complex"}, 125,
+                 "d81fd8a23689fc03429c8f2b4fff2fb400f608dc2e4a039d32e6bf38580d3135"),
+    "real_eigs_sorted": ("h2xr_vertical", None, {"real_eigs_sorted": (-1.0, 0.5)}, 125,
+                         "d5e5998a31896860f5bda9c5e53e196dab1eed6d598dc031366b00ccb5856b3d"),
+    "real_eigs_sorted:complex": ("s3_hopf", None, {"real_eigs_sorted": (-1.0, 1.0)}, 125,
+                                 "96ba3a4f6a062495edb8ed46ff73e4d4142a835d3fe9f737048967b5276e3dca"),
+    "disc_max": ("s3_weighted(2,3)", None, {"disc_max": -25.0}, 65,
+                 "48adb22936498e4be60b80e02aa9eb03857fc086a6e754c435cab9b94c0f73e3"),
+    "Delta,delta,ric_X": ("s3_hopf", None, {"Delta": 1.1, "delta": 0.9, "ric_X": 2.00002}, 375,
+                          "b021a67242fe9bbaed910759ef273c3b88d6eedb7138e35c8a075a867c48910f"),
+    "ric_X:weighted": ("s3_weighted(2,3)", None, {"ric_X": 12.4137931}, 121,
+                       "dab375ba37f3ca2ab2e693a32c0ff9b04334f5d26436cf7b313dcad505141ece"),
+    "killing_max": ("euclidean_skew", None, {"killing_max": 0.7}, 68,
+                    "8fe9843b26afa02e485c85281cd3c4a15c5b0ef138cd953ea797f87d7f1a7849"),
+    "not_unit": ("s3_hopf", NEAR_HOPF, {}, 225,
+                 "2ba29ea40d86d10f63f59815c408a3aae3251c2bda889461258ea7963e46c793"),
+    "not_geodesic": ("euclidean_parallel", TILTED, {}, 450,
+                     "29409e0393ca99fca7701f9013b906198cdac511c2d4fb46e8a1c83f2e46b98a"),
+    # every check in one list: the order is point by point, then key by key
+    "every_key": ("s3_hopf", NEAR_HOPF, {
+        "contact_abs": 0.0, "contact_abs_min": 3.0, "beta_norm": 1.0,
+        "beta": ((0.0, 0.0), (0.0, 0.0)), "beta_rank": 1, "eig_kind": "real",
+        "real_eigs_sorted": (0.0, 0.0), "disc_max": -5.0, "Delta": 1.1, "delta": 0.9,
+        "ric_X": 2.1, "killing_max": -1.0}, 1600,
+        "b8843e32b85a8e2f7351ab457e4f48be1470a2945dae7fb3307e36f1267c8477"),
+}
+
+
+def mutant(name, components, template):
+    entry = builtin(name)
+    field = entry.field if components is None else UnitField.from_exprs("mutant", components)
+    return dataclasses.replace(entry, field=field, expected={**entry.expected, **template})
+
+
+@pytest.mark.parametrize("case", MUTANTS)
+def test_self_check_reports_every_missed_value(case):
+    """A wrong template value, or a field that is not unit or not geodesic,
+    is reported at each point that misses it, with the value measured there."""
+    name, components, template, count, digest = MUTANTS[case]
+    mismatches = self_check(mutant(name, components, template))
+    assert len(mismatches) == count
+    assert hashlib.sha256("\n".join(mismatches).encode()).hexdigest() == digest
+
+
+def test_self_check_reports_an_unknown_template_key():
+    """A key the self-check does not know is a mismatch, not an unchecked value."""
+    entry = mutant("s3_hopf", None, {"ric_x": 2.0})
+    assert self_check(entry) == ["s3_hopf: unknown template key 'ric_x'"]
 
 
 def test_skew_orbits_are_straight_lines(entries):

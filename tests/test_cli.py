@@ -72,6 +72,15 @@ def test_a_flag_its_command_would_not_read_is_a_usage_error(capsys, argv):
     assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["orbit"], ["verify", "T3.1"], ["volume"]])
+def test_entry_and_config_exclude_each_other(tmp_path, capsys, command):
+    """A command reads its setup from one of the two, so the other would be ignored."""
+    cfg = write_config(tmp_path, {"manifold": "s3_hopf"})
+    code, out, err = run(capsys, [*command, "--entry", "h3_vertical", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "argument --config: not allowed with argument --entry" in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -123,6 +132,35 @@ def test_analyze_out_of_chart_block(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == cli.ANALYZE_HEADER and lines[1].startswith("# version")
     assert lines[3:] == ["# out_of_chart: 2", "# 0,0,-2", "# 0,0,-1"]
+
+
+@pytest.mark.parametrize("mode", ["dual", "central"])
+def test_analyze_lists_a_point_whose_curvature_stencil_leaves_the_chart(tmp_path, capsys, mode):
+    """x3 = 1e-6 is inside h3_vertical's chart, but the curvature stencil there
+    reaches x3 < 0: the point is listed under out_of_chart, as one outside is."""
+    cfg = write_config(tmp_path, {"manifold": "h3_vertical", "diff": {"mode": mode}, "grid": {
+        "min": [0, 0, 1e-6], "max": [0, 0, 1], "counts": [1, 1, 3]}})
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [row.split(",")[2] for row in lines[1:3]] == ["0.50000049999999996", "1"]
+    assert lines[3].startswith("# version")
+    assert lines[5:] == ["# out_of_chart: 1", "# 0,0,9.9999999999999995e-07"]
+
+
+def test_analyze_checks_the_stencil_only_of_points_inside_the_chart(tmp_path, capsys):
+    """The chart log(x3) > 0 is x3 > 1. The stencil of x3 = 1e-6, outside it,
+    would reach x3 < 0, where log is undefined; x3 = 1.0000007 is inside, but
+    its stencil is not."""
+    cfg = write_config(tmp_path, {
+        "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     "domain": "log(x3)"},
+        "field": {"components": ["0", "0", "1"]},
+        "grid": {"min": [0, 0, 1e-6], "max": [0, 0, 3], "counts": [1, 1, 4]}})
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-3:] == ["# out_of_chart: 2", "# 0,0,9.9999999999999995e-07",
+                                     "# 0,0,1.0000006666666665"]
 
 
 def test_analyze_byte_identical(tmp_path, capsys):

@@ -34,6 +34,8 @@ H3_CAP = {"manifold": {"metric": [["1/x3^2", "0", "0"], ["0", "1/x3^2", "0"],
 
 #: case id -> (argv, config document written to --config, or None)
 CASES = {
+    "catalog": (["catalog"], None),
+    "catalog:json": (["catalog", "--json"], None),
     **{f"analyze:{name}": (["analyze", "--entry", name], None) for name in ENTRY_NAMES},
     "analyze-central:s3_hopf": (["analyze"], {"manifold": "s3_hopf",
                                               "diff": {"mode": "central"}}),
@@ -75,6 +77,8 @@ DIGESTS = {
     "analyze:heisenberg_reeb": "3b0a345b05d16f61734bd74a38a03811fa9340749b0f70cfdcf6b87eeab9c0ed",
     "analyze:s3_hopf": "1d48c5ae42a3097d7bbb82ef36a7cbd791488724941d14e6b922628d34609813",
     "analyze:s3_weighted(2,3)": "df9a742fc107d0a1f5621483bf886b0a552bc63feab9e3109b2bc5efcdcf7701",
+    "catalog": "52ef2e393c3f26ddb4bb7364ea7bd5f6ee558776eb2a3a951da9adb40a445d60",
+    "catalog:json": "f0f5e38874223a53a3ddab4cf8d7a7116cc2ebd6b5c07dd1bcdabd3336125f87",
     "orbit:h3_cap": "bfd561065016a0471f07091a80335e2b078be42c3e7f4ca9c74a3cc96a46ffca",
     "orbit:h3_vertical": "681c52dee4de01f4322937e21a998e773a458854c787204b24dbd39114fc544b",
     "orbit:s3_hopf": "5247ed58a5a0ad00858b4e85500420b57773fc2de656e0d05adc36d29f14f7e6",

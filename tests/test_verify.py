@@ -298,8 +298,11 @@ def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
         volume_integral(entry, 12)
     assert str(threaded.value) == str(serial.value)
     assert len(blocks) <= 1 + workers  # block 0, then at most one per worker
-    monkeypatch.setitem(catalog._BUILDERS, "box_edge", lambda: entry)
-    assert cli.main(["volume", "--entry", "box_edge", "--nodes", "12"]) == 1
+    monkeypatch.setitem(catalog._FIXED, "box", dict(  # the same chart as a catalog row
+        metric=catalog._FLAT, domain="0.5 - x1", field=("z", ("0", "0", "1")), expected={},
+        notes="", box=((0.1, 0.1, 0.1), (0.9, 0.9, 0.9)), start=(0.5, 0.5, 0.1),
+        volume=entry.manifold.volume_param))
+    assert cli.main(["volume", "--entry", "box", "--nodes", "12"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {serial.value}\n"
     assert threading.active_count() == baseline
