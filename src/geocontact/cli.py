@@ -205,15 +205,20 @@ def _emit(text: str, out_path):
 
 
 def _emit_csv(args, resolved: Resolved, header: str, rows, notes=()):
-    """A CSV report: the header, one line per row (float cells with 17
+    """A CSV report: the header, one line per row (number cells with 17
     significant digits, string cells as given), then the ``# version`` and
-    ``# config`` echo lines and one ``# `` line per note."""
-    body = "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n"
-                   for row in rows)
+    ``# config`` echo lines and one ``# `` line per note. Each row is one ``%``
+    template, ``%.17g`` per number cell and ``%s`` per string cell, fixed by
+    the first row: a column holds numbers or strings in every row."""
+    body, template = [], None
+    for row in rows:
+        if template is None:
+            template = ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\n"
+        body.append(template % tuple(row))
     trailer = (f"version: geocontact {__version__}",
                f"config: {json.dumps(resolved.echo, sort_keys=True, separators=(',', ':'))}",
                *notes)
-    _emit(header + "\n" + body + "".join(f"# {line}\n" for line in trailer), args.out)
+    _emit(header + "\n" + "".join(body) + "".join(f"# {line}\n" for line in trailer), args.out)
 
 
 def _emit_json(args, resolved: Resolved, **body):

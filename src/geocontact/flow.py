@@ -22,13 +22,14 @@ Solving ODEs I, II.1 and IV.2).
 With or without the Jacobi pair (``with_jacobi``), an orbit runs in blocks
 of ``JACOBI_BLOCK`` steps. A block first runs RK4 on p alone, recording
 every stage point and field value. A one-row block of a field given by
-expressions takes its stage values from the table's scalar program
-(``ExprTable.at_point``): the same statements on Python floats, bit for bit
-the numpy program's values without its per-call overhead. ``rk4_step``
-still makes every step. The block then makes one batched curvature call at all those
-stages: ``christoffel`` for the transport alone, or
-``christoffel_with_partials`` for Gamma and its partials with the Jacobi
-pair. The frame step matrices of the block, from A = -Gamma(X, .) at every
+expressions runs this point pass on Python floats: the state is a ``_Point``
+of three floats and the stage values come from the table's scalar program
+(``ExprTable.at_point``), the same statements on Python floats, bit for bit
+the numpy pass's values without its per-call overhead. ``rk4_step`` still
+makes every step, so its tableau is the only one. The block then makes one
+batched curvature call at all those stages: ``christoffel`` for the
+transport alone, or ``christoffel_with_partials`` for Gamma and its partials
+with the Jacobi pair. The frame step matrices of the block, from A = -Gamma(X, .) at every
 stage, carry (e1, e2) step by step. With the Jacobi pair they also give the
 stage frames, one batched ``jacobi_matrix`` call gives M at all of them
 (from Gamma and its partials, without the full Riemann tensor), and the
@@ -43,6 +44,13 @@ all its step ends or after each replayed step, so the post-pass keeps every
 sample it is given. Only the replay tells a chart exit (OutOfChart, or a
 DomainError outside the chart), which stops a seed, from any other error,
 which it raises; a failed block costs at most ``JACOBI_BLOCK`` one-seed steps.
+
+Each sample but the last is the first stage of its step. So with the Jacobi
+pair the blocks (and replays) hand back g, Gamma and its partials there, and
+the post-pass (``_trajectory``) reads them: only each seed's last sample
+takes a one-row ``christoffel_with_partials`` call of its own. Without the
+Jacobi pair the blocks compute no partials, and the post-pass makes one
+``christoffel_with_partials`` call at all the samples.
 
 An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
 J'(0) = B(0) J(0). The samples' B and M come from ``frame_terms``, the
@@ -68,18 +76,41 @@ FRAME_DRIFT_LIMIT = 1e-6
 #: share blocks of JACOBI_BLOCK // N steps, so a block's curvature batch has
 #: at most 4 * JACOBI_BLOCK rows, and with the Jacobi pair its stencil 7 times
 #: as many (7.3 MB of Gamma partials). Its step matrices add about ten stacks
-#: of at most (count, 4, N, 4, 4) floats, 0.2 MB each. A block then peaks
-#: below the post-pass of a 2000-step orbit (7 * 2001 rows).
+#: of at most (count, 4, N, 4, 4) floats, 0.2 MB each. With the Jacobi pair a
+#: seed keeps g, Gamma and its partials at each sample, 117 floats (1.9 MB for a
+#: 2000-step orbit), where a post-pass stencil of 7 * 2001 rows would peak higher.
 JACOBI_BLOCK = 400
+
+#: the shapes of g, Gamma and its partials at one point, the curvature rows
+#: that a block with the Jacobi pair hands back at each step's first stage
+_CURVATURE = ((3, 3), (3, 3, 3), (3, 3, 3, 3))
 
 
 def rk4_step(f, t, y, h):
-    """One classical Runge-Kutta 4 step for y' = f(t, y)."""
+    """One classical Runge-Kutta 4 step for y' = f(t, y): the one RK4 tableau.
+
+    y and f's values are numpy arrays, or one point's ``_Point`` of floats,
+    whose arithmetic rounds each component as numpy rounds it in a (1, 3) row.
+    """
     k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class _Point(tuple):
+    """Three floats with the two operations ``rk4_step`` applies to a state, p + q
+    and c * p, component by component as numpy does them on a (1, 3) row, so a
+    one-seed point pass on Python floats has the numpy pass's bits."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Point((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
+
+    def __rmul__(self, c):
+        return _Point((c * self[0], c * self[1], c * self[2]))
 
 
 @dataclass
@@ -170,57 +201,70 @@ def _carry(steps, z):
 
 def _replay(man, X, y, count, h, with_jacobi):
     """The block of ``count`` steps of y that raised, redone one step of one
-    seed at a time: the states (count, N, state) after each step and the
-    steps each seed made. A seed stops before its first step that leaves the
-    chart: OutOfChart, a DomainError at a point outside the chart, or an end
-    whose curvature stencil leaves it (``_partials_inside``). Any other error
-    is raised: the first failing seed's, as that seed alone raises it."""
+    seed at a time, handed back as a block hands it back: the states (count,
+    N, state) after each step, the curvature rows at each step's first stage
+    and the steps each seed made. A seed stops before its first step that
+    leaves the chart: OutOfChart, a DomainError at a point outside the chart,
+    or an end whose curvature stencil leaves it (``_partials_inside``). Any
+    other error is raised: the first failing seed's, as that seed alone raises it."""
     out, made = np.empty((count,) + y.shape), np.zeros(len(y), dtype=int)
+    firsts = [np.empty((count, len(y)) + shape) for shape in _CURVATURE] if with_jacobi else []
     for k in range(len(y)):
         z = y[k:k + 1]
         for s in range(count):
             try:
-                z = _jacobi_block(man, X, z, 1, h, with_jacobi)[0]
+                states, first = _jacobi_block(man, X, z, 1, h, with_jacobi)
             except OutOfChart:
                 break
             except DomainError as exc:
                 if man.contains(exc.point):
                     raise
                 break
+            z = states[0]
             if not _partials_inside(man, z[:, 0:3])[0]:
                 break
             out[s, k], made[k] = z[0], s + 1
-    return out, made
+            for buf, row in zip(firsts, first):
+                buf[s, k] = row[0, 0]
+    return out, firsts, made
 
 
 def _jacobi_block(man, X, y, count, h, with_jacobi):
     """The states (count, N, 9 or 17) after each of ``count`` steps of the
-    (N, 9) or (N, 17) states y.
+    (N, 9) or (N, 17) states y, and with the Jacobi pair g, Gamma and its
+    partials at each step's first stage, (count, N, ...) each (else none).
 
-    The point pass integrates p alone, on the field table's scalar program
-    when the block has one row; one curvature batch gives Gamma (and its
-    partials) at all its stages, whose metric ``_require_metric`` checks; the
-    frame step matrices, from A = -Gamma(X, .) at every stage, carry (e1, e2)
-    step by step. With the Jacobi pair they also give the stage frames, one
-    ``jacobi_matrix`` call gives M at all of them, and the Jacobi step
-    matrices carry (J, J') and (Jt, Jt'). A row's bits depend neither on its
-    batch nor on ``count``. Raises what the field or the curvature raises, in
-    that order: the field at each stage in turn, then the chart check of all
-    the curvature points, then their metric checks; the caller checks step ends.
+    The point pass integrates p alone: for one row of a field with a table,
+    on Python floats, the state a ``_Point`` and the stage values from the
+    table's scalar program (``ExprTable.at_point``); else on numpy rows. Its
+    stage points, stage values and step ends become one array each. One
+    curvature batch gives Gamma (and its partials) at all its stages, whose
+    metric ``_require_metric`` checks; the frame step matrices, from
+    A = -Gamma(X, .) at every stage, carry (e1, e2) step by step. With the
+    Jacobi pair they also give the stage frames, one ``jacobi_matrix`` call
+    gives M at all of them, and the Jacobi step matrices carry (J, J') and
+    (Jt, Jt'). A row's bits depend neither on its batch nor on ``count``.
+    Raises what the field or the curvature raises, in that order: the field
+    at each stage in turn, then the chart check of all the curvature points,
+    then their metric checks; the caller checks step ends.
     """
-    n, stages = len(y), []  # (point, field value) of every stage of the point pass
-    table = X.component_exprs
-    at_point = table.at_point if n == 1 and table is not None else None
+    n, table = len(y), X.component_exprs
+    scalar = n == 1 and table is not None
+    qs, values, ends = [], [], []  # every stage's point and field value, every step's end
+    record = list.extend if scalar else list.append  # flat float lists, or lists of rows
 
     def field(t, q):
-        xv = X.value(q) if at_point is None else np.array([at_point(*q.tolist()[0])])
-        stages.append((q, xv))
+        xv = _Point(table.at_point(*q)) if scalar else X.value(q)
+        record(qs, q)
+        record(values, xv)
         return xv
 
-    p, points = y[:, 0:3], np.empty((count, n, 3))
-    for s in range(count):
-        p = points[s] = rk4_step(field, 0.0, p, h)
-    q, xv = (np.concatenate(a) for a in zip(*stages))
+    p = _Point(y[0, 0:3].tolist()) if scalar else y[:, 0:3]
+    for _ in range(count):
+        p = rk4_step(field, 0.0, p, h)
+        record(ends, p)
+    points = np.array(ends).reshape(count, n, 3)
+    q, xv = (np.array(a).reshape(-1, 3) for a in (qs, values))
     if with_jacobi:
         g, gam, dgam = christoffel_with_partials(man, q)
     else:
@@ -229,12 +273,15 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
     es = _carry(frame_steps, _columns(y[:, 3:9], 3))
     out = [points, _rows(es[1:])]
-    if with_jacobi:
-        frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
-        m = jacobi_matrix(gam, dgam, g, xv, _rows(frames).reshape(-1, 2, 3))
-        jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
-        out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
-    return np.concatenate(out, axis=-1)
+    if not with_jacobi:
+        return np.concatenate(out, axis=-1), []
+    frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
+    m = jacobi_matrix(gam, dgam, g, xv, _rows(frames).reshape(-1, 2, 3))
+    jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
+    out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
+    # copies: views would hold the block's whole curvature batch through the next block
+    firsts = [np.ascontiguousarray(a.reshape(stack + a.shape[1:])[:, 0]) for a in (g, gam, dgam)]
+    return np.concatenate(out, axis=-1), firsts
 
 
 def orbit_steps(t_end, step) -> int:
@@ -264,7 +311,10 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     others go on; each trajectory equals the one its start gives alone. The
     frames and B(0) are the starts' ``diagnose`` rows; with ``with_jacobi``
     the canonical adapted pair, J(0) = e1 and Jt(0) = e2 with
-    J'(0) = B(0) J(0), is integrated alongside. Raises OutOfChart naming the
+    J'(0) = B(0) J(0), is integrated alongside, and each seed keeps g, Gamma
+    and its partials from its blocks at every sample but its last, whose
+    rows come from one one-row ``christoffel_with_partials`` call, for its
+    post-pass (``_trajectory``). Raises OutOfChart naming the
     first start outside the chart or whose own stencil leaves it, ValueError
     for the step or t_end, then what ``diagnose`` raises at the first bad
     start: a metric error, NotUnit or DegenerateSeed. A failed block replays
@@ -293,22 +343,33 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     step = t_end / nsteps
     hist = np.empty((len(y), nsteps + 1, y.shape[1]))  # per seed, its states in time order
     hist[:, 0] = y
+    # per seed, g, Gamma and its partials at its samples, with the Jacobi pair
+    kept = [np.empty(hist.shape[:2] + shape) for shape in _CURVATURE] if with_jacobi else []
     rows = np.arange(len(y))  # the seeds still going
     samples, done = np.ones(len(y), dtype=int), 0
     while done < nsteps and rows.size:
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
         try:
-            out = _jacobi_block(man, X, y, count, step, with_jacobi)
+            out, firsts = _jacobi_block(man, X, y, count, step, with_jacobi)
         except GeoContactError:  # the seeds one at a time stop or raise
-            out, made = _replay(man, X, y, count, step, with_jacobi)
+            out, firsts, made = _replay(man, X, y, count, step, with_jacobi)
         else:  # each seed's steps before its first end whose stencil leaves the chart
             inside = _partials_inside(man, out[..., 0:3].reshape(-1, 3)).reshape(count, -1)
             made = np.where(inside.all(axis=0), count, inside.argmin(axis=0))
         hist[rows, done + 1:done + 1 + count] = np.swapaxes(out, 0, 1)
+        for buf, first in zip(kept, firsts):  # step s's first stage is sample s
+            buf[rows, done:done + count] = np.swapaxes(first, 0, 1)
         samples[rows] += made
         rows, y, done = rows[made == count], out[-1, made == count], done + count
-    return [_trajectory(man, X, hist[k, :samples[k]], step, bool(samples[k] <= nsteps),
-                        with_jacobi) for k in range(len(hist))]
+    trajectories = []
+    for k, n in enumerate(samples):
+        curvature = [buf[k, :n] for buf in kept] or None
+        if curvature:  # the last sample is the first stage of no step the seed made
+            for buf, row in zip(curvature, christoffel_with_partials(man, hist[k, n - 1:n, 0:3])):
+                buf[-1] = row[0]
+        trajectories.append(_trajectory(man, X, hist[k, :n], step, bool(n <= nsteps),
+                                        with_jacobi, curvature))
+    return trajectories
 
 
 def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
@@ -317,16 +378,18 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
     return integrate_orbits(man, X, [p0], t_end, step, with_jacobi)[0]
 
 
-def _trajectory(man, X, arr, step, truncated, with_jacobi) -> Trajectory:
+def _trajectory(man, X, arr, step, truncated, with_jacobi, curvature=None) -> Trajectory:
     """One seed's trajectory from all its states arr (n, state): frame-drift
-    check, B, M, Jacobi."""
+    check, B, M, Jacobi. ``curvature`` holds g, Gamma and its partials at every
+    sample, (n, ...) each; without it (the transport) one
+    ``christoffel_with_partials`` call computes them."""
     n = arr.shape[0]
     t = np.arange(n) * step
     points = arr[:, 0:3]
     e1 = arr[:, 3:6]
     e2 = arr[:, 6:9]
 
-    g, gam, dgam = christoffel_with_partials(man, points)
+    g, gam, dgam = curvature or christoffel_with_partials(man, points)
     xv = X.value(points)
     xn = xv / np.sqrt(inner(g, xv, xv))[:, None]
     frame = np.stack([xn, e1, e2], axis=2)

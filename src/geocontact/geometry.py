@@ -14,7 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import DegenerateSeed, NotPositiveDefinite, OutOfChart, SingularMetric
+from .errors import (DegenerateSeed, DomainError, NotPositiveDefinite, OutOfChart,
+                     SingularMetric)
 
 Array = np.ndarray
 
@@ -79,6 +80,10 @@ class ChartedManifold:
         return g[0] if single else g
 
     def contains(self, p):
+        """Whether a point (or each row of a batch) lies in the chart: its
+        coordinates are finite and ``domain_fn`` holds there. An expression
+        domain holds where its value is positive, so nowhere it is NaN or
+        undefined (a DomainError): membership is total."""
         pts, single = as_points(p)
         ok = np.asarray(self.domain_fn(pts), dtype=bool) & np.all(np.isfinite(pts), axis=1)
         return bool(ok[0]) if single else ok
@@ -171,7 +176,9 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
     Only the upper triangle of ``entries`` is read (the metric is symmetric
     by storage). ``domain`` is either the literal "true" or an expression
     whose positivity defines the chart; a chart with any other domain is a
-    ``ChartedManifold`` built with its ``domain_fn``.
+    ``ChartedManifold`` built with its ``domain_fn``. A point where the domain
+    expression raises DomainError is outside: the batch program stops at its
+    first such row, so only then is each row evaluated by the scalar program.
     """
     table = expr.ExprTable.of([[expr.parse(entries[min(i, j)][max(i, j)]) for j in range(3)]
                                for i in range(3)])
@@ -182,8 +189,17 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
     else:
         dom = expr.ExprTable.of(expr.parse(domain))
 
+        def positive(x1, x2, x3):
+            try:
+                return dom.at_point(x1, x2, x3)[0] > 0.0
+            except DomainError:
+                return False
+
         def domain_fn(pts):
-            return expr.eval_scalar(dom, pts) > 0.0
+            try:
+                return expr.eval_scalar(dom, pts) > 0.0
+            except DomainError:
+                return np.array([positive(*row) for row in pts.tolist()], dtype=bool)
 
     return ChartedManifold(name=name, metric_fn=table.evaluate,
                            domain_fn=domain_fn, metric_exprs=table, **kwargs)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +162,49 @@ def test_analyze_checks_the_stencil_only_of_points_inside_the_chart(tmp_path, ca
     assert code == 0 and err == ""
     assert out.splitlines()[-3:] == ["# out_of_chart: 2", "# 0,0,9.9999999999999995e-07",
                                      "# 0,0,1.0000006666666665"]
+
+
+def log_chart(tmp_path, x3):
+    """A flat chart on x3 > e^-30 whose domain log(x3) + 30 is undefined at
+    x3 <= 0, with the grid x3 in {x3, 1} and an orbit from (0, 0, x3)."""
+    return write_config(tmp_path, {
+        "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     "domain": "log(x3) + 30"},
+        "field": {"components": ["0", "0", "1"]},
+        "grid": {"min": [0, 0, x3], "max": [0, 0, 1], "counts": [1, 1, 2]},
+        "orbit": {"start": [0, 0, x3], "t_end": 0.01, "step": 0.001}})
+
+
+def test_a_stencil_where_the_domain_is_undefined_leaves_the_chart(tmp_path, capsys):
+    """The curvature stencil of x3 = 1e-6 reaches x3 = -9e-6, where log is
+    undefined: outside the chart, so ``analyze`` lists the point under
+    out_of_chart and ``orbit`` names the start's stencil, as for a chart whose
+    domain is defined there."""
+    cfg = log_chart(tmp_path, 1e-6)
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("0,0,1,")
+    assert out.splitlines()[-2:] == ["# out_of_chart: 1", "# 0,0,9.9999999999999995e-07"]
+    code, out, err = run(capsys, ["orbit", "--config", cfg])
+    assert (code, out) == (1, "")
+    assert err == ("error: orbit start [0.e+00 0.e+00 1.e-06]: its curvature stencil "
+                   "(diff_step 1e-05) leaves the chart of 'custom'\n")
+
+
+def test_csv_rows_are_the_per_cell_format(tmp_path):
+    """Each row's one ``%`` template gives the bytes of formatting each cell on
+    its own, the string as given and a number as ``f"{float(c):.17g}"``."""
+    def per_cell(row):  # the reference: the writer's format before its row templates
+        return ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
+
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 0.1, 1 / 3]
+    rows = [["real", 0, specials[k], -7, np.float64(specials[-1 - k]), "%s,%d", 2 ** 70]
+            for k in range(len(specials))]
+    args = SimpleNamespace(out=str(tmp_path / "report.csv"))
+    cli._emit_csv(args, SimpleNamespace(echo={}), "h", rows)
+    text = (tmp_path / "report.csv").read_text(encoding="utf-8")
+    assert text.startswith("h\n" + "".join(map(per_cell, rows)) + "# version: ")
+    assert "\nreal,0,-0,-7,4.9406564584124654e-324,%s,%d,1.1805916207174113e+21\n" in text
 
 
 def test_analyze_byte_identical(tmp_path, capsys):

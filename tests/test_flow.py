@@ -153,6 +153,28 @@ def test_one_seed_point_pass_runs_on_floats_through_rk4_step(entries, monkeypatc
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])
+@pytest.mark.parametrize("name", ["h3_vertical", "s3_hopf", "s3_weighted(2,3)"])
+def test_one_seed_point_pass_on_floats_equals_the_numpy_pass(entries, name, with_jacobi):
+    """The field as a callable, ``table.evaluate``, takes the numpy point pass
+    at one seed, where its table takes the pass on floats: the trajectories
+    are equal bit for bit. The central mode differences both fields alike, so
+    there every array is compared; in the dual mode the callable's partials
+    are central differences, so there only the arrays that read no dX are."""
+    entry = entries[name]
+    table = entry.field.component_exprs
+    numpy_pass = gc.UnitField.from_callable(entry.field.name, table.evaluate)
+    jacobi = JACOBI_ARRAYS + ("A", "adapted") if with_jacobi else ()
+    for diff_mode, names in (("central", TRAJECTORY_ARRAYS + ("X_along",) + jacobi),
+                             ("dual", ("points", "e1", "e2", "M", "X_along"))):
+        man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
+        floats, rows = (integrate_orbit(man, field, entry.orbit.start, 0.2, 1e-3, with_jacobi)
+                        for field in (entry.field, numpy_pass))
+        assert len(floats) == len(rows) == 201 and not floats.truncated
+        for array in names:
+            assert np.array_equal(getattr(floats, array), getattr(rows, array)), array
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
 def test_batched_orbits_truncate_per_seed(with_jacobi):
     """Only the seed that reaches x3 = 1 stops; the others run to t_end."""
     man, z = slab()
@@ -278,8 +300,8 @@ def rk4_rows(man, step, y, h):
 
 
 def one_step_block(man, X, with_jacobi):
-    """The replay's step: a block of one step."""
-    return lambda y, h: flow._jacobi_block(man, X, y, 1, h, with_jacobi)[0]
+    """The replay's step: a block of one step, its states without its curvature rows."""
+    return lambda y, h: flow._jacobi_block(man, X, y, 1, h, with_jacobi)[0][0]
 
 
 #: with_jacobi, both ways: the block tests run each case in both modes
@@ -290,7 +312,9 @@ def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=one_step
     """``integrate_orbits`` with every step by ``stepper(man, X, with_jacobi)``
     (the replay's one-step block unless given), a step that leaves the chart
     redone seed by seed; the initial states are the first samples of a
-    one-step run."""
+    one-step run. Each trajectory's g, Gamma and its partials come from a
+    ``christoffel_with_partials`` call at all its samples, so the rows that
+    ``integrate_orbits`` keeps from its blocks are checked bit for bit."""
     first = integrate_orbits(man, X, starts, step, step, with_jacobi)
     names = ("points", "e1", "e2") + (JACOBI_ARRAYS if with_jacobi else ())
     y = np.array([np.concatenate([getattr(tr, name)[0] for name in names]) for tr in first])
@@ -307,8 +331,9 @@ def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=one_step
             if not rows.size:
                 break
         hist[rows, s] = y
-    return [flow._trajectory(man, X, hist[k, :samples[k]], step, bool(samples[k] <= nsteps),
-                             with_jacobi) for k in range(len(hist))]
+    return [flow._trajectory(man, X, hist[k, :n], step, bool(n <= nsteps), with_jacobi,
+                             christoffel_with_partials(man, hist[k, :n, 0:3]))
+            for k, n in enumerate(samples)]
 
 
 def classical_step(man, X, with_jacobi):
@@ -724,15 +749,20 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
+@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (10, 2), (1200, flow.JACOBI_BLOCK)])
 def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
-    """n steps make n rk4_step calls, ceil(n / K) + 1 christoffel_with_partials
-    calls (one per block and the post-pass), where one per stage would be 4n + 1,
-    and no christoffel call, where one per stage would be 4n + 1 too; the start
-    is one ``diagnose`` call (its frames and B(0)) and the post-pass one
-    ``frame_terms`` call (B and M at every sample)."""
+    """n steps make n rk4_step calls and ceil(n / K) + 1 christoffel_with_partials
+    calls, where one per stage would be 4n + 1: one per block, at its 4 K stages,
+    and one at the last sample alone, as every other sample is the first stage
+    of its step and takes g, Gamma and its partials from its block (a post-pass
+    would end with n + 1 rows). No christoffel call, where one per stage would
+    be 4n + 1 too; the start is one ``diagnose`` call (its frames and B(0)) and
+    the post-pass one ``frame_terms`` call (B and M at every sample)."""
     calls = count_calls(monkeypatch, ["rk4_step", "christoffel_with_partials", "christoffel",
                                       "diagnose", "frame_terms"])
+    rows, counted = [], flow.christoffel_with_partials
+    monkeypatch.setattr(flow, "christoffel_with_partials",
+                        lambda man, p: rows.append(len(p)) or counted(man, p))
     monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
     entry = entries["h3_vertical"]
     traj = integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0.0, 1.0]),
@@ -741,6 +771,7 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
     assert calls == {"rk4_step": nsteps,
                      "christoffel_with_partials": math.ceil(nsteps / block) + 1,
                      "christoffel": 0, "diagnose": 1, "frame_terms": 1}
+    assert rows == [4 * min(block, nsteps - done) for done in range(0, nsteps, block)] + [1]
 
 
 @pytest.mark.parametrize("nsteps,block", [(7, 3), (1200, flow.JACOBI_BLOCK)])

@@ -188,3 +188,20 @@ def test_domain_predicate_strict(entries):
     assert not man.contains(np.array([0.0, 0.0, 0.0]))  # boundary is outside
     assert man.contains(np.array([0.0, 0.0, 1e-8]))
     assert not man.contains(np.array([0.0, 0.0, np.inf]))
+
+
+def test_a_point_where_the_domain_is_undefined_or_nan_is_outside():
+    """log(x3) + 30 raises DomainError at x3 <= 0: such rows are outside, in a
+    batch as alone, and the rows where it is defined keep their verdict; so is
+    a row where the domain is NaN (inf - inf at x1 = 1)."""
+    man = gc.manifold_from_exprs("log", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+                                 domain="log(x3) + 30")
+    pts = np.array([[0.0, 0.0, 1e-6], [0.0, 0.0, -9e-6], [0.0, 0.0, 1e-14], [0.0, 0.0, 0.0],
+                    [0.0, 0.0, np.nan], [0.0, 0.0, 2.0]])
+    expected = [True, False, False, False, False, True]
+    assert man.contains(pts).tolist() == expected
+    assert [man.contains(p) for p in pts] == expected
+    nan = gc.manifold_from_exprs("nan", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+                                 domain="exp(1000*x1) - exp(1000*x1) + 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert nan.contains(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])).tolist() == [True, False]
