@@ -1,8 +1,8 @@
 """Built-in (manifold, field) pairs with documented expected diagnostics.
 
 Every entry is expression-backed, so all first derivatives downstream are
-exact dual-number evaluations. Default grids avoid chart singularities;
-default orbits run two length units at step 1e-3.
+exact, the values of differentiated expressions. Default grids avoid chart
+singularities; default orbits run two length units at step 1e-3.
 """
 
 from __future__ import annotations

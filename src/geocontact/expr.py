@@ -1,11 +1,12 @@
 """Small arithmetic expression language over the chart coordinates x1, x2, x3.
 
-Grammar (binary '^' is right-associative; unary minus binds tighter than
-the '^' of its base, i.e. ``-x1^2`` is ``(-x1)^2``):
+Grammar (binary '^' is right-associative; ``-x1^2`` is an ExprSyntaxError at
+the minus, as the base of '^' takes no bare unary minus: write ``(-x1)^2`` or
+``-(x1^2)``):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := unary ('^' factor)?
+    factor := '-' unary | atom ('^' factor)?
     unary  := '-' unary | atom
     atom   := number | variable | func '(' expr ')' | '(' expr ')'
 
@@ -15,14 +16,13 @@ sqrt abs.
 
 ASTs are immutable; evaluation is pure. ``eval_scalar`` evaluates an
 expression or an ``ExprTable`` at a single point or an (N, 3) batch of
-points, ``eval_dual`` also returns exact first partial derivatives. Both
-run compiled code: straight-line numpy source, generated on a table's first
-evaluation. ``ExprTable.at_point`` runs a third, scalar program of the same
-statements on the Python floats of one point, bit for bit the values of the
-numpy program without its per-call array overhead. Programs are held by a
-bounded per-process cache keyed by the table's content and mode, and
-``parse`` is memoised, so a table rebuilt from the same sources reuses the
-compiled code.
+points; ``eval_dual`` also returns exact first partials, the values of the
+table's differentiated ASTs (``_derivative``). Both run straight-line numpy
+source from one value code generator, made on a table's first evaluation;
+``ExprTable.at_point`` runs the same statements on the Python floats of one
+point, bit for bit. Programs are held by a bounded per-process cache keyed
+by the table's content and mode, and ``parse`` is memoised, so a table
+rebuilt from the same sources reuses the compiled code.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str
-
-    @property
-    def index(self):
-        return VARIABLES.index(self.name)
 
 
 @dataclass(frozen=True)
@@ -107,8 +103,9 @@ def to_string(ast) -> str:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+#: a token after any whitespace; the group it matches names its kind
+_TOKEN = re.compile(r"\s*(?:(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<end>\Z))")
 _OPS = "+-*/^()"
 
 
@@ -120,36 +117,21 @@ class _Token:
 
 
 def _tokenize(source: str):
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME.match(source, i)
-        if m:
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        if c in _OPS:
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i,
-                              expected=("number", "name") + tuple(_OPS))
-    tokens.append(_Token("end", "", n))
+    tokens, i = [], 0
+    while not tokens or tokens[-1].kind != "end":
+        m = _TOKEN.match(source, i)
+        if m is None:
+            i = len(source) - len(source[i:].lstrip())
+            raise ExprSyntaxError(f"unexpected character {source[i]!r}", i,
+                                  expected=("number", "name") + tuple(_OPS))
+        kind = m.lastgroup
+        tokens.append(_Token(m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
+        i = m.end()
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
 
@@ -192,8 +174,12 @@ class _Parser:
         return node
 
     def factor(self):
+        start = self.peek()
         base = self.unary()
         if self.peek().kind == "^":
+            if start.kind == "-":  # -a^b: write (-a)^b or -(a^b)
+                raise ExprSyntaxError("a negated base needs parentheses before '^'",
+                                      start.pos, expected=("(",))
             self.advance()
             return Bin("^", base, self.factor())  # right-associative
         return base
@@ -238,6 +224,83 @@ def parse(source: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
+# Exact partials: differentiated ASTs
+# ---------------------------------------------------------------------------
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+#: each function's derivative as an AST in its argument u (``sign``, of ``abs``, is internal)
+_CHAIN = {"sin": lambda u: Func("cos", u), "cos": lambda u: Neg(Func("sin", u)),
+          "tan": lambda u: Bin("/", _ONE, Bin("^", Func("cos", u), Num(2.0))),
+          "sinh": lambda u: Func("cosh", u), "cosh": lambda u: Func("sinh", u),
+          "tanh": lambda u: Bin("/", _ONE, Bin("^", Func("cosh", u), Num(2.0))),
+          "exp": lambda u: Func("exp", u), "log": lambda u: Bin("/", _ONE, u),
+          "sqrt": lambda u: Bin("/", Num(0.5), Func("sqrt", u)),
+          "abs": lambda u: Func("sign", u), "sign": lambda u: _ZERO}
+
+
+def _op(op, a, b):
+    """Bin(op, a, b) with its 0 and 1 operands folded away."""
+    if (op == "*" and b == _ZERO) or (op in "*/" and a == _ZERO):
+        return _ZERO
+    if (op in "+-" and b == _ZERO) or (op in "*/^" and b == _ONE):
+        return a
+    if (op == "+" and a == _ZERO) or (op == "*" and a == _ONE):
+        return b
+    return Neg(b) if op == "-" and a == _ZERO else Bin(op, a, b)
+
+
+def _constant(node):
+    """The float an AST folds to as the compiler folds it, or None if it has a variable."""
+    gen = _Codegen(False)
+    try:
+        operand = gen.visit(node)
+    except _Unreachable:
+        return None
+    return float(gen.ns[operand]) if operand[0] == "k" else None
+
+
+@functools.lru_cache(maxsize=4096)
+def _derivative(node, k):
+    """The partial of an AST by x<k+1>, an AST with its 0 and 1 operands
+    folded away. Memoised: equal (node, k) give the same AST objects."""
+    if isinstance(node, Num):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == VARIABLES[k] else _ZERO
+    if isinstance(node, Neg):
+        return _op("-", _ZERO, _derivative(node.arg, k))
+    if isinstance(node, Func):
+        return _op("*", _CHAIN[node.name](node.arg), _derivative(node.arg, k))
+    a, b, op = node.lhs, node.rhs, node.op
+    da, db = _derivative(a, k), _derivative(b, k)
+    if op in "+-":
+        return _op(op, da, db)
+    if op == "*":
+        return _op("+", _op("*", da, b), _op("*", a, db))
+    if op == "/":
+        return _op("-", _op("/", da, b), _op("*", _op("/", node, b), db))
+    n = _constant(b)
+    if n is not None and n.is_integer():  # n a^(n-1) a', which holds at a = 0
+        return _op("*", _op("*", b, _op("^", a, Num(n - 1.0))), da)
+    # a^b (b' log a + b a'/a), where a > 0
+    return _op("*", node, _op("+", _op("*", db, Func("log", a)), _op("*", b, _op("/", da, a))))
+
+
+def _jet_groups(groups):
+    """The groups of a table's jet, the (4,) + shape table of its values and
+    their partials by x1, x2, x3; values first, so their checks run first, and
+    no +0.0 partial, which the zeroed buffer of ``_run`` holds."""
+    jet = {}
+    for k in range(4):
+        for ast, slots in groups:
+            node = ast if k == 0 else _derivative(ast, k - 1)
+            if k == 0 or node != _ZERO:
+                jet.setdefault(node, []).extend((k,) + slot for slot in slots)
+    return tuple((node, tuple(slots)) for node, slots in jet.items())
+
+
+# ---------------------------------------------------------------------------
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 
@@ -259,14 +322,6 @@ class DualScalar:
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.partials!r})"
 
-
-#: derivative of each function as source in its argument {0} and value {1};
-#: None where the derivative is the value itself
-_DERIVATIVE = {
-    "sin": "cos({0})", "cos": "-sin({0})", "tan": "1.0 / cos({0}) ** 2",
-    "sinh": "cosh({0})", "cosh": "sinh({0})", "tanh": "1.0 / cosh({0}) ** 2",
-    "exp": None, "log": "1.0 / {0}", "sqrt": "0.5 / {1}", "abs": "sign({0})",
-}
 
 #: per comparison, whether a check fails at some row and, built only then, where;
 #: the second is also the scalar mode's test of its one row
@@ -298,19 +353,14 @@ class _Unreachable(Exception):
 
 class _Codegen:
     """Straight-line source for a table, one statement per operation, in one
-    of three modes: ``value``, ``dual`` or ``scalar``.
+    of two modes: ``value`` or ``scalar``.
 
     Each distinct subexpression of the whole table is computed once, and
     subexpressions without a variable are folded to constants by running
-    the same source on them with numpy's functions, in every mode. Operands
+    the same source on them with numpy's functions, in both modes. Operands
     are names in the generated code: ``x1``-``x3`` and temporaries ``t<i>``
-    hold (N,) arrays, constants ``k<i>`` live in its namespace. In ``dual``
-    a value that depends on a variable also carries its partials, an (N, 3)
-    array or a constant (3,) vector. The operations, their order and the
-    checks are those of dual-number arithmetic on (value, partials) pairs,
-    dividing by a dual b as a * (1/b), and of plain arithmetic, dividing as
-    a / b, in the other modes; so every value, partial and sign of zero is
-    the one those give, and every DomainError names the same subexpression.
+    hold (N,) arrays, constants ``k<i>`` live in its namespace. Partials
+    are no mode: they are values of a differentiated table (``_jet_groups``).
 
     ``scalar`` emits the statements and checks of ``value`` in the same
     order, on the Python floats of one point, and returns the table's values
@@ -319,14 +369,14 @@ class _Codegen:
     NaN included.
     """
 
-    def __init__(self, mode):
-        self.dual, self.scalar = mode == "dual", mode == "scalar"
+    def __init__(self, scalar):
+        self.scalar = scalar
         self.ns = {name: getattr(np, name) for name in FUNCTIONS + ("power", "sign")}
         self.errors = []  # (message, node) of each check
         self.ns["_fail"] = functools.partial(_domain_error, self.errors)
         self.statements = []  # (source, runtime names it reads)
         self.outputs = {}     # scalar mode: slot -> the operand it returns
-        self.memo = {}        # subexpression -> (value, partials or None)
+        self.memo = {}        # subexpression -> its operand
         self.temps = 0
 
     def const(self, value):
@@ -358,9 +408,6 @@ class _Codegen:
             self.statements.append((error.format("True"), []))
             raise _Unreachable
 
-    def scale(self, factor, partials):
-        return self.op("{0}[:, None] * {1}", factor, partials)
-
     def visit(self, node):
         hit = self.memo.get(node)
         if hit is None:
@@ -369,92 +416,45 @@ class _Codegen:
 
     def _visit(self, node):
         if isinstance(node, Num):
-            return self.const(node.value), None
+            return self.const(node.value)
         if isinstance(node, Var):
-            return node.name, self.const(np.eye(3)[node.index]) if self.dual else None
+            return node.name
         if isinstance(node, Neg):
-            v, p = self.visit(node.arg)
-            return self.op("-{0}", v), None if p is None else self.op("-{0}", p)
+            return self.op("-{0}", self.visit(node.arg))
         if isinstance(node, Func):
-            v, p = self.visit(node.arg)
+            v = self.visit(node.arg)
             if node.name == "log":
                 self.check("<=", v, "log of a non-positive value", node)
             elif node.name == "sqrt":
                 self.check("<", v, "sqrt of a negative value", node)
-                if p is not None:
-                    self.check("==", v, "sqrt derivative at zero", node)
-            return self.func(node.name, v, p)
+            return self.op(node.name + "({0})", v)
         if isinstance(node, Bin):
-            a, pa = self.visit(node.lhs)
-            b, pb = self.visit(node.rhs)
+            a, b = self.visit(node.lhs), self.visit(node.rhs)
             if node.op == "^":
-                return self.power(a, pa, b, pb, node)
+                return self.power(a, b, node)
             if node.op == "/":
                 self.check("==", b, "division by zero", node)
-            if pa is None and pb is None:
-                return self.op("{0} %s {1}" % node.op, a, b), None
-            if node.op == "*":
-                return self.mul(a, pa, b, pb)
-            if node.op == "/":
-                return self.div(a, pa, b, pb)
-            if pa is None:  # constant +/- dual
-                return (self.op("{0} + {1}", b, a), pb) if node.op == "+" else \
-                    (self.op("{0} - {1}", a, b), self.op("-{0}", pb))
-            return self.op("{0} %s {1}" % node.op, a, b), \
-                pa if pb is None else self.op("{0} %s {1}" % node.op, pa, pb)
+            return self.op("{0} %s {1}" % node.op, a, b)
         raise TypeError(f"not an expression node: {node!r}")
 
-    def func(self, name, v, p):
-        f = self.op(name + "({0})", v)
-        if p is None:
-            return f, None
-        d = f if _DERIVATIVE[name] is None else self.op(_DERIVATIVE[name], v, f)
-        return f, self.scale(d, p)
-
-    def mul(self, a, pa, b, pb):
-        if pa is None and pb is None:
-            return self.op("{0} * {1}", a, b), None
-        if pa is None:  # constant * dual
-            return self.op("{0} * {1}", b, a), self.op("{0} * {1}", a, pb)
-        if pb is None:
-            return self.op("{0} * {1}", a, b), self.op("{0} * {1}", b, pa)
-        return self.op("{0} * {1}", a, b), \
-            self.op("{0}[:, None] * {1} + {2}[:, None] * {3}", b, pa, a, pb)
-
-    def div(self, a, pa, b, pb):
-        if pb is None:
-            return self.op("{0} / {1}", a, b), self.op("{0} / {1}", pa, b)
-        inv = self.op("1.0 / {0}", b)
-        if pa is None:
-            return self.op("{0} * {1}", a, inv), \
-                self.op("(-{0} * {1} * {1})[:, None] * {2}", a, inv, pb)
-        q = self.op("{0} * {1}", a, inv)
-        return q, self.op("{0}[:, None] * {1} - ({2} * {0})[:, None] * {3}", inv, pa, q, pb)
-
-    def power(self, a, pa, b, pb, node):
+    def power(self, a, b, node):
         if b[0] == "k" and float(self.ns[b]).is_integer():
             n = int(self.ns[b])
             if n == 0:
-                return self.const(1.0), None
+                return self.const(1.0)
             if n < 0:
                 self.check("==", a, "zero base with negative exponent", node)
-            if pa is None:
-                return self.op("power({0}, %r)" % float(n), a), None
-            return self.op("power({0}, %d)" % n, a), \
-                self.scale(self.op("%d * power({0}, %d)" % (n, n - 1), a), pa)
+            return self.op("power({0}, %r)" % float(n), a)
         # general case via exp(e * log(b)): base must be strictly positive
         self.check("<=", a, "non-integer power of a non-positive base", node)
-        return self.func("exp", *self.mul(b, pb, *self.func("log", a, pa)))
+        return self.op("exp({0})", self.op("{0} * {1}", b, self.op("log({0})", a)))
 
-    def store(self, slot, value, partials):
+    def store(self, slot, value):
         if self.scalar:
             self.outputs[slot] = value
             return
         at = "".join(f", {i}" for i in slot)
         self.statements.append((f"out[:{at}] = {value}", [value]))
-        if self.dual:
-            partials = partials or "0.0"
-            self.statements.append((f"d[:, :{at}] = {partials}", [partials]))
 
     def source(self):
         """The function's source, each temporary array deleted after its last
@@ -464,15 +464,12 @@ class _Codegen:
             return "".join(["def table(x1, x2, x3):\n"]
                            + [f"    {src}\n" for src, _ in self.statements]
                            + [f"    return ({outputs})\n"])
-        last = {}
-        for i, (_, reads) in enumerate(self.statements):
-            for name in reads:
-                last[name] = i
+        last = {name: i for i, (_, reads) in enumerate(self.statements) for name in reads}
         dead = {}
         for name, i in last.items():
             if name[0] == "t":
                 dead.setdefault(i, []).append(name)
-        lines = ["def table(x1, x2, x3, out, d):"]
+        lines = ["def table(x1, x2, x3, out):"]
         for i, (src, _) in enumerate(self.statements):
             lines.append("    " + src)
             if i in dead:
@@ -482,18 +479,19 @@ class _Codegen:
 
 @functools.lru_cache(maxsize=256)
 def _compile(groups, mode):
-    """Compile a table to a function (x1, x2, x3, out, d) filling out (and d),
-    or in the scalar mode (x1, x2, x3) returning the values.
+    """Compile a table to a function (x1, x2, x3, out) filling out, or in the
+    scalar mode (x1, x2, x3) returning the values; the ``dual`` mode fills
+    out with the values of the table's jet (``_jet_groups``).
 
     Keyed by the table's content and the mode, so equal tables share one
     program, held by this bounded per-process cache rather than by any table.
     """
-    gen = _Codegen(mode)
+    gen = _Codegen(mode == "scalar")
     try:
-        for ast, slots in groups:
-            value, partials = gen.visit(ast)
+        for ast, slots in _jet_groups(groups) if mode == "dual" else groups:
+            value = gen.visit(ast)
             for slot in slots:
-                gen.store(slot, value, partials)
+                gen.store(slot, value)
     except _Unreachable:
         pass
     if gen.scalar:  # Python floats for the folded constants and Python's functions
@@ -516,14 +514,14 @@ def _run(source, p, dual):
         pts = pts[None]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (3,) or (N, 3)")
-    out = np.empty(pts.shape[:1] + table.shape)
-    d = np.empty(pts.shape[:1] + (3,) + table.shape) if dual else None
-    table._program("dual" if dual else "value")(pts[:, 0], pts[:, 1], pts[:, 2], out, d)
+    out = (np.zeros if dual else np.empty)(pts.shape[:1] + ((4,) if dual else ()) + table.shape)
+    table._program("dual" if dual else "value")(pts[:, 0], pts[:, 1], pts[:, 2], out)
+    value = out[:, 0].copy() if dual else out  # a copy: the values do not pin the partials
     if single:
-        out = out[0] if table.shape else float(out[0])
-    if d is None:
-        return out
-    return DualScalar(out, d[0] if single else d)
+        value = value[0] if table.shape else float(value[0])
+    if not dual:
+        return value
+    return DualScalar(value, out[0, 1:] if single else out[:, 1:])
 
 
 def eval_scalar(source, p):
@@ -553,9 +551,10 @@ class ExprTable:
 
     ``groups`` pairs each distinct AST with the index tuples of its slots,
     found once when the table is built. The table is compiled on its first
-    evaluation in each mode: numpy source for values and for values with
-    partials, and Python-float source for the values at one point
-    (``at_point``). Repeated entries and shared subexpressions are computed
+    evaluation in each mode: numpy source for its values and for those of
+    its jet, the table with its differentiated tables, and Python-float
+    source for the values at one point (``at_point``). Repeated entries and
+    shared subexpressions are computed
     once. The programs come from a bounded per-process cache keyed by
     (groups, mode), whose slots fix the shape, so equal tables compile once
     per process; ``_programs`` keeps this table's for a lookup without hashing.
@@ -585,8 +584,9 @@ class ExprTable:
         """Values of the table at an (N, 3) batch, shape (N, *shape)."""
         return eval_scalar(self, pts)
 
-    def at_point(self, x1, x2, x3):
-        """Values of the table at the point (x1, x2, x3) of floats, a tuple in
-        C order, from the scalar program: those of ``evaluate`` at that one
-        row, bit for bit, and the same DomainError where it raises."""
-        return self._program("scalar")(x1, x2, x3)
+    @property
+    def at_point(self):
+        """The scalar program: (x1, x2, x3) of floats to the table's values
+        there, a tuple in C order, those of ``evaluate`` at that one row bit
+        for bit, with the same DomainError where it raises."""
+        return self._program("scalar")

@@ -249,17 +249,17 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     then their metric checks; the caller checks step ends.
     """
     n, table = len(y), X.component_exprs
-    scalar = n == 1 and table is not None
+    at_point = table.at_point if n == 1 and table is not None else None  # fetched once
     qs, values, ends = [], [], []  # every stage's point and field value, every step's end
-    record = list.extend if scalar else list.append  # flat float lists, or lists of rows
+    record = list.extend if at_point else list.append  # flat float lists, or lists of rows
 
     def field(t, q):
-        xv = _Point(table.at_point(*q)) if scalar else X.value(q)
+        xv = _Point(at_point(*q)) if at_point else X.value(q)
         record(qs, q)
         record(values, xv)
         return xv
 
-    p = _Point(y[0, 0:3].tolist()) if scalar else y[:, 0:3]
+    p = _Point(y[0, 0:3].tolist()) if at_point else y[:, 0:3]
     for _ in range(count):
         p = rk4_step(field, 0.0, p, h)
         record(ends, p)

@@ -59,8 +59,8 @@ class ChartedManifold:
     """A single chart: metric field plus domain predicate on an open set.
 
     ``diff_mode`` and ``diff_step`` choose how ``_jet`` differentiates chart
-    data: exactly with dual numbers where the data has an expression table
-    (``metric_exprs`` for the metric) and the mode is "dual", by central
+    data: exactly, from its differentiated expressions, where the data has a
+    table (``metric_exprs`` for the metric) and the mode is "dual", by central
     differences with step ``diff_step`` otherwise.
     """
 
@@ -219,7 +219,7 @@ def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
     is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
 
     - with a table and ``man.diff_mode == "dual"``, exactly, by one call of
-      the table's compiled value-and-partials code;
+      the compiled code of the table's jet (``expr.eval_dual``);
     - otherwise by central differences with step ``man.diff_step``: the
       centre and its six axis shifts, ordered (+1, -1, +2, -2, +3, -3), are
       one batch of ``fn`` and one chart check. ``check(man, batch, values)``,

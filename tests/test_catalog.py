@@ -136,15 +136,15 @@ TILTED = ("1/sqrt(1 + x1^2)", "0", "x1/sqrt(1 + x1^2)")
 #: joined by newlines); one wrong value per template key kind
 MUTANTS = {
     "contact_abs:zero": ("s3_hopf", None, {"contact_abs": 0.0}, 125,
-                         "c0a49b5fd0141a6672afe57ec4ea35a30d832de4c675d8a9c0e990d5203673ae"),
+                         "1dbf593026c8838693abf691b7561779ae33a60782e0f470b8eded47bbed2688"),
     "contact_abs:nonzero": ("heisenberg_reeb", None, {"contact_abs": 1.00002}, 125,
                             "14f58f7acd8cc313ec70a4f3d7e023457a621ca14a6fbb03096cd867e725ae6d"),
     "contact_abs_min": ("s3_weighted(2,3)", None, {"contact_abs_min": 5.0}, 65,
-                        "ad1c2fef0fffc9b4859e3f21860cd48079e3484522c3ae55e4c43c0c62dc589b"),
+                        "ad76da02ac7d45c7b51126456d466dc2c841f5e110828b4cb26ff6ad67ca550d"),
     "beta_norm": ("euclidean_skew", None, {"beta_norm": 0.6428571428571429}, 109,
-                  "9a152d873ab5e6abe0f6bd59adebbd9f4791a4c722470c7b859096a4fcaf3d13"),
+                  "9023b32a901a1bf77f9fbf5ef5f05752377ad6a0cf4aa4f66984d9f6a8a2f9a3"),
     "beta_norm:weighted": ("s3_weighted(2,3)", None, {"beta_norm": 3.5}, 125,
-                           "3b729d6a85893f5db258e8c91ec4dafc662826c186ae35e92d6a9ca3af9a6a19"),
+                           "d7ab1bbc5c86c6ed7754dab7cddb4473c9310f5b9f3a1057c9198d81e88e21f6"),
     "beta": ("h3_vertical", None, {"beta": ((-1.0, 0.0), (0.0, -0.99))}, 125,
              "c6603ba3cb4e821611a633a25d4a40a74e73589f77cca2a7a2801013b97f3219"),
     "beta_rank": ("h2xr_vertical", None, {"beta_rank": 2}, 125,
@@ -156,24 +156,24 @@ MUTANTS = {
     "real_eigs_sorted:complex": ("s3_hopf", None, {"real_eigs_sorted": (-1.0, 1.0)}, 125,
                                  "96ba3a4f6a062495edb8ed46ff73e4d4142a835d3fe9f737048967b5276e3dca"),
     "disc_max": ("s3_weighted(2,3)", None, {"disc_max": -25.0}, 65,
-                 "48adb22936498e4be60b80e02aa9eb03857fc086a6e754c435cab9b94c0f73e3"),
+                 "0ef5263c2f7f9d0442b76791c432982457499231bf5f9e76b63fe231af81161b"),
     "Delta,delta,ric_X": ("s3_hopf", None, {"Delta": 1.1, "delta": 0.9, "ric_X": 2.00002}, 375,
-                          "b021a67242fe9bbaed910759ef273c3b88d6eedb7138e35c8a075a867c48910f"),
+                          "771f65faa2c1b2f4de23d96e7a5e7555825cc8f1621b6e50a5b89446e2cc81ed"),
     "ric_X:weighted": ("s3_weighted(2,3)", None, {"ric_X": 12.4137931}, 121,
-                       "dab375ba37f3ca2ab2e693a32c0ff9b04334f5d26436cf7b313dcad505141ece"),
+                       "1b5d12fe5c6a7493e27b450f6403e91f173541006477e044df3ec450685e4eee"),
     "killing_max": ("euclidean_skew", None, {"killing_max": 0.7}, 68,
-                    "8fe9843b26afa02e485c85281cd3c4a15c5b0ef138cd953ea797f87d7f1a7849"),
+                    "78b9a7596c4491d72ad789107b28e8f230ce05f6557b690823320e0a518f5b7d"),
     "not_unit": ("s3_hopf", NEAR_HOPF, {}, 225,
-                 "2ba29ea40d86d10f63f59815c408a3aae3251c2bda889461258ea7963e46c793"),
+                 "bef6f2dca8a4032d8c0ffc072826efcf5c3d2ba6a44ba8f507f492a25a12c363"),
     "not_geodesic": ("euclidean_parallel", TILTED, {}, 450,
-                     "29409e0393ca99fca7701f9013b906198cdac511c2d4fb46e8a1c83f2e46b98a"),
+                     "3fd80f54b92ed1cf1c7582b07aafbcda8dd2070bd300ba77a19ed201d8ba7815"),
     # every check in one list: the order is point by point, then key by key
     "every_key": ("s3_hopf", NEAR_HOPF, {
         "contact_abs": 0.0, "contact_abs_min": 3.0, "beta_norm": 1.0,
         "beta": ((0.0, 0.0), (0.0, 0.0)), "beta_rank": 1, "eig_kind": "real",
         "real_eigs_sorted": (0.0, 0.0), "disc_max": -5.0, "Delta": 1.1, "delta": 0.9,
         "ric_X": 2.1, "killing_max": -1.0}, 1600,
-        "b8843e32b85a8e2f7351ab457e4f48be1470a2945dae7fb3307e36f1267c8477"),
+        "4eda8a4dd27f8b237f05520eda406d2fa0a32a19279c737c527137f386a0c452"),
 }
 
 

@@ -564,6 +564,16 @@ def test_verify_all_config_rejects_sections_it_would_not_apply(tmp_path, capsys,
     assert f"config section {section!r}" in err and "Traceback" not in err
 
 
+def test_a_negated_power_base_in_a_config_is_a_usage_error(tmp_path, capsys):
+    """-x1^2 is rejected rather than read as (-x1)^2 (see ``expr``'s grammar)."""
+    cfg = write_config(tmp_path, {"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"],
+                                                          ["0", "0", "2 + -x1^2"]]},
+                                  "field": {"components": ["0", "0", "1"]}})
+    code, out, err = run(capsys, ["analyze", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err == "error: a negated base needs parentheses before '^' at offset 4\n"
+
+
 def test_verify_unknown_entry(capsys):
     code, _, _ = run(capsys, ["verify", "T5.1", "--entry", "mystery"])
     assert code == 2

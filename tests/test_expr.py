@@ -34,10 +34,17 @@ def test_power_right_associative():
     assert eval_scalar(parse("2^3^2"), (0.0, 0.0, 0.0)) == 512.0
 
 
-def test_unary_minus_binds_into_power_base():
-    # -x1^2 parses as (-x1)^2
-    assert parse("-x1^2") == Bin("^", Neg(Var("x1")), Num(2.0))
-    assert eval_scalar(parse("-x1^2"), (3.0, 0.0, 0.0)) == 9.0
+def test_a_negated_power_base_needs_parentheses():
+    """-x1^2 would parse as (-x1)^2, which most readers take for -(x1^2), so a
+    base that starts with a bare minus before '^' is an error at the minus."""
+    for source, offset in (("-x1^2", 0), ("x2 * --x1^2", 5), ("2^-x1^2", 2)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert err.value.offset == offset and err.value.expected == {"("}
+    assert parse("(-x1)^2") == Bin("^", Neg(Var("x1")), Num(2.0))
+    assert parse("-(x1^2)") == Neg(Bin("^", Var("x1"), Num(2.0)))
+    assert eval_scalar(parse("(-x1)^2"), (3.0, 0.0, 0.0)) == 9.0
+    assert eval_scalar(parse("-(x1^2)"), (3.0, 0.0, 0.0)) == -9.0
 
 
 def test_negative_exponent_via_unary():
@@ -114,6 +121,16 @@ def test_domain_errors_name_the_first_failing_row(source, first, dual):
     with pytest.raises(DomainError) as err:
         (eval_dual if dual else eval_scalar)(parse(source), pts)
     assert str(err.value).endswith(f" at {pts[first]}")
+
+
+def test_the_partial_of_sqrt_at_zero_is_a_division_by_zero():
+    """sqrt(x1) has a value at x1 = 0 but no partial: the division check of its
+    derivative 0.5 / sqrt(x1) names the first such row."""
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [4.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    np.testing.assert_array_equal(eval_scalar(parse("sqrt(x1)"), pts), [1.0, 0.0, 2.0, 0.0])
+    with pytest.raises(DomainError) as err:
+        eval_dual(parse("sqrt(x1)"), pts)
+    assert str(err.value) == f"division by zero in '(0.5 / sqrt(x1))' at {pts[1]}"
 
 
 def test_a_domain_error_in_an_empty_batch_names_no_point():
@@ -368,44 +385,44 @@ TABLE_DIGESTS = {
     },
     "euclidean_skew": {
         "metric": "858813c6310e5addef783d560192d9e24f78d051451b40638d51d27277dc0e33",
-        "field": "4ae086a80dc09fa834096fefa76636dbf848a4bd9a9d0efe0f04100d8c98a631",
+        "field": "ee86d18b69987d7188a8f0ad4ddb311d895a26aaaa9aabaa5568788175781ef2",
         "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
     },
     "s3_hopf": {
-        "metric": "8e60636fb3b6ca067c6fa0643770df29868463a9ebd559978757e1ca8b757962",
-        "field": "ee984e0e562fd831f68141660f240aa72e8863946eecde86b409eec2815f1fdd",
+        "metric": "7a0338cbe29683e703322f37db234b7758b6d5400b567e446750038c03d50d2c",
+        "field": "2ddcee16ba96a125b58b407d965589fe57844d6635b725dcdd865ba132a59037",
         "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
     },
     "s3_weighted(2,3)": {
-        "metric": "8764438f7937d5c1c4dc1f4e98fa8d543bd06989edb9bb6383a74c43ac63b9ad",
-        "field": "07bfa7beb1f70645407df686db9425f38e651fb92b2d3d13a47d1c035849e627",
+        "metric": "692aa9efcd3ae6ce28400fdb40bd056bb4173c1f45d201eee4e3f168a488b46f",
+        "field": "b16a754bbe20e83aa7df1c6ad7ffe6aa7c3b98116ac870205002f586d61c1d1c",
         "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
     },
     "h2xr_vertical": {
-        "metric": "4a5244789749f15e5c40bc977c155bad9db712398296ad6a3c56fff77567e6d7",
+        "metric": "6c4712eee054a32b6c8be196f7f65a6c3da011a68634b754d6bee623ec067807",
         "field": "b1d2f054ba3eacbf2bae808ae4bc798d13a48829b159ee87ddf4d59c4369a123",
         "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
     },
     "h3_vertical": {
-        "metric": "bf8f1c7eba277e49442bfe23a00e7b9b320882d3a631d56ab149de9f154230d1",
+        "metric": "b45d7a219e4c375d3d80112f7943214fe174035e5469d42eedc2fec6e62c5ac1",
         "field": "7a64f1fc70e5a64adff54f368bf721090e297e29ccb03f41550bb24eb75ef4fb",
         "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
     },
     "heisenberg_reeb": {
-        "metric": "d3512e1b556c1dd246179e2c0658ac6e00cf5d734978038abf74da7744dd7cad",
+        "metric": "2f1c6bb8ee26d7f3d11f77143ba10ffa49b0615400d6750d1fa1418c43c636d2",
         "field": "1214b24d391fcbf22c1b4ecec6b0779df86f8f249c80d5c76c8c7000c9144ae1",
         "domain": "aac95d8dd2274a83066506a19d9cba55226253b89c929f657f7959dc35b446ba",
     },
     "custom": {
-        "metric": "3d38cb2f0ac48c7a2fc7420a5384a07fb3d2e1737a7b27a72e4244d5e7425c19",
-        "field": "208a455ce2379a8afe51362d1b6ac1a6429dc1e2c73f5c37c5c66bcd4ceca0d4",
+        "metric": "80e822aa857928e07aa640e81d2874b6bf6f847eabd8dc0253d6a3c8358989d8",
+        "field": "916868c1314246f85e6c1fc760c57e9df95c0c5cc8c10d2881b21a881334e2da",
         "domain": "2ed6d52bc5f79eb438759cc6d2eef373122b7a65adfd5e2e062f9b3f028b786e",
     },
 }
 
 CORPUS_DIGESTS = {
-    "values": "0036c09c3d6c38bc26e7610adb015e9f90f3ccd81200dbe4df7f874ebbc3f1ec",
-    "partials": "d58feb4f12c52c3f71fedc85be1f3fb2fb7770cb514a52165905c16b1a876950",
+    "values": "63298aa0756faa30af5cb808cd923072a52c003f633443869ee92d939d169753",
+    "partials": "3273b9ee966d37ab7997dae5e89d349526db4e5f90f7947fb5324899894143be",
 }
 
 

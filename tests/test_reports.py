@@ -69,30 +69,30 @@ EXIT_CODES = {"verify:T5.1,C5.2,T3.1,C3.2:tilted": 1, "analyze:custom-expression
 
 DIGESTS = {
     "analyze-central:s3_hopf": "f54200c7f051ab51adf82c79cba9a651a7333cc723a38849fad492835618f156",
-    "analyze:custom-expressions": "1e8468179d5ec9a72e27a96800e438fb62658bd06374def24b5a746e45ec6856",
+    "analyze:custom-expressions": "3311c980b4636609a50ade99cf6e8fad58d59e59dd7e0e5765af801e7f0d7245",
     "analyze:euclidean_parallel": "50e1c2d12e3a5a5f68ce86b2d0e513cd3c769ebddf4646db67d58f628c5626e1",
-    "analyze:euclidean_skew": "6036021b0cf5c76aa84c25299b5249b99be756246472705878279b093ceab376",
-    "analyze:h2xr_vertical": "222d8826e9fbea2fb14fb03f766301b7f18d035b33320198c31abefb4c4c02a3",
-    "analyze:h3_vertical": "2ec255850d5158acd959db45e5cf5c18dc7eeaf59ab2fabf94116779ba3cba18",
+    "analyze:euclidean_skew": "eab5dbb1ec23623450f431e248945f6106b37c0ae50b9017f74b652235f5425b",
+    "analyze:h2xr_vertical": "ac4d706ae06122302632c5a2ebb93cb4cab701b037856938ce3aa8e86ee4c01b",
+    "analyze:h3_vertical": "0193f237e3741ca6d2e9fad4cbb5e7eab316ee753d15baa4bf9b4b49489733c9",
     "analyze:heisenberg_reeb": "3b0a345b05d16f61734bd74a38a03811fa9340749b0f70cfdcf6b87eeab9c0ed",
-    "analyze:s3_hopf": "1d48c5ae42a3097d7bbb82ef36a7cbd791488724941d14e6b922628d34609813",
-    "analyze:s3_weighted(2,3)": "df9a742fc107d0a1f5621483bf886b0a552bc63feab9e3109b2bc5efcdcf7701",
+    "analyze:s3_hopf": "f797855a56fabe3947ab3e20d381ffa1990a22127e4222ed5845675ea5414e0f",
+    "analyze:s3_weighted(2,3)": "8ff3731088ce9c04149471c138dc6f06447857eddcbe9116e68ab092b9c0f374",
     "catalog": "52ef2e393c3f26ddb4bb7364ea7bd5f6ee558776eb2a3a951da9adb40a445d60",
     "catalog:json": "f0f5e38874223a53a3ddab4cf8d7a7116cc2ebd6b5c07dd1bcdabd3336125f87",
-    "orbit:h3_cap": "bfd561065016a0471f07091a80335e2b078be42c3e7f4ca9c74a3cc96a46ffca",
-    "orbit:h3_vertical": "681c52dee4de01f4322937e21a998e773a458854c787204b24dbd39114fc544b",
-    "orbit:s3_hopf": "5247ed58a5a0ad00858b4e85500420b57773fc2de656e0d05adc36d29f14f7e6",
+    "orbit:h3_cap": "aa9eb2921c8faf08ceffc89ba19c77d5a460733094715a7594e2872da874eab9",
+    "orbit:h3_vertical": "01b365e770f3405b00b1ba92c9992398b2f200e8bdabb33882a55705aebfbb63",
+    "orbit:s3_hopf": "52069f258327aab40f14b09f766f12002466d297ccef72ce82ab9d41d01d2644",
     "orbit-default:h3_vertical":
-        "200b779e172cb715ed40ec2f2b90433dbc1a32b4d3e431828b45b94393b0df39",
-    "orbit-default:s3_hopf": "2ada28ccf83493526a6eb4c0e27ddf6675da20baca4b16472f3011d7affa512a",
+        "9d1069c6aa5c5a857305aa80ac9d411a3a2591c492b1c7e236cbc1f578fd270a",
+    "orbit-default:s3_hopf": "28bfd2594f7076675b807f5b39c09a7ce3cb7a472b03154760ea992aa726829a",
     "verify:P7.6:s3_hopf": "a210ba8f336941c1a929787d96e76898afa01b2e3a679b64b88b94203999e1e1",
-    "verify:T3.1,C3.2,T5.1,C5.2:all": "d4c14346cf3a521e5b02b3f7f35a56af4092e7cbb4ba1afd82dcc0b48954d171",
-    "verify:all": "e9521bf1f47f4fb30e19ce931fe139077f908367123a5856aacf5f5dbacfb67b",
+    "verify:T3.1,C3.2,T5.1,C5.2:all": "fabbac1824a4308c2685d215cb4a838c90dfd4ced7e86daa98934a97f865a5d9",
+    "verify:all": "6e13253f94fdd36941372b05585eea253105c61183367c1b1460a3422b152fc7",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
-    "verify:T6.1:h2xr_vertical": "9de9f6292e2ddc0e7755dd6d4be25a4965e70ade6093d9c0bf3320763111cb2e",
-    "verify:T6.1:h3_cap": "92386e2bf7b40e2a319d843a5746fe27bb9e97fe82a52ad470457e59214ecd8a",
-    "verify:T6.1:s3_hopf": "ca5049e8a290e448d06c204fc9f3512f89297320e3714ad8bfe3dee3b3edaeff",
+    "verify:T6.1:h2xr_vertical": "cd5a7ba2584d152257e901c304415b9c4a43e3d7c2b8066c8dfaa264c9870242",
+    "verify:T6.1:h3_cap": "3a016dd47c928fbc0dacfd1f6883f26cb3a3cbc803af2e5b9a055282f665512c",
+    "verify:T6.1:s3_hopf": "000663bf6b2ea2dbdac76d97b10926368c69c48cabd842ad65cbfedbace5dd05",
     "verify:T6.1:warped": "5a1380ea0654f9d4006108d7acf9fbf7713276ece2554f1fec76b912ec6c6a2a",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
