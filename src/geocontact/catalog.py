@@ -68,33 +68,25 @@ class CatalogEntry:
 _FLAT = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
 
 
-def _hopf_parametrization(weights=None, name="hopf") -> VolumeParametrization:
+def _hopf_parametrization(name="hopf") -> VolumeParametrization:
     """Hopf coordinates (eta, xi1, xi2) on the 3-sphere, mapped to the chart.
 
-    The density is sin(eta) cos(eta) for the round metric; for a weighted
-    field the metric is rescaled by 1/|W|^2, which multiplies the volume
-    density by 1/|W|^3 with |W|^2 = k1^2 cos^2(eta) + k2^2 sin^2(eta).
+    The round volume is sin(eta) cos(eta) in these coordinates and 8 / r^3
+    in the chart, r = 1 + |x|^2, so the Jacobian is their quotient.
     """
-    def chart_map(params):
+    def chart_map(params):  # (q1, q2, q3) / (1 - q4) of the point q of S^3 in R^4
         eta, xi1, xi2 = params[:, 0], params[:, 1], params[:, 2]
-        q1 = np.cos(eta) * np.cos(xi1)
-        q2 = np.cos(eta) * np.sin(xi1)
-        q3 = np.sin(eta) * np.cos(xi2)
-        q4 = np.sin(eta) * np.sin(xi2)
-        denom = 1.0 - q4
-        return np.stack([q1 / denom, q2 / denom, q3 / denom], axis=1)
+        q = np.stack([np.cos(eta) * np.cos(xi1), np.cos(eta) * np.sin(xi1),
+                      np.sin(eta) * np.cos(xi2)], axis=1)
+        return q / (1.0 - np.sin(eta) * np.sin(xi2))[:, None]
 
-    def density(params):
-        eta = params[:, 0]
-        base = np.sin(eta) * np.cos(eta)
-        if weights is not None:
-            k1, k2 = weights
-            w2 = k1 * k1 * np.cos(eta) ** 2 + k2 * k2 * np.sin(eta) ** 2
-            base = base / w2 ** 1.5
-        return base
+    def jacobian(params, points):
+        eta, x1, x2, x3 = params[:, 0], points[:, 0], points[:, 1], points[:, 2]
+        r = 1.0 + x1 * x1 + x2 * x2 + x3 * x3
+        return np.sin(eta) * np.cos(eta) * (r * r * r / 8.0)
 
     return VolumeParametrization(name=name, box=((0.0, np.pi / 2), (0.0, 2 * np.pi), (0.0, 2 * np.pi)),
-                                 chart_map=chart_map, density=density)
+                                 chart_map=chart_map, jacobian=jacobian)
 
 
 def _entry(name, metric, field, expected, notes, box, start, domain="true",
@@ -194,7 +186,7 @@ def _s3_weighted(k1: float, k2: float) -> CatalogEntry:
     return _entry(
         f"s3_weighted({w1},{w2})",
         metric=tuple(tuple((f"4/({q})" if i == j else "0") for j in range(3)) for i in range(3)),
-        volume=_hopf_parametrization((k1, k2), f"hopf_weighted_{w1}_{w2}"),
+        volume=_hopf_parametrization(f"hopf_weighted_{w1}_{w2}"),
         field=(f"weighted_hopf_{w1}_{w2}", (
             f"{k2!r}*x1*x3 - {k1!r}*x2",
             f"{k1!r}*x1 + {k2!r}*x2*x3",

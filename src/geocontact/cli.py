@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, catalog
+from . import __version__, catalog, expr
 from .catalog import CatalogEntry, GridSpec, OrbitSpec
-from .errors import (ConfigError, ExprError, GeoContactError, NoParametrization, OutOfChart,
-                     UnknownEntry, finite_number)
+from .errors import (ConfigError, ExprError, ExprSyntaxError, GeoContactError, NoParametrization,
+                     OutOfChart, UnknownEntry, finite_number)
 from .curvature import _partials_inside, trace_discriminant
 from .field import UnitField, diagnose
 from .flow import (integrate_orbit, noncontact_eigen_drift, orbit_steps, riccati_residuals,
@@ -51,10 +51,30 @@ def _number(ok=lambda v: True, kind=float):
     return convert
 
 
+class _BadExpression(Exception):
+    """A config string that does not parse; ``cell`` is its index path in the
+    key's value, e.g. "[1][1]", prefixed by each ``_triple`` around it."""
+
+    def __init__(self, source, error):
+        super().__init__(f"{source!r}: {error}")
+        self.cell = ""
+
+
 def _expression(value):
+    """Converter of an expression string that parses (``parse`` is memoised, so
+    building the chart or field from it parses nothing again)."""
     if not isinstance(value, str):
         raise TypeError("not an expression string")
+    try:
+        expr.parse(value)
+    except ExprSyntaxError as exc:
+        raise _BadExpression(value, exc) from None
     return value
+
+
+def _domain(value):
+    """Converter of a chart domain: the literal "true" or an expression."""
+    return value if isinstance(value, str) and value.strip() == "true" else _expression(value)
 
 
 def _one_of(*options):
@@ -67,7 +87,14 @@ def _triple(kind):
     def convert(values):
         if not isinstance(values, (list, tuple)) or len(values) != 3:
             raise ValueError("not a triple")
-        return tuple(kind(v) for v in values)
+        out = []
+        for i, value in enumerate(values):
+            try:
+                out.append(kind(value))
+            except _BadExpression as exc:
+                exc.cell = f"[{i}]{exc.cell}"
+                raise
+        return tuple(out)
     return convert
 
 
@@ -84,7 +111,7 @@ def _counts(values):
 #: entry on its own setup, so it reads only the sections that set up none.
 _SCHEMA = {
     "manifold": (True, {"metric": (_triple(_triple(_expression)), None),
-                        "domain": (_expression, "true")}),
+                        "domain": (_domain, "true")}),
     "field": (True, {"components": (_triple(_expression), None)}),
     "grid": (True, {"min": (_triple(_number()), None), "max": (_triple(_number()), None),
                     "counts": (_counts, (5, 5, 5))}),
@@ -117,6 +144,8 @@ def _section(config, name):
             values[key] = convert(mapping[key]) if key in mapping else default
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"invalid config value {name}.{key}: {mapping[key]!r}") from None
+        except _BadExpression as exc:
+            raise ConfigError(f"invalid config expression {name}.{key}{exc.cell} {exc}") from None
     return values
 
 

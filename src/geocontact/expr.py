@@ -377,6 +377,7 @@ class _Codegen:
         self.statements = []  # (source, runtime names it reads)
         self.outputs = {}     # scalar mode: slot -> the operand it returns
         self.memo = {}        # subexpression -> its operand
+        self.checked = set()  # (comparison, operand) of each check emitted
         self.temps = 0
 
     def const(self, value):
@@ -396,7 +397,11 @@ class _Codegen:
 
     def check(self, cmp, operand, message, node):
         """Raise DomainError(message) where ``operand cmp 0`` at some row,
-        naming the first such row's point."""
+        naming the first such row's point. A check already emitted is skipped:
+        every operand is assigned once, so the earlier one would fire first."""
+        if (cmp, operand) in self.checked:
+            return
+        self.checked.add((cmp, operand))
         fails, where = _CHECKS[cmp]
         error = f"_fail({len(self.errors)}, {{}}, x1, x2, x3)"
         self.errors.append((message, node))

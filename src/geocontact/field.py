@@ -253,17 +253,12 @@ def diagnose_point(man: ChartedManifold, X: UnitField, p,
 # Frame-free contact defect (quadrature kernel)
 # ---------------------------------------------------------------------------
 
-def contact_defect_grid(man: ChartedManifold, X: UnitField, points):
-    """Contact defect at an (N, 3) batch from the first jets of g and X alone,
-
-        d(alpha)(e1, e2) = eps^{ijk} alpha_i d_j alpha_k / (|X| sqrt(det g)),
-
-    with d_j alpha_k = d_j g_kl X^l + g_kl d_j X^l: ``diagnose``'s ``contact_defect``
-    for any nonzero X. Raises the chart errors, ``_require_metric``'s, then
-    DegenerateSeed where X is zero or not finite and SingularMetric where
-    det g |X|^2 is not a positive normal float, each at the first such point.
-    """
-    pts, single = as_points(points)
+def _contact_form(man: ChartedManifold, X: UnitField, pts, divisor=None):
+    """eps^{ijk} alpha_i d_j alpha_k, alpha ^ d(alpha) over dx1 ^ dx2 ^ dx3, at an
+    (N, 3) batch for alpha = g(X, .) with X as given, from the first jets of g and
+    X alone. Raises the chart errors, ``_require_metric``'s, then DegenerateSeed
+    where X is zero or not finite; then ``divisor(g, <X, X>)``, if given, runs
+    before any further arithmetic, and the wedge is divided by what it returns."""
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
     _require_metric(man, pts, g)
     xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)  # dx[n, j, l] = d_j X^l
@@ -271,16 +266,29 @@ def contact_defect_grid(man: ChartedManifold, X: UnitField, points):
     # summed term by term: einsum's reductions round differently at other batch sizes
     norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
     _require_nonzero(X, pts, norm2)
-    l11, _, _, l22, _, l33 = _cholesky(g)
-    root = l11 * l22 * l33  # sqrt(det g), from the Cholesky factor: no cancellation
-    with np.errstate(over="ignore"):
-        scale = root * root * norm2  # det g |X|^2
-    ok = (scale >= np.finfo(float).tiny) & (scale < np.inf)
-    if not ok.all():
-        raise SingularMetric(f"metric of {man.name!r} numerically singular at "
-                             f"{pts[np.argmin(ok)]}: det g |X|^2 is not a normal float")
+    scale = None if divisor is None else divisor(g, norm2)
     da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
     curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
     wedge = alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]
-    out = wedge / np.sqrt(scale)
+    return wedge if scale is None else wedge / scale
+
+
+def contact_defect_grid(man: ChartedManifold, X: UnitField, points):
+    """d(alpha)(e1, e2) = ``_contact_form`` / (|X| sqrt(det g)) at an (N, 3) batch:
+    ``diagnose``'s ``contact_defect`` for any nonzero X. Raises the errors of
+    ``_contact_form``, then SingularMetric at the first point where det g |X|^2
+    is not a positive normal float."""
+    pts, single = as_points(points)
+
+    def divisor(g, norm2):
+        l11, _, _, l22, _, l33 = _cholesky(g)  # l11 l22 l33 = sqrt(det g), no cancellation
+        with np.errstate(over="ignore"):
+            scale = (l11 * l22 * l33) ** 2 * norm2  # det g |X|^2
+        ok = (scale >= np.finfo(float).tiny) & (scale < np.inf)
+        if not ok.all():
+            raise SingularMetric(f"metric of {man.name!r} numerically singular at "
+                                 f"{pts[np.argmin(ok)]}: det g |X|^2 is not a normal float")
+        return np.sqrt(scale)
+
+    out = _contact_form(man, X, pts, divisor)
     return float(out[0]) if single else out

@@ -42,16 +42,15 @@ def as_points(p):
 
 @dataclass(frozen=True)
 class VolumeParametrization:
-    """Rectangular parameter box mapped onto the manifold for quadrature.
-
-    ``chart_map`` sends (N, 3) parameter tuples to chart points, ``density``
-    gives the Riemannian volume density relative to the parameter measure.
-    """
+    """Rectangular parameter box mapped onto the manifold for quadrature:
+    ``chart_map`` sends (N, 3) parameter tuples to chart points, and
+    ``jacobian(params, chart_map(params))`` is |det D chart_map| there, the
+    chart's volume relative to the parameter measure, free of any metric."""
 
     name: str
     box: tuple  # ((a1, b1), (a2, b2), (a3, b3))
     chart_map: Callable[[Array], Array]
-    density: Callable[[Array], Array]
+    jacobian: Callable[[Array, Array], Array]
 
 
 @dataclass
@@ -214,7 +213,7 @@ def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
 
     The one place that decides how a derivative is taken, behind
     ``metric_partials``, ``christoffel(_with_partials)``, ``covariant_jacobian``
-    and ``contact_defect_grid``. ``fn`` maps an (N, 3) batch to values of shape
+    and ``field._contact_form``. ``fn`` maps an (N, 3) batch to values of shape
     (N, *S); ``table`` is the same data as an ``expr.ExprTable``, when there
     is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
 

@@ -25,7 +25,7 @@ import numpy as np
 from .catalog import CatalogEntry
 from .curvature import sectional
 from .errors import ConfigError, NoParametrization, NotConstantCurvature
-from .field import SCALAR_COLUMNS, Diagnosis, contact_defect_grid, diagnose
+from .field import SCALAR_COLUMNS, Diagnosis, _contact_form, diagnose
 from .flow import integrate_orbits, max_parallel_jacobi_defect
 
 THEOREM_IDS = ("T3.1", "C3.2", "T5.1", "C5.2", "T6.1", "P7.6")
@@ -321,10 +321,9 @@ def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
     ``_worker_count()`` threads, VOLUME_ROWS_IN_FLIGHT rows in all at once.
 
     Rows run in ``meshgrid(..., indexing="ij")`` order. Each block writes
-    its products defect * density into its slice of one array, and one
-    ``np.sum`` over it adds them as a single kernel call's array would
-    (pairwise summation depends on the array, so per-block sums would not).
-    """
+    ``_contact_form`` times the Jacobian at its chart points into its slice of
+    one array, and one ``np.sum`` adds them as a single kernel call's array would
+    (pairwise summation depends on the array, so per-block sums would not)."""
     rows = nodes ** 3
     try:
         products = np.empty(rows)
@@ -341,20 +340,21 @@ def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
         start, stop = k * size, min((k + 1) * size, rows)
         index = np.unravel_index(np.arange(start, stop), (nodes,) * 3)
         params = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
-        defect = contact_defect_grid(entry.manifold, entry.field, param.chart_map(params))
-        products[start:stop] = defect * param.density(params)
+        points = param.chart_map(params)
+        products[start:stop] = (_contact_form(entry.manifold, entry.field, points)
+                                * param.jacobian(params, points))
 
     _run_blocks(fill, -(-rows // size), workers)
     return float(np.sum(products) * cell)
 
 
 def volume_integral(entry: CatalogEntry, nodes: int) -> VolumeResult:
-    """Contact volume by midpoint quadrature: integral of the contact defect
-    against the Riemannian volume, in the orientation of the parametrization.
-
-    ``estimated_error`` is the difference against the half-resolution grid,
-    which 4 nodes per axis or more keep at 2 nodes or more and apart from this one.
-    """
+    """Contact volume by midpoint quadrature: the integral of alpha ^ d(alpha)
+    for alpha = g(X, .) with X as given, through the chart map alone, in the
+    orientation of the parametrization; for a unit X, the contact defect
+    integrated against the Riemannian volume. ``estimated_error`` is the
+    difference against the half-resolution grid, which 4 nodes per axis or
+    more keep at 2 nodes or more and apart from this one."""
     if entry.manifold.volume_param is None:
         raise NoParametrization(f"{entry.name} has no integration parametrization")
     if nodes < 4:

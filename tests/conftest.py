@@ -34,11 +34,15 @@ WARPED_DOC = {"manifold": {"metric": [["(2 - x3^2)^2", "0", "0"], ["0", "(2 - x3
               "grid": {"min": [-0.5, -0.5, -0.5], "max": [0.5, 0.5, 0.5], "counts": [5, 5, 5]}}
 
 
+#: the process-wide expression caches: parsed sources, differentiated
+#: subexpressions, compiled programs and single-expression tables
+EXPR_CACHES = (expr.parse, expr._derivative, expr._compile, expr._table_of)
+
+
 @pytest.fixture
 def cold_caches():
-    """Empty the process-wide expression caches (parsed sources, compiled
-    programs, single-expression tables), so a test sees no earlier test's entries."""
-    for cache in (expr.parse, expr._compile, expr._table_of):
+    """Empty every ``EXPR_CACHES`` cache, so a test sees no earlier test's entries."""
+    for cache in EXPR_CACHES:
         cache.cache_clear()
 
 

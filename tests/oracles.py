@@ -44,12 +44,15 @@ def berger_sphere(eps: float) -> CatalogEntry:
     Symplectic Manifolds, 2nd ed. 2010) the closed forms in ``expected``
     hold at every point: |contact defect| = 2 eps and the Jacobi tensor is
     eps^2 on X's orthogonal plane, so Delta = delta = eps^2 and Ric(X) = 2 eps^2.
+    With g_eps(X, .) = eps g_round(H, .), the contact volume is eps^2 times the
+    round one, 4 pi^2 eps^2, over the Hopf coordinates of ``s3_hopf``.
     """
     lam, scale = "4/(1 + x1^2 + x2^2 + x3^2)^2", eps * eps - 1.0
     metric = tuple(tuple((f"{lam} + " if hi == hj else "") + f"({scale!r})*({lam})^2*({hi})*({hj})"
                          for hj in _HOPF_COMPONENTS) for hi in _HOPF_COMPONENTS)
     return CatalogEntry(
-        name=f"berger({eps!r})", manifold=manifold_from_exprs(f"berger({eps!r})", metric),
+        name=f"berger({eps!r})", manifold=manifold_from_exprs(
+            f"berger({eps!r})", metric, volume_param=_hopf_parametrization()),
         field=UnitField.from_exprs("hopf/eps", tuple(f"({h})/{eps!r}" for h in _HOPF_COMPONENTS)),
         expected={"contact_abs": 2.0 * eps, "Delta": eps * eps, "delta": eps * eps,
                   "ric_X": 2.0 * eps * eps},

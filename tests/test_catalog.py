@@ -102,6 +102,19 @@ def test_weighted_equal_weights_is_unit_hopf(entries):
     assert builtin("s3_weighted(2,3)").space_form_c is None
 
 
+def test_the_hopf_jacobian_is_the_determinant_of_the_chart_map(entries):
+    """|det D chart_map| by complex steps (exact to rounding: no difference is
+    taken) at random parameters in the box is the parametrization's Jacobian."""
+    param = entries["s3_hopf"].manifold.volume_param
+    lo, hi = np.array(param.box).T
+    params = np.random.default_rng(3).uniform(lo, hi, (200, 3))
+    step = 1e-30
+    D = np.stack([param.chart_map(params + 1j * step * np.eye(3)[k]).imag / step
+                  for k in range(3)], axis=2)  # D[n, i, k] = d x_i / d param_k
+    np.testing.assert_allclose(param.jacobian(params, param.chart_map(params)),
+                               np.abs(np.linalg.det(D)), rtol=1e-13, atol=0)
+
+
 def test_default_grids_inside_domain(entries):
     for name in ENTRY_NAMES:
         entry = entries[name]

@@ -571,7 +571,28 @@ def test_a_negated_power_base_in_a_config_is_a_usage_error(tmp_path, capsys):
                                   "field": {"components": ["0", "0", "1"]}})
     code, out, err = run(capsys, ["analyze", "--config", cfg])
     assert code == 2 and out == ""
-    assert err == "error: a negated base needs parentheses before '^' at offset 4\n"
+    assert err == ("error: invalid config expression manifold.metric[2][2] '2 + -x1^2': "
+                   "a negated base needs parentheses before '^' at offset 4\n")
+
+
+_FLAT_CELLS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"manifold": {"metric": [["1", "0", "0"], ["0", "1 +", "0"], ["0", "0", "1"]]},
+      "field": {"components": ["0", "0", "1"]}},
+     "manifold.metric[1][1] '1 +': unexpected end of input at offset 3"),
+    ({"manifold": {"metric": _FLAT_CELLS}, "field": {"components": ["y", "0", "1"]}},
+     "field.components[0] 'y': unknown identifier 'y' at offset 0"),
+    ({"manifold": {"metric": _FLAT_CELLS, "domain": "x1 +"},
+      "field": {"components": ["0", "0", "1"]}},
+     "manifold.domain 'x1 +': unexpected end of input at offset 4"),
+], ids=["metric", "field", "domain"])
+def test_a_syntax_error_in_a_config_expression_names_its_key_and_cell(tmp_path, capsys, doc,
+                                                                       message):
+    code, out, err = run(capsys, ["analyze", "--config", write_config(tmp_path, doc)])
+    assert code == 2 and out == ""
+    assert err == f"error: invalid config expression {message}\n"
 
 
 def test_verify_unknown_entry(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from conftest import CUSTOM_DOC, ENTRY_NAMES
+from conftest import CUSTOM_DOC, ENTRY_NAMES, EXPR_CACHES
 from geocontact import expr
 from geocontact.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
@@ -123,6 +123,37 @@ def test_domain_errors_name_the_first_failing_row(source, first, dual):
     assert str(err.value).endswith(f" at {pts[first]}")
 
 
+@pytest.mark.parametrize("mode", ["value", "dual", "scalar"])
+def test_quotients_sharing_a_denominator_raise_the_first_check(mode):
+    """The second quotient's division check is the first's, on the same operand,
+    so it is not emitted again: the first one's message names the point."""
+    table = expr.ExprTable.of((parse("1/(x1 - x2)"), parse("x3/(x1 - x2)"), parse("x1")))
+    pts = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 5.0], [3.0, 3.0, 0.0]])
+    run = {"value": lambda: table.evaluate(pts), "dual": lambda: eval_dual(table, pts),
+           "scalar": lambda: table.at_point(*pts[1])}[mode]
+    with pytest.raises(DomainError) as err:
+        run()
+    assert str(err.value) == (f"division by zero in '{to_string(parse('1/(x1 - x2)'))}' "
+                              f"at {pts[1]}")
+
+
+@pytest.mark.parametrize("entry, table, mode, checks", [
+    ("euclidean_skew", "field", "dual", 5), ("euclidean_skew", "field", "scalar", 4),
+    ("s3_hopf", "metric", "dual", 1), ("s3_weighted(2,3)", "metric", "dual", 1),
+    ("h3_vertical", "metric", "dual", 1)])
+def test_each_domain_check_is_emitted_once_per_program(monkeypatch, cold_caches, entry, table,
+                                                       mode, checks):
+    """euclidean_skew's field jet repeats its division and sqrt checks once per
+    partial that divides by the same operand (16 checks, 5 distinct; its
+    scalar program 5, 4 distinct), and each metric jet here its one check."""
+    sources, source = [], expr._Codegen.source
+    monkeypatch.setattr(expr._Codegen, "source",
+                        lambda gen: sources.append(source(gen)) or sources[-1])
+    e = gc.builtin(entry)
+    (e.field.component_exprs if table == "field" else e.manifold.metric_exprs)._program(mode)
+    assert sources[-1].count("_fail(") == checks
+
+
 def test_the_partial_of_sqrt_at_zero_is_a_division_by_zero():
     """sqrt(x1) has a value at x1 = 0 but no partial: the division check of its
     derivative 0.5 / sqrt(x1) names the first such row."""
@@ -180,6 +211,14 @@ def test_a_rebuilt_catalog_entry_compiles_nothing(cold_caches):
         np.testing.assert_array_equal(value, value2)
         np.testing.assert_array_equal(dual.value, dual2.value)
         np.testing.assert_array_equal(dual.partials, dual2.partials)
+
+
+def test_cold_caches_clear_every_expression_cache():
+    """A new ``lru_cache`` in ``expr`` joins ``EXPR_CACHES``, or tests that need
+    cold caches would see warm entries of it."""
+    caches = {obj for obj in vars(expr).values()
+              if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == expr.__name__}
+    assert caches == set(EXPR_CACHES)
 
 
 def test_equal_sources_parse_to_the_same_objects(cold_caches):

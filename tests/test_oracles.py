@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import geocontact as gc
 from geocontact.field import contact_defect_grid
-from geocontact.verify import verify_entry, verify_parallel_jacobi, verify_ricci
+from geocontact.verify import (verify_entry, verify_parallel_jacobi, verify_reebability,
+                               verify_ricci)
 from oracles import berger_sphere, gluck_warner, skew_lines
 
 
@@ -30,7 +31,9 @@ def test_berger_spheres_meet_their_closed_forms(eps):
     """X = H / eps is unit, geodesic and Killing, with |contact defect| = 2 eps
     (measured 3.6e-15), Delta = delta = eps^2 (7.0e-9) and Ric(X) = 2 eps^2
     (1.4e-8). Ric(X) > 0 and contact everywhere: C3.2 and T6.1 hold, and
-    T3.1, which is about non-contact samples, has none."""
+    T3.1, which is about non-contact samples, has none. The 16-node contact
+    volume lies within its error estimate of 4 pi^2 eps^2 (about a third of
+    it at 8, 16 and 32 nodes), and P7.6 holds."""
     entry = berger_sphere(eps)
     diag = gc.diagnose(entry.manifold, entry.field, entry.grid.points())
     assert diag.unit_defect.max() <= 4e-15  # measured 1.8e-15
@@ -43,6 +46,10 @@ def test_berger_spheres_meet_their_closed_forms(eps):
     assert verify_ricci(entry, theorem="C3.2").verdict == "consistent"
     assert verify_parallel_jacobi(entry).verdict == "consistent"
     assert verify_ricci(entry, theorem="T3.1").verdict == "hypotheses-not-met"
+    report = verify_reebability(entry, nodes=16)
+    volume = report.details["volume"]  # volume_integral(entry, 16)
+    assert abs(volume["value"] - 4.0 * np.pi ** 2 * eps * eps) <= volume["estimated_error"]
+    assert report.verdict == "consistent"
 
 
 def _well_inside_complex_eigenvalues(A):

@@ -87,7 +87,7 @@ DIGESTS = {
     "orbit-default:s3_hopf": "28bfd2594f7076675b807f5b39c09a7ce3cb7a472b03154760ea992aa726829a",
     "verify:P7.6:s3_hopf": "a210ba8f336941c1a929787d96e76898afa01b2e3a679b64b88b94203999e1e1",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "fabbac1824a4308c2685d215cb4a838c90dfd4ced7e86daa98934a97f865a5d9",
-    "verify:all": "6e13253f94fdd36941372b05585eea253105c61183367c1b1460a3422b152fc7",
+    "verify:all": "ea539dc44593964878f2b784aa5dd121014fabfbf08f445998c0228b88c30ece",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
     "verify:T6.1:h2xr_vertical": "cd5a7ba2584d152257e901c304415b9c4a43e3d7c2b8066c8dfaa264c9870242",

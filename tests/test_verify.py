@@ -17,7 +17,6 @@ from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.cli import resolve_config
 from geocontact.errors import (ConfigError, NoParametrization, NotConstantCurvature, NotUnit,
                                OutOfChart)
-from geocontact.field import contact_defect_grid
 from geocontact.geometry import VolumeParametrization, manifold_from_exprs
 from geocontact.verify import (Tolerances, reebability_verdict, run_theorem,
                                verify_parallel_jacobi, verify_reebability,
@@ -175,8 +174,9 @@ def test_volume_weighted_closed_form(entries):
 
 
 def test_volume_needs_no_christoffel_symbols_or_frames(entries, monkeypatch):
-    """The quadrature runs on the frame-free kernel: with Gamma, frames and the
-    shape operator unavailable, an 8-node volume keeps its bytes."""
+    """The quadrature integrates alpha ^ d(alpha) through the chart map alone:
+    with Gamma, frames, the shape operator and the Cholesky factor of
+    sqrt(det g) unavailable, an 8-node volume keeps its bytes."""
     expected = volume_integral(entries["s3_hopf"], 8)
 
     def unavailable(*args, **kwargs):
@@ -184,7 +184,7 @@ def test_volume_needs_no_christoffel_symbols_or_frames(entries, monkeypatch):
 
     for module in (curvature, geometry, field):
         for name in ("christoffel", "christoffel_with_partials", "covariant_jacobian",
-                     "frames_at", "frame_terms"):
+                     "frames_at", "frame_terms", "_cholesky"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unavailable)
     assert volume_integral(entries["s3_hopf"], 8) == expected
@@ -202,7 +202,7 @@ def box_entry(domain="true"):
     man.volume_param = VolumeParametrization(
         name="unit_box", box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
         chart_map=lambda params: params,
-        density=lambda params: np.ones(params.shape[0]))
+        jacobian=lambda params, points: np.ones(params.shape[0]))
     return CatalogEntry(name="box", manifold=man,
                         field=gc.UnitField.from_exprs("z", ("0", "0", "1")),
                         expected={}, notes="",
@@ -222,8 +222,9 @@ def unblocked_midpoint_value(entry, nodes):
     axes = [(np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box]
     cell = np.prod([(hi - lo) / nodes for lo, hi in param.box])
     params = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    defect = contact_defect_grid(entry.manifold, entry.field, param.chart_map(params))
-    return float(np.sum(defect * param.density(params)) * cell)
+    points = param.chart_map(params)
+    wedge = field._contact_form(entry.manifold, entry.field, points)
+    return float(np.sum(wedge * param.jacobian(params, points)) * cell)
 
 
 @pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
