@@ -11,6 +11,9 @@ With these signs the round sphere has K = +1 and hyperbolic space K = -1.
 
 Gamma solves the Koszul system by a Cholesky factor of g (``christoffel``),
 component-major (inner loops over N), into the same C-ordered (N, 3, 3, 3) bits.
+Its input is component-major too: an exact jet of g (``geometry._jet``) holds
+each g_ij and d_k g_ij as one contiguous (N,) row, which the metric check, the
+Cholesky factor and the Koszul sums read in place.
 Every reader of R uses one operator R(., y)z, built from Gamma and its partials
 without the full tensor (``_curvature_operator``): ``jacobi_matrix`` at (X, X),
 ``sectional`` at (w, w) and ``riemann`` applied to x, the one public reader of R.
@@ -51,7 +54,7 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
         out[...] = g
         g = out
     # gamma[l, i, j, n] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, then L^-T L^-1 of that
-    d = np.moveaxis(dg, 0, -1)  # a view: d[k, i, j] is one (N,) row
+    d = dg.transpose(1, 2, 3, 0)  # a view: d[k, i, j] is one (N,) row, contiguous if exact
     gamma = np.add(d.transpose(2, 0, 1, 3), d.transpose(2, 1, 0, 3), order="C")
     gamma -= d
     gamma *= 0.5

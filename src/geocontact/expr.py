@@ -311,6 +311,10 @@ class DualScalar:
     (N, 3, *S) with partials[:, k] = d_k value, S the shape of the table
     (() for a single expression); a single point drops the leading axis, and
     a single expression at a single point has a float value.
+
+    Both are component-major: views of arrays (*S, N) and (3, *S, N), so each
+    component, value[:, i, j] or partials[:, k, i, j], is one contiguous (N,)
+    row. ``value`` is a copy that does not pin the partials.
     """
 
     __slots__ = ("value", "partials")
@@ -511,7 +515,15 @@ def _table_of(ast):
     return ExprTable.of(ast)
 
 
+#: by the number r of component axes, the axes that view an (*C, N) array,
+#: N last, as (N, *C): ``transpose`` without ``moveaxis``'s per-call overhead
+_POINT_MAJOR = tuple((r,) + tuple(range(r)) for r in range(4))
+
+
 def _run(source, p, dual):
+    """A table's values, or its ``DualScalar`` jet, at a point or a batch. The
+    jet is written component-major, into a zeroed (4, *S, N) array through its
+    (N, 4, *S) view, so each store of the program is one contiguous row."""
     table = source if isinstance(source, ExprTable) else _table_of(source)
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
@@ -519,14 +531,20 @@ def _run(source, p, dual):
         pts = pts[None]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (3,) or (N, 3)")
-    out = (np.zeros if dual else np.empty)(pts.shape[:1] + ((4,) if dual else ()) + table.shape)
-    table._program("dual" if dual else "value")(pts[:, 0], pts[:, 1], pts[:, 2], out)
-    value = out[:, 0].copy() if dual else out  # a copy: the values do not pin the partials
+    rank, x = len(table.shape), (pts[:, 0], pts[:, 1], pts[:, 2])
+    if dual:
+        jet = np.zeros((4,) + table.shape + pts.shape[:1])
+        table._program("dual")(*x, jet.transpose(_POINT_MAJOR[rank + 1]))
+        value = jet[0].copy().transpose(_POINT_MAJOR[rank])  # does not pin the partials
+    else:  # point-major: component-major moved analyze's geodesic_defect (einsums follow strides)
+        value = np.empty(pts.shape[:1] + table.shape)
+        table._program("value")(*x, value)
     if single:
-        value = value[0] if table.shape else float(value[0])
+        value = value[0] if rank else float(value[0])
     if not dual:
         return value
-    return DualScalar(value, out[0, 1:] if single else out[:, 1:])
+    partials = jet[1:].transpose(_POINT_MAJOR[rank + 1])
+    return DualScalar(value, partials[0] if single else partials)
 
 
 def eval_scalar(source, p):

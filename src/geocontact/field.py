@@ -261,16 +261,27 @@ def _contact_form(man: ChartedManifold, X: UnitField, pts, divisor=None):
     before any further arithmetic, and the wedge is divided by what it returns."""
     g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
     _require_metric(man, pts, g)
-    xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)  # dx[n, j, l] = d_j X^l
-    alpha = (g @ xv[..., None])[..., 0]
-    # summed term by term: einsum's reductions round differently at other batch sizes
-    norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
+    xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)
+    # (N,) rows, contiguous for an exact jet: G[k, l] = g_kl, dG[j, k, l] = d_j g_kl,
+    # x[l] = X^l, dX[j, l] = d_j X^l
+    G, dG, x, dX = g.transpose(1, 2, 0), dg.transpose(1, 2, 3, 0), xv.T, dx.transpose(1, 2, 0)
+    alpha = [_dot(G[k], x) for k in range(3)]
+    norm2 = _dot(alpha, x)
     _require_nonzero(X, pts, norm2)
     scale = None if divisor is None else divisor(g, norm2)
-    da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
-    curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
-    wedge = alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]
+
+    def da(j, k):  # d_j alpha_k = d_j g_kl X^l + d_j X^l g_lk
+        return _dot(dG[j, k], x) + _dot(dX[j], G[:, k])
+
+    wedge = _dot(alpha, [da(1, 2) - da(2, 1), da(2, 0) - da(0, 2), da(0, 1) - da(1, 0)])
     return wedge if scale is None else wedge / scale
+
+
+def _dot(a, b):
+    """sum_l a[l] b[l] over three (N,) rows, each product rounded, in a batched
+    matmul's order ((a0 b0 + a1 b1) + a2 b2): its bits wherever its BLAS kernel
+    rounds alike, as on every catalog entry, not on a dense g in general."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 def contact_defect_grid(man: ChartedManifold, X: UnitField, points):

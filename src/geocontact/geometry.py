@@ -163,7 +163,7 @@ def _cholesky(g):
 
 def _require_finite_metric(man: ChartedManifold, pts, g):
     """Raise SingularMetric naming the first point of the batch where g is not finite."""
-    ok = np.isfinite(g.reshape(len(pts), 9)).all(axis=1)
+    ok = np.isfinite(g).all(axis=(1, 2))  # no copy of a component-major g
     if not ok.all():
         raise SingularMetric(
             f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}: not finite")
@@ -218,7 +218,10 @@ def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
     is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
 
     - with a table and ``man.diff_mode == "dual"``, exactly, by one call of
-      the compiled code of the table's jet (``expr.eval_dual``);
+      the compiled code of the table's jet (``expr.eval_dual``), component-major:
+      val and d are views of (*S, N) and (3, *S, N) arrays, so each component
+      is one contiguous (N,) row, as the metric check, ``curvature.christoffel``
+      and ``field._contact_form`` read it;
     - otherwise by central differences with step ``man.diff_step``: the
       centre and its six axis shifts, ordered (+1, -1, +2, -2, +3, -3), are
       one batch of ``fn`` and one chart check. ``check(man, batch, values)``,

@@ -317,6 +317,66 @@ def test_constant_expression_dual():
     np.testing.assert_allclose(d.partials, [0.0, 0.0, 0.0])
 
 
+# ---------------------------------------------------------------------------
+# Layout of jets and values
+# ---------------------------------------------------------------------------
+
+#: a 3x3 table of sin, exp, log and sqrt, defined on [-1, 1]^3
+TRANSCENDENTAL = (("sin(x1)*exp(x2)", "log(2 + cos(x3))", "sqrt(1 + x1^2*x2^2)"),
+                  ("exp(-(x3^2))/sqrt(2 + sin(x1))", "log(3 + x1*x2)", "sin(x2*x3)"),
+                  ("sqrt(exp(x1) + x3^2)", "log(1 + x2^2)*exp(x3)", "cos(x1)*sin(x2)/(2 + x3)"))
+
+
+def layout_table(name):
+    """(table, lo, hi): a catalog entry's metric or field table and its grid's
+    box, or ``TRANSCENDENTAL`` on [-1, 1]^3."""
+    if name == "transcendental":
+        rows = [[parse(s) for s in row] for row in TRANSCENDENTAL]
+        return expr.ExprTable.of(rows), (-1.0,) * 3, (1.0,) * 3
+    entry, kind = gc.builtin(name.rpartition("/")[0]), name.rpartition("/")[2]
+    table = entry.manifold.metric_exprs if kind == "metric" else entry.field.component_exprs
+    return table, entry.grid.lo, entry.grid.hi
+
+
+def point_major_jet(table, pts):
+    """The table's dual program run into a zeroed point-major (N, 4, *S) buffer:
+    (value, partials), the reference of ``eval_dual``'s component-major jet."""
+    out = np.zeros((len(pts), 4) + table.shape)
+    table._program("dual")(pts[:, 0], pts[:, 1], pts[:, 2], out)
+    return out[:, 0], out[:, 1:]
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("name", ["transcendental"] + [f"{name}/{kind}" for name in ENTRY_NAMES
+                                                       for kind in ("metric", "field")])
+def test_dual_jets_are_component_major_with_the_point_major_bits(name, n):
+    """Each component of value and partials is one contiguous (N,) row, bit for
+    bit the same program's stores into a point-major buffer; the value is a
+    copy, not a view into the partials' array. A point is the batch's row."""
+    table, lo, hi = layout_table(name)
+    pts = np.random.default_rng(n).uniform(lo, hi, (n, 3))
+    jet = eval_dual(table, pts)
+    value, partials = point_major_jet(table, pts)
+    assert jet.value.shape == value.shape and jet.partials.shape == partials.shape
+    assert jet.value.tobytes() == value.tobytes() and jet.partials.tobytes() == partials.tobytes()
+    assert np.moveaxis(jet.value, 0, -1).flags.c_contiguous
+    assert np.moveaxis(jet.partials, 0, -1).flags.c_contiguous
+    assert not np.shares_memory(jet.value, jet.partials)
+    one = eval_dual(table, pts[0])
+    assert np.asarray(one.value).tobytes() == value[0].tobytes()
+    assert one.partials.tobytes() == partials[0].tobytes()
+
+
+@pytest.mark.parametrize("source", [parse("x1*x2"), [parse("x1"), parse("x2"), parse("x3")],
+                                    [[parse(s) for s in row] for row in TRANSCENDENTAL]],
+                         ids=["scalar", "vector", "matrix"])
+def test_values_are_point_major(source):
+    """``eval_scalar`` stays a C-contiguous (N, *S) array (see ``expr._run``)."""
+    table = expr.ExprTable.of(source)
+    values = eval_scalar(table, np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3)))
+    assert values.shape == (5,) + table.shape and values.flags.c_contiguous
+
+
 def test_table_evaluates_each_distinct_entry_once():
     table = expr.ExprTable.of([[parse("1/x3^2" if i == j else "0") for j in range(3)]
                                for i in range(3)])

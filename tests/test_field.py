@@ -1,18 +1,22 @@
 """Shape operator, defects, eigenvalue classification and point diagnosis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import geocontact as gc
+from conftest import ENTRY_NAMES
 from geocontact import catalog
 from geocontact.curvature import (EIGEN_DISC_TOL, christoffel_with_partials,
                                   real_eigenvalues, trace_discriminant)
-from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
-                               OutOfChart, SingularMetric)
+from geocontact.errors import (DegenerateSeed, DomainError, GeoContactError, NotPositiveDefinite,
+                               NotUnit, OutOfChart, SingularMetric)
 from geocontact.field import (ComplexPair, RealPair, UnitField, beta_ranks,
-                              contact_defect_grid, diagnose, diagnose_point, eigen_columns,
-                              frame_terms)
-from geocontact.geometry import Frame, frame_at
+                              _contact_form, _require_nonzero, contact_defect_grid, diagnose,
+                              diagnose_point, eigen_columns, frame_terms)
+from geocontact.geometry import Frame, _jet, _require_finite_metric, _require_metric, frame_at
+from oracles import berger_sphere, skew_lines
 
 
 def flat():
@@ -492,3 +496,121 @@ def test_contact_defect_grid_of_a_non_unit_field(entries):
     vanishing = UnitField.from_exprs("vanishing", ("0", "0", "x1 - 0.5"))
     with pytest.raises(DegenerateSeed, match=r"zero or not finite at \[0.5 0.  0. \]"):
         contact_defect_grid(entry.manifold, vanishing, ERROR_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# Contact-form kernel
+# ---------------------------------------------------------------------------
+
+def contact_form_by_matmuls(man, X, pts):
+    """``field._contact_form`` without a divisor as three batched 3x3 matmuls on
+    point-major jets, the kernel it replaced: the reference its bits are pinned
+    to. The jets are C-ordered copies, the layout these matmuls read before."""
+    g, dg = (np.ascontiguousarray(a) for a in
+             _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric))
+    _require_metric(man, pts, g)
+    xv, dx = (np.ascontiguousarray(a) for a in _jet(man, X.component_fn, pts, X.component_exprs))
+    alpha = (g @ xv[..., None])[..., 0]
+    norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]
+    _require_nonzero(X, pts, norm2)
+    da = (dg @ xv[:, None, :, None])[..., 0] + dx @ g  # da[n, j, k] = d_j alpha_k, g symmetric
+    curl = (da - np.swapaxes(da, 1, 2))[:, [1, 2, 0], [2, 0, 1]]
+    return alpha[:, 0] * curl[:, 0] + alpha[:, 1] * curl[:, 1] + alpha[:, 2] * curl[:, 2]
+
+
+def contact_form_cases():
+    """(id, entry, pts): every catalog grid, 4,096 rows of each volume box,
+    skew-line fibrations on their grids, and single rows."""
+    cases = []
+    for name in ENTRY_NAMES:
+        entry = gc.builtin(name)
+        pts = entry.grid.points()
+        cases += [(f"{name}/grid", entry, pts[entry.manifold.contains(pts)]),
+                  (f"{name}/one", entry, pts[62:63])]
+        param = entry.manifold.volume_param
+        if param is not None:
+            rng = np.random.default_rng(4096)
+            params = np.stack([rng.uniform(lo, hi, 4096) for lo, hi in param.box], axis=1)
+            cases.append((f"{name}/volume", entry, param.chart_map(params)))
+    for entry in (skew_lines(((0.0, -1.0), (1.0, 0.0))), skew_lines(((1.0, -2.0), (3.0, 0.5)))):
+        cases += [(f"{entry.name}/grid", entry, entry.grid.points()),
+                  (f"{entry.name}/one", entry, entry.grid.points()[7:8])]
+    return cases
+
+
+CONTACT_FORM_CASES = contact_form_cases()
+
+
+@pytest.mark.parametrize("mode", ["dual", "central"])
+@pytest.mark.parametrize("name, entry, pts", CONTACT_FORM_CASES,
+                         ids=[case[0] for case in CONTACT_FORM_CASES])
+def test_contact_form_has_the_bits_of_the_matmul_kernel(name, entry, pts, mode, monkeypatch):
+    monkeypatch.setattr(entry.manifold, "diff_mode", mode)
+    wedge = _contact_form(entry.manifold, entry.field, pts)
+    assert wedge.tobytes() == contact_form_by_matmuls(entry.manifold, entry.field, pts).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["dual", "central"])
+@pytest.mark.parametrize("eps", [0.3, 0.5, 1.7, 3.0])
+def test_contact_form_of_a_dense_metric_is_the_matmul_kernel_to_rounding(eps, mode):
+    """On a dense g, a Berger sphere's, the matmuls' BLAS kernel rounds in an
+    order of its own where the component rows round each product and sum left
+    to right, so the two differ in their last bits: by at most 6.6e-16 of the
+    batch's largest value (measured on an AVX-512 host; 17 ulp at berger(0.3)),
+    held to 1e-15."""
+    entry = berger_sphere(eps)
+    entry.manifold.diff_mode = mode
+    pts = entry.grid.points()
+    wedge = _contact_form(entry.manifold, entry.field, pts)
+    reference = contact_form_by_matmuls(entry.manifold, entry.field, pts)
+    assert np.abs(wedge - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+def _raised(call):
+    """The type and message of the error ``call`` raises, or None."""
+    try:
+        call()
+    except GeoContactError as err:
+        return type(err), str(err)
+    return None
+
+
+#: zero at the origin, not finite at x3 = 1 (exp overflows)
+ZERO_OR_INF = ("x1", "x2", "x3*exp(1000*x3)")
+
+
+@pytest.mark.parametrize("mode", ["dual", "central"])
+@pytest.mark.parametrize("rows, error, first", [
+    ([[0.5, 0.5, 0.1], [0.0, 0.0, 0.0], [0.1, 0.2, 1.0]], DegenerateSeed, [0.0, 0.0, 0.0]),
+    ([[0.5, 0.5, 0.1], [0.1, 0.2, 1.0], [0.0, 0.0, 0.0]], DegenerateSeed, [0.1, 0.2, 1.0]),
+    ([[0.0, 0.0, 0.0], [0.5, 0.5, 0.1], [-2.0, 0.3, 0.1]], NotPositiveDefinite, [-2.0, 0.3, 0.1]),
+], ids=["zero-first", "inf-first", "metric-before-field"])
+def test_contact_form_raises_as_the_matmul_kernel(rows, error, first, mode):
+    """The field's DegenerateSeed names the first zero or non-finite row, after
+    every metric check, on the component-major jets as on C-ordered copies."""
+    man = diag_chart("tilted", ("1", "1", "1 + x1/1.5"))
+    man.diff_mode = mode
+    X, pts = UnitField.from_exprs("zero_or_inf", ZERO_OR_INF), np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raised = _raised(lambda: _contact_form(man, X, pts))
+        assert raised == _raised(lambda: contact_form_by_matmuls(man, X, pts))
+    assert raised[0] is error and raised[1].endswith(f"at {np.array(first)}")
+
+
+def test_contact_form_peak_memory_is_bounded(entries):
+    """At 4,096 rows of the s3_hopf volume box, the tracemalloc peak of
+    ``_contact_form`` stays within 2.1 times the metric's jet (4 x 9 x N floats):
+    it read 1.97, 6% below the bound, and 2.37 with the matmul kernel, whose
+    (N, 3, 3) products the component rows do not allocate."""
+    entry = entries["s3_hopf"]
+    param = entry.manifold.volume_param
+    rng = np.random.default_rng(0)
+    pts = param.chart_map(np.stack([rng.uniform(lo, hi, 4096) for lo, hi in param.box], axis=1))
+    _contact_form(entry.manifold, entry.field, pts[:2])  # compiles outside the measurement
+    tracemalloc.start()
+    try:
+        _contact_form(entry.manifold, entry.field, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * (4 * 9 * len(pts) * 8)

@@ -1,5 +1,6 @@
 """Charts, metric derivatives and orthonormal frames."""
 
+import itertools
 import re
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import geocontact as gc
 from geocontact.errors import NotPositiveDefinite, OutOfChart, SingularMetric
 from geocontact.field import diagnose
-from geocontact.geometry import frame_at, frames_at, g_norm, inner, metric_partials
+from geocontact.geometry import (_require_metric, frame_at, frames_at, g_norm, inner,
+                                 metric_partials)
 
 
 def flat():
@@ -108,6 +110,33 @@ def test_out_of_chart_names_the_first_point_outside():
     man.diff_step = 1e-2
     with pytest.raises(OutOfChart, match=re.escape(str(np.array([0.0, 0.0, 5e-3 - 1e-2])))):
         metric_partials(man, np.array([0.0, 0.0, 5e-3]))
+
+
+#: metric rows by kind: fine, not finite, indefinite (eigenvalue -1) and ill-conditioned
+METRIC_ROWS = {"fine": np.diag([2.0, 1.0, 3.0]), "nan": np.diag([1.0, np.nan, 1.0]),
+               "indefinite": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+               "ill": np.diag([1.0, 1.0, 1e-13])}
+
+
+@pytest.mark.parametrize("kinds", list(itertools.permutations(("nan", "indefinite", "ill")))
+                         + [("ill", "indefinite"), ("indefinite", "ill"), ("ill",)])
+def test_the_metric_check_reads_a_component_major_g_as_a_c_ordered_one(kinds):
+    """The one metric check raises the same error at the same point on g laid out
+    as an exact jet's value (each g_ij a contiguous (N,) row) and on a C-ordered
+    copy: not finite first, then indefinite, then ill-conditioned."""
+    rows = ("fine",) + kinds + ("fine",)
+    c_ordered = np.array([METRIC_ROWS[kind] for kind in rows])
+    component_major = np.ascontiguousarray(c_ordered.transpose(1, 2, 0)).transpose(2, 0, 1)
+    pts = np.arange(3.0 * len(rows)).reshape(-1, 3)
+    raised = []
+    for g in (component_major, c_ordered):
+        with pytest.raises((SingularMetric, NotPositiveDefinite)) as err:
+            _require_metric(flat(), pts, g)
+        raised.append((err.type, str(err.value)))
+    first = next(k for k in ("nan", "indefinite", "ill") if k in kinds)
+    assert raised[0] == raised[1]
+    assert raised[0][0] is (NotPositiveDefinite if first == "indefinite" else SingularMetric)
+    assert f"at {pts[rows.index(first)]}" in raised[0][1]
 
 
 # ---------------------------------------------------------------------------
