@@ -280,8 +280,7 @@ def cmd_analyze(args) -> int:
     if entry.grid is None:
         raise ConfigError("analyze needs a grid")
     pts = entry.grid.points()
-    inside = entry.manifold.contains(pts)
-    inside[inside] = _partials_inside(entry.manifold, pts[inside])  # the orbit starts' rule
+    inside = _partials_inside(entry.manifold, pts)  # the orbit starts' rule; its reach holds pts
     skipped = pts[~inside]
     diag = diagnose(entry.manifold, entry.field, pts[inside], unit_tol=np.inf)
     failed = np.any((diag.unit_defect > tol.unit_defect)
@@ -316,7 +315,7 @@ def cmd_orbit(args) -> int:
                          f"last point inside: {traj.points[-1].tolist()}")
     wr = wronskian(traj)
     riccati = riccati_residuals(traj)
-    max_riccati = float(np.nanmax(riccati))
+    max_riccati = float(np.max(riccati[1:-1]))  # NaN at the two ends by design
     max_trace = trace_evolution_residual(traj)
 
     trb, disc = trace_discriminant(traj.B)
@@ -336,8 +335,8 @@ def cmd_orbit(args) -> int:
     if drift is not None:
         notes.append(f"noncontact_eigen_drift: {_fmt(drift)}")
     _emit_csv(args, resolved, ORBIT_HEADER, rows, notes)
-    worst = max(max_riccati, max_trace, traj.adapted_residual, wr.residual)
-    return 1 if worst > tol.orbit_residual else 0
+    worst = np.max([max_riccati, max_trace, traj.adapted_residual, wr.residual])  # keeps a NaN
+    return 0 if worst <= tol.orbit_residual else 1
 
 
 def cmd_verify(args) -> int:

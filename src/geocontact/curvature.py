@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegeneratePlane
-from .geometry import (ChartedManifold, _cholesky, _jet, _jet_points,
-                       _require_finite_metric, _require_metric, as_points, inner)
+from .geometry import (ChartedManifold, _cholesky, _jet, _jet_points, _require_finite_metric,
+                       _require_finite_partials, _require_metric, as_points, inner)
 
 #: discriminants within this of zero count as a repeated real eigenvalue
 EIGEN_DISC_TOL = 1e-12
@@ -206,10 +206,12 @@ def covariant_jacobian(man: ChartedManifold, W, pts, wval, gam):
     """A[n, k, i] = d_i W^k + Gamma^k_ij W^j, so that nabla_v W = A v.
 
     ``pts`` is an (N, 3) batch, ``wval`` the field values there and ``gam``
-    the Christoffel symbols there. Gamma is contracted with W once, so that
+    the Christoffel symbols there. Raises DegenerateSeed at the first point
+    where W's partials are not finite. Gamma is contracted with W once, so that
     every direction v afterwards costs one 3x3 product. Gamma and W are taken
     in C order, as the einsum's bits would follow their strides.
     """
     gam, wval = np.ascontiguousarray(gam), np.ascontiguousarray(wval)
     dw = _jet(man, W.component_fn, pts, W.component_exprs)[1]  # dw[n, i, k] = d_i W^k
+    _require_finite_partials(W, pts, dw)
     return np.swapaxes(dw, 1, 2) + np.einsum("nkij,nj->nki", gam, wval)

@@ -37,20 +37,22 @@ Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
 fails is replayed seed by seed as one-step blocks (``_replay``). A row's bits
 depend neither on its batch nor on its block's length, so block and replay
 agree bit for bit, and both agree with stage-form RK4 of all 9 or 17
-components (k = f(y) at each stage) to rounding. In both modes a seed stops
-before its first step that leaves the chart or whose end's curvature stencil
-does (``_partials_inside``, the post-pass's reach), checked once per block at
-all its step ends or after each replayed step, so the post-pass keeps every
-sample it is given. Only the replay tells a chart exit (OutOfChart, or a
-DomainError outside the chart), which stops a seed, from any other error,
-which it raises; a failed block costs at most ``JACOBI_BLOCK`` one-seed steps.
+components (k = f(y) at each stage) to rounding. The stop rule, in both
+modes: a seed stops before its first step that leaves the chart or whose
+end's curvature stencil does (``_partials_inside``, the post-pass's reach).
+A block applies it once, at all its step ends, and hands back the steps each
+seed made; the replay reads them from its one-step blocks, so the post-pass
+keeps every sample it is given. Only the replay tells a chart exit
+(OutOfChart, or a DomainError outside the chart), which stops a seed, from
+any other error, which it raises; a failed block costs at most
+``JACOBI_BLOCK`` one-seed steps.
 
-Each sample but the last is the first stage of its step. So with the Jacobi
-pair the blocks (and replays) hand back g, Gamma and its partials there, and
-the post-pass (``_trajectory``) reads them: only each seed's last sample
-takes a one-row ``christoffel_with_partials`` call of its own. Without the
-Jacobi pair the blocks compute no partials, and the post-pass makes one
-``christoffel_with_partials`` call at all the samples.
+Each sample but the last is the first stage of its step. ``integrate_orbits``
+decides where a sample's g, Gamma and its partials come from: with the
+Jacobi pair, the blocks' (and replays') rows there, and a one-row
+``christoffel_with_partials`` call at each seed's last sample; without it,
+whose blocks compute no partials, one such call at all the seed's samples.
+The post-pass (``_trajectory``) reads what it is given.
 
 An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
 J'(0) = B(0) J(0). The samples' B and M come from ``frame_terms``, the
@@ -66,7 +68,7 @@ import numpy as np
 
 from .curvature import (_partials_inside, christoffel, christoffel_with_partials,
                         jacobi_matrix, real_eigenvalues)
-from .errors import DomainError, GeoContactError, OutOfChart, StepTooLarge
+from .errors import DegenerateSeed, DomainError, GeoContactError, OutOfChart, StepTooLarge
 from .field import UnitField, diagnose, frame_terms
 from .geometry import ChartedManifold, as_points, inner
 
@@ -203,26 +205,26 @@ def _replay(man, X, y, count, h, with_jacobi):
     """The block of ``count`` steps of y that raised, redone one step of one
     seed at a time, handed back as a block hands it back: the states (count,
     N, state) after each step, the curvature rows at each step's first stage
-    and the steps each seed made. A seed stops before its first step that
-    leaves the chart: OutOfChart, a DomainError at a point outside the chart,
-    or an end whose curvature stencil leaves it (``_partials_inside``). Any
-    other error is raised: the first failing seed's, as that seed alone raises it."""
+    and the steps each seed made. A seed stops at its first one-step block
+    that makes no step or leaves the chart: OutOfChart, or a DomainError at a
+    point outside the chart. Any other error is raised: the first failing
+    seed's, as that seed alone raises it."""
     out, made = np.empty((count,) + y.shape), np.zeros(len(y), dtype=int)
     firsts = [np.empty((count, len(y)) + shape) for shape in _CURVATURE] if with_jacobi else []
     for k in range(len(y)):
         z = y[k:k + 1]
         for s in range(count):
             try:
-                states, first = _jacobi_block(man, X, z, 1, h, with_jacobi)
+                states, first, step_made = _jacobi_block(man, X, z, 1, h, with_jacobi)
             except OutOfChart:
                 break
             except DomainError as exc:
                 if man.contains(exc.point):
                     raise
                 break
-            z = states[0]
-            if not _partials_inside(man, z[:, 0:3])[0]:
+            if not step_made[0]:
                 break
+            z = states[0]
             out[s, k], made[k] = z[0], s + 1
             for buf, row in zip(firsts, first):
                 buf[s, k] = row[0, 0]
@@ -231,8 +233,9 @@ def _replay(man, X, y, count, h, with_jacobi):
 
 def _jacobi_block(man, X, y, count, h, with_jacobi):
     """The states (count, N, 9 or 17) after each of ``count`` steps of the
-    (N, 9) or (N, 17) states y, and with the Jacobi pair g, Gamma and its
-    partials at each step's first stage, (count, N, ...) each (else none).
+    (N, 9) or (N, 17) states y; with the Jacobi pair g, Gamma and its
+    partials at each step's first stage, (count, N, ...) each (else none);
+    and the steps (N,) each seed made by the stop rule of the module docstring.
 
     The point pass integrates p alone: for one row of a field with a table,
     on Python floats, the state a ``_Point`` and the stage values from the
@@ -245,8 +248,9 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     gives M at all of them, and the Jacobi step matrices carry (J, J') and
     (Jt, Jt'). A row's bits depend neither on its batch nor on ``count``.
     Raises what the field or the curvature raises, in that order: the field
-    at each stage in turn, then the chart check of all the curvature points,
-    then their metric checks; the caller checks step ends.
+    at each stage in turn, then DegenerateSeed at the first stage point inside
+    the chart where its value is not finite, then the chart check of all the
+    curvature points, then their metric checks.
     """
     n, table = len(y), X.component_exprs
     at_point = table.at_point if n == 1 and table is not None else None  # fetched once
@@ -265,23 +269,31 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
         record(ends, p)
     points = np.array(ends).reshape(count, n, 3)
     q, xv = (np.array(a).reshape(-1, 3) for a in (qs, values))
+    if not np.isfinite(xv).all():  # beyond the chart, the curvature's chart check stops the seed
+        bad = q[~np.isfinite(xv).all(axis=1)]
+        inside = man.contains(bad)
+        if inside.any():
+            raise DegenerateSeed(f"field {X.name!r} is not finite at {bad[np.argmax(inside)]}")
     if with_jacobi:
         g, gam, dgam = christoffel_with_partials(man, q)
     else:
         gam = christoffel(man, q)
+    # the stop rule, once nothing can raise
+    inside = _partials_inside(man, points.reshape(-1, 3)).reshape(count, n)
+    made = np.where(inside.all(axis=0), count, inside.argmin(axis=0))
     stack = (count, 4, n)
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
     es = _carry(frame_steps, _columns(y[:, 3:9], 3))
     out = [points, _rows(es[1:])]
     if not with_jacobi:
-        return np.concatenate(out, axis=-1), []
+        return np.concatenate(out, axis=-1), [], made
     frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
     m = jacobi_matrix(gam, dgam, g, xv, _rows(frames).reshape(-1, 2, 3))
     jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
     out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
     # copies: views would hold the block's whole curvature batch through the next block
     firsts = [np.ascontiguousarray(a.reshape(stack + a.shape[1:])[:, 0]) for a in (g, gam, dgam)]
-    return np.concatenate(out, axis=-1), firsts
+    return np.concatenate(out, axis=-1), firsts, made
 
 
 def orbit_steps(t_end, step) -> int:
@@ -313,8 +325,8 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     the canonical adapted pair, J(0) = e1 and Jt(0) = e2 with
     J'(0) = B(0) J(0), is integrated alongside, and each seed keeps g, Gamma
     and its partials from its blocks at every sample but its last, whose
-    rows come from one one-row ``christoffel_with_partials`` call, for its
-    post-pass (``_trajectory``). Raises OutOfChart naming the
+    rows come from one one-row ``christoffel_with_partials`` call; without
+    it, one call at all its samples gives them. Raises OutOfChart naming the
     first start outside the chart or whose own stencil leaves it, ValueError
     for the step or t_end, then what ``diagnose`` raises at the first bad
     start: a metric error, NotUnit or DegenerateSeed. A failed block replays
@@ -350,12 +362,9 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     while done < nsteps and rows.size:
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
         try:
-            out, firsts = _jacobi_block(man, X, y, count, step, with_jacobi)
+            out, firsts, made = _jacobi_block(man, X, y, count, step, with_jacobi)
         except GeoContactError:  # the seeds one at a time stop or raise
             out, firsts, made = _replay(man, X, y, count, step, with_jacobi)
-        else:  # each seed's steps before its first end whose stencil leaves the chart
-            inside = _partials_inside(man, out[..., 0:3].reshape(-1, 3)).reshape(count, -1)
-            made = np.where(inside.all(axis=0), count, inside.argmin(axis=0))
         hist[rows, done + 1:done + 1 + count] = np.swapaxes(out, 0, 1)
         for buf, first in zip(kept, firsts):  # step s's first stage is sample s
             buf[rows, done:done + count] = np.swapaxes(first, 0, 1)
@@ -363,10 +372,12 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
         rows, y, done = rows[made == count], out[-1, made == count], done + count
     trajectories = []
     for k, n in enumerate(samples):
-        curvature = [buf[k, :n] for buf in kept] or None
-        if curvature:  # the last sample is the first stage of no step the seed made
+        if with_jacobi:  # the last sample is the first stage of no step the seed made
+            curvature = [buf[k, :n] for buf in kept]
             for buf, row in zip(curvature, christoffel_with_partials(man, hist[k, n - 1:n, 0:3])):
                 buf[-1] = row[0]
+        else:
+            curvature = christoffel_with_partials(man, hist[k, :n, 0:3])
         trajectories.append(_trajectory(man, X, hist[k, :n], step, bool(n <= nsteps),
                                         with_jacobi, curvature))
     return trajectories
@@ -378,18 +389,17 @@ def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
     return integrate_orbits(man, X, [p0], t_end, step, with_jacobi)[0]
 
 
-def _trajectory(man, X, arr, step, truncated, with_jacobi, curvature=None) -> Trajectory:
-    """One seed's trajectory from all its states arr (n, state): frame-drift
-    check, B, M, Jacobi. ``curvature`` holds g, Gamma and its partials at every
-    sample, (n, ...) each; without it (the transport) one
-    ``christoffel_with_partials`` call computes them."""
+def _trajectory(man, X, arr, step, truncated, with_jacobi, curvature) -> Trajectory:
+    """One seed's trajectory from all its states arr (n, state) and g, Gamma
+    and its partials at every sample, ``curvature``, (n, ...) each: frame-drift
+    check, B, M, Jacobi."""
     n = arr.shape[0]
     t = np.arange(n) * step
     points = arr[:, 0:3]
     e1 = arr[:, 3:6]
     e2 = arr[:, 6:9]
 
-    g, gam, dgam = curvature or christoffel_with_partials(man, points)
+    g, gam, dgam = curvature
     xv = X.value(points)
     xn = xv / np.sqrt(inner(g, xv, xv))[:, None]
     frame = np.stack([xn, e1, e2], axis=2)
@@ -432,8 +442,9 @@ def riccati_residuals(traj: Trajectory) -> np.ndarray:
 
 
 def riccati_residual(traj: Trajectory) -> float:
-    """max over interior samples of || B' + B^2 + M ||_F in the parallel frame."""
-    return float(np.nanmax(riccati_residuals(traj)))
+    """max over interior samples of || B' + B^2 + M ||_F in the parallel frame,
+    NaN where one of them is."""
+    return float(np.max(riccati_residuals(traj)[1:-1]))
 
 
 def trace_evolution_residual(traj: Trajectory) -> float:

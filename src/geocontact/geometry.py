@@ -169,6 +169,15 @@ def _require_finite_metric(man: ChartedManifold, pts, g):
             f"metric of {man.name!r} numerically singular at {pts[np.argmin(ok)]}: not finite")
 
 
+def _require_finite_partials(X, pts, d):
+    """Raise DegenerateSeed naming the first point of the batch where the first
+    partials d (N, 3, 3) of the field X are not finite."""
+    if not np.isfinite(d).all():
+        ok = np.isfinite(d).all(axis=(1, 2))
+        raise DegenerateSeed(f"field {X.name!r} has partials that are not finite "
+                             f"at {pts[np.argmin(ok)]}")
+
+
 def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifold:
     """Build a chart from 3x3 metric expression strings and a domain expression.
 
@@ -272,12 +281,11 @@ def metric_partials(man: ChartedManifold, p):
 # ---------------------------------------------------------------------------
 
 def inner(gm, v, w):
-    """g-inner product; supports (3, 3) with (3,) vectors or batched (N, ...) input."""
-    gm = np.asarray(gm, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    """g-inner product of an (N, 3, 3) batch with (N, 3) vectors, (N,); a (3, 3)
+    metric with (3,) vectors is the N = 1 row, as a float."""
+    gm, v, w = (np.asarray(a, dtype=float) for a in (gm, v, w))
     if gm.ndim == 2:
-        return float(v @ gm @ w)
+        return float(inner(gm[None], v[None], w[None])[0])
     return np.einsum("ni,nij,nj->n", v, gm, w)
 
 

@@ -341,7 +341,7 @@ def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
         index = np.unravel_index(np.arange(start, stop), (nodes,) * 3)
         params = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
         points = param.chart_map(params)
-        products[start:stop] = (_contact_form(entry.manifold, entry.field, points)
+        products[start:stop] = (_contact_form(entry.manifold, entry.field, points)[0]
                                 * param.jacobian(params, points))
 
     _run_blocks(fill, -(-rows // size), workers)

@@ -12,10 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import ENTRY_NAMES
 import geocontact as gc
-from geocontact import cli, expr
+from geocontact import cli, expr, flow
 from test_reports import DIGESTS
 
 
@@ -150,9 +152,9 @@ def test_analyze_lists_a_point_whose_curvature_stencil_leaves_the_chart(tmp_path
 
 
 def test_analyze_checks_the_stencil_only_of_points_inside_the_chart(tmp_path, capsys):
-    """The chart log(x3) > 0 is x3 > 1. The stencil of x3 = 1e-6, outside it,
-    would reach x3 < 0, where log is undefined; x3 = 1.0000007 is inside, but
-    its stencil is not."""
+    """The chart log(x3) > 0 is x3 > 1. x3 = 1e-6 is outside it, and its
+    stencil reaches x3 < 0, where log is undefined: the point is listed once,
+    as outside; x3 = 1.0000007 is inside, but its stencil is not."""
     cfg = write_config(tmp_path, {
         "manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
                      "domain": "log(x3)"},
@@ -400,6 +402,88 @@ def test_orbit_start_where_the_field_is_not_finite_exits_one(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "field 'custom' is zero or not finite at [1. 0. 0.]" in err
     assert "Traceback" not in err
+
+
+def steep_doc(x3, k, mode):
+    """The flat chart 0 < x3 < 1.2 whose field (0, 0, 1 + 0*exp(k (x3 - c))) is 1
+    below x3 and NaN above it (exp overflows at 709.78), with a 3-point grid and
+    a 50-step orbit from x3 = 0.75 upwards, which leaves the chart."""
+    c = x3 - 709.78 / k
+    shift = f"x3 - {c:.9f}" if c >= 0 else f"x3 + {-c:.9f}"
+    return {"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                         "domain": "x3*(1.2 - x3)"},
+            "field": {"components": ["0", "0", f"1 + 0*exp({k:.6f}*({shift}))"]},
+            "diff": {"mode": mode},
+            "grid": {"min": [0, 0, 0.6], "max": [0, 0, 1.1], "counts": [1, 1, 3]},
+            "orbit": {"start": [0, 0, 0.75], "t_end": 0.5, "step": 0.01}}
+
+
+#: command -> the error of a field NaN above x3 = 0.7098 (exp(1000 x3) overflows),
+#: and of one that is finite at x3 = 0.7 but whose central stencil there overflows
+STEEP_ERRORS = {
+    ("orbit", "dual"): "error: field 'custom' is not finite at [0.   0.   0.71]\n",
+    ("analyze", "dual"): "error: field 'custom' is zero or not finite at [0.  0.  0.8]\n",
+    ("verify", "dual"): "error: field 'custom' is zero or not finite at [0.  0.  0.8]\n",
+    ("orbit", "central"): "error: field 'custom' is not finite at [0.    0.    0.705]\n",
+    ("analyze", "central"): ("error: field 'custom' has partials that are not finite "
+                             "at [0.  0.  0.7]\n"),
+    ("verify", "central"): ("error: field 'custom' has partials that are not finite "
+                            "at [0.  0.  0.7]\n"),
+}
+
+
+@pytest.mark.parametrize("command, mode", sorted(STEEP_ERRORS))
+def test_a_field_not_finite_inside_the_chart_exits_one(tmp_path, capsys, command, mode):
+    """A field that is not finite inside the chart is at fault: each command
+    exits 1 naming the first point where its value, or with central
+    differences its partials, are not finite, not a chart exit or a traceback."""
+    doc = {"manifold": {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+           "field": {"components": ["0", "0", "1 + 0*exp(1000*x3)"]},
+           "orbit": {"start": [0, 0, 0.5], "t_end": 0.5, "step": 0.01},
+           "grid": {"min": [0, 0, 0.5], "max": [0, 0, 0.8], "counts": [1, 1, 4]}}
+    if mode == "central":
+        doc.update(diff={"mode": "central"},
+                   field={"components": ["0", "0", "1 + 0*exp(1013.97*x3)"]},
+                   grid={"min": [0, 0, 0.5], "max": [0, 0, 0.7], "counts": [1, 1, 3]})
+    code, out, err = run(capsys, [command, "--config", write_config(tmp_path, doc)])
+    assert (code, out, err) == (1, "", STEEP_ERRORS[command, mode])
+
+
+def riccati_nan_at_sample_2(traj):
+    return np.where(np.arange(len(traj)) == 2, np.nan, flow.riccati_residuals(traj))
+
+
+@pytest.mark.parametrize("name, fake, note", [
+    ("riccati_residuals", riccati_nan_at_sample_2, "max_riccati_residual"),
+    ("trace_evolution_residual", lambda traj: np.nan, "max_trace_residual")])
+def test_orbit_exits_one_on_a_nan_residual(capsys, monkeypatch, name, fake, note):
+    """A residual that is NaN at an interior sample fails the orbit, wherever it
+    comes in the exit rule; the Riccati residual's NaN end samples do not."""
+    monkeypatch.setattr(cli, name, fake)
+    code, out, _ = run(capsys, ["orbit", "--entry", "h3_vertical"])
+    assert code == 1 and f"# {note}: nan\n" in out
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sample=st.integers(0, 60), offset=st.floats(-2e-5, 2e-5), k=st.floats(300.0, 3000.0),
+       mode=st.sampled_from(["dual", "central"]))
+def test_overflowing_fields_keep_the_exit_code_contract(tmp_path, capsys, sample, offset, k,
+                                                        mode):
+    """On the chart 0 < x3 < 1.2, a field that overflows within a central
+    stencil of an orbit sample x3 = 0.75 + 0.01 j (a grid point at j = 10 and
+    35), inside or beyond the chart, in either ``diff.mode``: ``analyze``,
+    ``orbit`` and ``verify`` return 0, 1 or 2 and raise nothing, and an orbit
+    that exits 0 reports only finite residuals."""
+    x3 = 0.75 + 0.01 * sample + offset
+    cfg = write_config(tmp_path, steep_doc(x3, k, mode))
+    for command in ("analyze", "orbit", "verify"):
+        code, out, err = run(capsys, [command, "--config", cfg])
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if command == "orbit" and code == 0:
+            residuals = [line.split(": ")[1] for line in out.splitlines()
+                         if line.startswith("# max_")]
+            assert len(residuals) == 4 and all(np.isfinite(float(r)) for r in residuals)
 
 
 def test_floating_point_warnings_stay_off_stderr(tmp_path):

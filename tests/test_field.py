@@ -503,7 +503,7 @@ def test_contact_defect_grid_of_a_non_unit_field(entries):
 # ---------------------------------------------------------------------------
 
 def contact_form_by_matmuls(man, X, pts):
-    """``field._contact_form`` without a divisor as three batched 3x3 matmuls on
+    """The wedge of ``field._contact_form`` as three batched 3x3 matmuls on
     point-major jets, the kernel it replaced: the reference its bits are pinned
     to. The jets are C-ordered copies, the layout these matmuls read before."""
     g, dg = (np.ascontiguousarray(a) for a in
@@ -546,7 +546,7 @@ CONTACT_FORM_CASES = contact_form_cases()
                          ids=[case[0] for case in CONTACT_FORM_CASES])
 def test_contact_form_has_the_bits_of_the_matmul_kernel(name, entry, pts, mode, monkeypatch):
     monkeypatch.setattr(entry.manifold, "diff_mode", mode)
-    wedge = _contact_form(entry.manifold, entry.field, pts)
+    wedge = _contact_form(entry.manifold, entry.field, pts)[0]
     assert wedge.tobytes() == contact_form_by_matmuls(entry.manifold, entry.field, pts).tobytes()
 
 
@@ -561,7 +561,7 @@ def test_contact_form_of_a_dense_metric_is_the_matmul_kernel_to_rounding(eps, mo
     entry = berger_sphere(eps)
     entry.manifold.diff_mode = mode
     pts = entry.grid.points()
-    wedge = _contact_form(entry.manifold, entry.field, pts)
+    wedge = _contact_form(entry.manifold, entry.field, pts)[0]
     reference = contact_form_by_matmuls(entry.manifold, entry.field, pts)
     assert np.abs(wedge - reference).max() <= 1e-15 * np.abs(reference).max()
 
@@ -595,6 +595,28 @@ def test_contact_form_raises_as_the_matmul_kernel(rows, error, first, mode):
         raised = _raised(lambda: _contact_form(man, X, pts))
         assert raised == _raised(lambda: contact_form_by_matmuls(man, X, pts))
     assert raised[0] is error and raised[1].endswith(f"at {np.array(first)}")
+
+
+#: finite everywhere below x3 = 0.7000; with central differences its partials at
+#: x3 = 0.7 are not, as exp overflows within the stencil
+STEEP = ("0", "0", "1 + 0*exp(1013.97*x3)")
+
+
+@pytest.mark.parametrize("kernel", [diagnose, _contact_form, contact_defect_grid])
+def test_field_partials_that_are_not_finite_raise_degenerate_seed(kernel):
+    """Every kernel that differentiates the field names the first row where
+    its partials are not finite, after every row's value check: a value that
+    is not finite at a later row is named first."""
+    man = flat()
+    man.diff_mode = "central"
+    X = UnitField.from_exprs("steep", STEEP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateSeed, match=r"'steep' has partials that are not finite "
+                                                 r"at \[0\. +0\. +0\.7\]"):
+            kernel(man, X, np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.7], [0.0, 0.0, 0.6]]))
+        with pytest.raises(DegenerateSeed, match=r"'steep' is zero or not finite "
+                                                 r"at \[0\. +0\. +0\.8\]"):
+            kernel(man, X, np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 0.8]]))
 
 
 def test_contact_form_peak_memory_is_bounded(entries):

@@ -653,6 +653,39 @@ def test_a_field_undefined_inside_the_chart_raises_its_domain_error(with_jacobi)
         integrate_orbit(man, short, np.array([0.0, 0.0, 1.0]), 0.5, 1e-2, with_jacobi)
 
 
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_a_field_not_finite_beyond_the_chart_leaves_it_as_a_finite_one_does(with_jacobi):
+    """x3 + 0*exp(1000*(x3 - 0.5)) is x3 in the chart and NaN above x3 = 1.2098,
+    beyond the cap x3 = 1.2: a stage there is a chart exit, so each seed
+    truncates where the field x3 truncates it, with the same trajectory, alone
+    and in a batch."""
+    man, plain = h3_cap()
+    steep = gc.UnitField.from_exprs("steep", ("0", "0", "x3 + 0*exp(1000*(x3 - 0.5))"))
+    starts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 0.5]])
+    for batch in (starts[:1], starts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_orbits(man, steep, batch, 0.5, 1e-2, with_jacobi)
+        expected = integrate_orbits(man, plain, batch, 0.5, 1e-2, with_jacobi)
+        for traj, ref in zip(got, expected, strict=True):
+            assert_same_trajectory(traj, ref, with_jacobi)
+        assert got[0].truncated and len(got[0]) == 19
+
+
+@pytest.mark.parametrize("with_jacobi", [False, True])
+def test_a_field_not_finite_inside_the_chart_raises_degenerate_seed(with_jacobi):
+    """x3 + 0*exp(1000*(x3 - 0.4)) is NaN above x3 = 1.1098, below the cap x3 =
+    1.2: the field is at fault, not the orbit, and DegenerateSeed names the
+    first stage point where its value is not finite, alone and in a batch."""
+    man, _ = h3_cap()
+    steep = gc.UnitField.from_exprs("steep", ("0", "0", "x3 + 0*exp(1000*(x3 - 0.4))"))
+    starts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 0.5]])
+    message = r"field 'steep' is not finite at \[0\. +0\. +1\.11069677\]"
+    for batch in (starts[:1], starts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateSeed, match=message):
+                integrate_orbits(man, steep, batch, 0.5, 1e-2, with_jacobi)
+
+
 def fold2():
     """diag(1, 1, 1 - x3) with the field d/dx3: g33 reaches 0 at x3 = 1, inside the chart."""
     man = gc.manifold_from_exprs("fold2", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1 - x3")))
@@ -954,6 +987,16 @@ def test_riccati_and_trace_residuals(entries, orbit_cache, name):
     traj = orbit_cache(name)
     assert riccati_residual(traj) < 1e-4
     assert trace_evolution_residual(traj) < 1e-4
+
+
+def test_residuals_keep_a_nan_at_an_interior_sample(orbit_cache):
+    """A NaN in B at an interior sample makes both maxima NaN, so no bound
+    check passes it; the Riccati residual's NaN end samples are not read."""
+    traj = dataclasses.replace(orbit_cache("h3_vertical"))
+    assert np.isfinite(riccati_residual(traj))
+    traj.B = traj.B.copy()
+    traj.B[5, 0, 1] = np.nan
+    assert np.isnan(riccati_residual(traj)) and np.isnan(trace_evolution_residual(traj))
 
 
 def test_h3_trace_identity_values(entries, orbit_cache):

@@ -158,6 +158,26 @@ def test_inner_positive_definite(entries):
         assert inner(man.metric_at(p), v, v) > 0.0
 
 
+def test_a_points_inner_product_is_its_batch_row(entries):
+    """One point's g(v, w) is row 0 of the batched kernel bit for bit, so
+    ``frame_at`` is its row of ``frames_at``: on 2,000 dense metrics a BLAS
+    product v @ g @ w rounded otherwise in 1,281, and 4 of s3_hopf's 125
+    frames moved."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = rng.standard_normal((3, 3))
+        g, (v, w) = a @ a.T + np.eye(3), rng.standard_normal((2, 3))
+        assert inner(g, v, w) == inner(g[None], v[None], w[None])[0]
+    entry = entries["s3_hopf"]
+    pts = entry.grid.points()
+    g, xv = entry.manifold.metric_at(pts), entry.field.value(pts)
+    xn = xv / g_norm(g, xv)[:, None]
+    e1, e2 = frames_at(g, xn)
+    for k in range(len(pts)):
+        fr = frame_at(g[k], xv[k])
+        assert np.array_equal(np.stack([fr.X, fr.e1, fr.e2]), np.stack([xn[k], e1[k], e2[k]]))
+
+
 # ---------------------------------------------------------------------------
 # Frames
 # ---------------------------------------------------------------------------

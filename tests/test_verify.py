@@ -223,7 +223,7 @@ def unblocked_midpoint_value(entry, nodes):
     cell = np.prod([(hi - lo) / nodes for lo, hi in param.box])
     params = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     points = param.chart_map(params)
-    wedge = field._contact_form(entry.manifold, entry.field, points)
+    wedge = field._contact_form(entry.manifold, entry.field, points)[0]
     return float(np.sum(wedge * param.jacobian(params, points)) * cell)
 
 
