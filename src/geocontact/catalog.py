@@ -72,18 +72,20 @@ def _hopf_parametrization(name="hopf") -> VolumeParametrization:
     """Hopf coordinates (eta, xi1, xi2) on the 3-sphere, mapped to the chart.
 
     The round volume is sin(eta) cos(eta) in these coordinates and 8 / r^3
-    in the chart, r = 1 + |x|^2, so the Jacobian is their quotient.
+    in the chart, r = 1 + |x|^2, so the Jacobian is their quotient. Each sine
+    and cosine is taken once, on its axis slice, and broadcast from there.
     """
     def chart_map(params):  # (q1, q2, q3) / (1 - q4) of the point q of S^3 in R^4
-        eta, xi1, xi2 = params[:, 0], params[:, 1], params[:, 2]
-        q = np.stack([np.cos(eta) * np.cos(xi1), np.cos(eta) * np.sin(xi1),
-                      np.sin(eta) * np.cos(xi2)], axis=1)
-        return q / (1.0 - np.sin(eta) * np.sin(xi2))[:, None]
+        eta, xi1, xi2 = params
+        ce, se = np.cos(eta), np.sin(eta)
+        den = 1.0 - se * np.sin(xi2)
+        return np.stack(np.broadcast_arrays(ce * np.cos(xi1) / den, ce * np.sin(xi1) / den,
+                                            se * np.cos(xi2) / den), axis=-1)
 
     def jacobian(params, points):
-        eta, x1, x2, x3 = params[:, 0], points[:, 0], points[:, 1], points[:, 2]
+        x1, x2, x3 = points[..., 0], points[..., 1], points[..., 2]
         r = 1.0 + x1 * x1 + x2 * x2 + x3 * x3
-        return np.sin(eta) * np.cos(eta) * (r * r * r / 8.0)
+        return np.sin(params[0]) * np.cos(params[0]) * (r * r * r / 8.0)
 
     return VolumeParametrization(name=name, box=((0.0, np.pi / 2), (0.0, 2 * np.pi), (0.0, 2 * np.pi)),
                                  chart_map=chart_map, jacobian=jacobian)

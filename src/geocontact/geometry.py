@@ -42,15 +42,21 @@ def as_points(p):
 
 @dataclass(frozen=True)
 class VolumeParametrization:
-    """Rectangular parameter box mapped onto the manifold for quadrature:
-    ``chart_map`` sends (N, 3) parameter tuples to chart points, and
-    ``jacobian(params, chart_map(params))`` is |det D chart_map| there, the
-    chart's volume relative to the parameter measure, free of any metric."""
+    """Rectangular parameter box mapped onto the manifold for quadrature.
+
+    ``params = (u1, u2, u3)`` are three arrays that broadcast to one shape S:
+    the quadrature passes open-grid axis slices, shapes (a, 1, 1), (1, b, 1)
+    and (1, 1, n), so that a map can take each function of one parameter
+    once per axis node. ``chart_map(params)`` returns the chart points, shape
+    S + (3,), and ``jacobian(params, chart_map(params))`` returns |det D
+    chart_map| there, shape S: the chart's volume relative to the parameter
+    measure, free of any metric. Rows (N, 3) of parameters are the case
+    S = (N,): ``chart_map(tuple(rows.T))``."""
 
     name: str
     box: tuple  # ((a1, b1), (a2, b2), (a3, b3))
-    chart_map: Callable[[Array], Array]
-    jacobian: Callable[[Array, Array], Array]
+    chart_map: Callable[[tuple], Array]
+    jacobian: Callable[[tuple, Array], Array]
 
 
 @dataclass
@@ -84,7 +90,8 @@ class ChartedManifold:
         domain holds where its value is positive, so nowhere it is NaN or
         undefined (a DomainError): membership is total."""
         pts, single = as_points(p)
-        ok = np.asarray(self.domain_fn(pts), dtype=bool) & np.all(np.isfinite(pts), axis=1)
+        f = np.isfinite(pts)  # three column ands: a reduction over axis 1 costs ten times more
+        ok = np.asarray(self.domain_fn(pts), dtype=bool) & f[:, 0] & f[:, 1] & f[:, 2]
         return bool(ok[0]) if single else ok
 
     def require_inside(self, p):

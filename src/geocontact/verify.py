@@ -262,8 +262,8 @@ class VolumeResult:
 
 
 #: grid rows held at once by all workers of the volume quadrature together;
-#: each ``contact_defect_grid`` call takes an equal share of them
-VOLUME_ROWS_IN_FLIGHT = 8192
+#: each worker's block takes at most an equal share of them
+VOLUME_ROWS_IN_FLIGHT = 16384
 
 
 def _worker_count() -> int:
@@ -316,14 +316,28 @@ def _run_blocks(fill, blocks: int, workers: int) -> None:
         raise failed[min(failed)]
 
 
-def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
-    """Midpoint rule on the nodes^3 tensor grid, in row blocks spread over
-    ``_worker_count()`` threads, VOLUME_ROWS_IN_FLIGHT rows in all at once.
+def _grid_blocks(nodes: int, size: int) -> list:
+    """The rows of the nodes^3 grid, in ``meshgrid(..., indexing="ij")`` order,
+    as blocks of at most ``size`` rows (one row of nodes at least), each a
+    box (i, a, j, b): u1-planes i:i+a, their u2-rows j:j+b and every u3 node,
+    so a contiguous range of rows. A block is k whole planes where a plane
+    fits in ``size`` rows, else k u2-rows of one plane; blocks run in row order."""
+    if nodes * nodes <= size:
+        a = size // (nodes * nodes)
+        return [(i, min(a, nodes - i), 0, nodes) for i in range(0, nodes, a)]
+    b = max(1, size // nodes)
+    return [(i, 1, j, min(b, nodes - j)) for i in range(nodes) for j in range(0, nodes, b)]
 
-    Rows run in ``meshgrid(..., indexing="ij")`` order. Each block writes
-    ``_contact_form`` times the Jacobian at its chart points into its slice of
-    one array, and one ``np.sum`` adds them as a single kernel call's array would
-    (pairwise summation depends on the array, so per-block sums would not)."""
+
+def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
+    """Midpoint rule on the nodes^3 tensor grid, in ``_grid_blocks`` spread
+    over ``_worker_count()`` threads, VOLUME_ROWS_IN_FLIGHT rows in all at once.
+
+    Each block hands the parametrization its box as open-grid axis slices and
+    writes ``_contact_form`` times the Jacobian at the chart points into its
+    rows of one array, and one ``np.sum`` adds them as a single kernel call's
+    array would (pairwise summation depends on the array, so per-block sums
+    would not)."""
     rows = nodes ** 3
     try:
         products = np.empty(rows)
@@ -331,20 +345,21 @@ def _midpoint_value(entry: CatalogEntry, nodes: int) -> float:
         raise ConfigError(f"nodes = {nodes} makes {rows} grid rows, more than fit in memory") \
             from None
     param = entry.manifold.volume_param
-    axes = [(np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box]
+    u1, u2, u3 = ((np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box)
     cell = np.prod([(hi - lo) / nodes for lo, hi in param.box])
     workers = _worker_count()
-    size = max(1, VOLUME_ROWS_IN_FLIGHT // workers)
+    blocks = _grid_blocks(nodes, VOLUME_ROWS_IN_FLIGHT // workers)
 
     def fill(k):
-        start, stop = k * size, min((k + 1) * size, rows)
-        index = np.unravel_index(np.arange(start, stop), (nodes,) * 3)
-        params = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
+        i, a, j, b = blocks[k]
+        params = (u1[i:i + a, None, None], u2[None, j:j + b, None], u3[None, None, :])
         points = param.chart_map(params)
-        products[start:stop] = (_contact_form(entry.manifold, entry.field, points)[0]
-                                * param.jacobian(params, points))
+        start = (i * nodes + j) * nodes
+        products[start:start + a * b * nodes] = (
+            _contact_form(entry.manifold, entry.field, points.reshape(-1, 3))[0]
+            * param.jacobian(params, points).ravel())
 
-    _run_blocks(fill, -(-rows // size), workers)
+    _run_blocks(fill, len(blocks), workers)
     return float(np.sum(products) * cell)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,28 @@ WARPED_DOC = {"manifold": {"metric": [["(2 - x3^2)^2", "0", "0"], ["0", "(2 - x3
                            "domain": "2 - x3^2"},
               "field": {"components": ["0", "0", "1"]},
               "grid": {"min": [-0.5, -0.5, -0.5], "max": [0.5, 0.5, 0.5], "counts": [5, 5, 5]}}
+
+
+#: ``blas_probe()`` on the host that pinned the golden digests
+BLAS_PROBE = "966d3b9d89a628e4ea031f1c9e01d90fca76382374d0f1bd9acc3577f40f0225"
+
+
+def blas_probe():
+    """sha256 of seeded stacks of 3x3 products in the three forms the kernels
+    take to BLAS: matrix-matrix (gemm), matrix-vector and vector-matrix (gemv)."""
+    rng = np.random.default_rng(78)
+    a, b = rng.standard_normal((2, 256, 3, 3))
+    v, u = rng.standard_normal((256, 3, 1)), rng.standard_normal((256, 1, 3))
+    return hashlib.sha256(b"".join(p.tobytes() for p in (a @ b, a @ v, u @ a))).hexdigest()
+
+
+def blas_note():
+    """The failure message's word on BLAS for a test that pins bits the host's
+    BLAS decides (``test_reports``' digests among them): whether ``blas_probe``
+    rounds as it did on the pinning host."""
+    return "the BLAS probe rounds " + (
+        "as on the pinning host" if blas_probe() == BLAS_PROBE else
+        "otherwise than on the pinning host, whose BLAS kernels the digests pin")
 
 
 #: the process-wide expression caches: parsed sources, differentiated

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRY_NAMES
+from conftest import ENTRY_NAMES, blas_note
 import geocontact as gc
 from geocontact import cli, expr, flow
 from test_reports import DIGESTS
@@ -593,7 +593,8 @@ def test_verify_all_compiles_each_distinct_table_once_per_process(capsys, cold_c
     for _ in range(2):
         code, out, _ = run(capsys, ["verify", "--all"])
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["verify:all"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["verify:all"], (
+            f"verify:all: the report moved; {blas_note()}")
         # none the second time; T6.1's orbit starts and the space-form suites'
         # sectional curvatures take g from the metric's dual jet, so they
         # compile no metric-value program of their own

@@ -530,7 +530,7 @@ def contact_form_cases():
         param = entry.manifold.volume_param
         if param is not None:
             rng = np.random.default_rng(4096)
-            params = np.stack([rng.uniform(lo, hi, 4096) for lo, hi in param.box], axis=1)
+            params = tuple(rng.uniform(lo, hi, 4096) for lo, hi in param.box)
             cases.append((f"{name}/volume", entry, param.chart_map(params)))
     for entry in (skew_lines(((0.0, -1.0), (1.0, 0.0))), skew_lines(((1.0, -2.0), (3.0, 0.5)))):
         cases += [(f"{entry.name}/grid", entry, entry.grid.points()),
@@ -627,7 +627,7 @@ def test_contact_form_peak_memory_is_bounded(entries):
     entry = entries["s3_hopf"]
     param = entry.manifold.volume_param
     rng = np.random.default_rng(0)
-    pts = param.chart_map(np.stack([rng.uniform(lo, hi, 4096) for lo, hi in param.box], axis=1))
+    pts = param.chart_map(tuple(rng.uniform(lo, hi, 4096) for lo, hi in param.box))
     _contact_form(entry.manifold, entry.field, pts[:2])  # compiles outside the measurement
     tracemalloc.start()
     try:

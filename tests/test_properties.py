@@ -512,6 +512,25 @@ ENTRY_ROWS = st.tuples(st.sampled_from(ENTRY_NAMES), st.lists(
 
 ROW_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
+NONFINITE = (np.nan, np.inf, -np.inf)
+
+
+@ROW_SETTINGS
+@pytest.mark.parametrize("name", ["euclidean_parallel", "h2xr_vertical", "h3_vertical"])
+@given(st.lists(st.tuples(*[st.floats(-2.0, 2.0) | st.sampled_from(NONFINITE)] * 3),
+                min_size=1, max_size=12))
+@example(rows=[tuple(v if k == col else 0.5 for k in range(3))
+               for col in range(3) for v in NONFINITE] + [(0.5, 0.5, 0.5)])
+def test_contains_tests_finiteness_row_by_row(entries, name, rows):
+    """``contains`` ands the finiteness of the three columns: with NaN, inf and
+    -inf in each column, its mask is the domain and the reduction of
+    ``isfinite`` over each row, in a batch as for each row alone."""
+    man = entries[name].manifold
+    pts = np.array(rows)
+    expected = np.asarray(man.domain_fn(pts), dtype=bool) & np.all(np.isfinite(pts), axis=1)
+    assert np.array_equal(man.contains(pts), expected)
+    assert [man.contains(p) for p in pts] == expected.tolist()
+
 
 def box_points(entry, fractions):
     lo, hi = np.array(entry.grid.lo), np.array(entry.grid.hi)

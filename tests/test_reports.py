@@ -13,18 +13,18 @@ products round. They were pinned with numpy 2.4.6 on scipy-openblas 0.3.31
 ``OPENBLAS_CORETYPE=Haswell`` fails 7 of the 25 digests (13 tier-1 tests in
 all) and ``Prescott`` fails 14. So a mismatch first says whether
 ``blas_probe`` still rounds as it did on the pinning host: if it does not,
-the host's BLAS may account for the mismatch.
+the host's BLAS may account for the mismatch (``conftest.blas_note``, which
+the other tests that pin BLAS-decided bits give too).
 """
 
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from geocontact import cli
 
-from conftest import CUSTOM_DOC, ENTRY_NAMES, WARPED_DOC
+from conftest import CUSTOM_DOC, ENTRY_NAMES, WARPED_DOC, blas_note
 
 
 def _orbit_doc(name, start):
@@ -110,19 +110,6 @@ DIGESTS = {
 }
 
 
-#: ``blas_probe()`` on the host that pinned DIGESTS
-BLAS_PROBE = "966d3b9d89a628e4ea031f1c9e01d90fca76382374d0f1bd9acc3577f40f0225"
-
-
-def blas_probe():
-    """sha256 of seeded stacks of 3x3 products in the three forms the kernels
-    take to BLAS: matrix-matrix (gemm), matrix-vector and vector-matrix (gemv)."""
-    rng = np.random.default_rng(78)
-    a, b = rng.standard_normal((2, 256, 3, 3))
-    v, u = rng.standard_normal((256, 3, 1)), rng.standard_normal((256, 1, 3))
-    return hashlib.sha256(b"".join(p.tobytes() for p in (a @ b, a @ v, u @ a))).hexdigest()
-
-
 def report_digest(tmp_path, capsys, case):
     argv, doc = CASES[case]
     if doc is not None:
@@ -138,7 +125,4 @@ def report_digest(tmp_path, capsys, case):
 def test_report_is_golden(tmp_path, capsys, case):
     code, digest = report_digest(tmp_path, capsys, case)
     assert code == EXIT_CODES.get(case, 0)
-    assert digest == DIGESTS[case], (
-        f"{case}: the report moved; the BLAS probe rounds "
-        + ("as on the pinning host" if blas_probe() == BLAS_PROBE else
-           "otherwise than on the pinning host, whose BLAS kernels the digests pin"))
+    assert digest == DIGESTS[case], f"{case}: the report moved; {blas_note()}"

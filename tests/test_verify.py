@@ -201,8 +201,8 @@ def box_entry(domain="true"):
                               domain=domain)
     man.volume_param = VolumeParametrization(
         name="unit_box", box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
-        chart_map=lambda params: params,
-        jacobian=lambda params, points: np.ones(params.shape[0]))
+        chart_map=lambda params: np.stack(np.broadcast_arrays(*params), axis=-1),
+        jacobian=lambda params, points: np.ones(points.shape[:-1]))
     return CatalogEntry(name="box", manifold=man,
                         field=gc.UnitField.from_exprs("z", ("0", "0", "1")),
                         expected={}, notes="",
@@ -216,30 +216,91 @@ def test_volume_zero_defect_fixture():
     assert abs(result.value) < 1e-12
 
 
+def midpoint_axes(param, nodes):
+    """The midpoint nodes of each axis of the parameter box, as the quadrature takes them."""
+    return [(np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box]
+
+
 def unblocked_midpoint_value(entry, nodes):
-    """The midpoint rule as one kernel call on the whole meshgrid."""
+    """The midpoint rule as one kernel call on the rows of the whole meshgrid."""
     param = entry.manifold.volume_param
-    axes = [(np.arange(nodes) + 0.5) * (hi - lo) / nodes + lo for lo, hi in param.box]
     cell = np.prod([(hi - lo) / nodes for lo, hi in param.box])
-    params = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    params = tuple(m.ravel() for m in np.meshgrid(*midpoint_axes(param, nodes), indexing="ij"))
     points = param.chart_map(params)
     wedge = field._contact_form(entry.manifold, entry.field, points)[0]
     return float(np.sum(wedge * param.jacobian(params, points)) * cell)
 
 
+@pytest.mark.parametrize("size", [500, 100])
 @pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
-def test_volume_blocks_keep_the_unblocked_bytes(entries, name, monkeypatch):
-    """12^3 = 1,728 rows in blocks of 500 (3.456 blocks; 6^3 = 216 rows, less
-    than one block, on the coarse grid) give the one-call value bit for bit."""
+def test_volume_blocks_keep_the_unblocked_bytes(entries, name, size, monkeypatch):
+    """12^3 = 1,728 rows in blocks of at most 500 rows, three 144-row planes
+    each (6^3 = 216 rows, less than one block, on the coarse grid), or of at
+    most 100 rows, 8 or 4 u2-rows of one plane, give the one-call value bit
+    for bit."""
     expected = [unblocked_midpoint_value(entries[name], n) for n in (12, 6)]
-    monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", 500 * verify._worker_count())
+    monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", size * verify._worker_count())
     result = volume_integral(entries[name], 12)
     assert result.value == expected[0]
     assert result.estimated_error == abs(expected[0] - expected[1])
 
 
+@pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
+def test_parametrization_on_axis_slices_is_the_per_row_call(entries, name):
+    """``chart_map`` and ``jacobian`` on open-grid axis slices, shapes (3, 1, 1),
+    (1, 4, 1) and (1, 1, 5), give the values of the per-row call on the rows
+    of their meshgrid, bit for bit, in the grid's shape."""
+    param = entries[name].manifold.volume_param
+    rng = np.random.default_rng(36)
+    axes = [rng.uniform(lo, hi, n) for (lo, hi), n in zip(param.box, (3, 4, 5))]
+    grid = (axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :])
+    rows = tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
+    points, row_points = param.chart_map(grid), param.chart_map(rows)
+    jac, row_jac = param.jacobian(grid, points), param.jacobian(rows, row_points)
+    assert points.shape == (3, 4, 5, 3) and row_points.shape == (60, 3)
+    assert jac.shape == (3, 4, 5) and row_jac.shape == (60,)
+    assert np.array_equal(points.reshape(-1, 3), row_points)
+    assert np.array_equal(jac.ravel(), row_jac)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("nodes", [12, 20, 100])
+@pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
+def test_volume_blocks_tile_the_grid(entries, name, nodes, workers, monkeypatch):
+    """The blocks of the midpoint rule hand the parametrization open-grid axis
+    slices that cover each row of the nodes^3 grid exactly once, each block a
+    contiguous range of rows within its share of VOLUME_ROWS_IN_FLIGHT: whole
+    planes where a plane fits (every case at 12 and 20 nodes, and at 100 nodes
+    on one worker), else rows of one plane (100 nodes on 2 or 3 workers). The
+    integrand is replaced by zeros, so only the parametrization runs."""
+    entry = dataclasses.replace(entries[name], manifold=dataclasses.replace(entries[name].manifold))
+    param, blocks = entry.manifold.volume_param, []
+    axes = midpoint_axes(param, nodes)
+
+    def chart_map(params):
+        assert all(p.ndim == 3 and p.size == p.shape[k] for k, p in enumerate(params))
+        assert params[2].size == nodes  # every u3 node
+        i1, i2, i3 = (np.searchsorted(ax, p) for ax, p in zip(axes, params))
+        blocks.append(((i1 * nodes + i2) * nodes + i3).ravel())
+        return param.chart_map(params)
+
+    entry.manifold.volume_param = dataclasses.replace(param, chart_map=chart_map)
+    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    monkeypatch.setattr(verify, "_contact_form", lambda man, X, pts: (np.zeros(len(pts)),))
+    assert verify._midpoint_value(entry, nodes) == 0.0
+    size = verify.VOLUME_ROWS_IN_FLIGHT // workers
+    blocks.sort(key=lambda rows: rows[0])
+    for rows in blocks:
+        assert np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows)))
+        assert len(rows) <= size
+        assert (len(rows) % nodes ** 2 == 0) == (nodes ** 2 <= size)
+    assert np.array_equal(np.concatenate(blocks), np.arange(nodes ** 3))
+    assert (nodes ** 2 <= size) == (nodes < 100 or workers == 1)
+
+
 def use_workers(monkeypatch, workers):
-    """Run the volume quadrature on ``workers`` threads in blocks of 500 rows."""
+    """Run the volume quadrature on ``workers`` threads in blocks of at most
+    500 rows: three 144-row planes of a 12-node grid."""
     monkeypatch.setattr(verify, "_worker_count", lambda: workers)
     monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", 500 * workers)
 
@@ -247,7 +308,7 @@ def use_workers(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
 def test_volume_workers_keep_the_unblocked_bytes(entries, name, workers, monkeypatch):
-    """1,728 rows in four blocks of 500 on 1, 2 or 3 workers, switching threads
+    """1,728 rows in four blocks of 432 on 1, 2 or 3 workers, switching threads
     every microsecond, give the one-call value bit for bit (a block handed out
     twice or not at all would not). The worker threads are workers - 1 (the
     calling thread is one of them); the coarse grid, a single block, starts none."""
@@ -274,17 +335,18 @@ def test_volume_workers_keep_the_unblocked_bytes(entries, name, workers, monkeyp
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
-    """The chart ends at x1 = 0.5, so on a 12-node grid in blocks of 500 rows
-    blocks 1, 2 and 3 each leave it at a different first point (rows 864,
-    1000 and 1500). Every worker count raises block 1's OutOfChart, no block
-    starts after a failure (so block 3 never runs on 2 workers), the `volume`
-    command exits 1 without a traceback, and no thread is left."""
-    entry = box_entry(domain="0.5 - x1")
+    """The chart ends at x1 = 0.3, so on a 12-node grid in blocks of three
+    planes (432 rows) blocks 1, 2 and 3 each leave it at a different first
+    point (rows 576, 864 and 1296). Every worker count raises block 1's
+    OutOfChart, no block starts after a failure (so block 3 never runs on 2
+    workers), the `volume` command exits 1 without a traceback, and no thread
+    is left."""
+    entry = box_entry(domain="0.3 - x1")
     blocks = []
     param = entry.manifold.volume_param
 
     def chart_map(params):  # called once per block
-        blocks.append(len(params))
+        blocks.append(np.broadcast(*params).size)
         return param.chart_map(params)
 
     entry.manifold.volume_param = dataclasses.replace(param, chart_map=chart_map)
@@ -292,7 +354,7 @@ def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
     use_workers(monkeypatch, 1)
     with pytest.raises(OutOfChart) as serial:
         volume_integral(entry, 12)
-    assert "[0.54166667 0.04166667 0.04166667]" in str(serial.value)  # row 864
+    assert "[0.375      0.04166667 0.04166667]" in str(serial.value)  # row 576
     use_workers(monkeypatch, workers)
     blocks.clear()
     with pytest.raises(OutOfChart) as threaded:
@@ -300,7 +362,7 @@ def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
     assert str(threaded.value) == str(serial.value)
     assert len(blocks) <= 1 + workers  # block 0, then at most one per worker
     monkeypatch.setitem(catalog._FIXED, "box", dict(  # the same chart as a catalog row
-        metric=catalog._FLAT, domain="0.5 - x1", field=("z", ("0", "0", "1")), expected={},
+        metric=catalog._FLAT, domain="0.3 - x1", field=("z", ("0", "0", "1")), expected={},
         notes="", box=((0.1, 0.1, 0.1), (0.9, 0.9, 0.9)), start=(0.5, 0.5, 0.1),
         volume=entry.manifold.volume_param))
     assert cli.main(["volume", "--entry", "box", "--nodes", "12"]) == 1
@@ -330,9 +392,9 @@ def test_volume_workers_keep_the_callers_floating_point_error_state():
 def test_volume_traced_peak_is_bounded(entries):
     """The traced peak of one 40-node volume (64,000 rows, then 8,000 for the
     coarse grid) stays under 16 MB; tracemalloc traces the worker threads
-    too. Measured with numpy 2.4 on CPython 3.11: 7.6 MB on 2 workers in
-    blocks of 4,096 rows, 7.4 MB on one thread in blocks of 8,192 rows, 64.5 MB
-    as one kernel call on the whole grid."""
+    too. Measured with numpy 2.4 on CPython 3.11: 9.8 MB on 2 workers in
+    blocks of five 1,600-row planes, 10.0 MB on one thread in blocks of ten,
+    64.5 MB as one kernel call on the whole grid."""
     entry = entries["s3_hopf"]
     volume_integral(entry, 4)  # compile the expression tables outside the trace
     tracemalloc.start()
