@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        with np.errstate(all="ignore"):  # no numpy warnings on stderr, worker threads too
+        with np.errstate(all="ignore"):  # no numpy warnings on stderr
             return args.fn(args)
     except (ConfigError, NoParametrization, UnknownEntry, ExprError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -718,14 +718,20 @@ def test_cold_volume_keeps_its_report(capsys, cold_caches):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS["volume:s3_hopf:16"]
 
 
-def test_cold_volume_compiles_before_any_worker_thread_starts(capsys, monkeypatch, cold_caches):
-    seen = []  # (compiling thread, threads alive) at each compile
-    source = expr._Codegen.source
-    monkeypatch.setattr(expr._Codegen, "source", lambda gen: seen.append(
-        (threading.get_ident(), threading.active_count())) or source(gen))
-    alone = (threading.get_ident(), threading.active_count())
-    run(capsys, ["volume", "--entry", "s3_hopf", "--nodes", "32"])  # 4 row blocks
-    assert seen and set(seen) == {alone}
+@pytest.mark.parametrize("argv", [["volume", "--entry", "s3_hopf", "--nodes", "32"],
+                                  ["verify", "P7.6", "--entry", "s3_hopf"]])
+def test_no_command_starts_a_thread(capsys, monkeypatch, argv):
+    """The volume quadrature and the P7.6 suite run on the calling thread
+    alone: with ``Thread.start`` raising, each command still exits 0 and
+    leaves the thread count as it was."""
+    def refuse(thread):
+        raise AssertionError(f"thread started: {thread!r}")
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert threading.active_count() == baseline
 
 
 def test_volume_refinement(capsys):

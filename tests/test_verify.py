@@ -2,8 +2,6 @@
 
 import dataclasses
 import json
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -231,15 +229,16 @@ def unblocked_midpoint_value(entry, nodes):
     return float(np.sum(wedge * param.jacobian(params, points)) * cell)
 
 
-@pytest.mark.parametrize("size", [500, 100])
+@pytest.mark.parametrize("size", [500, 100, 2000, 144, 12, 1])
 @pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
 def test_volume_blocks_keep_the_unblocked_bytes(entries, name, size, monkeypatch):
     """12^3 = 1,728 rows in blocks of at most 500 rows, three 144-row planes
-    each (6^3 = 216 rows, less than one block, on the coarse grid), or of at
-    most 100 rows, 8 or 4 u2-rows of one plane, give the one-call value bit
-    for bit."""
+    each (6^3 = 216 rows, less than one block, on the coarse grid), of at
+    most 100 rows, 8 or 4 u2-rows of one plane, in one block of the whole
+    grid (2,000), one plane (144), one u2-row (12), or one u2-row where less
+    than a row is asked for (1), give the one-call value bit for bit."""
     expected = [unblocked_midpoint_value(entries[name], n) for n in (12, 6)]
-    monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", size * verify._worker_count())
+    monkeypatch.setattr(verify, "VOLUME_BLOCK_ROWS", size)
     result = volume_integral(entries[name], 12)
     assert result.value == expected[0]
     assert result.estimated_error == abs(expected[0] - expected[1])
@@ -263,16 +262,17 @@ def test_parametrization_on_axis_slices_is_the_per_row_call(entries, name):
     assert np.array_equal(jac.ravel(), row_jac)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("size", [16384, 8192, 4096])
 @pytest.mark.parametrize("nodes", [12, 20, 100])
 @pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
-def test_volume_blocks_tile_the_grid(entries, name, nodes, workers, monkeypatch):
+def test_volume_blocks_tile_the_grid(entries, name, nodes, size, monkeypatch):
     """The blocks of the midpoint rule hand the parametrization open-grid axis
-    slices that cover each row of the nodes^3 grid exactly once, each block a
-    contiguous range of rows within its share of VOLUME_ROWS_IN_FLIGHT: whole
-    planes where a plane fits (every case at 12 and 20 nodes, and at 100 nodes
-    on one worker), else rows of one plane (100 nodes on 2 or 3 workers). The
-    integrand is replaced by zeros, so only the parametrization runs."""
+    slices that cover each row of the nodes^3 grid exactly once, in row order,
+    each block a contiguous range of at most VOLUME_BLOCK_ROWS rows: whole
+    planes where a plane fits (every case at 12 and 20 nodes, and at 100
+    nodes in blocks of 16,384 rows), else rows of one plane (100 nodes in
+    blocks of 8,192 or 4,096 rows). The integrand is replaced by zeros, so only the
+    parametrization runs."""
     entry = dataclasses.replace(entries[name], manifold=dataclasses.replace(entries[name].manifold))
     param, blocks = entry.manifold.volume_param, []
     axes = midpoint_axes(param, nodes)
@@ -285,62 +285,26 @@ def test_volume_blocks_tile_the_grid(entries, name, nodes, workers, monkeypatch)
         return param.chart_map(params)
 
     entry.manifold.volume_param = dataclasses.replace(param, chart_map=chart_map)
-    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    monkeypatch.setattr(verify, "VOLUME_BLOCK_ROWS", size)
     monkeypatch.setattr(verify, "_contact_form", lambda man, X, pts: (np.zeros(len(pts)),))
     assert verify._midpoint_value(entry, nodes) == 0.0
-    size = verify.VOLUME_ROWS_IN_FLIGHT // workers
-    blocks.sort(key=lambda rows: rows[0])
     for rows in blocks:
         assert np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows)))
         assert len(rows) <= size
         assert (len(rows) % nodes ** 2 == 0) == (nodes ** 2 <= size)
     assert np.array_equal(np.concatenate(blocks), np.arange(nodes ** 3))
-    assert (nodes ** 2 <= size) == (nodes < 100 or workers == 1)
+    assert (nodes ** 2 <= size) == (nodes < 100 or size == 16384)
 
 
-def use_workers(monkeypatch, workers):
-    """Run the volume quadrature on ``workers`` threads in blocks of at most
-    500 rows: three 144-row planes of a 12-node grid."""
-    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
-    monkeypatch.setattr(verify, "VOLUME_ROWS_IN_FLIGHT", 500 * workers)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("name", ["s3_hopf", "s3_weighted(2,3)"])
-def test_volume_workers_keep_the_unblocked_bytes(entries, name, workers, monkeypatch):
-    """1,728 rows in four blocks of 432 on 1, 2 or 3 workers, switching threads
-    every microsecond, give the one-call value bit for bit (a block handed out
-    twice or not at all would not). The worker threads are workers - 1 (the
-    calling thread is one of them); the coarse grid, a single block, starts none."""
-    expected = [unblocked_midpoint_value(entries[name], n) for n in (12, 6)]
-    started = []
-
-    class CountedThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountedThread)
-    use_workers(monkeypatch, workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = volume_integral(entries[name], 12)
-    finally:
-        sys.setswitchinterval(interval)
-    assert result.value == expected[0]
-    assert result.estimated_error == abs(expected[0] - expected[1])
-    assert len(started) == workers - 1
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
+@pytest.mark.parametrize("size, expected", [
+    (500, [432] * 2), (300, [288] * 3), (144, [144] * 5)])
+def test_volume_error_is_the_first_failing_blocks(size, expected, monkeypatch, capsys):
     """The chart ends at x1 = 0.3, so on a 12-node grid in blocks of three
     planes (432 rows) blocks 1, 2 and 3 each leave it at a different first
-    point (rows 576, 864 and 1296). Every worker count raises block 1's
-    OutOfChart, no block starts after a failure (so block 3 never runs on 2
-    workers), the `volume` command exits 1 without a traceback, and no thread
-    is left."""
+    point (rows 576, 864 and 1296). The quadrature raises the OutOfChart of
+    the first block holding row 576 (block 1 of three planes, 2 of two, 4 of
+    one) and runs no block after it, and the `volume` command exits 1
+    without a traceback."""
     entry = box_entry(domain="0.3 - x1")
     blocks = []
     param = entry.manifold.volume_param
@@ -350,51 +314,25 @@ def test_volume_worker_error_is_the_serial_one(workers, monkeypatch, capsys):
         return param.chart_map(params)
 
     entry.manifold.volume_param = dataclasses.replace(param, chart_map=chart_map)
-    baseline = threading.active_count()
-    use_workers(monkeypatch, 1)
-    with pytest.raises(OutOfChart) as serial:
+    monkeypatch.setattr(verify, "VOLUME_BLOCK_ROWS", size)
+    with pytest.raises(OutOfChart) as failed:
         volume_integral(entry, 12)
-    assert "[0.375      0.04166667 0.04166667]" in str(serial.value)  # row 576
-    use_workers(monkeypatch, workers)
-    blocks.clear()
-    with pytest.raises(OutOfChart) as threaded:
-        volume_integral(entry, 12)
-    assert str(threaded.value) == str(serial.value)
-    assert len(blocks) <= 1 + workers  # block 0, then at most one per worker
+    assert "[0.375      0.04166667 0.04166667]" in str(failed.value)  # row 576
+    assert blocks == expected  # up to the failing block, none after it
     monkeypatch.setitem(catalog._FIXED, "box", dict(  # the same chart as a catalog row
         metric=catalog._FLAT, domain="0.3 - x1", field=("z", ("0", "0", "1")), expected={},
         notes="", box=((0.1, 0.1, 0.1), (0.9, 0.9, 0.9)), start=(0.5, 0.5, 0.1),
         volume=entry.manifold.volume_param))
     assert cli.main(["volume", "--entry", "box", "--nodes", "12"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {serial.value}\n"
-    assert threading.active_count() == baseline
-
-
-def test_volume_workers_keep_the_callers_floating_point_error_state():
-    """Every block sees the caller's np.errstate, so the CLI's one errstate also
-    silences warnings on the worker threads. A barrier holds blocks 1 and 2
-    until both run, so one of them runs on a worker thread."""
-    caller, barrier, seen = threading.get_ident(), threading.Barrier(2, timeout=30), {}
-
-    def fill(k):
-        if k:
-            barrier.wait()
-        seen[k] = threading.get_ident() == caller, np.geterr()["over"]
-
-    with np.errstate(over="ignore"):
-        verify._run_blocks(fill, 3, 2)
-    assert sorted(seen) == [0, 1, 2]
-    assert {on_caller for on_caller, _ in seen.values()} == {True, False}
-    assert {state for _, state in seen.values()} == {"ignore"}
+    assert out == "" and err == f"error: {failed.value}\n"
 
 
 def test_volume_traced_peak_is_bounded(entries):
     """The traced peak of one 40-node volume (64,000 rows, then 8,000 for the
-    coarse grid) stays under 16 MB; tracemalloc traces the worker threads
-    too. Measured with numpy 2.4 on CPython 3.11: 9.8 MB on 2 workers in
-    blocks of five 1,600-row planes, 10.0 MB on one thread in blocks of ten,
-    64.5 MB as one kernel call on the whole grid."""
+    coarse grid) stays under 16 MB. Measured with numpy 2.4 on CPython 3.11:
+    5.3 MB in blocks of five 1,600-row planes, 38.9 MB as one kernel call on
+    the rows of the whole grid."""
     entry = entries["s3_hopf"]
     volume_integral(entry, 4)  # compile the expression tables outside the trace
     tracemalloc.start()
