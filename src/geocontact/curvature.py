@@ -24,17 +24,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegeneratePlane
-from .geometry import (ChartedManifold, _cholesky, _jet, _jet_points, _require_finite_metric,
-                       _require_finite_partials, _require_metric, as_points, inner)
+from .expr import as_points
+from .geometry import (ChartedManifold, _cholesky, _jet, _jet_points, _metric_jet,
+                       _require_finite_partials, inner)
 
 #: discriminants within this of zero count as a repeated real eigenvalue
 EIGEN_DISC_TOL = 1e-12
 
 
 def christoffel(man: ChartedManifold, p, metric_out=None):
-    """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from one ``_jet``.
+    """Levi-Civita coefficients Gamma^k_ij by the Koszul formula, g and dg from ``_metric_jet``.
 
-    g passes ``_require_metric``, which raises the metric errors. ``metric_out``,
+    That metric pass raises the chart and metric errors. ``metric_out``,
     a contiguous array of g's shape ((N, 3, 3), or (3, 3) at a point), receives
     it, so a caller that needs g as well makes no second metric pass.
 
@@ -46,9 +47,7 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
     batch nor the layout of the inputs.
     """
     pts, single = as_points(p)
-    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs,  # dg[n, k, i, j] = d_k g_ij
-                 _require_finite_metric)
-    _require_metric(man, pts, g)
+    g, dg = _metric_jet(man, pts)  # dg[n, k, i, j] = d_k g_ij
     if metric_out is not None:
         out = metric_out.reshape(g.shape)  # a view; g lives on only in the caller's array
         out[...] = g

@@ -15,14 +15,14 @@ exactly x1, x2, x3. Known functions: sin cos tan sinh cosh tanh exp log
 sqrt abs.
 
 ASTs are immutable; evaluation is pure. ``eval_scalar`` evaluates an
-expression or an ``ExprTable`` at a single point or an (N, 3) batch of
-points; ``eval_dual`` also returns exact first partials, the values of the
-table's differentiated ASTs (``_derivative``). Both run straight-line numpy
-source from one value code generator, made on a table's first evaluation;
-``ExprTable.at_point`` runs the same statements on the Python floats of one
-point, bit for bit. Programs are held by a bounded per-process cache keyed
-by the table's content and mode, and ``parse`` is memoised, so a table
-rebuilt from the same sources reuses the compiled code.
+expression or an ``ExprTable`` at a point or an (N, 3) batch (``as_points``,
+the one point normaliser); ``eval_dual`` also returns exact first partials,
+the values of the table's differentiated ASTs (``_derivative``). Both run
+straight-line numpy source from one value code generator, made on a table's
+first evaluation; ``ExprTable.at_point`` runs the same statements on the
+Python floats of one point, bit for bit. Programs are held by a bounded
+per-process cache keyed by the table's content and mode, and ``parse`` is
+memoised, so a table rebuilt from the same sources reuses the compiled code.
 """
 
 from __future__ import annotations
@@ -520,17 +520,22 @@ def _table_of(ast):
 _POINT_MAJOR = tuple((r,) + tuple(range(r)) for r in range(4))
 
 
+def as_points(p):
+    """Normalise input to an (N, 3) float array; report if it was a single point."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim == 1 and arr.shape != (3,):
+        raise ValueError("a point has exactly 3 coordinates")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
+        raise ValueError("expected shape (3,) or (N, 3)")
+    return (arr[None], True) if arr.ndim == 1 else (arr, False)
+
+
 def _run(source, p, dual):
     """A table's values, or its ``DualScalar`` jet, at a point or a batch. The
     jet is written component-major, into a zeroed (4, *S, N) array through its
     (N, 4, *S) view, so each store of the program is one contiguous row."""
     table = source if isinstance(source, ExprTable) else _table_of(source)
-    pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None]
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (3,) or (N, 3)")
+    pts, single = as_points(p)
     rank, x = len(table.shape), (pts[:, 0], pts[:, 1], pts[:, 2])
     if dual:
         jet = np.zeros((4,) + table.shape + pts.shape[:1])

@@ -23,9 +23,9 @@ from .curvature import (EIGEN_DISC_TOL, christoffel, christoffel_with_partials,
                         covariant_jacobian, jacobi_matrix, real_eigenvalues,
                         trace_discriminant)
 from .errors import DegenerateSeed, NotUnit, SingularMetric
-from .geometry import (ChartedManifold, _cholesky, _jet, _require_finite_metric,
-                       _require_finite_partials, _require_metric, as_points, frames_at,
-                       g_norm, inner)
+from .expr import as_points
+from .geometry import (ChartedManifold, _cholesky, _jet, _metric_jet, _require_finite_partials,
+                       frames_at, g_norm, inner)
 
 UNIT_TOL = 1e-6
 RANK_REL_TOL = 1e-6
@@ -227,9 +227,10 @@ def diagnose(man: ChartedManifold, X: UnitField, pts,
     pts = as_points(pts)[0]
     g, gam, dgam = christoffel_with_partials(man, pts)
     xv = np.asarray(X.component_fn(pts), dtype=float)
-    unit = np.abs(inner(g, xv, xv) - 1.0)
+    norm2 = inner(g, xv, xv)
+    unit = np.abs(norm2 - 1.0)
     _require_unit(X, pts, unit, unit_tol)
-    norm = g_norm(g, xv)
+    norm = np.sqrt(norm2)
     _require_nonzero(X, pts, norm)
     xn = xv / norm[:, None]
     frame = np.stack([xn, *frames_at(g, xn)], axis=2)
@@ -260,10 +261,9 @@ def _contact_form(man: ChartedManifold, X: UnitField, pts):
     """(wedge, g, <X, X>) at an (N, 3) batch: wedge = eps^{ijk} alpha_i d_j alpha_k,
     alpha ^ d(alpha) over dx1 ^ dx2 ^ dx3, for alpha = g(X, .) with X as given,
     from the first jets of g and X alone, and the metric and the squared field
-    norm it read. Raises the chart errors, ``_require_metric``'s, then
+    norm it read. Raises ``_metric_jet``'s chart and metric errors, then
     DegenerateSeed where X is zero or not finite, then where its partials are not."""
-    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
-    _require_metric(man, pts, g)
+    g, dg = _metric_jet(man, pts)
     xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)
     # (N,) rows, contiguous for an exact jet: G[k, l] = g_kl, dG[j, k, l] = d_j g_kl,
     # x[l] = X^l, dX[j, l] = d_j X^l

@@ -49,9 +49,9 @@ any other error, which it raises; a failed block costs at most
 
 Each sample but the last is the first stage of its step. ``integrate_orbits``
 decides where a sample's g, Gamma and its partials come from: with the
-Jacobi pair, the blocks' (and replays') rows there, and a one-row
-``christoffel_with_partials`` call at each seed's last sample; without it,
-whose blocks compute no partials, one such call at all the seed's samples.
+Jacobi pair, the blocks' (and replays') rows there, and one batched
+``christoffel_with_partials`` call at every seed's last sample; without it,
+whose blocks compute no partials, one such call at all of a seed's samples.
 The post-pass (``_trajectory``) reads what it is given.
 
 An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
@@ -69,8 +69,9 @@ import numpy as np
 from .curvature import (_partials_inside, christoffel, christoffel_with_partials,
                         jacobi_matrix, real_eigenvalues)
 from .errors import DegenerateSeed, DomainError, GeoContactError, OutOfChart, StepTooLarge
+from .expr import as_points
 from .field import UnitField, diagnose, frame_terms
-from .geometry import ChartedManifold, as_points, inner
+from .geometry import ChartedManifold, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
 
@@ -325,13 +326,14 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     the canonical adapted pair, J(0) = e1 and Jt(0) = e2 with
     J'(0) = B(0) J(0), is integrated alongside, and each seed keeps g, Gamma
     and its partials from its blocks at every sample but its last, whose
-    rows come from one one-row ``christoffel_with_partials`` call; without
-    it, one call at all its samples gives them. Raises OutOfChart naming the
-    first start outside the chart or whose own stencil leaves it, ValueError
-    for the step or t_end, then what ``diagnose`` raises at the first bad
-    start: a metric error, NotUnit or DegenerateSeed. A failed block replays
-    seed by seed, so an error along the orbits other than a chart exit is
-    what the first such seed, in seed order, raises alone.
+    rows come from one ``christoffel_with_partials`` call at all the seeds'
+    last samples; without it, one call at all its samples gives them. Raises
+    OutOfChart naming the first start outside the chart or whose own stencil
+    leaves it, ValueError for the step or t_end, then what ``diagnose`` raises
+    at the first bad start: a metric error, NotUnit or DegenerateSeed. A failed
+    block replays seed by seed, so an error along the orbits other than a
+    chart exit is what the first such seed, in seed order, raises alone; with
+    the Jacobi pair, a metric error at a last sample comes before any StepTooLarge.
     """
     starts = as_points(starts)[0]
     outside = np.flatnonzero(~man.contains(starts))
@@ -370,17 +372,14 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
             buf[rows, done:done + count] = np.swapaxes(first, 0, 1)
         samples[rows] += made
         rows, y, done = rows[made == count], out[-1, made == count], done + count
-    trajectories = []
-    for k, n in enumerate(samples):
-        if with_jacobi:  # the last sample is the first stage of no step the seed made
-            curvature = [buf[k, :n] for buf in kept]
-            for buf, row in zip(curvature, christoffel_with_partials(man, hist[k, n - 1:n, 0:3])):
-                buf[-1] = row[0]
-        else:
-            curvature = christoffel_with_partials(man, hist[k, :n, 0:3])
-        trajectories.append(_trajectory(man, X, hist[k, :n], step, bool(n <= nsteps),
-                                        with_jacobi, curvature))
-    return trajectories
+    if with_jacobi:  # a seed's last sample is the first stage of no step it made
+        last = np.arange(len(hist)), samples - 1
+        for buf, at_last in zip(kept, christoffel_with_partials(man, hist[last][:, 0:3])):
+            buf[last] = at_last
+    return [_trajectory(man, X, hist[k, :n], step, bool(n <= nsteps), with_jacobi,
+                        [buf[k, :n] for buf in kept] if with_jacobi
+                        else christoffel_with_partials(man, hist[k, :n, 0:3]))
+            for k, n in enumerate(samples)]
 
 
 def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,

@@ -16,6 +16,7 @@ import numpy as np
 from . import expr
 from .errors import (DegenerateSeed, DomainError, NotPositiveDefinite, OutOfChart,
                      SingularMetric)
+from .expr import as_points
 
 Array = np.ndarray
 
@@ -26,18 +27,6 @@ DEFAULT_DIFF_STEP = 1e-5
 SEED_ANGLE_TOL = 1e-6
 
 _STD_BASIS = np.eye(3)
-
-
-def as_points(p):
-    """Normalise input to an (N, 3) float array; report if it was a single point."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (3,):
-            raise ValueError("a point has exactly 3 coordinates")
-        return arr[None, :], True
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("expected shape (3,) or (N, 3)")
-    return arr, False
 
 
 @dataclass(frozen=True)
@@ -93,13 +82,6 @@ class ChartedManifold:
         f = np.isfinite(pts)  # three column ands: a reduction over axis 1 costs ten times more
         ok = np.asarray(self.domain_fn(pts), dtype=bool) & f[:, 0] & f[:, 1] & f[:, 2]
         return bool(ok[0]) if single else ok
-
-    def require_inside(self, p):
-        """Raise OutOfChart naming the first point (of a batch) outside the chart."""
-        pts = as_points(p)[0]
-        ok = self.contains(pts)
-        if not ok.all():
-            raise OutOfChart(f"point {pts[np.argmin(ok)]} outside the chart of {self.name!r}")
 
 
 #: largest 2-norm condition number max|lambda| / min|lambda| of an accepted metric
@@ -224,14 +206,15 @@ def manifold_from_exprs(name, entries, domain="true", **kwargs) -> ChartedManifo
 # Derivatives
 # ---------------------------------------------------------------------------
 
-def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
+def _jet(man: ChartedManifold, fn, pts, table=None):
     """Value and first partials of chart data at an (N, 3) batch.
 
-    The one place that decides how a derivative is taken, behind
-    ``metric_partials``, ``christoffel(_with_partials)``, ``covariant_jacobian``
-    and ``field._contact_form``. ``fn`` maps an (N, 3) batch to values of shape
-    (N, *S); ``table`` is the same data as an ``expr.ExprTable``, when there
-    is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
+    The one place that decides how a derivative is taken, behind ``_metric_jet``,
+    ``christoffel_with_partials``, ``covariant_jacobian`` and ``_contact_form``,
+    and its own chart check: OutOfChart names the first point it evaluates
+    (``_jet_points``) outside the chart. ``fn`` maps an (N, 3) batch to values
+    of shape (N, *S); ``table`` is the same data as an ``expr.ExprTable``, when
+    there is one. Returns (val, d): val (N, *S) and d[:, k] = d_k val, (N, 3, *S):
 
     - with a table and ``man.diff_mode == "dual"``, exactly, by one call of
       the compiled code of the table's jet (``expr.eval_dual``), component-major:
@@ -240,18 +223,16 @@ def _jet(man: ChartedManifold, fn, pts, table=None, check=None):
       and ``field._contact_form`` read it;
     - otherwise by central differences with step ``man.diff_step``: the
       centre and its six axis shifts, ordered (+1, -1, +2, -2, +3, -3), are
-      one batch of ``fn`` and one chart check. ``check(man, batch, values)``,
-      if given, vets the values of the whole stencil before they are
-      differenced.
+      one batch of ``fn`` and one chart check.
     """
     batch = _jet_points(man, pts, table)
-    man.require_inside(batch)
+    inside = man.contains(batch)
+    if not inside.all():
+        raise OutOfChart(f"point {batch[np.argmin(inside)]} outside the chart of {man.name!r}")
     if batch is pts:
         jet = expr.eval_dual(table, pts)
         return jet.value, jet.partials
     out = np.asarray(fn(batch), dtype=float)
-    if check is not None:
-        check(man, batch, out)
     out = out.reshape((7, pts.shape[0]) + out.shape[1:])
     return out[0], ((out[1::2] - out[2::2]) / (2 * man.diff_step)).swapaxes(0, 1)
 
@@ -275,11 +256,23 @@ def _stencil(h):
     return shift
 
 
+def _metric_jet(man: ChartedManifold, pts):
+    """(g, dg) at an (N, 3) batch, dg[n, k, i, j] = d_k g_ij, g checked by ``_require_metric``:
+    the one metric pass, behind ``metric_partials``, ``christoffel`` and ``_contact_form``."""
+    def finite_metric(batch):  # a central stencil's metric, finite before it is differenced
+        g = np.asarray(man.metric_fn(batch), dtype=float)
+        _require_finite_metric(man, batch, g)
+        return g
+
+    g, dg = _jet(man, finite_metric, pts, man.metric_exprs)
+    _require_metric(man, pts, g)
+    return g, dg
+
+
 def metric_partials(man: ChartedManifold, p):
     """First partials of the metric: dg[..., k, i, j] = d_k g_ij."""
     pts, single = as_points(p)
-    g, dg = _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric)
-    _require_metric(man, pts, g)
+    dg = _metric_jet(man, pts)[1]
     return dg[0] if single else dg
 
 

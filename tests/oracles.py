@@ -11,11 +11,16 @@ demo or kernel reads them.
 - ``gluck_warner``: great-circle fibrations of S^3 from Gluck and Warner's
   parametrization, whose unit fields are geodesic and, by Gluck's theorem,
   contact everywhere.
+- ``linear_pullback``: an entry in the chart y = A^-1 x of a linear map A,
+  whose invariant diagnostics are the entry's own.
 """
+
+import re
 
 import numpy as np
 
 from geocontact import CatalogEntry, GridSpec, OrbitSpec, UnitField, manifold_from_exprs
+from geocontact.expr import parse, to_string
 from geocontact.catalog import _FLAT, _HOPF_COMPONENTS, _ROUND_S3, _hopf_parametrization
 
 
@@ -137,3 +142,53 @@ def gluck_warner(b, M, eps: float, iterations: int = 200) -> CatalogEntry:
         expected={}, notes="great-circle fibration of the round 3-sphere (Gluck-Warner)",
         grid=GridSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (5, 5, 5)),
         orbit=OrbitSpec((0.3, 0.2, 0.1)), space_form_c=1.0)
+
+
+def _cells(table):
+    """The ``to_string`` text of each cell of an ``ExprTable``, as nested lists."""
+    cells = np.empty(table.shape, dtype=object)
+    for ast, slots in table.groups:
+        for slot in slots:
+            cells[slot] = to_string(ast)
+    return cells.tolist()
+
+
+def linear_pullback(entry: CatalogEntry, A, domain="true") -> CatalogEntry:
+    """``entry`` pulled back by the linear map y -> x = A y, in the chart y:
+    g'(y) = A^T g(A y) A, X'(y) = A^-1 X(A y) and the domain expression
+    ``domain`` (the entry's chart's, "true" or an expression) at A y.
+
+    Each expression is the entry's ``to_string`` text with every x_k replaced
+    by (sum_j A_kj x_j); that text is fully parenthesised, so the substitution
+    keeps its meaning. Coefficients are written as ``repr(float(a))``, which
+    the grammar reads (numpy's own repr is ``np.float64(a)``). The orbit start
+    is A^-1 of the entry's; the pullback has no grid or volume
+    parametrization, so its suites take points. A pullback is an isometry
+    onto the entry's chart: every invariant diagnostic at y equals the
+    entry's at A y, and the contact defect's sign flips with det A < 0, as
+    frames are oriented by the chart.
+    """
+    A = np.asarray(A, dtype=float)
+    inv = np.linalg.inv(A)
+    image = {str(k + 1): "(" + " + ".join(f"({float(A[k, j])!r})*x{j + 1}" for j in range(3)) + ")"
+             for k in range(3)}
+
+    def at_image(text):
+        return "(" + re.sub(r"x([123])", lambda m: image[m[1]], text) + ")"
+
+    def combination(terms):
+        return " + ".join(f"({float(c)!r})*{at_image(e)}" for c, e in terms if e != "0.0") or "0"
+
+    g, x = _cells(entry.manifold.metric_exprs), _cells(entry.field.component_exprs)
+    metric = [[combination((A[k, i] * A[l, j], g[k][l]) for k in range(3) for l in range(3))
+               for j in range(3)] for i in range(3)]
+    field = [combination((inv[i, k], x[k]) for k in range(3)) for i in range(3)]
+    if domain.strip() != "true":
+        domain = at_image(to_string(parse(domain)))
+    name = f"{entry.name}@{A.tolist()!r}"
+    return CatalogEntry(
+        name=name, manifold=manifold_from_exprs(name, metric, domain=domain),
+        field=UnitField.from_exprs(entry.field.name, field), expected={},
+        notes=f"{entry.name} pulled back by a linear map", grid=None,
+        orbit=OrbitSpec(tuple(inv @ np.asarray(entry.orbit.start))),
+        space_form_c=entry.space_form_c)

@@ -12,7 +12,7 @@ import pytest
 
 import geocontact as gc
 from conftest import ENTRY_NAMES
-from geocontact import curvature, field, geometry
+from geocontact import geometry
 from geocontact.curvature import (christoffel, christoffel_with_partials, covariant_jacobian,
                                   jacobi_matrix, riemann, sectional)
 from geocontact.errors import DegeneratePlane, OutOfChart, SingularMetric
@@ -324,15 +324,15 @@ def test_sectional_raises_the_stencil_errors_before_a_degenerate_plane():
 
 def test_sectional_checks_the_metric_once(entries, monkeypatch):
     """One ``_require_metric`` call per ``sectional`` call: on the stencil batch
-    of ``christoffel_with_partials``, whose centre rows give g."""
+    of ``christoffel_with_partials``, whose centre rows give g. Patched where
+    ``_metric_jet``, the one metric pass, reads it."""
     calls, original = [], geometry._require_metric
 
     def counting(man, pts, g):
         calls.append(len(pts))
         return original(man, pts, g)
 
-    for module in (geometry, curvature, field):
-        monkeypatch.setattr(module, "_require_metric", counting)
+    monkeypatch.setattr(geometry, "_require_metric", counting)
     pts = np.random.default_rng(31).uniform(-1, 1, (4, 3))
     sectional(entries["heisenberg_reeb"].manifold, pts, [1.0, 0, 0], [0.0, 1, 0])
     assert calls == [7 * len(pts)]

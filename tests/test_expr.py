@@ -1,6 +1,7 @@
 """Parser, evaluator and dual-number backend."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import geocontact as gc
 from conftest import CUSTOM_DOC, ENTRY_NAMES, EXPR_CACHES
 from geocontact import expr
 from geocontact.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from geocontact.expr import Bin, Func, Neg, Num, Var, eval_dual, eval_scalar, parse, to_string
+from geocontact.expr import (Bin, Func, Neg, Num, Var, as_points, eval_dual, eval_scalar, parse,
+                             to_string)
 from geocontact.geometry import _jet
 
 
@@ -309,6 +311,17 @@ def test_dual_batched():
     d = eval_dual(ast, pts)
     np.testing.assert_allclose(d.value, [1.0, 2.0])
     np.testing.assert_allclose(d.partials, [[3.0, -1.0, 1.0], [2.0, -1.0, 0.5]])
+
+
+@pytest.mark.parametrize("evaluate", [eval_scalar, eval_dual])
+@pytest.mark.parametrize("p", [np.zeros(4), np.zeros((2, 4))])
+def test_evaluation_rejects_bad_points_with_as_points_messages(evaluate, p):
+    """Points reach the compiled programs through ``as_points``, the one point
+    normaliser: a bad point or batch raises its ValueError."""
+    with pytest.raises(ValueError) as expected:
+        as_points(p)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        evaluate(parse("x1 + x2"), p)
 
 
 def test_constant_expression_dual():

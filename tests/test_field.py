@@ -15,7 +15,7 @@ from geocontact.errors import (DegenerateSeed, DomainError, GeoContactError, Not
 from geocontact.field import (ComplexPair, RealPair, UnitField, beta_ranks,
                               _contact_form, _require_nonzero, contact_defect_grid, diagnose,
                               diagnose_point, eigen_columns, frame_terms)
-from geocontact.geometry import Frame, _jet, _require_finite_metric, _require_metric, frame_at
+from geocontact.geometry import Frame, _jet, _metric_jet, frame_at
 from oracles import berger_sphere, skew_lines
 
 
@@ -506,9 +506,7 @@ def contact_form_by_matmuls(man, X, pts):
     """The wedge of ``field._contact_form`` as three batched 3x3 matmuls on
     point-major jets, the kernel it replaced: the reference its bits are pinned
     to. The jets are C-ordered copies, the layout these matmuls read before."""
-    g, dg = (np.ascontiguousarray(a) for a in
-             _jet(man, man.metric_fn, pts, man.metric_exprs, _require_finite_metric))
-    _require_metric(man, pts, g)
+    g, dg = (np.ascontiguousarray(a) for a in _metric_jet(man, pts))
     xv, dx = (np.ascontiguousarray(a) for a in _jet(man, X.component_fn, pts, X.component_exprs))
     alpha = (g @ xv[..., None])[..., 0]
     norm2 = alpha[:, 0] * xv[:, 0] + alpha[:, 1] * xv[:, 1] + alpha[:, 2] * xv[:, 2]

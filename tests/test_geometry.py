@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import geocontact as gc
+from geocontact import geometry
 from geocontact.errors import NotPositiveDefinite, OutOfChart, SingularMetric
 from geocontact.field import diagnose
 from geocontact.geometry import (_require_metric, frame_at, frames_at, g_norm, inner,
@@ -98,6 +99,35 @@ def test_partials_of_a_metric_that_is_not_finite_name_the_point(diff_mode):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SingularMetric, match=re.escape("'exp' numerically singular at [800.   0.   0.]")):
         metric_partials(man, np.array([800.0, 0.0, 0.0]))
+
+
+def test_every_metric_reader_makes_one_metric_pass(monkeypatch):
+    """metric_partials, christoffel and the contact form each go through
+    ``_metric_jet`` once per batch, and so raise the one metric error, naming
+    the same first point where g is indefinite."""
+    man = gc.manifold_from_exprs("tilted", (("1", "0", "0"), ("0", "1", "0"),
+                                            ("0", "0", "x1")))
+    field = gc.UnitField.from_exprs("z", ("0", "0", "1"))
+    pts = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 0.0], [-0.5, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    calls, original = [], geometry._metric_jet
+
+    def counting(man, pts):
+        calls.append(len(pts))
+        return original(man, pts)
+
+    readers = {"metric_partials": lambda p: metric_partials(man, p),
+               "christoffel": lambda p: gc.christoffel(man, p),
+               "_contact_form": lambda p: gc.field._contact_form(man, field, p)}
+    for module in (geometry, gc.curvature, gc.field):
+        monkeypatch.setattr(module, "_metric_jet", counting)
+    for name, reader in readers.items():
+        calls.clear()
+        reader(pts[:2])
+        assert calls == [2], name
+        with pytest.raises(NotPositiveDefinite,
+                           match=re.escape(f"'tilted' is not positive definite at {pts[2]}")):
+            reader(pts)
+        assert calls == [2, 4], name
 
 
 def test_out_of_chart_names_the_first_point_outside():
