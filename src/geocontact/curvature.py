@@ -17,15 +17,20 @@ Cholesky factor and the Koszul sums read in place.
 Every reader of R uses one operator R(., y)z, built from Gamma and its partials
 without the full tensor (``_curvature_operator``): ``jacobi_matrix`` at (X, X),
 ``sectional`` at (w, w) and ``riemann`` applied to x, the one public reader of R.
+``jacobi_tensor_drift``, T6.1's kernel, differentiates the Koszul system once
+more, exactly, and solves it with the same factor for nabla_X of R(., X)X.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from . import expr
 from .errors import DegeneratePlane
 from .expr import as_points
-from .geometry import (ChartedManifold, _cholesky, _jet, _jet_points, _metric_jet,
+from .geometry import (ChartedManifold, _cholesky, _exact, _jet, _jet_points, _metric_jet,
                        _require_finite_partials, inner)
 
 #: discriminants within this of zero count as a repeated real eigenvalue
@@ -40,11 +45,10 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
     it, so a caller that needs g as well makes no second metric pass.
 
     Gamma solves g Gamma_{.ij} = (d_i g_j. + d_j g_i. - d_. g_ij) / 2 by the
-    Cholesky factor of g (``_cholesky``), forward and back substitution in
-    place, component-major: each operation loops over the N rows of a (3, 3,
-    3, N) array, with the bits of the same operations on (N, 3, 3) views. The
-    result is C-ordered (N, 3, 3, 3), and a row's bits depend on neither its
-    batch nor the layout of the inputs.
+    Cholesky factor of g (``_solve``), component-major: each operation loops
+    over the N rows of a (3, 3, 3, N) array, with the bits of the same
+    operations on (N, 3, 3) views. The result is C-ordered (N, 3, 3, 3), and a
+    row's bits depend on neither its batch nor the layout of the inputs.
     """
     pts, single = as_points(p)
     g, dg = _metric_jet(man, pts)  # dg[n, k, i, j] = d_k g_ij
@@ -52,28 +56,50 @@ def christoffel(man: ChartedManifold, p, metric_out=None):
         out = metric_out.reshape(g.shape)  # a view; g lives on only in the caller's array
         out[...] = g
         g = out
-    # gamma[l, i, j, n] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, then L^-T L^-1 of that
-    d = dg.transpose(1, 2, 3, 0)  # a view: d[k, i, j] is one (N,) row, contiguous if exact
-    gamma = np.add(d.transpose(2, 0, 1, 3), d.transpose(2, 1, 0, 3), order="C")
-    gamma -= d
-    gamma *= 0.5
-    del d, dg  # not held through the copy of the result, the solve's memory peak
-    l11, l21, l31, l22, l32, l33 = _cholesky(g)
-    b0, b1, b2 = gamma  # views of the rows l = 0, 1, 2, each (3, 3, N)
-    b0 /= l11  # forward: L y = b
+    # d[k, i, j] is one (N,) row, contiguous if exact
+    gamma = _koszul(dg.transpose(1, 2, 3, 0))
+    del dg  # not held through the copy of the result, the solve's memory peak
+    _solve(_cholesky(g), gamma)
+    gamma = gamma.transpose(3, 0, 1, 2).copy()  # C-ordered (N, 3, 3, 3)
+    return gamma[0] if single else gamma
+
+
+def _koszul(d):
+    """b[l, i, j, ...] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, C-ordered, from a
+    derivative d[k, i, j, ...] = d_k g_ij of g (or of g's partials: the trailing
+    axes, N last, ride along): g Gamma = b, and its partials follow by
+    differentiating b."""
+    rest = tuple(range(3, d.ndim))
+    b = np.add(d.transpose((2, 0, 1) + rest), d.transpose((2, 1, 0) + rest), order="C")
+    b -= d
+    b *= 0.5
+    return b
+
+
+def _forward(factor, b):
+    """b <- L^-1 b in place, L the Cholesky factor ``factor`` of g (``_cholesky``)
+    and b (3, ..., N): its rows b[0], b[1], b[2], N last."""
+    l11, l21, l31, l22, l32, l33 = factor
+    b0, b1, b2 = b
+    b0 /= l11
     b1 -= l21 * b0
     b1 /= l22
     b2 -= l31 * b0
     b2 -= l32 * b1
     b2 /= l33
-    b2 /= l33  # back: L^T x = y
+
+
+def _solve(factor, b):
+    """b <- g^-1 b in place by g = L L^T: ``_forward``, then back substitution."""
+    _forward(factor, b)
+    l11, l21, l31, l22, l32, l33 = factor
+    b0, b1, b2 = b
+    b2 /= l33
     b1 -= l32 * b2
     b1 /= l22
     b0 -= l21 * b1
     b0 -= l31 * b2
     b0 /= l11
-    gamma = gamma.transpose(3, 0, 1, 2).copy()  # C-ordered (N, 3, 3, 3)
-    return gamma[0] if single else gamma
 
 
 def christoffel_with_partials(man: ChartedManifold, p):
@@ -195,6 +221,86 @@ def jacobi_matrix(gam, dgam, g, X, e):
     """
     g, e = np.ascontiguousarray(g), np.ascontiguousarray(e)
     return e @ g @ _curvature_operator(gam, dgam, X, X) @ np.swapaxes(e, 1, 2)
+
+
+#: the rows of ``expr.higher_partials`` that hold d_a d_b g, at [a, b], and d_a d_b d_c g,
+#: at [a, b, c]
+_SECOND_ROWS, _THIRD_ROWS = (
+    np.array([expr.HIGHER_PARTIALS.index(tuple(sorted(k)))
+              for k in itertools.product(range(3), repeat=order)]).reshape((3,) * order)
+    for order in (2, 3))
+
+
+def jacobi_tensor_drift(man: ChartedManifold, X, pts):
+    """|nabla_X R_X| at an (N, 3) batch, R_X = R(., X)X the Jacobi tensor of the
+    field X: the g-Frobenius norm sqrt(g_ls T^l_i T^s_j g^ij) of T = nabla_X(R_X),
+    (N,). For a geodesic X it is the Frobenius norm of M' in any orthonormal
+    frame of X-perp, as T vanishes on X and maps X-perp to itself.
+
+    Exact where ``_jet`` differentiates the metric exactly (a table in the
+    "dual" mode); X's partials are ``_jet``'s. T is the covariant derivative
+    of the operator field RX = ``_curvature_operator`` at (X, X):
+
+        T = D_X RX + G RX - RX G,   G[l, i] = Gamma^l_ij X^j,
+
+    D_X RX by the product rule: the operator's four terms in Gamma and its
+    partials with X held, plus the operator at (X', X) and (X, X'), X' = D_X X.
+    Gamma, d_a Gamma and (d_a Gamma)' = D_X d_a Gamma solve g . = b by
+    ``_solve``, b the Koszul right-hand side (``_koszul``) and its derivatives,
+    from g's second and third partials (``expr.higher_partials``); X is
+    contracted into the third partials and into the right-hand side of
+    (d_a Gamma)' before the solve. Raises ValueError on a chart differentiated
+    centrally; then the chart and metric errors of ``_metric_jet``, the one
+    metric pass; then DegenerateSeed where X's partials are not finite; then
+    a DomainError of the partials' program.
+    """
+    if not _exact(man, man.metric_exprs):
+        raise ValueError(f"{man.name!r} is differentiated centrally: no exact third partials")
+    g, dg = _metric_jet(man, pts)
+    xv, dx = _jet(man, X.component_fn, pts, X.component_exprs)
+    _require_finite_partials(X, pts, dx)
+    x, factor, d = xv.T, _cholesky(g), dg.transpose(1, 2, 3, 0)  # component-major: N last
+    high = expr.eval_scalar(expr.higher_partials(man.metric_exprs), pts).transpose(1, 2, 3, 0)
+    # X^m d_m d_a d_k g_ij at [k, i, j, a, n] first, so that the third partials'
+    # gather, the largest array, is freed before the arrays below are made
+    third_x = np.einsum("makijn,mn->kijan", high[_THIRD_ROWS], x)
+    second = high[_SECOND_ROWS]  # d_a d_k g_ij at [a, k, i, j, n]
+    del high
+    gam = _koszul(d)
+    _solve(factor, gam)  # Gamma^l_ij at [l, i, j, n]
+    dgam = _koszul(second.transpose(1, 2, 3, 0, 4))
+    dgam -= np.einsum("alsn,sijn->lijan", d, gam)
+    _solve(factor, dgam)  # d_a Gamma^l_ij at [l, i, j, a, n]
+    rate = np.einsum("lijan,an->lijn", dgam, x)  # Gamma' = D_X Gamma
+    gx, rate_x = (np.einsum("lijn,jn->lin", a, x) for a in (gam, rate))
+    dgam_x = np.einsum("lijan,jn->lian", dgam, x)
+    # (d_a Gamma)' X at [l, j, a, n]: g (d_a Gamma)' = (d_a b)' - (d_a g)' Gamma
+    # - (d_a g) Gamma' - g' d_a Gamma, every term contracted with X
+    s = np.einsum("lijan,jn->lian", _koszul(third_x), x)
+    s -= np.einsum("alsn,sjn->ljan", np.einsum("malsn,mn->alsn", second, x), gx)
+    s -= np.einsum("alsn,sjn->ljan", d, rate_x)
+    s -= np.einsum("lsn,sjan->ljan", np.einsum("mlsn,mn->lsn", d, x), dgam_x)
+    _solve(factor, s)
+    # D_X of the operator's terms with X held: d_i Gamma^l_jk X^j X^k - X^j d_j Gamma^l_ik X^k
+    # by (d_a Gamma)', and Gamma^l_im Gamma(X, X)^m - G G by the product rule
+    gamma, gamma_rate = (np.einsum("lin,in->ln", a, x) for a in (gx, rate_x))
+    G, G_rate = gx.transpose(2, 0, 1), rate_x.transpose(2, 0, 1)  # [n, l, i]
+    rx_rate = (np.einsum("ljin,jn->nli", s - s.transpose(0, 2, 1, 3), x)
+               + np.einsum("limn,mn->nli", rate, gamma)
+               + np.einsum("limn,mn->nli", gam, gamma_rate) - G_rate @ G - G @ G_rate)
+    gam, dgam = (np.ascontiguousarray(gam.transpose(3, 0, 1, 2)),  # point-major, once
+                 np.ascontiguousarray(dgam.transpose(4, 3, 0, 1, 2)))
+    xd = np.einsum("ni,nik->nk", xv, dx)  # X' = D_X X
+    rx = _curvature_operator(gam, dgam, xv, xv)
+    rx_rate += _curvature_operator(gam, dgam, xd, xv)
+    rx_rate += _curvature_operator(gam, dgam, xv, xd)
+    t = rx_rate + G @ rx - rx @ G
+    # |T|: W = L^-1 g T L^-T is T in the orthonormal frame L^-T, so |T| = |W|_F
+    w = np.ascontiguousarray((g @ t).transpose(1, 2, 0))
+    _forward(factor, w)
+    w = np.ascontiguousarray(w.transpose(1, 0, 2))
+    _forward(factor, w)
+    return np.sqrt((w * w).sum(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ memoised, so a table rebuilt from the same sources reuses the compiled code.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -63,20 +64,41 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class _Node:
+    """Base of the nodes with a subexpression: equality by class and fields, and a
+    hash computed once, when the node is built. A node never changes and each child
+    keeps its own hash, so a dict lookup (``parse``'s, ``_derivative``'s and the
+    compiler's memos, a table's groups) hashes no subtree."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *self._fields())))
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._fields() == other._fields())
+
+    def __hash__(self):
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False)
+class Bin(_Node):
     op: str  # one of + - * / ^
     lhs: "ExprAst"
     rhs: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Func:
+@dataclass(frozen=True, eq=False)
+class Func(_Node):
     name: str
     arg: "ExprAst"
 
@@ -287,6 +309,34 @@ def _derivative(node, k):
     return _op("*", node, _op("+", _op("*", db, Func("log", a)), _op("*", b, _op("/", da, a))))
 
 
+#: the sorted multi-indices of the partials in ``higher_partials``' rows: the 6
+#: second partials d_a d_b, a <= b, then the 10 third partials d_a d_b d_c, a <= b <= c
+HIGHER_PARTIALS = (tuple(itertools.combinations_with_replacement(range(3), 2))
+                   + tuple(itertools.combinations_with_replacement(range(3), 3)))
+
+
+@functools.lru_cache(maxsize=64)
+def _higher_partials(groups, shape):
+    cells = np.empty((len(HIGHER_PARTIALS),) + shape, dtype=object)
+    for ast, slots in groups:
+        second = {k: _derivative(_derivative(ast, k[0]), k[1]) for k in HIGHER_PARTIALS[:6]}
+        column = [second[k] if len(k) == 2 else _derivative(second[k[:2]], k[2])
+                  for k in HIGHER_PARTIALS]
+        for slot in slots:
+            cells[(slice(None),) + slot] = column
+    return ExprTable.of(cells)
+
+
+def higher_partials(table):
+    """The second and third partials of a table as one table of shape (16, *S):
+    row r holds the partial by the axes HIGHER_PARTIALS[r], each the table's
+    ASTs differentiated by ``_derivative``. One program computes the second
+    partials' subexpressions once for both orders. Built on first request and
+    memoised by the table's content, so it and its compiled program are made
+    once per distinct table per process, and never when a table is built."""
+    return _higher_partials(table.groups, table.shape)
+
+
 def _jet_groups(groups):
     """The groups of a table's jet, the (4,) + shape table of its values and
     their partials by x1, x2, x3; values first, so their checks run first, and
@@ -490,14 +540,21 @@ class _Codegen:
 def _compile(groups, mode):
     """Compile a table to a function (x1, x2, x3, out) filling out, or in the
     scalar mode (x1, x2, x3) returning the values; the ``dual`` mode fills
-    out with the values of the table's jet (``_jet_groups``).
+    out with the values of the table's jet (``_jet_groups``). A ``value``
+    program with +0.0 cells zeroes out once and stores only the other cells.
 
     Keyed by the table's content and the mode, so equal tables share one
     program, held by this bounded per-process cache rather than by any table.
     """
     gen = _Codegen(mode == "scalar")
+    groups = _jet_groups(groups) if mode == "dual" else groups
+    if mode == "value" and any(ast == _ZERO for ast, _ in groups):
+        # one fill for every +0.0 cell: most cells of a table of higher partials are
+        # +0.0, and a store each made compiling it take up to six times the memory
+        gen.statements.append(("out[...] = 0.0", []))
+        groups = [(ast, slots) for ast, slots in groups if ast != _ZERO]
     try:
-        for ast, slots in _jet_groups(groups) if mode == "dual" else groups:
+        for ast, slots in groups:
             value = gen.visit(ast)
             for slot in slots:
                 gen.store(slot, value)

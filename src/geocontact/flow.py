@@ -19,17 +19,22 @@ Kc = Ac Sc for the stage maps S2 = I + h/2 K1, S3 = I + h/2 K2 and
 S4 = I + h K3; the c-th stage state is Sc y (Hairer, Norsett & Wanner,
 Solving ODEs I, II.1 and IV.2).
 
-With or without the Jacobi pair (``with_jacobi``), an orbit runs in blocks
-of ``JACOBI_BLOCK`` steps. A block first runs RK4 on p alone, recording
-every stage point and field value. A one-row block of a field given by
-expressions runs this point pass on Python floats: the state is a ``_Point``
-of three floats and the stage values come from the table's scalar program
+An orbit runs in blocks of ``JACOBI_BLOCK`` steps, in one of three modes:
+the points alone (``orbit_points``, T6.1's flow segments on a chart that is
+differentiated exactly), the transport (``integrate_orbits`` without the
+Jacobi pair, which T6.1 runs on a chart differentiated centrally) or the
+transport with the Jacobi pair (``with_jacobi``, the ``orbit`` command). A
+block first runs RK4 on p alone (``_point_pass``), recording every stage
+point and field value. A one-row block of a field given by expressions runs
+this point pass on Python floats: the state is a ``_Point`` of three floats
+and the stage values come from the table's scalar program
 (``ExprTable.at_point``), the same statements on Python floats, bit for bit
 the numpy pass's values without its per-call overhead. ``rk4_step`` still
-makes every step, so its tableau is the only one. The block then makes one
-batched curvature call at all those stages: ``christoffel`` for the
-transport alone, or ``christoffel_with_partials`` for Gamma and its partials
-with the Jacobi pair. The frame step matrices of the block, from A = -Gamma(X, .) at every
+makes every step, so its tableau is the only one. A block of points ends
+there. Otherwise the block makes one batched curvature call at all those
+stages: ``christoffel`` for the transport alone, or
+``christoffel_with_partials`` for Gamma and its partials with the Jacobi
+pair. The frame step matrices of the block, from A = -Gamma(X, .) at every
 stage, carry (e1, e2) step by step. With the Jacobi pair they also give the
 stage frames, one batched ``jacobi_matrix`` call gives M at all of them
 (from Gamma and its partials, without the full Riemann tensor), and the
@@ -37,15 +42,15 @@ Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
 fails is replayed seed by seed as one-step blocks (``_replay``). A row's bits
 depend neither on its batch nor on its block's length, so block and replay
 agree bit for bit, and both agree with stage-form RK4 of all 9 or 17
-components (k = f(y) at each stage) to rounding. The stop rule, in both
-modes: a seed stops before its first step that leaves the chart or whose
-end's curvature stencil does (``_partials_inside``, the post-pass's reach).
-A block applies it once, at all its step ends, and hands back the steps each
-seed made; the replay reads them from its one-step blocks, so the post-pass
-keeps every sample it is given. Only the replay tells a chart exit
-(OutOfChart, or a DomainError outside the chart), which stops a seed, from
-any other error, which it raises; a failed block costs at most
-``JACOBI_BLOCK`` one-seed steps.
+components (k = f(y) at each stage) to rounding. The stop rule: a seed stops
+before its first step that leaves the chart (for points, at a stage point or
+its end) or, with frames, whose end's curvature stencil does
+(``_partials_inside``, the post-pass's reach). A block applies it once, at
+all its step ends, and hands back the steps each seed made; the replay reads
+them from its one-step blocks, so the post-pass keeps every sample it is
+given. Only the replay tells a chart exit (OutOfChart, or a DomainError
+outside the chart), which stops a seed, from any other error, which it
+raises; a failed block costs at most ``JACOBI_BLOCK`` one-seed steps.
 
 Each sample but the last is the first stage of its step. ``integrate_orbits``
 decides where a sample's g, Gamma and its partials come from: with the
@@ -75,13 +80,14 @@ from .geometry import ChartedManifold, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
 
-#: RK4 steps of one seed per batched curvature call, in both modes. N seeds
-#: share blocks of JACOBI_BLOCK // N steps, so a block's curvature batch has
-#: at most 4 * JACOBI_BLOCK rows, and with the Jacobi pair its stencil 7 times
-#: as many (7.3 MB of Gamma partials). Its step matrices add about ten stacks
-#: of at most (count, 4, N, 4, 4) floats, 0.2 MB each. With the Jacobi pair a
-#: seed keeps g, Gamma and its partials at each sample, 117 floats (1.9 MB for a
-#: 2000-step orbit), where a post-pass stencil of 7 * 2001 rows would peak higher.
+#: RK4 steps of one seed per block, in every mode (with frames, one batched
+#: curvature call). N seeds share blocks of JACOBI_BLOCK // N steps, so a
+#: block's curvature batch has at most 4 * JACOBI_BLOCK rows, and with the
+#: Jacobi pair its stencil 7 times as many (7.3 MB of Gamma partials). Its step
+#: matrices add about ten stacks of at most (count, 4, N, 4, 4) floats, 0.2 MB
+#: each. With the Jacobi pair a seed keeps g, Gamma and its partials at each
+#: sample, 117 floats (1.9 MB for a 2000-step orbit), where a post-pass stencil
+#: of 7 * 2001 rows would peak higher.
 JACOBI_BLOCK = 400
 
 #: the shapes of g, Gamma and its partials at one point, the curvature rows
@@ -232,27 +238,15 @@ def _replay(man, X, y, count, h, with_jacobi):
     return out, firsts, made
 
 
-def _jacobi_block(man, X, y, count, h, with_jacobi):
-    """The states (count, N, 9 or 17) after each of ``count`` steps of the
-    (N, 9) or (N, 17) states y; with the Jacobi pair g, Gamma and its
-    partials at each step's first stage, (count, N, ...) each (else none);
-    and the steps (N,) each seed made by the stop rule of the module docstring.
-
-    The point pass integrates p alone: for one row of a field with a table,
+def _point_pass(man, X, y, count, h):
+    """RK4 on the points p = y[:, 0:3] alone, ``count`` steps: the step ends
+    (count, N, 3) and every stage's point and field value, (4 count N, 3) each,
+    in the order step, stage, seed. For one row of a field with a table it runs
     on Python floats, the state a ``_Point`` and the stage values from the
-    table's scalar program (``ExprTable.at_point``); else on numpy rows. Its
-    stage points, stage values and step ends become one array each. One
-    curvature batch gives Gamma (and its partials) at all its stages, whose
-    metric ``_require_metric`` checks; the frame step matrices, from
-    A = -Gamma(X, .) at every stage, carry (e1, e2) step by step. With the
-    Jacobi pair they also give the stage frames, one ``jacobi_matrix`` call
-    gives M at all of them, and the Jacobi step matrices carry (J, J') and
-    (Jt, Jt'). A row's bits depend neither on its batch nor on ``count``.
-    Raises what the field or the curvature raises, in that order: the field
-    at each stage in turn, then DegenerateSeed at the first stage point inside
-    the chart where its value is not finite, then the chart check of all the
-    curvature points, then their metric checks.
-    """
+    table's scalar program (``ExprTable.at_point``); else on numpy rows. A
+    row's bits depend neither on its batch nor on ``count``. Raises what the
+    field raises at each stage in turn, then DegenerateSeed at the first stage
+    point inside the chart where its value is not finite."""
     n, table = len(y), X.component_exprs
     at_point = table.at_point if n == 1 and table is not None else None  # fetched once
     qs, values, ends = [], [], []  # every stage's point and field value, every step's end
@@ -268,13 +262,40 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
     for _ in range(count):
         p = rk4_step(field, 0.0, p, h)
         record(ends, p)
-    points = np.array(ends).reshape(count, n, 3)
     q, xv = (np.array(a).reshape(-1, 3) for a in (qs, values))
-    if not np.isfinite(xv).all():  # beyond the chart, the curvature's chart check stops the seed
+    if not np.isfinite(xv).all():  # beyond the chart, the stop rule stops the seed
         bad = q[~np.isfinite(xv).all(axis=1)]
         inside = man.contains(bad)
         if inside.any():
             raise DegenerateSeed(f"field {X.name!r} is not finite at {bad[np.argmax(inside)]}")
+    return np.array(ends).reshape(count, n, 3), q, xv
+
+
+def _jacobi_block(man, X, y, count, h, with_jacobi):
+    """The states (count, N, width) after each of ``count`` steps of the (N,
+    width) states y; with the Jacobi pair g, Gamma and its partials at each
+    step's first stage, (count, N, ...) each (else none); and the steps (N,)
+    each seed made by the stop rule of the module docstring. The width says
+    what a state carries: the point p alone (3), p and the frame (9), or p,
+    the frame and the Jacobi pair (17, ``with_jacobi``).
+
+    The point pass (``_point_pass``) integrates p alone. A block of points
+    ends there: a seed stops before its first step with a stage point or an
+    end outside the chart. Else one curvature batch gives Gamma (and its
+    partials) at all the pass's stages, whose metric ``_require_metric``
+    checks; the frame step matrices, from A = -Gamma(X, .) at every stage,
+    carry (e1, e2) step by step. With the Jacobi pair they also give the
+    stage frames, one ``jacobi_matrix`` call gives M at all of them, and the
+    Jacobi step matrices carry (J, J') and (Jt, Jt'). A row's bits depend
+    neither on its batch nor on ``count``. Raises what the point pass raises,
+    then the chart check of all the curvature points, then their metric checks.
+    """
+    n = len(y)
+    points, q, xv = _point_pass(man, X, y, count, h)
+    if y.shape[1] == 3:
+        inside = (man.contains(q).reshape(count, 4, n).all(axis=1)
+                  & man.contains(points.reshape(-1, 3)).reshape(count, n))
+        return points, [], np.where(inside.all(axis=0), count, inside.argmin(axis=0))
     if with_jacobi:
         g, gam, dgam = christoffel_with_partials(man, q)
     else:
@@ -312,6 +333,64 @@ def orbit_steps(t_end, step) -> int:
     return nsteps
 
 
+def _require_starts(man, starts, t_end, step, stencil):
+    """Raise OutOfChart naming the first of the (N, 3) starts outside the chart or,
+    with ``stencil``, whose own curvature stencil leaves it; then ValueError for
+    the step or t_end."""
+    outside = np.flatnonzero(~man.contains(starts))
+    if outside.size:
+        raise OutOfChart(f"orbit start {starts[outside[0]]} outside the chart of {man.name!r}")
+    near = np.flatnonzero(~_partials_inside(man, starts)) if stencil else ()
+    if len(near):
+        raise OutOfChart(f"orbit start {starts[near[0]]}: its curvature stencil (diff_step "
+                         f"{man.diff_step!r}) leaves the chart of {man.name!r}")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+
+
+def _advance(man, X, y, nsteps, step, with_jacobi):
+    """The seeds' states y (N, width) advanced ``nsteps`` steps as one RK4 state,
+    in blocks (``_jacobi_block``; a failed one replays seed by seed): per seed,
+    its states in time order (N, nsteps + 1, width), with the Jacobi pair g,
+    Gamma and its partials at every sample but the last (else none), and its
+    samples (N,), the first 1 + the steps it made."""
+    hist = np.empty((len(y), nsteps + 1, y.shape[1]))
+    hist[:, 0] = y
+    kept = [np.empty(hist.shape[:2] + shape) for shape in _CURVATURE] if with_jacobi else []
+    rows = np.arange(len(y))  # the seeds still going
+    samples, done = np.ones(len(y), dtype=int), 0
+    while done < nsteps and rows.size:
+        count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
+        try:
+            out, firsts, made = _jacobi_block(man, X, y, count, step, with_jacobi)
+        except GeoContactError:  # the seeds one at a time stop or raise
+            out, firsts, made = _replay(man, X, y, count, step, with_jacobi)
+        hist[rows, done + 1:done + 1 + count] = np.swapaxes(out, 0, 1)
+        for buf, first in zip(kept, firsts):  # step s's first stage is sample s
+            buf[rows, done:done + count] = np.swapaxes(first, 0, 1)
+        samples[rows] += made
+        rows, y, done = rows[made == count], out[-1, made == count], done + count
+    return hist, kept, samples
+
+
+def orbit_points(man: ChartedManifold, X: UnitField, starts, t_end, step):
+    """The orbits of X from an (N, 3) batch of starts as points alone, on the
+    uniform grid of ``orbit_steps``: per seed, its samples (N, n, 3) and how
+    many of them it has (N,), the first 1 + the steps it made. A seed stops
+    before its first step with a stage point or an end outside the chart; past
+    its last sample its rows are undefined. No curvature is computed, so no
+    stencil reach applies. Raises OutOfChart naming the first start outside
+    the chart, ValueError for the step or t_end, then what the field raises
+    along the orbits, as the first such seed, in seed order, raises it alone."""
+    starts = as_points(starts)[0]
+    _require_starts(man, starts, t_end, step, stencil=False)
+    nsteps = orbit_steps(t_end, step)
+    hist, _, samples = _advance(man, X, starts, nsteps, t_end / nsteps, False)
+    return hist, samples
+
+
 def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
                      with_jacobi=True) -> list[Trajectory]:
     """Integrate the orbits of X from an (N, 3) batch of starts with transported frames.
@@ -334,19 +413,11 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     block replays seed by seed, so an error along the orbits other than a
     chart exit is what the first such seed, in seed order, raises alone; with
     the Jacobi pair, a metric error at a last sample comes before any StepTooLarge.
+    Without the Jacobi pair, its one caller in the package is T6.1 on a chart
+    differentiated centrally (``verify._jacobi_tensor_drift``).
     """
     starts = as_points(starts)[0]
-    outside = np.flatnonzero(~man.contains(starts))
-    if outside.size:
-        raise OutOfChart(f"orbit start {starts[outside[0]]} outside the chart of {man.name!r}")
-    near = np.flatnonzero(~_partials_inside(man, starts))
-    if near.size:
-        raise OutOfChart(f"orbit start {starts[near[0]]}: its curvature stencil (diff_step "
-                         f"{man.diff_step!r}) leaves the chart of {man.name!r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not 0 < t_end < np.inf:
-        raise ValueError("t_end must be positive and finite")
+    _require_starts(man, starts, t_end, step, stencil=True)
     start = diagnose(man, X, starts)  # sample 0's frames and B(0)
     y = [starts, start.frame[:, :, 1], start.frame[:, :, 2]]
     for j0 in np.eye(2):  # J(0) = e1 and Jt(0) = e2, with J'(0) = B(0) J(0)
@@ -355,23 +426,7 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
 
     nsteps = orbit_steps(t_end, step)
     step = t_end / nsteps
-    hist = np.empty((len(y), nsteps + 1, y.shape[1]))  # per seed, its states in time order
-    hist[:, 0] = y
-    # per seed, g, Gamma and its partials at its samples, with the Jacobi pair
-    kept = [np.empty(hist.shape[:2] + shape) for shape in _CURVATURE] if with_jacobi else []
-    rows = np.arange(len(y))  # the seeds still going
-    samples, done = np.ones(len(y), dtype=int), 0
-    while done < nsteps and rows.size:
-        count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
-        try:
-            out, firsts, made = _jacobi_block(man, X, y, count, step, with_jacobi)
-        except GeoContactError:  # the seeds one at a time stop or raise
-            out, firsts, made = _replay(man, X, y, count, step, with_jacobi)
-        hist[rows, done + 1:done + 1 + count] = np.swapaxes(out, 0, 1)
-        for buf, first in zip(kept, firsts):  # step s's first stage is sample s
-            buf[rows, done:done + count] = np.swapaxes(first, 0, 1)
-        samples[rows] += made
-        rows, y, done = rows[made == count], out[-1, made == count], done + count
+    hist, kept, samples = _advance(man, X, y, nsteps, step, with_jacobi)
     if with_jacobi:  # a seed's last sample is the first stage of no step it made
         last = np.arange(len(hist)), samples - 1
         for buf, at_last in zip(kept, christoffel_with_partials(man, hist[last][:, 0:3])):

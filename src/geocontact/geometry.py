@@ -241,9 +241,14 @@ def _jet_points(man: ChartedManifold, pts, table=None):
     """The points at which ``_jet`` evaluates and checks chart data: ``pts``
     itself where it differentiates exactly, else the central stencil, 7N rows
     in the order of ``_stencil`` with the rows of ``pts`` innermost."""
-    if table is not None and man.diff_mode == "dual":
+    if _exact(man, table):
         return pts
     return (pts + _stencil(man.diff_step)).reshape(-1, 3)
+
+
+def _exact(man: ChartedManifold, table):
+    """Whether ``_jet`` differentiates chart data with this table (or None) exactly."""
+    return table is not None and man.diff_mode == "dual"
 
 
 @functools.lru_cache(maxsize=8)

@@ -59,8 +59,10 @@ def blas_note():
 
 
 #: the process-wide expression caches: parsed sources, differentiated
-#: subexpressions, compiled programs and single-expression tables
-EXPR_CACHES = (expr.parse, expr._derivative, expr._compile, expr._table_of)
+#: subexpressions, compiled programs, single-expression tables and the metric
+#: tables of second and third partials
+EXPR_CACHES = (expr.parse, expr._derivative, expr._compile, expr._table_of,
+               expr._higher_partials)
 
 
 @pytest.fixture

@@ -12,6 +12,10 @@ over these 12 maps, times at most 4: 2.6e-14 for the unit, geodesic and
 signed contact defects, and 2.7e-8 for Ric(X), Delta and delta, the central
 stencil's error, both on h3_vertical under its orientation-reversing map
 (det A = -0.08). One pullback and its two diagnoses take 12 to 77 ms on a 2-vCPU host.
+T6.1's exact ||nabla_X R_X|| along the 125 seeds' flow segments is an invariant
+too, the orbits of a linear chart change being the pulled-back orbits up to
+rounding: its largest difference was 7.0e-12 (s3_weighted(2,3), orientation-reversing
+map), bound 3e-11.
 """
 
 import functools
@@ -88,3 +92,13 @@ def test_the_killing_defect_does_not_depend_on_the_chart(name, orientation):
     by up to 0.19 on euclidean_skew and 0.85 on h2xr_vertical."""
     *_, diag, pulled_diag = _pulled_back(name, orientation)
     assert np.abs(pulled_diag.killing_defect - diag.killing_defect).max() <= 6e-13
+
+
+@pytest.mark.parametrize("name,orientation", CASES)
+def test_the_parallel_jacobi_suite_does_not_depend_on_the_chart(name, orientation):
+    """T6.1's verdict and its exact max ||nabla_X R_X|| over the seeds' flow segments agree."""
+    entry, pulled, x, y, *_ = _pulled_back(name, orientation)
+    report, pulled_report = (run_theorem(e, "T6.1", points=p) for e, p in ((entry, x), (pulled, y)))
+    assert pulled_report.verdict == report.verdict
+    drifts = [r.details["max_jacobi_tensor_drift"] for r in (report, pulled_report)]
+    assert abs(drifts[1] - drifts[0]) <= 3e-11

@@ -14,11 +14,13 @@ import geocontact as gc
 from conftest import ENTRY_NAMES
 from geocontact import geometry
 from geocontact.curvature import (christoffel, christoffel_with_partials, covariant_jacobian,
-                                  jacobi_matrix, riemann, sectional)
+                                  jacobi_matrix, jacobi_tensor_drift, riemann, sectional)
 from geocontact.errors import DegeneratePlane, OutOfChart, SingularMetric
-from geocontact.field import diagnose
-from geocontact.flow import integrate_orbit
+from geocontact.field import UnitField, diagnose
+from geocontact.flow import integrate_orbit, integrate_orbits, max_parallel_jacobi_defect
 from geocontact.geometry import _surely_conditioned, inner
+from geocontact.verify import _jacobi_tensor_drift
+from oracles import berger_sphere, gluck_warner, skew_lines
 
 
 def flat():
@@ -491,3 +493,93 @@ def test_parallel_jacobi_defect_small(orbit_cache, name, tol):
     mid = len(traj) // 2
     defect = np.linalg.norm(traj.M[mid + 1] - traj.M[mid]) / traj.step
     assert defect < tol
+
+
+# ---------------------------------------------------------------------------
+# nabla_X R_X, exactly: T6.1's kernel
+# ---------------------------------------------------------------------------
+
+def warped(f):
+    """g = f(x3)^2 (dx1^2 + dx2^2) + dx3^2 with X = d_3, unit and geodesic. The
+    frame d_a / f of X-perp is parallel along X and R_X = -(f''/f) I there, so
+    |nabla_X R_X| = sqrt(2) |(f''/f)'| (Petersen, Riemannian Geometry, 3rd ed.
+    2016, 4.2.3), which the Jacobi tensor's index-order slips do not give."""
+    man = gc.manifold_from_exprs(f"warped({f})", ((f"({f})^2", "0", "0"), ("0", f"({f})^2", "0"),
+                                                  ("0", "0", "1")))
+    return gc.CatalogEntry(name=man.name, manifold=man,
+                           field=UnitField.from_exprs("d3", ("0", "0", "1")), expected={},
+                           notes="warped product", orbit=gc.OrbitSpec((0.0, 0.0, 0.0)),
+                           grid=gc.GridSpec((-0.5,) * 3, (0.5,) * 3, (5, 5, 5)))
+
+
+#: f and |(f''/f)'|: f''/f = 2 / (1 + x3^2) and -2 / (2 - x3^2)
+WARPED = {"1 + x3^2": lambda z: 4.0 * np.abs(z) / (1.0 + z * z) ** 2,
+          "2 - x3^2": lambda z: 4.0 * np.abs(z) / (2.0 - z * z) ** 2}
+
+
+@pytest.mark.parametrize("f", sorted(WARPED))
+def test_jacobi_tensor_drift_meets_the_warped_closed_forms(f):
+    """To 1e-13 relative at 25 heights, the height 0 and the ends included
+    (measured 1.8e-15)."""
+    entry = warped(f)
+    z = np.linspace(-1.2, 1.2, 25)
+    pts = np.column_stack([np.full(25, 0.3), np.full(25, -0.7), z])
+    np.testing.assert_allclose(jacobi_tensor_drift(entry.manifold, entry.field, pts),
+                               np.sqrt(2.0) * WARPED[f](z), rtol=1e-13, atol=1e-15)
+
+
+def test_jacobi_tensor_drift_needs_an_exact_chart():
+    """Third partials by nested central differences would be noise: the kernel
+    refuses a chart differentiated centrally."""
+    entry = gc.builtin("s3_hopf")
+    man = geometry.ChartedManifold(**{**vars(entry.manifold), "diff_mode": "central"})
+    with pytest.raises(ValueError, match="differentiated centrally"):
+        jacobi_tensor_drift(man, entry.field, entry.grid.points())
+
+
+def test_jacobi_tensor_drift_vanishes_where_only_nabla_r_does_not():
+    """On s3_weighted(2,3), R_X = kappa I on X-perp with kappa constant along
+    each orbit but not across them (Delta spans 5.0 over the grid), so nabla R
+    is not 0 while nabla_X R_X is: at most 1e-12 on the grid (measured 2.6e-13)
+    and along T6.1's flow segments (4.8e-13)."""
+    entry = gc.builtin("s3_weighted(2,3)")
+    pts = entry.grid.points()
+    assert np.ptp(diagnose(entry.manifold, entry.field, pts).Delta) > 1.0
+    assert jacobi_tensor_drift(entry.manifold, entry.field, pts).max() <= 1e-12
+    assert _jacobi_tensor_drift(entry, entry.grid.subgrid((3, 3, 3)).points()).max() <= 1e-12
+
+
+def catalog_and_families():
+    """The catalog entries and members of the oracle families, with each one's
+    bound on |nabla_X R_X|, exactly 0 on all of them."""
+    exact = [*gc.catalog.all_entries(), berger_sphere(0.3), berger_sphere(3.0),
+             skew_lines(((0.5, -1.0), (1.5, 0.2))), skew_lines(((0.0, -2.0), (1.0, 1.0)))]
+    # the Gluck-Warner field is a callable, so X' = D_X X is central differences'
+    # and carries their error, as diagnose's geodesic defect does (1.6e-9)
+    central_field = [gluck_warner((0.0, 0.0, 1.0), np.eye(3), 0.2),
+                     gluck_warner((0.6, 0.0, 0.8), np.eye(3)[::-1], 0.35)]
+    return [(e, 4e-12) for e in exact] + [(e, 2e-9) for e in central_field]
+
+
+@pytest.mark.parametrize("entry,bound", catalog_and_families(),
+                         ids=lambda v: getattr(v, "name", ""))
+def test_jacobi_tensor_drift_vanishes_on_the_catalog_and_the_oracle_families(entry, bound):
+    """On every grid point, at most 4e-12 (measured 1.1e-12, berger(0.3)), and
+    2e-9 for the Gluck-Warner fields (4.9e-10)."""
+    assert jacobi_tensor_drift(entry.manifold, entry.field, entry.grid.points()).max() <= bound
+
+
+@pytest.mark.parametrize("entry", [e for e, _ in catalog_and_families()]
+                         + [warped(f) for f in WARPED], ids=lambda e: e.name)
+def test_jacobi_tensor_drift_agrees_with_the_orbit_estimator(entry):
+    """Per T6.1 seed, the exact max ||nabla_X R_X|| over its segment against
+    ``max_parallel_jacobi_defect`` of its transport orbit at a one-step window,
+    which differences M at the segment's samples: within the estimator's
+    error, its stencil noise over one step (at most 4.8e-6, berger(0.3)) where
+    the drift is 0, and its step's truncation on the warped charts (5.1e-3
+    relative)."""
+    seeds = entry.grid.subgrid((3, 3, 3)).points()
+    exact = _jacobi_tensor_drift(entry, seeds)
+    estimate = np.array([max_parallel_jacobi_defect(traj) for traj in integrate_orbits(
+        entry.manifold, entry.field, seeds, 0.1, 1e-3, with_jacobi=False)])
+    assert (np.abs(exact - estimate) <= 2e-5 + 1e-2 * exact).all()

@@ -1,7 +1,10 @@
 """Parser, evaluator and dual-number backend."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +224,24 @@ def test_cold_caches_clear_every_expression_cache():
     caches = {obj for obj in vars(expr).values()
               if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == expr.__name__}
     assert caches == set(EXPR_CACHES)
+
+
+def test_tables_of_higher_partials_wait_for_the_first_request(cold_caches):
+    """Importing the package and building every catalog entry build and compile no
+    table of second and third partials; T6.1 builds and compiles its metric's
+    on its first run and reuses both on the next."""
+    code = ("import geocontact as gc\nfrom geocontact import expr\n"
+            "entries = gc.catalog.all_entries()\n"
+            "print(expr._higher_partials.cache_info().misses)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.stdout == "0\n"
+    entry = gc.builtin("s3_weighted(2,3)")
+    for _ in range(2):
+        gc.verify.verify_parallel_jacobi(entry)
+    assert expr._higher_partials.cache_info().misses == 1
+    table = expr.higher_partials(entry.manifold.metric_exprs)
+    assert table.shape == (16, 3, 3) and set(table._programs) == {"value"}
 
 
 def test_equal_sources_parse_to_the_same_objects(cold_caches):

@@ -671,6 +671,64 @@ def test_a_field_not_finite_beyond_the_chart_leaves_it_as_a_finite_one_does(with
         assert got[0].truncated and len(got[0]) == 19
 
 
+def test_point_segments_are_the_transport_orbits_points(entries):
+    """``orbit_points`` runs the transport blocks' point pass, so where no seed
+    stops, each seed's samples are its transport orbit's points bit for bit."""
+    entry = entries["s3_weighted(2,3)"]
+    seeds = entry.grid.subgrid((3, 3, 3)).points()
+    points, samples = flow.orbit_points(entry.manifold, entry.field, seeds, 0.1, 1e-3)
+    assert points.shape == (27, 101, 3) and (samples == 101).all()
+    trajs = integrate_orbits(entry.manifold, entry.field, seeds, 0.1, 1e-3, with_jacobi=False)
+    for k, traj in enumerate(trajs):
+        assert np.array_equal(points[k], traj.points)
+
+
+@pytest.mark.parametrize("block", [3, flow.JACOBI_BLOCK])
+def test_point_segments_stop_before_their_first_step_leaving_the_chart(monkeypatch, block):
+    """On the cap 0 < x3 < 1.2, a seed's samples all lie in the chart and, if
+    it stopped, its next step would put a stage point or its end outside; the
+    stencil reach of the orbits with frames plays no part, so a seed 1e-7
+    below the cap still has its start. A field undefined (DomainError) or not
+    finite beyond the cap stops each seed where the field x3 does, through a
+    replay, with the same samples, in blocks of one step or of all 50."""
+    man, plain = h3_cap()
+    starts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 0.5], [0.0, 0.0, 1.2 - 1e-7]])
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
+    points, samples = flow.orbit_points(man, plain, starts, 0.5, 1e-2)
+    assert samples.tolist() == [19, 51, 1]
+    for seed, n in zip(points, samples):
+        assert man.contains(seed[:n]).all()
+        ends, stages, _ = flow._point_pass(man, plain, seed[n - 1:n], 1, 1e-2)
+        assert man.contains(np.vstack([stages, ends[0]])).all() == (n == 51)
+    replays = count_replays(monkeypatch)
+    for beyond in ("x3 + 0*sqrt(1.2 - x3)", "x3 + 0*exp(1000*(x3 - 0.5))"):
+        field = gc.UnitField.from_exprs("beyond", ("0", "0", beyond))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, got_samples = flow.orbit_points(man, field, starts, 0.5, 1e-2)
+        assert np.array_equal(got_samples, samples)
+        for seed, ref, n in zip(got, points, samples):
+            assert np.array_equal(seed[:n], ref[:n])
+    assert replays
+
+
+def test_point_segments_raise_what_the_field_raises_inside_the_chart():
+    """The start outside the chart, then the step, then the field's own errors
+    inside it: its DomainError, and DegenerateSeed where it is not finite."""
+    man, plain = h3_cap()
+    start = np.array([[0.0, 0.0, 1.0]])
+    with pytest.raises(OutOfChart, match="orbit start"):
+        flow.orbit_points(man, plain, [[0.0, 0.0, 1.3]], 0.5, 1e-2)
+    with pytest.raises(ValueError, match="step must be positive"):
+        flow.orbit_points(man, plain, start, 0.5, 0.0)
+    short = gc.UnitField.from_exprs("short", ("0", "0", "x3 + 0*sqrt(1.1 - x3)"))
+    with pytest.raises(DomainError, match="sqrt of a negative value"):
+        flow.orbit_points(man, short, start, 0.5, 1e-2)
+    steep = gc.UnitField.from_exprs("steep", ("0", "0", "x3 + 0*exp(1000*(x3 - 0.4))"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateSeed, match="field 'steep' is not finite"):
+            flow.orbit_points(man, steep, start, 0.5, 1e-2)
+
+
 @pytest.mark.parametrize("with_jacobi", [False, True])
 def test_a_field_not_finite_inside_the_chart_raises_degenerate_seed(with_jacobi):
     """x3 + 0*exp(1000*(x3 - 0.4)) is NaN above x3 = 1.1098, below the cap x3 =
@@ -872,13 +930,16 @@ def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypat
 
 
 def test_the_catalogs_t61_batches_never_replay(monkeypatch):
-    """T6.1 on every catalog entry runs 27-seed batches of 100 steps without
-    the Jacobi pair, in blocks of 14 steps: no block raises, so ``_replay``,
-    the seed-by-seed path that only a failed block takes, never runs."""
-    calls = count_calls(monkeypatch, ["_jacobi_block", "_replay"])
+    """T6.1 on every catalog entry runs its 27 seeds' flow segments of 100
+    steps as points alone (``orbit_points``), in blocks of 14 steps, with no
+    curvature call and no ``diagnose`` of their own: no block raises, so
+    ``_replay``, the seed-by-seed path that only a failed block takes, never runs."""
+    calls = count_calls(monkeypatch, ["_jacobi_block", "_replay", "christoffel",
+                                      "christoffel_with_partials", "diagnose"])
     reports = gc.verify_all(gc.catalog.all_entries(), theorems=("T6.1",))
     assert len(reports) == 7
-    assert calls == {"_jacobi_block": 8 * len(reports), "_replay": 0}
+    assert calls == {"_jacobi_block": 8 * len(reports), "_replay": 0, "christoffel": 0,
+                     "christoffel_with_partials": 0, "diagnose": 0}
 
 
 @pytest.mark.parametrize("with_jacobi", [False, True])

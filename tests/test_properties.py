@@ -61,6 +61,33 @@ def test_print_parse_round_trip(ast):
     assert parse(to_string(ast)) == ast
 
 
+def rebuilt(ast, zero=None):
+    """A copy of ``ast`` that shares no node with it, each Num 0.0 or -0.0
+    replaced by Num(zero) if ``zero`` is given."""
+    if isinstance(ast, Num):
+        return Num(zero if zero is not None and ast.value == 0.0 else ast.value)
+    if isinstance(ast, Var):
+        return Var(ast.name)
+    if isinstance(ast, Bin):
+        return Bin(ast.op, rebuilt(ast.lhs, zero), rebuilt(ast.rhs, zero))
+    return type(ast)(*([ast.name] if isinstance(ast, Func) else []), rebuilt(ast.arg, zero))
+
+
+@SETTINGS
+@given(ANY)
+def test_equal_asts_built_apart_hash_equal_and_signed_zeros_stay_apart(ast):
+    """Each node's hash is computed once, when it is built: equal trees built
+    apart are equal and hash equal, and a tree with a 0.0 differs, as a key
+    too, from the same tree with -0.0 in its place."""
+    twin = rebuilt(ast)
+    assert twin == ast and hash(twin) == hash(ast)
+    assert {twin: 1}[ast] == 1
+    positive, negative = rebuilt(ast, 0.0), rebuilt(ast, -0.0)
+    has_zero = re.search(r"(?<![\d.])0\.0(?![\d])", to_string(positive)) is not None
+    assert (positive != negative) == has_zero
+    assert len({positive: 1, negative: 2}) == (2 if has_zero else 1)
+
+
 @SETTINGS
 @given(SMOOTH, st.tuples(*[st.floats(0.2, 1.5)] * 3))
 def test_partials_match_central_differences(ast, p):

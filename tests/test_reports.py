@@ -51,6 +51,9 @@ CASES = {
     **{f"analyze:{name}": (["analyze", "--entry", name], None) for name in ENTRY_NAMES},
     "analyze-central:s3_hopf": (["analyze"], {"manifold": "s3_hopf",
                                               "diff": {"mode": "central"}}),
+    # T6.1 on a centrally differentiated chart: the orbit estimator of M's drift
+    "verify-central:T6.1:s3_hopf": (["verify", "T6.1"], {"manifold": "s3_hopf",
+                                                        "diff": {"mode": "central"}}),
     "analyze:custom-expressions": (["analyze"], CUSTOM_DOC),
     "verify:T3.1,C3.2,T5.1,C5.2:all": (["verify", "T3.1", "C3.2", "T5.1", "C5.2", "--all"],
                                        None),
@@ -99,13 +102,15 @@ DIGESTS = {
     "orbit-default:s3_hopf": "28bfd2594f7076675b807f5b39c09a7ce3cb7a472b03154760ea992aa726829a",
     "verify:P7.6:s3_hopf": "a210ba8f336941c1a929787d96e76898afa01b2e3a679b64b88b94203999e1e1",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "fabbac1824a4308c2685d215cb4a838c90dfd4ced7e86daa98934a97f865a5d9",
-    "verify:all": "ea539dc44593964878f2b784aa5dd121014fabfbf08f445998c0228b88c30ece",
+    "verify:all": "b9c38645f2c572a0d1492523258767c41ac6d12865faef2686ae8c1a63e45026",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
-    "verify:T6.1:h2xr_vertical": "cd5a7ba2584d152257e901c304415b9c4a43e3d7c2b8066c8dfaa264c9870242",
-    "verify:T6.1:h3_cap": "3a016dd47c928fbc0dacfd1f6883f26cb3a3cbc803af2e5b9a055282f665512c",
-    "verify:T6.1:s3_hopf": "000663bf6b2ea2dbdac76d97b10926368c69c48cabd842ad65cbfedbace5dd05",
-    "verify:T6.1:warped": "5a1380ea0654f9d4006108d7acf9fbf7713276ece2554f1fec76b912ec6c6a2a",
+    "verify-central:T6.1:s3_hopf":
+        "3f11658a937ab677ae8de51caf67ed45bbaf259c6c11cc2aee900921dc8d62c0",
+    "verify:T6.1:h2xr_vertical": "3c19ec3e65aeeab126253c71b54415802faf21028bed59737d96f755001992f2",
+    "verify:T6.1:h3_cap": "6bdc24435a2dc9aa4f791ccbfa1a4320948f9612e4274a61b49f821cb78cca11",
+    "verify:T6.1:s3_hopf": "2823e136f1a3a2917bfa4997ecc6d912a25f4e60c5c43b1a47dfd2c542ecade4",
+    "verify:T6.1:warped": "b9425239c3097f0ad93c5d156078d82d5c5a82b522be9d5d4f3b4ec16937eb11",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
 

@@ -126,12 +126,15 @@ def test_parallel_jacobi_negative_curvature(entries):
 
 def test_parallel_jacobi_drift_decides_on_the_warped_chart(tmp_path):
     """On the warped chart Delta = 2/(2 - x3^2) > 0 at every seed, so only the
-    drift of the Jacobi tensor along the flow keeps T6.1 from 27 violations."""
+    drift of the Jacobi tensor along the flow keeps T6.1 from 27 violations.
+    The drift is exact: |nabla_X R_X| = sqrt(2) |(f''/f)'| = sqrt(2) 4 x3 / (2 - x3^2)^2,
+    largest at the highest segment end, x3 = 0.6 (measured 1.1e-15 relative)."""
     report = verify_parallel_jacobi(resolve_config(WARPED_DOC).entry)
     assert report.verdict == "hypotheses-not-met"
     assert report.hypothesis_satisfied == 0 and report.samples == 27
     drift = report.details["max_jacobi_tensor_drift"]
-    assert abs(drift - 1.168) < 1e-3 and drift > Tolerances().hypothesis
+    assert abs(drift - 1.261939526210376) <= 1e-13 * 1.261939526210376
+    assert drift > Tolerances().hypothesis
     path = tmp_path / "config.json"
     path.write_text(json.dumps(WARPED_DOC), encoding="utf-8")
     assert cli.main(["verify", "T6.1", "--config", str(path)]) == 0
