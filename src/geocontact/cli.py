@@ -309,7 +309,7 @@ def cmd_orbit(args) -> int:
         raise ConfigError("orbit needs an orbit section")
     spec = entry.orbit
     traj = integrate_orbit(entry.manifold, entry.field, np.asarray(spec.start, float),
-                           spec.t_end, spec.step, with_jacobi=True)
+                           spec.t_end, spec.step)
     if len(traj) < 3:
         raise OutOfChart(f"orbit left the chart after {len(traj)} sample(s); "
                          f"last point inside: {traj.points[-1].tolist()}")

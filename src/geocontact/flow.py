@@ -19,45 +19,41 @@ Kc = Ac Sc for the stage maps S2 = I + h/2 K1, S3 = I + h/2 K2 and
 S4 = I + h K3; the c-th stage state is Sc y (Hairer, Norsett & Wanner,
 Solving ODEs I, II.1 and IV.2).
 
-An orbit runs in blocks of ``JACOBI_BLOCK`` steps, in one of three modes:
+An orbit runs in blocks of ``JACOBI_BLOCK`` steps, in one of two modes:
 the points alone (``orbit_points``, T6.1's flow segments on a chart that is
-differentiated exactly), the transport (``integrate_orbits`` without the
-Jacobi pair, which T6.1 runs on a chart differentiated centrally) or the
-transport with the Jacobi pair (``with_jacobi``, the ``orbit`` command). A
-block first runs RK4 on p alone (``_point_pass``), recording every stage
-point and field value. A one-row block of a field given by expressions runs
-this point pass on Python floats: the state is a ``_Point`` of three floats
-and the stage values come from the table's scalar program
-(``ExprTable.at_point``), the same statements on Python floats, bit for bit
-the numpy pass's values without its per-call overhead. ``rk4_step`` still
-makes every step, so its tableau is the only one. A block of points ends
-there. Otherwise the block makes one batched curvature call at all those
-stages: ``christoffel`` for the transport alone, or
-``christoffel_with_partials`` for Gamma and its partials with the Jacobi
-pair. The frame step matrices of the block, from A = -Gamma(X, .) at every
-stage, carry (e1, e2) step by step. With the Jacobi pair they also give the
-stage frames, one batched ``jacobi_matrix`` call gives M at all of them
-(from Gamma and its partials, without the full Riemann tensor), and the
-Jacobi step matrices carry (J, J') and (Jt, Jt'). A block in which anything
-fails is replayed seed by seed as one-step blocks (``_replay``). A row's bits
-depend neither on its batch nor on its block's length, so block and replay
-agree bit for bit, and both agree with stage-form RK4 of all 9 or 17
-components (k = f(y) at each stage) to rounding. The stop rule: a seed stops
-before its first step that leaves the chart (for points, at a stage point or
-its end) or, with frames, whose end's curvature stencil does
-(``_partials_inside``, the post-pass's reach). A block applies it once, at
-all its step ends, and hands back the steps each seed made; the replay reads
-them from its one-step blocks, so the post-pass keeps every sample it is
-given. Only the replay tells a chart exit (OutOfChart, or a DomainError
-outside the chart), which stops a seed, from any other error, which it
-raises; a failed block costs at most ``JACOBI_BLOCK`` one-seed steps.
+differentiated exactly) or the transport with the Jacobi pair
+(``integrate_orbits``). A block first runs RK4 on p alone (``_point_pass``),
+recording every stage point and field value. A one-row block of a field
+given by expressions runs this point pass on Python floats: the state is a
+``_Point`` of three floats and the stage values come from the table's
+scalar program (``ExprTable.at_point``), the same statements on Python
+floats, bit for bit the numpy pass's values without its per-call overhead.
+``rk4_step`` still makes every step, so its tableau is the only one. A
+block of points ends there. Otherwise the block makes one batched
+``christoffel_with_partials`` call for Gamma and its partials at all those
+stages. The frame step matrices of the block, from A = -Gamma(X, .) at
+every stage, carry (e1, e2) step by step and give the stage frames, one
+batched ``jacobi_matrix`` call gives M at all of them (from Gamma and its
+partials, without the full Riemann tensor), and the Jacobi step matrices
+carry (J, J') and (Jt, Jt'). A block in which anything fails is replayed
+seed by seed as one-step blocks (``_replay``). A row's bits depend neither
+on its batch nor on its block's length, so block and replay agree bit for
+bit, and both agree with stage-form RK4 of all 17 components (k = f(y) at
+each stage) to rounding. The stop rule: a seed stops before its first step
+that leaves the chart: for points, at a stage point or its end; with
+frames, at a stage's curvature stencil (the block's curvature call raises,
+so it replays) or its end's (``_partials_inside``, the post-pass's reach).
+A block applies the end check once, at all its step ends, and hands back
+the steps each seed made; the replay reads them from its one-step blocks,
+so the post-pass keeps every sample it is given. Only the replay tells a
+chart exit (OutOfChart, or a DomainError outside the chart), which stops a
+seed, from any other error, which it raises; a failed block costs at most
+``JACOBI_BLOCK`` one-seed steps.
 
-Each sample but the last is the first stage of its step. ``integrate_orbits``
-decides where a sample's g, Gamma and its partials come from: with the
-Jacobi pair, the blocks' (and replays') rows there, and one batched
-``christoffel_with_partials`` call at every seed's last sample; without it,
-whose blocks compute no partials, one such call at all of a seed's samples.
-The post-pass (``_trajectory``) reads what it is given.
+Each sample but the last is the first stage of its step, so a sample's g,
+Gamma and its partials are the blocks' (and replays') rows there; one
+batched ``christoffel_with_partials`` call at every seed's last sample gives
+the rest. The post-pass (``_trajectory``) reads what it is given.
 
 An orbit starts from its start's ``diagnose`` row: the frame (e1, e2) and
 J'(0) = B(0) J(0). The samples' B and M come from ``frame_terms``, the
@@ -67,10 +63,10 @@ kernel behind ``diagnose``, so sample 0 is that row bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+# christoffel is not called here; perfbench's tracer test checks this binding
 from .curvature import (_partials_inside, christoffel, christoffel_with_partials,
                         jacobi_matrix, real_eigenvalues)
 from .errors import DegenerateSeed, DomainError, GeoContactError, OutOfChart, StepTooLarge
@@ -80,18 +76,17 @@ from .geometry import ChartedManifold, inner
 
 FRAME_DRIFT_LIMIT = 1e-6
 
-#: RK4 steps of one seed per block, in every mode (with frames, one batched
+#: RK4 steps of one seed per block, in both modes (with frames, one batched
 #: curvature call). N seeds share blocks of JACOBI_BLOCK // N steps, so a
-#: block's curvature batch has at most 4 * JACOBI_BLOCK rows, and with the
-#: Jacobi pair its stencil 7 times as many (7.3 MB of Gamma partials). Its step
-#: matrices add about ten stacks of at most (count, 4, N, 4, 4) floats, 0.2 MB
-#: each. With the Jacobi pair a seed keeps g, Gamma and its partials at each
-#: sample, 117 floats (1.9 MB for a 2000-step orbit), where a post-pass stencil
-#: of 7 * 2001 rows would peak higher.
+#: block's curvature batch has at most 4 * JACOBI_BLOCK rows, and its stencil
+#: 7 times as many (7.3 MB of Gamma partials). Its step matrices add about ten
+#: stacks of at most (count, 4, N, 4, 4) floats, 0.2 MB each. A seed keeps g,
+#: Gamma and its partials at each sample, 117 floats (1.9 MB for a 2000-step
+#: orbit), where a post-pass stencil of 7 * 2001 rows would peak higher.
 JACOBI_BLOCK = 400
 
 #: the shapes of g, Gamma and its partials at one point, the curvature rows
-#: that a block with the Jacobi pair hands back at each step's first stage
+#: that a block with frames hands back at each step's first stage
 _CURVATURE = ((3, 3), (3, 3, 3), (3, 3, 3, 3))
 
 
@@ -126,10 +121,10 @@ class _Point(tuple):
 class Trajectory:
     """Orbit of a unit field with per-sample frames, B, M and Jacobi data.
 
-    Array layout: t (n,), points (n, 3), e1/e2 (n, 3), B/M (n, 2, 2); when
-    the canonical adapted pair was integrated (``with_jacobi``), its blocks
-    J, Jdot, Jt, Jtdot are (n, 2) and A and ``adapted`` are (n,). The adapted
-    field from c1 e1 + c2 e2 is c1 J + c2 Jt, in the chart J1 e1 + J2 e2.
+    Array layout: t (n,), points (n, 3), e1/e2 (n, 3), B/M (n, 2, 2); the
+    canonical adapted pair's blocks J, Jdot, Jt, Jtdot are (n, 2) and A and
+    ``adapted`` are (n,). The adapted field from c1 e1 + c2 e2 is
+    c1 J + c2 Jt, in the chart J1 e1 + J2 e2.
     """
 
     t: np.ndarray
@@ -140,21 +135,21 @@ class Trajectory:
     M: np.ndarray
     X_along: np.ndarray  # unit field values at the samples, (n, 3)
     step: float
-    truncated: bool = False
-    J: Optional[np.ndarray] = None
-    Jdot: Optional[np.ndarray] = None
-    Jt: Optional[np.ndarray] = None
-    Jtdot: Optional[np.ndarray] = None
-    A: Optional[np.ndarray] = None
-    adapted: Optional[np.ndarray] = None  # per sample: max over the pair of |Jdot - B J|
+    truncated: bool
+    J: np.ndarray
+    Jdot: np.ndarray
+    Jt: np.ndarray
+    Jtdot: np.ndarray
+    A: np.ndarray
+    adapted: np.ndarray  # per sample: max over the pair of |Jdot - B J|
 
     def __len__(self):
         return self.t.shape[0]
 
     @property
-    def adapted_residual(self) -> Optional[float]:
+    def adapted_residual(self) -> float:
         """max |Jdot - B J| over the samples and the pair."""
-        return None if self.adapted is None else float(self.adapted.max())
+        return float(self.adapted.max())
 
 
 def _step_matrices(a, h):
@@ -208,7 +203,7 @@ def _carry(steps, z):
     return out
 
 
-def _replay(man, X, y, count, h, with_jacobi):
+def _replay(man, X, y, count, h):
     """The block of ``count`` steps of y that raised, redone one step of one
     seed at a time, handed back as a block hands it back: the states (count,
     N, state) after each step, the curvature rows at each step's first stage
@@ -217,12 +212,12 @@ def _replay(man, X, y, count, h, with_jacobi):
     point outside the chart. Any other error is raised: the first failing
     seed's, as that seed alone raises it."""
     out, made = np.empty((count,) + y.shape), np.zeros(len(y), dtype=int)
-    firsts = [np.empty((count, len(y)) + shape) for shape in _CURVATURE] if with_jacobi else []
+    firsts = [np.empty((count, len(y)) + shape) for shape in _CURVATURE] if y.shape[1] > 3 else []
     for k in range(len(y)):
         z = y[k:k + 1]
         for s in range(count):
             try:
-                states, first, step_made = _jacobi_block(man, X, z, 1, h, with_jacobi)
+                states, first, step_made = _jacobi_block(man, X, z, 1, h)
             except OutOfChart:
                 break
             except DomainError as exc:
@@ -271,24 +266,24 @@ def _point_pass(man, X, y, count, h):
     return np.array(ends).reshape(count, n, 3), q, xv
 
 
-def _jacobi_block(man, X, y, count, h, with_jacobi):
+def _jacobi_block(man, X, y, count, h):
     """The states (count, N, width) after each of ``count`` steps of the (N,
-    width) states y; with the Jacobi pair g, Gamma and its partials at each
-    step's first stage, (count, N, ...) each (else none); and the steps (N,)
-    each seed made by the stop rule of the module docstring. The width says
-    what a state carries: the point p alone (3), p and the frame (9), or p,
-    the frame and the Jacobi pair (17, ``with_jacobi``).
+    width) states y; with frames g, Gamma and its partials at each step's
+    first stage, (count, N, ...) each (else none); and the steps (N,) each
+    seed made by the stop rule of the module docstring. The width says what
+    a state carries: the point p alone (3), or p, the frame and the Jacobi
+    pair (17).
 
     The point pass (``_point_pass``) integrates p alone. A block of points
     ends there: a seed stops before its first step with a stage point or an
-    end outside the chart. Else one curvature batch gives Gamma (and its
-    partials) at all the pass's stages, whose metric ``_require_metric``
+    end outside the chart. Else one curvature batch gives Gamma and its
+    partials at all the pass's stages, whose metric ``_require_metric``
     checks; the frame step matrices, from A = -Gamma(X, .) at every stage,
-    carry (e1, e2) step by step. With the Jacobi pair they also give the
-    stage frames, one ``jacobi_matrix`` call gives M at all of them, and the
-    Jacobi step matrices carry (J, J') and (Jt, Jt'). A row's bits depend
-    neither on its batch nor on ``count``. Raises what the point pass raises,
-    then the chart check of all the curvature points, then their metric checks.
+    carry (e1, e2) step by step and give the stage frames, one
+    ``jacobi_matrix`` call gives M at all of them, and the Jacobi step
+    matrices carry (J, J') and (Jt, Jt'). A row's bits depend neither on its
+    batch nor on ``count``. Raises what the point pass raises, then the chart
+    check of all the curvature points, then their metric checks.
     """
     n = len(y)
     points, q, xv = _point_pass(man, X, y, count, h)
@@ -296,33 +291,27 @@ def _jacobi_block(man, X, y, count, h, with_jacobi):
         inside = (man.contains(q).reshape(count, 4, n).all(axis=1)
                   & man.contains(points.reshape(-1, 3)).reshape(count, n))
         return points, [], np.where(inside.all(axis=0), count, inside.argmin(axis=0))
-    if with_jacobi:
-        g, gam, dgam = christoffel_with_partials(man, q)
-    else:
-        gam = christoffel(man, q)
+    g, gam, dgam = christoffel_with_partials(man, q)
     # the stop rule, once nothing can raise
     inside = _partials_inside(man, points.reshape(-1, 3)).reshape(count, n)
     made = np.where(inside.all(axis=0), count, inside.argmin(axis=0))
     stack = (count, 4, n)
     frame_steps, maps = _step_matrices(_transport_matrix(gam, xv).reshape(stack + (3, 3)), h)
     es = _carry(frame_steps, _columns(y[:, 3:9], 3))
-    out = [points, _rows(es[1:])]
-    if not with_jacobi:
-        return np.concatenate(out, axis=-1), [], made
     frames = np.concatenate([es[:-1, None], maps @ es[:-1, None]], axis=1)
     m = jacobi_matrix(gam, dgam, g, xv, _rows(frames).reshape(-1, 2, 3))
     jacobi_steps = _step_matrices(_jacobi_rates(m).reshape(stack + (4, 4)), h)[0]
-    out.append(_rows(_carry(jacobi_steps, _columns(y[:, 9:], 4))[1:]))
+    js = _carry(jacobi_steps, _columns(y[:, 9:], 4))
     # copies: views would hold the block's whole curvature batch through the next block
     firsts = [np.ascontiguousarray(a.reshape(stack + a.shape[1:])[:, 0]) for a in (g, gam, dgam)]
-    return np.concatenate(out, axis=-1), firsts, made
+    return np.concatenate([points, _rows(es[1:]), _rows(js[1:])], axis=-1), firsts, made
 
 
 def orbit_steps(t_end, step) -> int:
     """RK4 steps of the uniform grid from 0 that lands exactly on t_end.
 
     Raises ValueError if t_end / step is not finite or one seed's trajectory
-    buffer, steps + 1 states of 17 floats (with the Jacobi pair), is larger
+    buffer, steps + 1 states of 17 floats (with frames), is larger
     than numpy can address.
     """
     ratio = t_end / step
@@ -350,23 +339,23 @@ def _require_starts(man, starts, t_end, step, stencil):
         raise ValueError("t_end must be positive and finite")
 
 
-def _advance(man, X, y, nsteps, step, with_jacobi):
+def _advance(man, X, y, nsteps, step):
     """The seeds' states y (N, width) advanced ``nsteps`` steps as one RK4 state,
     in blocks (``_jacobi_block``; a failed one replays seed by seed): per seed,
-    its states in time order (N, nsteps + 1, width), with the Jacobi pair g,
-    Gamma and its partials at every sample but the last (else none), and its
-    samples (N,), the first 1 + the steps it made."""
+    its states in time order (N, nsteps + 1, width), with frames g, Gamma and
+    its partials at every sample but the last (else none), and its samples
+    (N,), the first 1 + the steps it made."""
     hist = np.empty((len(y), nsteps + 1, y.shape[1]))
     hist[:, 0] = y
-    kept = [np.empty(hist.shape[:2] + shape) for shape in _CURVATURE] if with_jacobi else []
+    kept = [np.empty(hist.shape[:2] + shape) for shape in _CURVATURE] if y.shape[1] > 3 else []
     rows = np.arange(len(y))  # the seeds still going
     samples, done = np.ones(len(y), dtype=int), 0
     while done < nsteps and rows.size:
         count = min(nsteps - done, max(1, JACOBI_BLOCK // len(rows)))
         try:
-            out, firsts, made = _jacobi_block(man, X, y, count, step, with_jacobi)
+            out, firsts, made = _jacobi_block(man, X, y, count, step)
         except GeoContactError:  # the seeds one at a time stop or raise
-            out, firsts, made = _replay(man, X, y, count, step, with_jacobi)
+            out, firsts, made = _replay(man, X, y, count, step)
         hist[rows, done + 1:done + 1 + count] = np.swapaxes(out, 0, 1)
         for buf, first in zip(kept, firsts):  # step s's first stage is sample s
             buf[rows, done:done + count] = np.swapaxes(first, 0, 1)
@@ -387,34 +376,30 @@ def orbit_points(man: ChartedManifold, X: UnitField, starts, t_end, step):
     starts = as_points(starts)[0]
     _require_starts(man, starts, t_end, step, stencil=False)
     nsteps = orbit_steps(t_end, step)
-    hist, _, samples = _advance(man, X, starts, nsteps, t_end / nsteps, False)
+    hist, _, samples = _advance(man, X, starts, nsteps, t_end / nsteps)
     return hist, samples
 
 
-def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
-                     with_jacobi=True) -> list[Trajectory]:
-    """Integrate the orbits of X from an (N, 3) batch of starts with transported frames.
+def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step) -> list[Trajectory]:
+    """Integrate the orbits of X from an (N, 3) batch of starts with transported
+    frames and the canonical adapted pair.
 
     All orbits advance as one RK4 state, in blocks whose stages share one
-    batched curvature call: ``christoffel`` for the transport alone, or
-    ``christoffel_with_partials`` with ``with_jacobi`` (see the module
-    docstring). A seed stops before its first step that leaves the chart or
-    whose end's curvature stencil does, and is then ``truncated``, while the
-    others go on; each trajectory equals the one its start gives alone. The
-    frames and B(0) are the starts' ``diagnose`` rows; with ``with_jacobi``
-    the canonical adapted pair, J(0) = e1 and Jt(0) = e2 with
-    J'(0) = B(0) J(0), is integrated alongside, and each seed keeps g, Gamma
-    and its partials from its blocks at every sample but its last, whose
-    rows come from one ``christoffel_with_partials`` call at all the seeds'
-    last samples; without it, one call at all its samples gives them. Raises
-    OutOfChart naming the first start outside the chart or whose own stencil
-    leaves it, ValueError for the step or t_end, then what ``diagnose`` raises
-    at the first bad start: a metric error, NotUnit or DegenerateSeed. A failed
-    block replays seed by seed, so an error along the orbits other than a
-    chart exit is what the first such seed, in seed order, raises alone; with
-    the Jacobi pair, a metric error at a last sample comes before any StepTooLarge.
-    Without the Jacobi pair, its one caller in the package is T6.1 on a chart
-    differentiated centrally (``verify._jacobi_tensor_drift``).
+    batched ``christoffel_with_partials`` call (see the module docstring). A
+    seed stops before its first step that leaves the chart or whose end's
+    curvature stencil does, and is then ``truncated``, while the others go
+    on; each trajectory equals the one its start gives alone. The frames and
+    B(0) are the starts' ``diagnose`` rows; the canonical adapted pair,
+    J(0) = e1 and Jt(0) = e2 with J'(0) = B(0) J(0), is integrated alongside,
+    and each seed keeps g, Gamma and its partials from its blocks at every
+    sample but its last, whose rows come from one ``christoffel_with_partials``
+    call at all the seeds' last samples. Raises OutOfChart naming the first
+    start outside the chart or whose own stencil leaves it, ValueError for the
+    step or t_end, then what ``diagnose`` raises at the first bad start: a
+    metric error, NotUnit or DegenerateSeed. A failed block replays seed by
+    seed, so an error along the orbits other than a chart exit is what the
+    first such seed, in seed order, raises alone; a metric error at a last
+    sample comes before any StepTooLarge.
     """
     starts = as_points(starts)[0]
     _require_starts(man, starts, t_end, step, stencil=True)
@@ -422,28 +407,24 @@ def integrate_orbits(man: ChartedManifold, X: UnitField, starts, t_end, step,
     y = [starts, start.frame[:, :, 1], start.frame[:, :, 2]]
     for j0 in np.eye(2):  # J(0) = e1 and Jt(0) = e2, with J'(0) = B(0) J(0)
         y += [np.broadcast_to(j0, (len(starts), 2)), start.B @ j0]
-    y = np.concatenate(y, axis=1)[:, :17 if with_jacobi else 9]  # the transport: p, e1, e2
+    y = np.concatenate(y, axis=1)
 
     nsteps = orbit_steps(t_end, step)
     step = t_end / nsteps
-    hist, kept, samples = _advance(man, X, y, nsteps, step, with_jacobi)
-    if with_jacobi:  # a seed's last sample is the first stage of no step it made
-        last = np.arange(len(hist)), samples - 1
-        for buf, at_last in zip(kept, christoffel_with_partials(man, hist[last][:, 0:3])):
-            buf[last] = at_last
-    return [_trajectory(man, X, hist[k, :n], step, bool(n <= nsteps), with_jacobi,
-                        [buf[k, :n] for buf in kept] if with_jacobi
-                        else christoffel_with_partials(man, hist[k, :n, 0:3]))
+    hist, kept, samples = _advance(man, X, y, nsteps, step)
+    last = np.arange(len(hist)), samples - 1  # no step its seed made starts there
+    for buf, at_last in zip(kept, christoffel_with_partials(man, hist[last][:, 0:3])):
+        buf[last] = at_last
+    return [_trajectory(man, X, hist[k, :n], step, bool(n <= nsteps), [buf[k, :n] for buf in kept])
             for k, n in enumerate(samples)]
 
 
-def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step,
-                    with_jacobi=True) -> Trajectory:
+def integrate_orbit(man: ChartedManifold, X: UnitField, p0, t_end, step) -> Trajectory:
     """The orbit of X from one start p0: ``integrate_orbits`` with N = 1."""
-    return integrate_orbits(man, X, [p0], t_end, step, with_jacobi)[0]
+    return integrate_orbits(man, X, [p0], t_end, step)[0]
 
 
-def _trajectory(man, X, arr, step, truncated, with_jacobi, curvature) -> Trajectory:
+def _trajectory(man, X, arr, step, truncated, curvature) -> Trajectory:
     """One seed's trajectory from all its states arr (n, state) and g, Gamma
     and its partials at every sample, ``curvature``, (n, ...) each: frame-drift
     check, B, M, Jacobi."""
@@ -463,14 +444,12 @@ def _trajectory(man, X, arr, step, truncated, with_jacobi, curvature) -> Traject
             f"frame orthonormality drifted to {drift:.3e}; halve the step")
 
     _, gram, M = frame_terms(man, X, points, g, gam, dgam, xv, frame)
-    traj = Trajectory(t=t, points=points, e1=e1, e2=e2, B=np.swapaxes(gram[:, 1:, 1:], 1, 2),
-                      M=M, X_along=xn, step=step, truncated=truncated)
-    if with_jacobi:
-        traj.J, traj.Jdot, traj.Jt, traj.Jtdot = np.moveaxis(arr[:, 9:].reshape(n, 4, 2), 1, 0)
-        traj.A = traj.J[:, 0] * traj.Jt[:, 1] - traj.J[:, 1] * traj.Jt[:, 0]
-        traj.adapted = np.maximum(_adapted_defect(traj.B, traj.J, traj.Jdot),
-                                  _adapted_defect(traj.B, traj.Jt, traj.Jtdot))
-    return traj
+    B = np.swapaxes(gram[:, 1:, 1:], 1, 2)
+    J, Jdot, Jt, Jtdot = np.moveaxis(arr[:, 9:].reshape(n, 4, 2), 1, 0)
+    adapted = np.maximum(_adapted_defect(B, J, Jdot), _adapted_defect(B, Jt, Jtdot))
+    return Trajectory(t=t, points=points, e1=e1, e2=e2, B=B, M=M, X_along=xn, step=step,
+                      truncated=truncated, J=J, Jdot=Jdot, Jt=Jt, Jtdot=Jtdot,
+                      A=J[:, 0] * Jt[:, 1] - J[:, 1] * Jt[:, 0], adapted=adapted)
 
 
 def _adapted_defect(B, J, Jdot):
@@ -522,8 +501,6 @@ class WronskianResult:
 
 def wronskian(traj: Trajectory) -> WronskianResult:
     """Wronskian A(t) of the canonical adapted pair against exp(int tr B)."""
-    if traj.A is None:
-        raise ValueError("trajectory was integrated without the adapted pair")
     trb = np.trace(traj.B, axis1=1, axis2=2)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (trb[1:] + trb[:-1]) * traj.step)])
     expected = np.exp(integral)

@@ -257,12 +257,18 @@ def _jacobi_tensor_drift(entry: CatalogEntry, pts):
     differentiated centrally, a third partial by nested central differences
     would be noise (about eps / h^3), so the estimate is the orbit's: M in
     the transported frame, differenced over a window of 0.05
-    (``max_parallel_jacobi_defect``), from orbits without the Jacobi pair.
+    (``max_parallel_jacobi_defect``), from the orbits ``integrate_orbits``
+    gives. Their blocks need Gamma's partials at every stage, so a seed stops
+    before its first step with a stage whose curvature stencil (2 diff_step)
+    leaves the chart, or whose end's stencil does. Where a stage's stencil
+    leaves the chart while Gamma's own (a diff_step reach) and its step
+    end's stencil do not, the seed stops before a step that Gamma at the
+    stages alone, with the end check, would let it make.
     """
     man, X = entry.manifold, entry.field
     if not _exact(man, man.metric_exprs):
-        return np.array([max_parallel_jacobi_defect(traj, window=0.1 / 2) for traj in
-                         integrate_orbits(man, X, pts, 0.1, 1e-3, with_jacobi=False)])
+        return np.array([max_parallel_jacobi_defect(traj, window=0.1 / 2)
+                         for traj in integrate_orbits(man, X, pts, 0.1, 1e-3)])
     points, samples = orbit_points(man, X, pts, 0.1, 1e-3)
     k = np.arange(points.shape[1])
     rows = ((k % T61_STRIDE == 0) & (k < samples[:, None])) | (k == samples[:, None] - 1)

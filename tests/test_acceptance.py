@@ -219,7 +219,6 @@ def test_criterion_12_backends(entries):
         p0 = np.array([0.0, 0.0, 1.0])
         errors = []
         for h in (0.02, 0.01):
-            traj = gc.integrate_orbit(entry.manifold, entry.field, p0, 1.0, h,
-                                      with_jacobi=False)
+            traj = gc.integrate_orbit(entry.manifold, entry.field, p0, 1.0, h)
             errors.append(abs(traj.points[-1, 2] - np.e))
         assert errors[0] / errors[1] >= 8.0

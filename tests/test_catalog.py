@@ -219,8 +219,7 @@ def test_skew_orbits_are_straight_lines(entries):
     rng = np.random.default_rng(61)
     for _ in range(5):
         p0 = rng.uniform(-1.5, 1.5, 3)
-        traj = gc.integrate_orbit(entry.manifold, entry.field, p0, 1.0, 1e-2,
-                                  with_jacobi=False)
+        traj = gc.integrate_orbit(entry.manifold, entry.field, p0, 1.0, 1e-2)
         direction = entry.field.value(p0)
         expected = p0[None, :] + traj.t[:, None] * direction[None, :]
         assert np.abs(traj.points - expected).max() < 1e-8
@@ -228,7 +227,6 @@ def test_skew_orbits_are_straight_lines(entries):
 
 def test_heisenberg_orbit_is_vertical_line(entries):
     entry = entries["heisenberg_reeb"]
-    traj = gc.integrate_orbit(entry.manifold, entry.field,
-                              np.array([0.3, -0.2, 0.1]), 1.0, 1e-2, with_jacobi=False)
+    traj = gc.integrate_orbit(entry.manifold, entry.field, np.array([0.3, -0.2, 0.1]), 1.0, 1e-2)
     np.testing.assert_allclose(traj.points[:, 0], 0.3, atol=1e-12)
     np.testing.assert_allclose(traj.points[:, 1], -0.2, atol=1e-12)

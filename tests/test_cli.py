@@ -789,7 +789,7 @@ def test_orbit_report_floats_parse_back_exactly(capsys):
     entry = gc.builtin("h3_vertical")
     spec = entry.orbit
     traj = gc.integrate_orbit(entry.manifold, entry.field, np.asarray(spec.start, float),
-                              spec.t_end, spec.step, with_jacobi=True)
+                              spec.t_end, spec.step)
     _, out, _ = run(capsys, ["orbit", "--entry", "h3_vertical"])
     cols = {k: v.astype(float) for k, v in csv_columns(out).items()}
     assert np.array_equal(cols["t"], traj.t)

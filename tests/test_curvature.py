@@ -573,7 +573,7 @@ def test_jacobi_tensor_drift_vanishes_on_the_catalog_and_the_oracle_families(ent
                          + [warped(f) for f in WARPED], ids=lambda e: e.name)
 def test_jacobi_tensor_drift_agrees_with_the_orbit_estimator(entry):
     """Per T6.1 seed, the exact max ||nabla_X R_X|| over its segment against
-    ``max_parallel_jacobi_defect`` of its transport orbit at a one-step window,
+    ``max_parallel_jacobi_defect`` of its orbit at a one-step window,
     which differences M at the segment's samples: within the estimator's
     error, its stencil noise over one step (at most 4.8e-6, berger(0.3)) where
     the drift is 0, and its step's truncation on the warped charts (5.1e-3
@@ -581,5 +581,5 @@ def test_jacobi_tensor_drift_agrees_with_the_orbit_estimator(entry):
     seeds = entry.grid.subgrid((3, 3, 3)).points()
     exact = _jacobi_tensor_drift(entry, seeds)
     estimate = np.array([max_parallel_jacobi_defect(traj) for traj in integrate_orbits(
-        entry.manifold, entry.field, seeds, 0.1, 1e-3, with_jacobi=False)])
+        entry.manifold, entry.field, seeds, 0.1, 1e-3)])
     assert (np.abs(exact - estimate) <= 2e-5 + 1e-2 * exact).all()

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -38,16 +37,14 @@ def test_flat_parallel_orbit_exact(entries):
 
 def test_h3_orbit_exponential(entries):
     entry = entries["h3_vertical"]
-    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0, 1.0]),
-                           2.0, 1e-3, with_jacobi=False)
+    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.0, 0, 1.0]), 2.0, 1e-3)
     assert abs(traj.points[-1, 2] - np.exp(2.0)) / np.exp(2.0) < 1e-8
 
 
 def test_hopf_orbit_periodic(entries):
     entry = entries["s3_hopf"]
     p0 = np.array([0.3, 0.2, 0.1])
-    traj = integrate_orbit(entry.manifold, entry.field, p0, 2 * np.pi, 1e-3,
-                           with_jacobi=False)
+    traj = integrate_orbit(entry.manifold, entry.field, p0, 2 * np.pi, 1e-3)
     assert np.abs(traj.points[-1] - p0).max() < 1e-6
 
 
@@ -75,26 +72,51 @@ TRAJECTORY_ARRAYS = ("points", "e1", "e2", "B", "M")
 JACOBI_ARRAYS = ("J", "Jdot", "Jt", "Jtdot")
 
 
-def assert_same_trajectory(batched, solo, with_jacobi):
+@dataclasses.dataclass
+class Segment:
+    """One seed's samples from ``orbit_points``, read where a test reads a
+    trajectory: its points, whether it stopped before t_end, and its step."""
+    points: np.ndarray
+    truncated: bool
+    step: float
+
+    def __len__(self):
+        return len(self.points)
+
+
+def point_segments(man, X, starts, t_end, step):
+    """``orbit_points`` of a batch of starts, one Segment per seed."""
+    nsteps = flow.orbit_steps(t_end, step)
+    points, samples = flow.orbit_points(man, X, starts, t_end, step)
+    return [Segment(points[k, :n], bool(n <= nsteps), t_end / nsteps)
+            for k, n in enumerate(samples)]
+
+
+#: the two ways to run a batch of orbits: with frames and the Jacobi pair
+#: (``integrate_orbits``), and as points alone (``orbit_points``)
+ORBITS = {"frames": integrate_orbits, "points": point_segments}
+
+
+def assert_same_trajectory(batched, solo):
     assert batched.truncated == solo.truncated
     assert batched.step == solo.step
-    for name in TRAJECTORY_ARRAYS + (JACOBI_ARRAYS if with_jacobi else ()):
+    names = ("points",) if isinstance(solo, Segment) else TRAJECTORY_ARRAYS + JACOBI_ARRAYS
+    for name in names:
         assert np.array_equal(getattr(batched, name), getattr(solo, name)), name
 
 
+@pytest.mark.parametrize("path", ORBITS)
 @pytest.mark.parametrize("name", ["s3_hopf", "h2xr_vertical"])
-@pytest.mark.parametrize("with_jacobi,t_end", [(False, 0.1), (True, 0.02)])
-def test_batched_orbits_equal_solo_orbits(entries, name, with_jacobi, t_end):
-    """The 27 T6.1 seeds as one batch give each seed's solo trajectory bit for bit."""
-    entry = entries[name]
+def test_batched_orbits_equal_solo_orbits(entries, name, path):
+    """The 27 T6.1 seeds as one batch give each seed's solo trajectory bit for
+    bit, over T6.1's segment length 0.1."""
+    entry, orbits = entries[name], ORBITS[path]
     seeds = entry.grid.subgrid((3, 3, 3)).points()
-    batch = integrate_orbits(entry.manifold, entry.field, seeds, t_end, 1e-3,
-                             with_jacobi=with_jacobi)
+    batch = orbits(entry.manifold, entry.field, seeds, 0.1, 1e-3)
     assert len(batch) == len(seeds)
     for p, traj in zip(seeds, batch):
-        solo = integrate_orbit(entry.manifold, entry.field, p, t_end, 1e-3,
-                               with_jacobi=with_jacobi)
-        assert_same_trajectory(traj, solo, with_jacobi)
+        solo = orbits(entry.manifold, entry.field, [p], 0.1, 1e-3)[0]
+        assert_same_trajectory(traj, solo)
 
 
 def transcendental():
@@ -111,25 +133,26 @@ def transcendental():
     return man, gc.UnitField.from_exprs("twisted_y1", (f"cos({f})", f"-sin({f})", "0"))
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_transcendental_orbits_batched_equal_solo(with_jacobi):
+@pytest.mark.parametrize("path", ORBITS)
+def test_transcendental_orbits_batched_equal_solo(path):
     """A solo orbit takes its stage fields from the scalar program, a batch
     from the numpy program: the two agree bit for bit through exp, sin, cos,
     tanh and x^1.5 too."""
     man, field = transcendental()
     starts = np.array([[0.0, 0.0, 0.1], [-0.5, 0.4, 0.7], [0.0, 0.0, -0.6]])
-    batch = integrate_orbits(man, field, starts, 0.05, 1e-3, with_jacobi=with_jacobi)
+    batch = ORBITS[path](man, field, starts, 0.05, 1e-3)
     for p, traj in zip(starts, batch):
-        solo = integrate_orbit(man, field, p, 0.05, 1e-3, with_jacobi=with_jacobi)
+        solo = ORBITS[path](man, field, [p], 0.05, 1e-3)[0]
         assert len(solo) == 51 and not solo.truncated
-        assert_same_trajectory(traj, solo, with_jacobi)
+        assert_same_trajectory(traj, solo)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_one_seed_point_pass_runs_on_floats_through_rk4_step(entries, monkeypatch, with_jacobi):
+@pytest.mark.parametrize("path,numpy_batches", [("frames", [1, 501]), ("points", [])])
+def test_one_seed_point_pass_runs_on_floats_through_rk4_step(entries, monkeypatch, path,
+                                                             numpy_batches):
     """A one-seed orbit evaluates its field table with numpy only at its start
-    and in the post-pass over all its samples, yet still makes every step
-    with ``rk4_step``."""
+    and in the post-pass over all its samples, and as points alone never, yet
+    still makes every step with ``rk4_step``."""
     entry = entries["s3_hopf"]
     table, batches, steps = entry.field.component_exprs, [], []
     eval_scalar, step = gc.expr.eval_scalar, flow.rk4_step
@@ -145,47 +168,47 @@ def test_one_seed_point_pass_runs_on_floats_through_rk4_step(entries, monkeypatc
 
     monkeypatch.setattr(gc.expr, "eval_scalar", counted_eval)
     monkeypatch.setattr(flow, "rk4_step", counted_step)
-    traj = integrate_orbit(entry.manifold, entry.field, entry.orbit.start, 0.5, 1e-3,
-                           with_jacobi=with_jacobi)
+    traj = ORBITS[path](entry.manifold, entry.field, [entry.orbit.start], 0.5, 1e-3)[0]
     assert len(traj) == 501 and not traj.truncated
-    assert batches == [1, 501]  # the start's diagnose and the post-pass
+    assert batches == numpy_batches  # with frames, the start's diagnose and the post-pass
     assert len(steps) == 500
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
+@pytest.mark.parametrize("path", ORBITS)
 @pytest.mark.parametrize("name", ["h3_vertical", "s3_hopf", "s3_weighted(2,3)"])
-def test_one_seed_point_pass_on_floats_equals_the_numpy_pass(entries, name, with_jacobi):
+def test_one_seed_point_pass_on_floats_equals_the_numpy_pass(entries, name, path):
     """The field as a callable, ``table.evaluate``, takes the numpy point pass
     at one seed, where its table takes the pass on floats: the trajectories
     are equal bit for bit. The central mode differences both fields alike, so
     there every array is compared; in the dual mode the callable's partials
-    are central differences, so there only the arrays that read no dX are."""
+    are central differences, so there only the arrays that read no dX are.
+    As points alone, the points are compared in both modes."""
     entry = entries[name]
     table = entry.field.component_exprs
     numpy_pass = gc.UnitField.from_callable(entry.field.name, table.evaluate)
-    jacobi = JACOBI_ARRAYS + ("A", "adapted") if with_jacobi else ()
+    jacobi = JACOBI_ARRAYS + ("A", "adapted")
     for diff_mode, names in (("central", TRAJECTORY_ARRAYS + ("X_along",) + jacobi),
                              ("dual", ("points", "e1", "e2", "M", "X_along"))):
+        names = names if path == "frames" else ("points",)
         man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
-        floats, rows = (integrate_orbit(man, field, entry.orbit.start, 0.2, 1e-3, with_jacobi)
+        floats, rows = (ORBITS[path](man, field, [entry.orbit.start], 0.2, 1e-3)[0]
                         for field in (entry.field, numpy_pass))
         assert len(floats) == len(rows) == 201 and not floats.truncated
         for array in names:
             assert np.array_equal(getattr(floats, array), getattr(rows, array)), array
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_batched_orbits_truncate_per_seed(with_jacobi):
+@pytest.mark.parametrize("path", ORBITS)
+def test_batched_orbits_truncate_per_seed(path):
     """Only the seed that reaches x3 = 1 stops; the others run to t_end."""
     man, z = slab()
     starts = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.95], [0.3, 0.0, -0.5], [0.0, 0.4, 0.2]])
-    batch = integrate_orbits(man, z, starts, 0.1, 1e-2, with_jacobi=with_jacobi)
+    batch = ORBITS[path](man, z, starts, 0.1, 1e-2)
     assert [traj.truncated for traj in batch] == [False, True, False, False]
     assert batch[1].points[-1, 2] < 1.0
     assert all(len(traj) == 11 for k, traj in enumerate(batch) if k != 1)
     for p, traj in zip(starts, batch):
-        assert_same_trajectory(traj, integrate_orbit(man, z, p, 0.1, 1e-2, with_jacobi),
-                               with_jacobi)
+        assert_same_trajectory(traj, ORBITS[path](man, z, [p], 0.1, 1e-2)[0])
 
 
 def test_batched_orbits_name_the_start_outside_the_chart():
@@ -203,21 +226,22 @@ def test_batched_orbits_name_the_first_non_unit_start():
         integrate_orbits(man, bump, starts, 0.1, 1e-2)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(with_jacobi):
+@pytest.mark.parametrize("path,named", [("frames", "is zero or not finite"),
+                                        ("points", "is not finite")])
+def test_batched_orbits_name_the_first_start_where_the_field_is_not_finite(path, named):
     """exp(1000 x1) - exp(1000 x1) is NaN at x1 = 1, and a NaN unit defect passes
-    the unit check; the start is named as ``diagnose`` names its points."""
+    the unit check; with frames the start is named as ``diagnose`` names its
+    points, as points alone as the point pass names its first stage."""
     man, _ = slab()
     nan = gc.UnitField.from_exprs("nan", ("0", "0", "exp(1000*x1)-exp(1000*x1)+1"))
     starts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DegenerateSeed, match=r"field 'nan' is zero or not finite at \[1\. 0\. 0\.\]"):
-        integrate_orbits(man, nan, starts, 0.1, 1e-2, with_jacobi)
+            DegenerateSeed, match=rf"field 'nan' {named} at \[1\. 0\. 0\.\]"):
+        ORBITS[path](man, nan, starts, 0.1, 1e-2)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
 @pytest.mark.parametrize("name", ORBIT_NAMES)
-def test_an_orbits_first_sample_is_its_starts_diagnosis(entries, name, with_jacobi):
+def test_an_orbits_first_sample_is_its_starts_diagnosis(entries, name):
     """From every in-chart point of the default grid, sample 0 of the orbit is
     the start's ``diagnose`` row bit for bit: the frame, B, the eigenvalues of
     M and its trace Ric(X)."""
@@ -225,7 +249,7 @@ def test_an_orbits_first_sample_is_its_starts_diagnosis(entries, name, with_jaco
     starts = entry.grid.points()
     starts = starts[entry.manifold.contains(starts)]
     diag = gc.diagnose(entry.manifold, entry.field, starts)
-    trajs = integrate_orbits(entry.manifold, entry.field, starts, 2e-3, 1e-3, with_jacobi)
+    trajs = integrate_orbits(entry.manifold, entry.field, starts, 2e-3, 1e-3)
     e1, e2, B, M = (np.array([getattr(t, k)[0] for t in trajs]) for k in ("e1", "e2", "B", "M"))
     assert np.array_equal(np.stack([e1, e2], axis=2), diag.frame[:, :, 1:])
     assert np.array_equal(B, diag.B)
@@ -233,16 +257,15 @@ def test_an_orbits_first_sample_is_its_starts_diagnosis(entries, name, with_jaco
     assert np.array_equal(M[:, 0, 0] + M[:, 1, 1], diag.ric_X)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_a_start_whose_metric_fails_raises_before_the_first_step(monkeypatch, with_jacobi):
-    """The start's ``diagnose`` row checks its metric in both modes, so a metric
-    singular everywhere is named at the start before any RK4 step."""
+def test_a_start_whose_metric_fails_raises_before_the_first_step(monkeypatch):
+    """The start's ``diagnose`` row checks its metric, so a metric singular
+    everywhere is named at the start before any RK4 step."""
     calls = count_calls(monkeypatch, ["rk4_step"])
     man = gc.manifold_from_exprs("thin", (("1e-13", "0", "0"), ("0", "1", "0"),
                                           ("0", "0", "1")))
     z = gc.UnitField.from_exprs("z", ("0", "0", "1"))
     with pytest.raises(SingularMetric, match=r"singular at \[0\.  0\.  0\.5\]"):
-        integrate_orbit(man, z, np.array([0.0, 0.0, 0.5]), 0.1, 1e-2, with_jacobi)
+        integrate_orbit(man, z, np.array([0.0, 0.0, 0.5]), 0.1, 1e-2)
     assert calls == {"rk4_step": 0}
 
 
@@ -267,18 +290,6 @@ def classical_rhs(man, X):
     return rhs
 
 
-def transport_rhs(man, X):
-    """The transport of an (N, 9) state, p, e1 and e2, as one right-hand side,
-    the frame rates from a christoffel call at the stage alone: the tolerance
-    oracle for orbits without the Jacobi pair, as ``classical_rhs`` is with it."""
-    def rhs(t, y):
-        p, e = y[:, 0:3], y[:, 3:9].reshape(-1, 2, 3)
-        xv = X.value(p)
-        de = -np.einsum("nkij,ni,naj->nak", christoffel(man, p), xv, e).reshape(-1, 6)
-        return np.concatenate([xv, de], axis=1)
-    return rhs
-
-
 def rk4_rows(man, step, y, h):
     """One step ``step(y, h)`` of every row of y, all rows at once, and the mask
     of rows whose step end's curvature stencil stays in the chart. If a stage
@@ -299,24 +310,20 @@ def rk4_rows(man, step, y, h):
     return nxt, flow._partials_inside(man, nxt[:, 0:3])
 
 
-def one_step_block(man, X, with_jacobi):
+def one_step_block(man, X):
     """The replay's step: a block of one step, its states without its curvature rows."""
-    return lambda y, h: flow._jacobi_block(man, X, y, 1, h, with_jacobi)[0][0]
+    return lambda y, h: flow._jacobi_block(man, X, y, 1, h)[0][0]
 
 
-#: with_jacobi, both ways: the block tests run each case in both modes
-MODES = (True, False)
-
-
-def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=one_step_block):
-    """``integrate_orbits`` with every step by ``stepper(man, X, with_jacobi)``
+def joint_orbits(man, X, starts, t_end, step, stepper=one_step_block):
+    """``integrate_orbits`` with every step by ``stepper(man, X)``
     (the replay's one-step block unless given), a step that leaves the chart
     redone seed by seed; the initial states are the first samples of a
     one-step run. Each trajectory's g, Gamma and its partials come from a
     ``christoffel_with_partials`` call at all its samples, so the rows that
     ``integrate_orbits`` keeps from its blocks are checked bit for bit."""
-    first = integrate_orbits(man, X, starts, step, step, with_jacobi)
-    names = ("points", "e1", "e2") + (JACOBI_ARRAYS if with_jacobi else ())
+    first = integrate_orbits(man, X, starts, step, step)
+    names = ("points", "e1", "e2") + JACOBI_ARRAYS
     y = np.array([np.concatenate([getattr(tr, name)[0] for name in names]) for tr in first])
     nsteps = flow.orbit_steps(t_end, step)
     step = t_end / nsteps
@@ -324,42 +331,39 @@ def joint_orbits(man, X, starts, t_end, step, with_jacobi=True, stepper=one_step
     hist[:, 0] = y
     rows, samples = np.arange(len(y)), np.full(len(y), nsteps + 1)
     for s in range(1, nsteps + 1):
-        y, ok = rk4_rows(man, stepper(man, X, with_jacobi), y, step)
+        y, ok = rk4_rows(man, stepper(man, X), y, step)
         if not ok.all():
             samples[rows[~ok]] = s
             rows, y = rows[ok], y[ok]
             if not rows.size:
                 break
         hist[rows, s] = y
-    return [flow._trajectory(man, X, hist[k, :n], step, bool(n <= nsteps), with_jacobi,
+    return [flow._trajectory(man, X, hist[k, :n], step, bool(n <= nsteps),
                              christoffel_with_partials(man, hist[k, :n, 0:3]))
             for k, n in enumerate(samples)]
 
 
-def classical_step(man, X, with_jacobi):
-    """Stage-form RK4 of ``classical_rhs`` or ``transport_rhs``, as a
-    ``joint_orbits`` stepper."""
-    rhs = classical_rhs if with_jacobi else transport_rhs
-    return functools.partial(rk4_step, rhs(man, X), 0.0)
+def classical_step(man, X):
+    """Stage-form RK4 of ``classical_rhs``, as a ``joint_orbits`` stepper."""
+    return functools.partial(rk4_step, classical_rhs(man, X), 0.0)
 
 
-def assert_joint_result(man, X, starts, t_end, step, with_jacobi=True):
+def assert_joint_result(man, X, starts, t_end, step):
     """The blocks give the trajectories of one-step blocks bit for bit, or
     raise their error with its message."""
     try:
-        expected = joint_orbits(man, X, starts, t_end, step, with_jacobi)
+        expected = joint_orbits(man, X, starts, t_end, step)
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
-            integrate_orbits(man, X, starts, t_end, step, with_jacobi)
+            integrate_orbits(man, X, starts, t_end, step)
         assert str(raised.value) == str(exc)
         return
-    got = integrate_orbits(man, X, starts, t_end, step, with_jacobi)
+    got = integrate_orbits(man, X, starts, t_end, step)
     assert len(got) == len(expected)
-    names = ("t", "X_along") + (("A", "adapted") if with_jacobi else ())
     for traj, ref in zip(got, expected):
         assert len(traj) == len(ref)
-        assert_same_trajectory(traj, ref, with_jacobi)
-        for name in names:
+        assert_same_trajectory(traj, ref)
+        for name in ("t", "X_along", "A", "adapted"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
 
@@ -395,8 +399,8 @@ def grid_starts(draw, grid, max_seeds=3):
        st.integers(1, 10), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
 def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, step, diff_mode):
     """Blocks of 3 steps per seed batch, so that block edges and a final partial
-    block occur; in both modes every Trajectory array equals that of one-step
-    blocks at every step, and orbits that stay in the chart replay no block.
+    block occur; every Trajectory array equals that of one-step blocks at
+    every step, and orbits that stay in the chart replay no block.
     On both backends the block's curvature batch, and its stacked step
     matrices, give each stage the bits of a one-step block's."""
     entry = entries[name]
@@ -405,8 +409,7 @@ def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, st
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
         replays = count_replays(mp)
-        for with_jacobi in MODES:
-            assert_joint_result(man, entry.field, starts, nsteps * step, step, with_jacobi)
+        assert_joint_result(man, entry.field, starts, nsteps * step, step)
     assert not replays
 
 
@@ -415,26 +418,22 @@ def test_five_passes_equal_the_joint_integration(entries, data, name, nsteps, st
                                    "heisenberg_reeb"]),
        st.integers(1, 40), st.sampled_from([1e-3, 5e-3]), st.sampled_from(["dual", "central"]))
 def test_blocks_agree_with_classical_rk4(entries, data, name, nsteps, step, diff_mode):
-    """Stage-form RK4 of all 17 components (``classical_rhs``), or of the 9 of
-    the transport (``transport_rhs``), steps the points as the blocks do, bit
-    for bit; the frame and Jacobi step matrices round differently, by at most
-    1e-11 in any frame, B, M or Jacobi array."""
+    """Stage-form RK4 of all 17 components (``classical_rhs``) steps the points
+    as the blocks do, bit for bit; the frame and Jacobi step matrices round
+    differently, by at most 1e-11 in any frame, B, M or Jacobi array."""
     entry = entries[name]
     man = dataclasses.replace(entry.manifold, diff_mode=diff_mode)
     starts = data.draw(grid_starts(entry.grid))
-    for with_jacobi in MODES:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flow, "JACOBI_BLOCK", 7 * len(starts))
-            got = integrate_orbits(man, entry.field, starts, nsteps * step, step, with_jacobi)
-        expected = joint_orbits(man, entry.field, starts, nsteps * step, step, with_jacobi,
-                                classical_step)
-        arrays = ("e1", "e2", "B", "M") + (("A",) + JACOBI_ARRAYS if with_jacobi else ())
-        for traj, ref in zip(got, expected, strict=True):
-            assert len(traj) == len(ref) and traj.truncated == ref.truncated
-            assert np.array_equal(traj.points, ref.points)
-            for array in arrays:
-                np.testing.assert_allclose(getattr(traj, array), getattr(ref, array),
-                                           rtol=0, atol=1e-11, err_msg=array)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "JACOBI_BLOCK", 7 * len(starts))
+        got = integrate_orbits(man, entry.field, starts, nsteps * step, step)
+    expected = joint_orbits(man, entry.field, starts, nsteps * step, step, classical_step)
+    for traj, ref in zip(got, expected, strict=True):
+        assert len(traj) == len(ref) and traj.truncated == ref.truncated
+        assert np.array_equal(traj.points, ref.points)
+        for array in ("e1", "e2", "B", "M", "A") + JACOBI_ARRAYS:
+            np.testing.assert_allclose(getattr(traj, array), getattr(ref, array),
+                                       rtol=0, atol=1e-11, err_msg=array)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -473,44 +472,39 @@ def near_cap(k, d):
 def test_five_passes_equal_the_joint_integration_when_a_seed_truncates(
         edge, others, slot, nsteps, diff_mode):
     """One seed of a batch leaves the chart, at a stage or step end or first by
-    a stage stencil; blocks hold 3 steps; both modes. Every seed stops after
-    the samples, and at the points, of stage-form RK4."""
+    a stage stencil; blocks hold 3 steps. Every seed stops after the samples,
+    and at the points, of stage-form RK4."""
     man, X = h3_cap(diff_mode)
     x3 = list(others)
     x3.insert(min(slot, len(x3)), edge)
     starts = np.array([[0.1 * k, -0.2, z] for k, z in enumerate(x3)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "JACOBI_BLOCK", 3 * len(starts))
-        for with_jacobi in MODES:
-            assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi)
-            got = integrate_orbits(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi)
-            expected = joint_orbits(man, X, starts, nsteps * 1e-2, 1e-2, with_jacobi,
-                                    classical_step)
-            for traj, ref in zip(got, expected, strict=True):
-                assert len(traj) == len(ref) and traj.truncated == ref.truncated
-                assert np.array_equal(traj.points, ref.points)
+        assert_joint_result(man, X, starts, nsteps * 1e-2, 1e-2)
+        got = integrate_orbits(man, X, starts, nsteps * 1e-2, 1e-2)
+        expected = joint_orbits(man, X, starts, nsteps * 1e-2, 1e-2, classical_step)
+        for traj, ref in zip(got, expected, strict=True):
+            assert len(traj) == len(ref) and traj.truncated == ref.truncated
+            assert np.array_equal(traj.points, ref.points)
 
 
 @pytest.mark.parametrize("edge", [1.15, near_cap(3, 5e-6)])
 def test_truncation_by_transport_and_by_stencil(monkeypatch, edge):
     """A seed whose stage centre leaves the chart replays exactly one block as
-    one-step blocks, in both modes. So does one whose sample 3's stencil leaves
-    first, except without the Jacobi pair when sample 3 ends a block (blocks of
-    1 or 3 steps): the block's check of its step ends stops the seed there,
-    and the next block, whose stages leave the chart, never runs. With the
-    pair, step 3's last stage lies beyond its end, so its block replays.
-    Seeds that stay in the chart replay none."""
+    one-step blocks. So does one whose sample 3's stencil leaves first, in
+    blocks of any length (of 1 or 3 steps too, where sample 3 ends a block):
+    step 3's last stage lies beyond its end, and the curvature stencils of
+    the block's stages leave the chart, so its block replays. Seeds that
+    stay in the chart replay none."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
     starts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, edge], [0.3, 0.0, 0.8]])
-    for block, with_jacobi in itertools.product((3, 9, flow.JACOBI_BLOCK), MODES):
+    for block in (3, 9, flow.JACOBI_BLOCK):
         monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
         for batch, edge_seeds in ((starts, 1), (starts[1:2], 1), (starts[0::2], 0)):
-            ends_block = 3 % max(1, block // len(batch)) == 0
-            stopped_by_check = edge != 1.15 and not with_jacobi and ends_block
             replays.clear()
-            assert_joint_result(man, X, batch, 0.1, 1e-2, with_jacobi)
-            assert len(replays) == (0 if stopped_by_check else edge_seeds)
+            assert_joint_result(man, X, batch, 0.1, 1e-2)
+            assert len(replays) == edge_seeds
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -518,16 +512,14 @@ def test_a_step_end_just_past_the_cap_replays_one_block(monkeypatch, k):
     """Step k of 6 ends 5e-6 above x3 = 1.2, in blocks of 3 steps: in the middle
     of a block, at its last step and at the first step of the next. Step k's
     last stage lies beyond its end, so its block replays, and the seed ends
-    after k samples as with one-step blocks, in both modes."""
+    after k samples as with one-step blocks."""
     man, X = h3_cap()
     replays = count_replays(monkeypatch)
     monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
     start = np.array([[0.0, 0.0, (1.2 + 5e-6) * np.exp(-k * 1e-2)]])
-    for with_jacobi in MODES:
-        replays.clear()
-        assert_joint_result(man, X, start, 6e-2, 1e-2, with_jacobi)
-        assert len(replays) == 1
-        assert len(integrate_orbits(man, X, start, 6e-2, 1e-2, with_jacobi)[0]) == k
+    assert_joint_result(man, X, start, 6e-2, 1e-2)
+    assert len(replays) == 1
+    assert len(integrate_orbits(man, X, start, 6e-2, 1e-2)[0]) == k
 
 
 def sudden_cap():
@@ -585,9 +577,8 @@ def slow_cap():
     return man, gc.UnitField.from_exprs("slow", ("0", "0", "1/sqrt(x3)"))
 
 
-@pytest.mark.parametrize("with_jacobi", MODES)
 def test_a_block_end_whose_stencil_leaves_the_chart_stops_its_seed_without_a_replay(
-        monkeypatch, with_jacobi):
+        monkeypatch):
     """Step 3 of 6 ends 1e-5 - 2e-9 below the cap, in blocks of 3 steps: the
     stencil of that block's last step end leaves the chart, but neither its
     centre nor any stage's stencil does. The block's check of its step ends
@@ -597,7 +588,7 @@ def test_a_block_end_whose_stencil_leaves_the_chart_stops_its_seed_without_a_rep
     man, X = slow_cap()
     start = np.array([[0.0, 0.0, cap_start(lambda x: x ** -0.5, 3, -(1e-5 - 2e-9))]])
     monkeypatch.setattr(flow, "JACOBI_BLOCK", 3)
-    assert_joint_result(man, X, start, 6e-2, 1e-2, with_jacobi)
+    assert_joint_result(man, X, start, 6e-2, 1e-2)
     log = []
 
     def logged(name):
@@ -606,29 +597,27 @@ def test_a_block_end_whose_stencil_leaves_the_chart_stops_its_seed_without_a_rep
 
     for name in ("_partials_inside", "_replay", "_trajectory"):
         monkeypatch.setattr(flow, name, logged(name))
-    traj = integrate_orbits(man, X, start, 6e-2, 1e-2, with_jacobi)[0]
+    traj = integrate_orbits(man, X, start, 6e-2, 1e-2)[0]
     assert traj.truncated and len(traj) == 3
     assert log == ["_partials_inside", "_partials_inside", "_trajectory"]
 
 
-@pytest.mark.parametrize("with_jacobi", MODES)
-def test_a_grazing_orbit_stops_before_its_sample_whose_stencil_leaves_the_chart(with_jacobi):
+def test_a_grazing_orbit_stops_before_its_sample_whose_stencil_leaves_the_chart():
     """The flat line x1 = t from x1 = -0.05 grazes the chart x3 + x1^2 > 1 at
     height 5e-6: only at x1 = 0, sample 5 and the last stage of step 5, does a
-    stencil leave it, and no stage centre ever does. Without the Jacobi pair no
-    block raises, so the block's check of all its step ends stops the seed;
-    both modes stop after 5 samples, as one-step blocks do."""
+    stencil leave it, and no stage centre ever does. The seed stops after 5
+    samples, as one-step blocks do."""
     man = gc.manifold_from_exprs("graze", (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
                                  domain="x3 + x1^2 - 1")
     X = gc.UnitField.from_exprs("x1", ("1", "0", "0"))
     start = np.array([[-0.05, 0.0, 1 + 5e-6]])
-    assert_joint_result(man, X, start, 0.1, 1e-2, with_jacobi)
-    traj = integrate_orbits(man, X, start, 0.1, 1e-2, with_jacobi)[0]
+    assert_joint_result(man, X, start, 0.1, 1e-2)
+    traj = integrate_orbits(man, X, start, 0.1, 1e-2)[0]
     assert traj.truncated and len(traj) == 5
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_a_field_undefined_beyond_the_chart_leaves_it_as_a_defined_one_does(with_jacobi):
+@pytest.mark.parametrize("path", ORBITS)
+def test_a_field_undefined_beyond_the_chart_leaves_it_as_a_defined_one_does(path):
     """x3 + 0*sqrt(1.2 - x3) is x3 in the chart and raises DomainError above the
     cap x3 = 1.2: a stage there is a chart exit, so each seed truncates where
     the field x3 truncates it, with the same trajectory, alone and in a batch."""
@@ -636,25 +625,25 @@ def test_a_field_undefined_beyond_the_chart_leaves_it_as_a_defined_one_does(with
     guarded = gc.UnitField.from_exprs("guarded", ("0", "0", "x3 + 0*sqrt(1.2 - x3)"))
     starts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 0.5]])
     for batch in (starts[:1], starts):
-        got = integrate_orbits(man, guarded, batch, 0.5, 1e-2, with_jacobi)
-        expected = integrate_orbits(man, plain, batch, 0.5, 1e-2, with_jacobi)
+        got = ORBITS[path](man, guarded, batch, 0.5, 1e-2)
+        expected = ORBITS[path](man, plain, batch, 0.5, 1e-2)
         for traj, ref in zip(got, expected, strict=True):
-            assert_same_trajectory(traj, ref, with_jacobi)
+            assert_same_trajectory(traj, ref)
         assert got[0].truncated and len(got[0]) == 19
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_a_field_undefined_inside_the_chart_raises_its_domain_error(with_jacobi):
+@pytest.mark.parametrize("path", ORBITS)
+def test_a_field_undefined_inside_the_chart_raises_its_domain_error(path):
     """sqrt(1.1 - x3) fails below the cap x3 = 1.2, inside the chart: the
     expression is at fault, not the orbit, and its DomainError is raised."""
     man, _ = h3_cap()
     short = gc.UnitField.from_exprs("short", ("0", "0", "x3 + 0*sqrt(1.1 - x3)"))
     with pytest.raises(DomainError, match=r"sqrt of a negative value in 'sqrt\(\(1\.1 - x3\)\)'"):
-        integrate_orbit(man, short, np.array([0.0, 0.0, 1.0]), 0.5, 1e-2, with_jacobi)
+        ORBITS[path](man, short, [[0.0, 0.0, 1.0]], 0.5, 1e-2)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_a_field_not_finite_beyond_the_chart_leaves_it_as_a_finite_one_does(with_jacobi):
+@pytest.mark.parametrize("path", ORBITS)
+def test_a_field_not_finite_beyond_the_chart_leaves_it_as_a_finite_one_does(path):
     """x3 + 0*exp(1000*(x3 - 0.5)) is x3 in the chart and NaN above x3 = 1.2098,
     beyond the cap x3 = 1.2: a stage there is a chart exit, so each seed
     truncates where the field x3 truncates it, with the same trajectory, alone
@@ -664,21 +653,23 @@ def test_a_field_not_finite_beyond_the_chart_leaves_it_as_a_finite_one_does(with
     starts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 0.5]])
     for batch in (starts[:1], starts):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = integrate_orbits(man, steep, batch, 0.5, 1e-2, with_jacobi)
-        expected = integrate_orbits(man, plain, batch, 0.5, 1e-2, with_jacobi)
+            got = ORBITS[path](man, steep, batch, 0.5, 1e-2)
+        expected = ORBITS[path](man, plain, batch, 0.5, 1e-2)
         for traj, ref in zip(got, expected, strict=True):
-            assert_same_trajectory(traj, ref, with_jacobi)
+            assert_same_trajectory(traj, ref)
         assert got[0].truncated and len(got[0]) == 19
 
 
-def test_point_segments_are_the_transport_orbits_points(entries):
-    """``orbit_points`` runs the transport blocks' point pass, so where no seed
-    stops, each seed's samples are its transport orbit's points bit for bit."""
-    entry = entries["s3_weighted(2,3)"]
+@pytest.mark.parametrize("name", ORBIT_NAMES)
+def test_point_segments_are_the_transport_orbits_points(entries, name):
+    """``orbit_points`` runs the point pass of the blocks with frames, so where
+    no seed stops, each seed's samples are its orbit's points bit for bit, on
+    every catalog entry's 27 T6.1 seeds."""
+    entry = entries[name]
     seeds = entry.grid.subgrid((3, 3, 3)).points()
     points, samples = flow.orbit_points(entry.manifold, entry.field, seeds, 0.1, 1e-3)
     assert points.shape == (27, 101, 3) and (samples == 101).all()
-    trajs = integrate_orbits(entry.manifold, entry.field, seeds, 0.1, 1e-3, with_jacobi=False)
+    trajs = integrate_orbits(entry.manifold, entry.field, seeds, 0.1, 1e-3)
     for k, traj in enumerate(trajs):
         assert np.array_equal(points[k], traj.points)
 
@@ -729,8 +720,8 @@ def test_point_segments_raise_what_the_field_raises_inside_the_chart():
             flow.orbit_points(man, steep, start, 0.5, 1e-2)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_a_field_not_finite_inside_the_chart_raises_degenerate_seed(with_jacobi):
+@pytest.mark.parametrize("path", ORBITS)
+def test_a_field_not_finite_inside_the_chart_raises_degenerate_seed(path):
     """x3 + 0*exp(1000*(x3 - 0.4)) is NaN above x3 = 1.1098, below the cap x3 =
     1.2: the field is at fault, not the orbit, and DegenerateSeed names the
     first stage point where its value is not finite, alone and in a batch."""
@@ -741,7 +732,27 @@ def test_a_field_not_finite_inside_the_chart_raises_degenerate_seed(with_jacobi)
     for batch in (starts[:1], starts):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateSeed, match=message):
-                integrate_orbits(man, steep, batch, 0.5, 1e-2, with_jacobi)
+                ORBITS[path](man, steep, batch, 0.5, 1e-2)
+
+
+@pytest.mark.parametrize("path", ORBITS)
+def test_a_batch_raises_its_first_failing_seeds_field_error(path):
+    """Seed 0 meets the field's NaN above x3 = 1.1098 and raises DegenerateSeed
+    alone; seed 1, at x1 = 0.5, raises the field's DomainError above x3 = 0.6
+    in its first step, steps before seed 0 fails. The batch raises seed 0's
+    error, as seed 0 alone does, not the earliest step's."""
+    man, _ = h3_cap()
+    both = gc.UnitField.from_exprs(
+        "both", ("0", "0", "x3 + 0*sqrt(0.3 - x1*x3) + 0*exp(1000*(x3 - 0.4))"))
+    starts = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.595]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateSeed) as alone:
+            ORBITS[path](man, both, starts[:1], 0.5, 1e-2)
+        with pytest.raises(DomainError, match=r"sqrt of a negative value"):
+            ORBITS[path](man, both, starts[1:], 0.5, 1e-2)
+        with pytest.raises(DegenerateSeed) as batch:
+            ORBITS[path](man, both, starts, 0.5, 1e-2)
+    assert str(batch.value) == str(alone.value)
 
 
 def fold2():
@@ -751,7 +762,7 @@ def fold2():
 
 
 def test_a_metric_failing_on_a_stage_stencil_names_the_stencil_check():
-    """The transport alone would meet the singular centre first. g33 = 0 at
+    """Gamma at the stage centres alone would meet the singular centre first. g33 = 0 at
     x3 = 1 is singular, so its sign is not trusted: the first point named is
     the first stencil point where g is clearly indefinite."""
     man, z = fold2()
@@ -766,7 +777,7 @@ def test_stage_failures_inside_a_batch_give_each_seeds_solo_result():
     batch = integrate_orbits(man, z, starts, 0.2, 1e-2)
     assert [len(traj) for traj in batch] == [21, 5, 21]
     for p, traj in zip(starts, batch):
-        assert_same_trajectory(traj, integrate_orbit(man, z, p, 0.2, 1e-2), True)
+        assert_same_trajectory(traj, integrate_orbit(man, z, p, 0.2, 1e-2))
     assert_joint_result(man, z, starts, 0.2, 1e-2)
 
     man, z = fold2()
@@ -783,20 +794,18 @@ def sign_flip(name, s, domain="true"):
     return man, gc.UnitField.from_exprs("z", ("0", "0", "1"))
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_a_step_leaving_the_chart_ends_the_seed_before_its_metric_fails(with_jacobi):
+def test_a_step_leaving_the_chart_ends_the_seed_before_its_metric_fails():
     """Step 2 from x3 = 1.165 has stages at 1.185, 1.195 (twice) and 1.205: the
     metric is indefinite above 1.19 and the chart ends at 1.2. A step's chart
     check of all its curvature points comes before their metric checks, so
-    the seed stops after 2 samples in both modes."""
+    the seed stops after 2 samples."""
     man, z = sign_flip("flip_cap", "1.19 - x3", domain="x3*(1.2-x3)")
-    traj = integrate_orbit(man, z, np.array([0.0, 0.0, 1.165]), 0.06, 0.02, with_jacobi)
+    traj = integrate_orbit(man, z, np.array([0.0, 0.0, 1.165]), 0.06, 0.02)
     assert traj.truncated and len(traj) == 2
     assert traj.points[-1, 2] == pytest.approx(1.185, abs=1e-12)
 
 
-@pytest.mark.parametrize("with_jacobi", MODES)
-def test_a_batch_raises_its_first_failing_seeds_error(with_jacobi):
+def test_a_batch_raises_its_first_failing_seeds_error():
     """Seed 0 meets the indefinite metric above x3 = 1.19 and raises
     NotPositiveDefinite alone; seed 1, which starts nearer the cap, raises the
     metric's DomainError at x3 = 1.19 in its first step, steps before seed 0
@@ -805,22 +814,21 @@ def test_a_batch_raises_its_first_failing_seeds_error(with_jacobi):
     man, z = sign_flip("flip", "1.19 - x3", domain="x3*(1.2 - x3)")
     starts = np.array([[0.0, 0.0, 1.10], [0.1, 0.0, 1.18]])
     with pytest.raises(NotPositiveDefinite) as alone:
-        integrate_orbit(man, z, starts[0], 0.5, 1e-2, with_jacobi)
+        integrate_orbit(man, z, starts[0], 0.5, 1e-2)
     with pytest.raises(DomainError, match=r"division by zero .* at \[0\.1 +0\. +1\.19\]"):
-        integrate_orbit(man, z, starts[1], 0.5, 1e-2, with_jacobi)
+        integrate_orbit(man, z, starts[1], 0.5, 1e-2)
     with pytest.raises(NotPositiveDefinite) as batch:
-        integrate_orbits(man, z, starts, 0.5, 1e-2, with_jacobi)
+        integrate_orbits(man, z, starts, 0.5, 1e-2)
     assert str(batch.value) == str(alone.value)
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_transport_stages_check_the_metric_is_positive_definite(with_jacobi):
+def test_transport_stages_check_the_metric_is_positive_definite():
     """The metric is indefinite on 1.19 < x3 < 1.196, where only step 2's
-    middle stages fall: both modes name the first of them."""
+    middle stages fall: the first of them is named."""
     man, z = sign_flip("flip_band", "(x3 - 1.196)*(x3 - 1.19)")
     with pytest.raises(NotPositiveDefinite,
                        match=r"not positive definite at \[0\.    0\.    1\.195\]"):
-        integrate_orbit(man, z, np.array([0.0, 0.0, 1.165]), 0.06, 0.02, with_jacobi)
+        integrate_orbit(man, z, np.array([0.0, 0.0, 1.165]), 0.06, 0.02)
 
 
 def count_calls(monkeypatch, names):
@@ -865,8 +873,28 @@ def test_curvature_is_one_call_per_block(entries, monkeypatch, nsteps, block):
     assert rows == [4 * min(block, nsteps - done) for done in range(0, nsteps, block)] + [1]
 
 
+@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (10, 2), (1200, flow.JACOBI_BLOCK)])
+def test_point_segments_are_one_block_call_per_block_and_no_curvature(entries, monkeypatch,
+                                                                      nsteps, block):
+    """As points alone, n steps make n rk4_step calls and ceil(n / K)
+    ``_jacobi_block`` calls, each a point pass alone: no curvature, frame or
+    Jacobi call, no ``diagnose`` and no replay."""
+    calls = count_calls(monkeypatch, ["rk4_step", "_jacobi_block", "_point_pass", "_replay",
+                                      "christoffel_with_partials", "christoffel", "diagnose",
+                                      "_step_matrices", "jacobi_matrix", "frame_terms"])
+    monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
+    entry = entries["h3_vertical"]
+    points, samples = flow.orbit_points(entry.manifold, entry.field, [[0.0, 0.0, 1.0]],
+                                        nsteps * 1e-3, 1e-3)
+    blocks = math.ceil(nsteps / block)
+    assert points.shape == (1, nsteps + 1, 3) and samples.tolist() == [nsteps + 1]
+    assert calls == {"rk4_step": nsteps, "_jacobi_block": blocks, "_point_pass": blocks,
+                     "_replay": 0, "christoffel_with_partials": 0, "christoffel": 0,
+                     "diagnose": 0, "_step_matrices": 0, "jacobi_matrix": 0, "frame_terms": 0}
+
+
 def test_a_jacobi_batchs_last_samples_are_one_curvature_call(entries, monkeypatch):
-    """Three seeds with the Jacobi pair make one christoffel_with_partials call
+    """Three seeds make one christoffel_with_partials call
     per block and one at all three seeds' last samples: blocks + 1 calls, the
     last of 3 rows, where a call per seed would make blocks + 3 of one row.
     Each trajectory equals its solo run bit for bit."""
@@ -881,7 +909,7 @@ def test_a_jacobi_batchs_last_samples_are_one_curvature_call(entries, monkeypatc
     assert rows == [4 * 4 * 3, 4 * 4 * 3, 2 * 4 * 3, 3]  # 10 steps: blocks of 4, 4 and 2
     for traj, solo in zip(batch, solos):
         assert len(traj) == 11 and not traj.truncated
-        assert_same_trajectory(traj, solo, True)
+        assert_same_trajectory(traj, solo)
 
 
 @pytest.mark.parametrize("nsteps,block", [(7, 3), (1200, flow.JACOBI_BLOCK)])
@@ -906,29 +934,6 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
                      "christoffel": 0, "diagnose": 1, "frame_terms": 1}
 
 
-@pytest.mark.parametrize("nsteps,block", [(7, 3), (9, 3), (1200, flow.JACOBI_BLOCK)])
-def test_in_chart_transport_is_one_christoffel_call_per_block(entries, monkeypatch,
-                                                              nsteps, block):
-    """Without the Jacobi pair, n steps make ceil(n / K) christoffel calls, one per
-    block, where stage-form transport made 4n; the frame stage maps come from
-    one ``_step_matrices`` call per block; the start is one ``diagnose`` call,
-    and only the post-pass calls ``christoffel_with_partials`` and
-    ``frame_terms`` (B and M), so no block calls ``jacobi_matrix``; nothing
-    replays, so ``_replay`` is never called."""
-    calls = count_calls(monkeypatch, ["rk4_step", "christoffel", "christoffel_with_partials",
-                                      "_step_matrices", "jacobi_matrix", "_replay", "diagnose",
-                                      "frame_terms"])
-    monkeypatch.setattr(flow, "JACOBI_BLOCK", block)
-    entry = entries["s3_hopf"]
-    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]),
-                           nsteps * 1e-3, 1e-3, with_jacobi=False)
-    blocks = math.ceil(nsteps / block)
-    assert len(traj) == nsteps + 1 and not traj.truncated
-    assert calls == {"rk4_step": nsteps, "christoffel": blocks, "christoffel_with_partials": 1,
-                     "_step_matrices": blocks, "jacobi_matrix": 0, "_replay": 0,
-                     "diagnose": 1, "frame_terms": 1}
-
-
 def test_the_catalogs_t61_batches_never_replay(monkeypatch):
     """T6.1 on every catalog entry runs its 27 seeds' flow segments of 100
     steps as points alone (``orbit_points``), in blocks of 14 steps, with no
@@ -942,12 +947,11 @@ def test_the_catalogs_t61_batches_never_replay(monkeypatch):
                      "christoffel_with_partials": 0, "diagnose": 0}
 
 
-@pytest.mark.parametrize("with_jacobi", [False, True])
-def test_orbit_ends_before_its_first_sample_whose_stencil_leaves_the_chart(with_jacobi):
-    """Sample 5's stencil leaves the chart, and with the Jacobi pair so does the
-    stencil of step 5's last stage, whose centre stays in: both stop at 5 samples."""
+def test_orbit_ends_before_its_first_sample_whose_stencil_leaves_the_chart():
+    """Sample 5's stencil leaves the chart, and so does the stencil of step 5's
+    last stage, whose centre stays in: the orbit stops at 5 samples."""
     man, z = slab()
-    traj = integrate_orbit(man, z, np.array([0.0, 0.0, 0.949995]), 0.2, 1e-2, with_jacobi)
+    traj = integrate_orbit(man, z, np.array([0.0, 0.0, 0.949995]), 0.2, 1e-2)
     assert traj.truncated and len(traj) == 5
     assert traj.points[-1, 2] == pytest.approx(0.989995, abs=1e-12)
 
@@ -959,10 +963,9 @@ def test_orbit_start_whose_stencil_leaves_the_chart_is_named(diff_mode, x3):
     man, z = slab()
     man.diff_mode = diff_mode
     starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, x3]])
-    for with_jacobi in (False, True):
-        with pytest.raises(OutOfChart, match=r"orbit start \[0\. +0\. +0\.9999.5\]: its "
-                                             r"curvature stencil \(diff_step 1e-05\)"):
-            integrate_orbits(man, z, starts, 0.1, 1e-2, with_jacobi)
+    with pytest.raises(OutOfChart, match=r"orbit start \[0\. +0\. +0\.9999.5\]: its "
+                                         r"curvature stencil \(diff_step 1e-05\)"):
+        integrate_orbits(man, z, starts, 0.1, 1e-2)
     if diff_mode == "central":
         man.diff_mode = "dual"
         assert len(integrate_orbits(man, z, starts, 0.1, 1e-2)) == 2
@@ -987,7 +990,7 @@ def test_rk4_convergence_order(entries):
     p0 = np.array([0.0, 0.0, 1.0])
     errors = []
     for h in (0.02, 0.01):
-        traj = integrate_orbit(entry.manifold, entry.field, p0, 1.0, h, with_jacobi=False)
+        traj = integrate_orbit(entry.manifold, entry.field, p0, 1.0, h)
         errors.append(abs(traj.points[-1, 2] - np.e))
     assert errors[0] / errors[1] >= 8.0
 
@@ -1078,8 +1081,7 @@ def test_commutation_flow_transversal(entries):
     step, t_end, s = 5e-3, 1.0, 1e-4
     traj = integrate_orbit(entry.manifold, entry.field, p0, t_end, step)
     v0 = traj.e1[0]
-    shifted = integrate_orbit(entry.manifold, entry.field, p0 + s * v0, t_end, step,
-                              with_jacobi=False)
+    shifted = integrate_orbit(entry.manifold, entry.field, p0 + s * v0, t_end, step)
     transversal = (shifted.points - traj.points) / s
     ambient = traj.J[:, 0, None] * traj.e1 + traj.J[:, 1, None] * traj.e2
     assert np.abs(transversal - ambient).max() < 1e-3
@@ -1145,22 +1147,13 @@ def test_wronskian_flat_and_hopf(orbit_cache):
     assert np.abs(wronskian(orbit_cache("s3_hopf")).A - 1.0).max() < 1e-4
 
 
-def test_wronskian_needs_jacobi_pair(entries):
-    entry = entries["euclidean_parallel"]
-    traj = integrate_orbit(entry.manifold, entry.field, np.zeros(3), 0.1, 1e-2,
-                           with_jacobi=False)
-    with pytest.raises(ValueError):
-        wronskian(traj)
-
-
 def test_parallel_jacobi_defect_h3(orbit_cache):
     assert max_parallel_jacobi_defect(orbit_cache("h3_vertical")) < 1e-6
 
 
 def test_parallel_jacobi_defect_window(entries):
     entry = entries["s3_weighted(2,3)"]
-    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]), 0.1, 1e-3,
-                           with_jacobi=False)
+    traj = integrate_orbit(entry.manifold, entry.field, np.array([0.3, 0.2, 0.1]), 0.1, 1e-3)
     dm = traj.M[10:] - traj.M[:-10]
     expected = np.sqrt((dm ** 2).sum(axis=(1, 2))).max() / (10 * traj.step)
     assert max_parallel_jacobi_defect(traj, window=0.0104) == expected

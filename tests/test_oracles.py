@@ -132,8 +132,7 @@ def test_gluck_warner_great_circle_fibrations_are_contact(b, m, eps):
         "consistent", "consistent", "hypotheses-not-met", "consistent", "consistent",
         "consistent" if eps == 0.0 else "hypotheses-not-met"]
     starts = np.array([[0.3, 0.2, 0.1], [-0.5, 0.4, 0.2], [0.1, -0.7, -0.3], [0.6, 0.6, -0.6]])
-    for traj in gc.integrate_orbits(entry.manifold, entry.field, starts, 0.5, 0.5 / 80,
-                                    with_jacobi=False):
+    for traj in gc.integrate_orbits(entry.manifold, entry.field, starts, 0.5, 0.5 / 80):
         assert len(traj) == 81
         assert np.linalg.svd(great_circle_lift(traj.points), compute_uv=False)[2] <= 1e-10
 

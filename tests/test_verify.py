@@ -140,6 +140,33 @@ def test_parallel_jacobi_drift_decides_on_the_warped_chart(tmp_path):
     assert cli.main(["verify", "T6.1", "--config", str(path)]) == 0
 
 
+#: T6.1 on every catalog entry differentiated centrally: the verdict and
+#: ``max_jacobi_tensor_drift`` (as ``float.hex``) that the orbit estimator
+#: gives, M differenced along the Jacobi orbits
+CENTRAL_T61 = [
+    ("euclidean_parallel", "hypotheses-not-met", "0x0.0p+0"),
+    ("euclidean_skew", "consistent", "0x0.0p+0"),
+    ("s3_hopf", "hypotheses-not-met", "0x1.6ae01d53d191fp-12"),
+    ("s3_weighted(2,3)", "hypotheses-not-met", "0x1.909a10cf68ed7p-9"),
+    ("h2xr_vertical", "hypotheses-not-met", "0x1.1b86026578000p-13"),
+    ("h3_vertical", "hypotheses-not-met", "0x1.90f676471844ap-13"),
+    ("heisenberg_reeb", "consistent", "0x1.4e373a1af7f9ep-45"),
+]
+
+
+@pytest.mark.parametrize("name,verdict,drift", CENTRAL_T61, ids=[row[0] for row in CENTRAL_T61])
+def test_parallel_jacobi_on_central_charts_keeps_its_verdicts_and_drifts(
+        entries, name, verdict, drift):
+    """On a chart differentiated centrally T6.1 reads the drift from orbits;
+    every catalog entry keeps its verdict and drift bit for bit. Only
+    s3_hopf's report is also a golden (``verify-central:T6.1:s3_hopf``)."""
+    entry = entries[name]
+    central = dataclasses.replace(entry.manifold, diff_mode="central")
+    report = verify_parallel_jacobi(dataclasses.replace(entry, manifold=central))
+    assert report.verdict == verdict
+    assert report.details["max_jacobi_tensor_drift"].hex() == drift
+
+
 def test_ricci_suites_assume_a_complete_flow(tmp_path, capsys):
     """The warped chart's flow leaves it in finite time, and the README's
     example holds: T3.1 is violated at all 125 samples and C3.2 at 100."""
