@@ -216,9 +216,10 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None,
     """Contact criterion for fields with flow-parallel Jacobi tensor (T6.1).
 
     From every seed (by default the 3 x 3 x 3 subgrid) a flow segment of
-    length 0.1 and step 1e-3 measures ||nabla_X R_X|| (``_jacobi_tensor_drift``);
-    where that hypothesis holds and either the largest mixed curvature is
-    positive or it vanishes with full-rank beta, the sample must be contact.
+    length ``T61_T_END``, at the step the report's ``orbit_step`` gives,
+    measures ||nabla_X R_X|| (``_jacobi_tensor_drift``); where that
+    hypothesis holds and either the largest mixed curvature is positive or it
+    vanishes with full-rank beta, the sample must be contact.
 
     Completeness of the field, which the underlying statement needs, is not
     measurable from finitely many samples and is assumed (it holds for every
@@ -236,45 +237,54 @@ def verify_parallel_jacobi(entry: CatalogEntry, points=None,
     drift = _jacobi_tensor_drift(entry, pts)
     rank_ii = (np.abs(diag.Delta) <= tol.hypothesis) & (diag.beta_rank == 2)
     hyp = (drift < tol.hypothesis) & ((diag.Delta > tol.hypothesis) | rank_ii)
+    man = entry.manifold
+    step = T61_STEP if _exact(man, man.metric_exprs) else T61_CENTRAL_STEP
     return _finish("T6.1", entry.name, diag, hyp, np.abs(diag.contact_defect) > tol.contact_floor,
                    details={"max_jacobi_tensor_drift": float(np.max(drift)),
-                            "orbit_t_end": 0.1, "orbit_step": 0.001})
+                            "orbit_t_end": T61_T_END, "orbit_step": step})
 
 
-#: T6.1 reads nabla_X R_X at every T61_STRIDE-th sample of a seed's segment and at its last
-T61_STRIDE = 10
+#: T6.1's flow segment from each seed: its length, and its RK4 step on a chart
+#: ``_jet`` differentiates exactly, which is its sample spacing: the drift read
+#: at each sample is exact, so the step only places the points, and RK4 at 1e-2
+#: places them within 3.8e-8 of a step-1e-3 orbit, far below
+#: ``tolerances.hypothesis``. On a chart differentiated centrally M is
+#: differenced along the orbit, at the finer step.
+T61_T_END = 0.1
+T61_STEP = 1e-2
+T61_CENTRAL_STEP = 1e-3
 
 
 def _jacobi_tensor_drift(entry: CatalogEntry, pts):
     """Per seed of pts (N, 3), the largest ||nabla_X R_X|| along its flow
-    segment, from t = 0 to 0.1 at step 1e-3: the hypothesis of T6.1 is about
-    the flow line, not the seed.
+    segment, from t = 0 to ``T61_T_END``: the hypothesis of T6.1 is about the
+    flow line, not the seed.
 
     Where ``_jet`` differentiates the metric exactly, the segment is points
-    alone (``orbit_points``), and ``jacobi_tensor_drift`` gives the exact
-    g-Frobenius norm at every T61_STRIDE-th sample and at the segment's last:
-    11 samples for a whole segment, of which 0 is the seed. On a chart
-    differentiated centrally, a third partial by nested central differences
-    would be noise (about eps / h^3), so the estimate is the orbit's: M in
-    the transported frame, differenced over a window of 0.05
+    alone (``orbit_points``) at step ``T61_STEP``, and ``jacobi_tensor_drift``
+    gives the exact g-Frobenius norm at every sample the seed keeps: 11 for a
+    whole segment, of which 0 is the seed. As each read is exact, the step is
+    the sample spacing; it only places the points. On a chart differentiated
+    centrally, a third partial by nested central differences would be noise
+    (about eps / h^3), so the estimate is the orbit's: M in the transported
+    frame, differenced over a window of half the segment
     (``max_parallel_jacobi_defect``), from the orbits ``integrate_orbits``
-    gives. Their blocks need Gamma's partials at every stage, so a seed stops
-    before its first step with a stage whose curvature stencil (2 diff_step)
-    leaves the chart, or whose end's stencil does. Where a stage's stencil
-    leaves the chart while Gamma's own (a diff_step reach) and its step
-    end's stencil do not, the seed stops before a step that Gamma at the
-    stages alone, with the end check, would let it make.
+    gives at step ``T61_CENTRAL_STEP``. Their blocks need Gamma's partials at
+    every stage, so a seed stops before its first step with a stage whose
+    curvature stencil (2 diff_step) leaves the chart, or whose end's stencil
+    does. Where a stage's stencil leaves the chart while Gamma's own (a
+    diff_step reach) and its step end's stencil do not, the seed stops before
+    a step that Gamma at the stages alone, with the end check, would let it
+    make.
     """
     man, X = entry.manifold, entry.field
     if not _exact(man, man.metric_exprs):
-        return np.array([max_parallel_jacobi_defect(traj, window=0.1 / 2)
-                         for traj in integrate_orbits(man, X, pts, 0.1, 1e-3)])
-    points, samples = orbit_points(man, X, pts, 0.1, 1e-3)
-    k = np.arange(points.shape[1])
-    rows = ((k % T61_STRIDE == 0) & (k < samples[:, None])) | (k == samples[:, None] - 1)
-    counts = rows.sum(axis=1)
+        return np.array([max_parallel_jacobi_defect(traj, window=T61_T_END / 2)
+                         for traj in integrate_orbits(man, X, pts, T61_T_END, T61_CENTRAL_STEP)])
+    points, samples = orbit_points(man, X, pts, T61_T_END, T61_STEP)
+    rows = np.arange(points.shape[1]) < samples[:, None]
     return np.maximum.reduceat(jacobi_tensor_drift(man, X, points[rows]),
-                               np.cumsum(counts) - counts)
+                               np.cumsum(samples) - samples)
 
 
 # ---------------------------------------------------------------------------

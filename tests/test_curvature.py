@@ -541,7 +541,7 @@ def test_jacobi_tensor_drift_vanishes_where_only_nabla_r_does_not():
     """On s3_weighted(2,3), R_X = kappa I on X-perp with kappa constant along
     each orbit but not across them (Delta spans 5.0 over the grid), so nabla R
     is not 0 while nabla_X R_X is: at most 1e-12 on the grid (measured 2.6e-13)
-    and along T6.1's flow segments (4.8e-13)."""
+    and along T6.1's flow segments (7.5e-13)."""
     entry = gc.builtin("s3_weighted(2,3)")
     pts = entry.grid.points()
     assert np.ptp(diagnose(entry.manifold, entry.field, pts).Delta) > 1.0

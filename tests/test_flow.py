@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import geocontact as gc
-from geocontact import flow
+from geocontact import flow, verify
 from geocontact.curvature import (christoffel, christoffel_with_partials, jacobi_matrix,
                                   real_eigenvalues)
 from geocontact.errors import (DegenerateSeed, DomainError, NotPositiveDefinite, NotUnit,
@@ -935,15 +935,18 @@ def test_in_chart_orbits_make_no_per_stage_frame_or_jacobi_call(entries, monkeyp
 
 
 def test_the_catalogs_t61_batches_never_replay(monkeypatch):
-    """T6.1 on every catalog entry runs its 27 seeds' flow segments of 100
-    steps as points alone (``orbit_points``), in blocks of 14 steps, with no
-    curvature call and no ``diagnose`` of their own: no block raises, so
-    ``_replay``, the seed-by-seed path that only a failed block takes, never runs."""
+    """T6.1 on every catalog entry runs its 27 seeds' whole flow segments as
+    points alone (``orbit_points``), in blocks of JACOBI_BLOCK // 27 steps,
+    with no curvature call and no ``diagnose`` of their own: no block raises,
+    so ``_replay``, the seed-by-seed path that only a failed block takes,
+    never runs."""
     calls = count_calls(monkeypatch, ["_jacobi_block", "_replay", "christoffel",
                                       "christoffel_with_partials", "diagnose"])
     reports = gc.verify_all(gc.catalog.all_entries(), theorems=("T6.1",))
     assert len(reports) == 7
-    assert calls == {"_jacobi_block": 8 * len(reports), "_replay": 0, "christoffel": 0,
+    blocks = math.ceil(flow.orbit_steps(verify.T61_T_END, verify.T61_STEP)
+                       / (flow.JACOBI_BLOCK // 27))
+    assert calls == {"_jacobi_block": blocks * len(reports), "_replay": 0, "christoffel": 0,
                      "christoffel_with_partials": 0, "diagnose": 0}
 
 

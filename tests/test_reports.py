@@ -102,15 +102,15 @@ DIGESTS = {
     "orbit-default:s3_hopf": "28bfd2594f7076675b807f5b39c09a7ce3cb7a472b03154760ea992aa726829a",
     "verify:P7.6:s3_hopf": "a210ba8f336941c1a929787d96e76898afa01b2e3a679b64b88b94203999e1e1",
     "verify:T3.1,C3.2,T5.1,C5.2:all": "fabbac1824a4308c2685d215cb4a838c90dfd4ced7e86daa98934a97f865a5d9",
-    "verify:all": "b9c38645f2c572a0d1492523258767c41ac6d12865faef2686ae8c1a63e45026",
+    "verify:all": "30eaae004bfce386beaf322fd44f73cc4d229211f40c53e6ecc62cd879952bff",
     "verify:T5.1,C5.2,T3.1,C3.2:tilted":
         "8cb4747a3c8ebbd455b5ca78e31220afeeeb23b9e6bd10afa00a871705c256e1",
     "verify-central:T6.1:s3_hopf":
         "3f11658a937ab677ae8de51caf67ed45bbaf259c6c11cc2aee900921dc8d62c0",
-    "verify:T6.1:h2xr_vertical": "3c19ec3e65aeeab126253c71b54415802faf21028bed59737d96f755001992f2",
-    "verify:T6.1:h3_cap": "6bdc24435a2dc9aa4f791ccbfa1a4320948f9612e4274a61b49f821cb78cca11",
-    "verify:T6.1:s3_hopf": "2823e136f1a3a2917bfa4997ecc6d912a25f4e60c5c43b1a47dfd2c542ecade4",
-    "verify:T6.1:warped": "b9425239c3097f0ad93c5d156078d82d5c5a82b522be9d5d4f3b4ec16937eb11",
+    "verify:T6.1:h2xr_vertical": "f1c0e149c8a7810e49e40b73ae149fb4edfbea020a72c403e8ec4a4a0b9ce199",
+    "verify:T6.1:h3_cap": "0e1f3c6cd4987d20601221746660080f1c7a99e09cfb5da9baf450a18f054f29",
+    "verify:T6.1:s3_hopf": "594b528c54fc9ebd580e5ef9bcd9afdbc2b6214ac6ad007faeb85b859a96ea1f",
+    "verify:T6.1:warped": "f739d60e1739faa4ffda3250388662414fd7ccc4a224cbf19529d4a19f71dfb3",
     "volume:s3_hopf:16": "a0314bc07313ffba8aed781bd59f3060fbab3d1f62756647af34f86fc634a9ac",
 }
 

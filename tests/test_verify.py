@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import geocontact as gc
-from conftest import WARPED_DOC
-from geocontact import catalog, cli, curvature, field, geometry, verify
+from conftest import WARPED_DOC, blas_note
+from geocontact import catalog, cli, curvature, field, flow, geometry, verify
 from geocontact.catalog import CatalogEntry, GridSpec, OrbitSpec
 from geocontact.cli import resolve_config
 from geocontact.errors import (ConfigError, NoParametrization, NotConstantCurvature, NotUnit,
@@ -135,9 +135,50 @@ def test_parallel_jacobi_drift_decides_on_the_warped_chart(tmp_path):
     drift = report.details["max_jacobi_tensor_drift"]
     assert abs(drift - 1.261939526210376) <= 1e-13 * 1.261939526210376
     assert drift > Tolerances().hypothesis
+    assert report.details["orbit_step"] == verify.T61_STEP
     path = tmp_path / "config.json"
     path.write_text(json.dumps(WARPED_DOC), encoding="utf-8")
     assert cli.main(["verify", "T6.1", "--config", str(path)]) == 0
+
+
+#: per catalog entry, 4x the measured maxima of T6.1's segments at T61_STEP:
+#: |p - p_ref| against a step-1e-3 orbit at the shared sample times, and the
+#: exact drift, against measured 1.1e-14 and 0 (euclidean_parallel), 2.2e-14
+#: and 0 (euclidean_skew), 1.9e-10 and 1.9e-14 (s3_hopf), 3.8e-8 and 7.5e-13
+#: (s3_weighted(2,3)), 2.5e-11 and 7.8e-15 (h2xr_vertical), 2.5e-11 and
+#: 1.1e-14 (h3_vertical), 1.1e-14 and 0 (heisenberg_reeb)
+T61_COARSE_BOUNDS = {
+    "euclidean_parallel": (4.4e-14, 0.0),
+    "euclidean_skew": (8.8e-14, 0.0),
+    "s3_hopf": (7.6e-10, 7.6e-14),
+    "s3_weighted(2,3)": (1.5e-7, 3.0e-12),
+    "h2xr_vertical": (1.0e-10, 3.1e-14),
+    "h3_vertical": (1.0e-10, 4.3e-14),
+    "heisenberg_reeb": (4.4e-14, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T61_COARSE_BOUNDS))
+def test_parallel_jacobi_reads_whole_segments_at_its_sample_spacing(
+        entries, monkeypatch, name):
+    """On an exactly differentiated chart T6.1 integrates at step T61_STEP and
+    reads nabla_X R_X at every sample: each of the 27 seeds keeps its whole
+    segment, 11 samples, and all of them are read. The coarse step only places
+    the points, and places them far below ``tolerances.hypothesis`` (1e-6)."""
+    entry = entries[name]
+    seeds = entry.grid.subgrid((3, 3, 3)).points()
+    nsteps = flow.orbit_steps(verify.T61_T_END, verify.T61_STEP)
+    coarse, samples = flow.orbit_points(entry.manifold, entry.field, seeds,
+                                        verify.T61_T_END, verify.T61_STEP)
+    assert nsteps + 1 == 11 and (samples == nsteps + 1).all()
+    rows = count_calls(monkeypatch, verify, "jacobi_tensor_drift")
+    drift = verify._jacobi_tensor_drift(entry, seeds)
+    assert rows == [samples.sum()]
+    fine, _ = flow.orbit_points(entry.manifold, entry.field, seeds, verify.T61_T_END, 1e-3)
+    shared = fine[:, ::flow.orbit_steps(verify.T61_T_END, 1e-3) // nsteps]
+    place, drift_bound = T61_COARSE_BOUNDS[name]
+    assert np.abs(coarse - shared).max() <= place
+    assert drift.max() <= drift_bound
 
 
 #: T6.1 on every catalog entry differentiated centrally: the verdict and
@@ -163,8 +204,9 @@ def test_parallel_jacobi_on_central_charts_keeps_its_verdicts_and_drifts(
     entry = entries[name]
     central = dataclasses.replace(entry.manifold, diff_mode="central")
     report = verify_parallel_jacobi(dataclasses.replace(entry, manifold=central))
-    assert report.verdict == verdict
-    assert report.details["max_jacobi_tensor_drift"].hex() == drift
+    assert report.verdict == verdict and report.details["orbit_step"] == verify.T61_CENTRAL_STEP
+    assert report.details["max_jacobi_tensor_drift"].hex() == drift, (
+        f"{name}: the drift moved; {blas_note()}")
 
 
 def test_ricci_suites_assume_a_complete_flow(tmp_path, capsys):
